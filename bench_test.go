@@ -347,3 +347,29 @@ func BenchmarkSimulatorThroughputHeap(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
+
+// BenchmarkStorageSchemes times one simulation of a 200 ms OLTP-St
+// trace per scheme — the per-event hot path of the bus allocator,
+// controller bookkeeping and (for DMA-TA-PL) layout rebalances, with
+// trace generation outside the timer. allocs/op is the whole run's
+// allocation count, set-up included.
+func BenchmarkStorageSchemes(b *testing.B) {
+	tr, err := StorageServerTrace(ServerOptions{Duration: 200_000_000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, t := range []Technique{Baseline, TemporalAlignment, TemporalAlignmentWithLayout} {
+		sim := Simulation{Technique: t}
+		if t != Baseline {
+			sim.CPLimit = 0.10
+		}
+		b.Run(t.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(sim, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -79,6 +79,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -124,6 +125,10 @@ func realMain() int {
 		return 2
 	}
 	if err := validateEpoch(*epoch, *fixedEpoch, *workers, *parallelBench != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+		return 2
+	}
+	if err := validateFig(*fig); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
@@ -267,6 +272,9 @@ func realMain() int {
 
 	failed := false
 	run := func(name string, f func() error) {
+		if !slices.Contains(figNames, name) {
+			panic("dmamem-bench: figure " + name + " missing from figNames")
+		}
 		if failed || (*fig != "all" && *fig != name) {
 			return
 		}
@@ -430,6 +438,18 @@ func realMain() int {
 
 func fromStd(d time.Duration) sim.Duration {
 	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
+}
+
+// figNames lists the -fig values in the order "all" prints them.
+var figNames = []string{"table1", "table2", "2a", "3", "2b", "4", "5", "6", "7", "8", "9", "10", "dss", "tech", "seeds"}
+
+// validateFig rejects a -fig value that names no figure; without the
+// check a typo printed nothing and exited 0.
+func validateFig(fig string) error {
+	if fig == "all" || slices.Contains(figNames, fig) {
+		return nil
+	}
+	return fmt.Errorf("unknown -fig %q (valid: all, %s)", fig, strings.Join(figNames, ", "))
 }
 
 // validateConcurrency rejects non-positive -parallel/-workers values

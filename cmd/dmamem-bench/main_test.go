@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -110,5 +113,52 @@ func TestEngineWorkers(t *testing.T) {
 		if got := engineWorkers(tc.in); got != tc.want {
 			t.Errorf("engineWorkers(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestValidateFig accepts "all" and every figure name, and rejects
+// anything else with a message listing the valid values.
+func TestValidateFig(t *testing.T) {
+	for _, fig := range append([]string{"all"}, figNames...) {
+		if err := validateFig(fig); err != nil {
+			t.Errorf("validateFig(%q) = %v, want nil", fig, err)
+		}
+	}
+	for _, fig := range []string{"bogus", "", "11", "Table1", "all "} {
+		err := validateFig(fig)
+		if err == nil {
+			t.Errorf("validateFig(%q) accepted", fig)
+			continue
+		}
+		for _, want := range []string{"unknown -fig", "all, table1", "tech, seeds"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("validateFig(%q) = %q, want it to contain %q", fig, err, want)
+			}
+		}
+	}
+}
+
+// TestUnknownFigExitsNonZero runs the command itself (this test binary
+// re-executed as dmamem-bench) with -fig bogus: it must exit 2 with
+// the valid values on stderr and print nothing on stdout.
+func TestUnknownFigExitsNonZero(t *testing.T) {
+	if os.Getenv("DMAMEM_BENCH_AS_MAIN") == "1" {
+		os.Args = []string{"dmamem-bench", "-fig", "bogus"}
+		os.Exit(realMain())
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownFigExitsNonZero$")
+	cmd.Env = append(os.Environ(), "DMAMEM_BENCH_AS_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("dmamem-bench -fig bogus: err %v, want exit status 2", err)
+	}
+	if !strings.Contains(stderr.String(), `unknown -fig "bogus" (valid: all, table1,`) {
+		t.Fatalf("stderr %q does not list the valid -fig values", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout %q, want nothing", stdout.String())
 	}
 }

@@ -88,11 +88,16 @@ type Allocator struct {
 	channelOf  []int // chip -> channel
 	channelCap []float64
 
-	// scratch
+	// scratch. remChip and chipCount are dense, indexed by chip and
+	// grown on demand; only the chips listed in touched (those the
+	// current call's flows reference) hold live values, so a call
+	// resets and scans those chips alone. The reset matters after the
+	// stall fallback or a panic, which leave counts nonzero.
 	remBus    []float64
-	remChip   map[int]float64
+	remChip   []float64
 	busCount  []int
-	chipCount map[int]int
+	chipCount []int
+	touched   []int
 	remChan   []float64
 	chanCount []int
 	rates     []float64
@@ -114,12 +119,10 @@ func NewAllocator(busCap []float64, chipCap float64) *Allocator {
 		panic(fmt.Sprintf("bus: chip capacity %g", chipCap))
 	}
 	return &Allocator{
-		busCap:    busCap,
-		chipCap:   chipCap,
-		remBus:    make([]float64, len(busCap)),
-		remChip:   make(map[int]float64),
-		busCount:  make([]int, len(busCap)),
-		chipCount: make(map[int]int),
+		busCap:   busCap,
+		chipCap:  chipCap,
+		remBus:   make([]float64, len(busCap)),
+		busCount: make([]int, len(busCap)),
 	}
 }
 
@@ -186,8 +189,10 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 	for i := range a.busCount {
 		a.busCount[i] = 0
 	}
-	clear(a.remChip)
-	clear(a.chipCount)
+	for _, c := range a.touched {
+		a.chipCount[c] = 0
+	}
+	a.touched = a.touched[:0]
 	channels := a.channelOf != nil
 	if channels {
 		remChan := a.remChan[:len(a.channelCap)]
@@ -201,9 +206,18 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 		if f.Bus < 0 || f.Bus >= len(a.busCap) {
 			panic(fmt.Sprintf("bus: flow references bus %d of %d", f.Bus, len(a.busCap)))
 		}
+		if f.Chip < 0 {
+			panic(fmt.Sprintf("bus: flow references chip %d", f.Chip))
+		}
+		if f.Chip >= len(a.chipCount) {
+			a.growChips(f.Chip + 1)
+		}
 		a.busCount[f.Bus]++
+		if a.chipCount[f.Chip] == 0 {
+			a.touched = append(a.touched, f.Chip)
+			a.remChip[f.Chip] = a.chipCap
+		}
 		a.chipCount[f.Chip]++
-		a.remChip[f.Chip] = a.chipCap
 		if channels {
 			a.chanCount[a.channelOf[f.Chip]]++
 		}
@@ -227,7 +241,8 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 				share = s
 			}
 		}
-		for c, n := range a.chipCount {
+		for _, c := range a.touched {
+			n := a.chipCount[c]
 			if n == 0 {
 				continue
 			}
@@ -300,4 +315,18 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 		}
 	}
 	return rates
+}
+
+// growChips extends the per-chip scratch to cover chips [0, n). It
+// at least doubles, so a run's chip IDs settle the size after a few
+// calls.
+func (a *Allocator) growChips(n int) {
+	if n < 2*len(a.chipCount) {
+		n = 2 * len(a.chipCount)
+	}
+	remChip := make([]float64, n)
+	copy(remChip, a.remChip)
+	chipCount := make([]int, n)
+	copy(chipCount, a.chipCount)
+	a.remChip, a.chipCount = remChip, chipCount
 }

@@ -280,7 +280,11 @@ func (c *Controller) onCompletion(e *sim.Engine) {
 	for _, f := range finished {
 		c.maybeIdle(c.chips[f.chip], now)
 	}
-	for i := range finished {
+	// Only now are the drained flows unreferenced: advanceTransfer may
+	// start new flows, which must not reuse one the loop above reads.
+	for i, f := range finished {
+		f.x = nil
+		c.freeFlows = append(c.freeFlows, f)
 		finished[i] = nil
 	}
 	c.finishedScratch = finished[:0]

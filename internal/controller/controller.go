@@ -261,8 +261,13 @@ type Controller struct {
 	busCountScratch []int      // maxPerBus
 	flowScratch     []bus.Flow // recompute allocator input
 	finishedScratch []*flow    // onCompletion drained flows
-	onCompletionFn  sim.Handler
-	onEpochFn       sim.Handler
+	// Free lists: drained flows and finished transfers are recycled,
+	// so starting and completing transfers allocates nothing once a
+	// run has reached its peak in-flight count.
+	freeFlows      []*flow
+	freeXfers      []*xferState
+	onCompletionFn sim.Handler
+	onEpochFn      sim.Handler
 
 	// Channel topology state. channels is the effective channel count
 	// (1 in the legacy configuration); channelOf maps chip -> channel.

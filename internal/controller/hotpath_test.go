@@ -134,3 +134,63 @@ func TestControllerSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("controller steady state allocated %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestTransferLifecycleZeroAlloc extends the allocation guard to whole
+// transfers: arrival, issue (or gating and release under DMA-TA),
+// wake, rate reallocation and completion. Flows and transfer records
+// come from the controller's free lists, so once a warm-up has grown
+// them to the peak in-flight count a lifecycle allocates nothing. The
+// only growth left is the amortized append of each finished
+// transfer's times to the report statistics, which the per-op average
+// absorbs.
+func TestTransferLifecycleZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ta   bool
+	}{{"baseline", false}, {"dma-ta", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig()
+			if tc.ta {
+				cfg.TA = DefaultTA(2.0)
+			}
+			eng := sim.New()
+			c, err := New(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Three transfers from three buses to chip 0 per cycle: the
+			// gather target under DMA-TA, plain sharing in the baseline.
+			// The handlers are built once so scheduling allocates no
+			// closure.
+			var xs [3]dma.Transfer
+			var arrive [3]sim.Handler
+			for i := range xs {
+				i := i
+				arrive[i] = func(*sim.Engine) { c.StartTransfer(xs[i]) }
+			}
+			cycle := func() {
+				base := eng.Now().Add(50 * sim.Microsecond)
+				for i := range xs {
+					c.nextXferID++
+					xs[i] = dma.Transfer{ID: c.nextXferID, Bus: i, Page: 0, Pages: 2,
+						Arrival: base.Add(sim.Duration(i) * sim.Microsecond)}
+					eng.SchedulePrio(xs[i].Arrival, prioArrival, arrive[i])
+				}
+				eng.Run()
+			}
+			for i := 0; i < 64; i++ {
+				cycle()
+			}
+			if c.transfers != 64*3 || c.xferTimes.Count() != 64*3 {
+				t.Fatalf("warm-up finished %d of %d started transfers, want 192 of 192",
+					c.xferTimes.Count(), c.transfers)
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Fatalf("transfer lifecycle allocated %.1f allocs/op, want 0", allocs)
+			}
+			if tc.ta && c.RelGathered+c.RelSlack+c.RelMaxDelay+c.RelDrain == 0 {
+				t.Fatal("DMA-TA never gated a transfer; the gated path went unmeasured")
+			}
+		})
+	}
+}

@@ -40,7 +40,7 @@ func (c *Controller) StartTransfer(t dma.Transfer) {
 			c.cfg.Layout.Observe(t.Page + memsys.PageID(p))
 		}
 	}
-	x := &xferState{t: t}
+	x := c.newXfer(t)
 
 	// The DMA-TA gating decision looks at the chip holding the
 	// transfer's first page. Only the transfer's first request is ever
@@ -134,7 +134,8 @@ func (c *Controller) startFlow(cs *chipState, x *xferState, now sim.Time) {
 	}
 	c.cancelPolicyTimer(cs)
 	c.markDirty(cs)
-	f := &flow{
+	f := c.newFlow()
+	*f = flow{
 		x:         x,
 		chip:      x.seg.Chip,
 		bus:       x.t.Bus,
@@ -155,6 +156,34 @@ func (c *Controller) advanceTransfer(x *xferState, now sim.Time) {
 	}
 	c.xferTimes.Add(now.Sub(x.t.Arrival))
 	c.gatherDelays.Add(x.gatherDelay)
+	c.freeXfers = append(c.freeXfers, x)
+}
+
+// newXfer takes a transfer record from the free list (or allocates one
+// while the list is still cold) and initialises it for t. Records go
+// back to the list when advanceTransfer finishes them, so a run holds
+// at most as many as it ever had in flight at once.
+func (c *Controller) newXfer(t dma.Transfer) *xferState {
+	var x *xferState
+	if n := len(c.freeXfers); n > 0 {
+		x = c.freeXfers[n-1]
+		c.freeXfers = c.freeXfers[:n-1]
+	} else {
+		x = new(xferState)
+	}
+	*x = xferState{t: t}
+	return x
+}
+
+// newFlow takes a flow from the free list or allocates one; the caller
+// overwrites every field. onCompletion returns drained flows.
+func (c *Controller) newFlow() *flow {
+	if n := len(c.freeFlows); n > 0 {
+		f := c.freeFlows[n-1]
+		c.freeFlows = c.freeFlows[:n-1]
+		return f
+	}
+	return new(flow)
 }
 
 // gate holds a transfer whose first pending request found the chip in
@@ -286,28 +315,28 @@ func (c *Controller) onEpoch(e *sim.Engine) {
 	c.recompute(now)
 }
 
-// ActivePages returns the pages of all unfinished transfers (flowing,
-// waiting, or gated); the layout manager must not migrate them.
-func (c *Controller) ActivePages() map[memsys.PageID]bool {
-	busy := make(map[memsys.PageID]bool)
-	add := func(x *xferState) {
+// MarkActivePages sets busy[p] for every page of an unfinished
+// transfer (flowing, waiting, or gated); the layout manager must not
+// migrate those. It only sets entries, so one page bitmap can collect
+// the union over several controllers; the caller clears it.
+func (c *Controller) MarkActivePages(busy []bool) {
+	mark := func(x *xferState) {
 		for p := x.pageIdx; p < x.t.Pages; p++ {
 			busy[x.t.Page+memsys.PageID(p)] = true
 		}
 	}
 	for _, f := range c.allFlows {
-		add(f.x)
+		mark(f.x)
 	}
 	for _, cs := range c.chips {
 		if cs == nil {
 			continue
 		}
 		for _, x := range cs.gated {
-			add(x)
+			mark(x)
 		}
 		for _, x := range cs.waiting {
-			add(x)
+			mark(x)
 		}
 	}
-	return busy
 }

@@ -522,10 +522,13 @@ func feed(eng *sim.Engine, ctl *controller.Controller, tr *trace.Trace) {
 // trace.
 func scheduleRebalances(eng *sim.Engine, ctl *controller.Controller, lm *layout.Manager, end sim.Time) {
 	interval := lm.Interval()
+	busy := make([]bool, lm.NumPages())
+	isBusy := func(p memsys.PageID) bool { return busy[p] }
 	var tick func(e *sim.Engine)
 	tick = func(e *sim.Engine) {
-		busy := ctl.ActivePages()
-		lm.Rebalance(func(p memsys.PageID) bool { return busy[p] })
+		ctl.MarkActivePages(busy)
+		lm.Rebalance(isBusy)
+		clear(busy)
 		next := e.Now().Add(interval)
 		if next <= end {
 			eng.SchedulePrio(next, 5, tick)

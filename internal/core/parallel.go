@@ -203,7 +203,8 @@ type parallelRun struct {
 	rebInterval sim.Duration
 	nextReb     sim.Time
 	rebEnd      sim.Time
-	busyScratch []map[memsys.PageID]bool
+	busy        []bool // page bitmap: union of the partitions' in-flight pages
+	isBusy      func(memsys.PageID) bool
 
 	// nextArrival probes the earliest undelivered trace arrival — DMA
 	// records only when dmaOnly, every kind otherwise. Installed per
@@ -439,24 +440,18 @@ func (p *parallelRun) armRebalances(lm *layout.Manager, traceEnd sim.Time) {
 	p.rebInterval = lm.Interval()
 	p.nextReb = sim.Time(p.rebInterval)
 	p.rebEnd = traceEnd
+	p.busy = make([]bool, lm.NumPages())
+	p.isBusy = func(pg memsys.PageID) bool { return p.busy[pg] }
 }
 
 // runRebalance executes one layout rebalance with the global busy set:
 // a page in flight on any partition must not migrate.
 func (p *parallelRun) runRebalance() {
-	busy := p.busyScratch[:0]
 	for _, ctl := range p.ctls {
-		busy = append(busy, ctl.ActivePages())
+		ctl.MarkActivePages(p.busy)
 	}
-	p.busyScratch = busy
-	p.lm.Rebalance(func(pg memsys.PageID) bool {
-		for _, b := range busy {
-			if b[pg] {
-				return true
-			}
-		}
-		return false
-	})
+	p.lm.Rebalance(p.isBusy)
+	clear(p.busy)
 }
 
 // execute drives the shards until every event loop and input source

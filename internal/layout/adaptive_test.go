@@ -162,3 +162,65 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalanceZeroAlloc guards the rebalance hot path: once a drifting
+// workload has grown the exchange scratch to its largest epoch, a
+// rebalance — sorting, target assignment, the exchange with busy
+// pages, hysteresis and trimming — allocates nothing.
+func TestRebalanceZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"hysteresis", func(c *Config) { c.MigrateRatio = 1.5 }},
+		{"groups4", func(c *Config) { c.Groups = 4; c.HotShare = 0.8 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.mut(&cfg)
+			geo := smallGeo()
+			m, err := New(geo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A fixed cycle of drifting epochs, replayed so the measured
+			// rebalances face the same exchanges as the warm-up.
+			rng := rand.New(rand.NewSource(3))
+			pages := geo.TotalPages()
+			epochs := make([][]memsys.PageID, 16)
+			for e := range epochs {
+				base := (e * 37) % pages
+				for i := 0; i < 50+rng.Intn(300); i++ {
+					p := rng.Intn(pages)
+					if rng.Intn(10) < 8 {
+						p = (base + rng.Intn(20)) % pages
+					}
+					epochs[e] = append(epochs[e], memsys.PageID(p))
+				}
+			}
+			busy := func(p memsys.PageID) bool { return p%7 == 0 }
+			e := 0
+			epoch := func() {
+				for _, p := range epochs[e%len(epochs)] {
+					m.Observe(p)
+				}
+				m.Rebalance(busy)
+				e++
+			}
+			for i := 0; i < 4*len(epochs); i++ {
+				epoch()
+			}
+			if m.MigratedPages == 0 {
+				t.Fatal("warm-up migrated nothing; the exchange went unmeasured")
+			}
+			if allocs := testing.AllocsPerRun(100, epoch); allocs != 0 {
+				t.Fatalf("Rebalance allocated %.1f allocs/op, want 0", allocs)
+			}
+			if err := m.checkInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -16,8 +16,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
@@ -102,6 +103,21 @@ type Manager struct {
 	live        [][]int32
 	liveScratch []int32
 
+	// Rebalance scratch, reused so a rebalance allocates nothing once
+	// the buffers have grown to the run's largest exchange. target and
+	// the moving/dropped page flags are all-clear between rebalances:
+	// Rebalance resets exactly the entries it set.
+	target     []int8 // page -> hot group it should occupy, or noTarget
+	moving     []bool // page already chosen to enter some group
+	dropped    []bool // exchange cancelled by hysteresis or trimming
+	sizes      []int
+	nextGroup  []int // next groupOfChip, swapped in after the moves
+	entering   [][]int32
+	leaving    [][]int32
+	freed      [][]uint16
+	inScratch  []int32
+	outScratch []int32
+
 	// Costs and statistics.
 	Rebalances       int64
 	MigratedPages    int64
@@ -136,6 +152,17 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 		tracked:     make([]bool, geo.TotalPages()),
 		live:        make([][]int32, geo.NumChips),
 		liveScratch: make([]int32, 0, geo.TotalPages()),
+		target:      make([]int8, geo.TotalPages()),
+		moving:      make([]bool, geo.TotalPages()),
+		dropped:     make([]bool, geo.TotalPages()),
+		sizes:       make([]int, 0, cfg.Groups),
+		nextGroup:   make([]int, geo.NumChips),
+		entering:    make([][]int32, cfg.Groups),
+		leaving:     make([][]int32, cfg.Groups),
+		freed:       make([][]uint16, cfg.Groups),
+	}
+	for p := range m.target {
+		m.target[p] = noTarget
 	}
 	for c := range m.live {
 		m.live[c] = make([]int32, 0, geo.PagesPerChip())
@@ -172,6 +199,10 @@ func (m *Manager) Observe(p memsys.PageID) {
 	}
 }
 
+// NumPages returns the number of pages the manager maps; page IDs
+// range over [0, NumPages).
+func (m *Manager) NumPages() int { return len(m.loc) }
+
 // Interval returns the configured rebalance period.
 func (m *Manager) Interval() sim.Duration { return m.cfg.Interval }
 
@@ -187,11 +218,12 @@ func (m *Manager) ResetCosts() {
 }
 
 // groupSizes splits hotChips into the exponential hot-group sizes plus
-// the cold group: [1, 2, 4, ..., remainder, cold].
+// the cold group: [1, 2, 4, ..., remainder, cold]. The slice is
+// scratch, valid until the next call.
 func (m *Manager) groupSizes(hotChips int) []int {
 	cold := m.geo.NumChips - hotChips
 	hotGroups := m.cfg.Groups - 1
-	sizes := make([]int, 0, m.cfg.Groups)
+	sizes := m.sizes[:0]
 	remaining := hotChips
 	for g := 0; g < hotGroups; g++ {
 		var s int
@@ -209,7 +241,8 @@ func (m *Manager) groupSizes(hotChips int) []int {
 		sizes = append(sizes, s)
 		remaining -= s
 	}
-	return append(sizes, cold)
+	m.sizes = append(sizes, cold)
+	return m.sizes
 }
 
 // gatherLive drains the per-chip live lists into one slice of pages
@@ -268,14 +301,16 @@ func (m *Manager) fullOrder() []int32 {
 // sortByPopularity orders pages by count descending, page ID
 // ascending — the total order every layout decision derives from.
 func sortByPopularity(pages []int32, counts []uint32) {
-	sort.Slice(pages, func(i, j int) bool {
-		a, b := pages[i], pages[j]
+	slices.SortFunc(pages, func(a, b int32) int {
 		if counts[a] != counts[b] {
-			return counts[a] > counts[b]
+			return cmp.Compare(counts[b], counts[a])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 }
+
+// noTarget marks a page outside the hot set in Manager.target.
+const noTarget = int8(-1)
 
 // Rebalance recomputes the layout from the current counters and
 // migrates misplaced pages, skipping pages for which busy returns true
@@ -339,7 +374,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 
 	// Assign chips to groups: chip ranges in order, so the assignment
 	// is stable while the hot set is stable.
-	newGroupOfChip := make([]int, m.geo.NumChips)
+	newGroupOfChip := m.nextGroup
 	chip := 0
 	for g, s := range sizes {
 		for i := 0; i < s; i++ {
@@ -353,11 +388,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	// wherever they are unless evicted to make room, which is what
 	// keeps steady-state migration traffic proportional to actual
 	// popularity change rather than to group capacity.
-	const noTarget = int8(-1)
-	target := make([]int8, len(m.counts))
-	for i := range target {
-		target[i] = noTarget
-	}
+	target := m.target
 	rank := 0
 	hotGroups := len(sizes) - 1
 	for g := 0; g < hotGroups && rank < hotPages; g++ {
@@ -379,7 +410,10 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	}
 
 	moves := m.executeMoves(newGroupOfChip, target, liveOrder, busy)
-	m.groupOfChip = newGroupOfChip
+	for _, p := range liveOrder[:rank] {
+		target[p] = noTarget
+	}
+	m.groupOfChip, m.nextGroup = newGroupOfChip, m.groupOfChip
 	m.rebuildLive(liveOrder)
 	m.age(liveOrder)
 	return moves
@@ -433,9 +467,13 @@ func (s *coldScan) next() (int32, bool) {
 func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int32, busy func(memsys.PageID) bool) int {
 	k := m.cfg.Groups
 	cold := k - 1
-	entering := make([][]int32, k) // pages wanting in, hottest first
-	leaving := make([][]int32, k)  // pages wanting out (their chips free slots)
-	moving := make(map[int32]bool)
+	entering := m.entering // pages wanting in, hottest first
+	leaving := m.leaving   // pages wanting out (their chips free slots)
+	for g := 0; g < k; g++ {
+		entering[g] = entering[g][:0]
+		leaving[g] = leaving[g][:0]
+	}
+	moving, dropped := m.moving, m.dropped
 
 	// Hot-set movers, hottest first (liveOrder is popularity-sorted
 	// and targets were assigned along its prefix).
@@ -483,7 +521,6 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			deficit--
 		}
 	}
-	dropped := make(map[int32]bool)
 
 	// Hysteresis: for each hot group, cancel marginal swaps. The
 	// least-popular would-be enterer and the most-popular would-be
@@ -491,20 +528,16 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 	// (count < MigrateRatio * leaver count), keep both where they are.
 	if m.cfg.MigrateRatio > 1 {
 		for g := 0; g < k-1; g++ {
-			in := append([]int32(nil), entering[g]...)
-			out := append([]int32(nil), leaving[g]...)
-			sort.Slice(in, func(i, j int) bool { // coldest enterer first
-				if m.counts[in[i]] != m.counts[in[j]] {
-					return m.counts[in[i]] < m.counts[in[j]]
+			in := append(m.inScratch[:0], entering[g]...)
+			out := append(m.outScratch[:0], leaving[g]...)
+			m.inScratch, m.outScratch = in, out
+			slices.SortFunc(in, func(a, b int32) int { // coldest enterer first
+				if m.counts[a] != m.counts[b] {
+					return cmp.Compare(m.counts[a], m.counts[b])
 				}
-				return in[i] < in[j]
+				return cmp.Compare(a, b)
 			})
-			sort.Slice(out, func(i, j int) bool { // hottest leaver first
-				if m.counts[out[i]] != m.counts[out[j]] {
-					return m.counts[out[i]] > m.counts[out[j]]
-				}
-				return out[i] < out[j]
-			})
+			sortByPopularity(out, m.counts) // hottest leaver first
 			i := 0
 			for i < len(in) && i < len(out) {
 				if float64(m.counts[in[i]]) < m.cfg.MigrateRatio*float64(m.counts[out[i]]) {
@@ -557,8 +590,9 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 	// Snapshot the freed slots of every group before any page moves,
 	// so a leaver that has already been reassigned still frees its old
 	// chip.
-	freed := make([][]uint16, k)
+	freed := m.freed
 	for g := 0; g < k; g++ {
+		freed[g] = freed[g][:0]
 		for _, p := range leaving[g] {
 			if !dropped[p] {
 				freed[g] = append(freed[g], m.loc[p])
@@ -588,6 +622,15 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 		}
 	}
 	m.MigratedPages += int64(moves)
+	// Every flagged page sits on some entering list (a leaver is always
+	// also an enterer elsewhere), so clearing through those lists
+	// leaves both bitmaps all-false for the next rebalance.
+	for g := 0; g < k; g++ {
+		for _, p := range entering[g] {
+			moving[p] = false
+			dropped[p] = false
+		}
+	}
 	return moves
 }
 
@@ -606,7 +649,8 @@ func (m *Manager) age(liveOrder []int32) {
 // checkInvariants verifies that every chip holds exactly PagesPerChip
 // pages and that the live-set index is consistent: tracked marks
 // exactly the listed pages, every nonzero count is tracked, no list
-// outgrows its chip, and no page is listed twice; tests call it.
+// outgrows its chip, no page is listed twice, and the per-page
+// rebalance scratch is all-clear; tests call it.
 func (m *Manager) checkInvariants() error {
 	occ := make([]int, m.geo.NumChips)
 	for _, c := range m.loc {
@@ -637,6 +681,10 @@ func (m *Manager) checkInvariants() error {
 		}
 	}
 	for p := range m.counts {
+		if m.target[p] != noTarget || m.moving[p] || m.dropped[p] {
+			return fmt.Errorf("page %d rebalance scratch not cleared (target %d moving %v dropped %v)",
+				p, m.target[p], m.moving[p], m.dropped[p])
+		}
 		if m.tracked[p] && !listed[p] {
 			return fmt.Errorf("page %d tracked but unlisted", p)
 		}

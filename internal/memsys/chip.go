@@ -60,7 +60,7 @@ type Chip struct {
 
 	// Statistics for the utilization factor and transition counts.
 	Wakes        int64
-	sleepCounts  map[energy.State]int64
+	sleepCounts  []int64      // entries into each state, indexed by state
 	ActiveTime   sim.Duration // total time charged while resident Active
 	TransferTime sim.Duration // active time during which >=1 DMA transfer was in progress
 	ServingTime  sim.Duration // portion of TransferTime actually serving DMA data
@@ -117,7 +117,7 @@ func NewChipWithModel(id int, start energy.State, now sim.Time, m *energy.Model)
 	return &Chip{ID: id, model: m, state: start, phase: PhaseResident, cursor: now,
 		Residency:   make([]sim.Duration, m.NumStates()),
 		StateEnergy: make([]float64, m.NumStates()),
-		sleepCounts: make(map[energy.State]int64)}
+		sleepCounts: make([]int64, m.NumStates())}
 }
 
 // Model returns the chip's technology model.
@@ -137,8 +137,14 @@ func (c *Chip) Resident() bool { return c.phase == PhaseResident }
 // meaningful while not resident.
 func (c *Chip) ReadyAt() sim.Time { return c.readyAt }
 
-// SleepCount reports how many times the chip entered state s.
-func (c *Chip) SleepCount(s energy.State) int64 { return c.sleepCounts[s] }
+// SleepCount reports how many times the chip entered state s; states
+// outside the chip's model count zero.
+func (c *Chip) SleepCount(s energy.State) int64 {
+	if int(s) >= len(c.sleepCounts) {
+		return 0
+	}
+	return c.sleepCounts[s]
+}
 
 // Cursor returns the instant up to which the chip's energy has been
 // accounted. While resident in Active, the controller advances it via

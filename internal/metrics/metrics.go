@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dmamem/internal/energy"
 	"dmamem/internal/sim"
@@ -237,8 +237,8 @@ func (s *DurationStats) Percentile(p float64) sim.Duration {
 	if p <= 0 || p > 1 {
 		panic(fmt.Sprintf("metrics: percentile %g", p))
 	}
-	sorted := append([]sim.Duration(nil), s.vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(s.vals)
+	slices.Sort(sorted)
 	rank := int(math.Ceil(p*float64(s.n))) - 1
 	if rank < 0 {
 		rank = 0

@@ -27,6 +27,11 @@ type BufferCache struct {
 	// Free-run bookkeeping: frameOwner[f] = object occupying frame f,
 	// or -1 when free.
 	frameOwner []ObjectID
+	// free counts the frames with owner -1. When it is below a
+	// request no scan can succeed, so findRun answers at once; that
+	// keeps evicting toward room linear instead of rescanning every
+	// frame after each eviction.
+	free int
 
 	// Resident objects, LRU-threaded.
 	entries map[ObjectID]*cacheEntry
@@ -57,6 +62,7 @@ func NewBufferCache(frames int) (*BufferCache, error) {
 	c := &BufferCache{
 		frames:     frames,
 		frameOwner: make([]ObjectID, frames),
+		free:       frames,
 		entries:    make(map[ObjectID]*cacheEntry),
 	}
 	for i := range c.frameOwner {
@@ -104,6 +110,7 @@ func (c *BufferCache) Insert(id ObjectID, pages int) memsys.PageID {
 	for f := 0; f < pages; f++ {
 		c.frameOwner[int(start)+f] = id
 	}
+	c.free -= pages
 	c.entries[id] = e
 	c.pushFront(e)
 	return start
@@ -136,6 +143,9 @@ func (c *BufferCache) findRun(n int) (memsys.PageID, bool) {
 	if c.hint >= c.frames {
 		c.hint = 0
 	}
+	if c.free < n {
+		return 0, false
+	}
 	// Two passes: hint..end, then 0..hint+n (runs do not wrap).
 	for pass := 0; pass < 2; pass++ {
 		start, end := c.hint, c.frames
@@ -165,6 +175,7 @@ func (c *BufferCache) evict(e *cacheEntry) {
 	for f := 0; f < e.pages; f++ {
 		c.frameOwner[int(e.start)+f] = -1
 	}
+	c.free += e.pages
 	c.unlink(e)
 	delete(c.entries, e.id)
 	c.Evictions++
@@ -219,6 +230,9 @@ func (c *BufferCache) checkInvariants() error {
 		if f < int(e.start) || f >= int(e.start)+e.pages {
 			return fmt.Errorf("frame %d outside run of object %d", f, id)
 		}
+	}
+	if c.free != c.frames-owned {
+		return fmt.Errorf("free count %d, but %d of %d frames are unowned", c.free, c.frames-owned, c.frames)
 	}
 	listed := 0
 	seen := map[ObjectID]bool{}

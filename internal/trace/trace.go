@@ -10,10 +10,12 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dmamem/internal/memsys"
@@ -142,8 +144,8 @@ func (t *Trace) Duration() sim.Duration {
 // order of simultaneous records (generators emit logically ordered
 // streams).
 func (t *Trace) SortByTime() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Time < t.Records[j].Time
+	slices.SortStableFunc(t.Records, func(a, b Record) int {
+		return cmp.Compare(a.Time, b.Time)
 	})
 }
 
