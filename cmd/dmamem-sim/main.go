@@ -5,10 +5,13 @@
 //
 //	dmamem-sim [flags]
 //	  -trace file        binary trace (default: generate Synthetic-St);
-//	                     a .dmt container streams through the
-//	                     file-backed feeder in flat memory
+//	                     a .dmt container streams from disk in flat
+//	                     memory
 //	  -workload name     synthetic-st | synthetic-db | oltp-st | oltp-db
 //	  -duration 100ms    duration of the generated trace
+//	  -seed 1            generator seed (-workload, -duration and -seed
+//	                     shape a generated trace; with -trace they are
+//	                     rejected rather than ignored)
 //	  -scheme name       baseline | dma-ta | dma-ta-pl | no-pm
 //	  -tech name         memory power-model backend (registry name,
 //	                     see dmamem.Techs; empty = the RDRAM default)
@@ -40,6 +43,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -79,6 +83,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateTraceFlags(*traceFile, set); err != nil {
+		badFlags(err)
+	}
+	technique, err := parseScheme(*scheme)
+	if err != nil {
+		badFlags(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -100,12 +113,12 @@ func main() {
 	s := dmamem.Simulation{
 		CPLimit: *cpLimit, PLGroups: *groups, MemoryTech: tech,
 		Channels: *channels, ChannelStripePages: *stripePages, ChannelBandwidth: *channelBW,
-		Workers: engineWorkers(*workers), BarrierEpoch: *epoch,
+		Workers: engineWorkers(*workers), BarrierEpoch: *epoch, Technique: technique,
 	}
 	var tr *dmamem.Trace
 	if *traceFile != "" && isDMT(*traceFile) {
-		// Stream the container through the file-backed feeder: the
-		// report is bit-identical to loading it, in flat memory.
+		// Stream the container from disk: the report is bit-identical
+		// to loading it, in flat memory.
 		s.TraceFile = *traceFile
 		st, err := dmamem.StatTraceFile(*traceFile)
 		if err != nil {
@@ -120,18 +133,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("trace %s: %s\n", tr.Name(), tr.Summary())
-	}
-	switch *scheme {
-	case "baseline":
-		s.Technique = dmamem.Baseline
-	case "dma-ta":
-		s.Technique = dmamem.TemporalAlignment
-	case "dma-ta-pl":
-		s.Technique = dmamem.TemporalAlignmentWithLayout
-	case "no-pm":
-		s.Technique = dmamem.NoPowerManagement
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
 	}
 
 	if *compare && s.Technique != dmamem.Baseline {
@@ -237,6 +238,43 @@ func validateEpoch(epoch time.Duration, workers int) error {
 	return nil
 }
 
+// validateTraceFlags rejects the generator flags -workload, -duration
+// and -seed when set explicitly (set holds the names flag.Visit
+// reports) together with -trace: the trace comes from the file, so
+// silently ignoring them would misreport what ran.
+func validateTraceFlags(traceFile string, set map[string]bool) error {
+	if traceFile == "" {
+		return nil
+	}
+	var ignored []string
+	for _, name := range []string{"workload", "duration", "seed"} {
+		if set[name] {
+			ignored = append(ignored, "-"+name)
+		}
+	}
+	if len(ignored) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-trace replays a recorded trace, so %s would be ignored; drop them or drop -trace",
+		strings.Join(ignored, ", "))
+}
+
+// parseScheme maps the -scheme flag onto a technique, before any trace
+// is generated or read.
+func parseScheme(name string) (dmamem.Technique, error) {
+	switch name {
+	case "baseline":
+		return dmamem.Baseline, nil
+	case "dma-ta":
+		return dmamem.TemporalAlignment, nil
+	case "dma-ta-pl":
+		return dmamem.TemporalAlignmentWithLayout, nil
+	case "no-pm":
+		return dmamem.NoPowerManagement, nil
+	}
+	return 0, fmt.Errorf("unknown -scheme %q (valid: baseline, dma-ta, dma-ta-pl, no-pm)", name)
+}
+
 // parseTech resolves the single -tech value through the shared
 // experiments.ParseTechList helper (trimmed, lower-cased, validated
 // against the registry). dmamem-sim runs one simulation, so lists are
@@ -268,4 +306,11 @@ func engineWorkers(workers int) int {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dmamem-sim:", err)
 	os.Exit(1)
+}
+
+// badFlags reports a flag combination rejected before any work starts
+// and exits 2, the flag package's status for usage errors.
+func badFlags(err error) {
+	fmt.Fprintln(os.Stderr, "dmamem-sim:", err)
+	os.Exit(2)
 }

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"dmamem"
 )
 
 // TestValidateConcurrency pins the rejection of non-positive
@@ -106,6 +112,97 @@ func TestEngineWorkers(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {8, 8}} {
 		if got := engineWorkers(tc.in); got != tc.want {
 			t.Errorf("engineWorkers(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestValidateTraceFlags pins the -trace guard: generator flags the
+// user set explicitly are named and rejected, while their defaults
+// (never visited by flag.Visit) pass silently.
+func TestValidateTraceFlags(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-seed", "3", "-duration", "5ms"}, ""},
+		{[]string{"-trace", "t.dmt"}, ""},
+		{[]string{"-trace", "t.dmt", "-cp-limit", "0.2"}, ""},
+		{[]string{"-trace", "t.dmt", "-seed", "1"}, "so -seed would be ignored"},
+		{[]string{"-workload", "oltp-st", "-trace", "t.dmt", "-duration", "1s"}, "so -workload, -duration would be ignored"},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("dmamem-sim", flag.ContinueOnError)
+		traceFile := fs.String("trace", "", "")
+		fs.String("workload", "synthetic-st", "")
+		fs.Duration("duration", 100*time.Millisecond, "")
+		fs.Uint64("seed", 1, "")
+		fs.Float64("cp-limit", 0.10, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		err := validateTraceFlags(*traceFile, set)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%v: %v, want nil", tc.args, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: %v, want error containing %q", tc.args, err, tc.wantErr)
+		}
+	}
+}
+
+// TestParseScheme pins the -scheme mapping and the rejection wording,
+// which lists the valid names.
+func TestParseScheme(t *testing.T) {
+	for name, want := range map[string]dmamem.Technique{
+		"baseline":  dmamem.Baseline,
+		"dma-ta":    dmamem.TemporalAlignment,
+		"dma-ta-pl": dmamem.TemporalAlignmentWithLayout,
+		"no-pm":     dmamem.NoPowerManagement,
+	} {
+		if got, err := parseScheme(name); err != nil || got != want {
+			t.Errorf("parseScheme(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := parseScheme("dma-tap"); err == nil || !strings.Contains(err.Error(), `unknown -scheme "dma-tap" (valid: baseline,`) {
+		t.Errorf("parseScheme(dma-tap) = %v", err)
+	}
+}
+
+// TestBadFlagsExitBeforeWork runs the command itself (this test binary
+// re-executed as dmamem-sim): generator flags beside -trace and an
+// unknown -scheme must exit 2 naming the flag, before a trace is
+// generated or read (nothing on stdout; the -trace path need not
+// exist).
+func TestBadFlagsExitBeforeWork(t *testing.T) {
+	if args := os.Getenv("DMAMEM_SIM_ARGS"); args != "" {
+		os.Args = append([]string{"dmamem-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for args, want := range map[string]string{
+		"-trace missing.dmt -seed 7": "so -seed would be ignored",
+		"-scheme bogus":              `unknown -scheme "bogus"`,
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitBeforeWork$")
+		cmd.Env = append(os.Environ(), "DMAMEM_SIM_ARGS="+args)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("dmamem-sim %s: err %v, want exit status 2", args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("dmamem-sim %s: stderr %q, want %q", args, stderr.String(), want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("dmamem-sim %s: stdout %q, want nothing", args, stdout.String())
 		}
 	}
 }

@@ -147,11 +147,12 @@ type Simulation struct {
 	ChannelBandwidth float64
 	// TraceFile streams the trace from a .dmt container on disk (see
 	// CreateTraceFile and Trace.SaveFile) instead of an in-memory
-	// Trace: pass a nil trace to Run/Compare and set this path. The
-	// records are decoded chunk by chunk, so memory stays flat no
-	// matter how long the trace is, and the report is bit-identical to
-	// running the same records from memory. Setting both a trace and
-	// TraceFile is an error.
+	// Trace: pass a nil trace to Run/Compare and set this path. Both
+	// sources feed the simulator through the same record cursor and
+	// every option applies to either; the file's records are decoded
+	// chunk by chunk, so memory stays flat no matter how long the trace
+	// is, and the report is bit-identical to running the same records
+	// from memory. Setting both a trace and TraceFile is an error.
 	TraceFile string
 	// Workers selects the parallel barrier engine: zero keeps the
 	// legacy serial event loop; any positive value runs one event loop

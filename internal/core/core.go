@@ -91,14 +91,16 @@ type Config struct {
 	// default batched cursor feeder that bypasses the scheduler.
 	// Results are bit-identical either way (one engine step per
 	// distinct timestamp in both modes); the knob exists for the
-	// cross-check test and debugging.
+	// cross-check test and debugging. It works with either record
+	// source.
 	PerEventFeeder bool
 	// TraceFile streams the trace from a .dmt container on disk instead
 	// of an in-memory trace: pass a nil trace to Run/RunContext and set
-	// this path. Records are decoded chunk by chunk (bounded memory
-	// regardless of trace length) and the report is bit-identical to
-	// running the same records from memory. Mutually exclusive with a
-	// non-nil trace and with PerEventFeeder.
+	// this path. Both sources reach the simulator as the same record
+	// cursor and differ only in where it reads: the file is decoded
+	// chunk by chunk (bounded memory regardless of trace length), and
+	// the report is bit-identical to running the same records from
+	// memory. Mutually exclusive with a non-nil trace.
 	TraceFile string
 	// Workers selects the parallel barrier engine: zero (the default)
 	// runs the legacy serial event loop; any positive value runs one
@@ -223,18 +225,18 @@ func (r *Result) SimEvents() uint64 {
 // trace's metadata (with documented fallbacks for bare traces) and the
 // mean DMA-memory requests per transfer from the trace itself.
 func Calibrate(tr *trace.Trace, geo memsys.Geometry, buses bus.Config) metrics.Calibration {
-	return calibrate(tr.Meta, trace.Analyze(tr).MeanTransferPages(), geo, buses)
+	return calibrate(tr.Summary(), geo, buses)
 }
 
-// calibrate is the shared CP-Limit calibration core. Both trace
-// sources go through it with identical inputs — the in-memory path
-// via trace.Analyze, the file-backed path via the .dmt footer's
-// aggregate DMA totals — so the derived mu is bit-identical.
-func calibrate(meta trace.Meta, meanTransferPages float64, geo memsys.Geometry, buses bus.Config) metrics.Calibration {
+// calibrate is the CP-Limit calibration from a trace summary: its
+// metadata and DMA totals, which an in-memory trace computes in one
+// pass and a .dmt container carries in its footer, so the derived mu
+// is the same either way and calibrating a file never scans it.
+func calibrate(sum trace.FileSummary, geo memsys.Geometry, buses bus.Config) metrics.Calibration {
 	cal := metrics.Calibration{
-		MeanClientResponse:      meta.MeanClientResponse,
-		TransfersPerRequest:     meta.TransfersPerClientRequest,
-		MeanRequestsPerTransfer: meanTransferPages * float64(geo.PageBytes) / memsys.RequestBytes,
+		MeanClientResponse:      sum.Meta.MeanClientResponse,
+		TransfersPerRequest:     sum.Meta.TransfersPerClientRequest,
+		MeanRequestsPerTransfer: sum.MeanTransferPages() * float64(geo.PageBytes) / memsys.RequestBytes,
 		T:                       buses.BeatGap(),
 		// Off-line measured transform factor (Section 5.1): half the
 		// analytic budget absorbs the queueing and wake amplification
@@ -266,19 +268,53 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 // cancelled is bit-identical to Run.
 //
 // The trace may be nil when cfg.TraceFile names a .dmt container: the
-// records then stream from disk in bounded memory (see runFileContext)
-// with a bit-identical report.
+// records then stream from disk in bounded memory with a bit-identical
+// report.
 func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
-	if tr == nil {
-		if cfg.TraceFile == "" {
-			return nil, fmt.Errorf("core: nil trace and no Config.TraceFile to stream from")
+	src, err := openSource(cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	defer src.close()
+	return run(ctx, cfg, src)
+}
+
+// recordSource is where a run's records come from, reduced to what
+// the run needs: the summary that sizes it and a factory for cursors
+// over the records, which the run streams twice (once to validate and
+// warm up, once to simulate).
+type recordSource struct {
+	sum    trace.FileSummary
+	cursor func() *trace.Cursor
+	origin string // the container path, for streaming errors
+	close  func() error
+}
+
+// openSource resolves the record source: the in-memory trace, or the
+// .dmt container cfg.TraceFile names. Exactly one must be given. This
+// is the only place the two sources differ.
+func openSource(cfg Config, tr *trace.Trace) (*recordSource, error) {
+	if tr != nil {
+		if cfg.TraceFile != "" {
+			return nil, fmt.Errorf("core: both an in-memory trace %q and Config.TraceFile %q given; pass one",
+				tr.Name, cfg.TraceFile)
 		}
-		return runFileContext(ctx, cfg)
+		return &recordSource{sum: tr.Summary(), cursor: tr.Cursor, close: func() error { return nil }}, nil
 	}
-	if cfg.TraceFile != "" {
-		return nil, fmt.Errorf("core: both an in-memory trace %q and Config.TraceFile %q given; pass one",
-			tr.Name, cfg.TraceFile)
+	if cfg.TraceFile == "" {
+		return nil, fmt.Errorf("core: nil trace and no Config.TraceFile to stream from")
 	}
+	fr, err := trace.OpenDMTFile(cfg.TraceFile)
+	if err != nil {
+		return nil, err
+	}
+	return &recordSource{sum: fr.Summary(), cursor: fr.Cursor, origin: cfg.TraceFile, close: fr.Close}, nil
+}
+
+// run is the run assembly: defaulting, calibration, one validation and
+// warm-up pass, then the serial or the barrier engine over a fresh
+// cursor.
+func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 	cfg, model, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -286,24 +322,9 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 	if err := validateWarmupFraction(cfg.WarmupFraction); err != nil {
 		return nil, err
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if len(tr.Records) == 0 {
-		return nil, fmt.Errorf("core: empty trace %q", tr.Name)
-	}
-	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
-	for i, r := range tr.Records {
-		end := r.Page
-		if r.Kind.IsDMA() {
-			end += memsys.PageID(r.Pages)
-		} else {
-			end++
-		}
-		if r.Page < 0 || end > maxPage {
-			return nil, fmt.Errorf("core: record %d touches pages [%d,%d) outside memory of %d pages",
-				i, r.Page, end, maxPage)
-		}
+	sum := src.sum
+	if sum.Records == 0 {
+		return nil, fmt.Errorf("core: empty trace %q", sum.Name)
 	}
 
 	res := &Result{}
@@ -320,7 +341,7 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 	}
 
 	if cfg.TA != nil && cfg.TA.Mu == 0 && cfg.CPLimit > 0 {
-		cal := Calibrate(tr, cfg.Geometry, cfg.Buses)
+		cal := calibrate(sum, cfg.Geometry, cfg.Buses)
 		mu, err := cal.Mu(cfg.CPLimit)
 		if err != nil {
 			return nil, err
@@ -336,47 +357,56 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 
 	var lm *layout.Manager
 	if cfg.PL != nil {
-		var err error
-		lm, err = layout.New(cfg.Geometry, *cfg.PL)
+		if lm, err = layout.New(cfg.Geometry, *cfg.PL); err != nil {
+			return nil, err
+		}
+		ccfg.Layout = lm
+	}
+	if err := validateAndWarm(src.cursor(), sum, cfg, lm); err != nil {
+		return nil, err
+	}
+
+	cur := src.cursor()
+	traceEnd := sim.Time(sum.Duration)
+	var finish func(end sim.Time) *metrics.Report
+	if cfg.Workers > 0 {
+		p, err := newParallelRun(cfg, ccfg)
 		if err != nil {
 			return nil, err
 		}
-		warmup(lm, tr, cfg.WarmupFraction)
-		ccfg.Layout = lm
-	}
-
-	if cfg.Workers > 0 {
-		return finishParallel(ctx, cfg, tr, ccfg, lm, res)
-	}
-
-	eng := sim.New()
-	if cfg.HeapScheduler {
-		eng = sim.NewWithHeap()
-	}
-	ctl, err := controller.New(eng, ccfg)
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.PerEventFeeder {
-		feed(eng, ctl, tr)
+		if err := p.run(ctx, cur, lm, traceEnd); err != nil {
+			return nil, err
+		}
+		finish = p.finish
 	} else {
-		eng.SetFeeder(&traceFeeder{ctl: ctl, records: tr.Records})
+		eng := newEngine(cfg)
+		ctl, err := controller.New(eng, ccfg)
+		if err != nil {
+			return nil, err
+		}
+		f := &feeder{ctl: ctl, cur: cur}
+		if cfg.PerEventFeeder {
+			feed(eng, f)
+		} else {
+			eng.SetFeeder(f)
+		}
+		if lm != nil {
+			scheduleRebalances(eng, ctl, lm, traceEnd)
+		}
+		if err := eng.RunContext(ctx); err != nil {
+			return nil, err
+		}
+		finish = func(end sim.Time) *metrics.Report { return ctl.Report(cfg.Scheme, ctl.Finish(end)) }
 	}
-	traceEnd := sim.Time(tr.Duration())
-	if lm != nil {
-		scheduleRebalances(eng, ctl, lm, traceEnd)
-	}
-	if err := eng.RunContext(ctx); err != nil {
-		return nil, err
+	if err := cur.Err(); err != nil {
+		return nil, fmt.Errorf("core: streaming %s: %w", src.origin, err)
 	}
 
 	window := cfg.MeterWindow
 	if window == 0 {
-		window = tr.Duration() + 2*sim.Millisecond
+		window = sum.Duration + 2*sim.Millisecond
 	}
-	end := ctl.Finish(sim.Time(window))
-	res.Report = ctl.Report(cfg.Scheme, end)
+	res.Report = finish(sim.Time(window))
 	if lm != nil {
 		res.MigratedPages = lm.MigratedPages
 		res.MigrationEnergyJ = lm.MigrationEnergyJ
@@ -385,10 +415,16 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 	return res, nil
 }
 
-// validateWarmupFraction rejects fractions outside (0, 1] loudly.
-// Both trace paths apply it after defaulting (zero has already become
-// 1.0), so an out-of-range fraction can no longer panic the in-memory
-// warm-up slice or silently warm the whole file-backed trace.
+// newEngine returns the event loop the config's scheduler knob selects.
+func newEngine(cfg Config) *sim.Engine {
+	if cfg.HeapScheduler {
+		return sim.NewWithHeap()
+	}
+	return sim.New()
+}
+
+// validateWarmupFraction rejects fractions outside (0, 1] loudly,
+// after defaulting (zero has already become 1.0).
 func validateWarmupFraction(fraction float64) error {
 	if !(fraction > 0 && fraction <= 1) {
 		return fmt.Errorf("core: WarmupFraction %g outside (0, 1]", fraction)
@@ -396,70 +432,94 @@ func validateWarmupFraction(fraction float64) error {
 	return nil
 }
 
-// warmupCount is the single truncation both trace paths use to turn
-// the warm-up fraction into a record count, so the in-memory and
-// file-backed layouts warm over exactly the same prefix.
-func warmupCount(fraction float64, records int64) int64 {
-	n := int64(fraction * float64(records))
-	if n < 0 {
-		n = 0
+// validateAndWarm streams the records once before the run. It applies
+// trace.Trace.Validate's per-record checks and the memory range check,
+// and feeds the DMA references of the first WarmupFraction of the
+// records to the layout manager, then installs the resulting layout
+// without charging its cost: the measured window starts from
+// popularity steady state.
+//
+// Trace-level violations return at once, but the first range violation
+// is held until the scan ends, so a malformed record anywhere in the
+// trace wins over an earlier out-of-range one — the precedence of
+// validating the whole trace before range-checking it.
+func validateAndWarm(cur *trace.Cursor, sum trace.FileSummary, cfg Config, lm *layout.Manager) error {
+	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
+	warm := int64(0) // records whose DMA pages warm the layout
+	if lm != nil {
+		warm = int64(cfg.WarmupFraction * float64(sum.Records))
 	}
-	if n > records {
-		n = records
+	var rangeErr error
+	var last sim.Time
+	for i := int64(0); ; i++ {
+		r, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if err := trace.CheckRecord(sum.Name, i, r, last); err != nil {
+			return err
+		}
+		last = r.Time
+		end := r.Page + 1
+		if r.Kind.IsDMA() {
+			end = r.Page + memsys.PageID(r.Pages)
+		}
+		if rangeErr == nil && end > maxPage {
+			rangeErr = fmt.Errorf("core: record %d touches pages [%d,%d) outside memory of %d pages",
+				i, r.Page, end, maxPage)
+		}
+		if i < warm && r.Kind.IsDMA() {
+			for p := 0; p < int(r.Pages); p++ {
+				lm.Observe(r.Page + memsys.PageID(p))
+			}
+		}
 	}
-	return n
+	if err := cur.Err(); err != nil {
+		return err
+	}
+	if rangeErr != nil {
+		return rangeErr
+	}
+	if lm != nil {
+		lm.Rebalance(nil)
+		lm.ResetCosts()
+	}
+	return nil
 }
 
-// warmup feeds the first fraction of the trace's DMA references into
-// the layout manager and installs the resulting layout without
-// charging its cost: the measured window starts from popularity steady
-// state.
-func warmup(lm *layout.Manager, tr *trace.Trace, fraction float64) {
-	n := warmupCount(fraction, int64(len(tr.Records)))
-	for _, r := range tr.Records[:n] {
-		if !r.Kind.IsDMA() {
-			continue
-		}
-		for p := 0; p < int(r.Pages); p++ {
-			lm.Observe(r.Page + memsys.PageID(p))
-		}
-	}
-	lm.Rebalance(nil)
-	lm.ResetCosts()
-}
-
-// traceFeeder is the default arrival source: a cursor over the trace
-// records that the engine's run loop pulls batches from directly (see
-// sim.Feeder), so arrivals never pass through the scheduler at all.
-// It reports feederPrio as its same-instant priority, which is
-// reserved for trace arrivals across the whole simulator — transfer
+// feeder is the arrival source of every engine: the run loop pulls
+// batches straight from a record cursor (see sim.Feeder), so arrivals
+// never pass through the scheduler. The cursor reads an in-memory
+// trace, a .dmt stream (one decoded chunk resident) or a barrier
+// shard's staging buffer. Its same-instant priority, feederPrio, is
+// reserved for trace arrivals across the whole simulator: transfer
 // completions (priority 0) at the same instant are observed first,
-// policy and epoch timers (priorities 2+) after, exactly as with the
-// per-event feeder.
-type traceFeeder struct {
-	ctl     *controller.Controller
-	records []trace.Record
-	idx     int
-	dmaIdx  int
-	nextID  int64
+// policy and epoch timers (priorities 2+) after. A failed .dmt stream
+// looks exhausted to the engine; the run checks the cursor's Err after
+// the engine stops.
+type feeder struct {
+	ctl    *controller.Controller
+	cur    *trace.Cursor
+	nextID int64
 }
 
-// feederPrio is the same-instant dispatch priority of trace arrivals,
-// for both feeder implementations. No other event source uses it.
+// feederPrio is the same-instant dispatch priority of trace arrivals.
+// No other event source uses it.
 const feederPrio = 1
 
-func (f *traceFeeder) Peek() (sim.Time, int8, bool) {
-	if f.idx >= len(f.records) {
-		return 0, 0, false
-	}
-	return f.records[f.idx].Time, feederPrio, true
+func (f *feeder) Peek() (sim.Time, int8, bool) {
+	at, ok := f.cur.NextTime()
+	return at, feederPrio, ok
 }
 
-func (f *traceFeeder) Fire(e *sim.Engine) {
+func (f *feeder) Fire(e *sim.Engine) {
 	now := e.Now()
-	for f.idx < len(f.records) && f.records[f.idx].Time == now {
-		r := f.records[f.idx]
-		f.idx++
+	for {
+		r, ok := f.cur.Peek()
+		if !ok || r.Time != now {
+			return
+		}
+		f.cur.Advance()
 		if r.Kind.IsDMA() {
 			f.ctl.StartTransfer(dma.FromRecord(f.nextID, r))
 			f.nextID++
@@ -469,53 +529,21 @@ func (f *traceFeeder) Fire(e *sim.Engine) {
 	}
 }
 
-// nextRelevant reports the earliest undelivered record — every kind,
-// or DMA records only — for the adaptive barrier's cross lookahead.
-// The DMA scan cursor is monotone, so repeated probes cost amortized
-// O(1) over the run.
-func (f *traceFeeder) nextRelevant(dmaOnly bool) (sim.Time, bool) {
-	if f.idx >= len(f.records) {
-		return 0, false
+// feed is the reference arrival path (Config.PerEventFeeder): the
+// feeder's batches are delivered by a self-advancing engine event per
+// distinct record timestamp instead of the engine's feeder hook.
+func feed(eng *sim.Engine, f *feeder) {
+	var step func(*sim.Engine)
+	next := func() {
+		if at, prio, ok := f.Peek(); ok {
+			eng.SchedulePrio(at, prio, step)
+		}
 	}
-	if !dmaOnly {
-		return f.records[f.idx].Time, true
-	}
-	if f.dmaIdx < f.idx {
-		f.dmaIdx = f.idx
-	}
-	for f.dmaIdx < len(f.records) && !f.records[f.dmaIdx].Kind.IsDMA() {
-		f.dmaIdx++
-	}
-	if f.dmaIdx >= len(f.records) {
-		return 0, false
-	}
-	return f.records[f.dmaIdx].Time, true
-}
-
-// feed is the reference arrival path (Config.PerEventFeeder): trace
-// records enter through a self-advancing engine event per distinct
-// record timestamp. The batched traceFeeder replaces it on the hot
-// path; it is kept as the cross-check implementation.
-func feed(eng *sim.Engine, ctl *controller.Controller, tr *trace.Trace) {
-	var idx int
-	var nextID int64
-	var step func(e *sim.Engine)
 	step = func(e *sim.Engine) {
-		for idx < len(tr.Records) && tr.Records[idx].Time == e.Now() {
-			r := tr.Records[idx]
-			idx++
-			if r.Kind.IsDMA() {
-				ctl.StartTransfer(dma.FromRecord(nextID, r))
-				nextID++
-			} else {
-				ctl.ProcAccess(r.Page)
-			}
-		}
-		if idx < len(tr.Records) {
-			eng.SchedulePrio(tr.Records[idx].Time, feederPrio, step)
-		}
+		f.Fire(e)
+		next()
 	}
-	eng.SchedulePrio(tr.Records[0].Time, feederPrio, step)
+	next()
 }
 
 // scheduleRebalances arms the PL interval timer up to the end of the
@@ -541,23 +569,16 @@ func scheduleRebalances(eng *sim.Engine, ctl *controller.Controller, lm *layout.
 }
 
 // pairWindow derives the shared metering window for a baseline/
-// technique pair: the trace duration plus 2 ms of drain, read from the
-// in-memory trace or — when tr is nil and the configs stream from disk
-// — from the .dmt footer of the baseline config's TraceFile (the pair
-// must replay the same container, so either footer serves).
+// technique pair: the trace duration plus 2 ms of drain, from the
+// baseline config's record source (the pair must replay the same
+// records, so either source serves).
 func pairWindow(base Config, tr *trace.Trace) (sim.Duration, error) {
-	if tr != nil {
-		return tr.Duration() + 2*sim.Millisecond, nil
-	}
-	if base.TraceFile == "" {
-		return 0, fmt.Errorf("core: nil trace and no Config.TraceFile to stream from")
-	}
-	fr, err := trace.OpenDMTFile(base.TraceFile)
+	src, err := openSource(base, tr)
 	if err != nil {
 		return 0, err
 	}
-	defer fr.Close()
-	return fr.Summary().Duration + 2*sim.Millisecond, nil
+	src.close()
+	return src.sum.Duration + 2*sim.Millisecond, nil
 }
 
 // RunBaselinePair runs the same trace under a baseline config and a

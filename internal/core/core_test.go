@@ -70,6 +70,14 @@ func TestRunRejectsBadTraces(t *testing.T) {
 	if _, err := Run(Config{}, unordered); err == nil {
 		t.Error("unordered trace accepted")
 	}
+	// A malformed record anywhere wins over an earlier out-of-range one.
+	mixed := &trace.Trace{Name: "mixed", Records: []trace.Record{
+		{Time: 0, Kind: trace.DMARead, Pages: 4, Page: memsys.PageID(memsys.Default().TotalPages() - 1)},
+		{Time: 1, Kind: trace.DMARead, Pages: 0},
+	}}
+	if _, err := Run(Config{}, mixed); err == nil || err.Error() != `trace "mixed": record 1 is a zero-page DMA` {
+		t.Errorf("mixed violations: %v, want the zero-page error", err)
+	}
 }
 
 func TestRunDeterminism(t *testing.T) {

@@ -128,8 +128,14 @@ func TestRunFileErrors(t *testing.T) {
 	if _, err := Run(Config{TraceFile: path}, tr); err == nil {
 		t.Fatal("both trace and TraceFile accepted")
 	}
-	if _, err := Run(Config{TraceFile: path, PerEventFeeder: true}, nil); err == nil {
-		t.Fatal("PerEventFeeder with TraceFile accepted")
+	// The per-event reference path reads the same cursor as the batched
+	// feeder, so it streams a file too, bit-identically.
+	perEvent, err := Run(Config{TraceFile: path, PerEventFeeder: true}, nil)
+	if err != nil {
+		t.Fatalf("PerEventFeeder with TraceFile: %v", err)
+	}
+	if batched, err := Run(Config{}, tr); err != nil || !reflect.DeepEqual(perEvent, batched) {
+		t.Fatalf("file per-event result differs from in-memory batched (err %v)", err)
 	}
 	if _, err := Run(Config{TraceFile: filepath.Join(t.TempDir(), "missing.dmt")}, nil); err == nil {
 		t.Fatal("missing file accepted")

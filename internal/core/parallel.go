@@ -52,10 +52,10 @@ import (
 
 	"dmamem/internal/bus"
 	"dmamem/internal/controller"
-	"dmamem/internal/dma"
 	"dmamem/internal/energy"
 	"dmamem/internal/layout"
 	"dmamem/internal/memsys"
+	"dmamem/internal/metrics"
 	"dmamem/internal/policy"
 	"dmamem/internal/sim"
 	"dmamem/internal/trace"
@@ -206,12 +206,10 @@ type parallelRun struct {
 	busy        []bool // page bitmap: union of the partitions' in-flight pages
 	isBusy      func(memsys.PageID) bool
 
-	// nextArrival probes the earliest undelivered trace arrival — DMA
-	// records only when dmaOnly, every kind otherwise. Installed per
-	// trace path (pre-split feeders, staging buffers, file cursor); it
-	// bounds the cross lookahead so no span outruns an arrival that
-	// could change bus demand.
-	nextArrival func(dmaOnly bool) (sim.Time, bool)
+	// arrivals holds every undelivered trace record (channels > 1):
+	// the shards' staging cursors, then the run's cursor with the
+	// records not staged yet. nextArrival reads it.
+	arrivals []*trace.Cursor
 }
 
 // channelOfPage resolves the channel serving a page under the
@@ -278,10 +276,7 @@ func newParallelRun(cfg Config, ccfg controller.Config) (*parallelRun, error) {
 		bus.EpochShares(p.fullCaps, p.counts, p.shares)
 	}
 	for ch := 0; ch < channels; ch++ {
-		eng := sim.New()
-		if cfg.HeapScheduler {
-			eng = sim.NewWithHeap()
-		}
+		eng := newEngine(cfg)
 		pcfg := ccfg
 		if channels > 1 {
 			caps := make([]float64, cfg.Buses.Count)
@@ -362,15 +357,35 @@ func (p *parallelRun) crossAt() (sim.Time, bool) {
 		}
 		arrival = arrival || a
 	}
-	if p.nextArrival != nil {
-		// With no partition gated, only DMA arrivals can create flows;
-		// with any transfer gated, a processor access can wake a chip
-		// and drain its gated transfers, so every arrival counts.
-		if t, ok := p.nextArrival(!arrival); ok && t < at {
-			at = t
-		}
+	// With no partition gated, only DMA arrivals can create flows; with
+	// any transfer gated, a processor access can wake a chip and drain
+	// its gated transfers, so every arrival counts.
+	if t, ok := p.nextArrival(!arrival); ok && t < at {
+		at = t
 	}
 	return at, true
+}
+
+// nextArrival bounds the earliest undelivered trace arrival from below
+// — DMA records only when dmaOnly, every kind otherwise — so no span
+// outruns an arrival that could change bus demand. ok=false means no
+// such record remains.
+func (p *parallelRun) nextArrival(dmaOnly bool) (sim.Time, bool) {
+	best, found := sim.MaxTime, false
+	for _, c := range p.arrivals {
+		var t sim.Time
+		ok := false
+		if dmaOnly {
+			t, ok = c.NextDMA()
+		} else {
+			t, ok = c.NextTime()
+		}
+		if ok {
+			found = true
+			best = min(best, t)
+		}
+	}
+	return best, found
 }
 
 // capEnd implements sim.BarrierHooks.CapEnd: spans must not cross a
@@ -505,30 +520,27 @@ func (p *parallelRun) execute(ctx context.Context, hooks sim.BarrierHooks) error
 	return be.Run(ctx, hooks)
 }
 
-// finish closes every partition's accounting over the shared metering
-// window and merges the partition reports (ctls are in channel order,
-// so the merge accumulates in global chip order).
-func (p *parallelRun) finish(window sim.Duration, res *Result) *Result {
+// finish closes every partition's accounting at the end of the shared
+// metering window and merges the partition reports (ctls are in
+// channel order, so the merge accumulates in global chip order).
+func (p *parallelRun) finish(window sim.Time) *metrics.Report {
 	var end sim.Time
 	for _, ctl := range p.ctls {
-		if e := ctl.Finish(sim.Time(window)); e > end {
+		if e := ctl.Finish(window); e > end {
 			end = e
 		}
 	}
-	res.Report = controller.MergeReports(p.cfg.Scheme, end, p.ctls...)
-	return res
+	return controller.MergeReports(p.cfg.Scheme, end, p.ctls...)
 }
 
-// appendSplit splits one record into channel-homogeneous sub-records
-// appended to the per-channel slices: a processor access goes to its
-// page's channel whole; a DMA record is cut at every channel change
-// along its page run. Sub-records inherit the time and bus, so each
-// partition's arrival order matches the global trace order restricted
-// to it.
-func appendSplit(out [][]trace.Record, r trace.Record, chanOf func(memsys.PageID) int) {
+// stageSplit stages one record on the staging cursors of the channels
+// it touches: a processor access goes to its page's channel whole; a
+// DMA record is cut at every channel change along its page run.
+// Sub-records inherit the time and bus, so each partition's arrival
+// order matches the global trace order restricted to it.
+func stageSplit(staged []*trace.Cursor, r trace.Record, chanOf func(memsys.PageID) int) {
 	if !r.Kind.IsDMA() {
-		ch := chanOf(r.Page)
-		out[ch] = append(out[ch], r)
+		staged[chanOf(r.Page)].Append(r)
 		return
 	}
 	start := 0
@@ -538,304 +550,52 @@ func appendSplit(out [][]trace.Record, r trace.Record, chanOf func(memsys.PageID
 			sub := r
 			sub.Page = r.Page + memsys.PageID(start)
 			sub.Pages = uint16(i - start)
-			out[ch] = append(out[ch], sub)
+			staged[ch].Append(sub)
 			start, ch = i, c
 		}
 	}
 	sub := r
 	sub.Page = r.Page + memsys.PageID(start)
 	sub.Pages = uint16(int(r.Pages) - start)
-	out[ch] = append(out[ch], sub)
+	staged[ch].Append(sub)
 }
 
-// finishParallel completes RunContext's in-memory path on the barrier
-// engine. The trace is already validated and the controller config
-// template (ccfg) carries the resolved TA.
-func finishParallel(ctx context.Context, cfg Config, tr *trace.Trace, ccfg controller.Config, lm *layout.Manager, res *Result) (*Result, error) {
-	p, err := newParallelRun(cfg, ccfg)
-	if err != nil {
-		return nil, err
-	}
+// run feeds the shards from the run's cursor and executes them. A lone
+// shard reads the cursor directly, exactly as the serial engine does.
+// With several channels the Prepare hook stages each span's records
+// into per-shard staging cursors, so mid-span a shard pulls arrivals
+// from local memory only and the run's cursor stays single-threaded.
+// Staging routes pages with the mapping current at stage time, which
+// equals the mapping at fire time because no span crosses a rebalance
+// instant (capEnd).
+func (p *parallelRun) run(ctx context.Context, cur *trace.Cursor, lm *layout.Manager, traceEnd sim.Time) error {
 	hooks := sim.BarrierHooks{}
-	switch {
-	case p.channels == 1:
-		p.engs[0].SetFeeder(&traceFeeder{ctl: p.ctls[0], records: tr.Records})
-	case lm == nil:
-		// Static mapping: split the whole trace up front into
-		// per-channel feeders.
-		split := make([][]trace.Record, p.channels)
-		chanOf := channelOfPage(cfg, p.ctls[0].Mapper())
-		for _, r := range tr.Records {
-			appendSplit(split, r, chanOf)
-		}
-		feeders := make([]*traceFeeder, p.channels)
-		for ch, eng := range p.engs {
-			feeders[ch] = &traceFeeder{ctl: p.ctls[ch], records: split[ch]}
-			eng.SetFeeder(feeders[ch])
-		}
-		p.nextArrival = func(dmaOnly bool) (sim.Time, bool) {
-			best, any := sim.MaxTime, false
-			for _, f := range feeders {
-				if t, ok := f.nextRelevant(dmaOnly); ok {
-					any = true
-					if t < best {
-						best = t
-					}
-				}
-			}
-			return best, any
-		}
-	default:
-		// PL on multiple channels: the page→channel mapping changes at
-		// rebalance rendezvous, so records cannot be split up front.
-		// The Prepare hook stages each span's records into per-channel
-		// buffers with the mapping current at stage time, which equals
-		// the mapping at fire time because no span crosses a rebalance
-		// instant (capEnd).
-		feeders := make([]*bufFeeder, p.channels)
-		for ch := range feeders {
-			feeders[ch] = &bufFeeder{ctl: p.ctls[ch]}
-			p.engs[ch].SetFeeder(feeders[ch])
-		}
-		chanOf := channelOfPage(cfg, p.ctls[0].Mapper())
-		split := make([][]trace.Record, p.channels)
-		idx := 0
-		dmaIdx := 0
-		hooks.NextInput = func() (sim.Time, bool) {
-			if idx >= len(tr.Records) {
-				return 0, false
-			}
-			return tr.Records[idx].Time, true
-		}
-		hooks.Prepare = func(end sim.Time) error {
-			for idx < len(tr.Records) && tr.Records[idx].Time <= end {
-				for ch := range split {
-					split[ch] = split[ch][:0]
-				}
-				appendSplit(split, tr.Records[idx], chanOf)
-				for ch, subs := range split {
-					feeders[ch].buf = append(feeders[ch].buf, subs...)
-				}
-				idx++
-			}
-			return nil
-		}
-		p.nextArrival = func(dmaOnly bool) (sim.Time, bool) {
-			best, any := sim.MaxTime, false
-			for _, f := range feeders {
-				if t, ok := f.nextRelevant(dmaOnly); ok {
-					any = true
-					if t < best {
-						best = t
-					}
-				}
-			}
-			// Unstaged records: a monotone DMA-scan cursor over the
-			// global slice from the staging position.
-			if dmaIdx < idx {
-				dmaIdx = idx
-			}
-			if !dmaOnly {
-				if idx < len(tr.Records) {
-					any = true
-					if t := tr.Records[idx].Time; t < best {
-						best = t
-					}
-				}
-			} else {
-				for dmaIdx < len(tr.Records) && !tr.Records[dmaIdx].Kind.IsDMA() {
-					dmaIdx++
-				}
-				if dmaIdx < len(tr.Records) {
-					any = true
-					if t := tr.Records[dmaIdx].Time; t < best {
-						best = t
-					}
-				}
-			}
-			return best, any
-		}
-	}
-	traceEnd := sim.Time(tr.Duration())
-	if lm != nil {
-		if p.channels == 1 {
+	if p.channels == 1 {
+		p.engs[0].SetFeeder(&feeder{ctl: p.ctls[0], cur: cur})
+		if lm != nil {
 			// A sole shard runs the rebalance ticks exactly as the
 			// serial engine does.
 			scheduleRebalances(p.engs[0], p.ctls[0], lm, traceEnd)
-		} else {
-			p.armRebalances(lm, traceEnd)
 		}
+		return p.execute(ctx, hooks)
 	}
-	if err := p.execute(ctx, hooks); err != nil {
-		return nil, err
+	staged := make([]*trace.Cursor, p.channels)
+	for ch := range staged {
+		staged[ch] = trace.NewStagingCursor()
+		p.engs[ch].SetFeeder(&feeder{ctl: p.ctls[ch], cur: staged[ch]})
 	}
-	window := cfg.MeterWindow
-	if window == 0 {
-		window = tr.Duration() + 2*sim.Millisecond
+	p.arrivals = append(staged, cur)
+	chanOf := channelOfPage(p.cfg, p.ctls[0].Mapper())
+	hooks.NextInput = cur.NextTime
+	hooks.Prepare = func(end sim.Time) error {
+		for r, ok := cur.Peek(); ok && r.Time <= end; r, ok = cur.Peek() {
+			cur.Advance()
+			stageSplit(staged, r, chanOf)
+		}
+		return nil
 	}
-	p.finish(window, res)
 	if lm != nil {
-		res.MigratedPages = lm.MigratedPages
-		res.MigrationEnergyJ = lm.MigrationEnergyJ
-		res.Rebalances = lm.Rebalances
+		p.armRebalances(lm, traceEnd)
 	}
-	return res, nil
-}
-
-// bufFeeder is traceFeeder over a buffer the barrier's Prepare hook
-// refills: the coordinator stages each span's records into the owning
-// shard before the shards run, so mid-span the shard pulls arrivals
-// from local memory only. The buffer is compacted whenever it drains,
-// keeping it at one span's worth of records.
-type bufFeeder struct {
-	ctl    *controller.Controller
-	buf    []trace.Record
-	pos    int
-	dmaPos int
-	nextID int64
-}
-
-func (f *bufFeeder) Peek() (sim.Time, int8, bool) {
-	if f.pos >= len(f.buf) {
-		return 0, 0, false
-	}
-	return f.buf[f.pos].Time, feederPrio, true
-}
-
-func (f *bufFeeder) Fire(e *sim.Engine) {
-	now := e.Now()
-	for f.pos < len(f.buf) && f.buf[f.pos].Time == now {
-		r := f.buf[f.pos]
-		f.pos++
-		if r.Kind.IsDMA() {
-			f.ctl.StartTransfer(dma.FromRecord(f.nextID, r))
-			f.nextID++
-		} else {
-			f.ctl.ProcAccess(r.Page)
-		}
-	}
-	if f.pos == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.pos = 0
-		f.dmaPos = 0
-	}
-}
-
-// nextRelevant reports the earliest staged-but-undelivered record —
-// every kind, or DMA records only — for the adaptive barrier's cross
-// lookahead. The DMA scan cursor is monotone between compactions, so
-// repeated probes cost amortized O(1).
-func (f *bufFeeder) nextRelevant(dmaOnly bool) (sim.Time, bool) {
-	if f.pos >= len(f.buf) {
-		return 0, false
-	}
-	if !dmaOnly {
-		return f.buf[f.pos].Time, true
-	}
-	if f.dmaPos < f.pos {
-		f.dmaPos = f.pos
-	}
-	for f.dmaPos < len(f.buf) && !f.buf[f.dmaPos].Kind.IsDMA() {
-		f.dmaPos++
-	}
-	if f.dmaPos >= len(f.buf) {
-		return 0, false
-	}
-	return f.buf[f.dmaPos].Time, true
-}
-
-// finishParallelFile completes runFileContext on the barrier engine.
-// The container is already validated and warmed. A single channel
-// streams through the ordinary cursor feeder (bit-identical to the
-// serial file path); multiple channels pull the cursor from the
-// barrier loop's Prepare hook, which stages each span's records into
-// per-shard buffers — the cursor stays single-threaded throughout.
-func finishParallelFile(ctx context.Context, cfg Config, fr *trace.FileReader, sum trace.FileSummary, ccfg controller.Config, lm *layout.Manager, res *Result) (*Result, error) {
-	p, err := newParallelRun(cfg, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	hooks := sim.BarrierHooks{}
-	cur := fr.Cursor()
-	if p.channels == 1 {
-		feeder := &fileFeeder{ctl: p.ctls[0], cur: cur}
-		p.engs[0].SetFeeder(feeder)
-	} else {
-		feeders := make([]*bufFeeder, p.channels)
-		for ch := range feeders {
-			feeders[ch] = &bufFeeder{ctl: p.ctls[ch]}
-			p.engs[ch].SetFeeder(feeders[ch])
-		}
-		chanOf := channelOfPage(cfg, p.ctls[0].Mapper())
-		split := make([][]trace.Record, p.channels)
-		hooks.NextInput = func() (sim.Time, bool) {
-			r, ok := cur.Peek()
-			if !ok {
-				return 0, false
-			}
-			return r.Time, true
-		}
-		hooks.Prepare = func(end sim.Time) error {
-			for {
-				r, ok := cur.Peek()
-				if !ok || r.Time > end {
-					return nil
-				}
-				cur.Advance()
-				for ch := range split {
-					split[ch] = split[ch][:0]
-				}
-				appendSplit(split, r, chanOf)
-				for ch, subs := range split {
-					feeders[ch].buf = append(feeders[ch].buf, subs...)
-				}
-			}
-		}
-		p.nextArrival = func(dmaOnly bool) (sim.Time, bool) {
-			best, any := sim.MaxTime, false
-			for _, f := range feeders {
-				if t, ok := f.nextRelevant(dmaOnly); ok {
-					any = true
-					if t < best {
-						best = t
-					}
-				}
-			}
-			// The cursor's head bounds every unstaged record. It is
-			// kind-blind (peeking ahead would force decoding), so it is
-			// simply conservative for the dmaOnly case.
-			if r, ok := cur.Peek(); ok {
-				any = true
-				if r.Time < best {
-					best = r.Time
-				}
-			}
-			return best, any
-		}
-	}
-	traceEnd := sim.Time(sum.Duration)
-	if lm != nil {
-		if p.channels == 1 {
-			scheduleRebalances(p.engs[0], p.ctls[0], lm, traceEnd)
-		} else {
-			p.armRebalances(lm, traceEnd)
-		}
-	}
-	if err := p.execute(ctx, hooks); err != nil {
-		return nil, err
-	}
-	if err := cur.Err(); err != nil {
-		return nil, fmt.Errorf("core: streaming %s: %w", cfg.TraceFile, err)
-	}
-	window := cfg.MeterWindow
-	if window == 0 {
-		window = sum.Duration + 2*sim.Millisecond
-	}
-	p.finish(window, res)
-	if lm != nil {
-		res.MigratedPages = lm.MigratedPages
-		res.MigrationEnergyJ = lm.MigrationEnergyJ
-		res.Rebalances = lm.Rebalances
-	}
-	return res, nil
+	return p.execute(ctx, hooks)
 }

@@ -337,3 +337,30 @@ func TestWarmupFractionCrossPath(t *testing.T) {
 		}
 	}
 }
+
+// TestStageSplit pins how a record is staged across channels: a
+// processor access goes whole to its page's channel, and a DMA record
+// is cut at every channel change into sub-records that keep its time,
+// kind and bus and together cover its pages exactly once.
+func TestStageSplit(t *testing.T) {
+	chanOf := func(p memsys.PageID) int { return int(p) / 2 % 2 } // 2 channels, 2-page stripes
+	staged := []*trace.Cursor{trace.NewStagingCursor(), trace.NewStagingCursor()}
+	stageSplit(staged, trace.Record{Time: 5, Kind: trace.ProcRead, Page: 3}, chanOf)
+	stageSplit(staged, trace.Record{Time: 7, Kind: trace.DMAWrite, Bus: 2, Pages: 5, Page: 1}, chanOf)
+	dma := func(page memsys.PageID, pages uint16) trace.Record {
+		return trace.Record{Time: 7, Kind: trace.DMAWrite, Bus: 2, Pages: pages, Page: page}
+	}
+	want := [][]trace.Record{
+		{dma(1, 1), dma(4, 2)},
+		{{Time: 5, Kind: trace.ProcRead, Page: 3}, dma(2, 2)},
+	}
+	for ch, c := range staged {
+		var got []trace.Record
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			got = append(got, r)
+		}
+		if !reflect.DeepEqual(got, want[ch]) {
+			t.Errorf("channel %d staged %+v, want %+v", ch, got, want[ch])
+		}
+	}
+}

@@ -1,0 +1,190 @@
+package trace
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dmamem/internal/memsys"
+	"dmamem/internal/sim"
+)
+
+// randomTrace builds a time-ordered trace of n records whose DMA share
+// varies per seed, from DMA-only down to long processor-only runs, so
+// the lookahead meets chunks with no DMA record at all.
+func randomTrace(rng *rand.Rand, n int) *Trace {
+	tr := &Trace{Name: "random"}
+	dmaShare := []float64{1, 0.5, 0.1, 0.02}[rng.Intn(4)]
+	t := sim.Time(0)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) > 0 {
+			t = t.Add(sim.Duration(1 + rng.Intn(1000)))
+		}
+		r := Record{Time: t, Page: memsys.PageID(rng.Intn(4096))}
+		if rng.Float64() < dmaShare {
+			r.Kind, r.Source, r.Pages = DMAWrite, SrcDisk, uint16(1+rng.Intn(8))
+		} else {
+			r.Kind, r.Source = ProcRead, SrcProcessor
+		}
+		tr.Records = append(tr.Records, r)
+	}
+	return tr
+}
+
+// nextDMAAfter returns, for every position i, the time of the first
+// DMA record at or after i (ok=false when none remains).
+func nextDMAAfter(recs []Record) (times []sim.Time, ok []bool) {
+	times = make([]sim.Time, len(recs)+1)
+	ok = make([]bool, len(recs)+1)
+	for i := len(recs) - 1; i >= 0; i-- {
+		times[i], ok[i] = times[i+1], ok[i+1]
+		if recs[i].Kind.IsDMA() {
+			times[i], ok[i] = recs[i].Time, true
+		}
+	}
+	return times, ok
+}
+
+// TestCursorNextDMAProperty checks the DMA lookahead against the true
+// next-DMA time on random traces, probing it a random number of times
+// between records: on .dmt cursors (chunk sizes 1, 7, 64) it never
+// exceeds the true time, on slice-backed cursors it equals it, and on
+// both it reports "none" only when no DMA record remains. Probing must
+// not disturb the records the cursor yields.
+func TestCursorNextDMAProperty(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomTrace(rng, 1+rng.Intn(300))
+		want, remains := nextDMAAfter(tr.Records)
+		for _, chunk := range []int{0, 1, 7, 64} { // 0: slice-backed
+			var cur *Cursor
+			if chunk == 0 {
+				cur = tr.Cursor()
+			} else {
+				data := encodeDMT(t, tr, WriterOptions{ChunkRecords: chunk})
+				r, err := NewReader(newByteReaderAt(data), int64(len(data)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur = r.Cursor()
+			}
+			for i := 0; ; i++ {
+				for probe := rng.Intn(3); probe >= 0; probe-- {
+					got, ok := cur.NextDMA()
+					switch {
+					case !ok && remains[i]:
+						t.Fatalf("seed %d chunk %d record %d: lookahead reports none, DMA at %v remains", seed, chunk, i, want[i])
+					case ok && remains[i] && got > want[i]:
+						t.Fatalf("seed %d chunk %d record %d: lookahead %v exceeds next DMA at %v", seed, chunk, i, got, want[i])
+					case chunk == 0 && (ok != remains[i] || ok && got != want[i]):
+						t.Fatalf("seed %d record %d: slice lookahead %v,%v, want %v,%v", seed, i, got, ok, want[i], remains[i])
+					}
+				}
+				r, ok := cur.Next()
+				if !ok {
+					if i != len(tr.Records) {
+						t.Fatalf("seed %d chunk %d: cursor ended after %d of %d records", seed, chunk, i, len(tr.Records))
+					}
+					break
+				}
+				if r != tr.Records[i] {
+					t.Fatalf("seed %d chunk %d record %d: got %+v, want %+v", seed, chunk, i, r, tr.Records[i])
+				}
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatalf("seed %d chunk %d: %v", seed, chunk, err)
+			}
+		}
+	}
+}
+
+// TestSliceCursorYieldsRecords pins the slice-backed cursor: it yields
+// exactly the trace's records, in order, and Err stays nil.
+func TestSliceCursorYieldsRecords(t *testing.T) {
+	tr := testTrace(1000)
+	var got []Record
+	cur := tr.Cursor()
+	for {
+		r, ok := cur.Next()
+		if !ok {
+			break
+		}
+		got = append(got, r)
+	}
+	if cur.Err() != nil {
+		t.Fatalf("Err = %v, want nil", cur.Err())
+	}
+	if !reflect.DeepEqual(got, tr.Records) {
+		t.Fatal("slice-backed cursor does not yield the trace's records")
+	}
+	if _, ok := (&Trace{}).Cursor().Peek(); ok {
+		t.Fatal("empty slice-backed cursor yields a record")
+	}
+}
+
+// TestStagingCursor checks Append staging: records appended behind
+// unconsumed ones keep their order, the lookahead sees them exactly,
+// and only a staging cursor accepts Append.
+func TestStagingCursor(t *testing.T) {
+	c := NewStagingCursor()
+	if _, ok := c.NextDMA(); ok {
+		t.Fatal("empty staging cursor reports a DMA")
+	}
+	c.Append(Record{Time: 1, Kind: ProcRead})
+	c.Append(Record{Time: 2, Kind: DMARead, Pages: 1})
+	if at, ok := c.NextDMA(); !ok || at != 2 {
+		t.Fatalf("NextDMA = %v,%v, want 2,true", at, ok)
+	}
+	c.Next()
+	c.Append(Record{Time: 3, Kind: ProcWrite})
+	for _, want := range []sim.Time{2, 3} {
+		if r, ok := c.Next(); !ok || r.Time != want {
+			t.Fatalf("Next = %+v,%v, want time %v", r, ok, want)
+		}
+	}
+	if _, ok := c.NextDMA(); ok {
+		t.Fatal("drained staging cursor reports a DMA")
+	}
+	// A drained buffer is reused from its start.
+	c.Append(Record{Time: 4, Kind: DMAWrite, Pages: 2})
+	if at, ok := c.NextDMA(); !ok || at != 4 || len(c.buf) != 1 {
+		t.Fatalf("after reuse NextDMA = %v,%v with %d buffered, want 4,true with 1", at, ok, len(c.buf))
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append on a slice-backed trace cursor did not panic")
+		}
+	}()
+	testTrace(4).Cursor().Append(Record{})
+}
+
+// BenchmarkCursorDecode streams a 64k-record container (one default
+// chunk) through a fresh cursor per iteration: the .dmt decode layer's
+// cost per record, including the per-cursor buffers.
+func BenchmarkCursorDecode(b *testing.B) {
+	tr := testTrace(1 << 16)
+	var buf bytes.Buffer
+	if err := tr.WriteDMT(&buf, WriterOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	r, err := NewReader(newByteReaderAt(data), int64(len(data)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur := r.Cursor()
+		n := 0
+		for _, ok := cur.Next(); ok; _, ok = cur.Next() {
+			n++
+		}
+		if cur.Err() != nil || n != len(tr.Records) {
+			b.Fatalf("decoded %d of %d records: %v", n, len(tr.Records), cur.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/record")
+}

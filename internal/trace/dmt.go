@@ -115,9 +115,23 @@ type FileSummary struct {
 	Meta Meta
 }
 
+// Summary describes an in-memory trace the way a .dmt footer
+// describes a container — name, metadata, record and DMA totals and
+// duration — in one pass with no per-page state, so both record
+// sources calibrate from the same totals. The chunk fields stay zero.
+func (t *Trace) Summary() FileSummary {
+	s := FileSummary{Name: t.Name, Records: int64(len(t.Records)), Duration: t.Duration(), Meta: t.Meta}
+	for _, r := range t.Records {
+		if r.Kind.IsDMA() {
+			s.DMATransfers++
+			s.DMAPages += int64(r.Pages)
+		}
+	}
+	return s
+}
+
 // MeanTransferPages returns the average DMA transfer size in pages,
-// computed exactly as Stats.MeanTransferPages does so file-backed
-// CP-Limit calibration is bit-identical to the in-memory path.
+// computed exactly as Stats.MeanTransferPages does.
 func (s FileSummary) MeanTransferPages() float64 {
 	if s.DMATransfers == 0 {
 		return 0
@@ -464,14 +478,17 @@ func (r *Reader) Cursor() *Cursor {
 	}
 }
 
-// Cursor streams the records of a .dmt container in order, one chunk
-// resident at a time: a raw chunk block and its decoded records are
-// the only per-cursor buffers, both reused across chunks, so memory
-// stays flat no matter how long the trace is. The checksum is
-// accumulated as chunks stream by and verified against the footer when
-// the end marker is reached; any malformed byte turns into Err.
+// Cursor streams trace records in order. It is the simulator's one
+// record source: over a .dmt container (Reader.Cursor) it holds one
+// chunk resident at a time — a raw chunk block and its decoded records
+// are the only per-cursor buffers, both reused across chunks, so
+// memory stays flat no matter how long the trace is — and over records
+// already in memory (Trace.Cursor) the slice itself is its single
+// resident chunk. The container checksum is accumulated as chunks
+// stream by and verified against the footer when the end marker is
+// reached; any malformed byte turns into Err.
 type Cursor struct {
-	r   *Reader
+	r   *Reader // nil for a slice-backed cursor
 	br  *bufio.Reader
 	crc uint32
 
@@ -482,12 +499,65 @@ type Cursor struct {
 	// cursor so reading through the io.ReadFull interface cannot make
 	// it escape per chunk)
 
+	dmaIdx  int  // NextDMA's scan position in buf, >= idx once probed
+	staging bool // buf is owned and Append may reuse it
+
 	prevTime   sim.Time
 	records    int64
 	chunks     int64
 	skippedHdr bool
 	done       bool
 	err        error
+}
+
+// Cursor returns a cursor whose single resident chunk is the trace's
+// records: no decoding, no further chunks, and Err is always nil. The
+// cursor reads the slice in place and never writes to it.
+func (t *Trace) Cursor() *Cursor { return &Cursor{buf: t.Records, done: true} }
+
+// NewStagingCursor returns an empty slice-backed cursor that owns its
+// buffer, for a producer that Appends records ahead of a consumer.
+func NewStagingCursor() *Cursor {
+	return &Cursor{done: true, staging: true}
+}
+
+// Append adds r behind the staging cursor's unconsumed records. Once
+// every earlier record has been consumed the buffer is reused from its
+// start, so a producer that stays one batch ahead keeps it at one
+// batch. Append panics on a cursor from anything but NewStagingCursor.
+func (c *Cursor) Append(r Record) {
+	if !c.staging {
+		panic("trace: Cursor.Append needs a staging cursor")
+	}
+	if c.idx == len(c.buf) {
+		c.buf, c.idx, c.dmaIdx = c.buf[:0], 0, 0
+	}
+	c.buf = append(c.buf, r)
+}
+
+// NextDMA reports when the next unconsumed DMA record arrives, for
+// lookahead that only DMA arrivals matter to. Over resident records
+// the answer is exact; when the resident records hold no further DMA
+// and more chunks may follow, it is the last resident record's time, a
+// lower bound (later chunks start no earlier). ok=false means no DMA
+// record remains (or the cursor failed; see Err). Repeated probes scan
+// each resident record at most once.
+func (c *Cursor) NextDMA() (sim.Time, bool) {
+	if _, ok := c.Peek(); !ok {
+		return 0, false
+	}
+	if c.dmaIdx < c.idx {
+		c.dmaIdx = c.idx
+	}
+	for ; c.dmaIdx < len(c.buf); c.dmaIdx++ {
+		if c.buf[c.dmaIdx].Kind.IsDMA() {
+			return c.buf[c.dmaIdx].Time, true
+		}
+	}
+	if c.done {
+		return 0, false
+	}
+	return c.buf[len(c.buf)-1].Time, true
 }
 
 // Err returns the first error the cursor hit: nil while healthy and
@@ -500,17 +570,20 @@ func (c *Cursor) Err() error { return c.err }
 // the trace ended cleanly or the cursor failed — check Err to
 // distinguish.
 func (c *Cursor) Peek() (Record, bool) {
-	if c.idx < len(c.buf) {
-		return c.buf[c.idx], true
-	}
-	if c.done || c.err != nil {
-		return Record{}, false
-	}
-	c.loadChunk()
-	if c.idx < len(c.buf) {
+	if c.idx < len(c.buf) || c.fill() {
 		return c.buf[c.idx], true
 	}
 	return Record{}, false
+}
+
+// NextTime reports the time of the record Peek would return: the
+// cheap probe a consumer makes before every step, without copying the
+// record out.
+func (c *Cursor) NextTime() (sim.Time, bool) {
+	if c.idx < len(c.buf) || c.fill() {
+		return c.buf[c.idx].Time, true
+	}
+	return 0, false
 }
 
 // Advance consumes the record Peek returned. Advancing past the end is
@@ -542,11 +615,16 @@ func (c *Cursor) read(b []byte) error {
 	return nil
 }
 
-// loadChunk decodes the next chunk block into c.buf, or finishes the
-// stream at the end marker (verifying totals and checksum against the
-// footer). On any failure it records c.err and leaves the cursor
-// empty.
-func (c *Cursor) loadChunk() {
+// fill is Peek's slow path, out of line so that Peek inlines into the
+// per-record loops of its callers: once the resident chunk is consumed
+// it decodes the next chunk block into c.buf, or finishes the stream at
+// the end marker (verifying totals and checksum against the footer),
+// and reports whether a record is now resident. On any failure it
+// records c.err and leaves the cursor empty.
+func (c *Cursor) fill() bool {
+	if c.done || c.err != nil {
+		return false
+	}
 	if err := c.load(); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			err = dmtErrf("chunk stream truncated after %d records: %v", c.records, err)
@@ -554,6 +632,7 @@ func (c *Cursor) loadChunk() {
 		c.err = err
 		c.buf, c.idx = nil, 0
 	}
+	return c.idx < len(c.buf)
 }
 
 func (c *Cursor) load() error {
@@ -599,7 +678,7 @@ func (c *Cursor) load() error {
 		c.buf = make([]Record, count)
 	}
 	c.buf = c.buf[:count]
-	c.idx = 0
+	c.idx, c.dmaIdx = 0, 0
 
 	// Column 1: time deltas.
 	o := 0

@@ -114,20 +114,29 @@ type Trace struct {
 func (t *Trace) Validate() error {
 	var last sim.Time
 	for i, r := range t.Records {
-		if r.Time < last {
-			return fmt.Errorf("trace %q: record %d at %v before predecessor at %v",
-				t.Name, i, r.Time, last)
+		if err := CheckRecord(t.Name, int64(i), r, last); err != nil {
+			return err
 		}
 		last = r.Time
-		if r.Kind >= numKinds {
-			return fmt.Errorf("trace %q: record %d has invalid kind %d", t.Name, i, r.Kind)
-		}
-		if r.Kind.IsDMA() && r.Pages == 0 {
-			return fmt.Errorf("trace %q: record %d is a zero-page DMA", t.Name, i)
-		}
-		if r.Page < 0 {
-			return fmt.Errorf("trace %q: record %d has negative page", t.Name, i)
-		}
+	}
+	return nil
+}
+
+// CheckRecord applies Validate's checks to record i of the trace
+// called name, whose predecessor arrived at last (zero for the first),
+// so a streaming scan reports violations in Validate's words.
+func CheckRecord(name string, i int64, r Record, last sim.Time) error {
+	if r.Time < last {
+		return fmt.Errorf("trace %q: record %d at %v before predecessor at %v", name, i, r.Time, last)
+	}
+	if r.Kind >= numKinds {
+		return fmt.Errorf("trace %q: record %d has invalid kind %d", name, i, r.Kind)
+	}
+	if r.Kind.IsDMA() && r.Pages == 0 {
+		return fmt.Errorf("trace %q: record %d is a zero-page DMA", name, i)
+	}
+	if r.Page < 0 {
+		return fmt.Errorf("trace %q: record %d has negative page", name, i)
 	}
 	return nil
 }
