@@ -155,6 +155,14 @@ func (sp ReportSpec) Normalize() (ReportSpec, error) {
 	if sp.Suite.Seed == 0 {
 		sp.Suite.Seed = 1
 	}
+	// A run reads one duration: DbDuration for the -Db workloads,
+	// Duration for the -St ones. The other is reset to its default so
+	// it cannot split the result cache.
+	if strings.HasSuffix(sp.Workload, "-Db") {
+		sp.Suite.Duration = 4 * sim.Millisecond
+	} else {
+		sp.Suite.DbDuration = 2 * sim.Millisecond
+	}
 	return sp, nil
 }
 

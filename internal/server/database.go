@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 
 	"dmamem/internal/memsys"
 	"dmamem/internal/san"
@@ -72,8 +73,8 @@ func (c DatabaseConfig) validate() error {
 		return fmt.Errorf("server: negative proc accesses %g", c.ProcAccessesPerQuery)
 	case c.ProcAccessGap <= 0:
 		return fmt.Errorf("server: nonpositive proc gap %v", c.ProcAccessGap)
-	case c.Objects <= 0:
-		return fmt.Errorf("server: %d objects", c.Objects)
+	case c.Objects <= 0 || c.Objects > math.MaxInt32:
+		return fmt.Errorf("server: %d objects (ObjectID is int32)", c.Objects)
 	case c.Frames <= 0:
 		return fmt.Errorf("server: %d frames", c.Frames)
 	case c.PageBytes <= 0:
@@ -112,7 +113,7 @@ func GenerateDatabase(c DatabaseConfig) (*DatabaseResult, error) {
 	zipf := synth.NewZipf(c.Objects, c.Alpha)
 	perm := rng.Perm(c.Objects)
 
-	pool, err := NewBufferCache(c.Frames)
+	pool, err := NewBufferCache(c.Frames, c.Objects)
 	if err != nil {
 		return nil, err
 	}

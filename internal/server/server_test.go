@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +14,7 @@ import (
 )
 
 func TestCacheBasics(t *testing.T) {
-	c, err := NewBufferCache(16)
+	c, err := NewBufferCache(16, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c, _ := NewBufferCache(8)
+	c, _ := NewBufferCache(8, 4)
 	c.Insert(1, 4)
 	c.Insert(2, 4)
 	// Touch 1 so 2 becomes LRU.
@@ -62,7 +64,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheMultiEviction(t *testing.T) {
 	// Inserting a large object must evict as many small ones as needed
 	// and place it in a contiguous run.
-	c, _ := NewBufferCache(8)
+	c, _ := NewBufferCache(8, 101)
 	for id := ObjectID(0); id < 8; id++ {
 		c.Insert(id, 1)
 	}
@@ -79,7 +81,7 @@ func TestCacheMultiEviction(t *testing.T) {
 }
 
 func TestCacheRemove(t *testing.T) {
-	c, _ := NewBufferCache(8)
+	c, _ := NewBufferCache(8, 2)
 	c.Insert(1, 2)
 	if !c.Remove(1) {
 		t.Fatal("remove failed")
@@ -96,7 +98,7 @@ func TestCacheRemove(t *testing.T) {
 }
 
 func TestCachePanics(t *testing.T) {
-	c, _ := NewBufferCache(4)
+	c, _ := NewBufferCache(4, 4)
 	c.Insert(1, 2)
 	for _, f := range []func(){
 		func() { c.Insert(1, 1) }, // already resident
@@ -112,8 +114,54 @@ func TestCachePanics(t *testing.T) {
 			f()
 		}()
 	}
-	if _, err := NewBufferCache(0); err == nil {
-		t.Error("zero-frame cache accepted")
+	for _, f := range []func(){
+		func() { c.Lookup(-1) },
+		func() { c.Lookup(4) },
+		func() { c.Insert(-1, 1) },
+		func() { c.Insert(4, 1) },
+		func() { c.Remove(-1) },
+		func() { c.Remove(math.MaxInt32) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside [0, 4)") {
+					t.Errorf("panic %v, want an object ID range error", r)
+				}
+			}()
+			f()
+		}()
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range [][2]int{{0, 1}, {4, 0}, {4, -1}, {4, math.MaxInt32 + 1}} {
+		if _, err := NewBufferCache(size[0], size[1]); err == nil {
+			t.Errorf("NewBufferCache(%d, %d) accepted", size[0], size[1])
+		}
+	}
+}
+
+// TestBufferCacheZeroAlloc holds the cache to its construction-time
+// memory: hits, misses, inserts and the evictions they force allocate
+// nothing.
+func TestBufferCacheZeroAlloc(t *testing.T) {
+	c, err := NewBufferCache(64, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ObjectID(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := c.Lookup(id); !ok {
+			c.Insert(id, 1+int(id%5))
+		}
+		c.Lookup(id / 2)
+		id = (id + 7) % 1000
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per lookup/insert", allocs)
+	}
+	if c.Evictions == 0 {
+		t.Fatal("no eviction exercised")
 	}
 }
 
@@ -121,7 +169,7 @@ func TestCachePanics(t *testing.T) {
 // invariants hold and no two objects overlap.
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c, err := NewBufferCache(64)
+		c, err := NewBufferCache(64, 40)
 		if err != nil {
 			return false
 		}
@@ -275,6 +323,11 @@ func TestGenerateStorageValidation(t *testing.T) {
 	if _, err := GenerateStorage(bad); err == nil {
 		t.Error("zero disks accepted")
 	}
+	bad = DefaultStorage()
+	bad.Objects = math.MaxInt32 + 1
+	if _, err := GenerateStorage(bad); err == nil {
+		t.Error("object count beyond the ObjectID range accepted")
+	}
 }
 
 func TestObjectPagesStable(t *testing.T) {
@@ -346,6 +399,11 @@ func TestGenerateDatabaseValidation(t *testing.T) {
 	bad.ProcAccessGap = 0
 	if _, err := GenerateDatabase(bad); err == nil {
 		t.Error("zero gap accepted")
+	}
+	bad = DefaultDatabase()
+	bad.Objects = math.MaxInt32 + 1
+	if _, err := GenerateDatabase(bad); err == nil {
+		t.Error("object count beyond the ObjectID range accepted")
 	}
 }
 

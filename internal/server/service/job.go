@@ -77,10 +77,14 @@ type Job struct {
 	// any count).
 	Workers int `json:",omitempty"`
 	// DurationMs is the generated trace duration in simulated
-	// milliseconds; 0 selects the golden suite's 4 ms.
+	// milliseconds; 0 selects the golden suite's 4 ms. A report job
+	// reads it only for the -St workloads (OLTP-St, Synthetic-St).
 	DurationMs float64 `json:",omitempty"`
 	// DbDurationMs is the duration for the denser database traces;
-	// 0 selects the golden suite's 2 ms.
+	// 0 selects the golden suite's 2 ms. A report job reads it only
+	// for the -Db workloads (OLTP-Db, Synthetic-Db). The duration a
+	// report job does not read is canonicalized to its default, so it
+	// never changes the job's hash or misses the result cache.
 	DbDurationMs float64 `json:",omitempty"`
 	// Seed for the trace generators; 0 selects the golden suite's 1.
 	Seed uint64 `json:",omitempty"`

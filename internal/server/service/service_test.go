@@ -337,4 +337,21 @@ func TestCanonicalHashStability(t *testing.T) {
 			t.Errorf("variant %s hashes like the base job", variant)
 		}
 	}
+	// A report job reads one duration: Duration for -St workloads,
+	// DbDuration for -Db ones. The unread one must not split the
+	// cache; the read one must.
+	for _, c := range []struct{ base, unread, read string }{
+		{`{"Workload":"OLTP-St"}`, `{"Workload":"OLTP-St","DbDurationMs":5}`, `{"Workload":"OLTP-St","DurationMs":5}`},
+		{`{"Workload":"Synthetic-St"}`, `{"Workload":"Synthetic-St","DbDurationMs":5}`, `{"Workload":"Synthetic-St","DurationMs":5}`},
+		{`{"Workload":"OLTP-Db"}`, `{"Workload":"OLTP-Db","DurationMs":5}`, `{"Workload":"OLTP-Db","DbDurationMs":5}`},
+		{`{"Workload":"Synthetic-Db"}`, `{"Workload":"Synthetic-Db","DurationMs":5}`, `{"Workload":"Synthetic-Db","DbDurationMs":5}`},
+	} {
+		base := hash(t, c.base)
+		if h := hash(t, c.unread); h != base {
+			t.Errorf("%s hashes unlike %s, though the run never reads the field", c.unread, c.base)
+		}
+		if h := hash(t, c.read); h == base {
+			t.Errorf("%s hashes like %s, though the run reads the field", c.read, c.base)
+		}
+	}
 }

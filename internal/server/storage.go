@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 
 	"dmamem/internal/disk"
 	"dmamem/internal/memsys"
@@ -88,8 +89,8 @@ func (c StorageConfig) validate() error {
 		return fmt.Errorf("server: nonpositive request rate %g", c.RequestRatePerMs)
 	case c.ReadFraction < 0 || c.ReadFraction > 1:
 		return fmt.Errorf("server: read fraction %g outside [0,1]", c.ReadFraction)
-	case c.Objects <= 0:
-		return fmt.Errorf("server: %d objects", c.Objects)
+	case c.Objects <= 0 || c.Objects > math.MaxInt32:
+		return fmt.Errorf("server: %d objects (ObjectID is int32)", c.Objects)
 	case c.CacheFrames <= 0:
 		return fmt.Errorf("server: %d cache frames", c.CacheFrames)
 	case c.PageBytes <= 0:
@@ -156,7 +157,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 	zipf := synth.NewZipf(c.Objects, c.Alpha)
 	perm := rng.Perm(c.Objects) // scatter popularity over object IDs
 
-	cache, err := NewBufferCache(c.CacheFrames)
+	cache, err := NewBufferCache(c.CacheFrames, c.Objects)
 	if err != nil {
 		return nil, err
 	}
@@ -169,18 +170,24 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 		return nil, err
 	}
 
+	// The cache is keyed by popularity rank rather than object ID. The
+	// two are a bijection through perm, and the cache never looks at a
+	// key's value, so residency, placement and eviction are unchanged;
+	// but the warm-up fill below walks the index in order and the
+	// Zipf-skewed lookups stay near its start instead of striking a
+	// dataset-sized table at random.
+	//
 	// Pre-warm the cache with the most popular objects, the steady
 	// state an LRU cache converges to under a skewed reference stream.
 	// Without this, a finite trace is dominated by cold misses and the
 	// frame-popularity distribution degenerates to uniform.
 	used := 0
 	for rank := 0; rank < c.Objects; rank++ {
-		id := ObjectID(perm[rank])
-		pages := objectPages(id, c.Sizes, totalWeight)
+		pages := objectPages(ObjectID(perm[rank]), c.Sizes, totalWeight)
 		if used+pages > c.CacheFrames {
 			break
 		}
-		cache.Insert(id, pages)
+		cache.Insert(ObjectID(rank), pages)
 		used += pages
 	}
 
@@ -209,7 +216,8 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 		if now > sim.Time(c.Duration) {
 			break
 		}
-		obj := ObjectID(perm[zipf.Sample(rng)])
+		rank := ObjectID(zipf.Sample(rng))
+		obj := ObjectID(perm[rank])
 		pages := objectPages(obj, c.Sizes, totalWeight)
 		bytes := int64(pages) * int64(c.PageBytes)
 		diskOffset := int64(obj) * int64(maxPages) * int64(c.PageBytes)
@@ -218,7 +226,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 		if rng.Float64() < c.ReadFraction {
 			arrive := fabric.RequestArrival(now)
 			ready := arrive.Add(c.CPUTime)
-			start, _, ok := cache.Lookup(obj)
+			start, _, ok := cache.Lookup(rank)
 			var sendAt sim.Time
 			if ok {
 				sendAt = ready
@@ -227,7 +235,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 				diskDone := array.Access(ready, diskOffset, bytes)
 				diskSum += diskDone.Sub(ready)
 				res.DiskReads++
-				start = cache.Insert(obj, pages)
+				start = cache.Insert(rank, pages)
 				emit(diskDone, trace.DMAWrite, trace.SrcDisk, start, pages)
 				sendAt = diskDone.Add(dmaDur(pages))
 				transfersSum += 2
@@ -240,9 +248,9 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 			// memory, then write-through to disk.
 			arrive := fabric.WritePayloadArrival(now, bytes)
 			ready := arrive.Add(c.CPUTime)
-			start, _, ok := cache.Lookup(obj)
+			start, _, ok := cache.Lookup(rank)
 			if !ok {
-				start = cache.Insert(obj, pages)
+				start = cache.Insert(rank, pages)
 			}
 			emit(ready, trace.DMAWrite, trace.SrcNetwork, start, pages)
 			memDone := ready.Add(dmaDur(pages))

@@ -162,14 +162,19 @@ func DefaultDb() DbConfig {
 // processor accesses. Processor accesses follow the same Zipf
 // popularity (the bufferpool's hot pages are hot for the CPU too).
 func GenerateDb(c DbConfig) (*trace.Trace, error) {
-	dmaTr, err := GenerateSt(c.St)
+	if err := c.St.validate(); err != nil {
+		return nil, err
+	}
+	shared := newPopularity(c.St)
+	dmaTr := &trace.Trace{Name: "Synthetic-Db", Meta: SyntheticMeta()}
+	err := shared.generateSt(c.St, func(r trace.Record) error {
+		dmaTr.Records = append(dmaTr.Records, r)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	dmaTr.Name = "Synthetic-Db"
 	rng := NewRNG(c.St.Seed ^ 0xdb)
-	zipf := NewZipf(c.St.Pages, c.St.Alpha)
-	perm := NewRNG(c.St.Seed).Perm(c.St.Pages) // same permutation as the DMA side
 
 	proc := &trace.Trace{}
 	if c.ProcPerTransfer > 0 {
@@ -200,7 +205,7 @@ func GenerateDb(c DbConfig) (*trace.Trace, error) {
 				Time:   now,
 				Kind:   procKind(rng),
 				Source: trace.SrcProcessor,
-				Page:   memsys.PageID(perm[zipf.Sample(rng)]),
+				Page:   memsys.PageID(shared.page(rng)),
 			})
 		}
 	}

@@ -108,3 +108,30 @@ func TestStreamEmitErrors(t *testing.T) {
 		t.Fatal("invalid Db config accepted")
 	}
 }
+
+// TestGenerateDbToZeroAllocPerRecord guards the streaming merge: after
+// its tables are built, GenerateDbTo allocates nothing per record. The
+// allocation count of a run must not grow with the trace, in the
+// Poisson mode (one pending record) and in the burst mode (a burst of
+// pending records per transfer).
+func TestGenerateDbToZeroAllocPerRecord(t *testing.T) {
+	discard := func(trace.Record) error { return nil }
+	burst := DefaultDb()
+	burst.ProcPerTransfer = 50
+	for _, base := range []DbConfig{DefaultDb(), burst} {
+		allocs := func(d sim.Duration) float64 {
+			c := base
+			c.St.Duration = d
+			return testing.AllocsPerRun(3, func() {
+				if err := GenerateDbTo(c, discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(sim.Millisecond), allocs(8*sim.Millisecond)
+		if long > short+8 {
+			t.Errorf("ProcPerTransfer=%d: %.0f allocs for 1 ms, %.0f for 8 ms: allocation per record",
+				base.ProcPerTransfer, short, long)
+		}
+	}
+}

@@ -127,6 +127,28 @@ func TestZipfBasics(t *testing.T) {
 	}
 }
 
+// TestZipfAlphaOneExact holds NewZipf's alpha = 1 fast path to the
+// general math.Pow table bit for bit.
+func TestZipfAlphaOneExact(t *testing.T) {
+	const n = 100000
+	z := NewZipf(n, 1)
+	cum := make([]float64, n)
+	total := 0.0
+	for i := range cum {
+		total += 1 / math.Pow(float64(i+1), 1)
+		cum[i] = total
+	}
+	for i := range cum {
+		cum[i] *= 1 / total
+	}
+	cum[n-1] = 1
+	for i, want := range cum {
+		if got := z.cum[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("rank %d: cumulative %v, Pow path %v", i, got, want)
+		}
+	}
+}
+
 func TestZipfSampleDistribution(t *testing.T) {
 	z := NewZipf(50, 1.0)
 	r := NewRNG(11)

@@ -10,12 +10,10 @@ package trace
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"dmamem/internal/memsys"
@@ -152,10 +150,65 @@ func (t *Trace) Duration() sim.Duration {
 // SortByTime stably sorts records by timestamp, preserving the relative
 // order of simultaneous records (generators emit logically ordered
 // streams).
+//
+// It is a bottom-up merge sort through one buffer of len(Records):
+// O(n log n) moves where an in-place stable sort (symmerge) does
+// O(n log² n). A merge whose halves are already in order is a copy,
+// which keeps the nearly sorted output of the generators cheap. Any
+// stable sort on Time gives the same order.
 func (t *Trace) SortByTime() {
-	slices.SortStableFunc(t.Records, func(a, b Record) int {
-		return cmp.Compare(a.Time, b.Time)
-	})
+	rs := t.Records
+	const block = 32
+	for lo := 0; lo < len(rs); lo += block {
+		insertionSortByTime(rs[lo:min(lo+block, len(rs))])
+	}
+	if len(rs) <= block {
+		return
+	}
+	src, dst := rs, make([]Record, len(rs))
+	for width := block; width < len(rs); width *= 2 {
+		for lo := 0; lo < len(rs); lo += 2 * width {
+			mid, hi := min(lo+width, len(rs)), min(lo+2*width, len(rs))
+			mergeByTime(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &rs[0] {
+		copy(rs, src)
+	}
+}
+
+func insertionSortByTime(rs []Record) {
+	for i := 1; i < len(rs); i++ {
+		r := rs[i]
+		j := i
+		for ; j > 0 && rs[j-1].Time > r.Time; j-- {
+			rs[j] = rs[j-1]
+		}
+		rs[j] = r
+	}
+}
+
+// mergeByTime merges the sorted runs a and b into dst, taking from a
+// on equal times (stability).
+func mergeByTime(dst, a, b []Record) {
+	if len(b) == 0 || a[len(a)-1].Time <= b[0].Time {
+		copy(dst[copy(dst, a):], b)
+		return
+	}
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Time < a[i].Time {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Merge combines several traces into one time-ordered trace.

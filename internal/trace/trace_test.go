@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,6 +110,38 @@ func TestMerge(t *testing.T) {
 		t.Errorf("merge not stable: %+v", m.Records[2:])
 	}
 }
+
+// TestSortByTimeMatchesStableSort holds SortByTime to the library's
+// stable sort on the same comparator, over lengths around the block and
+// merge boundaries and inputs from random to nearly sorted, with many
+// equal times so stability is what decides the order.
+func TestSortByTimeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 64, 65, 100, 1000, 4097} {
+		for _, spread := range []int{1, 4, n + 1} {
+			for _, presorted := range []bool{false, true} {
+				rs := make([]Record, n)
+				for i := range rs {
+					// Page carries the input position, so any instability shows.
+					rs[i] = Record{Time: sim.Time(rng.Intn(spread)), Page: memsys.PageID(i)}
+				}
+				if presorted {
+					slices.SortStableFunc(rs[:n/2], byTime)
+					slices.SortStableFunc(rs[n/2:], byTime)
+				}
+				want := slices.Clone(rs)
+				slices.SortStableFunc(want, byTime)
+				tr := &Trace{Records: rs}
+				tr.SortByTime()
+				if !slices.Equal(tr.Records, want) {
+					t.Fatalf("n=%d spread=%d presorted=%v: order differs from a stable sort", n, spread, presorted)
+				}
+			}
+		}
+	}
+}
+
+func byTime(a, b Record) int { return cmp.Compare(a.Time, b.Time) }
 
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := sampleTrace()
