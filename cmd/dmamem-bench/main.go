@@ -99,7 +99,7 @@ func realMain() int {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	fig := flag.String("fig", "all", "which figure/table to regenerate")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (1 = sequential)")
-	workers := flag.Int("workers", 1, "event-loop goroutines inside each simulation (1 = serial reference engine)")
+	workers := flag.Int("workers", 1, "most event-loop goroutines inside each simulation; short spans run inline (1 = serial reference engine)")
 	epoch := flag.Duration("epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
 	fixedEpoch := flag.Bool("fixed-epoch", false, "disable adaptive barrier elision (bit-identical cross-check mode; needs -workers > 1)")
 	parallelBench := flag.String("parallel-bench", "", "measure parallel engine scaling (channels x workers, adaptive vs fixed) and write the JSON grid to this file instead of running figures")

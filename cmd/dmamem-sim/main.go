@@ -67,7 +67,7 @@ func main() {
 	compare := flag.Bool("compare", true, "also run the baseline and report savings")
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the -compare pair (1 = sequential)")
-	workers := flag.Int("workers", 1, "event-loop goroutines inside each simulation (1 = serial reference engine)")
+	workers := flag.Int("workers", 1, "most event-loop goroutines inside each simulation; short spans run inline (1 = serial reference engine)")
 	epoch := flag.Duration("epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
 	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
 	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")

@@ -157,9 +157,11 @@ type Simulation struct {
 	// Workers selects the parallel barrier engine: zero keeps the
 	// legacy serial event loop; any positive value runs one event loop
 	// per channel under deterministic epoch barriers, executed by at
-	// most Workers goroutines. Reports are independent of the worker
-	// count; on a single channel they are additionally bit-identical to
-	// the serial engine. Every technique runs on multi-channel parallel
+	// most Workers goroutines, the caller's included. Workers is a
+	// ceiling: spans too short for a handoff to other goroutines to
+	// pay (measured at run time) run inline. Reports are independent
+	// of the worker count; on a single channel they are additionally
+	// bit-identical to the serial engine. Every technique runs on multi-channel parallel
 	// topologies, including TemporalAlignmentWithLayout — the layout's
 	// global state is observed and rebalanced at epoch barriers.
 	// Negative values are rejected.

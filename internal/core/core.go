@@ -106,7 +106,10 @@ type Config struct {
 	// runs the legacy serial event loop; any positive value runs one
 	// event loop per topology channel, executed by at most Workers
 	// goroutines in deterministic epoch-barrier lockstep (see
-	// internal/sim's BarrierEngine and docs/ARCHITECTURE.md). Reports
+	// internal/sim's BarrierEngine and docs/ARCHITECTURE.md). Workers
+	// is a ceiling, not a demand: the caller's goroutine is one of
+	// them, and a span too short for a handoff to pay (measured at run
+	// time) runs inline on it, which is most spans on a 2-CPU host. Reports
 	// are independent of the worker count by construction; with a
 	// single channel they are additionally bit-identical to the serial
 	// engine's. Multi-channel runs support every scheme, including PL

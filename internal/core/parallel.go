@@ -587,13 +587,19 @@ func (p *parallelRun) run(ctx context.Context, cur *trace.Cursor, lm *layout.Man
 	p.arrivals = append(staged, cur)
 	chanOf := channelOfPage(p.cfg, p.ctls[0].Mapper())
 	hooks.NextInput = cur.NextTime
+	records := 0
 	hooks.Prepare = func(end sim.Time) error {
+		records = 0
 		for r, ok := cur.Peek(); ok && r.Time <= end; r, ok = cur.Peek() {
 			cur.Advance()
 			stageSplit(staged, r, chanOf)
+			records++
 		}
 		return nil
 	}
+	// The span's staged records are the engine's cost unit when it
+	// decides whether a handoff to other workers pays.
+	hooks.Work = func() int { return records }
 	if lm != nil {
 		p.armRebalances(lm, traceEnd)
 	}

@@ -87,11 +87,17 @@ func TestParallelSingleChannelBitIdentical(t *testing.T) {
 	}
 }
 
+// forcedModes are the span-dispatch modes the worker-invariance tests
+// force: with the measured chooser most short spans run inline, so the
+// goroutine path is tested only if a test demands it.
+var forcedModes = []sim.DispatchMode{sim.DispatchInline, sim.DispatchParallel, sim.DispatchAlternate}
+
 // TestParallelMultiChannelWorkerInvariance: on a multi-channel
-// topology the worker count must not influence the result (the
-// conservative-PDES determinism claim), and the file-backed path —
-// which stages records through the Prepare hook instead of per-shard
-// feeders — must agree with the in-memory path exactly.
+// topology neither the worker count nor the span dispatch mode may
+// influence the result (the conservative-PDES determinism claim), and
+// the file-backed path — which streams records through the run's
+// cursor instead of the in-memory slice — must agree with the
+// in-memory path exactly.
 func TestParallelMultiChannelWorkerInvariance(t *testing.T) {
 	topo := memsys.Topology{Channels: 4, ChannelBandwidth: 3.2e9}
 	tr := stTrace(t, 5*sim.Millisecond)
@@ -106,28 +112,32 @@ func TestParallelMultiChannelWorkerInvariance(t *testing.T) {
 		if ref.Report.Channels != 4 {
 			t.Fatalf("%s: report has %d channels", name, ref.Report.Channels)
 		}
-		for _, workers := range []int{2, 4} {
-			pcfg := cfg
-			pcfg.Workers = workers
-			got, err := Run(pcfg, tr)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+		for _, mode := range forcedModes {
+			restore := sim.ForceDispatch(mode)
+			for _, workers := range []int{2, 4} {
+				pcfg := cfg
+				pcfg.Workers = workers
+				got, err := Run(pcfg, tr)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", name, mode, workers, err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("%s %v: workers=%d result differs from workers=1", name, mode, workers)
+				}
 			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s: workers=%d result differs from workers=1", name, workers)
+			for _, workers := range []int{1, 2, 4} {
+				fcfg := cfg
+				fcfg.TraceFile = path
+				fcfg.Workers = workers
+				got, err := Run(fcfg, nil)
+				if err != nil {
+					t.Fatalf("%s %v file workers=%d: %v", name, mode, workers, err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("%s %v: file-backed workers=%d result differs from in-memory workers=1", name, mode, workers)
+				}
 			}
-		}
-		for _, workers := range []int{1, 2, 4} {
-			fcfg := cfg
-			fcfg.TraceFile = path
-			fcfg.Workers = workers
-			got, err := Run(fcfg, nil)
-			if err != nil {
-				t.Fatalf("%s file workers=%d: %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s: file-backed workers=%d result differs from in-memory workers=1", name, workers)
-			}
+			restore()
 		}
 	}
 }
@@ -203,7 +213,8 @@ func TestParallelSingleChannelWorkersAccepted(t *testing.T) {
 // acceptance gate: the adaptive barrier may only skip rendezvous it
 // can prove are no-ops, so the fixed-epoch reference must reproduce
 // its results exactly — all schemes, multi-channel, in-memory and
-// file-backed, several span ceilings.
+// file-backed, several span ceilings, every forced dispatch mode
+// against one inline reference.
 func TestParallelAdaptiveFixedBitIdentical(t *testing.T) {
 	topo := memsys.Topology{Channels: 4, ChannelBandwidth: 3.2e9}
 	tr := stTrace(t, 5*sim.Millisecond)
@@ -213,38 +224,44 @@ func TestParallelAdaptiveFixedBitIdentical(t *testing.T) {
 		cfg.Workers = 2
 		fixed := cfg
 		fixed.FixedEpoch = true
+		restore := sim.ForceDispatch(sim.DispatchInline)
 		want, err := Run(fixed, tr)
+		restore()
 		if err != nil {
 			t.Fatalf("%s fixed: %v", name, err)
 		}
-		for _, span := range []int{0, 2, 64} {
-			acfg := cfg
-			acfg.MaxEpochSpan = span
-			got, err := Run(acfg, tr)
+		for _, mode := range forcedModes {
+			restore := sim.ForceDispatch(mode)
+			for _, span := range []int{0, 2, 64} {
+				acfg := cfg
+				acfg.MaxEpochSpan = span
+				got, err := Run(acfg, tr)
+				if err != nil {
+					t.Fatalf("%s %v span=%d: %v", name, mode, span, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s %v span=%d: adaptive result differs from fixed-epoch", name, mode, span)
+				}
+			}
+			ffix := fixed
+			ffix.TraceFile = path
+			wantFile, err := Run(ffix, nil)
 			if err != nil {
-				t.Fatalf("%s span=%d: %v", name, span, err)
+				t.Fatalf("%s %v fixed file: %v", name, mode, err)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s span=%d: adaptive result differs from fixed-epoch", name, span)
+			if !reflect.DeepEqual(want, wantFile) {
+				t.Errorf("%s %v: fixed file result differs from fixed in-memory", name, mode)
 			}
-		}
-		ffix := fixed
-		ffix.TraceFile = path
-		wantFile, err := Run(ffix, nil)
-		if err != nil {
-			t.Fatalf("%s fixed file: %v", name, err)
-		}
-		if !reflect.DeepEqual(want, wantFile) {
-			t.Errorf("%s: fixed file result differs from fixed in-memory", name)
-		}
-		fadp := cfg
-		fadp.TraceFile = path
-		gotFile, err := Run(fadp, nil)
-		if err != nil {
-			t.Fatalf("%s adaptive file: %v", name, err)
-		}
-		if !reflect.DeepEqual(want, gotFile) {
-			t.Errorf("%s: adaptive file result differs from fixed-epoch", name)
+			fadp := cfg
+			fadp.TraceFile = path
+			gotFile, err := Run(fadp, nil)
+			if err != nil {
+				t.Fatalf("%s %v adaptive file: %v", name, mode, err)
+			}
+			if !reflect.DeepEqual(want, gotFile) {
+				t.Errorf("%s %v: adaptive file result differs from fixed-epoch", name, mode)
+			}
+			restore()
 		}
 	}
 }

@@ -74,7 +74,8 @@ func TestParallelSerialBitIdentical(t *testing.T) {
 // which earlier engine versions rejected on multi-channel parallel
 // topologies, now runs there and its results are a pure function of
 // simulated time. On a 4-channel topology every worker count from 1 to
-// 8 must produce the same Result, adaptive and fixed barriers must
+// 8, in every forced span-dispatch mode, must produce the same Result,
+// adaptive and fixed barriers must
 // agree bit for bit, and the file-backed feeder must match in-memory
 // delivery. Single-channel PL already answers to the serial reference
 // via TestParallelSerialBitIdentical.
@@ -95,16 +96,23 @@ func TestParallelPLBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", name, err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			wcfg := cfg
-			wcfg.Workers = workers
-			got, err := core.Run(wcfg, tr)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+		// Every span inline, every span on the workers, and the two
+		// alternating: the chooser alone would run most short spans
+		// inline and leave the goroutine path untested.
+		for _, mode := range []sim.DispatchMode{sim.DispatchInline, sim.DispatchParallel, sim.DispatchAlternate} {
+			restore := sim.ForceDispatch(mode)
+			for _, workers := range []int{2, 4, 8} {
+				wcfg := cfg
+				wcfg.Workers = workers
+				got, err := core.Run(wcfg, tr)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", name, mode, workers, err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("%s %v: multi-channel PL differs at workers=%d", name, mode, workers)
+				}
 			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s: multi-channel PL differs at workers=%d", name, workers)
-			}
+			restore()
 		}
 		fixed := cfg
 		fixed.Workers = 4

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"dmamem/internal/energy"
@@ -208,10 +209,10 @@ func (s *DurationStats) Add(d sim.Duration) {
 	s.vals = append(s.vals, d)
 }
 
-// Merge appends every observation of o, preserving o's insertion
-// order. Merging partition-local stats in a fixed partition order
-// yields deterministic aggregates: Mean and Sum are exact integer
-// arithmetic, and Percentile/Max sort internally.
+// Merge appends every observation of o. Merging partition-local
+// stats in a fixed partition order yields deterministic aggregates:
+// Mean and Sum are exact integer arithmetic, and Percentile and Max do
+// not depend on the order.
 func (s *DurationStats) Merge(o *DurationStats) {
 	s.n += o.n
 	s.sum += o.sum
@@ -229,7 +230,9 @@ func (s *DurationStats) Mean() sim.Duration {
 	return sim.Duration(int64(s.sum) / int64(s.n))
 }
 
-// Percentile returns the p-quantile (0 < p <= 1) by nearest-rank.
+// Percentile returns the p-quantile (0 < p <= 1) by nearest-rank. It
+// selects the element in place in O(n), so it reorders the stored
+// observations; every statistic here is independent of their order.
 func (s *DurationStats) Percentile(p float64) sim.Duration {
 	if s.n == 0 {
 		return 0
@@ -237,13 +240,50 @@ func (s *DurationStats) Percentile(p float64) sim.Duration {
 	if p <= 0 || p > 1 {
 		panic(fmt.Sprintf("metrics: percentile %g", p))
 	}
-	sorted := slices.Clone(s.vals)
-	slices.Sort(sorted)
 	rank := int(math.Ceil(p*float64(s.n))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	return sorted[rank]
+	return nthSmallest(s.vals, rank)
+}
+
+// nthSmallest returns the element a sort of v would put at index k,
+// reordering v. It is quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal values (transfers of one size
+// at one rate) cost one pass; after 2·log2(n) rounds that still leave
+// a wide range it sorts that range, which bounds the worst case at
+// O(n log n).
+func nthSmallest(v []sim.Duration, k int) sim.Duration {
+	lo, hi := 0, len(v)
+	for rounds := 2 * bits.Len(uint(len(v))); hi-lo > 16 && rounds > 0; rounds-- {
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// [lo,lt) < pivot, [lt,i) == pivot, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := v[i]; {
+			case x < pivot:
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				v[i], v[gt] = v[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
+	slices.Sort(v[lo:hi])
+	return v[k]
 }
 
 // Max returns the maximum observation.

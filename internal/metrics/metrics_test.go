@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +166,54 @@ func TestDurationStats(t *testing.T) {
 	}
 	if got := s.Percentile(0.2); got != 10 {
 		t.Fatalf("p20 = %v", got)
+	}
+}
+
+// TestPercentileMatchesSort holds the in-place selection to the
+// sort-based nearest-rank reference it replaced: random sizes,
+// heavy duplicates, sorted and reversed runs, n = 1, and p at 1/n,
+// 0.5, 0.95, 1 and random points, each asked of the same (reordered)
+// stats in turn.
+func TestPercentileMatchesSort(t *testing.T) {
+	ref := func(vals []sim.Duration, p float64) sim.Duration {
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
+		rank := int(math.Ceil(p*float64(len(sorted)))) - 1
+		if rank < 0 {
+			rank = 0
+		}
+		return sorted[rank]
+	}
+	rng := rand.New(rand.NewSource(1))
+	shapes := []func(i, n int) sim.Duration{
+		func(i, n int) sim.Duration { return sim.Duration(rng.Int63n(1 << 40)) },
+		func(i, n int) sim.Duration { return sim.Duration(rng.Intn(4)) },
+		func(i, n int) sim.Duration { return 7 },
+		func(i, n int) sim.Duration { return sim.Duration(i) },
+		func(i, n int) sim.Duration { return sim.Duration(n - i) },
+		func(i, n int) sim.Duration { return sim.Duration(min(i, n-i)) },
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(3000)
+		if trial%10 == 0 {
+			n = 1 + trial%3
+		}
+		shape := shapes[trial%len(shapes)]
+		var s DurationStats
+		vals := make([]sim.Duration, n)
+		for i := range vals {
+			vals[i] = shape(i, n)
+			s.Add(vals[i])
+		}
+		for _, p := range []float64{1 / float64(n), 0.5, 0.95, 1, rng.Float64() + 1e-9, rng.Float64()*0.01 + 1e-9} {
+			p = min(p, 1)
+			if got, want := s.Percentile(p), ref(vals, p); got != want {
+				t.Fatalf("trial %d n=%d p=%g: got %v, sort gives %v", trial, n, p, got, want)
+			}
+		}
+		if s.Count() != n || s.Max() != slices.Max(vals) {
+			t.Fatalf("trial %d: selection changed the multiset", trial)
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
 // Conservative parallel discrete-event execution. A BarrierEngine owns
 // several independent Engines — one per memory channel in this
 // repository — and drives them through bulk-synchronous epochs: within
-// an epoch every shard dispatches its own events on its own goroutine
-// with no shared state, and cross-shard interaction happens only in
-// the caller's barrier hooks, which run single-threaded between
-// epochs. Because the epoch grid is a pure function of simulated time
-// and the shards never observe each other mid-epoch, the dispatch
-// sequence of every shard is identical at any worker count — the
-// parallelism is conservative in the PDES sense, and determinism holds
-// by construction rather than by luck of scheduling.
+// an epoch every shard dispatches its own events with no shared state
+// (on the caller's goroutine or a worker's, see dispatch.go), and
+// cross-shard interaction happens only in the caller's barrier hooks,
+// which run single-threaded between epochs. Because the epoch grid is
+// a pure function of simulated time and the shards never observe each
+// other mid-epoch, the dispatch sequence of every shard is identical
+// at any worker count — the parallelism is conservative in the PDES
+// sense, and determinism holds by construction rather than by luck of
+// scheduling.
 //
 // # Barrier elision
 //
@@ -86,20 +87,33 @@ type BarrierHooks struct {
 	// slack settlement, anything that reads or writes more than one
 	// shard.
 	Barrier func(end Time) error
+	// Work reports how much input the last Prepare staged for the span
+	// about to run (trace records, say). It is a cost hint only: the
+	// engine measures dispatch cost per unit of work, bucketed by it,
+	// to decide whether handing the span to other goroutines pays.
+	// Nil counts every span as zero work.
+	Work func() int
 }
 
 // BarrierStats counts the synchronization work a run performed; the
 // adaptive-epoch benchmarks read it to verify elision actually
-// happened. Wall-clock dependent inputs (the stall fraction) influence
-// only which provable no-op boundaries are skipped, so the stats may
-// vary run to run while the simulation results cannot.
+// happened. Wall-clock dependent inputs (the stall fraction, the
+// dispatch cost estimates) influence only which provable no-op
+// boundaries are skipped and which goroutine runs a shard, so the
+// stats may vary run to run while the simulation results cannot.
 type BarrierStats struct {
 	// Rendezvous is the number of spans executed: every one ends with
 	// all shards synchronized at the same instant.
 	Rendezvous int64
 	// ElidedEpochs is the number of epoch boundaries skipped inside
-	// elided spans.
+	// elided spans. Wall-clock dependent (through SpanCap's stall
+	// input): never pin it in a golden.
 	ElidedEpochs int64
+	// ParallelSpans is the number of spans handed to worker goroutines
+	// instead of run inline on the caller's. Wall-clock dependent
+	// (the dispatch chooser measures which mode is cheaper): never pin
+	// it in a golden.
+	ParallelSpans int64
 }
 
 // BarrierEngine drives a set of shard Engines in deterministic
@@ -111,17 +125,28 @@ type BarrierEngine struct {
 
 	stats BarrierStats
 
+	// Span dispatch (dispatch.go): the extra workers' start channels,
+	// their shared completion channel, and the chooser's state.
+	starts   []chan Time
+	done     chan error
+	workerWG sync.WaitGroup
+	mode     DispatchMode
+	flip     bool
+	cost     [costBuckets]spanCost
+
 	// Stall measurement for the SpanCap hook: wall time spent blocked
-	// in the rendezvous Wait since the last SpanCap query.
+	// on the workers' completions since the last SpanCap query.
 	lastQuery time.Time
 	waitAcc   time.Duration
 }
 
 // NewBarrierEngine builds a barrier engine over the given shards.
-// epoch is the barrier period in simulated time; workers is the number
-// of goroutines that execute shards within an epoch (clamped to the
-// shard count; 1 means the shards run inline on the caller's
-// goroutine). Results are independent of workers by construction.
+// epoch is the barrier period in simulated time; workers is the most
+// goroutines that execute shards within a span, the caller's included
+// (clamped to the shard count; 1 means the shards always run inline
+// on the caller's goroutine). Spans too short for a handoff to pay run
+// inline whatever the count (see runSpan). Results are independent of
+// workers by construction.
 func NewBarrierEngine(shards []*Engine, epoch Duration, workers int) (*BarrierEngine, error) {
 	switch {
 	case len(shards) == 0:
@@ -229,10 +254,10 @@ func (b *BarrierEngine) spanEnd(at Time, hooks BarrierHooks) Time {
 }
 
 // stallFraction reports the share of wall time since the previous call
-// that the coordinating goroutine spent blocked at the rendezvous
-// Wait. Purely an efficiency signal: it feeds SpanCap, whose output
-// only selects among provable no-op boundaries to skip, so wall-clock
-// jitter cannot reach simulation results.
+// that the coordinating goroutine spent blocked on the workers'
+// completions. Purely an efficiency signal: it feeds SpanCap, whose
+// output only selects among provable no-op boundaries to skip, so
+// wall-clock jitter cannot reach simulation results.
 func (b *BarrierEngine) stallFraction() float64 {
 	now := time.Now()
 	if b.lastQuery.IsZero() {
@@ -254,55 +279,18 @@ func (b *BarrierEngine) stallFraction() float64 {
 	return f
 }
 
-// shardJob is one span slice of work for the worker pool.
-type shardJob struct {
-	eng *Engine
-	end Time
-}
-
 // Run executes epoch spans until every shard and the input source
 // drain, or ctx is cancelled. Each span: pick the next pending
 // instant, extend its epoch end through provably idle boundaries
 // (CrossAt/SpanCap), clamp to the next observation instant (CapEnd),
-// Prepare, then every shard runs to the span end (in parallel across
-// min(workers, shards) goroutines; a shard itself is never shared
+// Prepare, then every shard runs to the span end (inline or split
+// across the workers, see runSpan; a shard itself is never shared
 // between goroutines), then Observe, then Barrier. Handlers and hooks
 // may schedule freely into their own shard; Observe and Barrier may
 // schedule into any shard at instants >= that shard's clock.
 func (b *BarrierEngine) Run(ctx context.Context, hooks BarrierHooks) error {
-	var (
-		jobs      chan shardJob
-		epochWG   sync.WaitGroup
-		workerWG  sync.WaitGroup
-		errMu     sync.Mutex
-		workerErr error
-	)
-	if b.workers > 1 {
-		jobs = make(chan shardJob)
-		for w := 0; w < b.workers; w++ {
-			workerWG.Add(1)
-			go func() {
-				defer workerWG.Done()
-				for j := range jobs {
-					// RunUntilContext only errors on ctx cancellation,
-					// so recording the first error cannot perturb the
-					// simulation state a successful run would produce.
-					if err := j.eng.RunUntilContext(ctx, j.end); err != nil {
-						errMu.Lock()
-						if workerErr == nil {
-							workerErr = err
-						}
-						errMu.Unlock()
-					}
-					epochWG.Done()
-				}
-			}()
-		}
-		defer func() {
-			close(jobs)
-			workerWG.Wait()
-		}()
-	}
+	b.startWorkers(ctx)
+	defer b.stopWorkers()
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -324,30 +312,12 @@ func (b *BarrierEngine) Run(ctx context.Context, hooks BarrierHooks) error {
 				return err
 			}
 		}
-		if jobs != nil {
-			epochWG.Add(len(b.shards))
-			for _, s := range b.shards {
-				jobs <- shardJob{eng: s, end: end}
-			}
-			// The Wait is the epoch barrier proper: it orders every
-			// shard's writes before the hooks below read them, and the
-			// next span's sends order the hooks' writes before the
-			// shards resume.
-			waitStart := time.Now()
-			epochWG.Wait()
-			b.waitAcc += time.Since(waitStart)
-			errMu.Lock()
-			err := workerErr
-			errMu.Unlock()
-			if err != nil {
-				return err
-			}
-		} else {
-			for _, s := range b.shards {
-				if err := s.RunUntilContext(ctx, end); err != nil {
-					return err
-				}
-			}
+		work := 0
+		if hooks.Work != nil {
+			work = hooks.Work()
+		}
+		if err := b.runSpan(ctx, end, work); err != nil {
+			return err
 		}
 		b.stats.Rendezvous++
 		if hooks.Observe != nil {

@@ -154,36 +154,46 @@ func barrierRun(t *testing.T, seed int64, shards, workers int, epoch Duration) (
 	return logs, steps
 }
 
+// forcedModes are the dispatch modes the worker-invariance tests force:
+// with the measured chooser most short spans run inline, so the
+// goroutine path is tested only if a test demands it.
+var forcedModes = []DispatchMode{DispatchInline, DispatchParallel, DispatchAlternate}
+
 // TestBarrierEquivalenceAcrossWorkers is the parallel extension of the
 // scheduler-equivalence fuzz kernel: random per-shard workloads with
 // cross-shard barrier traffic straddling epoch boundaries must produce
-// bit-identical per-shard dispatch sequences at 1, 2 and 4 workers.
-// Run under -race in CI, it is also the data-race gate for the worker
-// pool's barrier memory ordering.
+// bit-identical per-shard dispatch sequences at 1, 2 and 4 workers,
+// with every span inline, every span handed to the workers, and the
+// two alternating. Run under -race in CI, it is also the data-race
+// gate for the workers' barrier memory ordering.
 func TestBarrierEquivalenceAcrossWorkers(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		for _, epoch := range []Duration{1000, 50 * Microsecond, Millisecond} {
-			refLogs, refSteps := barrierRun(t, seed, 4, 1, epoch)
-			for _, workers := range []int{2, 4} {
-				logs, steps := barrierRun(t, seed, 4, workers, epoch)
-				for s := range logs {
-					if len(logs[s]) != len(refLogs[s]) {
-						t.Fatalf("seed %d epoch %v workers %d shard %d: %d dispatches, ref %d",
-							seed, epoch, workers, s, len(logs[s]), len(refLogs[s]))
-					}
-					for i := range logs[s] {
-						if logs[s][i] != refLogs[s][i] {
-							t.Fatalf("seed %d epoch %v workers %d shard %d: order diverges at %d",
-								seed, epoch, workers, s, i)
+	for _, mode := range forcedModes {
+		restore := ForceDispatch(mode)
+		for seed := int64(1); seed <= 12; seed++ {
+			for _, epoch := range []Duration{1000, 50 * Microsecond, Millisecond} {
+				refLogs, refSteps := barrierRun(t, seed, 4, 1, epoch)
+				for _, workers := range []int{2, 3, 4} {
+					logs, steps := barrierRun(t, seed, 4, workers, epoch)
+					for s := range logs {
+						if len(logs[s]) != len(refLogs[s]) {
+							t.Fatalf("%v seed %d epoch %v workers %d shard %d: %d dispatches, ref %d",
+								mode, seed, epoch, workers, s, len(logs[s]), len(refLogs[s]))
 						}
-					}
-					if steps[s] != refSteps[s] {
-						t.Fatalf("seed %d epoch %v workers %d shard %d: steps %d, ref %d",
-							seed, epoch, workers, s, steps[s], refSteps[s])
+						for i := range logs[s] {
+							if logs[s][i] != refLogs[s][i] {
+								t.Fatalf("%v seed %d epoch %v workers %d shard %d: order diverges at %d",
+									mode, seed, epoch, workers, s, i)
+							}
+						}
+						if steps[s] != refSteps[s] {
+							t.Fatalf("%v seed %d epoch %v workers %d shard %d: steps %d, ref %d",
+								mode, seed, epoch, workers, s, steps[s], refSteps[s])
+						}
 					}
 				}
 			}
 		}
+		restore()
 	}
 }
 
@@ -334,35 +344,43 @@ func elisionRun(t *testing.T, workers int, adaptive bool) ([][]int, []Time, Barr
 // TestBarrierElisionMatchesFixed is the sim-level elision gate: with a
 // sound CrossAt bound the adaptive engine must skip most rendezvous of
 // a sparse scenario while reproducing the fixed-epoch dispatch
-// sequence exactly, at 1 and 2 workers.
+// sequence exactly, at 1 and 2 workers and in every forced dispatch
+// mode.
 func TestBarrierElisionMatchesFixed(t *testing.T) {
 	refLogs, refClocks, refStats, _ := elisionRun(t, 1, false)
 	if refStats.ElidedEpochs != 0 {
 		t.Fatalf("fixed run elided %d epochs", refStats.ElidedEpochs)
 	}
-	for _, workers := range []int{1, 2} {
-		logs, clocks, stats, _ := elisionRun(t, workers, true)
-		for s := range logs {
-			if len(logs[s]) != len(refLogs[s]) {
-				t.Fatalf("workers %d shard %d: %d dispatches, fixed %d",
-					workers, s, len(logs[s]), len(refLogs[s]))
-			}
-			for i := range logs[s] {
-				if logs[s][i] != refLogs[s][i] {
-					t.Fatalf("workers %d shard %d: order diverges at %d", workers, s, i)
+	for _, mode := range forcedModes {
+		restore := ForceDispatch(mode)
+		for _, workers := range []int{1, 2} {
+			logs, clocks, stats, _ := elisionRun(t, workers, true)
+			for s := range logs {
+				if len(logs[s]) != len(refLogs[s]) {
+					t.Fatalf("%v workers %d shard %d: %d dispatches, fixed %d",
+						mode, workers, s, len(logs[s]), len(refLogs[s]))
+				}
+				for i := range logs[s] {
+					if logs[s][i] != refLogs[s][i] {
+						t.Fatalf("%v workers %d shard %d: order diverges at %d", mode, workers, s, i)
+					}
+				}
+				if clocks[s] != refClocks[s] {
+					t.Fatalf("%v workers %d shard %d: clock %v, fixed %v", mode, workers, s, clocks[s], refClocks[s])
 				}
 			}
-			if clocks[s] != refClocks[s] {
-				t.Fatalf("workers %d shard %d: clock %v, fixed %v", workers, s, clocks[s], refClocks[s])
+			if stats.Rendezvous*4 > refStats.Rendezvous {
+				t.Errorf("%v workers %d: elision barely helped: %d rendezvous, fixed %d",
+					mode, workers, stats.Rendezvous, refStats.Rendezvous)
+			}
+			if stats.ElidedEpochs == 0 {
+				t.Errorf("%v workers %d: no epochs elided", mode, workers)
+			}
+			if workers > 1 && mode == DispatchParallel && stats.ParallelSpans != stats.Rendezvous {
+				t.Errorf("forced parallel: %d of %d spans parallel", stats.ParallelSpans, stats.Rendezvous)
 			}
 		}
-		if stats.Rendezvous*4 > refStats.Rendezvous {
-			t.Errorf("workers %d: elision barely helped: %d rendezvous, fixed %d",
-				workers, stats.Rendezvous, refStats.Rendezvous)
-		}
-		if stats.ElidedEpochs == 0 {
-			t.Errorf("workers %d: no epochs elided", workers)
-		}
+		restore()
 	}
 }
 
