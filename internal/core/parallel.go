@@ -75,10 +75,11 @@ const defaultMaxEpochSpan = 256
 // spanController adapts the elision span cap between 1 epoch and the
 // ceiling from two signals: the re-split churn (how often the
 // demand-weighted bus shares actually changed at recent rendezvous)
-// and the barrier-stall fraction the engine measures around its
-// rendezvous wait. High churn means shares are moving and spans should
-// hug the epoch grid; low churn or high stall means barriers are pure
-// overhead and spans should widen. The cap only selects among epoch
+// and the barrier-stall fraction: the share of wall time the engine
+// spends inside spans rather than between them, whichever goroutines
+// ran them (0 with one worker). High churn means shares are moving
+// and spans should hug the epoch grid; low churn or high stall means
+// barriers are pure overhead and spans should widen. The cap only selects among epoch
 // boundaries already proven no-ops by the cross lookahead, so any cap
 // sequence — including one driven by wall-clock noise — yields
 // bit-identical results; the controller tunes wall-clock time only.

@@ -92,6 +92,13 @@ func TestParallelSingleChannelBitIdentical(t *testing.T) {
 // goroutine path is tested only if a test demands it.
 var forcedModes = []sim.DispatchMode{sim.DispatchInline, sim.DispatchParallel, sim.DispatchAlternate}
 
+// runForced runs cfg with every span dispatched in mode, and restores
+// the chooser however Run returns.
+func runForced(mode sim.DispatchMode, cfg Config, tr *trace.Trace) (*Result, error) {
+	defer sim.ForceDispatch(mode)()
+	return Run(cfg, tr)
+}
+
 // TestParallelMultiChannelWorkerInvariance: on a multi-channel
 // topology neither the worker count nor the span dispatch mode may
 // influence the result (the conservative-PDES determinism claim), and
@@ -113,31 +120,32 @@ func TestParallelMultiChannelWorkerInvariance(t *testing.T) {
 			t.Fatalf("%s: report has %d channels", name, ref.Report.Channels)
 		}
 		for _, mode := range forcedModes {
-			restore := sim.ForceDispatch(mode)
-			for _, workers := range []int{2, 4} {
-				pcfg := cfg
-				pcfg.Workers = workers
-				got, err := Run(pcfg, tr)
-				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", name, mode, workers, err)
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				t.Cleanup(sim.ForceDispatch(mode))
+				for _, workers := range []int{2, 4} {
+					pcfg := cfg
+					pcfg.Workers = workers
+					got, err := Run(pcfg, tr)
+					if err != nil {
+						t.Fatalf("%s %v workers=%d: %v", name, mode, workers, err)
+					}
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("%s %v: workers=%d result differs from workers=1", name, mode, workers)
+					}
 				}
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("%s %v: workers=%d result differs from workers=1", name, mode, workers)
+				for _, workers := range []int{1, 2, 4} {
+					fcfg := cfg
+					fcfg.TraceFile = path
+					fcfg.Workers = workers
+					got, err := Run(fcfg, nil)
+					if err != nil {
+						t.Fatalf("%s %v file workers=%d: %v", name, mode, workers, err)
+					}
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("%s %v: file-backed workers=%d result differs from in-memory workers=1", name, mode, workers)
+					}
 				}
-			}
-			for _, workers := range []int{1, 2, 4} {
-				fcfg := cfg
-				fcfg.TraceFile = path
-				fcfg.Workers = workers
-				got, err := Run(fcfg, nil)
-				if err != nil {
-					t.Fatalf("%s %v file workers=%d: %v", name, mode, workers, err)
-				}
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("%s %v: file-backed workers=%d result differs from in-memory workers=1", name, mode, workers)
-				}
-			}
-			restore()
+			})
 		}
 	}
 }
@@ -224,44 +232,43 @@ func TestParallelAdaptiveFixedBitIdentical(t *testing.T) {
 		cfg.Workers = 2
 		fixed := cfg
 		fixed.FixedEpoch = true
-		restore := sim.ForceDispatch(sim.DispatchInline)
-		want, err := Run(fixed, tr)
-		restore()
+		want, err := runForced(sim.DispatchInline, fixed, tr)
 		if err != nil {
 			t.Fatalf("%s fixed: %v", name, err)
 		}
 		for _, mode := range forcedModes {
-			restore := sim.ForceDispatch(mode)
-			for _, span := range []int{0, 2, 64} {
-				acfg := cfg
-				acfg.MaxEpochSpan = span
-				got, err := Run(acfg, tr)
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				t.Cleanup(sim.ForceDispatch(mode))
+				for _, span := range []int{0, 2, 64} {
+					acfg := cfg
+					acfg.MaxEpochSpan = span
+					got, err := Run(acfg, tr)
+					if err != nil {
+						t.Fatalf("%s %v span=%d: %v", name, mode, span, err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("%s %v span=%d: adaptive result differs from fixed-epoch", name, mode, span)
+					}
+				}
+				ffix := fixed
+				ffix.TraceFile = path
+				wantFile, err := Run(ffix, nil)
 				if err != nil {
-					t.Fatalf("%s %v span=%d: %v", name, mode, span, err)
+					t.Fatalf("%s %v fixed file: %v", name, mode, err)
 				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s %v span=%d: adaptive result differs from fixed-epoch", name, mode, span)
+				if !reflect.DeepEqual(want, wantFile) {
+					t.Errorf("%s %v: fixed file result differs from fixed in-memory", name, mode)
 				}
-			}
-			ffix := fixed
-			ffix.TraceFile = path
-			wantFile, err := Run(ffix, nil)
-			if err != nil {
-				t.Fatalf("%s %v fixed file: %v", name, mode, err)
-			}
-			if !reflect.DeepEqual(want, wantFile) {
-				t.Errorf("%s %v: fixed file result differs from fixed in-memory", name, mode)
-			}
-			fadp := cfg
-			fadp.TraceFile = path
-			gotFile, err := Run(fadp, nil)
-			if err != nil {
-				t.Fatalf("%s %v adaptive file: %v", name, mode, err)
-			}
-			if !reflect.DeepEqual(want, gotFile) {
-				t.Errorf("%s %v: adaptive file result differs from fixed-epoch", name, mode)
-			}
-			restore()
+				fadp := cfg
+				fadp.TraceFile = path
+				gotFile, err := Run(fadp, nil)
+				if err != nil {
+					t.Fatalf("%s %v adaptive file: %v", name, mode, err)
+				}
+				if !reflect.DeepEqual(want, gotFile) {
+					t.Errorf("%s %v: adaptive file result differs from fixed-epoch", name, mode)
+				}
+			})
 		}
 	}
 }

@@ -100,19 +100,20 @@ func TestParallelPLBitIdentical(t *testing.T) {
 		// alternating: the chooser alone would run most short spans
 		// inline and leave the goroutine path untested.
 		for _, mode := range []sim.DispatchMode{sim.DispatchInline, sim.DispatchParallel, sim.DispatchAlternate} {
-			restore := sim.ForceDispatch(mode)
-			for _, workers := range []int{2, 4, 8} {
-				wcfg := cfg
-				wcfg.Workers = workers
-				got, err := core.Run(wcfg, tr)
-				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", name, mode, workers, err)
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				t.Cleanup(sim.ForceDispatch(mode))
+				for _, workers := range []int{2, 4, 8} {
+					wcfg := cfg
+					wcfg.Workers = workers
+					got, err := core.Run(wcfg, tr)
+					if err != nil {
+						t.Fatalf("%s %v workers=%d: %v", name, mode, workers, err)
+					}
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("%s %v: multi-channel PL differs at workers=%d", name, mode, workers)
+					}
 				}
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("%s %v: multi-channel PL differs at workers=%d", name, mode, workers)
-				}
-			}
-			restore()
+			})
 		}
 		fixed := cfg
 		fixed.Workers = 4

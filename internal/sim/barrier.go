@@ -68,9 +68,10 @@ type BarrierHooks struct {
 	CrossAt func() (Time, bool)
 	// SpanCap bounds how many consecutive epochs one elided span may
 	// cover, so staging buffers stay bounded; stall is the fraction of
-	// recent wall time the coordinator spent blocked waiting for shards
-	// (a dynamic-sizing input; 0 on the inline path). Returning a value
-	// <= 1 disables elision for the span. Nil leaves spans unbounded.
+	// recent wall time spent running the shards rather than the hooks
+	// (a dynamic-sizing input; 0 with one worker, and the same whether
+	// the spans ran inline or on the workers). Returning a value <= 1
+	// disables elision for the span. Nil leaves spans unbounded.
 	SpanCap func(stall float64) int
 	// CapEnd clamps a proposed span end to the next global observation
 	// instant (a layout-rebalance boundary, say). The returned value
@@ -89,9 +90,10 @@ type BarrierHooks struct {
 	Barrier func(end Time) error
 	// Work reports how much input the last Prepare staged for the span
 	// about to run (trace records, say). It is a cost hint only: the
-	// engine measures dispatch cost per unit of work, bucketed by it,
-	// to decide whether handing the span to other goroutines pays.
-	// Nil counts every span as zero work.
+	// engine compares the dispatch modes' wall time per unit of work,
+	// so spans of different sizes are comparable, to decide whether
+	// handing a span to other goroutines pays. Nil counts every span
+	// as zero work.
 	Work func() int
 }
 
@@ -132,12 +134,12 @@ type BarrierEngine struct {
 	workerWG sync.WaitGroup
 	mode     DispatchMode
 	flip     bool
-	cost     [costBuckets]spanCost
+	cost     spanCost
 
-	// Stall measurement for the SpanCap hook: wall time spent blocked
-	// on the workers' completions since the last SpanCap query.
+	// Stall measurement for the SpanCap hook: wall time spent running
+	// spans (more than one worker only) since the last SpanCap query.
 	lastQuery time.Time
-	waitAcc   time.Duration
+	spanAcc   time.Duration
 }
 
 // NewBarrierEngine builds a barrier engine over the given shards.
@@ -254,21 +256,25 @@ func (b *BarrierEngine) spanEnd(at Time, hooks BarrierHooks) Time {
 }
 
 // stallFraction reports the share of wall time since the previous call
-// that the coordinating goroutine spent blocked on the workers'
-// completions. Purely an efficiency signal: it feeds SpanCap, whose
-// output only selects among provable no-op boundaries to skip, so
-// wall-clock jitter cannot reach simulation results.
+// that the coordinating goroutine spent in spans, running its own
+// shards or waiting for the workers' ones, rather than in the hooks
+// between them: the time a rendezvous holds every worker. With one
+// worker it is always 0. It does not depend on whether a span ran
+// inline or on the workers (see runSpan), so the span caps do not
+// depend on the dispatch mode. Purely an efficiency signal: it feeds
+// SpanCap, whose output only selects among provable no-op boundaries
+// to skip, so wall-clock jitter cannot reach simulation results.
 func (b *BarrierEngine) stallFraction() float64 {
 	now := time.Now()
 	if b.lastQuery.IsZero() {
 		b.lastQuery = now
-		b.waitAcc = 0
+		b.spanAcc = 0
 		return 0
 	}
 	total := now.Sub(b.lastQuery)
-	wait := b.waitAcc
+	wait := b.spanAcc
 	b.lastQuery = now
-	b.waitAcc = 0
+	b.spanAcc = 0
 	if total <= 0 || wait <= 0 {
 		return 0
 	}

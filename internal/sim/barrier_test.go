@@ -168,32 +168,33 @@ var forcedModes = []DispatchMode{DispatchInline, DispatchParallel, DispatchAlter
 // gate for the workers' barrier memory ordering.
 func TestBarrierEquivalenceAcrossWorkers(t *testing.T) {
 	for _, mode := range forcedModes {
-		restore := ForceDispatch(mode)
-		for seed := int64(1); seed <= 12; seed++ {
-			for _, epoch := range []Duration{1000, 50 * Microsecond, Millisecond} {
-				refLogs, refSteps := barrierRun(t, seed, 4, 1, epoch)
-				for _, workers := range []int{2, 3, 4} {
-					logs, steps := barrierRun(t, seed, 4, workers, epoch)
-					for s := range logs {
-						if len(logs[s]) != len(refLogs[s]) {
-							t.Fatalf("%v seed %d epoch %v workers %d shard %d: %d dispatches, ref %d",
-								mode, seed, epoch, workers, s, len(logs[s]), len(refLogs[s]))
-						}
-						for i := range logs[s] {
-							if logs[s][i] != refLogs[s][i] {
-								t.Fatalf("%v seed %d epoch %v workers %d shard %d: order diverges at %d",
-									mode, seed, epoch, workers, s, i)
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Cleanup(ForceDispatch(mode))
+			for seed := int64(1); seed <= 12; seed++ {
+				for _, epoch := range []Duration{1000, 50 * Microsecond, Millisecond} {
+					refLogs, refSteps := barrierRun(t, seed, 4, 1, epoch)
+					for _, workers := range []int{2, 3, 4} {
+						logs, steps := barrierRun(t, seed, 4, workers, epoch)
+						for s := range logs {
+							if len(logs[s]) != len(refLogs[s]) {
+								t.Fatalf("%v seed %d epoch %v workers %d shard %d: %d dispatches, ref %d",
+									mode, seed, epoch, workers, s, len(logs[s]), len(refLogs[s]))
 							}
-						}
-						if steps[s] != refSteps[s] {
-							t.Fatalf("%v seed %d epoch %v workers %d shard %d: steps %d, ref %d",
-								mode, seed, epoch, workers, s, steps[s], refSteps[s])
+							for i := range logs[s] {
+								if logs[s][i] != refLogs[s][i] {
+									t.Fatalf("%v seed %d epoch %v workers %d shard %d: order diverges at %d",
+										mode, seed, epoch, workers, s, i)
+								}
+							}
+							if steps[s] != refSteps[s] {
+								t.Fatalf("%v seed %d epoch %v workers %d shard %d: steps %d, ref %d",
+									mode, seed, epoch, workers, s, steps[s], refSteps[s])
+							}
 						}
 					}
 				}
 			}
-		}
-		restore()
+		})
 	}
 }
 
@@ -352,35 +353,36 @@ func TestBarrierElisionMatchesFixed(t *testing.T) {
 		t.Fatalf("fixed run elided %d epochs", refStats.ElidedEpochs)
 	}
 	for _, mode := range forcedModes {
-		restore := ForceDispatch(mode)
-		for _, workers := range []int{1, 2} {
-			logs, clocks, stats, _ := elisionRun(t, workers, true)
-			for s := range logs {
-				if len(logs[s]) != len(refLogs[s]) {
-					t.Fatalf("%v workers %d shard %d: %d dispatches, fixed %d",
-						mode, workers, s, len(logs[s]), len(refLogs[s]))
-				}
-				for i := range logs[s] {
-					if logs[s][i] != refLogs[s][i] {
-						t.Fatalf("%v workers %d shard %d: order diverges at %d", mode, workers, s, i)
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Cleanup(ForceDispatch(mode))
+			for _, workers := range []int{1, 2} {
+				logs, clocks, stats, _ := elisionRun(t, workers, true)
+				for s := range logs {
+					if len(logs[s]) != len(refLogs[s]) {
+						t.Fatalf("%v workers %d shard %d: %d dispatches, fixed %d",
+							mode, workers, s, len(logs[s]), len(refLogs[s]))
+					}
+					for i := range logs[s] {
+						if logs[s][i] != refLogs[s][i] {
+							t.Fatalf("%v workers %d shard %d: order diverges at %d", mode, workers, s, i)
+						}
+					}
+					if clocks[s] != refClocks[s] {
+						t.Fatalf("%v workers %d shard %d: clock %v, fixed %v", mode, workers, s, clocks[s], refClocks[s])
 					}
 				}
-				if clocks[s] != refClocks[s] {
-					t.Fatalf("%v workers %d shard %d: clock %v, fixed %v", mode, workers, s, clocks[s], refClocks[s])
+				if stats.Rendezvous*4 > refStats.Rendezvous {
+					t.Errorf("%v workers %d: elision barely helped: %d rendezvous, fixed %d",
+						mode, workers, stats.Rendezvous, refStats.Rendezvous)
+				}
+				if stats.ElidedEpochs == 0 {
+					t.Errorf("%v workers %d: no epochs elided", mode, workers)
+				}
+				if workers > 1 && mode == DispatchParallel && stats.ParallelSpans != stats.Rendezvous {
+					t.Errorf("forced parallel: %d of %d spans parallel", stats.ParallelSpans, stats.Rendezvous)
 				}
 			}
-			if stats.Rendezvous*4 > refStats.Rendezvous {
-				t.Errorf("%v workers %d: elision barely helped: %d rendezvous, fixed %d",
-					mode, workers, stats.Rendezvous, refStats.Rendezvous)
-			}
-			if stats.ElidedEpochs == 0 {
-				t.Errorf("%v workers %d: no epochs elided", mode, workers)
-			}
-			if workers > 1 && mode == DispatchParallel && stats.ParallelSpans != stats.Rendezvous {
-				t.Errorf("forced parallel: %d of %d spans parallel", stats.ParallelSpans, stats.Rendezvous)
-			}
-		}
-		restore()
+		})
 	}
 }
 

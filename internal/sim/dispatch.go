@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -19,8 +18,8 @@ import (
 //     per shard.
 //   - A measured choice: the engine keeps a wall-clock cost estimate
 //     per unit of staged work for the inline and the parallel mode,
-//     bucketed by the span's work, runs each span in the cheaper mode
-//     and re-probes the other one every probePeriod spans.
+//     runs each span in the cheaper mode and re-probes the other one
+//     every probePeriod spans.
 //
 // Which goroutine runs a shard cannot change what the shard computes:
 // shards share no state within a span, and the span's end, its hooks
@@ -71,17 +70,12 @@ func ForceDispatch(m DispatchMode) (restore func()) {
 }
 
 const (
-	// costBuckets splits spans by staged work into 0, 1, 2–3, 4–7, …,
-	// 32–63 and 64 or more units, so the fixed cost of a handoff is
-	// compared with spans of like size. On 4-channel Synthetic-St
-	// (150 ms, seed 1) 94% of DMA-TA-PL's 3,010 spans stage 8 or fewer
-	// records and none more than 14.
-	costBuckets = 8
-	// probePeriod is how many spans of a bucket run in the preferred
-	// mode before one runs in the other. On the 2-vCPU host a parallel
-	// span of that workload costs about 4 µs more than an inline one
-	// (58.5 against 46.9 ms per simulation over 3,010 spans, both
-	// forced), so probing every 64th span adds under 0.1 µs a span.
+	// probePeriod is how many spans run in the preferred mode before one
+	// runs in the other. On the 2-vCPU host a parallel span of the
+	// ledger's 4-channel Synthetic-St workload costs about 4 µs more
+	// than an inline one (58.5 against 46.9 ms per DMA-TA-PL simulation
+	// over 3,010 spans, both forced), so probing every 64th span adds
+	// under 0.1 µs a span.
 	probePeriod = 64
 	// costWeight is the EWMA weight of a new sample of the preferred
 	// mode. A span of 4–7 records takes 6–14 µs inline on the 2-vCPU
@@ -106,11 +100,16 @@ const (
 	// ran 20% of its spans in parallel at a margin of 1 (spans of 8–15
 	// records measure parallel within 10–30% of inline) and spent
 	// 53 ms of CPU per simulation; at 1.25 it spent 49 ms, the same as
-	// with parallel never preferred, and 45 ms at 1 worker.
+	// with parallel never preferred, and 45 ms at 1 worker. The margin
+	// cannot take the parallel path from a run that needs it to beat
+	// the serial engine by 1.3x (CI's 4-CPU throughput gate): inline,
+	// the barrier engine runs at about 0.87x serial on that workload
+	// (404k against 464k records/s, traced), so wherever parallel can
+	// reach 1.3x serial it measures about 1.5x cheaper than inline.
 	parallelMargin = 1.25
 )
 
-// spanCost is one bucket's cost model: nanoseconds per unit of work
+// spanCost is the chooser's cost model: nanoseconds per unit of work
 // (work+1, so empty spans count) for the inline [0] and parallel [1]
 // modes, whether each has been measured, and the spans run since the
 // other mode was last probed.
@@ -118,13 +117,6 @@ type spanCost struct {
 	perUnit [2]float64
 	seen    [2]bool
 	since   int
-}
-
-func costBucket(work int) int {
-	if work <= 0 {
-		return 0
-	}
-	return min(bits.Len(uint(work)), costBuckets-1)
 }
 
 // startWorkers launches the extra workers of a Run, if any. Worker w
@@ -179,11 +171,16 @@ func (b *BarrierEngine) runShare(ctx context.Context, first, stride int, end Tim
 // writes before the workers resume, and receiving every completion is
 // the barrier proper: it orders every shard's writes before the hooks
 // that follow read them.
+//
+// With more than one worker the span's whole wall time counts toward
+// the stall signal (see stallFraction) in either mode, so the signal,
+// and the span caps SpanCap derives from it, do not depend on which
+// mode the chooser picked.
 func (b *BarrierEngine) runSpan(ctx context.Context, end Time, work int) error {
 	if b.starts == nil {
 		return b.runShare(ctx, 0, 1, end)
 	}
-	c := &b.cost[costBucket(work)]
+	c := &b.cost
 	parallel, probe := b.choose(c)
 	t0 := time.Now()
 	var err error
@@ -193,25 +190,25 @@ func (b *BarrierEngine) runSpan(ctx context.Context, end Time, work int) error {
 			start <- end
 		}
 		err = b.runShare(ctx, 0, b.workers, end)
-		t1 := time.Now()
 		for range b.starts {
 			if e := <-b.done; err == nil {
 				err = e
 			}
 		}
-		b.waitAcc += time.Since(t1)
 	} else {
 		err = b.runShare(ctx, 0, 1, end)
 	}
+	d := time.Since(t0)
+	b.spanAcc += d
 	if b.mode == DispatchMeasured {
-		c.record(parallel, probe, float64(time.Since(t0))/float64(max(work, 0)+1))
+		c.record(parallel, probe, float64(d)/float64(max(work, 0)+1))
 	}
 	return err
 }
 
-// choose reports whether a span of c's bucket runs in parallel, and
-// whether its sample is a probe: the forced mode if a test set one,
-// else c's choice.
+// choose reports whether a span runs in parallel, and whether its
+// sample is a probe: the forced mode if a test set one, else c's
+// choice.
 func (b *BarrierEngine) choose(c *spanCost) (parallel, probe bool) {
 	switch b.mode {
 	case DispatchInline:

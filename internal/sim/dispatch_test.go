@@ -3,18 +3,35 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 )
 
-// tickShards builds n shards that each dispatch one trivial event per
-// epoch until the clock passes until: the cheapest work a span can
-// hold.
-func tickShards(n int, epoch Duration, until Time) []*Engine {
+// spinSink keeps the compiler from discarding spin's work.
+var spinSink uint64
+
+// spin does n rounds of xorshift: a fixed amount of CPU work that does
+// not depend on wall-clock time.
+func spin(n int) {
+	x := uint64(n) | 1
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	spinSink += x
+}
+
+// tickShards builds n shards that each dispatch one event per epoch,
+// doing work rounds of spin, until the clock passes until. With work
+// 0 it is the cheapest span there is.
+func tickShards(n int, epoch Duration, until Time, work int) []*Engine {
 	engs := make([]*Engine, n)
 	for i := range engs {
 		e := New()
 		var tick Handler
 		tick = func(e *Engine) {
+			spin(work)
 			if e.Now() < until {
 				e.After(epoch, tick)
 			}
@@ -62,11 +79,64 @@ func TestDispatchChooserEmptyShards(t *testing.T) {
 	}
 }
 
+// TestSpanCostChoice drives the chooser's cost model with fixed
+// samples, so its decisions are checked without a clock. After one
+// probe of each mode it runs the mode that measures cheaper, parallel
+// only when it wins by parallelMargin, and probes the other once per
+// probePeriod spans; a probe that finds the other mode cheaper
+// switches at once; one outlier sample of the preferred mode does not
+// flip the choice.
+func TestSpanCostChoice(t *testing.T) {
+	const n = 10 * probePeriod
+	probes := 1 + n/probePeriod
+	// run feeds n spans that cost inline or parallel ns per unit in the
+	// mode they run in, and returns how many ran in parallel.
+	run := func(c *spanCost, inline, parallel float64) int {
+		p := 0
+		for i := 0; i < n; i++ {
+			par, probe := c.choose()
+			cost := inline
+			if par {
+				cost, p = parallel, p+1
+			}
+			c.record(par, probe, cost)
+		}
+		return p
+	}
+	var c spanCost
+	if p := run(&c, 10, 5); p < n-probes {
+		t.Errorf("parallel twice as cheap: %d of %d spans parallel, want at least %d", p, n, n-probes)
+	}
+	// The costs flip: the next inline probe must win the choice back.
+	if p := run(&c, 10, 20); p > probePeriod+probes {
+		t.Errorf("after inline became cheaper: %d of %d spans parallel, want at most %d", p, n, probePeriod+probes)
+	}
+	if p := run(&c, 10, 20); p > probes {
+		t.Errorf("inline twice as cheap: %d of %d spans parallel, want at most %d", p, n, probes)
+	}
+	// One preempted inline span, 100 times its cost, right after a
+	// probe must not hand the following spans to the workers.
+	c.since = 0
+	c.record(false, false, 1000)
+	if p := run(&c, 10, 20); p > probes {
+		t.Errorf("after one outlier: %d of %d spans parallel, want at most %d", p, n, probes)
+	}
+	// Parallel gets cheaper while inline is preferred: only a probe can
+	// see it, and that one probe must switch the choice.
+	if p := run(&c, 10, 4); p < n-probePeriod-probes {
+		t.Errorf("after parallel became cheaper: %d of %d spans parallel, want at least %d", p, n, n-probePeriod-probes)
+	}
+	c = spanCost{}
+	if p := run(&c, 10, 9); p > probes {
+		t.Errorf("parallel 10%% cheaper, inside the margin: %d of %d spans parallel, want at most %d", p, n, probes)
+	}
+}
+
 // TestDispatchChooserSingleWorker: with one worker there is nothing to
 // choose; every span runs inline and the count stays zero.
 func TestDispatchChooserSingleWorker(t *testing.T) {
 	defer ForceDispatch(DispatchParallel)()
-	be, err := NewBarrierEngine(tickShards(4, Microsecond, Time(Millisecond)), Microsecond, 1)
+	be, err := NewBarrierEngine(tickShards(4, Microsecond, Time(Millisecond), 0), Microsecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,29 +153,73 @@ func TestDispatchChooserSingleWorker(t *testing.T) {
 // has reported, in each mode that reaches the workers.
 func TestBarrierWorkerError(t *testing.T) {
 	for _, mode := range []DispatchMode{DispatchParallel, DispatchAlternate} {
-		restore := ForceDispatch(mode)
-		ctx, cancel := context.WithCancel(context.Background())
-		engs := tickShards(4, 10, Time(Millisecond))
-		// Shard 1 runs on worker 1 at two workers; it cancels the run
-		// inside a long span.
-		n := 0
-		var stop Handler
-		stop = func(e *Engine) {
-			if n++; n == 5 {
-				cancel()
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Cleanup(ForceDispatch(mode))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			engs := tickShards(4, 10, Time(Millisecond), 0)
+			// Shard 1 runs on worker 1 at two workers; it cancels the
+			// run inside a long span.
+			n := 0
+			var stop Handler
+			stop = func(e *Engine) {
+				if n++; n == 5 {
+					cancel()
+				}
+				e.After(10, stop)
 			}
-			e.After(10, stop)
-		}
-		engs[1].Schedule(0, stop)
-		be, err := NewBarrierEngine(engs, Millisecond, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := be.Run(ctx, BarrierHooks{}); err != context.Canceled {
-			t.Errorf("%v: err = %v, want context.Canceled", mode, err)
-		}
-		cancel()
-		restore()
+			engs[1].Schedule(0, stop)
+			be, err := NewBarrierEngine(engs, Millisecond, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := be.Run(ctx, BarrierHooks{}); err != context.Canceled {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
+// TestStallSignalIndependentOfDispatch: the stall fraction SpanCap
+// receives counts each span's whole wall time, whether the span ran
+// inline or on the workers, so the span caps a caller derives from it
+// cannot depend on the dispatch mode. The shards here do far more work
+// than the loop between spans, so with two workers the fraction is
+// near 1 in either mode; with one worker it is always 0.
+func TestStallSignalIndependentOfDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		mode    DispatchMode
+	}{{1, DispatchParallel}, {2, DispatchInline}, {2, DispatchParallel}} {
+		t.Run(fmt.Sprintf("workers=%d/%v", tc.workers, tc.mode), func(t *testing.T) {
+			t.Cleanup(ForceDispatch(tc.mode))
+			epoch := 10 * Microsecond
+			be, err := NewBarrierEngine(tickShards(4, epoch, 200*Time(epoch), 5000), epoch, tc.workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stalls []float64
+			err = be.Run(context.Background(), BarrierHooks{
+				CrossAt: func() (Time, bool) { return MaxTime, true },
+				SpanCap: func(stall float64) int {
+					stalls = append(stalls, stall)
+					return 2
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first query has no interval behind it and reads 0.
+			stalls = stalls[1:]
+			sort.Float64s(stalls)
+			med := stalls[len(stalls)/2]
+			switch {
+			case tc.workers == 1 && stalls[len(stalls)-1] != 0:
+				t.Errorf("one worker: stall up to %.2f, want 0", stalls[len(stalls)-1])
+			case tc.workers > 1 && med < 0.5:
+				t.Errorf("median stall %.2f over %d spans, want above 0.5", med, len(stalls))
+			}
+		})
 	}
 }
 
@@ -114,7 +228,7 @@ func TestBarrierWorkerError(t *testing.T) {
 func TestRendezvousZeroAlloc(t *testing.T) {
 	for _, mode := range []DispatchMode{DispatchInline, DispatchParallel, DispatchMeasured} {
 		epoch := 10 * Microsecond
-		be, err := NewBarrierEngine(tickShards(4, epoch/2, MaxTime), epoch, 2)
+		be, err := NewBarrierEngine(tickShards(4, epoch/2, MaxTime, 0), epoch, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,21 +253,26 @@ func TestRendezvousZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkBarrierRendezvous times one rendezvous of four shards that
-// each dispatch one trivial event per epoch: the fixed cost of a span
-// at 1, 2 and 4 workers, as the chooser dispatches it and with every
-// span forced onto the workers.
+// each dispatch one event per epoch: the fixed cost of a span of
+// trivial shards at 1, 2 and 4 workers, as the chooser dispatches it
+// and with every span forced onto the workers; and, with each event
+// doing spin work, how the chooser fares against both forced modes on
+// either side of the point where a handoff starts to pay.
 func BenchmarkBarrierRendezvous(b *testing.B) {
 	for _, bc := range []struct {
 		workers int
 		mode    DispatchMode
+		work    int
 	}{
-		{1, DispatchMeasured}, {2, DispatchMeasured}, {4, DispatchMeasured},
-		{2, DispatchParallel}, {4, DispatchParallel},
+		{1, DispatchMeasured, 0}, {2, DispatchMeasured, 0}, {4, DispatchMeasured, 0},
+		{2, DispatchParallel, 0}, {4, DispatchParallel, 0},
+		{2, DispatchInline, 2000}, {2, DispatchParallel, 2000}, {2, DispatchMeasured, 2000},
+		{2, DispatchInline, 20000}, {2, DispatchParallel, 20000}, {2, DispatchMeasured, 20000},
 	} {
-		b.Run(fmt.Sprintf("workers=%d/%v", bc.workers, bc.mode), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d/%v/work=%d", bc.workers, bc.mode, bc.work), func(b *testing.B) {
 			defer ForceDispatch(bc.mode)()
 			epoch := 10 * Microsecond
-			be, err := NewBarrierEngine(tickShards(4, epoch, Time(b.N-1)*Time(epoch)), epoch, bc.workers)
+			be, err := NewBarrierEngine(tickShards(4, epoch, Time(b.N-1)*Time(epoch), bc.work), epoch, bc.workers)
 			if err != nil {
 				b.Fatal(err)
 			}
