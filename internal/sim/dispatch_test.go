@@ -7,19 +7,16 @@ import (
 	"testing"
 )
 
-// spinSink keeps the compiler from discarding spin's work.
-var spinSink uint64
-
 // spin does n rounds of xorshift: a fixed amount of CPU work that does
 // not depend on wall-clock time.
-func spin(n int) {
+func spin(n int) uint64 {
 	x := uint64(n) | 1
 	for i := 0; i < n; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 	}
-	spinSink += x
+	return x
 }
 
 // tickShards builds n shards that each dispatch one event per epoch,
@@ -29,9 +26,12 @@ func tickShards(n int, epoch Duration, until Time, work int) []*Engine {
 	engs := make([]*Engine, n)
 	for i := range engs {
 		e := New()
+		// Each shard keeps its own sink, so the compiler keeps spin's
+		// work and shards on different workers share nothing.
+		var sink uint64
 		var tick Handler
 		tick = func(e *Engine) {
-			spin(work)
+			sink += spin(work)
 			if e.Now() < until {
 				e.After(epoch, tick)
 			}
