@@ -19,7 +19,6 @@ import (
 	"os"
 	"testing"
 
-	"dmamem/internal/core"
 	"dmamem/internal/experiments"
 	"dmamem/internal/sim"
 )
@@ -321,29 +320,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		events += r.Events
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkSimulatorThroughputHeap is the same baseline Synthetic-St
-// run on the reference engine — binary-heap scheduler plus per-event
-// trace feeder — that the simulator shipped with before the timer
-// wheel. The delta against BenchmarkSimulatorThroughput is the wheel +
-// batched-feeder speedup; CI's bench smoke step gates on the ratio.
-func BenchmarkSimulatorThroughputHeap(b *testing.B) {
-	w, err := core.SyntheticStWorkload(25*sim.Millisecond, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		r, err := core.Run(core.Config{HeapScheduler: true, PerEventFeeder: true}, w.Trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += r.Report.Events
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	dmamem-bench [-duration 100ms] [-seed 1] [-parallel N] [-timing]
-//	             [-scheduler wheel|heap] [-feeder batched|per-event]
 //	             [-workers N] [-epoch 50us] [-fixed-epoch]
 //	             [-parallel-bench BENCH_parallel.json]
 //	             [-shards N] [-shard-addrs host:port,...]
@@ -26,13 +25,8 @@
 // GOMAXPROCS); the printed output is byte-identical at any
 // parallelism. -timing prints a per-run wall-clock summary to stderr,
 // including events/sec and allocations per event when available.
-// -scheduler and -feeder select the engine's pending-event store
-// (hierarchical timer wheel vs reference binary heap) and trace
-// delivery path (batched cursor feeder vs one event per record
-// timestamp); every combination prints byte-identical results, only
-// the wall-clock changes, which makes the flags a self-service
-// cross-check and a profiling aid. -cpuprofile and -memprofile write
-// pprof profiles of the whole run for `go tool pprof`.
+// -cpuprofile and -memprofile write pprof profiles of the whole run
+// for `go tool pprof`.
 //
 // -workers N parallelises WITHIN each simulation: every run uses the
 // epoch-barrier parallel engine with N event-loop goroutines (one per
@@ -56,6 +50,8 @@
 // -shard-worker, or the TCP workers named by -shard-addrs) and the
 // results are reassembled in grid order, so the printed output is
 // byte-identical to the in-process run at any shard count.
+// Shard workers run the serial engine, so -shards and -shard-addrs
+// exit 2 with -workers > 1, -epoch or -fixed-epoch.
 // -shard-worker serves one shard session on stdin/stdout and exits;
 // -shard-listen serves shard sessions over TCP until interrupted.
 //
@@ -104,8 +100,6 @@ func realMain() int {
 	fixedEpoch := flag.Bool("fixed-epoch", false, "disable adaptive barrier elision (bit-identical cross-check mode; needs -workers > 1)")
 	parallelBench := flag.String("parallel-bench", "", "measure parallel engine scaling (channels x workers, adaptive vs fixed) and write the JSON grid to this file instead of running figures")
 	timing := flag.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
-	scheduler := flag.String("scheduler", "wheel", "engine event store: wheel (timer wheel) or heap (reference binary heap)")
-	feeder := flag.String("feeder", "batched", "trace delivery: batched (cursor feeder) or per-event")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	shards := flag.Int("shards", 0, "run sweep figures across N worker processes (0 = in-process)")
@@ -125,6 +119,10 @@ func realMain() int {
 		return 2
 	}
 	if err := validateEpoch(*epoch, *fixedEpoch, *workers, *parallelBench != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+		return 2
+	}
+	if err := validateShards(*shards > 0 || *shardAddrs != "", *workers, *epoch, *fixedEpoch); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
@@ -225,22 +223,6 @@ func realMain() int {
 	s.Workers = engineWorkers(*workers)
 	s.BarrierEpoch = fromStd(*epoch)
 	s.FixedEpoch = *fixedEpoch
-	switch *scheduler {
-	case "wheel":
-	case "heap":
-		s.HeapScheduler = true
-	default:
-		fmt.Fprintf(os.Stderr, "dmamem-bench: unknown -scheduler %q (want wheel or heap)\n", *scheduler)
-		return 2
-	}
-	switch *feeder {
-	case "batched":
-	case "per-event":
-		s.PerEventFeeder = true
-	default:
-		fmt.Fprintf(os.Stderr, "dmamem-bench: unknown -feeder %q (want batched or per-event)\n", *feeder)
-		return 2
-	}
 	channels, err := parseChannels(*channelsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
@@ -483,6 +465,25 @@ func validateEpoch(epoch time.Duration, fixed bool, workers int, bench bool) err
 	}
 	if fixed && workers <= 1 {
 		return fmt.Errorf("-fixed-epoch needs the parallel engine (-workers > 1)")
+	}
+	return nil
+}
+
+// validateShards rejects engine flags on the sharded sweep: the shard
+// wire format (experiments.SuiteSpec) carries no engine fields, so the
+// worker processes would run the sweep figures on the serial engine
+// whatever -workers, -epoch or -fixed-epoch say.
+func validateShards(sharded bool, workers int, epoch time.Duration, fixed bool) error {
+	if !sharded {
+		return nil
+	}
+	switch {
+	case workers > 1:
+		return fmt.Errorf("-workers %d cannot combine with -shards or -shard-addrs: shard workers run the serial engine", workers)
+	case epoch != 0:
+		return fmt.Errorf("-epoch %v cannot combine with -shards or -shard-addrs: shard workers run the serial engine", epoch)
+	case fixed:
+		return fmt.Errorf("-fixed-epoch cannot combine with -shards or -shard-addrs: shard workers run the serial engine")
 	}
 	return nil
 }

@@ -80,6 +80,38 @@ func TestValidateEpoch(t *testing.T) {
 	}
 }
 
+// TestValidateShards pins the rejection of engine flags on the sharded
+// sweep, whose workers run the serial engine.
+func TestValidateShards(t *testing.T) {
+	cases := []struct {
+		sharded bool
+		workers int
+		epoch   time.Duration
+		fixed   bool
+		wantErr string
+	}{
+		{false, 4, 50 * time.Microsecond, true, ""},
+		{true, 1, 0, false, ""},
+		{true, 2, 0, false, "-workers 2 cannot combine with -shards"},
+		{true, 1, 50 * time.Microsecond, false, "-epoch 50µs cannot combine with -shards"},
+		{true, 1, 0, true, "-fixed-epoch cannot combine with -shards"},
+	}
+	for _, tc := range cases {
+		err := validateShards(tc.sharded, tc.workers, tc.epoch, tc.fixed)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("validateShards(%v, %d, %v, %v) = %v, want nil",
+					tc.sharded, tc.workers, tc.epoch, tc.fixed, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("validateShards(%v, %d, %v, %v) = %v, want error containing %q",
+				tc.sharded, tc.workers, tc.epoch, tc.fixed, err, tc.wantErr)
+		}
+	}
+}
+
 // TestTechFlagParsing pins the -tech flag path: the comma list routes
 // through the shared experiments.ParseTechList helper, so entries are
 // trimmed and case-folded, unknown names fail with the registry's

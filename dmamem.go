@@ -167,11 +167,11 @@ type Simulation struct {
 	// Negative values are rejected.
 	Workers int
 	// BarrierEpoch is the parallel engine's barrier period in
-	// simulated time (only meaningful with Workers set). Zero selects
-	// the default 50 us. Reports do not depend on it — the adaptive
-	// barrier elides provably idle boundaries, so a longer epoch only
-	// changes wall-clock speed. Exposed as -epoch on dmamem-sim and
-	// dmamem-bench. Negative values are rejected.
+	// simulated time; zero selects the default 50 us. Reports do not
+	// depend on it — the adaptive barrier elides provably idle
+	// boundaries, so a longer epoch only changes wall-clock speed.
+	// Exposed as -epoch on dmamem-sim and dmamem-bench. Negative
+	// values, and a nonzero value with Workers zero, are rejected.
 	BarrierEpoch time.Duration
 }
 
@@ -229,6 +229,9 @@ func (s Simulation) Validate() error {
 	}
 	if s.BarrierEpoch < 0 {
 		return fmt.Errorf("dmamem: negative BarrierEpoch %v; 0 selects the default 50us", s.BarrierEpoch)
+	}
+	if s.BarrierEpoch != 0 && s.Workers == 0 {
+		return fmt.Errorf("dmamem: BarrierEpoch %v needs Workers set; the serial engine (Workers 0) has no barrier period", s.BarrierEpoch)
 	}
 	if s.Channels != 0 {
 		topo := memsys.Topology{

@@ -13,12 +13,10 @@ import (
 // first, then new arrivals, then policy timers and epochs.
 //
 // prioArrival is reserved for trace arrivals exclusively — it is also
-// the priority the batched trace feeder (core.traceFeeder, a
-// sim.Feeder) reports from Peek, and the run loop's merge gives
-// same-(instant, priority) ties to the queue, so no queued controller
-// event may use it or the dispatch order against a feeder would be
-// undefined. (The experiments cross-check holds both feeders to
-// bit-identical reports.)
+// the priority the trace feeder (core's feeder, a sim.Feeder) reports
+// from Peek, and the run loop's merge gives same-(instant, priority)
+// ties to the queue, so no queued controller event may use it or the
+// dispatch order against the feeder would be undefined.
 const (
 	prioCompletion int8 = 0
 	prioArrival    int8 = 1
@@ -30,12 +28,12 @@ const (
 // Dirty-set accounting. Every event handler calls accountAll first,
 // before mutating flow or power state, so each chip's active span is
 // charged with the rates that actually held over it. Charging *every*
-// active chip on every event is wasteful, though: a chip with no flows
-// and no pending processor work only accrues threshold idle, which is
-// a pure function of elapsed time. Such chips are left out of the
-// dirty set and their idle backlog is settled lazily — when they next
-// become interesting (markDirty), when their policy timer fires, or at
-// Finish.
+// active chip on every event (a full scan) is wasteful, though: a chip
+// with no flows and no pending processor work only accrues threshold
+// idle, which is a pure function of elapsed time. Such chips are left
+// out of the dirty set and their idle backlog is settled lazily — when
+// they next become interesting (markDirty), when their policy timer
+// fires, or at Finish.
 //
 // The lazy charge is exact, not approximate: chips accumulate active
 // span components as integer picosecond durations and convert to
@@ -47,10 +45,6 @@ const (
 // and the processor-work clamp all depend on per-span values. The
 // dirty set is kept sorted by chip ID so that order-sensitive global
 // float accumulation (the TA slack credit) happens in full-scan order.
-//
-// Config.FullScanAccounting retains the original every-chip scan; the
-// cross-check test in internal/experiments proves both modes produce
-// bit-identical reports.
 
 // accountAll charges the span since the last accounting instant:
 // serving time from the fluid rates, accumulated processor service,
@@ -59,16 +53,6 @@ const (
 // deposits TA slack credits for the DMA-memory requests that arrived
 // during the span.
 func (c *Controller) accountAll(now sim.Time) {
-	if c.fullScan {
-		for _, cs := range c.chips {
-			if cs == nil || !cs.chip.Resident() || cs.chip.State() != energy.Active {
-				continue
-			}
-			c.accountChip(cs, now)
-		}
-		c.lastAccount = now
-		return
-	}
 	keep := c.dirtyChips[:0]
 	for _, cs := range c.dirtyChips {
 		if cs.chip.Resident() && cs.chip.State() == energy.Active {
@@ -94,7 +78,7 @@ func (c *Controller) accountAll(now sim.Time) {
 // would use. (Settling only to lastAccount matters: ProcAccess marks
 // dirty without running accountAll, so now > lastAccount there.)
 func (c *Controller) markDirty(cs *chipState) {
-	if c.fullScan || cs.dirty {
+	if cs.dirty {
 		return
 	}
 	if cs.chip.Resident() && cs.chip.State() == energy.Active && c.lastAccount > cs.chip.Cursor() {

@@ -106,13 +106,6 @@ type Config struct {
 	// parallel barrier engine builds one partitioned controller per
 	// channel, each on its own sim.Engine.
 	Partition *Partition
-	// FullScanAccounting disables the dirty-set optimization and
-	// charges every resident-Active chip on every event, as the
-	// original implementation did. Reports are bit-identical either
-	// way (the cross-check test in internal/experiments proves it);
-	// the full scan is kept as the reference mode for that proof and
-	// for debugging.
-	FullScanAccounting bool
 }
 
 // Partition configures a channel-partitioned controller for the
@@ -251,7 +244,6 @@ type Controller struct {
 	// Dirty-set accounting state (see account.go). dirtyChips is kept
 	// sorted by chip ID; lastAccount is the instant of the last global
 	// accountAll.
-	fullScan    bool
 	dirtyChips  []*chipState
 	lastAccount sim.Time
 
@@ -370,7 +362,6 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		lineTime: cfg.Geometry.CacheLineServiceTime(),
 		reqBytes: memsys.RequestBytes,
 
-		fullScan:        cfg.FullScanAccounting,
 		lastAccount:     eng.Now(),
 		busRateScratch:  make([]float64, cfg.Buses.Count),
 		busSeenScratch:  make([]bool, cfg.Buses.Count),

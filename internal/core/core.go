@@ -50,16 +50,11 @@ type Config struct {
 	Mapper memsys.Mapper
 	// Tech selects the memory technology by registry name ("rdram",
 	// "ddr400", "ddr3-1600", "ddr4-2400", "lpddr4", or an alias).
-	// Empty means MemSpec if set, else the registry default (the
-	// paper's RDRAM part). Unknown names error loudly, listing the
-	// registered technologies. When the geometry is defaulted, the
-	// chip bandwidth follows the resolved model.
+	// Empty means the registry default (the paper's RDRAM part).
+	// Unknown names error loudly, listing the registered technologies.
+	// When the geometry is defaulted, the chip bandwidth follows the
+	// resolved model.
 	Tech string
-	// MemSpec selects the memory technology by explicit legacy 4-state
-	// spec; it is converted to its energy.Model form and produces
-	// bit-identical reports to registering the same numbers. Mutually
-	// exclusive with Tech.
-	MemSpec *energy.Spec
 	// MeterWindow fixes the energy metering window; zero means the
 	// trace duration plus 2 ms of drain. Comparisons between schemes
 	// must use equal windows.
@@ -75,25 +70,6 @@ type Config struct {
 	// Scheme labels the report; empty derives "baseline"/"dma-ta"/
 	// "dma-ta-pl" from TA and PL.
 	Scheme string
-	// FullScanAccounting makes the controller charge every active chip
-	// on every event instead of using its dirty-set accounting.
-	// Results are bit-identical either way; the knob exists for the
-	// cross-check test and debugging.
-	FullScanAccounting bool
-	// HeapScheduler backs the engine with the reference binary-heap
-	// event store (O(log n) operations) instead of the default
-	// hierarchical timer wheel (amortized O(1)). Results are
-	// bit-identical either way; the knob exists for the cross-check
-	// test and debugging, mirroring FullScanAccounting.
-	HeapScheduler bool
-	// PerEventFeeder delivers trace records through a self-advancing
-	// engine event per distinct record timestamp instead of the
-	// default batched cursor feeder that bypasses the scheduler.
-	// Results are bit-identical either way (one engine step per
-	// distinct timestamp in both modes); the knob exists for the
-	// cross-check test and debugging. It works with either record
-	// source.
-	PerEventFeeder bool
 	// TraceFile streams the trace from a .dmt container on disk instead
 	// of an in-memory trace: pass a nil trace to Run/RunContext and set
 	// this path. Both sources reach the simulator as the same record
@@ -123,7 +99,6 @@ type Config struct {
 	// whole run into one span, making the barrier overhead negligible
 	// (a test pins the accepted-and-bit-identical behavior; FixedEpoch
 	// restores per-epoch chunking if you want to measure it).
-	// Incompatible with PerEventFeeder.
 	Workers int
 	// BarrierEpoch is the parallel engine's barrier period in simulated
 	// time; zero means 50 us. Smaller epochs exchange bus shares more
@@ -146,28 +121,10 @@ type Config struct {
 	MaxEpochSpan int
 }
 
-// resolveModel turns the Tech / MemSpec selection into the technology
-// model the run will use. Exactly one may be set; neither means the
-// registry default (the paper's RDRAM part, bit-identical to the
-// legacy Spec arithmetic).
-func (c Config) resolveModel() (*energy.Model, error) {
-	if c.Tech != "" && c.MemSpec != nil {
-		return nil, fmt.Errorf("core: both Tech %q and MemSpec %q set; pass one", c.Tech, c.MemSpec.Name)
-	}
-	if c.MemSpec != nil {
-		m := c.MemSpec.Model()
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	return energy.Lookup(c.Tech)
-}
-
 // withDefaults resolves the technology model and returns a fully
 // populated copy.
 func (c Config) withDefaults() (Config, *energy.Model, error) {
-	model, err := c.resolveModel()
+	model, err := energy.Lookup(c.Tech)
 	if err != nil {
 		return c, nil, err
 	}
@@ -332,15 +289,14 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 
 	res := &Result{}
 	ccfg := controller.Config{
-		Geometry:           cfg.Geometry,
-		Topology:           cfg.Topology,
-		Buses:              cfg.Buses,
-		Policy:             cfg.Policy,
-		TA:                 cfg.TA,
-		Mapper:             cfg.Mapper,
-		Model:              model,
-		InitialState:       0, // Active; the policy idles chips down immediately
-		FullScanAccounting: cfg.FullScanAccounting,
+		Geometry:     cfg.Geometry,
+		Topology:     cfg.Topology,
+		Buses:        cfg.Buses,
+		Policy:       cfg.Policy,
+		TA:           cfg.TA,
+		Mapper:       cfg.Mapper,
+		Model:        model,
+		InitialState: 0, // Active; the policy idles chips down immediately
 	}
 
 	if cfg.TA != nil && cfg.TA.Mu == 0 && cfg.CPLimit > 0 {
@@ -382,17 +338,12 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 		}
 		finish = p.finish
 	} else {
-		eng := newEngine(cfg)
+		eng := sim.New()
 		ctl, err := controller.New(eng, ccfg)
 		if err != nil {
 			return nil, err
 		}
-		f := &feeder{ctl: ctl, cur: cur}
-		if cfg.PerEventFeeder {
-			feed(eng, f)
-		} else {
-			eng.SetFeeder(f)
-		}
+		eng.SetFeeder(&feeder{ctl: ctl, cur: cur})
 		if lm != nil {
 			scheduleRebalances(eng, ctl, lm, traceEnd)
 		}
@@ -416,14 +367,6 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 		res.Rebalances = lm.Rebalances
 	}
 	return res, nil
-}
-
-// newEngine returns the event loop the config's scheduler knob selects.
-func newEngine(cfg Config) *sim.Engine {
-	if cfg.HeapScheduler {
-		return sim.NewWithHeap()
-	}
-	return sim.New()
 }
 
 // validateWarmupFraction rejects fractions outside (0, 1] loudly,
@@ -530,23 +473,6 @@ func (f *feeder) Fire(e *sim.Engine) {
 			f.ctl.ProcAccess(r.Page)
 		}
 	}
-}
-
-// feed is the reference arrival path (Config.PerEventFeeder): the
-// feeder's batches are delivered by a self-advancing engine event per
-// distinct record timestamp instead of the engine's feeder hook.
-func feed(eng *sim.Engine, f *feeder) {
-	var step func(*sim.Engine)
-	next := func() {
-		if at, prio, ok := f.Peek(); ok {
-			eng.SchedulePrio(at, prio, step)
-		}
-	}
-	step = func(e *sim.Engine) {
-		f.Fire(e)
-		next()
-	}
-	next()
 }
 
 // scheduleRebalances arms the PL interval timer up to the end of the

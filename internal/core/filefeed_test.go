@@ -71,26 +71,6 @@ func TestRunFileMatchesRunMemory(t *testing.T) {
 	}
 }
 
-// TestRunFileHeapSchedulerMatches covers the scheduler cross-check
-// knob on the file path too.
-func TestRunFileHeapSchedulerMatches(t *testing.T) {
-	tr := stTrace(t, 5*sim.Millisecond)
-	path := saveDMT(t, tr, 64)
-	cfg := Config{TA: controller.DefaultTA(0), CPLimit: 0.10, TraceFile: path, HeapScheduler: true}
-	file, err := Run(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := Config{TA: controller.DefaultTA(0), CPLimit: 0.10, HeapScheduler: true}
-	mem, err := Run(mcfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mem, file) {
-		t.Fatal("heap-scheduler file-backed result differs from in-memory")
-	}
-}
-
 // TestRunBaselinePairFileBacked checks both pair runners accept a nil
 // trace with TraceFile configs and agree with the in-memory pair.
 func TestRunBaselinePairFileBacked(t *testing.T) {
@@ -127,15 +107,6 @@ func TestRunFileErrors(t *testing.T) {
 	path := saveDMT(t, tr, 64)
 	if _, err := Run(Config{TraceFile: path}, tr); err == nil {
 		t.Fatal("both trace and TraceFile accepted")
-	}
-	// The per-event reference path reads the same cursor as the batched
-	// feeder, so it streams a file too, bit-identically.
-	perEvent, err := Run(Config{TraceFile: path, PerEventFeeder: true}, nil)
-	if err != nil {
-		t.Fatalf("PerEventFeeder with TraceFile: %v", err)
-	}
-	if batched, err := Run(Config{}, tr); err != nil || !reflect.DeepEqual(perEvent, batched) {
-		t.Fatalf("file per-event result differs from in-memory batched (err %v)", err)
 	}
 	if _, err := Run(Config{TraceFile: filepath.Join(t.TempDir(), "missing.dmt")}, nil); err == nil {
 		t.Fatal("missing file accepted")

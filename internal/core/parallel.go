@@ -229,9 +229,6 @@ func channelOfPage(cfg Config, mapper memsys.Mapper) func(memsys.PageID) int {
 // newParallelRun builds the per-channel engines and partitioned
 // controllers from the serial controller config template.
 func newParallelRun(cfg Config, ccfg controller.Config) (*parallelRun, error) {
-	if cfg.PerEventFeeder {
-		return nil, fmt.Errorf("core: Workers and PerEventFeeder are mutually exclusive; the parallel engine feeds every shard through the batched feeder")
-	}
 	if cfg.BarrierEpoch < 0 {
 		return nil, fmt.Errorf("core: BarrierEpoch %v is negative", cfg.BarrierEpoch)
 	}
@@ -277,7 +274,7 @@ func newParallelRun(cfg Config, ccfg controller.Config) (*parallelRun, error) {
 		bus.EpochShares(p.fullCaps, p.counts, p.shares)
 	}
 	for ch := 0; ch < channels; ch++ {
-		eng := newEngine(cfg)
+		eng := sim.New()
 		pcfg := ccfg
 		if channels > 1 {
 			caps := make([]float64, cfg.Buses.Count)

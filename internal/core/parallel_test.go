@@ -154,10 +154,6 @@ func TestParallelMultiChannelWorkerInvariance(t *testing.T) {
 func TestParallelRejections(t *testing.T) {
 	tr := stTrace(t, sim.Millisecond)
 	topo := memsys.Topology{Channels: 4, ChannelBandwidth: 3.2e9}
-	if _, err := Run(Config{Workers: 2, PerEventFeeder: true}, tr); err == nil ||
-		!strings.Contains(err.Error(), "PerEventFeeder") {
-		t.Errorf("PerEventFeeder with Workers: %v", err)
-	}
 	// A gap-observing policy that cannot replicate itself still gets a
 	// loud rejection on multi-channel topologies.
 	if _, err := Run(Config{Workers: 2, Topology: topo, Policy: &gapOnlyPolicy{}}, tr); err == nil ||

@@ -43,12 +43,6 @@ type Suite struct {
 	// Runner runs everything sequentially on the calling goroutine;
 	// results are byte-identical either way.
 	Runner *Runner
-	// HeapScheduler and PerEventFeeder propagate the engine knobs of
-	// the same names (core.Config) to every simulation the suite runs.
-	// Results are bit-identical regardless — the cross-check test holds
-	// all four combinations to that.
-	HeapScheduler  bool
-	PerEventFeeder bool
 	// Workers propagates core.Config.Workers to every simulation the
 	// suite runs: 0 keeps the serial reference engine, a positive count
 	// selects the epoch-barrier parallel engine. Golden-corpus results
@@ -165,8 +159,6 @@ func (s *Suite) generate(name string) (*trace.Trace, error) {
 // and the job's context observed mid-run (a cancelled figure aborts
 // its in-flight simulations instead of finishing them).
 func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*core.Result, error) {
-	cfg.HeapScheduler = s.HeapScheduler
-	cfg.PerEventFeeder = s.PerEventFeeder
 	cfg.Workers = s.Workers
 	cfg.BarrierEpoch = s.BarrierEpoch
 	cfg.FixedEpoch = s.FixedEpoch
@@ -177,8 +169,6 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 // cancellation. It also reports the combined simulation event count of
 // the pair, so sweep jobs feed events/sec observability.
 func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
-	base.HeapScheduler, tech.HeapScheduler = s.HeapScheduler, s.HeapScheduler
-	base.PerEventFeeder, tech.PerEventFeeder = s.PerEventFeeder, s.PerEventFeeder
 	base.Workers, tech.Workers = s.Workers, s.Workers
 	base.BarrierEpoch, tech.BarrierEpoch = s.BarrierEpoch, s.BarrierEpoch
 	base.FixedEpoch, tech.FixedEpoch = s.FixedEpoch, s.FixedEpoch

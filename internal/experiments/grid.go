@@ -25,20 +25,14 @@ type SuiteSpec struct {
 	DbDuration sim.Duration
 	// Seed for all generators.
 	Seed uint64
-	// HeapScheduler and PerEventFeeder mirror the Suite fields of the
-	// same names (engine knobs; results are bit-identical regardless).
-	HeapScheduler  bool
-	PerEventFeeder bool
 }
 
 // Spec returns the serializable configuration of the suite.
 func (s *Suite) Spec() SuiteSpec {
 	return SuiteSpec{
-		Duration:       s.Duration,
-		DbDuration:     s.DbDuration,
-		Seed:           s.Seed,
-		HeapScheduler:  s.HeapScheduler,
-		PerEventFeeder: s.PerEventFeeder,
+		Duration:   s.Duration,
+		DbDuration: s.DbDuration,
+		Seed:       s.Seed,
 	}
 }
 
@@ -47,8 +41,6 @@ func (s *Suite) Spec() SuiteSpec {
 func NewSuiteFromSpec(sp SuiteSpec) *Suite {
 	s := NewSuite(sp.Duration, sp.Seed)
 	s.DbDuration = sp.DbDuration
-	s.HeapScheduler = sp.HeapScheduler
-	s.PerEventFeeder = sp.PerEventFeeder
 	return s
 }
 

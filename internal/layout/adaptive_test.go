@@ -2,23 +2,36 @@ package layout
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmamem/internal/memsys"
 )
 
-// driveBoth runs the same Observe/Rebalance schedule through an
-// adaptive manager and a FullScan reference manager and fails on the
-// first divergence in moves, placement, counters, or group maps.
-func driveBoth(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epochs int, withBusy bool) {
-	t.Helper()
-	adaptive, err := New(geo, cfg)
-	if err != nil {
-		t.Fatal(err)
+// fullOrder sorts every page by popularity (ties by page ID) and
+// returns the prefix with nonzero counts: the order a scan of the
+// whole page population would hand the rebalance, and the reference
+// the adaptive live-set scan is checked against.
+func (m *Manager) fullOrder() []int32 {
+	order := make([]int32, len(m.counts))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	ref := cfg
-	ref.FullScan = true
-	full, err := New(geo, ref)
+	sortByPopularity(order, m.counts)
+	n := len(order)
+	for n > 0 && m.counts[order[n-1]] == 0 {
+		n--
+	}
+	return order[:n]
+}
+
+// driveChecked runs an Observe/Rebalance schedule through one manager
+// and, before every rebalance, fails unless the popularity-sorted live
+// set equals the full popularity order of the nonzero-count pages —
+// the one input of Rebalance a full-population scan would change.
+func driveChecked(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epochs int, withBusy bool) {
+	t.Helper()
+	m, err := New(geo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,53 +50,40 @@ func driveBoth(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epochs
 			} else {
 				p = rng.Intn(pages)
 			}
-			adaptive.Observe(memsys.PageID(p))
-			full.Observe(memsys.PageID(p))
+			m.Observe(memsys.PageID(p))
 		}
+
+		// Gather the live set as Rebalance will, then put it back:
+		// rebuildLive is how Rebalance itself refills the drained lists.
+		want := m.fullOrder()
+		scanned := m.ScannedChips
+		live := m.gatherLive()
+		sortByPopularity(live, m.counts)
+		if !slices.Equal(live, want) {
+			t.Fatalf("epoch %d: sorted live set (%d pages) differs from the full popularity order of the nonzero-count pages (%d pages)\nlive: %v\nfull: %v",
+				epoch, len(live), len(want), live, want)
+		}
+		m.rebuildLive(live)
+		m.ScannedChips = scanned
+
 		var busy func(memsys.PageID) bool
 		if withBusy {
-			// Both managers must see the same busy set; derive it from
-			// the page ID and epoch, not from the rng stream.
 			e := epoch
 			busy = func(p memsys.PageID) bool { return (int(p)+e)%7 == 0 }
 		}
-		ma := adaptive.Rebalance(busy)
-		mf := full.Rebalance(busy)
-		if ma != mf {
-			t.Fatalf("epoch %d: adaptive moved %d pages, full scan %d", epoch, ma, mf)
-		}
-		for p := 0; p < pages; p++ {
-			if adaptive.loc[p] != full.loc[p] {
-				t.Fatalf("epoch %d: page %d on chip %d (adaptive) vs %d (full)",
-					epoch, p, adaptive.loc[p], full.loc[p])
-			}
-			if adaptive.counts[p] != full.counts[p] {
-				t.Fatalf("epoch %d: page %d count %d (adaptive) vs %d (full)",
-					epoch, p, adaptive.counts[p], full.counts[p])
-			}
-		}
-		for c := 0; c < geo.NumChips; c++ {
-			if adaptive.GroupOfChip(c) != full.GroupOfChip(c) {
-				t.Fatalf("epoch %d: chip %d group %d (adaptive) vs %d (full)",
-					epoch, c, adaptive.GroupOfChip(c), full.GroupOfChip(c))
-			}
-		}
-		if err := adaptive.checkInvariants(); err != nil {
-			t.Fatalf("epoch %d: adaptive invariants: %v", epoch, err)
-		}
-		if err := full.checkInvariants(); err != nil {
-			t.Fatalf("epoch %d: full-scan invariants: %v", epoch, err)
+		m.Rebalance(busy)
+		if err := m.checkInvariants(); err != nil {
+			t.Fatalf("epoch %d: invariants: %v", epoch, err)
 		}
 	}
-	if adaptive.MigratedPages != full.MigratedPages || adaptive.SkippedBusy != full.SkippedBusy {
-		t.Fatalf("stats diverged: adaptive moved %d skipped %d, full moved %d skipped %d",
-			adaptive.MigratedPages, adaptive.SkippedBusy, full.MigratedPages, full.SkippedBusy)
+	if m.MigratedPages == 0 {
+		t.Fatal("no page migrated; the schedule made no layout decision")
 	}
 }
 
-// TestAdaptiveMatchesFullScan is the dirty-set contract: across many
-// epochs of a drifting workload, the adaptive scan makes exactly the
-// moves the full reference scan makes.
+// TestAdaptiveMatchesFullScan is the live-set contract: across many
+// epochs of a drifting workload, the adaptive scan hands Rebalance
+// exactly the page order a scan of every page would.
 func TestAdaptiveMatchesFullScan(t *testing.T) {
 	cases := []struct {
 		name string
@@ -105,7 +105,7 @@ func TestAdaptiveMatchesFullScan(t *testing.T) {
 			cfg := DefaultConfig()
 			tc.mut(&cfg)
 			for seed := int64(1); seed <= 4; seed++ {
-				driveBoth(t, cfg, smallGeo(), seed, 30, tc.busy)
+				driveChecked(t, cfg, smallGeo(), seed, 30, tc.busy)
 			}
 		})
 	}

@@ -49,12 +49,6 @@ type Config struct {
 	// MinHotCount is the popularity floor: pages with fewer aged
 	// references never qualify for a hot group. Zero means 1.
 	MinHotCount uint32
-	// FullScan forces the original full-page reference scan at every
-	// rebalance instead of the adaptive dirty-set scan that sorts only
-	// pages with live counts and skips clean chips. The two paths make
-	// identical move decisions (the cross-check test holds them to it);
-	// FullScan is the O(pages log pages) reference implementation.
-	FullScan bool
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -280,24 +274,6 @@ func (m *Manager) rebuildLive(liveOrder []int32) {
 	}
 }
 
-// fullOrder sorts every page by popularity (ties by page ID) and
-// returns the prefix with nonzero counts — the reference scan the
-// adaptive path is checked against. The zero-count tail it discards is
-// reconstructed on demand by coldScan, which is how both paths share
-// one executeMoves.
-func (m *Manager) fullOrder() []int32 {
-	order := make([]int32, len(m.counts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortByPopularity(order, m.counts)
-	n := len(order)
-	for n > 0 && m.counts[order[n-1]] == 0 {
-		n--
-	}
-	return order[:n]
-}
-
 // sortByPopularity orders pages by count descending, page ID
 // ascending — the total order every layout decision derives from.
 func sortByPopularity(pages []int32, counts []uint32) {
@@ -317,13 +293,13 @@ const noTarget = int8(-1)
 // (in-flight DMA targets). It returns the number of pages moved and
 // then ages the counters.
 //
-// By default only the live set — pages referenced recently enough to
-// hold a nonzero aged count — is gathered and sorted, and chips with
-// no live page are skipped entirely. Pages outside the live set can
-// neither enter the hot region (the popularity floor is at least 1)
-// nor sort anywhere but the tail of the reference order, so the
-// decisions are identical to Config.FullScan's full sort; the
-// cross-check test compares the two move for move.
+// Only the live set — pages referenced recently enough to hold a
+// nonzero aged count — is gathered and sorted, and chips with no live
+// page are skipped entirely. Pages outside the live set can neither
+// enter the hot region (the popularity floor is at least 1) nor sort
+// anywhere but the tail of the order a sort of every page would give,
+// so the decisions are those of that full sort; a test checks the
+// sorted live set against it before every rebalance.
 func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	m.Rebalances++
 	liveOrder := m.gatherLive()
@@ -334,11 +310,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	if total == 0 {
 		return 0
 	}
-	if m.cfg.FullScan {
-		liveOrder = m.fullOrder()
-	} else {
-		sortByPopularity(liveOrder, m.counts)
-	}
+	sortByPopularity(liveOrder, m.counts)
 
 	// Size the hot region: smallest prefix of pages covering HotShare
 	// of the requests. Pages below the popularity floor never qualify:
@@ -421,9 +393,9 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 
 // coldScan walks pages from coldest to hottest: first the zero-count
 // pages by descending ID, then the live pages in reverse popularity
-// order. That is exactly the reference full sort read back to front —
-// zero-count pages all tie and so sort to the tail in ascending ID —
-// without ever materializing the zero-count tail.
+// order. That is exactly a popularity sort of every page read back to
+// front — zero-count pages all tie and so sort to the tail in
+// ascending ID — without ever materializing the zero-count tail.
 type coldScan struct {
 	counts []uint32
 	live   []int32 // popularity-sorted live pages

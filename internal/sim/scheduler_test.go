@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -10,7 +12,7 @@ import (
 // tests must pass identically on the wheel and the reference heap.
 func engines(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
 	t.Run("wheel", func(t *testing.T) { f(t, New) })
-	t.Run("heap", func(t *testing.T) { f(t, NewWithHeap) })
+	t.Run("heap", func(t *testing.T) { f(t, newWithHeap) })
 }
 
 // TestSchedulerEquivalence is the kernel-level cross-check: a random
@@ -57,7 +59,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		// Identical seeds drive identical rng decisions on both engines,
 		// so the label sequences must match element for element.
 		wheel := run(New, seed)
-		heap := run(NewWithHeap, seed)
+		heap := run(newWithHeap, seed)
 		if len(wheel) != len(heap) {
 			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheel), len(heap))
 		}
@@ -315,7 +317,7 @@ func TestRunContextCancel(t *testing.T) {
 // TestHeapZeroAllocSteadyState mirrors the wheel's zero-alloc guard on
 // the reference heap engine.
 func TestHeapZeroAllocSteadyState(t *testing.T) {
-	e := NewWithHeap()
+	e := newWithHeap()
 	noop := Handler(func(*Engine) {})
 	for i := 0; i < 64; i++ {
 		e.After(Duration(i+1), noop)
@@ -335,7 +337,41 @@ func TestHeapZeroAllocSteadyState(t *testing.T) {
 // BenchmarkScheduleRunWheel and ...Heap compare the kernel-only cost of
 // a self-rescheduling timer cascade on both backends.
 func BenchmarkScheduleRunWheel(b *testing.B) { benchScheduleRun(b, New) }
-func BenchmarkScheduleRunHeap(b *testing.B)  { benchScheduleRun(b, NewWithHeap) }
+func BenchmarkScheduleRunHeap(b *testing.B)  { benchScheduleRun(b, newWithHeap) }
+
+// TestWheelThroughputSmoke is the CI scheduler bench smoke gate: it
+// runs the BenchmarkScheduleRunWheel and ...Heap kernels and fails if
+// the wheel dispatches more than 10% fewer events per second than the
+// reference heap. Both kernels dispatch the same events, so the
+// events/sec ratio is the inverse ns/op ratio. Benchmarking inside the
+// normal test run would be noise-prone, so the check only arms when CI
+// sets DMAMEM_BENCH_SMOKE=1.
+func TestWheelThroughputSmoke(t *testing.T) {
+	if os.Getenv("DMAMEM_BENCH_SMOKE") == "" {
+		t.Skip("set DMAMEM_BENCH_SMOKE=1 to run the scheduler throughput gate")
+	}
+	// Alternate the kernels and keep each one's fastest round: a timing
+	// that another process slowed down says nothing about the store.
+	const rounds = 5
+	var wheel, heap int64
+	for round := 0; round < rounds; round++ {
+		w := testing.Benchmark(BenchmarkScheduleRunWheel).NsPerOp()
+		h := testing.Benchmark(BenchmarkScheduleRunHeap).NsPerOp()
+		if round == 0 || w < wheel {
+			wheel = w
+		}
+		if round == 0 || h < heap {
+			heap = h
+		}
+	}
+	ratio := float64(heap) / float64(wheel)
+	t.Logf("wheel %d ns/op, heap %d ns/op, wheel/heap events/sec ratio %.3f", wheel, heap, ratio)
+	fmt.Printf("bench-smoke: wheel=%d heap=%d ns/op (events/sec ratio %.3f)\n", wheel, heap, ratio)
+	if ratio < 0.90 {
+		t.Fatalf("wheel scheduler regresses the schedule/run kernel: %d vs %d ns/op (events/sec ratio %.3f < 0.90)",
+			wheel, heap, ratio)
+	}
+}
 
 func benchScheduleRun(b *testing.B, newEngine func() *Engine) {
 	b.ReportAllocs()

@@ -10,15 +10,14 @@
 // secondary priority and, within equal priority, in scheduling order,
 // which makes simulations bit-reproducible across runs.
 //
-// # Schedulers
+// # Scheduler
 //
-// The pending-event store behind an Engine is pluggable. New returns an
-// engine backed by a hierarchical timer wheel (see wheel.go) whose
-// schedule, cancel and fire operations are amortized O(1); NewWithHeap
-// returns the reference binary-heap engine with O(log n) operations.
-// Both dispatch in exactly the same (time, priority, scheduling-order)
-// sequence, so a simulation produces bit-identical results on either —
-// the cross-check test in internal/experiments holds them to that.
+// New returns an engine backed by a hierarchical timer wheel (see
+// wheel.go) whose schedule, cancel and fire operations are amortized
+// O(1). The store sits behind the scheduler interface so the package's
+// tests can run every behavioural test on a reference binary heap too
+// and hold the wheel to the heap's (time, priority, scheduling-order)
+// dispatch sequence.
 //
 // # Feeders
 //
@@ -99,18 +98,17 @@ type event struct {
 	at    Time
 	prio  int8   // ties broken by priority, then by seq
 	seq   uint64 // strictly increasing scheduling order
-	index int    // heap index (>= 0 while pending); -1 once removed.
+	index int    // >= 0 while pending (the test heap's position); -1 once removed.
 	gen   uint64 // bumped on every recycle; stale EventIDs miscompare
 	fn    Handler
 
-	// Timer-wheel bucket membership (intrusive doubly-linked chain);
-	// unused by the heap scheduler.
+	// Timer-wheel bucket membership (intrusive doubly-linked chain).
 	next, prev  *event
 	level, slot int8
 }
 
 // less orders events by (time, priority, scheduling order) — the total
-// dispatch order both schedulers implement.
+// dispatch order every scheduler implements.
 func (ev *event) less(o *event) bool {
 	if ev.at != o.at {
 		return ev.at < o.at
@@ -136,8 +134,9 @@ func (id EventID) Valid() bool {
 	return id.ev != nil && id.ev.gen == id.gen && id.ev.index >= 0
 }
 
-// scheduler is the pending-event store behind an Engine. Both
-// implementations maintain the same total order: peekMin returns the
+// scheduler is the pending-event store behind an Engine: the timer
+// wheel, or the reference heap in tests. Both maintain the same total
+// order: peekMin returns the
 // minimum by (at, prio, seq), fire removes the event peekMin just
 // returned (and may advance internal cursors), unlink removes an
 // arbitrary pending event (the cancel path).
@@ -165,7 +164,7 @@ type Feeder interface {
 }
 
 // Engine is a single-threaded discrete-event simulation loop.
-// The zero value is not usable; call New or NewWithHeap.
+// The zero value is not usable; call New.
 //
 // An Engine is owned by exactly one goroutine: none of its methods are
 // safe for concurrent use. Run simulations in parallel by giving each
@@ -184,12 +183,6 @@ type Engine struct {
 // New returns an engine with the clock at zero, backed by the
 // hierarchical timer wheel (amortized O(1) schedule/cancel/fire).
 func New() *Engine { return &Engine{sched: newWheel()} }
-
-// NewWithHeap returns an engine backed by the reference binary-heap
-// scheduler. It dispatches in exactly the same order as New's wheel;
-// it is retained for cross-checking (core.Config.HeapScheduler) and
-// as the simplest-possible reference implementation.
-func NewWithHeap() *Engine { return &Engine{sched: &heapScheduler{}} }
 
 // Now returns the current simulation instant.
 func (e *Engine) Now() Time { return e.now }

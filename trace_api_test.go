@@ -96,6 +96,7 @@ func TestSimulationValidate(t *testing.T) {
 			PLGroups: 3, PLHotShare: 0.8, PLInterval: 10 * time.Millisecond},
 		{Buses: 5, BusBandwidth: 2e9, StaticMode: "nap", MemoryTech: "ddr"},
 		{Technique: NoPowerManagement, StaticMode: "powerdown", MemoryTech: "rdram"},
+		{Workers: 1, BarrierEpoch: 50 * time.Microsecond},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -121,6 +122,7 @@ func TestSimulationValidate(t *testing.T) {
 		{Simulation{BusBandwidth: -1}, "BusBandwidth"},
 		{Simulation{StaticMode: "doze"}, "static mode"},
 		{Simulation{MemoryTech: "sram"}, "memory technology"},
+		{Simulation{BarrierEpoch: 50 * time.Microsecond}, "BarrierEpoch 50µs needs Workers"},
 	}
 	for i, c := range invalid {
 		err := c.s.Validate()
