@@ -15,8 +15,6 @@ package dmamem
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"testing"
 
 	"dmamem/internal/experiments"
@@ -30,20 +28,6 @@ const (
 
 // ctx bounds the benchmark experiments; benchmarks are never canceled.
 var ctx = context.Background()
-
-// TestMain lets this test binary double as a sweep-shard worker:
-// BenchmarkShardedSweep re-execs it with the variable set, so the
-// benchmark exercises the production subprocess transport.
-func TestMain(m *testing.M) {
-	if os.Getenv("DMAMEM_SHARD_WORKER") == "1" {
-		if err := experiments.ServeShard(context.Background(), os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 func benchSuite() *experiments.Suite {
 	s := experiments.NewSuite(benchDuration, 1)
@@ -270,36 +254,6 @@ func BenchmarkFig10BandwidthRatio(b *testing.B) {
 	}
 	b.ReportMetric(100*near1, "ratio1%")
 	b.ReportMetric(100*at3, "ratio3%")
-}
-
-// BenchmarkShardedSweep measures the sharded executor's own overhead:
-// a no-op grid makes every per-point cost — process spawn, request
-// framing, JSON round-trip, reassembly — protocol cost, so ns/point
-// tracks regressions in the shard path without simulation noise.
-func BenchmarkShardedSweep(b *testing.B) {
-	exe, err := os.Executable()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const points = 256
-	spec := experiments.SuiteSpec{Duration: benchDuration, Seed: 1}
-	gs := experiments.GridSpec{Name: experiments.GridNoop, Points: points}
-	c := &experiments.Coordinator{
-		Shards:        4,
-		WorkerCommand: []string{exe},
-		WorkerEnv:     []string{"DMAMEM_SHARD_WORKER=1"},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.ShardedGrid[experiments.SweepPoint](ctx, c, spec, gs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != points {
-			b.Fatalf("%d points, want %d", len(pts), points)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*points), "ns/point")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed: events

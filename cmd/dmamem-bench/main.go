@@ -6,8 +6,6 @@
 //	dmamem-bench [-duration 100ms] [-seed 1] [-parallel N] [-timing]
 //	             [-workers N] [-epoch 50us] [-fixed-epoch]
 //	             [-parallel-bench BENCH_parallel.json]
-//	             [-shards N] [-shard-addrs host:port,...]
-//	             [-shard-worker] [-shard-listen addr]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-channels 1,2,4]
 //	             [-tech ddr4-2400,lpddr4]
@@ -17,7 +15,9 @@
 // -replay file.dmt skips the figures and instead streams a recorded
 // .dmt trace (see `dmamem-trace record` and docs/TRACE_FORMAT.md)
 // through the file-backed feeder, baseline vs technique, in flat
-// memory regardless of trace length.
+// memory regardless of trace length. It reads only the -replay-*
+// flags and the profile flags; any other flag set with it exits 2, as
+// does a -replay-* flag without -replay.
 //
 // Each figure prints the same series the paper plots; EXPERIMENTS.md
 // records the paper-vs-measured comparison. Independent simulation
@@ -42,18 +42,8 @@
 // parallel engine's scaling across channels x workers, adaptive vs
 // fixed barriers, on a dense and a sparse workload, writing the grid
 // to the named JSON file (the committed BENCH_parallel.json) and
-// printing it as a table.
-//
-// -shards N runs the sweep figures (5, 8, 9, 10) through the
-// process-sharded executor: the grid is partitioned by sweep point
-// across N worker processes (re-executions of this binary with
-// -shard-worker, or the TCP workers named by -shard-addrs) and the
-// results are reassembled in grid order, so the printed output is
-// byte-identical to the in-process run at any shard count.
-// Shard workers run the serial engine, so -shards and -shard-addrs
-// exit 2 with -workers > 1, -epoch or -fixed-epoch.
-// -shard-worker serves one shard session on stdin/stdout and exits;
-// -shard-listen serves shard sessions over TCP until interrupted.
+// printing it as a table. It reads -seed, -epoch and the profile
+// flags; any other flag set with it exits 2.
 //
 // -channels 1,2,4 adds a memory-channel dimension to the figure 10
 // sweep: each (workload, bus bandwidth) pair is re-simulated under a
@@ -102,11 +92,6 @@ func realMain() int {
 	timing := flag.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	shards := flag.Int("shards", 0, "run sweep figures across N worker processes (0 = in-process)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated TCP addresses of -shard-listen workers (default: spawn local subprocesses)")
-	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
-	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-slice deadline before the coordinator retries on a fresh worker (0 = none)")
 	channelsFlag := flag.String("channels", "", "comma-separated channel counts added to the figure 10 sweep (e.g. 1,2,4; empty = legacy single-channel)")
 	techFlag := flag.String("tech", "", "comma-separated memory technologies for the tech extension and the figure 10 sweep (e.g. ddr4-2400,lpddr4; empty = every backend for tech, RDRAM-only for figure 10)")
 	replayFile := flag.String("replay", "", "replay a recorded .dmt trace through the file-backed feeder instead of running figures")
@@ -114,6 +99,12 @@ func realMain() int {
 	replayGroups := flag.Int("replay-groups", 2, "PL popularity groups for -replay (0 = DMA-TA only)")
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateMode(*replayFile != "", *parallelBench != "", set); err != nil {
+		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+		return 2
+	}
 	if err := validateConcurrency(*parallel, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
@@ -122,17 +113,53 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
-	if err := validateShards(*shards > 0 || *shardAddrs != "", *workers, *epoch, *fixedEpoch); err != nil {
+	if err := validateFig(*fig); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
-	if err := validateFig(*fig); err != nil {
+	channels, err := parseChannels(*channelsFlag)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+		return 2
+	}
+	techs, err := experiments.ParseTechList(*techFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmamem-bench: bad -tech: %v\n", err)
 		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // flush recent allocations into the profile
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
+			}
+		}()
+	}
 
 	if *parallelBench != "" {
 		res, err := experiments.ParallelBench(ctx, experiments.ParallelBenchSpec{
@@ -165,52 +192,6 @@ func realMain() int {
 		return 0
 	}
 
-	if *shardWorker {
-		if err := experiments.ServeShard(ctx, os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *shardListen != "" {
-		err := experiments.ListenAndServeShards(ctx, *shardListen, os.Stderr)
-		if err != nil && ctx.Err() == nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush recent allocations into the profile
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			}
-		}()
-	}
-
 	runner := experiments.NewRunner(*parallel)
 	var memBefore runtime.MemStats
 	if *timing {
@@ -223,33 +204,6 @@ func realMain() int {
 	s.Workers = engineWorkers(*workers)
 	s.BarrierEpoch = fromStd(*epoch)
 	s.FixedEpoch = *fixedEpoch
-	channels, err := parseChannels(*channelsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-		return 2
-	}
-	techs, err := experiments.ParseTechList(*techFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmamem-bench: bad -tech: %v\n", err)
-		return 2
-	}
-	var coord *experiments.Coordinator
-	if *shards > 0 || *shardAddrs != "" {
-		coord = &experiments.Coordinator{Shards: *shards, Parallel: *parallel, Timeout: *shardTimeout, Timings: runner.Timings}
-		if *shardAddrs != "" {
-			coord.Addrs = strings.Split(*shardAddrs, ",")
-			if coord.Shards == 0 {
-				coord.Shards = len(coord.Addrs) // one slice per worker by default
-			}
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-				return 1
-			}
-			coord.WorkerCommand = []string{exe, "-shard-worker"}
-		}
-	}
 	start := time.Now()
 
 	failed := false
@@ -306,7 +260,7 @@ func realMain() int {
 		return nil
 	})
 	run("5", func() error {
-		pts, err := gridPoints[experiments.Fig5Point](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.Fig5Point](ctx, s, experiments.GridSpec{
 			Name:     experiments.GridFig5,
 			CPLimits: []float64{0.01, 0.05, 0.10, 0.20, 0.30},
 			Groups:   []int{2, 3, 6},
@@ -335,7 +289,7 @@ func realMain() int {
 		return nil
 	})
 	run("8", func() error {
-		pts, err := gridPoints[experiments.SweepPoint](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, experiments.GridSpec{
 			Name:       experiments.GridFig8,
 			RatesPerMs: []float64{25, 50, 100, 200, 400},
 		})
@@ -348,7 +302,7 @@ func realMain() int {
 		return nil
 	})
 	run("9", func() error {
-		pts, err := gridPoints[experiments.SweepPoint](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, experiments.GridSpec{
 			Name:        experiments.GridFig9,
 			PerTransfer: []int{0, 50, 100, 233, 400},
 		})
@@ -361,7 +315,7 @@ func realMain() int {
 		return nil
 	})
 	run("10", func() error {
-		pts, err := gridPoints[experiments.SweepPoint](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, experiments.GridSpec{
 			Name:     experiments.GridFig10,
 			BusBW:    []float64{0.5e9, 1.064e9, 2e9, 3e9},
 			Channels: channels,
@@ -405,11 +359,7 @@ func realMain() int {
 	if *timing {
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		if coord == nil {
-			// Sharded sweeps allocate in the workers; this process's
-			// count would misattribute coordinator overhead.
-			runner.Timings.SetAllocs(memAfter.Mallocs - memBefore.Mallocs)
-		}
+		runner.Timings.SetAllocs(memAfter.Mallocs - memBefore.Mallocs)
 		fmt.Fprint(os.Stderr, runner.Timings.Summary(time.Since(start)))
 	}
 	if failed {
@@ -469,21 +419,45 @@ func validateEpoch(epoch time.Duration, fixed bool, workers int, bench bool) err
 	return nil
 }
 
-// validateShards rejects engine flags on the sharded sweep: the shard
-// wire format (experiments.SuiteSpec) carries no engine fields, so the
-// worker processes would run the sweep figures on the serial engine
-// whatever -workers, -epoch or -fixed-epoch say.
-func validateShards(sharded bool, workers int, epoch time.Duration, fixed bool) error {
-	if !sharded {
+// modeFlags lists the flags each non-figure mode reads. Either mode
+// skips the figures, the runner and the engine flags, so any other
+// flag set alongside it would be silently ignored.
+var modeFlags = map[string][]string{
+	"replay":         {"replay", "replay-cp-limit", "replay-groups", "cpuprofile", "memprofile"},
+	"parallel-bench": {"parallel-bench", "seed", "epoch", "cpuprofile", "memprofile"},
+}
+
+// validateMode rejects flags the selected mode would ignore: a flag
+// set with -replay or -parallel-bench that the mode does not read,
+// both modes at once, and a -replay-* flag without -replay. set holds
+// the names of the flags given on the command line.
+func validateMode(replay, bench bool, set map[string]bool) error {
+	mode := ""
+	switch {
+	case replay && bench:
+		return fmt.Errorf("-replay and -parallel-bench are separate modes; give one")
+	case replay:
+		mode = "replay"
+	case bench:
+		mode = "parallel-bench"
+	default:
+		for _, name := range []string{"replay-cp-limit", "replay-groups"} {
+			if set[name] {
+				return fmt.Errorf("-%s needs -replay", name)
+			}
+		}
 		return nil
 	}
-	switch {
-	case workers > 1:
-		return fmt.Errorf("-workers %d cannot combine with -shards or -shard-addrs: shard workers run the serial engine", workers)
-	case epoch != 0:
-		return fmt.Errorf("-epoch %v cannot combine with -shards or -shard-addrs: shard workers run the serial engine", epoch)
-	case fixed:
-		return fmt.Errorf("-fixed-epoch cannot combine with -shards or -shard-addrs: shard workers run the serial engine")
+	var names []string
+	for name := range set {
+		names = append(names, name)
+	}
+	slices.Sort(names) // report the same flag whatever the map order
+	for _, name := range names {
+		if !slices.Contains(modeFlags[mode], name) {
+			return fmt.Errorf("-%s does not apply with -%s (it reads only -%s)",
+				name, mode, strings.Join(modeFlags[mode], ", -"))
+		}
 	}
 	return nil
 }
@@ -514,15 +488,4 @@ func parseChannels(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// gridPoints runs a sweep grid in-process, or through the shard
-// coordinator when -shards selected one. Both paths enumerate and
-// reassemble points in grid order, so the caller prints identical
-// bytes either way.
-func gridPoints[T any](ctx context.Context, s *experiments.Suite, coord *experiments.Coordinator, gs experiments.GridSpec) ([]T, error) {
-	if coord != nil {
-		return experiments.ShardedGrid[T](ctx, coord, s.Spec(), gs)
-	}
-	return experiments.GridRun[T](ctx, s, gs)
 }

@@ -80,34 +80,46 @@ func TestValidateEpoch(t *testing.T) {
 	}
 }
 
-// TestValidateShards pins the rejection of engine flags on the sharded
-// sweep, whose workers run the serial engine.
-func TestValidateShards(t *testing.T) {
+// TestValidateMode pins that no flag is silently ignored by the
+// -replay and -parallel-bench modes: each accepts only the flags it
+// reads (the profile flags included, which both honor), the modes
+// exclude each other, and the -replay-* flags need -replay.
+func TestValidateMode(t *testing.T) {
 	cases := []struct {
-		sharded bool
-		workers int
-		epoch   time.Duration
-		fixed   bool
-		wantErr string
+		replay, bench bool
+		set           []string
+		wantErr       string
 	}{
-		{false, 4, 50 * time.Microsecond, true, ""},
-		{true, 1, 0, false, ""},
-		{true, 2, 0, false, "-workers 2 cannot combine with -shards"},
-		{true, 1, 50 * time.Microsecond, false, "-epoch 50µs cannot combine with -shards"},
-		{true, 1, 0, true, "-fixed-epoch cannot combine with -shards"},
+		{false, false, nil, ""},
+		{false, false, []string{"fig", "timing", "parallel", "cpuprofile"}, ""},
+		{true, false, []string{"replay", "replay-groups", "replay-cp-limit"}, ""},
+		{true, false, []string{"replay", "cpuprofile", "memprofile"}, ""},
+		{false, true, []string{"parallel-bench", "seed", "epoch", "cpuprofile"}, ""},
+		{true, false, []string{"replay", "cpuprofile", "timing"}, "-timing does not apply with -replay"},
+		{true, false, []string{"replay", "fig"}, "-fig does not apply with -replay"},
+		{true, false, []string{"replay", "workers"}, "-workers does not apply with -replay"},
+		{false, true, []string{"parallel-bench", "timing"}, "-timing does not apply with -parallel-bench"},
+		{false, true, []string{"parallel-bench", "fixed-epoch"}, "-fixed-epoch does not apply with -parallel-bench"},
+		{false, true, []string{"parallel-bench", "replay-groups"}, "-replay-groups does not apply with -parallel-bench"},
+		{true, true, []string{"replay", "parallel-bench"}, "separate modes"},
+		{false, false, []string{"replay-groups"}, "-replay-groups needs -replay"},
+		{false, false, []string{"fig", "replay-cp-limit"}, "-replay-cp-limit needs -replay"},
 	}
 	for _, tc := range cases {
-		err := validateShards(tc.sharded, tc.workers, tc.epoch, tc.fixed)
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		err := validateMode(tc.replay, tc.bench, set)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateShards(%v, %d, %v, %v) = %v, want nil",
-					tc.sharded, tc.workers, tc.epoch, tc.fixed, err)
+				t.Errorf("validateMode(%v, %v, %v) = %v, want nil", tc.replay, tc.bench, tc.set, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateShards(%v, %d, %v, %v) = %v, want error containing %q",
-				tc.sharded, tc.workers, tc.epoch, tc.fixed, err, tc.wantErr)
+			t.Errorf("validateMode(%v, %v, %v) = %v, want error containing %q",
+				tc.replay, tc.bench, tc.set, err, tc.wantErr)
 		}
 	}
 }

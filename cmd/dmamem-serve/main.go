@@ -9,8 +9,6 @@
 //	dmamem-serve [-listen :8080] [-workers 2] [-quota 16]
 //	             [-weights tenant=2,other=1] [-cache 256]
 //	             [-point-parallel 1] [-max-grid-points 4096]
-//	             [-shard-addrs host:port,...] [-shards N]
-//	             [-shard-timeout 0] [-shard-retries 0]
 //
 // The job schema and a worked curl session are documented in
 // docs/SERVICE.md. A report job's response body is byte-identical to
@@ -20,9 +18,8 @@
 //	curl -s -d '{"Workload":"OLTP-St"}' 'localhost:8080/v1/jobs?wait=1' \
 //	  | cmp - internal/experiments/testdata/golden/oltp-st_baseline.json
 //
-// -shard-addrs fans every grid job's sweep points out to the named
-// TCP shard workers (`dmamem-bench -shard-listen addr`) through the
-// retrying coordinator; without it grids run in-process.
+// -point-parallel runs each grid job's sweep points on that many
+// goroutines; the result bytes are the same at any count.
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: it stops
 // accepting, cancels queued and running jobs, and drains the fleet.
@@ -75,12 +72,8 @@ func run(args []string, ready func(addr string)) error {
 	quota := fs.Int("quota", 16, "per-tenant admission quota (queued+running jobs; negative = unlimited)")
 	weights := fs.String("weights", "", "per-tenant fair-queueing weights, tenant=weight[,...]")
 	cache := fs.Int("cache", 256, "result cache entries (negative disables)")
-	pointParallel := fs.Int("point-parallel", 1, "goroutines per in-process grid job")
+	pointParallel := fs.Int("point-parallel", 1, "goroutines per grid job")
 	maxGridPoints := fs.Int("max-grid-points", 4096, "reject grid jobs over this many points (negative = unlimited)")
-	shardAddrs := fs.String("shard-addrs", "", "comma-separated TCP shard worker addresses for grid jobs")
-	shards := fs.Int("shards", 0, "shard slices for grid jobs (0 = one per address)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-slice shard attempt timeout (0 = none)")
-	shardRetries := fs.Int("shard-retries", 0, "shard retry budget (0 = default, negative disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,10 +81,6 @@ func run(args []string, ready func(addr string)) error {
 	tw, err := parseWeights(*weights)
 	if err != nil {
 		return err
-	}
-	var addrs []string
-	if *shardAddrs != "" {
-		addrs = strings.Split(*shardAddrs, ",")
 	}
 
 	d := service.New(service.Config{
@@ -101,10 +90,6 @@ func run(args []string, ready func(addr string)) error {
 		CacheEntries:  *cache,
 		PointParallel: *pointParallel,
 		MaxGridPoints: *maxGridPoints,
-		ShardAddrs:    addrs,
-		Shards:        *shards,
-		ShardTimeout:  *shardTimeout,
-		ShardRetries:  *shardRetries,
 		Log:           os.Stderr,
 	})
 	defer d.Close()

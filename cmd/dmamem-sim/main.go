@@ -27,12 +27,6 @@
 //	  -channels N        memory channels (0 = legacy single-channel)
 //	  -stripe-pages N    pages per channel stripe (with -channels)
 //	  -channel-bw B      per-channel bandwidth cap, bytes/s (with -channels)
-//
-// With -shard-worker the command instead serves one sweep-shard
-// session on stdin/stdout (see the shard protocol in
-// internal/experiments); with -shard-listen addr it serves shard
-// sessions over TCP until interrupted. Both make any machine with the
-// binary usable as a worker for a sharded dmamem-bench sweep.
 package main
 
 import (
@@ -69,8 +63,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the -compare pair (1 = sequential)")
 	workers := flag.Int("workers", 1, "most event-loop goroutines inside each simulation; short spans run inline (1 = serial reference engine)")
 	epoch := flag.Duration("epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
-	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
-	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")
 	flag.Parse()
 
 	if err := validateConcurrency(*parallel, *workers); err != nil {
@@ -95,20 +87,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *shardWorker {
-		if err := experiments.ServeShard(ctx, os.Stdin, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *shardListen != "" {
-		err := experiments.ListenAndServeShards(ctx, *shardListen, os.Stderr)
-		if err != nil && ctx.Err() == nil {
-			fatal(err)
-		}
-		return
-	}
 
 	s := dmamem.Simulation{
 		CPLimit: *cpLimit, PLGroups: *groups, MemoryTech: tech,

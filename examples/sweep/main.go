@@ -3,13 +3,10 @@
 // memory rate stays at 3.2 GB/s while the I/O bus generation varies
 // from PCI-X up to a hypothetical bus as fast as the memory itself.
 //
-// The bus points form a Figure 10 grid (internal/experiments), so the
-// same enumeration runs three ways with identical printed bytes:
-// in-process across -parallel worker goroutines, sharded across
-// -shards worker processes (re-executions of this binary), or against
-// remote -shard-addrs TCP workers. Each point lands in its
+// The bus points form a Figure 10 grid (internal/experiments) run
+// across -parallel worker goroutines. Each point lands in its
 // pre-assigned slot and the table prints in sweep order, which is
-// what makes the output independent of how the work was spread out.
+// what makes the output independent of the goroutine count.
 package main
 
 import (
@@ -20,7 +17,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -31,25 +27,16 @@ import (
 
 func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the sweep (1 = sequential)")
-	shards := flag.Int("shards", 0, "run the sweep across N worker processes (0 = in-process)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated TCP addresses of shard workers (default: spawn local subprocesses)")
-	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *shardWorker {
-		if err := experiments.ServeShard(ctx, os.Stdin, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	// Suite seed 0 makes the suite's Synthetic-St workload (generator
 	// seed = suite seed + 1) the same trace the public API builds with
 	// Seed 1 — the header summary below describes exactly what runs.
-	spec := experiments.SuiteSpec{Duration: 40 * sim.Millisecond, Seed: 0}
+	s := experiments.NewSuite(40*sim.Millisecond, 0)
+	s.Runner = experiments.NewRunner(*parallel)
 
 	tr, err := dmamem.SyntheticStorageTrace(dmamem.SyntheticOptions{
 		Duration: 40 * time.Millisecond,
@@ -79,27 +66,7 @@ func main() {
 		gs.BusBW = append(gs.BusBW, b.bw)
 	}
 
-	var pts []experiments.SweepPoint
-	if *shards > 0 || *shardAddrs != "" {
-		coord := &experiments.Coordinator{Shards: *shards, Parallel: *parallel}
-		if *shardAddrs != "" {
-			coord.Addrs = strings.Split(*shardAddrs, ",")
-			if coord.Shards == 0 {
-				coord.Shards = len(coord.Addrs) // one slice per worker by default
-			}
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				log.Fatal(err)
-			}
-			coord.WorkerCommand = []string{exe, "-shard-worker"}
-		}
-		pts, err = experiments.ShardedGrid[experiments.SweepPoint](ctx, coord, spec, gs)
-	} else {
-		s := experiments.NewSuiteFromSpec(spec)
-		s.Runner = experiments.NewRunner(*parallel)
-		pts, err = experiments.GridRun[experiments.SweepPoint](ctx, s, gs)
-	}
+	pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, gs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,9 +42,7 @@ const (
 // flows or pending processor work stay in the dirty set and are
 // charged at every accountAll instant — their spans need the same
 // boundaries as a full scan because rates, remainders, slack credits
-// and the processor-work clamp all depend on per-span values. The
-// dirty set is kept sorted by chip ID so that order-sensitive global
-// float accumulation (the TA slack credit) happens in full-scan order.
+// and the processor-work clamp all depend on per-span values.
 
 // accountAll charges the span since the last accounting instant:
 // serving time from the fluid rates, accumulated processor service,
@@ -86,10 +84,6 @@ func (c *Controller) markDirty(cs *chipState) {
 	}
 	cs.dirty = true
 	c.dirtyChips = append(c.dirtyChips, cs)
-	// Insertion sort by chip ID; the set is small and insertions rare.
-	for i := len(c.dirtyChips) - 1; i > 0 && c.dirtyChips[i-1].chip.ID > cs.chip.ID; i-- {
-		c.dirtyChips[i-1], c.dirtyChips[i] = c.dirtyChips[i], c.dirtyChips[i-1]
-	}
 }
 
 // settle charges a resident-Active chip up to now. Dirty chips are

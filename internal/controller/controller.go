@@ -241,9 +241,9 @@ type Controller struct {
 	// time.
 	complAt sim.Time
 
-	// Dirty-set accounting state (see account.go). dirtyChips is kept
-	// sorted by chip ID; lastAccount is the instant of the last global
-	// accountAll.
+	// Dirty-set accounting state (see account.go). dirtyChips holds
+	// chips in the order they became dirty; lastAccount is the instant
+	// of the last global accountAll.
 	dirtyChips  []*chipState
 	lastAccount sim.Time
 

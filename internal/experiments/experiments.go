@@ -389,7 +389,7 @@ type Fig5Point struct {
 // The grid — one run per (workload, scheme, CP-Limit), each scored
 // against its workload's cached single-flight baseline — executes on
 // the suite's Runner and is reassembled in sweep order; `GridFig5`
-// names the same grid for sharded execution (see Coordinator).
+// names the same grid for service jobs.
 func (s *Suite) Fig5(ctx context.Context, cpLimits []float64, groups []int) ([]Fig5Point, error) {
 	return GridRun[Fig5Point](ctx, s, GridSpec{Name: GridFig5, CPLimits: cpLimits, Groups: groups})
 }

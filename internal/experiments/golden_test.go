@@ -14,7 +14,6 @@ import (
 
 	"dmamem/internal/core"
 	"dmamem/internal/energy"
-	"dmamem/internal/metrics"
 	"dmamem/internal/sim"
 )
 
@@ -204,9 +203,8 @@ func TestGoldenTechReports(t *testing.T) {
 	}
 }
 
-// fig10ChannelsSpec is the multi-channel sweep slice the sharded
-// golden pins: one workload and bus bandwidth, swept over 1/2/4
-// channels.
+// fig10ChannelsSpec is the multi-channel sweep slice the golden
+// pins: one workload and bus bandwidth, swept over 1/2/4 channels.
 func fig10ChannelsSpec() GridSpec {
 	return GridSpec{
 		Name:      GridFig10,
@@ -217,26 +215,26 @@ func fig10ChannelsSpec() GridSpec {
 }
 
 // TestGoldenMultiChannelSweep pins the multi-channel figure 10 points
-// against the corpus and proves the sharded executor reproduces them
-// byte-identically at 1, 2 and 4 shards — topology serialized through
-// the shard protocol included. Running under -race in CI makes this
-// the "golden corpus passes under -race at shards 1/2/4" gate.
+// against the corpus and proves the runner reproduces them at 2 and 4
+// goroutines, whose slice-strided dispatch starts the points out of
+// grid order. Running under -race in CI makes this the "golden corpus
+// passes under -race at parallel 1/2/4" gate.
 func TestGoldenMultiChannelSweep(t *testing.T) {
-	s := goldenSuite()
 	spec := fig10ChannelsSpec()
-	want, err := GridRun[SweepPoint](ctx, s, spec)
+	want, err := GridRun[SweepPoint](ctx, goldenSuite(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeOrCompareGolden(t, goldenPath(t, "fig10_channels.json"), want)
-	for _, shards := range []int{1, 2, 4} {
-		c := &Coordinator{Shards: shards, Timings: &metrics.Timings{}, dial: pipeDial(t)}
-		got, err := ShardedGrid[SweepPoint](ctx, c, s.Spec(), spec)
+	for _, parallel := range []int{2, 4} {
+		s := goldenSuite()
+		s.Runner = NewRunner(parallel)
+		got, err := GridRun[SweepPoint](ctx, s, spec)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: sharded multi-channel points differ\ngot  %+v\nwant %+v", shards, got, want)
+			t.Errorf("parallel=%d: multi-channel points differ\ngot  %+v\nwant %+v", parallel, got, want)
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"dmamem/internal/synth"
 )
 
-// SuiteSpec is the serializable shape of a Suite: everything a worker
-// process needs to reconstruct the exact experiment configuration.
+// SuiteSpec is the serializable shape of a Suite: everything a
+// service job needs to reconstruct the exact experiment configuration.
 // Every field round-trips through JSON without loss, so a Suite built
-// from a spec produces bit-identical simulations in any process.
+// from a decoded spec produces bit-identical simulations.
 type SuiteSpec struct {
 	// Duration of generated traces (sim.Duration, picoseconds).
 	Duration sim.Duration
@@ -37,7 +37,7 @@ func (s *Suite) Spec() SuiteSpec {
 }
 
 // NewSuiteFromSpec builds a suite from a serialized spec. Workloads
-// and baselines are generated lazily and cached per process.
+// and baselines are generated lazily and cached per suite.
 func NewSuiteFromSpec(sp SuiteSpec) *Suite {
 	s := NewSuite(sp.Duration, sp.Seed)
 	s.DbDuration = sp.DbDuration
@@ -58,18 +58,17 @@ const (
 	// GridFig10 sweeps I/O bus bandwidth (BusBW) over Workloads.
 	GridFig10 = "fig10"
 	// GridNoop yields Points trivial results without running any
-	// simulation. It exists to measure the shard protocol itself:
-	// BenchmarkShardedSweep uses it to expose coordinator overhead per
-	// sweep point.
+	// simulation, so what a grid job costs beyond its simulations
+	// (admission, dispatch, serialization) can be measured alone.
 	GridNoop = "noop"
 )
 
 // GridSpec names a grid of independent sweep points and its
 // parameters. A spec is pure data: the same spec resolved against
 // suites built from the same SuiteSpec enumerates the same points in
-// the same order in every process, which is what lets a coordinator
-// partition work by point index and reassemble results
-// deterministically.
+// the same order, so a grid submitted to the service as JSON runs
+// exactly the points the CLI runs, and reassembling results by point
+// index keeps them deterministic.
 type GridSpec struct {
 	// Name selects the grid (GridFig5, GridFig8, ...).
 	Name string
@@ -119,8 +118,8 @@ type resolvedGrid struct {
 
 // resolveGrid turns a spec into its runnable form. Resolution is
 // cheap and deterministic — no traces are generated until a point
-// runs — so coordinators resolve grids locally just to size and label
-// the partition.
+// runs — so the service resolves grids at admission just to validate
+// and size them.
 func (s *Suite) resolveGrid(gs GridSpec) (*resolvedGrid, error) {
 	switch gs.Name {
 	case GridFig5:
@@ -150,17 +149,15 @@ func (s *Suite) resolveGrid(gs GridSpec) (*resolvedGrid, error) {
 	return nil, fmt.Errorf("experiments: unknown grid %q", gs.Name)
 }
 
-// GridRun resolves and executes a grid in-process on the suite's
-// Runner and returns the points in grid order. The output is
-// byte-identical to a sharded run of the same spec at any shard count
-// (see Coordinator): both enumerate the same points and reassemble
-// them by index.
+// GridRun resolves and executes a grid on the suite's Runner and
+// returns the points in grid order. Every point writes its own slot,
+// so the output is byte-identical at any Runner parallelism.
 func GridRun[T any](ctx context.Context, s *Suite, gs GridSpec) ([]T, error) {
 	g, err := s.resolveGrid(gs)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := runGrid(ctx, s.Runner, g)
+	vals, err := runGrid(ctx, s.Runner, g, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +173,10 @@ func GridRun[T any](ctx context.Context, s *Suite, gs GridSpec) ([]T, error) {
 }
 
 // runGrid fans the grid's points across the runner, each writing its
-// own slot, and returns the values in point order.
-func runGrid(ctx context.Context, r *Runner, g *resolvedGrid) ([]any, error) {
+// own slot, and returns the values in point order. onPoint, when
+// non-nil, is called after each finished point, from the goroutine
+// that ran it.
+func runGrid(ctx context.Context, r *Runner, g *resolvedGrid, onPoint func(i int, label string)) ([]any, error) {
 	out := make([]any, g.n)
 	jobs := make([]Job, g.n)
 	for i := 0; i < g.n; i++ {
@@ -190,6 +189,9 @@ func runGrid(ctx context.Context, r *Runner, g *resolvedGrid) ([]any, error) {
 			}
 			job.Events = events
 			out[i] = v
+			if onPoint != nil {
+				onPoint(i, job.Label)
+			}
 			return nil
 		}}
 	}
@@ -201,9 +203,9 @@ func runGrid(ctx context.Context, r *Runner, g *resolvedGrid) ([]any, error) {
 
 // baseEntry is the single-flight slot for one workload's baseline
 // run, mirroring the workload cache: sweeps over the same workload
-// share one baseline simulation per process, and because the baseline
-// is a pure function of (config, trace) every process computes the
-// same report bit for bit.
+// share one baseline simulation per suite, and because the baseline
+// is a pure function of (config, trace) it is the same report bit for
+// bit whichever point computes it.
 type baseEntry struct {
 	once sync.Once
 	res  *core.Result

@@ -240,9 +240,9 @@ func RunReport(ctx context.Context, sp ReportSpec) (*metrics.Report, error) {
 
 // ValidateGrid resolves a grid spec against a suite spec without
 // running anything and returns the point count — the service's
-// admission-time validation, reusing the same resolveGrid the sharded
-// executor trusts, so a typo'd grid name or technology fails the
-// submission loudly instead of a worker mid-sweep.
+// admission-time validation, reusing the same resolveGrid the run
+// uses, so a typo'd grid name or technology fails the submission
+// loudly instead of a point mid-sweep.
 func ValidateGrid(sp SuiteSpec, gs GridSpec) (int, error) {
 	g, err := NewSuiteFromSpec(sp).resolveGrid(gs)
 	if err != nil {
@@ -251,41 +251,24 @@ func ValidateGrid(sp SuiteSpec, gs GridSpec) (int, error) {
 	return g.n, nil
 }
 
-// GridRunRaw resolves and executes a grid in-process and returns each
-// point's compact JSON — exactly the bytes a shard worker would have
-// streamed for the same point, so the service's in-process and
-// coordinator-backed grid paths produce byte-identical results.
-// onPoint, when non-nil, is called after each finished point (from
-// the worker goroutine that ran it) for progress reporting.
+// GridRunRaw resolves and executes a grid like GridRun and returns
+// each point's compact JSON, in grid order, for the service's result
+// bytes. onPoint, when non-nil, is called after each finished point
+// (from the goroutine that ran it) for progress reporting.
 func GridRunRaw(ctx context.Context, s *Suite, gs GridSpec, onPoint func(i int, label string)) ([]json.RawMessage, error) {
 	g, err := s.resolveGrid(gs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]json.RawMessage, g.n)
-	jobs := make([]Job, g.n)
-	for i := 0; i < g.n; i++ {
-		i := i
-		job := &jobs[i]
-		*job = Job{Label: g.label(i), Run: func(ctx context.Context) error {
-			v, events, err := g.run(ctx, i)
-			if err != nil {
-				return err
-			}
-			job.Events = events
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			out[i] = b
-			if onPoint != nil {
-				onPoint(i, g.label(i))
-			}
-			return nil
-		}}
-	}
-	if err := s.Runner.Do(ctx, jobs); err != nil {
+	vals, err := runGrid(ctx, s.Runner, g, onPoint)
+	if err != nil {
 		return nil, err
+	}
+	out := make([]json.RawMessage, len(vals))
+	for i, v := range vals {
+		if out[i], err = json.Marshal(v); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

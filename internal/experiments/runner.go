@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -84,8 +85,18 @@ func (r *Runner) runOne(ctx context.Context, j *Job) error {
 // Do executes the jobs across the worker pool and returns the first
 // error in job order (not completion order), so error reporting is as
 // deterministic as the results. When a job fails, the context passed
-// to the remaining jobs is canceled and unstarted jobs are skipped.
-// A canceled parent context is returned as-is when no job failed.
+// to the remaining jobs is canceled and unstarted jobs are skipped; a
+// job that merely returns that cancellation is not a failure of its
+// own, so it cannot mask the error that caused it. A canceled parent
+// context is returned as-is when no job failed.
+//
+// With W workers over n jobs, the pool starts jobs slice-strided:
+// jobs 0, n/W, 2n/W, … first, then 1, n/W+1, …, as if the list were
+// cut into W contiguous slices run side by side. Sweep grids list
+// neighbouring points over the same workload, which share one
+// single-flight trace and baseline; in list order every worker would
+// start on one workload and wait for the same baseline, while strided
+// workers start on different ones.
 func (r *Runner) Do(ctx context.Context, jobs []Job) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -114,11 +125,18 @@ func (r *Runner) Do(ctx context.Context, jobs []Job) error {
 	next := make(chan int)
 	go func() {
 		defer close(next)
-		for i := range jobs {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
+		n := len(jobs)
+		for off := 0; off < (n+workers-1)/workers; off++ {
+			for k := 0; k < workers; k++ {
+				i := k*n/workers + off
+				if i >= (k+1)*n/workers {
+					continue // slice k is shorter by one
+				}
+				select {
+				case next <- i:
+				case <-ctx.Done():
+					return
+				}
 			}
 		}
 	}()
@@ -132,7 +150,8 @@ func (r *Runner) Do(ctx context.Context, jobs []Job) error {
 				if ctx.Err() != nil {
 					return
 				}
-				if err := r.runOne(ctx, &jobs[i]); err != nil {
+				err := r.runOne(ctx, &jobs[i])
+				if err != nil && (ctx.Err() == nil || !errors.Is(err, ctx.Err())) {
 					errs[i] = err
 					cancel()
 				}

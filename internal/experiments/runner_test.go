@@ -3,7 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -123,5 +126,78 @@ func TestRunnerRecordsTimings(t *testing.T) {
 	}
 	if got := r.Timings.Count(); got != len(jobs) {
 		t.Fatalf("recorded %d timings, want %d", got, len(jobs))
+	}
+}
+
+// TestRunnerSliceStridedDispatch pins the dispatch order: with W
+// workers over n jobs the first W jobs to start are exactly
+// {k*n/W : k < W}, the heads of W contiguous slices. The first wave
+// holds at a gate until all W have started, so no worker takes a
+// second job before the wave is recorded. The reported error is then
+// still the lowest-indexed failure, not the first to happen, and a
+// job that only returns the cancellation a failure caused masks
+// nothing.
+func TestRunnerSliceStridedDispatch(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{20, 4}, {22, 4}, {21, 3}, {9, 3}} {
+		t.Run(fmt.Sprintf("n=%d/W=%d", tc.n, tc.workers), func(t *testing.T) {
+			want := make([]int, tc.workers)
+			for k := range want {
+				want[k] = k * tc.n / tc.workers
+			}
+			var (
+				mu      sync.Mutex
+				started []int
+				gate    = make(chan struct{})
+			)
+			// wave reports whether the first W starts are the strided
+			// heads; only then do the heads play their failure roles,
+			// so a wrong order fails the test instead of hanging it.
+			wave := func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				got := slices.Clone(started[:tc.workers])
+				slices.Sort(got)
+				return slices.Equal(got, want)
+			}
+			late, early := errors.New("late failure"), errors.New("early failure")
+			jobs := make([]Job, tc.n)
+			for i := range jobs {
+				i := i
+				jobs[i] = Job{Label: fmt.Sprintf("job-%d", i), Run: func(ctx context.Context) error {
+					mu.Lock()
+					started = append(started, i)
+					first := len(started) <= tc.workers
+					if len(started) == tc.workers {
+						close(gate)
+					}
+					mu.Unlock()
+					if !first {
+						return nil
+					}
+					<-gate
+					if !wave() {
+						return nil
+					}
+					switch i {
+					case want[0]: // echoes the cancellation only
+						<-ctx.Done()
+						return ctx.Err()
+					case want[1]: // fails last, but ranks first
+						<-ctx.Done()
+						return late
+					case want[tc.workers-1]: // fails first
+						return early
+					}
+					return nil
+				}}
+			}
+			err := NewRunner(tc.workers).Do(ctx, jobs)
+			if !wave() {
+				t.Fatalf("first %d jobs started = %v, want %v", tc.workers, started[:tc.workers], want)
+			}
+			if label := fmt.Sprintf("job-%d: ", want[1]); !errors.Is(err, late) || !strings.HasPrefix(err.Error(), label) {
+				t.Errorf("err = %v, want %q from %s", err, late, label)
+			}
+		})
 	}
 }

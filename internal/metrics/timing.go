@@ -79,33 +79,6 @@ func (t *Timings) AllocsPerEvent() float64 {
 	return float64(allocs) / float64(ev)
 }
 
-// Merge folds job timings recorded by another process into t,
-// deduplicating by label: a label already present keeps the larger
-// wall time instead of gaining a second entry. Shard workers each
-// record process-local jobs (including per-workload baselines that
-// several shards may compute independently), so a coordinator merging
-// worker reports would otherwise double-count those shared jobs.
-// Keeping max(wall) is commutative and associative, so the merged
-// state is independent of worker completion order.
-func (t *Timings) Merge(jobs []JobTiming) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx := make(map[string]int, len(t.jobs))
-	for i, j := range t.jobs {
-		idx[j.Label] = i
-	}
-	for _, j := range jobs {
-		if i, ok := idx[j.Label]; ok {
-			if j.Wall > t.jobs[i].Wall {
-				t.jobs[i] = j
-			}
-			continue
-		}
-		idx[j.Label] = len(t.jobs)
-		t.jobs = append(t.jobs, j)
-	}
-}
-
 // Count returns the number of recorded jobs.
 func (t *Timings) Count() int {
 	t.mu.Lock()

@@ -43,62 +43,6 @@ func TestTimingsJobsSorted(t *testing.T) {
 	}
 }
 
-func TestTimingsMerge(t *testing.T) {
-	// Two worker processes report overlapping job sets: the shared
-	// baseline must appear once (larger wall kept), disjoint jobs must
-	// all survive, and the merged state must not depend on which
-	// worker reported first.
-	worker1 := []JobTiming{
-		{Label: "baseline/OLTP-St", Wall: 5 * time.Millisecond, Events: 100},
-		{Label: "fig5/a", Wall: time.Millisecond, Events: 10},
-	}
-	worker2 := []JobTiming{
-		{Label: "baseline/OLTP-St", Wall: 7 * time.Millisecond, Events: 100},
-		{Label: "fig5/b", Wall: 2 * time.Millisecond, Events: 20},
-	}
-	for name, order := range map[string][][]JobTiming{
-		"1then2": {worker1, worker2},
-		"2then1": {worker2, worker1},
-	} {
-		var tm Timings
-		for _, jobs := range order {
-			tm.Merge(jobs)
-		}
-		jobs := tm.Jobs()
-		if len(jobs) != 3 {
-			t.Fatalf("%s: %d jobs after merge, want 3: %+v", name, len(jobs), jobs)
-		}
-		if jobs[0].Label != "baseline/OLTP-St" || jobs[0].Wall != 7*time.Millisecond {
-			t.Errorf("%s: baseline entry = %+v, want max wall 7ms", name, jobs[0])
-		}
-		if jobs[1].Label != "fig5/a" || jobs[2].Label != "fig5/b" {
-			t.Errorf("%s: disjoint jobs lost: %+v", name, jobs)
-		}
-		if ev := tm.TotalEvents(); ev != 130 {
-			t.Errorf("%s: TotalEvents = %d, want 130 (baseline counted once)", name, ev)
-		}
-	}
-}
-
-func TestTimingsMergeIntoExisting(t *testing.T) {
-	// Merging into an accumulator that already has local entries
-	// dedupes against those too.
-	var tm Timings
-	tm.AddSim("baseline/OLTP-St", 3*time.Millisecond, 100)
-	tm.Add("local", time.Millisecond)
-	tm.Merge([]JobTiming{
-		{Label: "baseline/OLTP-St", Wall: 2 * time.Millisecond, Events: 100},
-		{Label: "remote", Wall: 4 * time.Millisecond},
-	})
-	jobs := tm.Jobs()
-	if len(jobs) != 3 {
-		t.Fatalf("%d jobs, want 3: %+v", len(jobs), jobs)
-	}
-	if jobs[0].Wall != 3*time.Millisecond {
-		t.Errorf("baseline = %+v, want local 3ms kept (incoming smaller)", jobs[0])
-	}
-}
-
 func TestTimingsSpeedup(t *testing.T) {
 	var tm Timings
 	tm.Add("a", 4*time.Second)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"dmamem/internal/experiments"
 	"dmamem/internal/metrics"
@@ -14,7 +13,7 @@ import (
 
 // Config parameterizes a Daemon. The zero value is a runnable
 // single-box service: 2 workers, quota 16 jobs per tenant, a
-// 256-entry result cache, in-process grid execution.
+// 256-entry result cache, grid points run one at a time.
 type Config struct {
 	// Workers is the job-execution fleet size; <= 0 means 2. Each
 	// worker runs one job at a time, so Workers bounds the daemon's
@@ -31,26 +30,11 @@ type Config struct {
 	// disables caching.
 	CacheEntries int
 	// PointParallel is the per-job worker-goroutine budget for
-	// in-process grid jobs; <= 0 means 1 (serial, the reference).
+	// grid jobs; <= 0 means 1 (serial, the reference).
 	PointParallel int
 	// MaxGridPoints rejects grid jobs resolving to more points at
 	// admission; 0 means 4096, negative means unlimited.
 	MaxGridPoints int
-	// ShardAddrs, when non-empty, fans every grid job's points out to
-	// these TCP shard workers (experiments.ListenAndServeShards)
-	// through the retrying Coordinator instead of running them
-	// in-process.
-	ShardAddrs []string
-	// Shards is the slice count for sharded grid jobs; 0 means
-	// len(ShardAddrs).
-	Shards int
-	// ShardTimeout bounds one shard slice attempt (Coordinator
-	// semantics); 0 means no limit.
-	ShardTimeout time.Duration
-	// ShardRetries is the Coordinator retry budget for slices lost to
-	// transport failures; 0 means the coordinator default, negative
-	// disables retries.
-	ShardRetries int
 	// Log, when non-nil, receives one line per job state change.
 	Log io.Writer
 }
@@ -70,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGridPoints == 0 {
 		c.MaxGridPoints = 4096
-	}
-	if c.Shards == 0 {
-		c.Shards = len(c.ShardAddrs)
 	}
 	return c
 }
@@ -412,8 +393,8 @@ func (d *Daemon) runJob(js *jobState) {
 
 // execute runs the job's work spec and returns the canonical result
 // bytes. Errors are wrapped with the job and tenant identity, so a
-// failure deep in a shard slice still names whose sweep it broke
-// ("job-000007 (tenant acme): ... shard 1/2 (points 3..5): ...").
+// failure deep in a grid point still names whose sweep it broke
+// ("job-000007 (tenant acme): fig5/OLTP-St/dma-ta/cp=0.10: ...").
 func (d *Daemon) execute(js *jobState) ([]byte, error) {
 	var (
 		result []byte
@@ -437,27 +418,10 @@ func (d *Daemon) execute(js *jobState) ([]byte, error) {
 	return result, nil
 }
 
-// executeGrid runs a grid job in-process, or through the TCP shard
-// coordinator when the daemon is configured with a worker fleet. Both
-// paths produce byte-identical canonical point arrays.
+// executeGrid runs a grid job's points on up to PointParallel
+// goroutines and returns the canonical point array.
 func (d *Daemon) executeGrid(js *jobState) ([]byte, error) {
 	gw := js.w.Grid
-	if len(d.cfg.ShardAddrs) > 0 {
-		c := &experiments.Coordinator{
-			Shards:   d.cfg.Shards,
-			Addrs:    d.cfg.ShardAddrs,
-			Timeout:  d.cfg.ShardTimeout,
-			Retries:  d.cfg.ShardRetries,
-			Parallel: d.cfg.PointParallel,
-		}
-		points, err := c.Run(js.ctx, gw.Suite, gw.Grid)
-		if err != nil {
-			return nil, err
-		}
-		d.counters.Add("grid_points", uint64(len(points)))
-		js.event("point", fmt.Sprintf("%d points via %d shard workers", len(points), len(d.cfg.ShardAddrs)))
-		return experiments.CanonicalJSON(points)
-	}
 	s := experiments.NewSuiteFromSpec(gw.Suite)
 	s.Workers = gw.Workers
 	if d.cfg.PointParallel > 1 {

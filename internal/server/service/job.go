@@ -2,17 +2,14 @@
 // long-running HTTP/JSON daemon (cmd/dmamem-serve) that accepts
 // validated Simulation/GridSpec job submissions from tenants,
 // schedules them on a bounded worker fleet with admission control and
-// per-tenant weighted fair queueing, optionally fans grid points out
-// to TCP shard workers through the experiments.Coordinator, caches
-// completed results keyed by a canonical config hash, and streams
-// per-job progress events.
+// per-tenant weighted fair queueing, caches completed results keyed
+// by a canonical config hash, and streams per-job progress events.
 //
 // Results are bit-stable: a report job's response is the golden-corpus
 // serialization of its metrics.Report (byte-identical to
 // internal/experiments/testdata/golden/ for the default suite), and a
-// grid job's points are exactly the bytes a shard worker would
-// stream, so in-process and coordinator-backed execution agree byte
-// for byte. That stability is what makes the result cache sound: two
+// grid job's points are the same bytes at any point parallelism.
+// That stability is what makes the result cache sound: two
 // submissions that normalize to the same canonical spec share one
 // answer.
 package service
@@ -127,7 +124,7 @@ type work struct {
 }
 
 // gridWork pairs a grid with the suite it resolves against, plus the
-// engine workers knob for the in-process path.
+// engine workers knob every point's simulation runs with.
 type gridWork struct {
 	Suite   experiments.SuiteSpec
 	Grid    experiments.GridSpec
