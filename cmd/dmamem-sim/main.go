@@ -93,6 +93,9 @@ func main() {
 		Channels: *channels, ChannelStripePages: *stripePages, ChannelBandwidth: *channelBW,
 		Workers: engineWorkers(*workers), BarrierEpoch: *epoch, Technique: technique,
 	}
+	if err := s.Validate(); err != nil {
+		badFlags(err)
+	}
 	var tr *dmamem.Trace
 	if *traceFile != "" && isDMT(*traceFile) {
 		// Stream the container from disk: the report is bit-identical

@@ -174,10 +174,11 @@ func TestParseScheme(t *testing.T) {
 }
 
 // TestBadFlagsExitBeforeWork runs the command itself (this test binary
-// re-executed as dmamem-sim): generator flags beside -trace and an
-// unknown -scheme must exit 2 naming the flag, before a trace is
-// generated or read (nothing on stdout; the -trace path need not
-// exist).
+// re-executed as dmamem-sim): generator flags beside -trace, an
+// unknown -scheme and a simulation Validate rejects (too many groups,
+// a non-finite float) must exit 2 naming the flag or field, before a
+// trace is generated or read (nothing on stdout; the -trace path need
+// not exist).
 func TestBadFlagsExitBeforeWork(t *testing.T) {
 	if args := os.Getenv("DMAMEM_SIM_ARGS"); args != "" {
 		os.Args = append([]string{"dmamem-sim"}, strings.Fields(args)...)
@@ -185,8 +186,12 @@ func TestBadFlagsExitBeforeWork(t *testing.T) {
 		os.Exit(0)
 	}
 	for args, want := range map[string]string{
-		"-trace missing.dmt -seed 7": "so -seed would be ignored",
-		"-scheme bogus":              `unknown -scheme "bogus"`,
+		"-trace missing.dmt -seed 7":  "so -seed would be ignored",
+		"-scheme bogus":               `unknown -scheme "bogus"`,
+		"-groups 200":                 "PLGroups 200 out of range",
+		"-cp-limit NaN":               "CPLimit NaN is not a finite number",
+		"-cp-limit +Inf":              "CPLimit +Inf is not a finite number",
+		"-channels 4 -channel-bw NaN": "ChannelBandwidth NaN is not a finite number",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitBeforeWork$")
 		cmd.Env = append(os.Environ(), "DMAMEM_SIM_ARGS="+args)

@@ -34,6 +34,7 @@ package dmamem
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -84,8 +85,9 @@ func (t Technique) String() string {
 // buses, dynamic threshold power management, interleaved page layout.
 //
 // On every field the zero value selects the documented default; any
-// other out-of-range value is a loud error from Validate (which Run
-// and Compare call first), never a silent fallback.
+// other out-of-range value, NaN and ±Inf included, is a loud error
+// from Validate (which Run and Compare call first), never a silent
+// fallback.
 type Simulation struct {
 	// Technique to apply. The zero value is Baseline.
 	Technique Technique
@@ -97,7 +99,8 @@ type Simulation struct {
 	CPLimit float64
 	// PLGroups is the number of popularity groups including the cold
 	// group. Zero selects the paper's best setting, 2; set values must
-	// be at least 2 (a hot and a cold group).
+	// be at least 2 (a hot and a cold group) and at most
+	// layout.MaxGroups (129).
 	PLGroups int
 	// PLHotShare is the fraction of DMA requests the hot chips are
 	// sized to absorb. Zero selects the default 0.6; set values must
@@ -184,14 +187,22 @@ func (s Simulation) Validate() error {
 	if s.Technique < Baseline || s.Technique > NoPowerManagement {
 		return fmt.Errorf("dmamem: unknown technique %d", int(s.Technique))
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"CPLimit", s.CPLimit}, {"PLHotShare", s.PLHotShare}, {"BusBandwidth", s.BusBandwidth}, {"ChannelBandwidth", s.ChannelBandwidth}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("dmamem: %s %v is not a finite number", f.name, f.v)
+		}
+	}
 	if s.CPLimit < 0 {
 		return fmt.Errorf("dmamem: negative CPLimit %v", s.CPLimit)
 	}
 	if (s.Technique == TemporalAlignment || s.Technique == TemporalAlignmentWithLayout) && s.CPLimit == 0 {
 		return fmt.Errorf("dmamem: %v needs a positive CPLimit", s.Technique)
 	}
-	if s.PLGroups != 0 && s.PLGroups < 2 {
-		return fmt.Errorf("dmamem: PLGroups %d out of range: a layout needs a hot and a cold group (>= 2); 0 selects the default 2", s.PLGroups)
+	if s.PLGroups != 0 && (s.PLGroups < 2 || s.PLGroups > layout.MaxGroups) {
+		return fmt.Errorf("dmamem: PLGroups %d out of range 2..%d: a layout needs a hot and a cold group; 0 selects the default 2", s.PLGroups, layout.MaxGroups)
 	}
 	if s.PLHotShare != 0 && (s.PLHotShare < 0 || s.PLHotShare >= 1) {
 		return fmt.Errorf("dmamem: PLHotShare %v outside (0,1); 0 selects the default 0.6", s.PLHotShare)

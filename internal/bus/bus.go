@@ -16,6 +16,7 @@ package bus
 
 import (
 	"fmt"
+	"math"
 
 	"dmamem/internal/sim"
 )
@@ -41,8 +42,8 @@ func (c Config) Validate() error {
 	if c.Count <= 0 {
 		return fmt.Errorf("bus: Count must be positive, got %d", c.Count)
 	}
-	if c.Bandwidth <= 0 {
-		return fmt.Errorf("bus: Bandwidth must be positive, got %g", c.Bandwidth)
+	if !(c.Bandwidth > 0) || math.IsInf(c.Bandwidth, 0) {
+		return fmt.Errorf("bus: Bandwidth must be positive and finite, got %g", c.Bandwidth)
 	}
 	return nil
 }

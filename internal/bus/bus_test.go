@@ -34,8 +34,10 @@ func TestConfigValidate(t *testing.T) {
 	if (Config{Count: 0, Bandwidth: 1}).Validate() == nil {
 		t.Error("zero count accepted")
 	}
-	if (Config{Count: 1, Bandwidth: 0}).Validate() == nil {
-		t.Error("zero bandwidth accepted")
+	for _, bw := range []float64{0, math.NaN(), math.Inf(1)} {
+		if (Config{Count: 1, Bandwidth: bw}).Validate() == nil {
+			t.Errorf("bandwidth %v accepted", bw)
+		}
 	}
 }
 

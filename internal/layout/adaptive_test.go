@@ -1,12 +1,63 @@
 package layout
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"dmamem/internal/memsys"
 )
+
+// refSortByPopularity is the comparison sort the radix-sorted keys of
+// sortByCount must agree with: count descending, page ID ascending.
+func refSortByPopularity(pages []int32, counts []uint32) {
+	slices.SortFunc(pages, func(a, b int32) int {
+		if counts[a] != counts[b] {
+			return cmp.Compare(counts[b], counts[a])
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// TestSortByCountMatchesComparisonSort checks the radix sort in both
+// directions against the comparison sort, on page subsets whose counts
+// span from a few bits (most key bytes constant and skipped) to the
+// full 31-bit saturation range.
+func TestSortByCountMatchesComparisonSort(t *testing.T) {
+	m, err := New(memsys.Default(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, maxCount := range []int64{2, 300, 70000, 1 << 31} {
+		for _, n := range []int{0, 1, 2, 17, 850, 4484} {
+			for p := range m.counts {
+				m.counts[p] = uint32(rng.Int63n(maxCount))
+			}
+			pages := make([]int32, n)
+			for i, p := range rng.Perm(len(m.counts))[:n] {
+				pages[i] = int32(p)
+			}
+
+			hot := slices.Clone(pages)
+			m.sortByCount(hot, true)
+			want := slices.Clone(pages)
+			refSortByPopularity(want, m.counts)
+			if !slices.Equal(hot, want) {
+				t.Fatalf("counts < %d, %d pages: hottest-first order differs from the comparison sort", maxCount, len(pages))
+			}
+			cold := slices.Clone(pages)
+			m.sortByCount(cold, false)
+			slices.SortFunc(want, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(m.counts[a], m.counts[b]), cmp.Compare(a, b))
+			})
+			if !slices.Equal(cold, want) {
+				t.Fatalf("counts < %d, %d pages: coldest-first order differs from the comparison sort", maxCount, len(pages))
+			}
+		}
+	}
+}
 
 // fullOrder sorts every page by popularity (ties by page ID) and
 // returns the prefix with nonzero counts: the order a scan of the
@@ -17,7 +68,7 @@ func (m *Manager) fullOrder() []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sortByPopularity(order, m.counts)
+	refSortByPopularity(order, m.counts)
 	n := len(order)
 	for n > 0 && m.counts[order[n-1]] == 0 {
 		n--
@@ -25,13 +76,37 @@ func (m *Manager) fullOrder() []int32 {
 	return order[:n]
 }
 
+// evictTopDown is the reference eviction walk the hot-resident index
+// replaced: for each hot group it tests every page ID from the top of
+// the dataset down, zero-count pages on any chip included, then falls
+// back to the live pages in reverse popularity order.
+func evictTopDown(m *Manager, g, deficit int, liveOrder []int32, busy func(memsys.PageID) bool) {
+	for p := int32(len(m.counts)) - 1; p >= 0 && deficit > 0; p-- {
+		if m.counts[p] == 0 && m.tryEvict(p, g, busy) {
+			deficit--
+		}
+	}
+	for i := len(liveOrder) - 1; i >= 0 && deficit > 0; i-- {
+		if m.tryEvict(liveOrder[i], g, busy) {
+			deficit--
+		}
+	}
+}
+
 // driveChecked runs an Observe/Rebalance schedule through one manager
 // and, before every rebalance, fails unless the popularity-sorted live
 // set equals the full popularity order of the nonzero-count pages —
-// the one input of Rebalance a full-population scan would change.
+// the one input of Rebalance a full-population scan would change. A
+// second manager replays the schedule with the reference top-down
+// eviction walk; after every rebalance both must have placed every
+// page on the same chip.
 func driveChecked(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epochs int, withBusy bool) {
 	t.Helper()
 	m, err := New(geo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(geo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +126,7 @@ func driveChecked(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epo
 				p = rng.Intn(pages)
 			}
 			m.Observe(memsys.PageID(p))
+			ref.Observe(memsys.PageID(p))
 		}
 
 		// Gather the live set as Rebalance will, then put it back:
@@ -58,7 +134,7 @@ func driveChecked(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epo
 		want := m.fullOrder()
 		scanned := m.ScannedChips
 		live := m.gatherLive()
-		sortByPopularity(live, m.counts)
+		m.sortByCount(live, true)
 		if !slices.Equal(live, want) {
 			t.Fatalf("epoch %d: sorted live set (%d pages) differs from the full popularity order of the nonzero-count pages (%d pages)\nlive: %v\nfull: %v",
 				epoch, len(live), len(want), live, want)
@@ -71,9 +147,17 @@ func driveChecked(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epo
 			e := epoch
 			busy = func(p memsys.PageID) bool { return (int(p)+e)%7 == 0 }
 		}
-		m.Rebalance(busy)
+		moves := m.Rebalance(busy)
 		if err := m.checkInvariants(); err != nil {
 			t.Fatalf("epoch %d: invariants: %v", epoch, err)
+		}
+		if refMoves := ref.rebalance(busy, evictTopDown); refMoves != moves {
+			t.Fatalf("epoch %d: indexed eviction moved %d pages, reference walk %d", epoch, moves, refMoves)
+		}
+		for p := range m.loc {
+			if m.loc[p] != ref.loc[p] {
+				t.Fatalf("epoch %d: page %d on chip %d, reference walk put it on chip %d", epoch, p, m.loc[p], ref.loc[p])
+			}
 		}
 	}
 	if m.MigratedPages == 0 {
@@ -83,7 +167,9 @@ func driveChecked(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epo
 
 // TestAdaptiveMatchesFullScan is the live-set contract: across many
 // epochs of a drifting workload, the adaptive scan hands Rebalance
-// exactly the page order a scan of every page would.
+// exactly the page order a scan of every page would, and the eviction
+// walk over the hot-resident index places every page where the
+// top-down reference walk does.
 func TestAdaptiveMatchesFullScan(t *testing.T) {
 	cases := []struct {
 		name string
@@ -223,4 +309,55 @@ func TestRebalanceZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkRebalance times one rebalance at the default geometry (32
+// chips x 4,096 pages) under a drifting hot set: each interval sends
+// 80% of about 2,000 references to a 1,024-page window that shifts by
+// 509 pages per interval, the rest uniformly over the dataset. The
+// Observe calls that precede each rebalance run with the timer
+// stopped, so ns/op and allocs/op are per rebalance.
+func BenchmarkRebalance(b *testing.B) {
+	geo := memsys.Default()
+	m, err := New(geo, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pages := geo.TotalPages()
+	epochs := make([][]memsys.PageID, 32)
+	for e := range epochs {
+		base := e * 509
+		n := 1500 + rng.Intn(1000)
+		for i := 0; i < n; i++ {
+			p := rng.Intn(pages)
+			if rng.Intn(10) < 8 {
+				p = (base + rng.Intn(1024)) % pages
+			}
+			epochs[e] = append(epochs[e], memsys.PageID(p))
+		}
+	}
+	observe := func(e int) {
+		for _, p := range epochs[e%len(epochs)] {
+			m.Observe(p)
+		}
+	}
+	for e := 0; e < 2*len(epochs); e++ { // grow the scratch to the cycle's largest exchange
+		observe(e)
+		m.Rebalance(nil)
+	}
+	m.ResetCosts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		observe(i)
+		b.StartTimer()
+		m.Rebalance(nil)
+	}
+	b.StopTimer()
+	if m.MigratedPages == 0 && b.N >= len(epochs) {
+		b.Fatal("no page migrated; the benchmark timed no exchange")
+	}
+	b.ReportMetric(float64(m.MigratedPages)/float64(b.N), "moves/op")
 }

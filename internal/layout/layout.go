@@ -13,11 +13,18 @@
 // of moves is bounded by the number of misplaced pages, and each move
 // is charged its copy energy (read from the source chip plus write to
 // the destination at full rate).
+//
+// A rebalance costs the live set and the pages it moves, not the page
+// population. It sorts only the pages with a nonzero aged count, as
+// radix-sorted integer keys. A hot group that must make room finds its
+// zero-count residents through a bitmap of the pages on hot chips, read
+// a word at a time from the top, instead of testing every page ID.
 package layout
 
 import (
-	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"dmamem/internal/energy"
@@ -57,12 +64,17 @@ func DefaultConfig() Config {
 		AgeShift: 1, MigrateRatio: 1, MinHotCount: 2}
 }
 
+// MaxGroups is the largest Groups value: a rebalance records each hot
+// page's target group in one signed byte, so the hot-group indices
+// 0..Groups-2 must not exceed math.MaxInt8.
+const MaxGroups = math.MaxInt8 + 2
+
 // Validate reports a descriptive error for unusable configs.
 func (c Config) Validate() error {
 	switch {
-	case c.Groups < 2:
-		return fmt.Errorf("layout: Groups = %d, need >= 2", c.Groups)
-	case c.HotShare <= 0 || c.HotShare >= 1:
+	case c.Groups < 2 || c.Groups > MaxGroups:
+		return fmt.Errorf("layout: Groups = %d, need 2..%d", c.Groups, MaxGroups)
+	case !(c.HotShare > 0 && c.HotShare < 1):
 		return fmt.Errorf("layout: HotShare = %g outside (0,1)", c.HotShare)
 	case c.Interval <= 0:
 		return fmt.Errorf("layout: Interval = %v", c.Interval)
@@ -97,20 +109,30 @@ type Manager struct {
 	live        [][]int32
 	liveScratch []int32
 
+	// Hot-resident index: bit p of hot is set iff page p sits on one of
+	// the chips [0, hotBound), the hot chips of the last rebalance that
+	// ran. Every move updates its page's bit, and the bitmap is rebuilt
+	// from loc only when a rebalance changes the hot-chip count, so a
+	// hot group making room reads its zero-count residents a word at a
+	// time without testing the pages of cold chips.
+	hot      []uint64
+	hotBound int
+
 	// Rebalance scratch, reused so a rebalance allocates nothing once
 	// the buffers have grown to the run's largest exchange. target and
 	// the moving/dropped page flags are all-clear between rebalances:
 	// Rebalance resets exactly the entries it set.
-	target     []int8 // page -> hot group it should occupy, or noTarget
-	moving     []bool // page already chosen to enter some group
-	dropped    []bool // exchange cancelled by hysteresis or trimming
-	sizes      []int
-	nextGroup  []int // next groupOfChip, swapped in after the moves
-	entering   [][]int32
-	leaving    [][]int32
-	freed      [][]uint16
-	inScratch  []int32
-	outScratch []int32
+	target      []int8 // page -> hot group it should occupy, or noTarget
+	moving      []bool // page already chosen to enter some group
+	dropped     []bool // exchange cancelled by hysteresis or trimming
+	sizes       []int
+	nextGroup   []int // next groupOfChip, swapped in after the moves
+	entering    [][]int32
+	leaving     [][]int32
+	freed       [][]uint16
+	inScratch   []int32
+	outScratch  []int32
+	sortScratch []int32 // sortByCount's scatter buffer
 
 	// Costs and statistics.
 	Rebalances       int64
@@ -145,7 +167,7 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 		groupOfChip: make([]int, geo.NumChips),
 		tracked:     make([]bool, geo.TotalPages()),
 		live:        make([][]int32, geo.NumChips),
-		liveScratch: make([]int32, 0, geo.TotalPages()),
+		hot:         make([]uint64, (geo.TotalPages()+63)/64),
 		target:      make([]int8, geo.TotalPages()),
 		moving:      make([]bool, geo.TotalPages()),
 		dropped:     make([]bool, geo.TotalPages()),
@@ -155,14 +177,22 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 		leaving:     make([][]int32, cfg.Groups),
 		freed:       make([][]uint16, cfg.Groups),
 	}
-	for p := range m.target {
-		m.target[p] = noTarget
-	}
 	for c := range m.live {
 		m.live[c] = make([]int32, 0, geo.PagesPerChip())
 	}
-	for p := range m.loc {
-		m.loc[p] = uint16(p % geo.NumChips)
+	// Fill target with noTarget and interleave loc (page p on chip p mod
+	// NumChips) by doubling copies: a store and a division per page were
+	// most of New's cost. Each copied prefix is a whole number of
+	// NumChips-page rounds, so the pattern continues.
+	m.target[0] = noTarget
+	for n := 1; n < len(m.target); n *= 2 {
+		copy(m.target[n:], m.target[:n])
+	}
+	for c := 0; c < geo.NumChips; c++ {
+		m.loc[c] = uint16(c)
+	}
+	for n := geo.NumChips; n < len(m.loc); n *= 2 {
+		copy(m.loc[n:], m.loc[:n])
 	}
 	for c := range m.groupOfChip {
 		m.groupOfChip[c] = cfg.Groups - 1 // everything cold until first rebalance
@@ -246,7 +276,11 @@ func (m *Manager) groupSizes(hotChips int) []int {
 // scales with the live set, not the page population. The lists are
 // left empty for rebuildLive to repopulate from post-move locations.
 func (m *Manager) gatherLive() []int32 {
-	out := m.liveScratch[:0]
+	tracked := 0
+	for _, l := range m.live {
+		tracked += len(l)
+	}
+	out := slices.Grow(m.liveScratch[:0], tracked)
 	for c := range m.live {
 		if len(m.live[c]) == 0 {
 			continue
@@ -274,15 +308,62 @@ func (m *Manager) rebuildLive(liveOrder []int32) {
 	}
 }
 
-// sortByPopularity orders pages by count descending, page ID
-// ascending — the total order every layout decision derives from.
-func sortByPopularity(pages []int32, counts []uint32) {
-	slices.SortFunc(pages, func(a, b int32) int {
-		if counts[a] != counts[b] {
-			return cmp.Compare(counts[b], counts[a])
+// sortByCount orders pages by count, ties by ascending page ID. With
+// hottestFirst the count descends: that is the popularity order every
+// layout decision derives from. It is a least-significant-digit radix
+// sort, a byte per pass, of each page's integer key (see sortKey). A
+// byte equal in every key leaves the order unchanged and is skipped:
+// page IDs and counts rarely fill their 32 bits, so a sort takes a few
+// passes.
+func (m *Manager) sortByCount(pages []int32, hottestFirst bool) {
+	if len(pages) < 2 {
+		return
+	}
+	flip := uint32(0)
+	if hottestFirst {
+		flip = ^uint32(0)
+	}
+	var offsets [8][256]int32
+	and, or := ^uint64(0), uint64(0)
+	for _, p := range pages {
+		k := m.sortKey(p, flip)
+		and &= k
+		or |= k
+		for b := range offsets {
+			offsets[b][byte(k>>(8*b))]++
 		}
-		return cmp.Compare(a, b)
-	})
+	}
+	m.sortScratch = slices.Grow(m.sortScratch[:0], len(pages))[:len(pages)]
+	src, dst := pages, m.sortScratch
+	passes := 0
+	for b := range offsets {
+		shift := 8 * uint(b)
+		if byte((and^or)>>shift) == 0 {
+			continue
+		}
+		sum := int32(0)
+		for d, n := range offsets[b] {
+			offsets[b][d] = sum
+			sum += n
+		}
+		for _, p := range src {
+			d := byte(m.sortKey(p, flip) >> shift)
+			dst[offsets[b][d]] = p
+			offsets[b][d]++
+		}
+		src, dst = dst, src
+		passes++
+	}
+	if passes%2 == 1 {
+		copy(pages, src)
+	}
+}
+
+// sortKey packs page p's count, XORed with flip, above its ID, so
+// ascending keys are ascending (or, with flip all ones, descending)
+// counts with ties broken by ascending ID.
+func (m *Manager) sortKey(p int32, flip uint32) uint64 {
+	return uint64(m.counts[p]^flip)<<32 | uint64(uint32(p))
 }
 
 // noTarget marks a page outside the hot set in Manager.target.
@@ -299,8 +380,21 @@ const noTarget = int8(-1)
 // enter the hot region (the popularity floor is at least 1) nor sort
 // anywhere but the tail of the order a sort of every page would give,
 // so the decisions are those of that full sort; a test checks the
-// sorted live set against it before every rebalance.
+// sorted live set against it before every rebalance. The rest of the
+// work is the exchange, whose evictions read the hot-resident index
+// (see evictColdest), so a rebalance costs the live set plus the pages
+// it moves.
 func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
+	return m.rebalance(busy, (*Manager).evictColdest)
+}
+
+// evictFunc makes room in hot group g: it evicts up to deficit of the
+// group's coldest uninvolved, non-busy residents to the cold group.
+type evictFunc func(m *Manager, g, deficit int, liveOrder []int32, busy func(memsys.PageID) bool)
+
+// rebalance is Rebalance with the eviction walk as a parameter, so that
+// a test can replay a schedule with a reference walk.
+func (m *Manager) rebalance(busy func(memsys.PageID) bool, evict evictFunc) int {
 	m.Rebalances++
 	liveOrder := m.gatherLive()
 	total := uint64(0)
@@ -310,7 +404,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	if total == 0 {
 		return 0
 	}
-	sortByPopularity(liveOrder, m.counts)
+	m.sortByCount(liveOrder, true)
 
 	// Size the hot region: smallest prefix of pages covering HotShare
 	// of the requests. Pages below the popularity floor never qualify:
@@ -343,6 +437,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 		hotChips = m.geo.NumChips - 1
 	}
 	sizes := m.groupSizes(hotChips)
+	m.indexHot(hotChips)
 
 	// Assign chips to groups: chip ranges in order, so the assignment
 	// is stable while the hot set is stable.
@@ -381,7 +476,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 		}
 	}
 
-	moves := m.executeMoves(newGroupOfChip, target, liveOrder, busy)
+	moves := m.executeMoves(liveOrder, busy, evict)
 	for _, p := range liveOrder[:rank] {
 		target[p] = noTarget
 	}
@@ -391,52 +486,78 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	return moves
 }
 
-// coldScan walks pages from coldest to hottest: first the zero-count
-// pages by descending ID, then the live pages in reverse popularity
-// order. That is exactly a popularity sort of every page read back to
-// front — zero-count pages all tie and so sort to the tail in
-// ascending ID — without ever materializing the zero-count tail.
-type coldScan struct {
-	counts []uint32
-	live   []int32 // popularity-sorted live pages
-	zi     int32   // next zero-count candidate ID, descending
-	li     int     // next live index, from the back
-}
-
-func (m *Manager) coldestFirst(liveOrder []int32) coldScan {
-	return coldScan{
-		counts: m.counts,
-		live:   liveOrder,
-		zi:     int32(len(m.counts)) - 1,
-		li:     len(liveOrder) - 1,
+// indexHot makes the hot-resident index describe chips [0, hotChips),
+// rebuilding it from loc when the hot-chip count has changed. Between
+// such changes, the moves keep it current (see executeMoves).
+func (m *Manager) indexHot(hotChips int) {
+	if hotChips == m.hotBound {
+		return
 	}
-}
-
-func (s *coldScan) next() (int32, bool) {
-	for s.zi >= 0 {
-		p := s.zi
-		s.zi--
-		if s.counts[p] == 0 {
-			return p, true
+	m.hotBound = hotChips
+	clear(m.hot)
+	for p, c := range m.loc {
+		if int(c) < hotChips {
+			m.hot[p>>6] |= 1 << (p & 63)
 		}
 	}
-	if s.li >= 0 {
-		p := s.live[s.li]
-		s.li--
-		return p, true
-	}
-	return 0, false
 }
 
-// executeMoves migrates hot-set pages into their target groups and
-// evicts just enough cold pages to make room. Pages outside the hot
-// set (target < 0) stay put unless evicted, so steady-state migration
-// traffic tracks popularity change, not group capacity. Because every
-// executed mover both frees its old slot and consumes a freed one,
-// per-chip occupancy is preserved. Busy pages stay put; their
+// evictColdest walks hot group g's candidates from coldest to hottest,
+// the order of a popularity sort of every page read back to front:
+// first the zero-count pages by descending ID, then the live pages in
+// reverse popularity order. Zero-count pages off the hot chips can
+// never leave a hot group, so the first phase reads only the
+// hot-resident index, a word at a time from the top; the live tail is
+// the popularity-sorted live set. Each hot group restarts from the
+// very coldest page.
+func (m *Manager) evictColdest(g, deficit int, liveOrder []int32, busy func(memsys.PageID) bool) {
+	for w := len(m.hot) - 1; w >= 0 && deficit > 0; w-- {
+		for word := m.hot[w]; word != 0 && deficit > 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << b
+			p := int32(w<<6 | b)
+			if m.counts[p] == 0 && m.tryEvict(p, g, busy) {
+				deficit--
+			}
+		}
+	}
+	for i := len(liveOrder) - 1; i >= 0 && deficit > 0; i-- {
+		if m.tryEvict(liveOrder[i], g, busy) {
+			deficit--
+		}
+	}
+}
+
+// tryEvict moves page p out of hot group g into the cold group, unless
+// p is in the hot set, already moving, resident outside g (by the new
+// grouping in m.nextGroup), or busy. It reports whether p was evicted.
+func (m *Manager) tryEvict(p int32, g int, busy func(memsys.PageID) bool) bool {
+	if m.target[p] >= 0 || m.moving[p] {
+		return false
+	}
+	if m.nextGroup[m.loc[p]] != g {
+		return false
+	}
+	if busy != nil && busy(memsys.PageID(p)) {
+		return false
+	}
+	cold := m.cfg.Groups - 1
+	m.entering[cold] = append(m.entering[cold], p)
+	m.leaving[g] = append(m.leaving[g], p)
+	m.moving[p] = true
+	return true
+}
+
+// executeMoves migrates hot-set pages into the target groups Rebalance
+// assigned (m.target, over the chip grouping in m.nextGroup) and has
+// evict pick just enough cold pages to make room. Pages outside the
+// hot set (target < 0) stay put unless evicted, so steady-state
+// migration traffic tracks popularity change, not group capacity.
+// Because every executed mover both frees its old slot and consumes a
+// freed one, per-chip occupancy is preserved. Busy pages stay put; their
 // counterparts are trimmed so that |entering| == |leaving| for every
 // group.
-func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int32, busy func(memsys.PageID) bool) int {
+func (m *Manager) executeMoves(liveOrder []int32, busy func(memsys.PageID) bool, evict evictFunc) int {
 	k := m.cfg.Groups
 	cold := k - 1
 	entering := m.entering // pages wanting in, hottest first
@@ -450,11 +571,11 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 	// Hot-set movers, hottest first (liveOrder is popularity-sorted
 	// and targets were assigned along its prefix).
 	for _, p := range liveOrder {
-		tgt := target[p]
+		tgt := m.target[p]
 		if tgt < 0 {
 			break // end of the hot prefix
 		}
-		cur := groupOfChip[m.loc[p]]
+		cur := m.nextGroup[m.loc[p]]
 		if int(tgt) == cur {
 			continue
 		}
@@ -469,28 +590,9 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 
 	// Room-making evictions: a hot group receiving more pages than it
 	// loses evicts its coldest uninvolved residents to the cold group.
-	// The scan restarts from the very coldest page for each group,
-	// matching the reference full-order walk.
 	for g := 0; g < cold; g++ {
-		deficit := len(entering[g]) - len(leaving[g])
-		for it := m.coldestFirst(liveOrder); deficit > 0; {
-			p, ok := it.next()
-			if !ok {
-				break
-			}
-			if target[p] >= 0 || moving[p] {
-				continue
-			}
-			if groupOfChip[m.loc[p]] != g {
-				continue
-			}
-			if busy != nil && busy(memsys.PageID(p)) {
-				continue
-			}
-			entering[cold] = append(entering[cold], p)
-			leaving[g] = append(leaving[g], p)
-			moving[p] = true
-			deficit--
+		if deficit := len(entering[g]) - len(leaving[g]); deficit > 0 {
+			evict(m, g, deficit, liveOrder, busy)
 		}
 	}
 
@@ -503,13 +605,8 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			in := append(m.inScratch[:0], entering[g]...)
 			out := append(m.outScratch[:0], leaving[g]...)
 			m.inScratch, m.outScratch = in, out
-			slices.SortFunc(in, func(a, b int32) int { // coldest enterer first
-				if m.counts[a] != m.counts[b] {
-					return cmp.Compare(m.counts[a], m.counts[b])
-				}
-				return cmp.Compare(a, b)
-			})
-			sortByPopularity(out, m.counts) // hottest leaver first
+			m.sortByCount(in, false) // coldest enterer first
+			m.sortByCount(out, true) // hottest leaver first
 			i := 0
 			for i < len(in) && i < len(out) {
 				if float64(m.counts[in[i]]) < m.cfg.MigrateRatio*float64(m.counts[out[i]]) {
@@ -573,7 +670,7 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 	}
 
 	// Execute: pair each live enterer of g with a slot freed by a live
-	// leaver of g.
+	// leaver of g, keeping the hot-resident index current.
 	copyTime := m.geo.ServiceTime(int64(m.geo.PageBytes))
 	perMoveJ := 2 * energy.ActivePower * copyTime.Seconds()
 	moves := 0
@@ -588,6 +685,11 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 				panic("layout: exchange imbalance after trimming")
 			}
 			m.loc[p] = slots[si]
+			if bit := uint64(1) << (p & 63); int(slots[si]) < m.hotBound {
+				m.hot[p>>6] |= bit
+			} else {
+				m.hot[p>>6] &^= bit
+			}
 			si++
 			moves++
 			m.MigrationEnergyJ += perMoveJ
@@ -621,7 +723,8 @@ func (m *Manager) age(liveOrder []int32) {
 // checkInvariants verifies that every chip holds exactly PagesPerChip
 // pages and that the live-set index is consistent: tracked marks
 // exactly the listed pages, every nonzero count is tracked, no list
-// outgrows its chip, no page is listed twice, and the per-page
+// outgrows its chip, no page is listed twice, the hot-resident index
+// marks exactly the pages on chips [0, hotBound), and the per-page
 // rebalance scratch is all-clear; tests call it.
 func (m *Manager) checkInvariants() error {
 	occ := make([]int, m.geo.NumChips)
@@ -662,6 +765,9 @@ func (m *Manager) checkInvariants() error {
 		}
 		if m.counts[p] > 0 && !m.tracked[p] {
 			return fmt.Errorf("page %d has count %d but is untracked", p, m.counts[p])
+		}
+		if indexed, onHot := m.hot[p>>6]>>(p&63)&1 == 1, int(m.loc[p]) < m.hotBound; indexed != onHot {
+			return fmt.Errorf("page %d on chip %d: hot-resident bit %v, hot chips [0,%d)", p, m.loc[p], indexed, m.hotBound)
 		}
 	}
 	return nil

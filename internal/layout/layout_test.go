@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -24,11 +25,37 @@ func TestConfigValidate(t *testing.T) {
 		{Groups: 2, HotShare: 1, Interval: 1, AgeShift: 1},
 		{Groups: 2, HotShare: 0.6, Interval: 0, AgeShift: 1},
 		{Groups: 2, HotShare: 0.6, Interval: 1, AgeShift: 40},
+		{Groups: 2, HotShare: math.NaN(), Interval: 1, AgeShift: 1},
+		{Groups: MaxGroups + 1, HotShare: 0.6, Interval: 1, AgeShift: 1},
+		{Groups: 200, HotShare: 0.6, Interval: 1, AgeShift: 1},
 	}
 	for i, c := range cases {
 		if c.Validate() == nil {
 			t.Errorf("case %d accepted: %+v", i, c)
 		}
+	}
+}
+
+// TestMaxGroupsMigrates pins the Groups bound from the accepting side:
+// at MaxGroups the last hot group's index still fits the target byte,
+// so PL migrates pages instead of treating every target as none.
+func TestMaxGroupsMigrates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Groups = MaxGroups
+	m, err := New(smallGeo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 16; p++ {
+		for i := 0; i < 90; i++ {
+			m.Observe(memsys.PageID(p))
+		}
+	}
+	if moves := m.Rebalance(nil); moves == 0 {
+		t.Fatal("no page migrated at Groups = MaxGroups")
+	}
+	if err := m.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

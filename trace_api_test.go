@@ -3,6 +3,7 @@ package dmamem
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,7 @@ func TestSimulationValidate(t *testing.T) {
 		{Buses: 5, BusBandwidth: 2e9, StaticMode: "nap", MemoryTech: "ddr"},
 		{Technique: NoPowerManagement, StaticMode: "powerdown", MemoryTech: "rdram"},
 		{Workers: 1, BarrierEpoch: 50 * time.Microsecond},
+		{Technique: TemporalAlignmentWithLayout, CPLimit: 0.10, PLGroups: 129},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -114,6 +116,17 @@ func TestSimulationValidate(t *testing.T) {
 		{Simulation{Technique: TemporalAlignmentWithLayout}, "CPLimit"},
 		{Simulation{PLGroups: -1}, "PLGroups"},
 		{Simulation{PLGroups: 1}, "PLGroups"},
+		{Simulation{PLGroups: 130}, "PLGroups 130 out of range 2..129"},
+		{Simulation{Technique: TemporalAlignmentWithLayout, CPLimit: 0.10, PLGroups: 200}, "PLGroups 200"},
+		{Simulation{Technique: TemporalAlignment, CPLimit: math.NaN()}, "CPLimit NaN is not a finite number"},
+		{Simulation{Technique: TemporalAlignment, CPLimit: math.Inf(1)}, "CPLimit +Inf is not a finite number"},
+		{Simulation{CPLimit: math.Inf(-1)}, "CPLimit -Inf is not a finite number"},
+		{Simulation{PLHotShare: math.NaN()}, "PLHotShare NaN is not a finite number"},
+		{Simulation{PLHotShare: math.Inf(1)}, "PLHotShare +Inf"},
+		{Simulation{BusBandwidth: math.NaN()}, "BusBandwidth NaN is not a finite number"},
+		{Simulation{BusBandwidth: math.Inf(1)}, "BusBandwidth +Inf"},
+		{Simulation{Channels: 4, ChannelBandwidth: math.NaN()}, "ChannelBandwidth NaN is not a finite number"},
+		{Simulation{Channels: 4, ChannelBandwidth: math.Inf(1)}, "ChannelBandwidth +Inf"},
 		{Simulation{PLHotShare: -0.5}, "PLHotShare"},
 		{Simulation{PLHotShare: 1.0}, "PLHotShare"},
 		{Simulation{PLHotShare: 1.5}, "PLHotShare"},
