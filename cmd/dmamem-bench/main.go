@@ -4,20 +4,13 @@
 // Usage:
 //
 //	dmamem-bench [-duration 100ms] [-seed 1] [-parallel N] [-timing]
-//	             [-workers N] [-epoch 50us] [-fixed-epoch]
-//	             [-parallel-bench BENCH_parallel.json]
+//	             [-workers N] [-epoch 50us]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-channels 1,2,4]
 //	             [-tech ddr4-2400,lpddr4]
-//	             [-replay trace.dmt] [-replay-cp-limit 0.10] [-replay-groups 2]
 //	             [-fig all|2a|2b|3|4|5|6|7|8|9|10|table1|table2|dss|tech|seeds]
 //
-// -replay file.dmt skips the figures and instead streams a recorded
-// .dmt trace (see `dmamem-trace record` and docs/TRACE_FORMAT.md)
-// through the file-backed feeder, baseline vs technique, in flat
-// memory regardless of trace length. It reads only the -replay-*
-// flags and the profile flags; any other flag set with it exits 2, as
-// does a -replay-* flag without -replay.
+// To simulate a recorded .dmt trace, run dmamem-sim -trace file.dmt.
 //
 // Each figure prints the same series the paper plots; EXPERIMENTS.md
 // records the paper-vs-measured comparison. Independent simulation
@@ -34,16 +27,8 @@
 // reference engine. Results stay byte-identical at any worker count.
 // This is orthogonal to -parallel, which fans out independent runs.
 // Both flags must be at least 1; -workers 1 keeps the serial engine.
-// -epoch sets the parallel engine's barrier period and -fixed-epoch
-// disables adaptive barrier elision (the bit-identical cross-check
-// mode); neither changes any printed result.
-//
-// -parallel-bench file.json skips the figures and instead measures the
-// parallel engine's scaling across channels x workers, adaptive vs
-// fixed barriers, on a dense and a sparse workload, writing the grid
-// to the named JSON file (the committed BENCH_parallel.json) and
-// printing it as a table. It reads -seed, -epoch and the profile
-// flags; any other flag set with it exits 2.
+// -epoch sets the parallel engine's barrier period; it changes no
+// printed result.
 //
 // -channels 1,2,4 adds a memory-channel dimension to the figure 10
 // sweep: each (workload, bus bandwidth) pair is re-simulated under a
@@ -87,29 +72,18 @@ func realMain() int {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (1 = sequential)")
 	workers := flag.Int("workers", 1, "most event-loop goroutines inside each simulation; short spans run inline (1 = serial reference engine)")
 	epoch := flag.Duration("epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
-	fixedEpoch := flag.Bool("fixed-epoch", false, "disable adaptive barrier elision (bit-identical cross-check mode; needs -workers > 1)")
-	parallelBench := flag.String("parallel-bench", "", "measure parallel engine scaling (channels x workers, adaptive vs fixed) and write the JSON grid to this file instead of running figures")
 	timing := flag.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	channelsFlag := flag.String("channels", "", "comma-separated channel counts added to the figure 10 sweep (e.g. 1,2,4; empty = legacy single-channel)")
 	techFlag := flag.String("tech", "", "comma-separated memory technologies for the tech extension and the figure 10 sweep (e.g. ddr4-2400,lpddr4; empty = every backend for tech, RDRAM-only for figure 10)")
-	replayFile := flag.String("replay", "", "replay a recorded .dmt trace through the file-backed feeder instead of running figures")
-	replayCP := flag.Float64("replay-cp-limit", 0.10, "CP-Limit for the -replay technique run")
-	replayGroups := flag.Int("replay-groups", 2, "PL popularity groups for -replay (0 = DMA-TA only)")
 	flag.Parse()
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateMode(*replayFile != "", *parallelBench != "", set); err != nil {
-		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-		return 2
-	}
 	if err := validateConcurrency(*parallel, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
-	if err := validateEpoch(*epoch, *fixedEpoch, *workers, *parallelBench != ""); err != nil {
+	if err := validateEpoch(*epoch, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
@@ -161,37 +135,6 @@ func realMain() int {
 		}()
 	}
 
-	if *parallelBench != "" {
-		res, err := experiments.ParallelBench(ctx, experiments.ParallelBenchSpec{
-			Seed: *seed, Epoch: fromStd(*epoch),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		doc, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*parallelBench, doc, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		fmt.Print(experiments.FormatParallelBench(res))
-		return 0
-	}
-
-	if *replayFile != "" {
-		out, err := experiments.ReplayFile(ctx, *replayFile, *replayCP, *replayGroups)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		fmt.Print(out)
-		return 0
-	}
-
 	runner := experiments.NewRunner(*parallel)
 	var memBefore runtime.MemStats
 	if *timing {
@@ -203,7 +146,6 @@ func realMain() int {
 	s.Runner = runner
 	s.Workers = engineWorkers(*workers)
 	s.BarrierEpoch = fromStd(*epoch)
-	s.FixedEpoch = *fixedEpoch
 	start := time.Now()
 
 	failed := false
@@ -398,66 +340,15 @@ func validateConcurrency(parallel, workers int) error {
 	return nil
 }
 
-// validateEpoch rejects a negative -epoch and barrier flags without
-// the parallel engine: the barrier period and elision mode only exist
-// when -workers selects it, so silently ignoring them would misreport
-// what ran. -parallel-bench sweeps its own worker grid and takes
-// -epoch directly, so it lifts the -workers pairing.
-func validateEpoch(epoch time.Duration, fixed bool, workers int, bench bool) error {
+// validateEpoch rejects a negative -epoch and an -epoch without the
+// parallel engine: the barrier period only exists when -workers
+// selects it, so silently ignoring the flag would misreport what ran.
+func validateEpoch(epoch time.Duration, workers int) error {
 	if epoch < 0 {
 		return fmt.Errorf("-epoch %v must be nonnegative (0 selects the default 50us)", epoch)
 	}
-	if bench {
-		return nil
-	}
 	if epoch > 0 && workers <= 1 {
 		return fmt.Errorf("-epoch %v needs the parallel engine (-workers > 1); the serial engine has no barrier period", epoch)
-	}
-	if fixed && workers <= 1 {
-		return fmt.Errorf("-fixed-epoch needs the parallel engine (-workers > 1)")
-	}
-	return nil
-}
-
-// modeFlags lists the flags each non-figure mode reads. Either mode
-// skips the figures, the runner and the engine flags, so any other
-// flag set alongside it would be silently ignored.
-var modeFlags = map[string][]string{
-	"replay":         {"replay", "replay-cp-limit", "replay-groups", "cpuprofile", "memprofile"},
-	"parallel-bench": {"parallel-bench", "seed", "epoch", "cpuprofile", "memprofile"},
-}
-
-// validateMode rejects flags the selected mode would ignore: a flag
-// set with -replay or -parallel-bench that the mode does not read,
-// both modes at once, and a -replay-* flag without -replay. set holds
-// the names of the flags given on the command line.
-func validateMode(replay, bench bool, set map[string]bool) error {
-	mode := ""
-	switch {
-	case replay && bench:
-		return fmt.Errorf("-replay and -parallel-bench are separate modes; give one")
-	case replay:
-		mode = "replay"
-	case bench:
-		mode = "parallel-bench"
-	default:
-		for _, name := range []string{"replay-cp-limit", "replay-groups"} {
-			if set[name] {
-				return fmt.Errorf("-%s needs -replay", name)
-			}
-		}
-		return nil
-	}
-	var names []string
-	for name := range set {
-		names = append(names, name)
-	}
-	slices.Sort(names) // report the same flag whatever the map order
-	for _, name := range names {
-		if !slices.Contains(modeFlags[mode], name) {
-			return fmt.Errorf("-%s does not apply with -%s (it reads only -%s)",
-				name, mode, strings.Join(modeFlags[mode], ", -"))
-		}
 	}
 	return nil
 }

@@ -43,83 +43,32 @@ func TestValidateConcurrency(t *testing.T) {
 	}
 }
 
-// TestValidateEpoch pins the barrier flags' guard rails: negative
-// -epoch is always rejected; -epoch/-fixed-epoch without the parallel
-// engine are rejected instead of silently ignored, except under
-// -parallel-bench, which sweeps its own worker grid.
+// TestValidateEpoch pins the -epoch flag's guard rails: negative
+// periods are rejected outright, and a positive period without the
+// parallel engine is rejected instead of silently ignored.
 func TestValidateEpoch(t *testing.T) {
 	cases := []struct {
 		epoch   time.Duration
-		fixed   bool
 		workers int
-		bench   bool
 		wantErr string
 	}{
-		{0, false, 1, false, ""},
-		{50 * time.Microsecond, false, 2, false, ""},
-		{time.Millisecond, true, 8, false, ""},
-		{50 * time.Microsecond, false, 1, true, ""}, // -parallel-bench takes -epoch alone
-		{-time.Microsecond, false, 4, false, "must be nonnegative"},
-		{-time.Microsecond, false, 1, true, "must be nonnegative"},
-		{50 * time.Microsecond, false, 1, false, "needs the parallel engine"},
-		{0, true, 1, false, "-fixed-epoch needs the parallel engine"},
+		{0, 1, ""},
+		{50 * time.Microsecond, 2, ""},
+		{time.Millisecond, 8, ""},
+		{-time.Microsecond, 4, "must be nonnegative"},
+		{50 * time.Microsecond, 1, "needs the parallel engine"},
 	}
 	for _, tc := range cases {
-		err := validateEpoch(tc.epoch, tc.fixed, tc.workers, tc.bench)
+		err := validateEpoch(tc.epoch, tc.workers)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateEpoch(%v, %v, %d, %v) = %v, want nil",
-					tc.epoch, tc.fixed, tc.workers, tc.bench, err)
+				t.Errorf("validateEpoch(%v, %d) = %v, want nil", tc.epoch, tc.workers, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateEpoch(%v, %v, %d, %v) = %v, want error containing %q",
-				tc.epoch, tc.fixed, tc.workers, tc.bench, err, tc.wantErr)
-		}
-	}
-}
-
-// TestValidateMode pins that no flag is silently ignored by the
-// -replay and -parallel-bench modes: each accepts only the flags it
-// reads (the profile flags included, which both honor), the modes
-// exclude each other, and the -replay-* flags need -replay.
-func TestValidateMode(t *testing.T) {
-	cases := []struct {
-		replay, bench bool
-		set           []string
-		wantErr       string
-	}{
-		{false, false, nil, ""},
-		{false, false, []string{"fig", "timing", "parallel", "cpuprofile"}, ""},
-		{true, false, []string{"replay", "replay-groups", "replay-cp-limit"}, ""},
-		{true, false, []string{"replay", "cpuprofile", "memprofile"}, ""},
-		{false, true, []string{"parallel-bench", "seed", "epoch", "cpuprofile"}, ""},
-		{true, false, []string{"replay", "cpuprofile", "timing"}, "-timing does not apply with -replay"},
-		{true, false, []string{"replay", "fig"}, "-fig does not apply with -replay"},
-		{true, false, []string{"replay", "workers"}, "-workers does not apply with -replay"},
-		{false, true, []string{"parallel-bench", "timing"}, "-timing does not apply with -parallel-bench"},
-		{false, true, []string{"parallel-bench", "fixed-epoch"}, "-fixed-epoch does not apply with -parallel-bench"},
-		{false, true, []string{"parallel-bench", "replay-groups"}, "-replay-groups does not apply with -parallel-bench"},
-		{true, true, []string{"replay", "parallel-bench"}, "separate modes"},
-		{false, false, []string{"replay-groups"}, "-replay-groups needs -replay"},
-		{false, false, []string{"fig", "replay-cp-limit"}, "-replay-cp-limit needs -replay"},
-	}
-	for _, tc := range cases {
-		set := map[string]bool{}
-		for _, name := range tc.set {
-			set[name] = true
-		}
-		err := validateMode(tc.replay, tc.bench, set)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateMode(%v, %v, %v) = %v, want nil", tc.replay, tc.bench, tc.set, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateMode(%v, %v, %v) = %v, want error containing %q",
-				tc.replay, tc.bench, tc.set, err, tc.wantErr)
+			t.Errorf("validateEpoch(%v, %d) = %v, want error containing %q",
+				tc.epoch, tc.workers, err, tc.wantErr)
 		}
 	}
 }

@@ -4,9 +4,8 @@
 // Usage:
 //
 //	dmamem-sim [flags]
-//	  -trace file        binary trace (default: generate Synthetic-St);
-//	                     a .dmt container streams from disk in flat
-//	                     memory
+//	  -trace file        .dmt trace to replay, streamed from disk in flat
+//	                     memory (default: generate -workload)
 //	  -workload name     synthetic-st | synthetic-db | oltp-st | oltp-db
 //	  -duration 100ms    duration of the generated trace
 //	  -seed 1            generator seed (-workload, -duration and -seed
@@ -27,6 +26,10 @@
 //	  -channels N        memory channels (0 = legacy single-channel)
 //	  -stripe-pages N    pages per channel stripe (with -channels)
 //	  -channel-bw B      per-channel bandwidth cap, bytes/s (with -channels)
+//	  -json              print the report(s) as one JSON document
+//
+// The one-line trace description goes to stderr, so stdout holds only
+// the report: with -json, a single JSON document.
 package main
 
 import (
@@ -43,11 +46,10 @@ import (
 
 	"dmamem"
 	"dmamem/internal/experiments"
-	"dmamem/internal/trace"
 )
 
 func main() {
-	traceFile := flag.String("trace", "", "binary trace file (overrides -workload)")
+	traceFile := flag.String("trace", "", ".dmt trace file to replay (overrides -workload)")
 	workload := flag.String("workload", "synthetic-st", "workload to generate")
 	duration := flag.Duration("duration", 100*time.Millisecond, "generated trace duration")
 	scheme := flag.String("scheme", "dma-ta-pl", "energy management scheme")
@@ -97,7 +99,7 @@ func main() {
 		badFlags(err)
 	}
 	var tr *dmamem.Trace
-	if *traceFile != "" && isDMT(*traceFile) {
+	if *traceFile != "" {
 		// Stream the container from disk: the report is bit-identical
 		// to loading it, in flat memory.
 		s.TraceFile = *traceFile
@@ -105,15 +107,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace %s: %d records over %v (streaming from %s)\n",
+		fmt.Fprintf(os.Stderr, "trace %s: %d records over %v (streaming from %s)\n",
 			st.Name, st.Records, st.Duration, *traceFile)
 	} else {
 		var err error
-		tr, err = loadTrace(*traceFile, *workload, *duration, *seed)
+		tr, err = generateTrace(*workload, *duration, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace %s: %s\n", tr.Name(), tr.Summary())
+		fmt.Fprintf(os.Stderr, "trace %s: %s\n", tr.Name(), tr.Summary())
 	}
 
 	if *compare && s.Technique != dmamem.Baseline {
@@ -156,29 +158,8 @@ func emitJSON(v any) {
 	}
 }
 
-// isDMT reports whether path starts with the .dmt container magic.
-func isDMT(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := f.Read(magic[:]); err != nil {
-		return false
-	}
-	return trace.IsDMT(magic[:])
-}
-
-func loadTrace(file, workload string, d time.Duration, seed uint64) (*dmamem.Trace, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return dmamem.ReadTrace(f)
-	}
+// generateTrace builds the -workload trace in memory.
+func generateTrace(workload string, d time.Duration, seed uint64) (*dmamem.Trace, error) {
 	switch workload {
 	case "synthetic-st":
 		return dmamem.SyntheticStorageTrace(dmamem.SyntheticOptions{Duration: d, Seed: seed})

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -173,18 +176,36 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
-// TestBadFlagsExitBeforeWork runs the command itself (this test binary
-// re-executed as dmamem-sim): generator flags beside -trace, an
-// unknown -scheme and a simulation Validate rejects (too many groups,
-// a non-finite float) must exit 2 naming the flag or field, before a
-// trace is generated or read (nothing on stdout; the -trace path need
-// not exist).
-func TestBadFlagsExitBeforeWork(t *testing.T) {
+// TestMain lets a test re-execute this binary as dmamem-sim: with
+// DMAMEM_SIM_ARGS set, the process runs main on those arguments
+// instead of the tests.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("DMAMEM_SIM_ARGS"); args != "" {
 		os.Args = append([]string{"dmamem-sim"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
+	os.Exit(m.Run())
+}
+
+// runSim runs dmamem-sim with the space-separated args in a child
+// process and returns what it wrote and how it exited.
+func runSim(t *testing.T, args string) (stdout, stderr string, err error) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "DMAMEM_SIM_ARGS="+args)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// TestBadFlagsExitBeforeWork runs the command itself: generator flags
+// beside -trace, an unknown -scheme and a simulation Validate rejects
+// (too many groups, a non-finite float) must exit 2 naming the flag or
+// field, before a trace is generated or read (nothing on stdout; the
+// -trace path need not exist).
+func TestBadFlagsExitBeforeWork(t *testing.T) {
 	for args, want := range map[string]string{
 		"-trace missing.dmt -seed 7":  "so -seed would be ignored",
 		"-scheme bogus":               `unknown -scheme "bogus"`,
@@ -193,21 +214,71 @@ func TestBadFlagsExitBeforeWork(t *testing.T) {
 		"-cp-limit +Inf":              "CPLimit +Inf is not a finite number",
 		"-channels 4 -channel-bw NaN": "ChannelBandwidth NaN is not a finite number",
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitBeforeWork$")
-		cmd.Env = append(os.Environ(), "DMAMEM_SIM_ARGS="+args)
-		var stdout, stderr strings.Builder
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
+		stdout, stderr, err := runSim(t, args)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("dmamem-sim %s: err %v, want exit status 2", args, err)
 			continue
 		}
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("dmamem-sim %s: stderr %q, want %q", args, stderr.String(), want)
+		if !strings.Contains(stderr, want) {
+			t.Errorf("dmamem-sim %s: stderr %q, want %q", args, stderr, want)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("dmamem-sim %s: stdout %q, want nothing", args, stdout.String())
+		if stdout != "" {
+			t.Errorf("dmamem-sim %s: stdout %q, want nothing", args, stdout)
 		}
+	}
+}
+
+// TestJSONStdoutIsOneDocument runs the command with -json on a
+// generated OLTP-St trace and on the same trace replayed from the .dmt
+// file SaveFile wrote. Each stdout must parse as exactly one JSON
+// document, and the two must be equal bytes: the file keeps everything
+// the report depends on, the client-response metadata behind the
+// derived mu included.
+func TestJSONStdoutIsOneDocument(t *testing.T) {
+	tr, err := dmamem.StorageServerTrace(dmamem.ServerOptions{Duration: 10 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "oltp-st.dmt")
+	if err := tr.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var docs []string
+	for _, args := range []string{"-json -workload oltp-st -duration 10ms", "-json -trace " + path} {
+		stdout, stderr, err := runSim(t, args)
+		if err != nil {
+			t.Fatalf("dmamem-sim %s: %v\n%s", args, err, stderr)
+		}
+		dec := json.NewDecoder(strings.NewReader(stdout))
+		var doc map[string]any
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("dmamem-sim %s: stdout is not JSON: %v\n%s", args, err, stdout)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			t.Fatalf("dmamem-sim %s: stdout holds more than one JSON document:\n%s", args, stdout)
+		}
+		docs = append(docs, stdout)
+	}
+	if docs[0] != docs[1] {
+		t.Fatalf("replayed .dmt report differs from the generated trace's:\ngenerated: %s\nreplayed:  %s", docs[0], docs[1])
+	}
+}
+
+// TestNonDMTTraceFails pins that -trace reads only .dmt containers:
+// any other file exits non-zero on the container's bad-magic error
+// with nothing on stdout.
+func TestNonDMTTraceFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.bin")
+	if err := os.WriteFile(path, append([]byte("DMAT"), make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, err := runSim(t, "-trace "+path)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("dmamem-sim -trace %s: err %v, want a non-zero exit", path, err)
+	}
+	if !strings.Contains(stderr, "bad magic") || stdout != "" {
+		t.Fatalf("stdout %q, stderr %q; want only the bad-magic error", stdout, stderr)
 	}
 }

@@ -1,25 +1,19 @@
-// Command dmamem-trace generates, converts and inspects memory-access
-// traces.
+// Command dmamem-trace records and inspects .dmt memory-access traces
+// (docs/TRACE_FORMAT.md).
 //
 // Usage:
 //
 //	dmamem-trace record -workload synthetic-st -duration 1s -o trace.dmt
-//	dmamem-trace replay -scheme dma-ta-pl trace.dmt
 //	dmamem-trace info trace.dmt
 //	dmamem-trace cdf  trace.dmt          # Figure 4 style popularity CDF
-//	dmamem-trace gen  -workload synthetic-st -duration 100ms -o trace.bin
 //
-// record streams a workload straight to the columnar on-disk .dmt
-// container (docs/TRACE_FORMAT.md): the synthetic generators emit
-// record by record into the chunked writer, so an hour-scale trace
-// records in flat memory. replay simulates such a file through the
-// file-backed feeder — again in flat memory — and prints the same
-// report dmamem-sim would for the equivalent in-memory trace, bit for
-// bit. info auto-detects the container: on a .dmt it prints the
-// footer summary without materializing a single record; on a legacy
-// gen/Save file it loads the trace and prints the full summary. gen
-// is the legacy in-memory generator kept for the old all-at-once
-// format.
+// record streams a workload straight to the columnar .dmt container:
+// the synthetic generators emit record by record into the chunked
+// writer, so an hour-scale trace records in flat memory. info prints
+// the footer summary without decoding a single record; cdf loads the
+// trace and prints its Table 2 summary and popularity CDF. To simulate
+// a recorded trace, run dmamem-sim -trace trace.dmt. Stray positional
+// arguments exit 2 with the usage line.
 package main
 
 import (
@@ -40,12 +34,8 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
 	case "record":
 		record(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
 	case "info":
 		info(os.Args[2:], false)
 	case "cdf":
@@ -56,7 +46,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dmamem-trace record|replay|info|cdf|gen ...")
+	fmt.Fprintln(os.Stderr, "usage: dmamem-trace record [flags] | info trace.dmt | cdf trace.dmt")
 	os.Exit(2)
 }
 
@@ -77,6 +67,9 @@ func record(args []string) {
 	chunk := fs.Int("chunk", 0, "records per chunk (0 = default)")
 	out := fs.String("o", "trace.dmt", "output .dmt file")
 	_ = fs.Parse(args)
+	if fs.NArg() != 0 {
+		usage()
+	}
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -151,118 +144,17 @@ func stream(f *os.File, name string, opt trace.WriterOptions, gen func(emit func
 	return w.Close()
 }
 
-// replay simulates a recorded .dmt file through the file-backed
-// feeder, never materializing the trace.
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	scheme := fs.String("scheme", "dma-ta-pl", "baseline | dma-ta | dma-ta-pl | no-pm")
-	cpLimit := fs.Float64("cp-limit", 0.10, "CP-Limit for DMA-TA")
-	groups := fs.Int("groups", 2, "PL popularity groups")
-	compare := fs.Bool("compare", true, "also run the baseline and report savings")
-	_ = fs.Parse(args)
-	if fs.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: dmamem-trace replay [flags] trace.dmt")
-		os.Exit(2)
-	}
-	path := fs.Arg(0)
-	st, err := dmamem.StatTraceFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("replaying %s: %s\n", path, describe(st))
-
-	s := dmamem.Simulation{TraceFile: path, CPLimit: *cpLimit, PLGroups: *groups}
-	switch *scheme {
-	case "baseline":
-		s.Technique = dmamem.Baseline
-	case "dma-ta":
-		s.Technique = dmamem.TemporalAlignment
-	case "dma-ta-pl":
-		s.Technique = dmamem.TemporalAlignmentWithLayout
-	case "no-pm":
-		s.Technique = dmamem.NoPowerManagement
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
-	}
-	if *compare && s.Technique != dmamem.Baseline {
-		cmp, err := dmamem.Compare(s, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("baseline: ", cmp.Baseline)
-		fmt.Println("technique:", cmp.Technique)
-		fmt.Printf("energy savings: %.1f%%\n", 100*cmp.Savings)
-		return
-	}
-	rep, err := dmamem.Run(s, nil)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep)
-	fmt.Println(rep.Breakdown)
-}
-
 func describe(st dmamem.TraceFileInfo) string {
 	return fmt.Sprintf("%q, %d records (%d DMA transfers, %d pages) in %d chunks of %d, duration %v",
 		st.Name, st.Records, st.DMATransfers, st.DMAPages, st.Chunks, st.ChunkRecords, st.Duration)
 }
 
-// isDMT reports whether path starts with the .dmt container magic.
-func isDMT(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := f.Read(magic[:]); err != nil {
-		return false
-	}
-	return trace.IsDMT(magic[:])
-}
-
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	workload := fs.String("workload", "synthetic-st", "synthetic-st | synthetic-db | oltp-st | oltp-db")
-	duration := fs.Duration("duration", 100*time.Millisecond, "trace duration")
-	seed := fs.Uint64("seed", 1, "generator seed")
-	out := fs.String("o", "trace.bin", "output file")
-	_ = fs.Parse(args)
-
-	var tr *dmamem.Trace
-	var err error
-	switch *workload {
-	case "synthetic-st":
-		tr, err = dmamem.SyntheticStorageTrace(dmamem.SyntheticOptions{Duration: *duration, Seed: *seed})
-	case "synthetic-db":
-		tr, err = dmamem.SyntheticDatabaseTrace(dmamem.SyntheticOptions{Duration: *duration, Seed: *seed})
-	case "oltp-st":
-		tr, err = dmamem.StorageServerTrace(dmamem.ServerOptions{Duration: *duration, Seed: *seed})
-	case "oltp-db":
-		tr, err = dmamem.DatabaseServerTrace(dmamem.ServerOptions{Duration: *duration, Seed: *seed})
-	default:
-		err = fmt.Errorf("unknown workload %q", *workload)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := tr.Save(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s: %s\n", *out, tr.Summary())
-}
-
 func info(args []string, cdf bool) {
-	if len(args) < 1 {
+	if len(args) != 1 {
 		usage()
 	}
 	path := args[0]
-	if isDMT(path) && !cdf {
+	if !cdf {
 		// Footer-only summary: no record is ever decoded.
 		st, err := dmamem.StatTraceFile(path)
 		if err != nil {
@@ -271,29 +163,16 @@ func info(args []string, cdf bool) {
 		fmt.Println(describe(st))
 		return
 	}
-	var tr *dmamem.Trace
-	var err error
-	if isDMT(path) {
-		tr, err = dmamem.ReadTraceFile(path)
-	} else {
-		var f *os.File
-		if f, err = os.Open(path); err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		tr, err = dmamem.ReadTrace(f)
-	}
+	tr, err := dmamem.ReadTraceFile(path)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(tr.Summary())
 	fmt.Printf("burstiness (inter-arrival CV): %.2f; chip-load skew (CV): %.2f\n",
 		tr.Burstiness(), tr.ChipLoadSkew())
-	if cdf {
-		fmt.Printf("%10s %10s\n", "pages%", "accesses%")
-		for _, p := range tr.PopularityCurve(10) {
-			fmt.Printf("%9.0f%% %9.1f%%\n", 100*p.PageFrac, 100*p.AccessFrac)
-		}
+	fmt.Printf("%10s %10s\n", "pages%", "accesses%")
+	for _, p := range tr.PopularityCurve(10) {
+		fmt.Printf("%9.0f%% %9.1f%%\n", 100*p.PageFrac, 100*p.AccessFrac)
 	}
 }
 

@@ -49,14 +49,11 @@ type Suite struct {
 	// are bit-identical either way; the parallel cross-check test holds
 	// every worker count to that.
 	Workers int
-	// BarrierEpoch and FixedEpoch propagate the parallel engine's
-	// barrier period and adaptive-elision kill switch (core.Config
-	// fields of the same names) to every simulation the suite runs.
-	// Both only matter when Workers selects the parallel engine, and
-	// neither changes results — the adaptive-vs-fixed cross-check test
-	// holds every combination to bit-identity.
+	// BarrierEpoch propagates the parallel engine's barrier period
+	// (core.Config.BarrierEpoch) to every simulation the suite runs.
+	// It only matters when Workers selects the parallel engine, and it
+	// changes no result.
 	BarrierEpoch sim.Duration
-	FixedEpoch   bool
 
 	mu        sync.Mutex
 	cache     map[string]*cacheEntry
@@ -161,7 +158,6 @@ func (s *Suite) generate(name string) (*trace.Trace, error) {
 func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*core.Result, error) {
 	cfg.Workers = s.Workers
 	cfg.BarrierEpoch = s.BarrierEpoch
-	cfg.FixedEpoch = s.FixedEpoch
 	return core.RunContext(ctx, cfg, tr)
 }
 
@@ -171,7 +167,6 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
 	base.Workers, tech.Workers = s.Workers, s.Workers
 	base.BarrierEpoch, tech.BarrierEpoch = s.BarrierEpoch, s.BarrierEpoch
-	base.FixedEpoch, tech.FixedEpoch = s.FixedEpoch, s.FixedEpoch
 	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
 	if err != nil {
 		return 0, 0, err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -197,40 +196,5 @@ func TestFileFeederFlatMemory(t *testing.T) {
 			t.Errorf("%s: file-backed peak heap %.1f MB is not flat: only %.1f MB below the in-memory run (want >= %.1f MB, a third of the record storage)",
 				run.name, float64(peakFile)/1e6, float64(gap)/1e6, float64(records)*8/1e6)
 		}
-	}
-}
-
-// TestReplayFile renders the bench -replay comparison off a recorded
-// container, with and without the PL layer, and checks the headline
-// lines land in the output.
-func TestReplayFile(t *testing.T) {
-	cfg := synth.DefaultSt()
-	cfg.Duration = 4 * sim.Millisecond
-	tr, err := synth.GenerateSt(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := saveDMT(t, tr, 0)
-
-	out, err := ReplayFile(context.Background(), path, 0.10, 2)
-	if err != nil {
-		t.Fatalf("ReplayFile: %v", err)
-	}
-	for _, want := range []string{"Replay of", "baseline", "dma-ta-pl(2)", "energy savings"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-
-	taOnly, err := ReplayFile(context.Background(), path, 0.10, 0)
-	if err != nil {
-		t.Fatalf("ReplayFile (DMA-TA only): %v", err)
-	}
-	if !strings.Contains(taOnly, "dma-ta ") {
-		t.Errorf("DMA-TA-only output missing scheme label:\n%s", taOnly)
-	}
-
-	if _, err := ReplayFile(context.Background(), filepath.Join(t.TempDir(), "missing.dmt"), 0.10, 2); err == nil {
-		t.Fatal("ReplayFile on a missing path did not error")
 	}
 }

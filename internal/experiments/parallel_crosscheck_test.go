@@ -10,6 +10,7 @@ import (
 	"dmamem/internal/core"
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
+	"dmamem/internal/trace"
 )
 
 // TestParallelSerialBitIdentical is the acceptance cross-check for the
@@ -152,7 +153,7 @@ func TestAdaptiveEpochSpeedupSmoke(t *testing.T) {
 	if n := runtime.NumCPU(); n < 4 {
 		t.Skipf("adaptive barrier gate needs at least 4 CPUs, have %d", n)
 	}
-	tr := SparseTrace(2*sim.Second, 2*sim.Millisecond, 4)
+	tr := sparseTrace(2*sim.Second, 2*sim.Millisecond, 4)
 	topo := memsys.Topology{Channels: 4, ChannelBandwidth: 3.2e9}
 	secs := func(fixed bool) float64 {
 		cfg := core.Config{Topology: topo, Workers: 4, FixedEpoch: fixed}
@@ -183,11 +184,77 @@ func TestAdaptiveEpochSpeedupSmoke(t *testing.T) {
 	}
 }
 
+// sparseTrace builds the sparse-cross-channel workload the adaptive
+// barrier is designed for: dense shard-local activity with only rare
+// cross-channel bus interaction. Every `period` of simulated time, one
+// DMA burst issues `channels` transfers whose pages land on distinct
+// channels (page-granular interleaving maps page p to channel p mod
+// channels); between bursts a steady processor-access stream (one
+// access every period/100, rotating over the channels) keeps every
+// epoch busy on some shard. Processor accesses never touch the shared
+// I/O buses, so a fixed-epoch run pays a rendezvous at essentially
+// every BarrierEpoch for nothing, while the adaptive engine proves the
+// boundaries idle (the cross bound is the next DMA arrival) and elides
+// them, rendezvousing a few times per burst.
+func sparseTrace(duration, period sim.Duration, channels int) *trace.Trace {
+	if channels < 1 {
+		channels = 1
+	}
+	tr := &trace.Trace{Name: fmt.Sprintf("Sparse-%dch", channels)}
+	procEvery := period / 100
+	if procEvery <= 0 {
+		procEvery = sim.Microsecond
+	}
+	burst := 0
+	for at := sim.Time(period); at < sim.Time(duration); at = at.Add(period) {
+		for c := 0; c < channels; c++ {
+			kind := trace.DMARead
+			src := trace.SrcNetwork
+			if (burst+c)%2 == 1 {
+				kind = trace.DMAWrite
+				src = trace.SrcDisk
+			}
+			// page ≡ c (mod channels) pins the transfer to channel c;
+			// the burst-dependent term spreads bursts over distinct
+			// pages within that channel.
+			page := memsys.PageID(c + channels*(burst%512))
+			tr.Records = append(tr.Records, trace.Record{
+				Time:   at.Add(sim.Duration(c) * sim.Microsecond),
+				Kind:   kind,
+				Source: src,
+				Bus:    uint8((burst + c) % 3),
+				Pages:  16,
+				Page:   page,
+			})
+		}
+		burst++
+	}
+	i := 0
+	for at := sim.Time(procEvery); at < sim.Time(duration); at = at.Add(procEvery) {
+		kind := trace.ProcRead
+		if i%4 == 3 {
+			kind = trace.ProcWrite
+		}
+		// A distinct page region (high offset) keeps the proc stream
+		// off the DMA pages while still rotating across channels.
+		page := memsys.PageID(i%channels + channels*(1024+i%256))
+		tr.Records = append(tr.Records, trace.Record{
+			Time:   at,
+			Kind:   kind,
+			Source: trace.SrcProcessor,
+			Page:   page,
+		})
+		i++
+	}
+	tr.SortByTime()
+	return tr
+}
+
 // BenchmarkBarrierScaling spans the channels x workers x epoch grid on
 // a dense generated workload, one sub-benchmark per cell; workers=0 is
-// the serial reference. `go test -bench BarrierScaling` renders the
-// raw material behind BENCH_parallel.json (which the dmamem-bench
-// -parallel-bench runner regenerates with speedup columns).
+// the serial reference. `go test -bench BarrierScaling -count N`
+// reports events/sec per cell with repeated samples; together with the
+// 4-CPU smoke gates it is the parallel engine's scaling evidence.
 func BenchmarkBarrierScaling(b *testing.B) {
 	s := NewSuite(10*sim.Millisecond, 1)
 	tr, err := s.workload("Synthetic-St")

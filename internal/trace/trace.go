@@ -1,5 +1,5 @@
 // Package trace defines the memory-access trace model that drives the
-// simulator, with binary and text codecs and summary statistics.
+// simulator, its on-disk .dmt container and summary statistics.
 //
 // A trace is a time-ordered sequence of records of two families:
 // DMA transfers (network or disk, one or more whole pages) and
@@ -9,11 +9,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"dmamem/internal/memsys"
@@ -88,10 +84,10 @@ func (r Record) Bytes(pageBytes int) int64 {
 	return memsys.CacheLineBytes
 }
 
-// Meta carries workload-level context alongside a trace. The binary
-// and text codecs do not serialize it; it exists so generators can hand
-// the CP-Limit calibration (Section 5.1's off-line CP-Limit -> mu
-// transform) the client-level quantities it needs.
+// Meta carries workload-level context alongside a trace, stored in the
+// .dmt footer; it exists so generators can hand the CP-Limit
+// calibration (Section 5.1's off-line CP-Limit -> mu transform) the
+// client-level quantities it needs.
 type Meta struct {
 	// MeanClientResponse is the average client-perceived response time
 	// of the workload that produced this trace (0 when unknown).
@@ -230,142 +226,4 @@ func Merge(name string, traces ...*Trace) *Trace {
 func (t *Trace) Clip(end sim.Time) *Trace {
 	i := sort.Search(len(t.Records), func(i int) bool { return t.Records[i].Time >= end })
 	return &Trace{Name: t.Name, Records: t.Records[:i]}
-}
-
-const (
-	binaryMagic   = uint32(0x444d4154) // "DMAT"
-	binaryVersion = uint16(1)
-	recordSize    = 8 + 1 + 1 + 1 + 2 + 4 // Time,Kind,Source,Bus,Pages,Page
-)
-
-// WriteBinary encodes the trace in the compact binary format.
-func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [14]byte
-	binary.LittleEndian.PutUint32(hdr[0:], binaryMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], binaryVersion)
-	binary.LittleEndian.PutUint64(hdr[6:], uint64(len(t.Records)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [recordSize]byte
-	for _, r := range t.Records {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(r.Time))
-		buf[8] = byte(r.Kind)
-		buf[9] = byte(r.Source)
-		buf[10] = r.Bus
-		binary.LittleEndian.PutUint16(buf[11:], r.Pages)
-		binary.LittleEndian.PutUint32(buf[13:], uint32(r.Page))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a trace written by WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var hdr [14]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binaryMagic {
-		return nil, errors.New("trace: bad magic")
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	n := binary.LittleEndian.Uint64(hdr[6:])
-	const maxRecords = 1 << 31
-	if n > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	tr := &Trace{Records: make([]Record, n)}
-	var buf [recordSize]byte
-	for i := range tr.Records {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
-		}
-		tr.Records[i] = Record{
-			Time:   sim.Time(binary.LittleEndian.Uint64(buf[0:])),
-			Kind:   Kind(buf[8]),
-			Source: Source(buf[9]),
-			Bus:    buf[10],
-			Pages:  binary.LittleEndian.Uint16(buf[11:]),
-			Page:   memsys.PageID(binary.LittleEndian.Uint32(buf[13:])),
-		}
-	}
-	return tr, nil
-}
-
-// WriteText encodes the trace as one whitespace-separated line per
-// record: time_ps kind source bus pages page.
-func (t *Trace) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range t.Records {
-		if _, err := fmt.Fprintf(bw, "%d %s %s %d %d %d\n",
-			int64(r.Time), r.Kind, r.Source, r.Bus, r.Pages, int32(r.Page)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText decodes the format written by WriteText.
-func ReadText(r io.Reader) (*Trace, error) {
-	tr := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		var (
-			ts                int64
-			kindS, srcS       string
-			busV, pagesV, pgV int64
-		)
-		if _, err := fmt.Sscanf(line, "%d %s %s %d %d %d",
-			&ts, &kindS, &srcS, &busV, &pagesV, &pgV); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		k, err := parseKind(kindS)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		s, err := parseSource(srcS)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		tr.Records = append(tr.Records, Record{
-			Time: sim.Time(ts), Kind: k, Source: s,
-			Bus: uint8(busV), Pages: uint16(pagesV), Page: memsys.PageID(pgV),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-func parseKind(s string) (Kind, error) {
-	for k := Kind(0); k < numKinds; k++ {
-		if kindNames[k] == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown kind %q", s)
-}
-
-func parseSource(s string) (Source, error) {
-	for src := Source(0); src < numSources; src++ {
-		if sourceNames[src] == s {
-			return src, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown source %q", s)
 }

@@ -1,12 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"cmp"
 	"math/rand"
-	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -142,108 +139,6 @@ func TestSortByTimeMatchesStableSort(t *testing.T) {
 }
 
 func byTime(a, b Record) int { return cmp.Compare(a.Time, b.Time) }
-
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Records, tr.Records) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Records, tr.Records)
-	}
-}
-
-func TestBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 14))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	var buf bytes.Buffer
-	_ = sampleTrace().WriteBinary(&buf)
-	truncated := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(truncated)); err == nil {
-		t.Error("truncated input accepted")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Records, tr.Records) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Records, tr.Records)
-	}
-}
-
-func TestTextErrors(t *testing.T) {
-	if _, err := ReadText(strings.NewReader("not a record\n")); err == nil {
-		t.Error("garbage line accepted")
-	}
-	if _, err := ReadText(strings.NewReader("1 dma-bogus net 0 1 2\n")); err == nil {
-		t.Error("bad kind accepted")
-	}
-	if _, err := ReadText(strings.NewReader("1 dma-read mars 0 1 2\n")); err == nil {
-		t.Error("bad source accepted")
-	}
-	got, err := ReadText(strings.NewReader("\n\n"))
-	if err != nil || len(got.Records) != 0 {
-		t.Error("blank lines should be skipped")
-	}
-}
-
-// Property: binary round trip is lossless for arbitrary record
-// contents.
-func TestQuickBinaryRoundTrip(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &Trace{}
-		now := sim.Time(0)
-		for i := 0; i < int(n); i++ {
-			now = now.Add(sim.Duration(rng.Intn(10000)))
-			tr.Records = append(tr.Records, Record{
-				Time:   now,
-				Kind:   Kind(rng.Intn(int(numKinds))),
-				Source: Source(rng.Intn(int(numSources))),
-				Bus:    uint8(rng.Intn(4)),
-				Pages:  uint16(1 + rng.Intn(16)),
-				Page:   memsys.PageID(rng.Intn(1 << 20)),
-			})
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got.Records) != len(tr.Records) {
-			return false
-		}
-		for i := range got.Records {
-			if got.Records[i] != tr.Records[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestStats(t *testing.T) {
 	tr := sampleTrace()

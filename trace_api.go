@@ -2,7 +2,6 @@ package dmamem
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 
 // Trace is a time-ordered memory-access trace: DMA transfers from
 // network and disk plus processor cache-line accesses. Obtain one from
-// the synthetic generators, the server workload models, ReadTrace, or
-// build one record at a time with AppendDMA/AppendProcessorAccess.
+// the synthetic generators, the server workload models, ReadTraceFile,
+// or build one record at a time with AppendDMA/AppendProcessorAccess.
 type Trace struct {
 	t *trace.Trace
 }
@@ -169,20 +168,6 @@ func (tr *Trace) AppendProcessorAccess(at time.Duration, page int, write bool) e
 func (tr *Trace) SetClientResponse(mean time.Duration, transfersPerRequest float64) {
 	tr.t.Meta.MeanClientResponse = fromStdDur(mean)
 	tr.t.Meta.TransfersPerClientRequest = transfersPerRequest
-}
-
-// Save stores the trace in the legacy fixed-width binary format. New
-// code should prefer SaveFile, which writes the columnar .dmt
-// container the simulator can replay from disk in bounded memory.
-func (tr *Trace) Save(w io.Writer) error { return tr.t.WriteBinary(w) }
-
-// ReadTrace loads a trace written by Save.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	t, err := trace.ReadBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{t: t}, nil
 }
 
 // SaveFile stores the trace as a .dmt container at path. The file can

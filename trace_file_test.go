@@ -1,6 +1,7 @@
 package dmamem
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,8 +10,13 @@ import (
 )
 
 // TestTraceFileRoundTrip pins the public record-then-replay path: a
-// trace streamed through CreateTraceFile must stat, load and simulate
-// identically to the same trace built in memory and SaveFile'd.
+// trace streamed through CreateTraceFile, or built in memory (by hand
+// or by a workload model) and SaveFile'd, must keep its name and
+// client-response metadata through ReadTraceFile, and must report
+// identically whether simulated in memory, loaded back, or replayed
+// through Simulation.TraceFile. The metadata feeds the CP-Limit
+// calibration, so a codec that dropped it would shift DMA-TA's derived
+// mu and savings while every record survived.
 func TestTraceFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	streamed := filepath.Join(dir, "streamed.dmt")
@@ -57,47 +63,70 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{streamed, saved} {
-		info, err := StatTraceFile(path)
+	oltp, err := StorageServerTrace(ServerOptions{Duration: 10 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oltp.t.Meta.MeanClientResponse == 0 || oltp.t.Meta.TransfersPerClientRequest == 0 {
+		t.Fatalf("OLTP-St trace carries no client-response metadata: %+v", oltp.t.Meta)
+	}
+	oltpPath := filepath.Join(dir, "oltp-st.dmt")
+	if err := oltp.SaveFile(oltpPath); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		src  *Trace
+		path string
+	}{{mem, streamed}, {mem, saved}, {oltp, oltpPath}} {
+		info, err := StatTraceFile(tc.path)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Fatalf("%s: %v", tc.path, err)
 		}
-		if info.Name != "roundtrip" || info.Records != 2000 {
-			t.Fatalf("%s: info %+v", path, info)
+		if info.Name != tc.src.Name() || info.Records != int64(tc.src.Len()) {
+			t.Fatalf("%s: info %+v", tc.path, info)
 		}
-		if info.Duration != mem.Duration() {
-			t.Fatalf("%s: duration %v, want %v", path, info.Duration, mem.Duration())
+		if info.Duration != tc.src.Duration() {
+			t.Fatalf("%s: duration %v, want %v", tc.path, info.Duration, tc.src.Duration())
 		}
-		loaded, err := ReadTraceFile(path)
+		loaded, err := ReadTraceFile(tc.path)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Fatalf("%s: %v", tc.path, err)
 		}
-		if loaded.Len() != mem.Len() || loaded.Name() != mem.Name() {
-			t.Fatalf("%s: loaded %d records as %q", path, loaded.Len(), loaded.Name())
+		if loaded.Name() != tc.src.Name() || !reflect.DeepEqual(loaded.t.Records, tc.src.t.Records) {
+			t.Fatalf("%s: loaded %d records as %q", tc.path, loaded.Len(), loaded.Name())
+		}
+		if loaded.t.Meta != tc.src.t.Meta {
+			t.Fatalf("%s: metadata %+v, want %+v", tc.path, loaded.t.Meta, tc.src.t.Meta)
+		}
+
+		s := Simulation{Technique: TemporalAlignmentWithLayout, CPLimit: 0.10, PLGroups: 2}
+		want, err := Run(s, tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromLoaded, err := Run(s, loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.TraceFile = tc.path
+		fromFile, err := Run(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, fromLoaded) || !reflect.DeepEqual(want, fromFile) {
+			t.Fatalf("%s: DMA-TA-PL report differs:\nmem:    %+v\nloaded: %+v\nfile:   %+v", tc.path, want, fromLoaded, fromFile)
 		}
 	}
 
-	// The headline gate at the public level: replaying the file must
-	// report identically to simulating the in-memory trace.
+	// Compare replays the file for both runs of the pair.
 	s := Simulation{Technique: TemporalAlignment, CPLimit: 0.10}
-	memRep, err := Run(s, mem)
+	memCmp, err := Compare(s, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.TraceFile = streamed
-	fileRep, err := Run(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(memRep, fileRep) {
-		t.Fatalf("file-backed report differs:\nmem:  %+v\nfile: %+v", memRep, fileRep)
-	}
-
 	cmp, err := Compare(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memCmp, err := Compare(Simulation{Technique: TemporalAlignment, CPLimit: 0.10}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +153,20 @@ func TestTraceFileErrors(t *testing.T) {
 	}
 	if _, err := StatTraceFile(filepath.Join(t.TempDir(), "missing.dmt")); err == nil {
 		t.Fatal("missing file statted")
+	}
+	// .dmt is the only on-disk format: anything else fails on its magic.
+	notDMT := filepath.Join(t.TempDir(), "trace.bin")
+	if err := os.WriteFile(notDMT, append([]byte("DMAT"), make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StatTraceFile(notDMT); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("StatTraceFile on a non-.dmt file: %v", err)
+	}
+	if _, err := ReadTraceFile(notDMT); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("ReadTraceFile on a non-.dmt file: %v", err)
+	}
+	if _, err := Run(Simulation{TraceFile: notDMT}, nil); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("replaying a non-.dmt file: %v", err)
 	}
 	if _, err := ReadTraceFile(path); err != nil {
 		t.Fatalf("ReadTraceFile: %v", err)
