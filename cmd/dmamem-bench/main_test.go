@@ -1,74 +1,71 @@
 package main
 
 import (
-	"errors"
+	"flag"
+	"io"
 	"os"
-	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"dmamem/internal/experiments"
 )
+
+// runBench runs dmamem-bench in process and returns its exit status
+// and what it wrote.
+func runBench(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// wantUsage asserts an exit status of 2 with want on stderr and
+// nothing on stdout: no figure ran.
+func wantUsage(t *testing.T, args []string, want string) {
+	t.Helper()
+	code, stdout, stderr := runBench(args...)
+	if code != 2 || !strings.Contains(stderr, want) || stdout != "" {
+		t.Errorf("dmamem-bench %q: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr containing %q",
+			args, code, stdout, stderr, want)
+	}
+}
 
 // TestValidateConcurrency pins the rejection of non-positive
 // -parallel/-workers values and the wording the user sees: the flag
 // name, the bad value, and what the minimum means.
 func TestValidateConcurrency(t *testing.T) {
-	cases := []struct {
-		parallel, workers int
-		wantErr           string
-	}{
-		{1, 1, ""},
-		{8, 4, ""},
-		{0, 1, "-parallel 0 must be at least 1"},
-		{-3, 1, "-parallel -3 must be at least 1"},
-		{1, 0, "-workers 0 must be at least 1"},
-		{1, -2, "-workers -2 must be at least 1"},
+	for _, tc := range []struct{ args, want string }{
+		{"-parallel 0", "-parallel 0 must be at least 1 (goroutines fanning out independent runs)"},
+		{"-parallel -3", "-parallel -3 must be at least 1"},
+		{"-workers 0", "-workers 0 must be at least 1 (1 selects the serial reference engine)"},
+		{"-workers -2", "-workers -2 must be at least 1"},
 		// -parallel is checked first when both are bad.
-		{0, 0, "-parallel 0 must be at least 1"},
-	}
-	for _, tc := range cases {
-		err := validateConcurrency(tc.parallel, tc.workers)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateConcurrency(%d, %d) = %v, want nil", tc.parallel, tc.workers, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateConcurrency(%d, %d) = %v, want error containing %q",
-				tc.parallel, tc.workers, err, tc.wantErr)
-		}
+		{"-parallel 0 -workers 0", "-parallel 0 must be at least 1"},
+	} {
+		wantUsage(t, strings.Fields("-fig table1 "+tc.args), tc.want)
 	}
 }
 
-// TestValidateEpoch pins the -epoch flag's guard rails: negative
-// periods are rejected outright, and a positive period without the
-// parallel engine is rejected instead of silently ignored.
+// TestValidateEpoch pins the -epoch flag's guard rails at the command:
+// negative periods are rejected outright, and a positive period
+// without the parallel engine is rejected instead of silently ignored.
 func TestValidateEpoch(t *testing.T) {
-	cases := []struct {
-		epoch   time.Duration
-		workers int
-		wantErr string
-	}{
-		{0, 1, ""},
-		{50 * time.Microsecond, 2, ""},
-		{time.Millisecond, 8, ""},
-		{-time.Microsecond, 4, "must be nonnegative"},
-		{50 * time.Microsecond, 1, "needs the parallel engine"},
-	}
-	for _, tc := range cases {
-		err := validateEpoch(tc.epoch, tc.workers)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateEpoch(%v, %d) = %v, want nil", tc.epoch, tc.workers, err)
-			}
-			continue
+	wantUsage(t, []string{"-fig", "table1", "-workers", "4", "-epoch", "-1us"}, "must be nonnegative")
+	wantUsage(t, []string{"-fig", "table1", "-epoch", "50us"}, "needs the parallel engine")
+}
+
+// TestEngineWorkers pins the -workers flag this command parses to the
+// engine count its runs get: 1 is the serial reference engine
+// (Workers 0), higher counts select the barrier engine as given.
+func TestEngineWorkers(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {4, 4}} {
+		fs, engine, _ := command(io.Discard, io.Discard)
+		if err := fs.Parse([]string{"-workers", strconv.Itoa(tc.in)}); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateEpoch(%v, %d) = %v, want error containing %q",
-				tc.epoch, tc.workers, err, tc.wantErr)
+		if got := engine.Workers(); got != tc.want {
+			t.Errorf("-workers %d: Workers() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -76,7 +73,8 @@ func TestValidateEpoch(t *testing.T) {
 // TestTechFlagParsing pins the -tech flag path: the comma list routes
 // through the shared experiments.ParseTechList helper, so entries are
 // trimmed and case-folded, unknown names fail with the registry's
-// enumeration, and duplicates (aliases included) are rejected.
+// enumeration, and duplicates (aliases included) are rejected; at the
+// command, a bad list exits 2 before any figure runs.
 func TestTechFlagParsing(t *testing.T) {
 	got, err := experiments.ParseTechList(" DDR4-2400, lpddr4 ")
 	if err != nil {
@@ -96,17 +94,7 @@ func TestTechFlagParsing(t *testing.T) {
 		!strings.Contains(err.Error(), "duplicates") {
 		t.Fatalf("alias duplicate error: %v", err)
 	}
-}
-
-// TestEngineWorkers pins the flag→config mapping: -workers 1 is the
-// serial reference engine (core Workers 0, the default), higher counts
-// pass through to the parallel engine.
-func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {4, 4}} {
-		if got := engineWorkers(tc.in); got != tc.want {
-			t.Errorf("engineWorkers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
+	wantUsage(t, []string{"-fig", "tech", "-tech", "sram"}, "bad -tech: ")
 }
 
 // TestValidateFig accepts "all" and every figure name, and rejects
@@ -131,27 +119,73 @@ func TestValidateFig(t *testing.T) {
 	}
 }
 
-// TestUnknownFigExitsNonZero runs the command itself (this test binary
-// re-executed as dmamem-bench) with -fig bogus: it must exit 2 with
-// the valid values on stderr and print nothing on stdout.
+// TestUnknownFigExitsNonZero runs the command with -fig bogus and the
+// other bad arguments: each must exit 2 with the reason on stderr and
+// print nothing on stdout.
 func TestUnknownFigExitsNonZero(t *testing.T) {
-	if os.Getenv("DMAMEM_BENCH_AS_MAIN") == "1" {
-		os.Args = []string{"dmamem-bench", "-fig", "bogus"}
-		os.Exit(realMain())
+	for _, tc := range []struct{ args, want string }{
+		{"-fig bogus", `unknown -fig "bogus" (valid: all, table1,`},
+		{"-fig 10 -channels 0", `bad -channels entry "0"`},
+		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
+		{"-fig table1 5", `stray arguments ["5"]`},
+	} {
+		wantUsage(t, strings.Fields(tc.args), tc.want)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownFigExitsNonZero$")
-	cmd.Env = append(os.Environ(), "DMAMEM_BENCH_AS_MAIN=1")
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("dmamem-bench -fig bogus: err %v, want exit status 2", err)
+}
+
+// TestEveryFlagIsRead sets each flag the command defines to a valid
+// value away from its default, on the cheapest figure that reads it at
+// reduced durations. The flag must change stdout, or, where same gives
+// the reason, leave it byte-identical: no flag is accepted and then
+// ignored. A flag added without a case fails the test.
+func TestEveryFlagIsRead(t *testing.T) {
+	dir := t.TempDir()
+	fig := func(name string, more ...string) []string {
+		return append([]string{"-fig", name, "-duration", "5ms", "-db-duration", "2ms"}, more...)
 	}
-	if !strings.Contains(stderr.String(), `unknown -fig "bogus" (valid: all, table1,`) {
-		t.Fatalf("stderr %q does not list the valid -fig values", stderr.String())
+	cases := map[string]struct {
+		with  []string // set on both runs
+		value string
+		same  string
+	}{
+		"duration":    {with: fig("2b"), value: "6ms"},
+		"db-duration": {with: fig("table2"), value: "3ms"},
+		"seed":        {with: fig("2b"), value: "3"},
+		"fig":         {with: fig("2b"), value: "table2"},
+		"channels":    {with: fig("10"), value: "2"},
+		"tech":        {with: fig("tech"), value: "lpddr4"},
+		"parallel":    {with: fig("2b"), value: "1", same: "output is byte-identical at any parallelism"},
+		"workers":     {with: fig("2b"), value: "2", same: "on one channel, output is byte-identical at any worker count"},
+		"epoch":       {with: fig("2b", "-workers", "2"), value: "20us", same: "on one channel, the barrier period changes no output"},
+		"timing":      {with: fig("2b"), value: "true", same: "the timing summary goes to stderr"},
+		"cpuprofile":  {with: fig("2b"), value: filepath.Join(dir, "cpu.pprof"), same: "the profile goes to its file"},
+		"memprofile":  {with: fig("2b"), value: filepath.Join(dir, "mem.pprof"), same: "the profile goes to its file"},
 	}
-	if stdout.Len() != 0 {
-		t.Fatalf("stdout %q, want nothing", stdout.String())
+	fs, _, _ := command(io.Discard, io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		c, ok := cases[f.Name]
+		if !ok {
+			t.Errorf("-%s has no case saying what it changes", f.Name)
+			return
+		}
+		code, ref, stderr := runBench(c.with...)
+		if code != 0 {
+			t.Fatalf("-%s reference %q: exit %d\n%s", f.Name, c.with, code, stderr)
+		}
+		args := append(append([]string{}, c.with...), "-"+f.Name+"="+c.value)
+		code, got, stderr := runBench(args...)
+		switch {
+		case code != 0:
+			t.Errorf("%q: exit %d\n%s", args, code, stderr)
+		case c.same == "" && got == ref:
+			t.Errorf("%q: stdout is the same as without -%s: the flag is ignored", args, f.Name)
+		case c.same != "" && got != ref:
+			t.Errorf("%q: stdout changed, but %s", args, c.same)
+		}
+	})
+	for _, name := range []string{"cpu.pprof", "mem.pprof"} {
+		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", name, err)
+		}
 	}
 }

@@ -2,77 +2,97 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"dmamem"
+	"dmamem/internal/cli"
+	"dmamem/internal/trace"
 )
 
-// TestValidateConcurrency pins the rejection of non-positive
-// -parallel/-workers values and the wording the user sees: the flag
-// name, the bad value, and what the minimum means.
-func TestValidateConcurrency(t *testing.T) {
-	cases := []struct {
-		parallel, workers int
-		wantErr           string
-	}{
-		{1, 1, ""},
-		{8, 4, ""},
-		{0, 1, "-parallel 0 must be at least 1"},
-		{-1, 1, "-parallel -1 must be at least 1"},
-		{1, 0, "-workers 0 must be at least 1"},
-		{1, -4, "-workers -4 must be at least 1"},
-		{-1, -1, "-parallel -1 must be at least 1"},
+// runSim runs dmamem-sim in process and returns its exit status and
+// what it wrote.
+func runSim(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// recordTrace writes the trace dmamem-trace record writes for args (a
+// -workload/-duration/-seed subset) to a fresh .dmt file: the shared
+// generator table, streamed, exactly as the record command runs it.
+func recordTrace(t *testing.T, args ...string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
+	gen := cli.AddGen(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		err := validateConcurrency(tc.parallel, tc.workers)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateConcurrency(%d, %d) = %v, want nil", tc.parallel, tc.workers, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateConcurrency(%d, %d) = %v, want error containing %q",
-				tc.parallel, tc.workers, err, tc.wantErr)
-		}
+	if err := gen.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.dmt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := gen.Record(f, trace.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// wantUsage asserts an exit status of 2 with want on stderr and
+// nothing on stdout: the run stopped before it generated or read a
+// trace.
+func wantUsage(t *testing.T, args []string, want string) {
+	t.Helper()
+	code, stdout, stderr := runSim(args...)
+	if code != 2 || !strings.Contains(stderr, want) || stdout != "" {
+		t.Errorf("dmamem-sim %q: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr containing %q",
+			args, code, stdout, stderr, want)
 	}
 }
 
-// TestValidateEpoch pins the -epoch flag's guard rails: negative
-// periods are rejected outright, and a positive period without the
+// TestValidateConcurrency pins the rejection of a non-positive
+// -workers, with the flag, the bad value and what the minimum means,
+// and that -parallel is gone: the -compare pair is two runs, so it
+// runs on two goroutines when two CPUs are available.
+func TestValidateConcurrency(t *testing.T) {
+	wantUsage(t, []string{"-workers", "0"}, "-workers 0 must be at least 1 (1 selects the serial reference engine)")
+	wantUsage(t, []string{"-workers", "-4"}, "-workers -4 must be at least 1")
+	wantUsage(t, []string{"-parallel", "2"}, "flag provided but not defined: -parallel")
+}
+
+// TestValidateEpoch pins the -epoch guard rails at the command: a
+// negative period is rejected outright, and a period without the
 // parallel engine is rejected instead of silently ignored.
 func TestValidateEpoch(t *testing.T) {
-	cases := []struct {
-		epoch   time.Duration
-		workers int
-		wantErr string
-	}{
-		{0, 1, ""},
-		{0, 4, ""},
-		{50 * time.Microsecond, 2, ""},
-		{time.Millisecond, 8, ""},
-		{-time.Microsecond, 4, "must be nonnegative"},
-		{50 * time.Microsecond, 1, "needs the parallel engine"},
+	wantUsage(t, []string{"-workers", "4", "-epoch", "-1us"}, "must be nonnegative")
+	wantUsage(t, []string{"-epoch", "50us"}, "needs the parallel engine")
+	if code, _, stderr := runSim("-duration", "2ms", "-workers", "2", "-epoch", "50us"); code != 0 {
+		t.Errorf("-workers 2 -epoch 50us: exit %d, stderr %q", code, stderr)
 	}
-	for _, tc := range cases {
-		err := validateEpoch(tc.epoch, tc.workers)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateEpoch(%v, %d) = %v, want nil", tc.epoch, tc.workers, err)
-			}
-			continue
+}
+
+// TestEngineWorkers pins the -workers flag this command parses to the
+// engine count its runs get: 1 is the serial reference engine
+// (Workers 0), higher counts select the barrier engine as given.
+func TestEngineWorkers(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {8, 8}} {
+		fs, engine, _ := command(io.Discard, io.Discard)
+		if err := fs.Parse([]string{"-workers", strconv.Itoa(tc.in)}); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateEpoch(%v, %d) = %v, want error containing %q",
-				tc.epoch, tc.workers, err, tc.wantErr)
+		if got := engine.Workers(); got != tc.want {
+			t.Errorf("-workers %d: Workers() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -108,54 +128,22 @@ func TestParseTech(t *testing.T) {
 	}
 }
 
-// TestEngineWorkers pins the flag→config mapping: -workers 1 keeps
-// Simulation.Workers at 0 (the serial reference engine), higher counts
-// pass through to the parallel engine.
-func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {8, 8}} {
-		if got := engineWorkers(tc.in); got != tc.want {
-			t.Errorf("engineWorkers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 // TestValidateTraceFlags pins the -trace guard: generator flags the
 // user set explicitly are named and rejected, while their defaults
-// (never visited by flag.Visit) pass silently.
+// (never visited by flag.Visit) and the simulation flags pass.
 func TestValidateTraceFlags(t *testing.T) {
-	cases := []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-seed", "3", "-duration", "5ms"}, ""},
-		{[]string{"-trace", "t.dmt"}, ""},
-		{[]string{"-trace", "t.dmt", "-cp-limit", "0.2"}, ""},
-		{[]string{"-trace", "t.dmt", "-seed", "1"}, "so -seed would be ignored"},
-		{[]string{"-workload", "oltp-st", "-trace", "t.dmt", "-duration", "1s"}, "so -workload, -duration would be ignored"},
-	}
-	for _, tc := range cases {
-		fs := flag.NewFlagSet("dmamem-sim", flag.ContinueOnError)
-		traceFile := fs.String("trace", "", "")
-		fs.String("workload", "synthetic-st", "")
-		fs.Duration("duration", 100*time.Millisecond, "")
-		fs.Uint64("seed", 1, "")
-		fs.Float64("cp-limit", 0.10, "")
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		err := validateTraceFlags(*traceFile, set)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("%v: %v, want nil", tc.args, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%v: %v, want error containing %q", tc.args, err, tc.wantErr)
+	dmt := recordTrace(t, "-duration", "2ms")
+	for _, args := range [][]string{
+		{"-seed", "3", "-duration", "5ms"},
+		{"-trace", dmt},
+		{"-trace", dmt, "-cp-limit", "0.2"},
+	} {
+		if code, _, stderr := runSim(args...); code != 0 {
+			t.Errorf("dmamem-sim %q: exit %d, stderr %q", args, code, stderr)
 		}
 	}
+	wantUsage(t, []string{"-trace", dmt, "-seed", "1"}, "so -seed would be ignored")
+	wantUsage(t, []string{"-workload", "oltp-st", "-trace", dmt, "-duration", "1s"}, "so -duration, -workload would be ignored")
 }
 
 // TestParseScheme pins the -scheme mapping and the rejection wording,
@@ -176,56 +164,30 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
-// TestMain lets a test re-execute this binary as dmamem-sim: with
-// DMAMEM_SIM_ARGS set, the process runs main on those arguments
-// instead of the tests.
-func TestMain(m *testing.M) {
-	if args := os.Getenv("DMAMEM_SIM_ARGS"); args != "" {
-		os.Args = append([]string{"dmamem-sim"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runSim runs dmamem-sim with the space-separated args in a child
-// process and returns what it wrote and how it exited.
-func runSim(t *testing.T, args string) (stdout, stderr string, err error) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "DMAMEM_SIM_ARGS="+args)
-	var out, errOut strings.Builder
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err = cmd.Run()
-	return out.String(), errOut.String(), err
-}
-
-// TestBadFlagsExitBeforeWork runs the command itself: generator flags
-// beside -trace, an unknown -scheme and a simulation Validate rejects
-// (too many groups, a non-finite float) must exit 2 naming the flag or
-// field, before a trace is generated or read (nothing on stdout; the
-// -trace path need not exist).
+// TestBadFlagsExitBeforeWork pins that every bad flag, flag
+// combination or argument exits 2 naming the flag or field, before a
+// trace is generated or read (nothing on stdout; the -trace path need
+// not exist). The generator flags fail as they do in dmamem-trace
+// record: a zero or negative -duration and -seed 0, which the
+// generator options would read as their defaults, are errors.
 func TestBadFlagsExitBeforeWork(t *testing.T) {
-	for args, want := range map[string]string{
-		"-trace missing.dmt -seed 7":  "so -seed would be ignored",
-		"-scheme bogus":               `unknown -scheme "bogus"`,
-		"-groups 200":                 "PLGroups 200 out of range",
-		"-cp-limit NaN":               "CPLimit NaN is not a finite number",
-		"-cp-limit +Inf":              "CPLimit +Inf is not a finite number",
-		"-channels 4 -channel-bw NaN": "ChannelBandwidth NaN is not a finite number",
+	for _, tc := range []struct{ args, want string }{
+		{"-trace missing.dmt -seed 7", "so -seed would be ignored"},
+		{"-scheme bogus", `unknown -scheme "bogus"`},
+		{"-groups 200", "PLGroups 200 out of range"},
+		{"-cp-limit NaN", "CPLimit NaN is not a finite number"},
+		{"-cp-limit +Inf", "CPLimit +Inf is not a finite number"},
+		{"-channels 4 -channel-bw NaN", "ChannelBandwidth NaN is not a finite number"},
+		{"-stripe-pages 4", "need Channels set"},
+		{"-tech sram", "unknown memory technology"},
+		{"-workload bogus", `unknown -workload "bogus" (valid: synthetic-st, synthetic-db, oltp-st, oltp-db)`},
+		{"-seed 0", "-seed 0 is not a seed"},
+		{"-duration 0", "-duration 0s must be positive"},
+		{"-duration -1ms", "-duration -1ms must be positive"},
+		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
+		{"-json trace.dmt", `stray arguments ["trace.dmt"]`},
 	} {
-		stdout, stderr, err := runSim(t, args)
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("dmamem-sim %s: err %v, want exit status 2", args, err)
-			continue
-		}
-		if !strings.Contains(stderr, want) {
-			t.Errorf("dmamem-sim %s: stderr %q, want %q", args, stderr, want)
-		}
-		if stdout != "" {
-			t.Errorf("dmamem-sim %s: stdout %q, want nothing", args, stdout)
-		}
+		wantUsage(t, strings.Fields(tc.args), tc.want)
 	}
 }
 
@@ -245,18 +207,18 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	var docs []string
-	for _, args := range []string{"-json -workload oltp-st -duration 10ms", "-json -trace " + path} {
-		stdout, stderr, err := runSim(t, args)
-		if err != nil {
-			t.Fatalf("dmamem-sim %s: %v\n%s", args, err, stderr)
+	for _, args := range [][]string{{"-json", "-workload", "oltp-st", "-duration", "10ms"}, {"-json", "-trace", path}} {
+		code, stdout, stderr := runSim(args...)
+		if code != 0 {
+			t.Fatalf("dmamem-sim %q: exit %d\n%s", args, code, stderr)
 		}
 		dec := json.NewDecoder(strings.NewReader(stdout))
 		var doc map[string]any
 		if err := dec.Decode(&doc); err != nil {
-			t.Fatalf("dmamem-sim %s: stdout is not JSON: %v\n%s", args, err, stdout)
+			t.Fatalf("dmamem-sim %q: stdout is not JSON: %v\n%s", args, err, stdout)
 		}
 		if _, err := dec.Token(); err != io.EOF {
-			t.Fatalf("dmamem-sim %s: stdout holds more than one JSON document:\n%s", args, stdout)
+			t.Fatalf("dmamem-sim %q: stdout holds more than one JSON document:\n%s", args, stdout)
 		}
 		docs = append(docs, stdout)
 	}
@@ -265,20 +227,86 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 	}
 }
 
+// TestRecordedTraceReplaysAsGenerated pins that the generator flags
+// mean one trace in both commands: for every workload, what
+// dmamem-trace record writes for -seed 3 -duration 3ms, replayed with
+// -trace, reports the same -json bytes as generating it in place.
+func TestRecordedTraceReplaysAsGenerated(t *testing.T) {
+	for _, w := range strings.Split(cli.WorkloadNames, ", ") {
+		gen := []string{"-workload", w, "-seed", "3", "-duration", "3ms"}
+		_, generated, _ := runSim(append([]string{"-json"}, gen...)...)
+		code, replayed, stderr := runSim("-json", "-trace", recordTrace(t, gen...))
+		if code != 0 || generated == "" || replayed != generated {
+			t.Errorf("%s: exit %d (%s); replayed report\n%s\ndiffers from the generated one\n%s", w, code, stderr, replayed, generated)
+		}
+	}
+}
+
 // TestNonDMTTraceFails pins that -trace reads only .dmt containers:
-// any other file exits non-zero on the container's bad-magic error
-// with nothing on stdout.
+// any other file exits 1 on the container's bad-magic error with
+// nothing on stdout.
 func TestNonDMTTraceFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.bin")
 	if err := os.WriteFile(path, append([]byte("DMAT"), make([]byte, 4096)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, err := runSim(t, "-trace "+path)
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-		t.Fatalf("dmamem-sim -trace %s: err %v, want a non-zero exit", path, err)
+	code, stdout, stderr := runSim("-trace", path)
+	if code != 1 || !strings.Contains(stderr, "bad magic") || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 and only the bad-magic error", code, stdout, stderr)
 	}
-	if !strings.Contains(stderr, "bad magic") || stdout != "" {
-		t.Fatalf("stdout %q, stderr %q; want only the bad-magic error", stdout, stderr)
+}
+
+// TestEveryFlagIsRead sets each flag the command defines to a valid
+// value away from its default. The flag must change stdout, or, where
+// same gives the reason, leave it byte-identical: no flag is accepted
+// and then ignored. A flag added without a case fails the test.
+func TestEveryFlagIsRead(t *testing.T) {
+	dmt := recordTrace(t, "-workload", "oltp-st", "-duration", "5ms")
+	short := []string{"-duration", "5ms"}
+	// Uncapped channels stripe pages but limit nothing, so the serial
+	// engine prints one channel's report; under a cap the count matters.
+	capped := []string{"-duration", "5ms", "-channels", "2", "-channel-bw", "1e9"}
+	cases := map[string]struct {
+		with  []string // set on both runs
+		value string
+		same  string
+	}{
+		"trace":        {value: dmt},
+		"workload":     {with: short, value: "oltp-st"},
+		"duration":     {with: short, value: "6ms"},
+		"seed":         {with: short, value: "3"},
+		"scheme":       {with: short, value: "dma-ta"},
+		"tech":         {with: short, value: "ddr4-2400"},
+		"cp-limit":     {with: short, value: "0.3"},
+		"groups":       {with: []string{"-duration", "20ms"}, value: "3"},
+		"channels":     {with: capped, value: "4"},
+		"stripe-pages": {with: capped, value: "8"},
+		"channel-bw":   {with: []string{"-duration", "5ms", "-channels", "2"}, value: "1e9"},
+		"compare":      {with: short, value: "false"},
+		"json":         {with: short, value: "true"},
+		"workers":      {with: short, value: "2", same: "on one channel, reports are byte-identical at any worker count"},
+		"epoch":        {with: []string{"-duration", "5ms", "-workers", "2"}, value: "20us", same: "on one channel, the barrier period changes no report"},
 	}
+	fs, _, _ := command(io.Discard, io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		c, ok := cases[f.Name]
+		if !ok {
+			t.Errorf("-%s has no case saying what it changes", f.Name)
+			return
+		}
+		code, ref, stderr := runSim(c.with...)
+		if code != 0 {
+			t.Fatalf("-%s reference %q: exit %d\n%s", f.Name, c.with, code, stderr)
+		}
+		args := append(append([]string{}, c.with...), "-"+f.Name+"="+c.value)
+		code, got, stderr := runSim(args...)
+		switch {
+		case code != 0:
+			t.Errorf("%q: exit %d\n%s", args, code, stderr)
+		case c.same == "" && got == ref:
+			t.Errorf("%q: stdout is the same as without -%s: the flag is ignored", args, f.Name)
+		case c.same != "" && got != ref:
+			t.Errorf("%q: stdout changed, but %s", args, c.same)
+		}
+	})
 }

@@ -7,141 +7,97 @@
 //	dmamem-trace info trace.dmt
 //	dmamem-trace cdf  trace.dmt          # Figure 4 style popularity CDF
 //
-// record streams a workload straight to the columnar .dmt container:
-// the synthetic generators emit record by record into the chunked
-// writer, so an hour-scale trace records in flat memory. info prints
-// the footer summary without decoding a single record; cdf loads the
-// trace and prints its Table 2 summary and popularity CDF. To simulate
-// a recorded trace, run dmamem-sim -trace trace.dmt. Stray positional
-// arguments exit 2 with the usage line.
+// record writes the trace dmamem-sim generates for the same -workload,
+// -duration and -seed (replay it with dmamem-sim -trace); synthetic
+// workloads stream record by record into the chunked writer, so an
+// hour-scale trace records in flat memory. The file is renamed into
+// place once complete, so a failed run leaves an existing one
+// untouched. info prints the footer summary without decoding a record;
+// cdf prints the Table 2 summary and popularity CDF. Bad flags and
+// stray arguments exit 2 with a usage message before any file is
+// written.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
+	"path/filepath"
 
 	"dmamem"
-	"dmamem/internal/server"
-	"dmamem/internal/sim"
-	"dmamem/internal/synth"
+	"dmamem/internal/cli"
 	"dmamem/internal/trace"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	err := errUsage
+	if len(args) > 0 {
+		switch args[0] {
+		case "record":
+			fs, record := recordCommand(stdout)
+			err = cli.Run(fs, args[1:], stderr, record)
+		case "info", "cdf":
+			err = info(args[1:], stdout, args[0] == "cdf")
+		}
 	}
-	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
-	case "info":
-		info(os.Args[2:], false)
-	case "cdf":
-		info(os.Args[2:], true)
-	default:
-		usage()
-	}
+	return cli.Exit(stderr, "dmamem-trace", err)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dmamem-trace record [flags] | info trace.dmt | cdf trace.dmt")
-	os.Exit(2)
-}
+var errUsage = cli.Usagef("usage: dmamem-trace record [flags] | info trace.dmt | cdf trace.dmt")
 
-func fromStd(d time.Duration) sim.Duration {
-	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-}
-
-// record streams a workload to a .dmt container. The synthetic
-// workloads never hold more than the writer's current chunk in
-// memory, whatever the duration; the server models build their trace
-// in memory first (they need the full event history) and then stream
-// it out.
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	workload := fs.String("workload", "synthetic-st", "synthetic-st | synthetic-db | oltp-st | oltp-db")
-	duration := fs.Duration("duration", 100*time.Millisecond, "trace duration")
-	seed := fs.Uint64("seed", 1, "generator seed")
+// recordCommand defines record's flags and returns the body that
+// streams the workload to a .dmt container.
+func recordCommand(stdout io.Writer) (*flag.FlagSet, func() error) {
+	fs := flag.NewFlagSet("dmamem-trace record", flag.ContinueOnError)
+	gen := cli.AddGen(fs)
 	chunk := fs.Int("chunk", 0, "records per chunk (0 = default)")
 	out := fs.String("o", "trace.dmt", "output .dmt file")
-	_ = fs.Parse(args)
-	if fs.NArg() != 0 {
-		usage()
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	opt := trace.WriterOptions{ChunkRecords: *chunk}
-
-	switch *workload {
-	case "synthetic-st":
-		cfg := synth.DefaultSt()
-		cfg.Duration, cfg.Seed = fromStd(*duration), *seed
-		err = stream(f, "Synthetic-St", opt, func(emit func(trace.Record) error) error {
-			return synth.GenerateStTo(cfg, emit)
-		})
-	case "synthetic-db":
-		// Mirror dmamem.SyntheticDatabaseTrace: network DMAs only, and
-		// the default seed moves off the St default so the two
-		// synthetic workloads draw distinct streams.
-		cfg := synth.DefaultDb()
-		cfg.St.Duration, cfg.St.Seed = fromStd(*duration), *seed
-		if cfg.St.Seed == 1 {
-			cfg.St.Seed = 2
+	return fs, func() error {
+		if err := gen.Validate(); err != nil {
+			return err
 		}
-		err = stream(f, "Synthetic-Db", opt, func(emit func(trace.Record) error) error {
-			return synth.GenerateDbTo(cfg, emit)
-		})
-	case "oltp-st":
-		cfg := server.DefaultStorage()
-		cfg.Duration, cfg.Seed = fromStd(*duration), *seed
-		res, gerr := server.GenerateStorage(cfg)
-		if gerr != nil {
-			err = gerr
-			break
+		if *chunk < 0 || *chunk > trace.MaxChunkRecords {
+			return cli.Usagef("-chunk %d outside [0, %d] (0 = default)", *chunk, trace.MaxChunkRecords)
 		}
-		err = res.Trace.WriteDMT(f, opt)
-	case "oltp-db":
-		cfg := server.DefaultDatabase()
-		cfg.Duration, cfg.Seed = fromStd(*duration), *seed
-		res, gerr := server.GenerateDatabase(cfg)
-		if gerr != nil {
-			err = gerr
-			break
+		opt := trace.WriterOptions{ChunkRecords: *chunk}
+		if err := writeFile(*out, func(w io.Writer) error { return gen.Record(w, opt) }); err != nil {
+			return err
 		}
-		err = res.Trace.WriteDMT(f, opt)
-	default:
-		err = fmt.Errorf("unknown workload %q", *workload)
+		st, err := dmamem.StatTraceFile(*out)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s: %s\n", *out, describe(st))
+		return nil
 	}
-	if err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	st, err := dmamem.StatTraceFile(*out)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s: %s\n", *out, describe(st))
 }
 
-// stream runs one generator callback into a fresh .dmt writer.
-func stream(f *os.File, name string, opt trace.WriterOptions, gen func(emit func(trace.Record) error) error) error {
-	w, err := trace.NewWriter(f, name, opt)
+// writeFile runs write into a temporary file beside path and renames
+// it to path only when write and the close succeed; on any error the
+// temporary file is removed and path is left as it was.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	w.SetMeta(synth.SyntheticMeta())
-	if err := gen(w.Append); err != nil {
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return w.Close()
+	if err == nil {
+		// CreateTemp makes the file owner-only; a trace is shared.
+		err = os.Chmod(f.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 func describe(st dmamem.TraceFileInfo) string {
@@ -149,34 +105,30 @@ func describe(st dmamem.TraceFileInfo) string {
 		st.Name, st.Records, st.DMATransfers, st.DMAPages, st.Chunks, st.ChunkRecords, st.Duration)
 }
 
-func info(args []string, cdf bool) {
+func info(args []string, stdout io.Writer, cdf bool) error {
 	if len(args) != 1 {
-		usage()
+		return errUsage
 	}
 	path := args[0]
 	if !cdf {
 		// Footer-only summary: no record is ever decoded.
 		st, err := dmamem.StatTraceFile(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(describe(st))
-		return
+		fmt.Fprintln(stdout, describe(st))
+		return nil
 	}
 	tr, err := dmamem.ReadTraceFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(tr.Summary())
-	fmt.Printf("burstiness (inter-arrival CV): %.2f; chip-load skew (CV): %.2f\n",
+	fmt.Fprintln(stdout, tr.Summary())
+	fmt.Fprintf(stdout, "burstiness (inter-arrival CV): %.2f; chip-load skew (CV): %.2f\n",
 		tr.Burstiness(), tr.ChipLoadSkew())
-	fmt.Printf("%10s %10s\n", "pages%", "accesses%")
+	fmt.Fprintf(stdout, "%10s %10s\n", "pages%", "accesses%")
 	for _, p := range tr.PopularityCurve(10) {
-		fmt.Printf("%9.0f%% %9.1f%%\n", 100*p.PageFrac, 100*p.AccessFrac)
+		fmt.Fprintf(stdout, "%9.0f%% %9.1f%%\n", 100*p.PageFrac, 100*p.AccessFrac)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dmamem-trace:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,0 +1,109 @@
+// Package cli is the front end the batch commands share. dmamem-sim,
+// dmamem-bench and dmamem-trace each parse one ContinueOnError FlagSet
+// inside a run(args, stdout, stderr) int that tests call in process.
+// The flags two commands read are defined and validated here once:
+// -workers and -epoch (Engine), and -workload, -duration and -seed
+// (Gen), over the one workload table dmamem-sim and dmamem-trace
+// record generate from. A failed check exits 2 before any work starts.
+package cli
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"time"
+)
+
+// usageError is a bad flag or flag combination: Exit maps it to
+// status 2, the flag package's status for usage errors.
+type usageError struct{ error }
+
+func (u usageError) Unwrap() error { return u.error }
+
+// Usagef formats a usage error; %w keeps the wrapped error matchable.
+func Usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// errReported is a parse error the FlagSet has already written to
+// stderr, with its usage text.
+var errReported = errors.New("bad flags")
+
+// Run parses args into fs, a ContinueOnError FlagSet that reports
+// parse errors, stray arguments and -h help on stderr, and runs body,
+// which reads the flags.
+func Run(fs *flag.FlagSet, args []string, stderr io.Writer, body func() error) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errReported
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "stray arguments %q\n", fs.Args())
+		fs.Usage()
+		return errReported
+	}
+	return body()
+}
+
+// Exit writes err to stderr behind the command's name and returns the
+// exit status: 0 for nil and -h, 2 for a usage error, 1 for any other.
+func Exit(stderr io.Writer, name string, err error) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case err == errReported:
+		return 2
+	}
+	fmt.Fprintf(stderr, "%s: %v\n", name, err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// Engine holds -workers and -epoch, which pick the event-loop engine
+// inside each simulation. On one memory channel, reports are
+// byte-identical at any value of either.
+type Engine struct {
+	workers int
+	epoch   time.Duration
+}
+
+// AddEngine defines -workers and -epoch on fs.
+func AddEngine(fs *flag.FlagSet) *Engine {
+	e := &Engine{}
+	fs.IntVar(&e.workers, "workers", 1, "most event-loop goroutines inside each simulation; short spans run inline (1 = serial reference engine)")
+	fs.DurationVar(&e.epoch, "epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
+	return e
+}
+
+// Validate rejects a -workers below 1, which would otherwise surface
+// as a confusing core error mid-run, a negative -epoch, and an -epoch
+// without the parallel engine: the barrier period only exists when
+// -workers selects it, so ignoring it would misreport what ran.
+func (e *Engine) Validate() error {
+	switch {
+	case e.workers <= 0:
+		return Usagef("-workers %d must be at least 1 (1 selects the serial reference engine)", e.workers)
+	case e.epoch < 0:
+		return Usagef("-epoch %v must be nonnegative (0 selects the default 50us)", e.epoch)
+	case e.epoch > 0 && e.workers <= 1:
+		return Usagef("-epoch %v needs the parallel engine (-workers > 1); the serial engine has no barrier period", e.epoch)
+	}
+	return nil
+}
+
+// Workers maps -workers onto Simulation.Workers and
+// core.Config.Workers: 1 is the serial reference engine (0, the
+// default), higher counts select the barrier engine.
+func (e *Engine) Workers() int {
+	if e.workers <= 1 {
+		return 0
+	}
+	return e.workers
+}
+
+// Epoch is the -epoch barrier period (0 = the engine's default).
+func (e *Engine) Epoch() time.Duration { return e.epoch }

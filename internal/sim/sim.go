@@ -45,6 +45,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"time"
 )
 
 // Time is an absolute simulation instant in picoseconds.
@@ -82,6 +83,9 @@ func FromSeconds(s float64) Duration { return Duration(s * 1e12) }
 
 // FromNanoseconds converts floating-point nanoseconds to a Duration.
 func FromNanoseconds(ns float64) Duration { return Duration(ns * 1e3) }
+
+// FromStd converts a time.Duration to a Duration, exactly.
+func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
 
 func (t Time) String() string     { return fmt.Sprintf("%.3fus", float64(t)/1e6) }
 func (d Duration) String() string { return fmt.Sprintf("%.3fus", float64(d)/1e6) }

@@ -151,10 +151,16 @@ type DbConfig struct {
 }
 
 // DefaultDb returns the paper's Synthetic-Db parameters.
-func DefaultDb() DbConfig {
-	st := DefaultSt()
-	st.Seed = 2
-	st.DiskFraction = 0 // database trace: network DMAs only
+func DefaultDb() DbConfig { return DbOf(DefaultSt()) }
+
+// DbOf returns the Synthetic-Db parameters over the DMA stream st
+// describes: network DMAs only, and seed 1, the Synthetic-St default,
+// moved to 2 so the two synthetic workloads draw distinct streams.
+func DbOf(st StConfig) DbConfig {
+	st.DiskFraction = 0
+	if st.Seed == 1 {
+		st.Seed = 2
+	}
 	return DbConfig{St: st, ProcRatePerMs: 10000}
 }
 

@@ -389,3 +389,21 @@ func TestDefaultSizesMean(t *testing.T) {
 		t.Fatalf("mixed mean transfer size = %g pages", got)
 	}
 }
+
+// TestDbOf pins the one Synthetic-Db seed rule both the public API and
+// dmamem-trace record use: seed 1, the Synthetic-St default, moves to
+// 2 (DefaultDb's seed); every other seed, and the DMA stream's other
+// parameters, pass through; the disk share is always zero.
+func TestDbOf(t *testing.T) {
+	for in, want := range map[uint64]uint64{0: 0, 1: 2, 2: 2, 3: 3, 7919: 7919} {
+		st := DefaultSt()
+		st.Seed, st.Duration = in, 3*sim.Millisecond
+		c := DbOf(st)
+		if c.St.Seed != want || c.St.DiskFraction != 0 || c.St.Duration != st.Duration || c.ProcRatePerMs != 10000 {
+			t.Errorf("DbOf(seed %d) = %+v, want seed %d, no disk DMAs, the St duration, 10000 proc/ms", in, c, want)
+		}
+	}
+	if got := DefaultDb(); got.St.Seed != 2 || got.St.DiskFraction != 0 {
+		t.Errorf("DefaultDb() = %+v, want seed 2 and no disk DMAs", got)
+	}
+}

@@ -166,7 +166,7 @@ func (tr *Trace) AppendProcessorAccess(at time.Duration, page int, write bool) e
 // response time and the number of DMA transfers on a client request's
 // critical path; the CP-Limit calibration uses both.
 func (tr *Trace) SetClientResponse(mean time.Duration, transfersPerRequest float64) {
-	tr.t.Meta.MeanClientResponse = fromStdDur(mean)
+	tr.t.Meta.MeanClientResponse = sim.FromStd(mean)
 	tr.t.Meta.TransfersPerClientRequest = transfersPerRequest
 }
 
@@ -293,7 +293,7 @@ func (tw *TraceWriter) AppendProcessorAccess(at time.Duration, page int, write b
 // any time before Close.
 func (tw *TraceWriter) SetClientResponse(mean time.Duration, transfersPerRequest float64) {
 	tw.w.SetMeta(trace.Meta{
-		MeanClientResponse:        fromStdDur(mean),
+		MeanClientResponse:        sim.FromStd(mean),
 		TransfersPerClientRequest: transfersPerRequest,
 	})
 }
@@ -308,8 +308,7 @@ func (tw *TraceWriter) Close() error {
 	return tw.f.Close()
 }
 
-func fromStd(d time.Duration) sim.Time        { return sim.Time(d.Nanoseconds()) * 1000 }
-func fromStdDur(d time.Duration) sim.Duration { return sim.Duration(d.Nanoseconds()) * 1000 }
+func fromStd(d time.Duration) sim.Time { return sim.Time(d.Nanoseconds()) * 1000 }
 
 // applyGeneratorOptions is the one Duration/Seed/rate defaulting rule
 // every trace-generator option struct shares: a zero option keeps the
@@ -317,7 +316,7 @@ func fromStdDur(d time.Duration) sim.Duration { return sim.Duration(d.Nanosecond
 // address the fields of the generator's native config struct.
 func applyGeneratorOptions(dur *sim.Duration, seed *uint64, rate *float64, oDur time.Duration, oSeed uint64, oRate float64) {
 	if oDur != 0 {
-		*dur = fromStdDur(oDur)
+		*dur = sim.FromStd(oDur)
 	}
 	if oSeed != 0 {
 		*seed = oSeed
@@ -370,12 +369,7 @@ func SyntheticStorageTrace(o SyntheticOptions) (*Trace, error) {
 // SyntheticDatabaseTrace builds the paper's Synthetic-Db workload:
 // network DMAs plus Poisson processor accesses (10000/ms by default).
 func SyntheticDatabaseTrace(o SyntheticOptions) (*Trace, error) {
-	cfg := synth.DefaultDb()
-	cfg.St = o.st()
-	cfg.St.DiskFraction = 0
-	if cfg.St.Seed == 1 {
-		cfg.St.Seed = 2
-	}
+	cfg := synth.DbOf(o.st())
 	if o.ProcPerTransfer > 0 {
 		cfg.ProcPerTransfer = o.ProcPerTransfer
 		cfg.ProcRatePerMs = 0
