@@ -83,6 +83,12 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 		if err := engine.Validate(); err != nil {
 			return err
 		}
+		if err := cli.Positive("duration", *duration); err != nil {
+			return err
+		}
+		if err := cli.Positive("db-duration", *dbDuration); err != nil {
+			return err
+		}
 		if err := validateFig(*fig); err != nil {
 			return err
 		}

@@ -2,12 +2,14 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dmamem/internal/experiments"
 )
@@ -130,6 +132,31 @@ func TestUnknownFigExitsNonZero(t *testing.T) {
 		{"-fig table1 5", `stray arguments ["5"]`},
 	} {
 		wantUsage(t, strings.Fields(tc.args), tc.want)
+	}
+}
+
+// TestBadDurationsExitBeforeWork rejects a -duration or -db-duration
+// that is not positive with exit 2 before any figure runs, as
+// dmamem-sim does; unchecked, each failed in the first figure.
+func TestBadDurationsExitBeforeWork(t *testing.T) {
+	for _, args := range []string{"-duration 0", "-duration -1ms", "-db-duration 0", "-db-duration -1ms"} {
+		flagName, value, _ := strings.Cut(args, " ")
+		d, err := time.ParseDuration(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantUsage(t, strings.Fields("-fig 2b "+args), fmt.Sprintf("%s %v must be positive", flagName, d))
+	}
+}
+
+// TestDSSTooShortNamesTheDuration runs the decision-support figure
+// over a window too short for any query to start: the run fails with
+// exit 1, and the message names the duration and says why.
+func TestDSSTooShortNamesTheDuration(t *testing.T) {
+	code, stdout, stderr := runBench("-fig", "dss", "-duration", "5ms")
+	want := "dss: no decision-support query starts within 5ms"
+	if code != 1 || !strings.Contains(stderr, want) || stdout != "" {
+		t.Errorf("-fig dss -duration 5ms: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr containing %q", code, stdout, stderr, want)
 	}
 }
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dmamem-serve [-listen :8080] [-workers 2] [-quota 16]
-//	             [-weights tenant=2,other=1] [-cache 256]
+//	             [-weights tenant=2,other=1] [-cache-bytes 524288]
 //	             [-point-parallel 1] [-max-grid-points 4096]
 //
 // The job schema and a worked curl session are documented in
@@ -19,7 +19,12 @@
 //	  | cmp - internal/experiments/testdata/golden/oltp-st_baseline.json
 //
 // -point-parallel runs each grid job's sweep points on that many
-// goroutines; the result bytes are the same at any count.
+// goroutines; the result bytes are the same at any count. -cache-bytes
+// bounds the result bytes the cache holds; the daemon also keeps its
+// last 1024 finished jobs answerable by ID, and an older ID answers
+// 410 Gone.
+//
+// Bad flags exit 2 before the daemon starts.
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: it stops
 // accepting, cancels queued and running jobs, and drains the fleet.
@@ -30,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -39,6 +45,7 @@ import (
 	"syscall"
 	"time"
 
+	"dmamem/internal/cli"
 	"dmamem/internal/server/service"
 )
 
@@ -61,40 +68,59 @@ func parseWeights(s string) (map[string]float64, error) {
 	return out, nil
 }
 
+func main() { os.Exit(run(os.Args[1:], os.Stderr, nil)) }
+
 // run parses args, starts the daemon, and blocks until a fatal server
-// error or SIGINT/SIGTERM. ready, when non-nil, is called with the
-// bound listen address once the server is accepting — the seam the
-// end-to-end test uses to talk to a daemon on an ephemeral port.
-func run(args []string, ready func(addr string)) error {
+// error or SIGINT/SIGTERM, returning the exit status. ready, when
+// non-nil, is called with the bound listen address once the server is
+// accepting — the seam the end-to-end test uses to talk to a daemon on
+// an ephemeral port.
+func run(args []string, stderr io.Writer, ready func(addr string)) int {
+	fs, config := command(stderr)
+	return cli.Exit(stderr, "dmamem-serve", cli.Run(fs, args, stderr, func() error {
+		listen, cfg, err := config()
+		if err != nil {
+			return err
+		}
+		return serve(listen, cfg, stderr, ready)
+	}))
+}
+
+// command defines the flags and returns the function that turns them
+// into the listen address and the daemon's configuration.
+func command(stderr io.Writer) (*flag.FlagSet, func() (string, service.Config, error)) {
 	fs := flag.NewFlagSet("dmamem-serve", flag.ContinueOnError)
 	listen := fs.String("listen", ":8080", "HTTP listen address")
 	workers := fs.Int("workers", 2, "job-execution worker fleet size")
 	quota := fs.Int("quota", 16, "per-tenant admission quota (queued+running jobs; negative = unlimited)")
 	weights := fs.String("weights", "", "per-tenant fair-queueing weights, tenant=weight[,...]")
-	cache := fs.Int("cache", 256, "result cache entries (negative disables)")
+	cacheBytes := fs.Int("cache-bytes", service.DefaultCacheBytes, "result cache budget in bytes of answers (negative disables)")
 	pointParallel := fs.Int("point-parallel", 1, "goroutines per grid job")
 	maxGridPoints := fs.Int("max-grid-points", 4096, "reject grid jobs over this many points (negative = unlimited)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return fs, func() (string, service.Config, error) {
+		tw, err := parseWeights(*weights)
+		if err != nil {
+			return "", service.Config{}, cli.Usagef("%v", err)
+		}
+		return *listen, service.Config{
+			Workers:       *workers,
+			TenantQuota:   *quota,
+			TenantWeights: tw,
+			CacheBytes:    *cacheBytes,
+			PointParallel: *pointParallel,
+			MaxGridPoints: *maxGridPoints,
+			Log:           stderr,
+		}, nil
 	}
+}
 
-	tw, err := parseWeights(*weights)
-	if err != nil {
-		return err
-	}
-
-	d := service.New(service.Config{
-		Workers:       *workers,
-		TenantQuota:   *quota,
-		TenantWeights: tw,
-		CacheEntries:  *cache,
-		PointParallel: *pointParallel,
-		MaxGridPoints: *maxGridPoints,
-		Log:           os.Stderr,
-	})
+// serve runs the daemon on listen until a fatal server error or
+// SIGINT/SIGTERM.
+func serve(listen string, cfg service.Config, stderr io.Writer, ready func(addr string)) error {
+	d := service.New(cfg)
 	defer d.Close()
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
@@ -105,7 +131,7 @@ func run(args []string, ready func(addr string)) error {
 	srv := &http.Server{Handler: d.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "dmamem-serve: listening on %s (%d workers, quota %d)\n", ln.Addr(), *workers, *quota)
+	fmt.Fprintf(stderr, "dmamem-serve: listening on %s (%d workers, quota %d)\n", ln.Addr(), cfg.Workers, cfg.TenantQuota)
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
@@ -114,7 +140,7 @@ func run(args []string, ready func(addr string)) error {
 	case err := <-errCh:
 		return err
 	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "dmamem-serve: %v, shutting down\n", s)
+		fmt.Fprintf(stderr, "dmamem-serve: %v, shutting down\n", s)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -125,11 +151,4 @@ func run(args []string, ready func(addr string)) error {
 		return err
 	}
 	return nil
-}
-
-func main() {
-	if err := run(os.Args[1:], nil); err != nil {
-		fmt.Fprintln(os.Stderr, "dmamem-serve:", err)
-		os.Exit(1)
-	}
 }

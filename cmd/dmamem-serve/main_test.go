@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"reflect"
@@ -9,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dmamem/internal/server/service"
 )
 
 func TestParseWeights(t *testing.T) {
@@ -29,16 +32,66 @@ func TestParseWeights(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags holds the command to the front end's exit
+// rule: a bad flag, a stray argument or the retired -cache entry bound
+// exits 2 before the daemon starts; a listen failure exits 1.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-weights", "acme=nope"}, nil); err == nil {
-		t.Error("run accepted a malformed -weights value")
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-weights", "acme=nope"}, 2, `bad -weights value "nope"`},
+		{[]string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag"},
+		{[]string{"-cache", "256"}, 2, "flag provided but not defined: -cache"},
+		{[]string{"-listen", "127.0.0.1:0", "extra"}, 2, `stray arguments ["extra"]`},
+		{[]string{"-listen", "127.0.0.1:notaport"}, 1, "dmamem-serve: listen tcp"},
+	} {
+		var stderr strings.Builder
+		if code := run(tc.args, &stderr, nil); code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("dmamem-serve %q: exit %d, stderr %q; want exit %d and %q", tc.args, code, stderr.String(), tc.code, tc.want)
+		}
 	}
-	if err := run([]string{"-no-such-flag"}, nil); err == nil {
-		t.Error("run accepted an unknown flag")
+}
+
+// TestEveryFlagIsRead sets each flag to a valid value away from its
+// default and requires the listen address or the daemon configuration
+// the flags resolve to to change: no flag is accepted and then
+// ignored. A flag added without a case fails the test.
+func TestEveryFlagIsRead(t *testing.T) {
+	values := map[string]string{
+		"listen":          "127.0.0.1:9",
+		"workers":         "3",
+		"quota":           "4",
+		"weights":         "acme=2",
+		"cache-bytes":     "1024",
+		"point-parallel":  "2",
+		"max-grid-points": "10",
 	}
-	if err := run([]string{"-listen", "127.0.0.1:notaport"}, nil); err == nil {
-		t.Error("run accepted an unresolvable listen address")
+	resolve := func(args ...string) (string, service.Config) {
+		fs, config := command(io.Discard)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		listen, cfg, err := config()
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return listen, cfg
 	}
+	refListen, refCfg := resolve()
+	fs, _ := command(io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		v, ok := values[f.Name]
+		if !ok {
+			t.Errorf("-%s has no case saying what it changes", f.Name)
+			return
+		}
+		listen, cfg := resolve("-" + f.Name + "=" + v)
+		if listen == refListen && reflect.DeepEqual(cfg, refCfg) {
+			t.Errorf("-%s=%s resolves to the same listen address and configuration as the default: the flag is ignored", f.Name, v)
+		}
+	})
 }
 
 // TestRunEndToEnd drives the real daemon entrypoint: run() on an
@@ -47,17 +100,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // exercises against the built binary.
 func TestRunEndToEnd(t *testing.T) {
 	ready := make(chan string, 1)
-	done := make(chan error, 1)
+	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-workers", "1", "-quota", "4", "-weights", "acme=2"}, func(addr string) {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-workers", "1", "-quota", "4", "-weights", "acme=2"}, io.Discard, func(addr string) {
 			ready <- addr
 		})
 	}()
 	var addr string
 	select {
 	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon exited before ready: %v", err)
+	case code := <-done:
+		t.Fatalf("daemon exited %d before ready", code)
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon never became ready")
 	}
@@ -99,17 +152,19 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(metrics), "dmamem_jobs_completed 1") {
-		t.Errorf("metrics missing completed-job count:\n%s", metrics)
+	for _, want := range []string{"dmamem_jobs_completed 1", "dmamem_retained_jobs 1"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v after SIGINT, want nil", err)
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("run exited %d after SIGINT, want 0", code)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down after SIGINT")

@@ -1,6 +1,7 @@
-// Package cli is the front end the batch commands share. dmamem-sim,
+// Package cli is the front end the commands share. dmamem-sim,
 // dmamem-bench and dmamem-trace each parse one ContinueOnError FlagSet
-// inside a run(args, stdout, stderr) int that tests call in process.
+// inside a run(args, stdout, stderr) int that tests call in process;
+// dmamem-serve parses and exits through the same Run and Exit.
 // The flags two commands read are defined and validated here once:
 // -workers and -epoch (Engine), and -workload, -duration and -seed
 // (Gen), over the one workload table dmamem-sim and dmamem-trace
@@ -61,6 +62,15 @@ func Exit(stderr io.Writer, name string, err error) int {
 		return 2
 	}
 	return 1
+}
+
+// Positive rejects a duration flag that is not positive: no trace is
+// empty or negative in length.
+func Positive(name string, d time.Duration) error {
+	if d <= 0 {
+		return Usagef("-%s %v must be positive", name, d)
+	}
+	return nil
 }
 
 // Engine holds -workers and -epoch, which pick the event-loop engine

@@ -103,12 +103,13 @@ func AddGen(fs *flag.FlagSet) *Gen {
 // seed as "the default", so unchecked, -duration 0 ran 100ms and
 // -seed 0 ran the model's default seed.
 func (g *Gen) Validate() error {
-	switch _, ok := workloads[g.workload]; {
-	case !ok:
+	if _, ok := workloads[g.workload]; !ok {
 		return Usagef("unknown -workload %q (valid: %s)", g.workload, WorkloadNames)
-	case g.duration <= 0:
-		return Usagef("-duration %v must be positive", g.duration)
-	case g.seed == 0:
+	}
+	if err := Positive("duration", g.duration); err != nil {
+		return err
+	}
+	if g.seed == 0 {
 		return Usagef("-seed 0 is not a seed; the generators read 0 as their default")
 	}
 	return nil

@@ -106,6 +106,10 @@ func DSSExtension(ctx context.Context, r *Runner, d sim.Duration, seed uint64) (
 		return nil, err
 	}
 	tr := res.Trace
+	if len(tr.Records) == 0 {
+		return nil, fmt.Errorf("no decision-support query starts within %gms, so the trace is empty; use a longer duration",
+			float64(d)/float64(sim.Millisecond))
+	}
 	return mapJobs(ctx, r, len(sweepSchemes),
 		func(i int) string { return "dss/" + sweepSchemes[i] },
 		func(ctx context.Context, i int) (DSSRow, error) {

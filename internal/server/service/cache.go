@@ -6,13 +6,15 @@ import (
 )
 
 // resultCache maps canonical job hashes to completed result bytes
-// with LRU eviction. Because simulations are deterministic and results
-// are canonically serialized, a hit is byte-identical to a fresh run —
-// every tenant asking the same question gets the same bit-stable
-// answer without a simulation running twice.
+// with LRU eviction under a byte budget. Because simulations are
+// deterministic and results are canonically serialized, a hit is
+// byte-identical to a fresh run — every tenant asking the same
+// question gets the same bit-stable answer without a simulation
+// running twice.
 type resultCache struct {
 	mu    sync.Mutex
-	max   int
+	max   int // budget in result bytes
+	bytes int // result bytes held
 	byKey map[string]*list.Element
 	order *list.List // front = most recently used
 }
@@ -22,8 +24,8 @@ type cacheSlot struct {
 	result []byte
 }
 
-// newResultCache returns a cache bounded to max entries; max <= 0
-// disables caching entirely (every get misses).
+// newResultCache returns a cache holding at most max result bytes;
+// max <= 0 disables caching entirely (every get misses).
 func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, byKey: map[string]*list.Element{}, order: list.New()}
 }
@@ -42,23 +44,29 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 // put stores a completed result, evicting the least recently used
-// entries beyond the bound.
+// entries until the cache is back within its budget. A result larger
+// than the whole budget is not stored.
 func (c *resultCache) put(key string, result []byte) {
-	if c.max <= 0 {
+	if c.max <= 0 || len(result) > c.max {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
+		slot := el.Value.(*cacheSlot)
+		c.bytes += len(result) - len(slot.result)
+		slot.result = result
 		c.order.MoveToFront(el)
-		el.Value.(*cacheSlot).result = result
-		return
+	} else {
+		c.byKey[key] = c.order.PushFront(&cacheSlot{key: key, result: result})
+		c.bytes += len(result)
 	}
-	c.byKey[key] = c.order.PushFront(&cacheSlot{key: key, result: result})
-	for c.order.Len() > c.max {
+	for c.bytes > c.max {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.byKey, last.Value.(*cacheSlot).key)
+		slot := last.Value.(*cacheSlot)
+		delete(c.byKey, slot.key)
+		c.bytes -= len(slot.result)
 	}
 }
 
@@ -67,4 +75,11 @@ func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// size reports the result bytes the cache holds.
+func (c *resultCache) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }

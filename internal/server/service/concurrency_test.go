@@ -336,9 +336,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := d.Cancel(st.ID)
-	if !ok || got.Status != StatusCanceled {
-		t.Fatalf("cancel: %+v ok=%v", got, ok)
+	got, err := d.Cancel(st.ID)
+	if err != nil || got.Status != StatusCanceled {
+		t.Fatalf("cancel: %+v, %v", got, err)
 	}
 	// Canceling again is a no-op, not a double transition.
 	again, _ := d.Cancel(st.ID)
@@ -381,8 +381,8 @@ func TestCancelRunningJob(t *testing.T) {
 	// poll no matter how fast it is.
 	canceled := make(chan string, 1)
 	d.runningHook = func(js *jobState) {
-		if _, ok := d.Cancel(js.id); !ok {
-			t.Error("cancel lost the running job")
+		if _, err := d.Cancel(js.id); err != nil {
+			t.Errorf("cancel lost the running job: %v", err)
 		}
 		canceled <- js.id
 	}
@@ -478,5 +478,40 @@ func TestEventStreamOrdering(t *testing.T) {
 	b, err := json.Marshal(events[0])
 	if err != nil || !strings.Contains(string(b), `"State"`) {
 		t.Errorf("event does not serialize cleanly: %s, %v", b, err)
+	}
+}
+
+// TestIdleTenantsForgotten runs one job each for many tenants and
+// requires the scheduler to hold no tenant state once they are done:
+// its memory, and the per-dispatch scan over tenants, follow the
+// tenants with work, not every tenant name ever seen.
+func TestIdleTenantsForgotten(t *testing.T) {
+	d := New(Config{Workers: 2})
+	defer d.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 50; i++ {
+		st, err := d.Submit(noopJob(fmt.Sprintf("tenant-%d", i), 1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait returns when the job is done, a moment before its worker
+	// releases the tenant's quota.
+	for {
+		d.sched.mu.Lock()
+		n := len(d.sched.tenants)
+		d.sched.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("%d idle tenants still held after every job finished", n)
+		case <-time.After(time.Millisecond):
+		}
 	}
 }

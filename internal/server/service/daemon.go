@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 
 	"dmamem/internal/experiments"
@@ -12,8 +14,8 @@ import (
 )
 
 // Config parameterizes a Daemon. The zero value is a runnable
-// single-box service: 2 workers, quota 16 jobs per tenant, a
-// 256-entry result cache, grid points run one at a time.
+// single-box service: 2 workers, quota 16 jobs per tenant, a 512 KiB
+// result cache, grid points run one at a time.
 type Config struct {
 	// Workers is the job-execution fleet size; <= 0 means 2. Each
 	// worker runs one job at a time, so Workers bounds the daemon's
@@ -26,9 +28,10 @@ type Config struct {
 	// tenants get weight 1. A weight-2 tenant receives twice the
 	// service share of a weight-1 tenant under contention.
 	TenantWeights map[string]float64
-	// CacheEntries bounds the result cache; 0 means 256, negative
-	// disables caching.
-	CacheEntries int
+	// CacheBytes bounds the result bytes the cache holds; 0 means
+	// DefaultCacheBytes, negative disables caching. An answer larger
+	// than the budget is served but not cached.
+	CacheBytes int
 	// PointParallel is the per-job worker-goroutine budget for
 	// grid jobs; <= 0 means 1 (serial, the reference).
 	PointParallel int
@@ -39,6 +42,17 @@ type Config struct {
 	Log io.Writer
 }
 
+// DefaultCacheBytes is the result cache's default budget: room for
+// about 500 report answers of about 1 KB each.
+const DefaultCacheBytes = 512 << 10
+
+// retainJobs bounds the finished jobs a daemon keeps answering for by
+// ID. Older ones are retired, oldest first: their IDs answer
+// ErrRetired, and resubmitting the job is a cache hit while its
+// answer is cached. The bound is a count, not an age, so a daemon's
+// memory is set by its caches, not by how many jobs it has answered.
+const retainJobs = 1024
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -46,8 +60,8 @@ func (c Config) withDefaults() Config {
 	if c.TenantQuota == 0 {
 		c.TenantQuota = 16
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
+	if c.CacheBytes == 0 {
+		c.CacheBytes = DefaultCacheBytes
 	}
 	if c.PointParallel <= 0 {
 		c.PointParallel = 1
@@ -146,7 +160,8 @@ func (js *jobState) event(state, detail string) {
 }
 
 // transition moves the job from one lifecycle state to another,
-// appending the matching event. It returns false (and does nothing)
+// appending the matching event. A move to a terminal state goes
+// through Daemon.end, which releases the job's waiters. It returns false (and does nothing)
 // when the job is not in the expected state — the worker/cancel race
 // is resolved by whoever transitions first.
 func (js *jobState) transition(from, to, detail string) bool {
@@ -159,20 +174,15 @@ func (js *jobState) transition(from, to, detail string) bool {
 	js.events = append(js.events, Event{Seq: len(js.events), State: to, Detail: detail})
 	if terminal(to) {
 		js.cancel() // release the context either way
-		close(js.done)
 	}
 	js.wake.Broadcast()
 	return true
 }
 
-// status snapshots the API view.
+// statusView snapshots the API view.
 func (js *jobState) statusView() JobStatus {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return JobStatus{
-		ID: js.id, Tenant: js.tenant, Hash: js.hash, Status: js.status,
-		Cached: js.cached, Points: js.points, Error: js.errmsg,
-	}
+	_, st := js.resultView()
+	return st
 }
 
 // waitEvent blocks until event seq exists (returning it) or ctx ends.
@@ -194,6 +204,15 @@ func (js *jobState) waitEvent(ctx context.Context, seq int) (Event, bool) {
 	return js.events[seq], true
 }
 
+// ErrUnknownJob is the lookup error for an ID the daemon never
+// issued; handlers map it to HTTP 404.
+var ErrUnknownJob = errors.New("service: unknown job")
+
+// ErrRetired is the lookup error for a job that finished and was
+// retired past the daemon's retention bound; handlers map it to HTTP
+// 410. Resubmitting the job answers it again.
+var ErrRetired = errors.New("service: job retired")
+
 // Daemon is the simulation service: a bounded worker fleet draining a
 // weighted fair queue of tenant jobs, with a canonical-hash result
 // cache in front. Create one with New and stop it with Close.
@@ -207,15 +226,31 @@ type Daemon struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*jobState
+	mu   sync.Mutex
+	jobs map[string]*jobState
+	// seq is the last issued job number: IDs job-000001 to seq name
+	// accepted jobs, since a rejected submission takes no number.
 	seq    int
 	closed bool
+	// finished is a ring of the finished jobs still in jobs, nfinished
+	// of them from head on, oldest first. Once it is full, each job
+	// that finishes retires the oldest. Its length is the retention
+	// bound: retainJobs, or less in tests.
+	finished      []finishedJob
+	head          int
+	nfinished     int
+	retainedBytes int // result bytes of the finished jobs in the ring
 
 	// runningHook, when set (tests only), runs after a job enters the
 	// running state and before it executes — the deterministic seam
 	// for exercising mid-job cancellation without racing a simulation.
 	runningHook func(*jobState)
+}
+
+// finishedJob is one entry of the retention ring.
+type finishedJob struct {
+	id    string
+	bytes int // length of the job's result
 }
 
 // New starts a daemon with cfg's worker fleet running.
@@ -233,9 +268,10 @@ func newPaused(cfg Config) *Daemon {
 	d := &Daemon{
 		cfg:      cfg,
 		sched:    newScheduler(cfg.TenantQuota, cfg.TenantWeights),
-		cache:    newResultCache(cfg.CacheEntries),
+		cache:    newResultCache(cfg.CacheBytes),
 		counters: &metrics.Counters{},
 		jobs:     map[string]*jobState{},
+		finished: make([]finishedJob, retainJobs),
 	}
 	d.baseCtx, d.cancel = context.WithCancel(context.Background())
 	return d
@@ -268,6 +304,17 @@ func (d *Daemon) Close() {
 // tests.
 func (d *Daemon) Counters() *metrics.Counters { return d.counters }
 
+// retained reports what the daemon holds beyond its running work: the
+// finished jobs it still answers for by ID, the result bytes they
+// reference, and the result bytes in the cache. The first two share
+// bytes with the third whenever a kept job's answer is also cached.
+func (d *Daemon) retained() (jobs, resultBytes, cacheBytes int) {
+	d.mu.Lock()
+	jobs, resultBytes = d.nfinished, d.retainedBytes
+	d.mu.Unlock()
+	return jobs, resultBytes, d.cache.size()
+}
+
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Log != nil {
 		fmt.Fprintf(d.cfg.Log, format+"\n", args...)
@@ -280,57 +327,100 @@ func (d *Daemon) logf(format string, args ...any) {
 // *QuotaError for admission rejections and wraps ErrBadJob for
 // validation failures.
 func (d *Daemon) Submit(j Job) (JobStatus, error) {
+	js, err := d.submit(j)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return js.statusView(), nil
+}
+
+// submit is Submit returning the job itself, which stays valid after
+// the daemon retires its ID.
+func (d *Daemon) submit(j Job) (*jobState, error) {
 	w, points, err := j.normalize(d.cfg.MaxGridPoints)
 	if err != nil {
 		d.counters.Add("jobs_rejected", 1)
-		return JobStatus{}, err
+		return nil, err
 	}
 	hash, err := experiments.CanonicalHash(w)
 	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: hashing job: %w", err)
+		return nil, fmt.Errorf("service: hashing job: %w", err)
 	}
 	tenant := j.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
 
+	// Admission runs under d.mu, so the job takes the next number
+	// only once it is accepted.
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return JobStatus{}, errSchedClosed
+		return nil, errSchedClosed
+	}
+	id := fmt.Sprintf("job-%06d", d.seq+1)
+	js := newJobState(id, tenant, hash, w, points, d.baseCtx)
+	cached, hit := d.cache.get(hash)
+	if !hit {
+		js.event(StatusQueued, "")
+		if err := d.sched.submit(js); err != nil {
+			d.mu.Unlock()
+			js.cancel()
+			var qe *QuotaError
+			if errors.As(err, &qe) {
+				d.counters.Add("jobs_rejected_quota", 1)
+			}
+			return nil, err
+		}
 	}
 	d.seq++
-	id := fmt.Sprintf("job-%06d", d.seq)
-	js := newJobState(id, tenant, hash, w, points, d.baseCtx)
 	d.jobs[id] = js
 	d.mu.Unlock()
 	d.counters.Add("jobs_submitted", 1)
 
-	if cached, ok := d.cache.get(hash); ok {
+	if hit {
 		js.mu.Lock()
 		js.cached = true
 		js.result = cached
 		js.mu.Unlock()
-		js.transition(StatusQueued, StatusDone, "cache")
-		d.counters.Add("cache_hits", 1)
-		d.counters.Add("jobs_completed", 1)
+		d.end(js, StatusQueued, StatusDone, "cache", "cache_hits", "jobs_completed")
 		d.logf("job %s (tenant %s): served from cache (%s)", id, tenant, hash[:12])
-		return js.statusView(), nil
-	}
-
-	js.event(StatusQueued, "")
-	if err := d.sched.submit(js); err != nil {
-		d.mu.Lock()
-		delete(d.jobs, id)
-		d.mu.Unlock()
-		var qe *QuotaError
-		if errors.As(err, &qe) {
-			d.counters.Add("jobs_rejected_quota", 1)
-		}
-		return JobStatus{}, err
+		return js, nil
 	}
 	d.logf("job %s (tenant %s): queued (%s)", id, tenant, hash[:12])
-	return js.statusView(), nil
+	return js, nil
+}
+
+// end moves js from state from to the terminal state to, as
+// transition does, adds one to each named counter, and keeps js among
+// the finished jobs, retiring the oldest one past the bound. Only then
+// does it release the job's waiters, so a client answered through
+// ?wait=1 finds its job already in the counters and gauges. It does
+// nothing when js is not in state from: the worker/cancel race is
+// settled, and counted, by whoever moves the job first.
+func (d *Daemon) end(js *jobState, from, to, detail string, counters ...string) {
+	if !js.transition(from, to, detail) {
+		return
+	}
+	for _, name := range counters {
+		d.counters.Add(name, 1)
+	}
+	js.mu.Lock()
+	f := finishedJob{id: js.id, bytes: len(js.result)}
+	js.mu.Unlock()
+	d.mu.Lock()
+	if d.nfinished == len(d.finished) {
+		old := d.finished[d.head]
+		delete(d.jobs, old.id)
+		d.retainedBytes -= old.bytes
+		d.head = (d.head + 1) % len(d.finished)
+		d.nfinished--
+	}
+	d.finished[(d.head+d.nfinished)%len(d.finished)] = f
+	d.nfinished++
+	d.retainedBytes += f.bytes
+	d.mu.Unlock()
+	close(js.done)
 }
 
 // worker drains the fair queue until the scheduler closes.
@@ -353,9 +443,7 @@ func (d *Daemon) runJob(js *jobState) {
 		// Canceled (or daemon shutdown) while queued; the transition
 		// fails when an explicit Cancel already completed the job, in
 		// which case that side counted it.
-		if js.transition(StatusQueued, StatusCanceled, js.ctx.Err().Error()) {
-			d.counters.Add("jobs_canceled", 1)
-		}
+		d.end(js, StatusQueued, StatusCanceled, js.ctx.Err().Error(), "jobs_canceled")
 		return
 	}
 	if !js.transition(StatusQueued, StatusRunning, "") {
@@ -369,16 +457,14 @@ func (d *Daemon) runJob(js *jobState) {
 	result, err := d.execute(js)
 	if err != nil {
 		if js.ctx.Err() != nil {
-			js.transition(StatusRunning, StatusCanceled, err.Error())
-			d.counters.Add("jobs_canceled", 1)
+			d.end(js, StatusRunning, StatusCanceled, err.Error(), "jobs_canceled")
 			d.logf("job %s (tenant %s): canceled", js.id, js.tenant)
 			return
 		}
 		js.mu.Lock()
 		js.errmsg = err.Error()
 		js.mu.Unlock()
-		js.transition(StatusRunning, StatusFailed, err.Error())
-		d.counters.Add("jobs_failed", 1)
+		d.end(js, StatusRunning, StatusFailed, err.Error(), "jobs_failed")
 		d.logf("job %s (tenant %s): failed: %v", js.id, js.tenant, err)
 		return
 	}
@@ -386,8 +472,7 @@ func (d *Daemon) runJob(js *jobState) {
 	js.mu.Lock()
 	js.result = result
 	js.mu.Unlock()
-	js.transition(StatusRunning, StatusDone, "")
-	d.counters.Add("jobs_completed", 1)
+	d.end(js, StatusRunning, StatusDone, "", "jobs_completed")
 	d.logf("job %s (tenant %s): done (%d bytes)", js.id, js.tenant, len(result))
 }
 
@@ -437,58 +522,76 @@ func (d *Daemon) executeGrid(js *jobState) ([]byte, error) {
 	return experiments.CanonicalJSON(points)
 }
 
-// get looks a job up by ID.
-func (d *Daemon) get(id string) (*jobState, bool) {
+// get looks a job up by ID. The error wraps ErrRetired for a job
+// retired past the retention bound and ErrUnknownJob for an ID the
+// daemon never issued.
+func (d *Daemon) get(id string) (*jobState, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	js, ok := d.jobs[id]
-	return js, ok
+	if js, ok := d.jobs[id]; ok {
+		return js, nil
+	}
+	digits, _ := strings.CutPrefix(id, "job-")
+	if n, err := strconv.Atoi(digits); err == nil && n >= 1 && n <= d.seq && fmt.Sprintf("job-%06d", n) == id {
+		return nil, fmt.Errorf("%w: %s finished and the daemon keeps only its last %d finished jobs; resubmit the job to get its answer (a cache hit while it is cached)",
+			ErrRetired, id, len(d.finished))
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 }
 
 // Status returns the API view of a job.
-func (d *Daemon) Status(id string) (JobStatus, bool) {
-	js, ok := d.get(id)
-	if !ok {
-		return JobStatus{}, false
+func (d *Daemon) Status(id string) (JobStatus, error) {
+	js, err := d.get(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	return js.statusView(), true
+	return js.statusView(), nil
 }
 
 // Result returns the canonical result bytes of a completed job.
-func (d *Daemon) Result(id string) ([]byte, JobStatus, bool) {
-	js, ok := d.get(id)
-	if !ok {
-		return nil, JobStatus{}, false
+func (d *Daemon) Result(id string) ([]byte, JobStatus, error) {
+	js, err := d.get(id)
+	if err != nil {
+		return nil, JobStatus{}, err
 	}
+	result, st := js.resultView()
+	return result, st, nil
+}
+
+// resultView snapshots the result bytes and the API view together.
+func (js *jobState) resultView() ([]byte, JobStatus) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	return js.result, JobStatus{
 		ID: js.id, Tenant: js.tenant, Hash: js.hash, Status: js.status,
 		Cached: js.cached, Points: js.points, Error: js.errmsg,
-	}, true
+	}
 }
 
 // Cancel cancels a job: queued jobs complete as canceled immediately,
 // running jobs abort through their context within microseconds of
 // simulated dispatch. Canceling a terminal job is a no-op.
-func (d *Daemon) Cancel(id string) (JobStatus, bool) {
-	js, ok := d.get(id)
-	if !ok {
-		return JobStatus{}, false
+func (d *Daemon) Cancel(id string) (JobStatus, error) {
+	js, err := d.get(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	if js.transition(StatusQueued, StatusCanceled, "canceled before running") {
-		d.counters.Add("jobs_canceled", 1)
-	}
+	d.end(js, StatusQueued, StatusCanceled, "canceled before running", "jobs_canceled")
 	js.cancel() // aborts a running simulation mid-flight
-	return js.statusView(), true
+	return js.statusView(), nil
 }
 
 // Wait blocks until the job reaches a terminal state or ctx ends.
 func (d *Daemon) Wait(ctx context.Context, id string) (JobStatus, error) {
-	js, ok := d.get(id)
-	if !ok {
-		return JobStatus{}, fmt.Errorf("service: unknown job %q", id)
+	js, err := d.get(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
+	return js.wait(ctx)
+}
+
+// wait blocks until js reaches a terminal state or ctx ends.
+func (js *jobState) wait(ctx context.Context) (JobStatus, error) {
 	select {
 	case <-js.done:
 		return js.statusView(), nil

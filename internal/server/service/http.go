@@ -11,7 +11,8 @@ import (
 // apiError is the JSON error body every non-2xx response carries.
 type apiError struct {
 	// Kind classifies the failure: "bad-job", "over-quota",
-	// "not-found", "shutting-down", "internal".
+	// "not-found", "retired", "shutting-down", "internal",
+	// "job-failed", "job-canceled", "not-done".
 	Kind string
 	// Error is the full message, including the legal values for
 	// enumeration violations.
@@ -35,11 +36,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // Handler returns the daemon's HTTP API:
 //
 //	POST /v1/jobs              submit a job (?wait=1 blocks and returns the result body)
-//	GET  /v1/jobs/{id}         job status
+//	GET  /v1/jobs/{id}         job status (410 once the job is retired)
 //	GET  /v1/jobs/{id}/result  canonical result bytes of a done job
 //	GET  /v1/jobs/{id}/events  NDJSON progress event stream (follows until terminal)
 //	POST /v1/jobs/{id}/cancel  cancel a queued or running job
-//	GET  /v1/metrics           service counters (Prometheus text style; also at /metrics)
+//	GET  /v1/metrics           service counters and retention gauges (Prometheus text style; also at /metrics)
 //	GET  /v1/healthz           liveness probe
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -67,7 +68,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-job", err.Error())
 		return
 	}
-	st, err := d.Submit(job)
+	js, err := d.submit(job)
 	if err != nil {
 		var qe *QuotaError
 		switch {
@@ -85,36 +86,51 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("wait") != "" {
 		// Synchronous mode: block until terminal and respond exactly
 		// like GET /v1/jobs/{id}/result — the one-curl path the CI
-		// smoke test diffs against the golden corpus.
-		if _, err := d.Wait(r.Context(), st.ID); err != nil {
+		// smoke test diffs against the golden corpus. The answer comes
+		// from js itself: by the time it is written, later jobs may
+		// have retired its ID.
+		if st, err := js.wait(r.Context()); err != nil {
 			writeError(w, http.StatusRequestTimeout, "internal",
 				fmt.Sprintf("job %s: interrupted waiting for completion: %v", st.ID, err))
 			return
 		}
-		d.writeResult(w, st.ID)
+		writeResult(w, js)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	writeJSON(w, http.StatusAccepted, js.statusView())
+}
+
+// lookup finds the job named by the request path, or answers the
+// lookup error.
+func (d *Daemon) lookup(w http.ResponseWriter, r *http.Request) (*jobState, bool) {
+	js, err := d.get(r.PathValue("id"))
+	if err != nil {
+		writeLookupError(w, err)
+	}
+	return js, err == nil
+}
+
+// writeLookupError answers a failed job lookup: 410 for a retired ID,
+// 404 for one the daemon never issued.
+func writeLookupError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrRetired) {
+		writeError(w, http.StatusGone, "retired", err.Error())
+		return
+	}
+	writeError(w, http.StatusNotFound, "not-found", err.Error())
 }
 
 func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := d.Status(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not-found", fmt.Sprintf("unknown job %q", r.PathValue("id")))
-		return
+	if js, ok := d.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, js.statusView())
 	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // writeResult responds with a terminal job's outcome: the canonical
 // result bytes on success, the job's own error classification
 // otherwise.
-func (d *Daemon) writeResult(w http.ResponseWriter, id string) {
-	result, st, ok := d.Result(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "not-found", fmt.Sprintf("unknown job %q", id))
-		return
-	}
+func writeResult(w http.ResponseWriter, js *jobState) {
+	result, st := js.resultView()
 	switch st.Status {
 	case StatusDone:
 		w.Header().Set("Content-Type", "application/json")
@@ -135,15 +151,16 @@ func (d *Daemon) writeResult(w http.ResponseWriter, id string) {
 }
 
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
-	d.writeResult(w, r.PathValue("id"))
+	if js, ok := d.lookup(w, r); ok {
+		writeResult(w, js)
+	}
 }
 
 // handleEvents streams the job's progress events as NDJSON, following
 // live until the job reaches a terminal state or the client leaves.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
-	js, ok := d.get(r.PathValue("id"))
+	js, ok := d.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not-found", fmt.Sprintf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -168,16 +185,21 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := d.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not-found", fmt.Sprintf("unknown job %q", r.PathValue("id")))
+	st, err := d.Cancel(r.PathValue("id"))
+	if err != nil {
+		writeLookupError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleMetrics renders the monotonic counters, then the gauges of
+// what the daemon holds (see Daemon.retained).
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, d.counters.Render("dmamem_"))
+	jobs, resultBytes, cacheBytes := d.retained()
+	fmt.Fprintf(w, "dmamem_retained_jobs %d\ndmamem_retained_result_bytes %d\ndmamem_cache_bytes %d\n",
+		jobs, resultBytes, cacheBytes)
 }

@@ -152,11 +152,18 @@ func (s *scheduler) next() (*jobState, bool) {
 
 // finish releases one unit of the tenant's admission quota — called
 // by the worker that dequeued the job, whether it ran, failed, or was
-// already canceled.
+// already canceled. A tenant left with no job queued or running is
+// forgotten: every job it had was dispatched, so its lastFinish is at
+// most vtime, and it would rejoin at vtime just as a new tenant does.
+// The scheduler's state thus grows with the tenants that have work,
+// not with every tenant name it has seen.
 func (s *scheduler) finish(tenant string) {
 	s.mu.Lock()
 	if ts, ok := s.tenants[tenant]; ok && ts.active > 0 {
 		ts.active--
+		if ts.active == 0 {
+			delete(s.tenants, tenant)
+		}
 	}
 	s.mu.Unlock()
 }
