@@ -18,8 +18,9 @@
 // with one event loop per memory channel, and -epoch sets that
 // engine's barrier period. The printed output is byte-identical at
 // any value of all three, except that a multi-channel figure 10
-// (-channels) depends on -workers and -epoch. -timing (a per-run wall-clock summary with
-// events/sec and allocations per event), -cpuprofile and -memprofile
+// (-channels) depends on -workers and -epoch. -timing (a per-run
+// wall-clock summary with the event and trace-record counts, trace
+// records/sec and allocations per record), -cpuprofile and -memprofile
 // write to stderr and to files only.
 //
 // -channels adds a memory-channel dimension to the figure 10 sweep:

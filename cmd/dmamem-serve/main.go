@@ -98,6 +98,25 @@ func command(stderr io.Writer) (*flag.FlagSet, func() (string, service.Config, e
 	pointParallel := fs.Int("point-parallel", 1, "goroutines per grid job")
 	maxGridPoints := fs.Int("max-grid-points", 4096, "reject grid jobs over this many points (negative = unlimited)")
 	return fs, func() (string, service.Config, error) {
+		// service.Config reads zero (and, for the two counts, any value
+		// below 1) as "use the default", so such a flag value would be
+		// replaced silently; it is rejected instead.
+		var bad string
+		switch {
+		case *workers < 1:
+			bad = fmt.Sprintf("-workers %d: want at least 1", *workers)
+		case *pointParallel < 1:
+			bad = fmt.Sprintf("-point-parallel %d: want at least 1", *pointParallel)
+		case *quota == 0:
+			bad = "-quota 0: want a positive bound, or a negative one for none"
+		case *cacheBytes == 0:
+			bad = "-cache-bytes 0: want a positive budget, or a negative one to disable the cache"
+		case *maxGridPoints == 0:
+			bad = "-max-grid-points 0: want a positive bound, or a negative one for none"
+		}
+		if bad != "" {
+			return "", service.Config{}, cli.Usagef("%s", bad)
+		}
 		tw, err := parseWeights(*weights)
 		if err != nil {
 			return "", service.Config{}, cli.Usagef("%v", err)

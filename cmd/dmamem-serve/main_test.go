@@ -34,7 +34,9 @@ func TestParseWeights(t *testing.T) {
 
 // TestRunRejectsBadFlags holds the command to the front end's exit
 // rule: a bad flag, a stray argument or the retired -cache entry bound
-// exits 2 before the daemon starts; a listen failure exits 1.
+// exits 2 before the daemon starts; a listen failure exits 1. A value
+// that service.Config would silently replace with its default (a
+// fleet or per-job budget below 1, a zero bound) is a bad flag too.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -46,6 +48,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-cache", "256"}, 2, "flag provided but not defined: -cache"},
 		{[]string{"-listen", "127.0.0.1:0", "extra"}, 2, `stray arguments ["extra"]`},
 		{[]string{"-listen", "127.0.0.1:notaport"}, 1, "dmamem-serve: listen tcp"},
+		{[]string{"-workers", "0"}, 2, "-workers 0: want at least 1"},
+		{[]string{"-workers", "-3"}, 2, "-workers -3: want at least 1"},
+		{[]string{"-point-parallel", "-4"}, 2, "-point-parallel -4: want at least 1"},
+		{[]string{"-point-parallel", "0"}, 2, "-point-parallel 0: want at least 1"},
+		{[]string{"-quota", "0"}, 2, "-quota 0: want a positive bound"},
+		{[]string{"-cache-bytes", "0"}, 2, "-cache-bytes 0: want a positive budget"},
+		{[]string{"-max-grid-points", "0"}, 2, "-max-grid-points 0: want a positive bound"},
 	} {
 		var stderr strings.Builder
 		if code := run(tc.args, &stderr, nil); code != tc.code || !strings.Contains(stderr.String(), tc.want) {

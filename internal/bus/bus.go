@@ -79,7 +79,9 @@ type Flow struct {
 
 // Allocator computes max-min fair rates for a set of flows. It reuses
 // scratch buffers across calls, so a single Allocator must not be used
-// concurrently.
+// concurrently. It remembers its last input: a call that passes the
+// same flows as the one before, with no capacity change in between,
+// returns the same rates without recomputing them.
 type Allocator struct {
 	busCap  []float64
 	chipCap float64
@@ -102,7 +104,20 @@ type Allocator struct {
 	remChan   []float64
 	chanCount []int
 	rates     []float64
-	frozen    []bool
+	// slots keeps, per flow, the call's input and its progressive-
+	// filling state, so remembering the input costs no scratch of its
+	// own. After a call, slots[:nLast] is that call's input and cached
+	// says rates still holds its answer; SetBusCaps and SetChannels
+	// clear cached.
+	slots  []flowSlot
+	nLast  int
+	cached bool
+}
+
+// flowSlot is one flow's entry in the allocator's per-flow scratch.
+type flowSlot struct {
+	flow   Flow
+	frozen bool
 }
 
 // NewAllocator builds an allocator for buses with the given capacities
@@ -141,14 +156,16 @@ func (a *Allocator) SetBusCaps(caps []float64) {
 		}
 	}
 	copy(a.busCap, caps)
+	a.cached = false
 }
 
 // SetChannels adds a per-channel capacity constraint: flow rates into
 // the chips of channel c additionally satisfy sum <= channelCap[c],
 // with channelOf mapping each chip index to its channel. Passing a nil
 // channelOf removes the constraint. The slices are retained, not
-// copied.
+// copied: a caller that changes them must call SetChannels again.
 func (a *Allocator) SetChannels(channelOf []int, channelCap []float64) {
+	a.cached = false
 	if channelOf == nil {
 		a.channelOf, a.channelCap = nil, nil
 		return
@@ -173,11 +190,16 @@ func (a *Allocator) SetChannels(channelOf []int, channelCap []float64) {
 
 // Allocate returns the max-min fair rate of each flow, in bytes/s,
 // subject to sum(rates on bus b) <= busCap[b] and sum(rates into chip
-// c) <= chipCap. The result slice is valid until the next call.
+// c) <= chipCap. The result slice is valid until the next call, and
+// the caller must not modify it: it is also the cached answer.
 func (a *Allocator) Allocate(flows []Flow) []float64 {
+	if a.sameAsLast(flows) {
+		return a.rates[:len(flows)]
+	}
+	a.cached = false
 	if cap(a.rates) < len(flows) {
 		a.rates = make([]float64, len(flows))
-		a.frozen = make([]bool, len(flows))
+		a.slots = make([]flowSlot, len(flows))
 	}
 	rates := a.rates[:len(flows)]
 	for i := range rates {
@@ -223,9 +245,9 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 			a.chanCount[a.channelOf[f.Chip]]++
 		}
 	}
-	frozen := a.frozen[:len(flows)]
-	for i := range frozen {
-		frozen[i] = false
+	slots := a.slots[:len(flows)]
+	for i, f := range flows {
+		slots[i] = flowSlot{flow: f}
 	}
 	remaining := len(flows)
 
@@ -271,7 +293,7 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 		// by reducing remaining capacity.
 		progressed := false
 		for i, f := range flows {
-			if frozen[i] {
+			if slots[i].frozen {
 				continue
 			}
 			rates[i] += share
@@ -290,12 +312,12 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 		// (1e-3 B/s against GB/s capacities).
 		const eps = 1e-3
 		for i, f := range flows {
-			if frozen[i] {
+			if slots[i].frozen {
 				continue
 			}
 			if a.remBus[f.Bus] <= eps || a.remChip[f.Chip] <= eps ||
 				(channels && a.remChan[a.channelOf[f.Chip]] <= eps) {
-				frozen[i] = true
+				slots[i].frozen = true
 				remaining--
 				a.busCount[f.Bus]--
 				a.chipCount[f.Chip]--
@@ -308,14 +330,30 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 		if !progressed {
 			// Numerical stall: freeze everything at current rates.
 			for i := range flows {
-				if !frozen[i] {
-					frozen[i] = true
+				if !slots[i].frozen {
+					slots[i].frozen = true
 					remaining--
 				}
 			}
 		}
 	}
+	a.nLast = len(flows)
+	a.cached = true
 	return rates
+}
+
+// sameAsLast reports whether rates still answers flows: nothing
+// changed since a call with the same input.
+func (a *Allocator) sameAsLast(flows []Flow) bool {
+	if !a.cached || len(flows) != a.nLast {
+		return false
+	}
+	for i, f := range flows {
+		if a.slots[i].flow != f {
+			return false
+		}
+	}
+	return true
 }
 
 // growChips extends the per-chip scratch to cover chips [0, n). It

@@ -7,6 +7,7 @@ import (
 	"dmamem/internal/bus"
 	"dmamem/internal/dma"
 	"dmamem/internal/energy"
+	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 	"dmamem/internal/trace"
 )
@@ -192,5 +193,65 @@ func TestTransferLifecycleZeroAlloc(t *testing.T) {
 				t.Fatal("DMA-TA never gated a transfer; the gated path went unmeasured")
 			}
 		})
+	}
+}
+
+// TestProcWakeLifecycleZeroAlloc is the allocation guard for the
+// processor-access wake path and the power-step event model. Each
+// cycle, an access wakes the chip from powerdown (settling the
+// powerdown entry the last cycle left unsettled); the chip serves it
+// and steps down; a second access lands while the standby entry is in
+// flight (the wake waits for a sleep-completion event); a third lands
+// after the next standby entry completed (the wake settles it); then
+// the chip steps down the whole chain again. Once the engine's event
+// pool is warm, a cycle allocates nothing.
+func TestProcWakeLifecycleZeroAlloc(t *testing.T) {
+	const ns = sim.Nanosecond
+	eng := sim.New()
+	c, err := New(eng, stepConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := c.chips[0].chip
+	var midTransition, afterReady int
+	access := func(*sim.Engine) {
+		if chip.Phase() == memsys.PhaseSleeping {
+			switch now := eng.Now(); {
+			case now < chip.ReadyAt():
+				midTransition++
+			case now > chip.ReadyAt():
+				afterReady++
+			}
+		}
+		c.ProcAccess(0)
+	}
+	// Hand-computed from stepConfig: a wake from powerdown takes 6 us
+	// and from standby 6 ns; each access is 20 ns of service, followed
+	// by 100 ns of idleness before the 625 ps standby entry.
+	cycle := func() {
+		base := eng.Now().Add(10 * sim.Microsecond)
+		step1 := base.Add(6*sim.Microsecond + 120*ns)
+		ready1 := step1.Add(625 * sim.Picosecond)
+		ready2 := ready1.Add(6*ns + 120*ns + 625*sim.Picosecond)
+		eng.SchedulePrio(base, prioArrival, access)
+		eng.SchedulePrio(step1.Add(300*sim.Picosecond), prioArrival, access)
+		eng.SchedulePrio(ready2.Add(50*ns), prioArrival, access)
+		eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	midTransition, afterReady = 0, 0
+	wakes := chip.Wakes
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("wake lifecycle allocated %.1f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun runs the function once more than asked, to warm up.
+	if runs := 201; midTransition != runs || afterReady != 2*runs || chip.Wakes-wakes != 3*int64(runs) {
+		t.Fatalf("%d runs: %d accesses mid-transition, %d after readyAt, %d wakes; want %d, %d, %d",
+			runs, midTransition, afterReady, chip.Wakes-wakes, runs, 2*runs, 3*runs)
+	}
+	if chip.State() != energy.Powerdown {
+		t.Fatalf("chip ends a cycle in %v, want powerdown", chip.State())
 	}
 }

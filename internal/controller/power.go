@@ -9,6 +9,23 @@ import (
 	"dmamem/internal/sim"
 )
 
+// Power-step event model. A policy step begins a down transition and
+// arms the next step at readyAt + wait in the same event; nothing
+// fires when the transition completes. The chip stays in its sleeping
+// phase until the first code that looks at it at or after readyAt
+// settles it there: the next policy step, a wake (scheduleWake) or
+// Finish. Only a wake that arrives before readyAt schedules an event
+// at readyAt, because the wake's slack charge counts the requests
+// pending at that instant.
+
+// settleSleep completes a down transition at its readyAt. Callers must
+// know readyAt has passed.
+func (c *Controller) settleSleep(cs *chipState) {
+	if cs.chip.Phase() == memsys.PhaseSleeping {
+		cs.chip.CompleteSleep(cs.chip.ReadyAt())
+	}
+}
+
 // scheduleWake begins (or joins) a wake sequence for a chip. If a
 // downward transition is in flight, the wake starts when it settles
 // (hardware completes transitions; it does not abort them).
@@ -33,20 +50,33 @@ func (c *Controller) scheduleWake(cs *chipState, now sim.Time) {
 			cs.idleSince = 0
 		}
 	}
-	switch cs.chip.Phase() {
-	case memsys.PhaseResident:
-		if cs.chip.State() == energy.Active {
-			panic(fmt.Sprintf("controller: wake of active chip %d", cs.chip.ID))
+	if cs.chip.Phase() == memsys.PhaseSleeping {
+		if now < cs.chip.ReadyAt() {
+			// onSleepComplete begins the wake at readyAt.
+			c.eng.SchedulePrio(cs.chip.ReadyAt(), prioWake, cs.sleepFn)
+			return
 		}
-		c.chargeWake(cs)
-		ready := cs.chip.BeginWake(now)
-		c.eng.SchedulePrio(ready, prioWake, cs.wakeFn)
-	case memsys.PhaseSleeping:
-		// onSleepComplete observes wakePending and chains into the
-		// wake; nothing to schedule here.
-	case memsys.PhaseWaking:
-		panic(fmt.Sprintf("controller: chip %d waking without wakePending", cs.chip.ID))
+		c.settleSleep(cs)
 	}
+	// The chip is resident in a low-power state here; BeginWake panics
+	// on an Active or waking chip, which would mean a lost wakePending.
+	c.beginWake(cs, now)
+}
+
+// onSleepComplete settles a down transition that a wake caught in
+// flight, then begins that wake.
+func (c *Controller) onSleepComplete(cs *chipState, e *sim.Engine) {
+	now := e.Now()
+	cs.chip.CompleteSleep(now)
+	c.beginWake(cs, now)
+}
+
+// beginWake charges the wake's slack and starts the up transition of a
+// chip resident in a low-power state.
+func (c *Controller) beginWake(cs *chipState, now sim.Time) {
+	c.chargeWake(cs)
+	ready := cs.chip.BeginWake(now)
+	c.eng.SchedulePrio(ready, prioWake, cs.wakeFn)
 }
 
 // onWakeComplete makes the chip active and drains everything that
@@ -129,10 +159,13 @@ func (c *Controller) cancelPolicyTimer(cs *chipState) {
 }
 
 // onPolicyTimer fires after the threshold of idleness: the chip drops
-// to the next lower power mode.
+// to the next lower power mode, and the step after that is armed from
+// the new transition's completion instant.
 func (c *Controller) onPolicyTimer(cs *chipState, e *sim.Engine) {
 	now := e.Now()
 	c.accountAll(now)
+	// A step is armed at or after the previous step's readyAt.
+	c.settleSleep(cs)
 	if cs.wakePending || len(cs.flows) > 0 || !cs.chip.Resident() {
 		return // raced with activity; the cancel path missed, stay up
 	}
@@ -156,21 +189,7 @@ func (c *Controller) onPolicyTimer(cs *chipState, e *sim.Engine) {
 	} else {
 		ready = cs.chip.Deepen(next, now)
 	}
-	c.eng.SchedulePrio(ready, prioWake, cs.sleepFn)
-}
-
-// onSleepComplete settles a downward transition, then either chains
-// into a pending wake or arms the next deeper policy step.
-func (c *Controller) onSleepComplete(cs *chipState, e *sim.Engine) {
-	now := e.Now()
-	cs.chip.CompleteSleep(now)
-	if cs.wakePending {
-		c.chargeWake(cs)
-		ready := cs.chip.BeginWake(now)
-		c.eng.SchedulePrio(ready, prioWake, cs.wakeFn)
-		return
-	}
-	c.armPolicyTimer(cs, now)
+	c.armPolicyTimer(cs, ready)
 }
 
 // chargeWake debits the slack for the transition delay the pending

@@ -9,17 +9,21 @@ import (
 	"dmamem/internal/sim"
 )
 
-// Finish closes accounting at the later of the engine clock and the
+// Finish closes accounting at the latest of the engine clock, the
 // given floor (so runs over the same trace are metered over the same
-// window regardless of how their tails drained). It must be called
+// window regardless of how their tails drained) and the completion of
+// every down transition still unsettled (no event marks one; see
+// power.go), so the window covers the whole drain. It must be called
 // after the engine has drained.
 func (c *Controller) Finish(endFloor sim.Time) sim.Time {
 	if c.eng.Pending() > 0 {
 		panic("controller: Finish before the engine drained")
 	}
-	end := c.eng.Now()
-	if endFloor > end {
-		end = endFloor
+	end := max(c.eng.Now(), endFloor)
+	for _, cs := range c.chips {
+		if cs != nil && cs.chip.Phase() == memsys.PhaseSleeping {
+			end = max(end, cs.chip.ReadyAt())
+		}
 	}
 	for _, cs := range c.chips {
 		if cs == nil {
@@ -28,6 +32,7 @@ func (c *Controller) Finish(endFloor sim.Time) sim.Time {
 		if len(cs.flows) > 0 || len(cs.gated) > 0 || len(cs.waiting) > 0 {
 			panic(fmt.Sprintf("controller: chip %d still has work after drain", cs.chip.ID))
 		}
+		c.settleSleep(cs)
 		if cs.chip.Resident() && cs.chip.State() == energy.Active {
 			c.settle(cs, end)
 		}

@@ -168,16 +168,17 @@ type Result struct {
 	MigratedPages    int64
 	MigrationEnergyJ float64
 	Rebalances       int64
+	// Records is the number of trace records the run replayed.
+	Records int64
 }
 
-// SimEvents returns the number of simulation events the run
-// dispatched; the experiment runner uses it for events/sec throughput
-// reporting.
-func (r *Result) SimEvents() uint64 {
+// Work returns what the run simulated: its engine dispatches and trace
+// records. The experiment runner folds it into -timing's throughput.
+func (r *Result) Work() metrics.SimWork {
 	if r == nil || r.Report == nil {
-		return 0
+		return metrics.SimWork{}
 	}
-	return r.Report.Events
+	return metrics.SimWork{Events: r.Report.Events, Records: uint64(r.Records)}
 }
 
 // Calibrate derives the CP-Limit -> mu calibration from a trace: the
@@ -287,7 +288,7 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 		return nil, fmt.Errorf("core: empty trace %q", sum.Name)
 	}
 
-	res := &Result{}
+	res := &Result{Records: sum.Records}
 	ccfg := controller.Config{
 		Geometry:     cfg.Geometry,
 		Topology:     cfg.Topology,

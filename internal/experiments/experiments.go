@@ -19,6 +19,7 @@ import (
 	"dmamem/internal/core"
 	"dmamem/internal/energy"
 	"dmamem/internal/layout"
+	"dmamem/internal/metrics"
 	"dmamem/internal/server"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
@@ -162,16 +163,16 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 }
 
 // runPair is RunBaselinePair with the suite's engine knobs and
-// cancellation. It also reports the combined simulation event count of
-// the pair, so sweep jobs feed events/sec observability.
-func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
+// cancellation. It also reports the pair's combined simulated work, so
+// sweep jobs feed -timing's throughput.
+func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, work metrics.SimWork, err error) {
 	base.Workers, tech.Workers = s.Workers, s.Workers
 	base.BarrierEpoch, tech.BarrierEpoch = s.BarrierEpoch, s.BarrierEpoch
 	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
 	if err != nil {
-		return 0, 0, err
+		return 0, metrics.SimWork{}, err
 	}
-	return savings, b.SimEvents() + t.SimEvents(), nil
+	return savings, b.Work().Plus(t.Work()), nil
 }
 
 // taConfig returns the technique configuration for a CP-Limit.

@@ -10,6 +10,7 @@ import (
 	"dmamem/internal/core"
 	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
+	"dmamem/internal/metrics"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
 )
@@ -108,12 +109,12 @@ type GridSpec struct {
 
 // resolvedGrid is the runnable form of a GridSpec: a point count,
 // stable per-point labels, and a runner. run returns the point value
-// (a JSON-serializable struct), the number of simulation events the
-// point dispatched (observability only), and an error.
+// (a JSON-serializable struct), what the point simulated
+// (observability only), and an error.
 type resolvedGrid struct {
 	n     int
 	label func(i int) string
-	run   func(ctx context.Context, i int) (any, uint64, error)
+	run   func(ctx context.Context, i int) (any, metrics.SimWork, error)
 }
 
 // resolveGrid turns a spec into its runnable form. Resolution is
@@ -141,8 +142,8 @@ func (s *Suite) resolveGrid(gs GridSpec) (*resolvedGrid, error) {
 		return &resolvedGrid{
 			n:     gs.Points,
 			label: func(i int) string { return fmt.Sprintf("noop/%d", i) },
-			run: func(ctx context.Context, i int) (any, uint64, error) {
-				return SweepPoint{Workload: "noop", Scheme: "noop", X: float64(i)}, 0, nil
+			run: func(ctx context.Context, i int) (any, metrics.SimWork, error) {
+				return SweepPoint{Workload: "noop", Scheme: "noop", X: float64(i)}, metrics.SimWork{}, nil
 			},
 		}, nil
 	}
@@ -183,11 +184,11 @@ func runGrid(ctx context.Context, r *Runner, g *resolvedGrid, onPoint func(i int
 		i := i
 		job := &jobs[i]
 		*job = Job{Label: g.label(i), Run: func(ctx context.Context) error {
-			v, events, err := g.run(ctx, i)
+			v, work, err := g.run(ctx, i)
 			if err != nil {
 				return err
 			}
-			job.Events = events
+			job.Work = work
 			out[i] = v
 			if onPoint != nil {
 				onPoint(i, job.Label)
@@ -235,7 +236,7 @@ func (s *Suite) baseline(ctx context.Context, name string) (*core.Result, error)
 		start := time.Now()
 		e.res, e.err = s.run(ctx, core.Config{MeterWindow: tr.Duration() + 2*sim.Millisecond}, tr)
 		if e.err == nil && s.Runner != nil && s.Runner.Timings != nil {
-			s.Runner.Timings.AddSim("baseline/"+name, time.Since(start), e.res.SimEvents())
+			s.Runner.Timings.AddSim("baseline/"+name, time.Since(start), e.res.Work())
 		}
 	})
 	return e.res, e.err
@@ -267,15 +268,15 @@ func (s *Suite) fig5Grid(gs GridSpec) *resolvedGrid {
 			sp := specs[i]
 			return fmt.Sprintf("fig5/%s/%s/cp=%.2f", workloadNames[sp.wi], sp.scheme, sp.cpLimit)
 		},
-		run: func(ctx context.Context, i int) (any, uint64, error) {
+		run: func(ctx context.Context, i int) (any, metrics.SimWork, error) {
 			sp := specs[i]
 			tr, err := s.workload(workloadNames[sp.wi])
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			base, err := s.baseline(ctx, workloadNames[sp.wi])
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			cfg := taConfig(sp.cpLimit, nil)
 			if sp.groups > 0 {
@@ -284,13 +285,13 @@ func (s *Suite) fig5Grid(gs GridSpec) *resolvedGrid {
 			cfg.MeterWindow = tr.Duration() + 2*sim.Millisecond
 			res, err := s.run(ctx, cfg, tr)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			return Fig5Point{
 				Workload: tr.Name, Scheme: sp.scheme, CPLimit: sp.cpLimit,
 				Savings: res.Report.Savings(base.Report),
 				UF:      res.Report.UtilizationFactor,
-			}, res.SimEvents(), nil
+			}, res.Work(), nil
 		},
 	}
 }
@@ -315,7 +316,7 @@ func (s *Suite) fig8Grid(gs GridSpec) *resolvedGrid {
 		label: func(i int) string {
 			return fmt.Sprintf("fig8/%s/rate=%g", sweepSchemes[specs[i].scheme], specs[i].rate)
 		},
-		run: func(ctx context.Context, i int) (any, uint64, error) {
+		run: func(ctx context.Context, i int) (any, metrics.SimWork, error) {
 			sp := specs[i]
 			cfg := synth.DefaultSt()
 			cfg.Duration = s.Duration
@@ -323,14 +324,14 @@ func (s *Suite) fig8Grid(gs GridSpec) *resolvedGrid {
 			cfg.RatePerMs = sp.rate
 			tr, err := synth.GenerateSt(cfg)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
-			savings, events, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
+			savings, work, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			return SweepPoint{Workload: "Synthetic-St", Scheme: sweepSchemes[sp.scheme],
-				X: sp.rate, Savings: savings}, events, nil
+				X: sp.rate, Savings: savings}, work, nil
 		},
 	}
 }
@@ -353,7 +354,7 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 		label: func(i int) string {
 			return fmt.Sprintf("fig9/%s/per=%d", sweepSchemes[specs[i].scheme], specs[i].per)
 		},
-		run: func(ctx context.Context, i int) (any, uint64, error) {
+		run: func(ctx context.Context, i int) (any, metrics.SimWork, error) {
 			sp := specs[i]
 			cfg := synth.DefaultDb()
 			cfg.St.Duration = s.dbDuration()
@@ -362,14 +363,14 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 			cfg.ProcPerTransfer = sp.per
 			tr, err := synth.GenerateDb(cfg)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
-			savings, events, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
+			savings, work, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			return SweepPoint{Workload: "Synthetic-Db", Scheme: sweepSchemes[sp.scheme],
-				X: float64(sp.per), Savings: savings}, events, nil
+				X: float64(sp.per), Savings: savings}, work, nil
 		},
 	}
 }
@@ -428,17 +429,17 @@ func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
 			sp := specs[i]
 			return fmt.Sprintf("fig10/%s/%s/bw=%g", sp.workload, schemeName(sp), sp.bw)
 		},
-		run: func(ctx context.Context, i int) (any, uint64, error) {
+		run: func(ctx context.Context, i int) (any, metrics.SimWork, error) {
 			sp := specs[i]
 			tr, err := s.workload(sp.workload)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			memBW := 3.2e9 // the legacy RDRAM chip rate
 			if sp.tech != "" {
 				m, err := energy.Lookup(sp.tech)
 				if err != nil {
-					return nil, 0, err
+					return nil, metrics.SimWork{}, err
 				}
 				memBW = m.Bandwidth
 			}
@@ -452,12 +453,12 @@ func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
 				base.Topology = topo
 				tech.Topology = topo
 			}
-			savings, events, err := s.runPair(ctx, base, tech, tr)
+			savings, work, err := s.runPair(ctx, base, tech, tr)
 			if err != nil {
-				return nil, 0, err
+				return nil, metrics.SimWork{}, err
 			}
 			return SweepPoint{Workload: sp.workload, Scheme: schemeName(sp),
-				X: memBW / sp.bw, Savings: savings}, events, nil
+				X: memBW / sp.bw, Savings: savings}, work, nil
 		},
 	}
 }

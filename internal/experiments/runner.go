@@ -23,17 +23,15 @@ type Job struct {
 	// calling goroutine; ctx is canceled when a sibling job fails or
 	// the caller gives up.
 	Run func(ctx context.Context) error
-	// Events may be set by Run to the number of simulation events the
-	// job dispatched; the runner folds it into the timing report for
-	// events/sec throughput.
-	Events uint64
+	// Work may be set by Run to what the job simulated; the runner
+	// folds it into the timing report's throughput.
+	Work metrics.SimWork
 }
 
-// simEventser is implemented by job results that know how many
-// simulation events they dispatched (e.g. *core.Result); mapJobs uses
-// it to fill Job.Events without the result types importing this
-// package.
-type simEventser interface{ SimEvents() uint64 }
+// simWorker is implemented by job results that know what they
+// simulated (e.g. *core.Result); mapJobs uses it to fill Job.Work
+// without the result types importing this package.
+type simWorker interface{ Work() metrics.SimWork }
 
 // Runner fans independent simulation jobs across a pool of worker
 // goroutines. Results stay deterministic because parallelism only
@@ -74,7 +72,7 @@ func (r *Runner) runOne(ctx context.Context, j *Job) error {
 	start := time.Now()
 	err := j.Run(ctx)
 	if r != nil && r.Timings != nil {
-		r.Timings.AddSim(j.Label, time.Since(start), j.Events)
+		r.Timings.AddSim(j.Label, time.Since(start), j.Work)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", j.Label, err)
@@ -183,8 +181,8 @@ func mapJobs[R any](ctx context.Context, r *Runner, n int, label func(i int) str
 			if err != nil {
 				return err
 			}
-			if se, ok := any(v).(simEventser); ok {
-				job.Events = se.SimEvents()
+			if sw, ok := any(v).(simWorker); ok {
+				job.Work = sw.Work()
 			}
 			out[i] = v
 			return nil

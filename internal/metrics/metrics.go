@@ -66,8 +66,9 @@ type Report struct {
 	// SimulatedTime covered by the run.
 	SimulatedTime sim.Duration
 
-	// Events dispatched by the simulation engine during the run, for
-	// events/sec throughput reporting.
+	// Events counts the engine's dispatches during the run (fired
+	// events plus trace-arrival batches): the event model's cost, not
+	// the work simulated.
 	Events uint64
 
 	// ClampedProcSpans counts accounting spans whose pending processor

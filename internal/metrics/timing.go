@@ -8,6 +8,20 @@ import (
 	"time"
 )
 
+// SimWork is what a simulation job did: the engine dispatches it ran
+// and the trace records it replayed. Records measure the work itself;
+// the dispatch count also depends on how the event model schedules
+// it, so throughput is reported per record.
+type SimWork struct {
+	Events  uint64
+	Records uint64
+}
+
+// Plus returns the sum of two jobs' work.
+func (w SimWork) Plus(o SimWork) SimWork {
+	return SimWork{Events: w.Events + o.Events, Records: w.Records + o.Records}
+}
+
 // JobTiming is the measured wall-clock execution of one simulation
 // job. Wall is host time (time.Duration, nanoseconds), not simulated
 // time: it measures how long the job occupied a worker, so parallel
@@ -17,9 +31,8 @@ type JobTiming struct {
 	Label string
 	// Wall is the job's wall-clock execution time.
 	Wall time.Duration
-	// Events is the number of simulation events the job dispatched
-	// (zero when the job did not report one).
-	Events uint64
+	// Work is what the job simulated (zero when it did not report it).
+	Work SimWork
 }
 
 // Timings accumulates per-job wall-clock measurements from
@@ -35,48 +48,48 @@ type Timings struct {
 
 // Add records one finished job. It is safe for concurrent use.
 func (t *Timings) Add(label string, wall time.Duration) {
-	t.AddSim(label, wall, 0)
+	t.AddSim(label, wall, SimWork{})
 }
 
-// AddSim records one finished job together with the number of
-// simulation events it dispatched. It is safe for concurrent use.
-func (t *Timings) AddSim(label string, wall time.Duration, events uint64) {
+// AddSim records one finished job together with what it simulated.
+// It is safe for concurrent use.
+func (t *Timings) AddSim(label string, wall time.Duration, work SimWork) {
 	t.mu.Lock()
-	t.jobs = append(t.jobs, JobTiming{Label: label, Wall: wall, Events: events})
+	t.jobs = append(t.jobs, JobTiming{Label: label, Wall: wall, Work: work})
 	t.mu.Unlock()
 }
 
 // SetAllocs records the process-wide heap allocation count observed
 // over the run (a runtime.MemStats.Mallocs delta). Zero (the initial
-// state) means "not measured" and suppresses allocs/event reporting.
+// state) means "not measured" and suppresses allocs/record reporting.
 func (t *Timings) SetAllocs(n uint64) {
 	t.mu.Lock()
 	t.allocs = n
 	t.mu.Unlock()
 }
 
-// TotalEvents returns the sum of events over all recorded jobs.
-func (t *Timings) TotalEvents() uint64 {
+// TotalSim returns the simulated work summed over all recorded jobs.
+func (t *Timings) TotalSim() SimWork {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var sum uint64
+	var sum SimWork
 	for _, j := range t.jobs {
-		sum += j.Events
+		sum = sum.Plus(j.Work)
 	}
 	return sum
 }
 
-// AllocsPerEvent returns the recorded allocation count divided by the
-// total event count, or 0 when either was not measured.
-func (t *Timings) AllocsPerEvent() float64 {
-	ev := t.TotalEvents()
+// AllocsPerRecord returns the recorded allocation count divided by the
+// total trace record count, or 0 when either was not measured.
+func (t *Timings) AllocsPerRecord() float64 {
+	recs := t.TotalSim().Records
 	t.mu.Lock()
 	allocs := t.allocs
 	t.mu.Unlock()
-	if ev == 0 || allocs == 0 {
+	if recs == 0 || allocs == 0 {
 		return 0
 	}
-	return float64(allocs) / float64(ev)
+	return float64(allocs) / float64(recs)
 }
 
 // Count returns the number of recorded jobs.
@@ -127,22 +140,23 @@ func (t *Timings) Speedup(elapsed time.Duration) float64 {
 }
 
 // Summary renders a one-paragraph timing report for the given elapsed
-// wall time: job count, total work, elapsed, speedup, simulation
-// throughput (events/sec, when jobs reported event counts; allocs per
-// event when SetAllocs was called), and the slowest jobs.
+// wall time: job count, total work, elapsed, speedup, what the jobs
+// simulated (events and trace records, when jobs reported them), the
+// throughput in trace records/sec per worker (allocs per record when
+// SetAllocs was called), and the slowest jobs.
 func (t *Timings) Summary(elapsed time.Duration) string {
 	jobs := t.Jobs()
 	var b strings.Builder
 	fmt.Fprintf(&b, "timing: %d jobs, %v total work in %v wall (speedup %.2fx)\n",
 		len(jobs), t.TotalWork().Round(time.Millisecond),
 		elapsed.Round(time.Millisecond), t.Speedup(elapsed))
-	if ev := t.TotalEvents(); ev > 0 {
-		fmt.Fprintf(&b, "  %d events", ev)
+	if sw := t.TotalSim(); sw.Records > 0 {
+		fmt.Fprintf(&b, "  %d events, %d trace records", sw.Events, sw.Records)
 		if work := t.TotalWork(); work > 0 {
-			fmt.Fprintf(&b, ", %.0f events/sec per worker", float64(ev)/work.Seconds())
+			fmt.Fprintf(&b, ", %.0f records/sec per worker", float64(sw.Records)/work.Seconds())
 		}
-		if ape := t.AllocsPerEvent(); ape > 0 {
-			fmt.Fprintf(&b, ", %.2f allocs/event", ape)
+		if apr := t.AllocsPerRecord(); apr > 0 {
+			fmt.Fprintf(&b, ", %.2f allocs/record", apr)
 		}
 		b.WriteString("\n")
 	}

@@ -66,4 +66,26 @@ func TestTimingsSummary(t *testing.T) {
 	if !strings.Contains(out, "fig5/OLTP-St/dma-ta/cp=0.10") {
 		t.Errorf("summary lacks slowest job:\n%s", out)
 	}
+	if strings.Contains(out, "records") {
+		t.Errorf("summary reports throughput for jobs that simulated nothing:\n%s", out)
+	}
+}
+
+// TestTimingsSummaryThroughput pins the throughput line: trace records
+// per second of job wall time, with the dispatch count as a plain
+// count (how many events a record costs depends on the event model,
+// so events/sec would move without the work moving).
+func TestTimingsSummaryThroughput(t *testing.T) {
+	var tm Timings
+	tm.AddSim("a", 2*time.Second, SimWork{Events: 700, Records: 300})
+	tm.AddSim("b", 2*time.Second, SimWork{Events: 300, Records: 100})
+	tm.SetAllocs(200)
+	if got := tm.TotalSim(); got != (SimWork{Events: 1000, Records: 400}) {
+		t.Fatalf("TotalSim = %+v, want 1000 events and 400 records", got)
+	}
+	out := tm.Summary(4 * time.Second)
+	want := "  1000 events, 400 trace records, 100 records/sec per worker, 0.50 allocs/record\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("summary lacks %q:\n%s", want, out)
+	}
 }

@@ -108,8 +108,11 @@ type Report struct {
 	Residency StateResidency
 	// Mu is the slack parameter DMA-TA derived from the CP-Limit.
 	Mu float64
-	// Events is the number of discrete-event steps the run dispatched,
-	// for events/sec throughput measurements.
+	// Events counts the engine's dispatches: every event it fired plus
+	// one per batch of same-instant trace arrivals. It measures the
+	// event model's cost, not the work simulated (a power-down step is
+	// one dispatch however it settles), so compare throughput per
+	// trace record, not per event.
 	Events uint64
 }
 
