@@ -12,7 +12,6 @@ package dmamem
 //   - migration hysteresis (our optional addition; the paper has none)
 //   - gating cost-benefit check (on by default; the paper gates always)
 //   - static vs dynamic low-level policy beneath DMA-TA (Section 2.2)
-//   - self-tuning thresholds (the paper reports "results were similar")
 //   - transfer-size variance (unequal sizes break lockstep)
 //   - memory technology (RDRAM vs DDR400; Section 5.4)
 
@@ -201,29 +200,6 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 	b.ReportMetric(100*dynamic, "dynamic%")
 	b.ReportMetric(100*nap, "static-nap%")
 	b.ReportMetric(100*powerdown, "static-pd%")
-}
-
-// BenchmarkAblationSelfTuning reproduces the paper's aside that
-// self-tuning threshold schemes behave like the fixed dynamic chain for
-// DMA-dominated workloads.
-func BenchmarkAblationSelfTuning(b *testing.B) {
-	tr := ablationTrace(b)
-	var fixed, tuned float64
-	for i := 0; i < b.N; i++ {
-		window := tr.Duration() + 2*sim.Millisecond
-		fixedRes, err := core.Run(core.Config{MeterWindow: window}, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tunedRes, err := core.Run(core.Config{Policy: policy.NewSelfTuning(), MeterWindow: window}, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fixed = fixedRes.Report.TotalEnergy()
-		tuned = tunedRes.Report.TotalEnergy()
-	}
-	b.ReportMetric(1e3*fixed, "fixed-mJ")
-	b.ReportMetric(1e3*tuned, "selftuned-mJ")
 }
 
 // BenchmarkAblationTransferSizes compares uniform 8 KB transfers with

@@ -109,7 +109,8 @@ func BenchmarkFig4PopularityCDF(b *testing.B) {
 func BenchmarkFig5Savings(b *testing.B) {
 	var pl10 float64
 	for i := 0; i < b.N; i++ {
-		pts, err := benchSuite().Fig5(ctx, []float64{0.10, 0.30}, []int{2})
+		pts, err := experiments.GridRun[experiments.Fig5Point](ctx, benchSuite(),
+			experiments.GridSpec{Name: experiments.GridFig5, CPLimits: []float64{0.10, 0.30}, Groups: []int{2}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +128,8 @@ func BenchmarkFig5Savings(b *testing.B) {
 func BenchmarkFig5GroupCount(b *testing.B) {
 	var g2, g6 float64
 	for i := 0; i < b.N; i++ {
-		pts, err := benchSuite().Fig5(ctx, []float64{0.10}, []int{2, 3, 6})
+		pts, err := experiments.GridRun[experiments.Fig5Point](ctx, benchSuite(),
+			experiments.GridSpec{Name: experiments.GridFig5, CPLimits: []float64{0.10}, Groups: []int{2, 3, 6}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +191,8 @@ func BenchmarkFig7Utilization(b *testing.B) {
 func BenchmarkFig8Intensity(b *testing.B) {
 	var lo, hi float64
 	for i := 0; i < b.N; i++ {
-		pts, err := benchSuite().Fig8(ctx, []float64{50, 200})
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, benchSuite(),
+			experiments.GridSpec{Name: experiments.GridFig8, RatesPerMs: []float64{50, 200}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +216,8 @@ func BenchmarkFig8Intensity(b *testing.B) {
 func BenchmarkFig9ProcAccesses(b *testing.B) {
 	var light, heavy float64
 	for i := 0; i < b.N; i++ {
-		pts, err := benchSuite().Fig9(ctx, []int{0, 233})
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, benchSuite(),
+			experiments.GridSpec{Name: experiments.GridFig9, PerTransfer: []int{0, 233}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +241,8 @@ func BenchmarkFig9ProcAccesses(b *testing.B) {
 func BenchmarkFig10BandwidthRatio(b *testing.B) {
 	var near1, at3 float64
 	for i := 0; i < b.N; i++ {
-		pts, err := benchSuite().Fig10(ctx, []float64{3.0e9, 1.064e9})
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, benchSuite(),
+			experiments.GridSpec{Name: experiments.GridFig10, BusBW: []float64{3.0e9, 1.064e9}})
 		if err != nil {
 			b.Fatal(err)
 		}

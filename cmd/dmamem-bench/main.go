@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	dmamem-bench [-fig all|table1|table2|2a|3|2b|4|5|6|7|8|9|10|dss|tech|seeds]
+//	dmamem-bench [-fig all|table1|table2|2a|3|2b|4|5|6|7|8|9|10|tech]
 //	             [-duration 100ms] [-db-duration 25ms] [-seed 1]
-//	             [-parallel N] [-workers N] [-epoch 50us] [-timing]
+//	             [-parallel N] [-workers N] [-timing]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-channels 1,2,4] [-tech ddr4-2400,lpddr4]
 //
@@ -13,12 +13,14 @@
 // records the paper-vs-measured comparison. To simulate a recorded
 // .dmt trace, run dmamem-sim -trace file.dmt.
 //
-// -parallel fans independent simulation runs across goroutines;
-// -workers parallelises within each simulation, on the barrier engine
-// with one event loop per memory channel, and -epoch sets that
-// engine's barrier period. The printed output is byte-identical at
-// any value of all three, except that a multi-channel figure 10
-// (-channels) depends on -workers and -epoch. -timing (a per-run
+// -parallel fans independent simulation runs across goroutines; the
+// printed output is byte-identical at any value. -workers 2 or more
+// runs each simulation on the barrier engine, with one event loop per
+// memory channel; -workers 1 keeps the serial engine. On one channel
+// the two engines print the same output. On more than one channel (a
+// figure 10 sweep with -channels) the serial and barrier engines print
+// different numbers, and among values of 2 or more the count never
+// changes them. -timing (a per-run
 // wall-clock summary with the event and trace-record counts, trace
 // records/sec and allocations per record), -cpuprofile and -memprofile
 // write to stderr and to files only.
@@ -144,7 +146,6 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 		s.DbDuration = sim.FromStd(*dbDuration)
 		s.Runner = runner
 		s.Workers = engine.Workers()
-		s.BarrierEpoch = sim.FromStd(engine.Epoch())
 		start := time.Now()
 
 		run := func(name string, f func() error) {
@@ -214,17 +215,9 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 					Techs:    techs,
 				}))
 		})
-		run("dss", func() error {
-			return show(stdout, experiments.FormatDSS)(experiments.DSSExtension(ctx, runner, sim.FromStd(*duration), *seed))
-		})
 		run("tech", func() error {
 			return show(stdout, experiments.FormatTech)(experiments.TechExtension(ctx, runner, sim.FromStd(*duration), *seed, techs))
 		})
-		run("seeds", func() error {
-			// Dispersion behind the headline Figure 5 point.
-			return show(stdout, seedStats)(experiments.MultiSeedSavings(ctx, runner, sim.FromStd(*duration), 5, experiments.Fig5PLConfig()))
-		})
-
 		if *timing {
 			var memAfter runtime.MemStats
 			runtime.ReadMemStats(&memAfter)
@@ -254,10 +247,8 @@ func sweep(title, xlabel string) func([]experiments.SweepPoint) string {
 	return func(pts []experiments.SweepPoint) string { return experiments.FormatSweep(title, xlabel, pts) }
 }
 
-func seedStats(st experiments.SeedStats) string { return experiments.FormatSeedStats(st) + "\n" }
-
 // figNames lists the -fig values in the order "all" prints them.
-var figNames = []string{"table1", "table2", "2a", "3", "2b", "4", "5", "6", "7", "8", "9", "10", "dss", "tech", "seeds"}
+var figNames = []string{"table1", "table2", "2a", "3", "2b", "4", "5", "6", "7", "8", "9", "10", "tech"}
 
 // validateFig rejects a -fig value that names no figure; without the
 // check a typo printed nothing and exited 0.

@@ -49,12 +49,11 @@ func TestValidateConcurrency(t *testing.T) {
 	}
 }
 
-// TestValidateEpoch pins the -epoch flag's guard rails at the command:
-// negative periods are rejected outright, and a positive period
-// without the parallel engine is rejected instead of silently ignored.
+// TestValidateEpoch pins that -epoch is gone: the barrier period is
+// the engine's own constant, so a script that still sets it exits 2
+// instead of running with a period it did not get.
 func TestValidateEpoch(t *testing.T) {
-	wantUsage(t, []string{"-fig", "table1", "-workers", "4", "-epoch", "-1us"}, "must be nonnegative")
-	wantUsage(t, []string{"-fig", "table1", "-epoch", "50us"}, "needs the parallel engine")
+	wantUsage(t, []string{"-fig", "table1", "-workers", "4", "-epoch", "20us"}, "flag provided but not defined: -epoch")
 }
 
 // TestEngineWorkers pins the -workers flag this command parses to the
@@ -113,7 +112,7 @@ func TestValidateFig(t *testing.T) {
 			t.Errorf("validateFig(%q) accepted", fig)
 			continue
 		}
-		for _, want := range []string{"unknown -fig", "all, table1", "tech, seeds"} {
+		for _, want := range []string{"unknown -fig", "all, table1", "10, tech"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("validateFig(%q) = %q, want it to contain %q", fig, err, want)
 			}
@@ -149,14 +148,42 @@ func TestBadDurationsExitBeforeWork(t *testing.T) {
 	}
 }
 
-// TestDSSTooShortNamesTheDuration runs the decision-support figure
-// over a window too short for any query to start: the run fails with
-// exit 1, and the message names the duration and says why.
-func TestDSSTooShortNamesTheDuration(t *testing.T) {
-	code, stdout, stderr := runBench("-fig", "dss", "-duration", "5ms")
-	want := "dss: no decision-support query starts within 5ms"
-	if code != 1 || !strings.Contains(stderr, want) || stdout != "" {
-		t.Errorf("-fig dss -duration 5ms: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr containing %q", code, stdout, stderr, want)
+// TestFigAllPrintsEveryFigure runs every figure at reduced durations:
+// the run must exit 0 and print each figure's title, in figNames
+// order. A figure added without a title here fails the test.
+func TestFigAllPrintsEveryFigure(t *testing.T) {
+	titles := map[string]string{
+		"table1": "Table 1:",
+		"table2": "Table 2:",
+		"2a":     "Figure 2(a):",
+		"3":      "Figure 3:",
+		"2b":     "Figure 2(b):",
+		"4":      "Figure 4:",
+		"5":      "Figure 5:",
+		"6":      "Figure 6:",
+		"7":      "Figure 7:",
+		"8":      "Figure 8:",
+		"9":      "Figure 9:",
+		"10":     "Figure 10:",
+		"tech":   "Extension: memory technology backends",
+	}
+	code, stdout, stderr := runBench("-fig", "all", "-duration", "5ms", "-db-duration", "2ms")
+	if code != 0 {
+		t.Fatalf("-fig all: exit %d\n%s", code, stderr)
+	}
+	rest := stdout
+	for _, name := range figNames {
+		title, ok := titles[name]
+		if !ok {
+			t.Errorf("-fig %s has no title in this test", name)
+			continue
+		}
+		i := strings.Index(rest, title)
+		if i < 0 {
+			t.Errorf("-fig all: no %q (figure %s) after the figures before it", title, name)
+			continue
+		}
+		rest = rest[i+len(title):]
 	}
 }
 
@@ -183,7 +210,6 @@ func TestEveryFlagIsRead(t *testing.T) {
 		"tech":        {with: fig("tech"), value: "lpddr4"},
 		"parallel":    {with: fig("2b"), value: "1", same: "output is byte-identical at any parallelism"},
 		"workers":     {with: fig("2b"), value: "2", same: "on one channel, output is byte-identical at any worker count"},
-		"epoch":       {with: fig("2b", "-workers", "2"), value: "20us", same: "on one channel, the barrier period changes no output"},
 		"timing":      {with: fig("2b"), value: "true", same: "the timing summary goes to stderr"},
 		"cpuprofile":  {with: fig("2b"), value: filepath.Join(dir, "cpu.pprof"), same: "the profile goes to its file"},
 		"memprofile":  {with: fig("2b"), value: filepath.Join(dir, "mem.pprof"), same: "the profile goes to its file"},

@@ -10,8 +10,11 @@
 // -workload, -duration and -seed generate the trace dmamem-trace
 // record writes for the same flags; -trace streams a recorded one from
 // disk in flat memory and rejects them rather than ignore them.
-// dmamem-sim -h lists the simulation flags; on one channel, -workers
-// and -epoch change no report. The trace description goes to stderr,
+// dmamem-sim -h lists the simulation flags. On one channel, -workers
+// changes no report. On more than one channel, -workers 1 (the serial
+// engine) and -workers 2 or more (the barrier engine) give different
+// reports, and among values of 2 or more the count never changes the
+// report. The trace description goes to stderr,
 // so stdout holds only the report (with -json, one JSON document).
 // Bad flags exit 2 before any trace is generated or read.
 package main
@@ -79,7 +82,7 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 		s := dmamem.Simulation{
 			CPLimit: *cpLimit, PLGroups: *groups, MemoryTech: tech,
 			Channels: *channels, ChannelStripePages: *stripePages, ChannelBandwidth: *channelBW,
-			Workers: engine.Workers(), BarrierEpoch: engine.Epoch(), Technique: technique,
+			Workers: engine.Workers(), Technique: technique,
 		}
 		if err := s.Validate(); err != nil {
 			return cli.Usagef("%w", err)

@@ -71,15 +71,11 @@ func TestValidateConcurrency(t *testing.T) {
 	wantUsage(t, []string{"-parallel", "2"}, "flag provided but not defined: -parallel")
 }
 
-// TestValidateEpoch pins the -epoch guard rails at the command: a
-// negative period is rejected outright, and a period without the
-// parallel engine is rejected instead of silently ignored.
+// TestValidateEpoch pins that -epoch is gone: the barrier period is
+// the engine's own constant, so a script that still sets it exits 2
+// instead of running with a period it did not get.
 func TestValidateEpoch(t *testing.T) {
-	wantUsage(t, []string{"-workers", "4", "-epoch", "-1us"}, "must be nonnegative")
-	wantUsage(t, []string{"-epoch", "50us"}, "needs the parallel engine")
-	if code, _, stderr := runSim("-duration", "2ms", "-workers", "2", "-epoch", "50us"); code != 0 {
-		t.Errorf("-workers 2 -epoch 50us: exit %d, stderr %q", code, stderr)
-	}
+	wantUsage(t, []string{"-workers", "4", "-epoch", "20us"}, "flag provided but not defined: -epoch")
 }
 
 // TestEngineWorkers pins the -workers flag this command parses to the
@@ -285,7 +281,6 @@ func TestEveryFlagIsRead(t *testing.T) {
 		"compare":      {with: short, value: "false"},
 		"json":         {with: short, value: "true"},
 		"workers":      {with: short, value: "2", same: "on one channel, reports are byte-identical at any worker count"},
-		"epoch":        {with: []string{"-duration", "5ms", "-workers", "2"}, value: "20us", same: "on one channel, the barrier period changes no report"},
 	}
 	fs, _, _ := command(io.Discard, io.Discard)
 	fs.VisitAll(func(f *flag.Flag) {

@@ -157,25 +157,20 @@ type Simulation struct {
 	// is, and the report is bit-identical to running the same records
 	// from memory. Setting both a trace and TraceFile is an error.
 	TraceFile string
-	// Workers selects the parallel barrier engine: zero keeps the
-	// legacy serial event loop; any positive value runs one event loop
-	// per channel under deterministic epoch barriers, executed by at
-	// most Workers goroutines, the caller's included. Workers is a
-	// ceiling: spans too short for a handoff to other goroutines to
-	// pay (measured at run time) run inline. Reports are independent
-	// of the worker count; on a single channel they are additionally
-	// bit-identical to the serial engine. Every technique runs on multi-channel parallel
-	// topologies, including TemporalAlignmentWithLayout — the layout's
-	// global state is observed and rebalanced at epoch barriers.
-	// Negative values are rejected.
+	// Workers selects the engine: zero keeps the serial event loop;
+	// any positive value runs the barrier engine, one event loop per
+	// channel under deterministic epoch barriers, executed by at most
+	// Workers goroutines, the caller's included. Workers is a ceiling:
+	// spans too short for a handoff to other goroutines to pay
+	// (measured at run time) run inline. On a single channel the two
+	// engines give bit-identical reports. On more than one channel
+	// the serial and barrier engines give different reports, and among
+	// positive values the count never changes the report. Every
+	// technique runs on either engine, including
+	// TemporalAlignmentWithLayout — the layout's global state is
+	// observed and rebalanced at epoch barriers. The barrier period is
+	// the engine's own constant. Negative values are rejected.
 	Workers int
-	// BarrierEpoch is the parallel engine's barrier period in
-	// simulated time; zero selects the default 50 us. Reports do not
-	// depend on it — the adaptive barrier elides provably idle
-	// boundaries, so a longer epoch only changes wall-clock speed.
-	// Exposed as -epoch on dmamem-sim and dmamem-bench. Negative
-	// values, and a nonzero value with Workers zero, are rejected.
-	BarrierEpoch time.Duration
 }
 
 // Validate checks every field against its legal range and returns a
@@ -238,12 +233,6 @@ func (s Simulation) Validate() error {
 	if s.Workers < 0 {
 		return fmt.Errorf("dmamem: negative Workers %d; 0 selects the serial engine", s.Workers)
 	}
-	if s.BarrierEpoch < 0 {
-		return fmt.Errorf("dmamem: negative BarrierEpoch %v; 0 selects the default 50us", s.BarrierEpoch)
-	}
-	if s.BarrierEpoch != 0 && s.Workers == 0 {
-		return fmt.Errorf("dmamem: BarrierEpoch %v needs Workers set; the serial engine (Workers 0) has no barrier period", s.BarrierEpoch)
-	}
 	if s.Channels != 0 {
 		topo := memsys.Topology{
 			Channels:         s.Channels,
@@ -264,7 +253,6 @@ func (s Simulation) coreConfig() (core.Config, error) {
 	}
 	cfg.TraceFile = s.TraceFile
 	cfg.Workers = s.Workers
-	cfg.BarrierEpoch = sim.Duration(s.BarrierEpoch.Nanoseconds()) * sim.Nanosecond
 	if s.Buses != 0 || s.BusBandwidth != 0 {
 		bc := bus.DefaultConfig()
 		if s.Buses != 0 {

@@ -3,7 +3,7 @@
 // inside a run(args, stdout, stderr) int that tests call in process;
 // dmamem-serve parses and exits through the same Run and Exit.
 // The flags two commands read are defined and validated here once:
-// -workers and -epoch (Engine), and -workload, -duration and -seed
+// -workers (Engine), and -workload, -duration and -seed
 // (Gen), over the one workload table dmamem-sim and dmamem-trace
 // record generate from. A failed check exits 2 before any work starts.
 package cli
@@ -73,34 +73,30 @@ func Positive(name string, d time.Duration) error {
 	return nil
 }
 
-// Engine holds -workers and -epoch, which pick the event-loop engine
-// inside each simulation. On one memory channel, reports are
-// byte-identical at any value of either.
+// Engine holds -workers, which picks the event-loop engine inside
+// each simulation: 1 the serial engine, 2 or more the barrier engine
+// with one event loop per memory channel. On one channel, reports are
+// byte-identical at any value. On more than one channel the two
+// engines give different reports, and among values of 2 or more the
+// count never changes the report.
 type Engine struct {
 	workers int
-	epoch   time.Duration
 }
 
-// AddEngine defines -workers and -epoch on fs.
+// AddEngine defines -workers on fs.
 func AddEngine(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
-	fs.IntVar(&e.workers, "workers", 1, "most event-loop goroutines inside each simulation; short spans run inline (1 = serial reference engine)")
-	fs.DurationVar(&e.epoch, "epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
+	fs.IntVar(&e.workers, "workers", 1, "most event-loop goroutines inside each simulation; short spans run inline. "+
+		"1 = serial engine, 2 or more = barrier engine; on more than one channel the two engines give different reports, "+
+		"and any count of 2 or more gives the same report")
 	return e
 }
 
 // Validate rejects a -workers below 1, which would otherwise surface
-// as a confusing core error mid-run, a negative -epoch, and an -epoch
-// without the parallel engine: the barrier period only exists when
-// -workers selects it, so ignoring it would misreport what ran.
+// as a confusing core error mid-run.
 func (e *Engine) Validate() error {
-	switch {
-	case e.workers <= 0:
+	if e.workers <= 0 {
 		return Usagef("-workers %d must be at least 1 (1 selects the serial reference engine)", e.workers)
-	case e.epoch < 0:
-		return Usagef("-epoch %v must be nonnegative (0 selects the default 50us)", e.epoch)
-	case e.epoch > 0 && e.workers <= 1:
-		return Usagef("-epoch %v needs the parallel engine (-workers > 1); the serial engine has no barrier period", e.epoch)
 	}
 	return nil
 }
@@ -114,6 +110,3 @@ func (e *Engine) Workers() int {
 	}
 	return e.workers
 }
-
-// Epoch is the -epoch barrier period (0 = the engine's default).
-func (e *Engine) Epoch() time.Duration { return e.epoch }

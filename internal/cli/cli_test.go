@@ -23,9 +23,9 @@ func parse(t *testing.T, args ...string) (*Engine, *Gen) {
 	return e, g
 }
 
-// TestEngineValidate pins the -workers/-epoch guard rails and the
-// wording the user sees: the flag, the bad value, and what the
-// minimum or the default means. Every rejection is a usage error.
+// TestEngineValidate pins the -workers guard rail and the wording the
+// user sees: the flag, the bad value, and what the minimum means. Every
+// rejection is a usage error.
 func TestEngineValidate(t *testing.T) {
 	for _, tc := range []struct {
 		args    string
@@ -33,15 +33,9 @@ func TestEngineValidate(t *testing.T) {
 	}{
 		{"", ""},
 		{"-workers 4", ""},
-		{"-workers 2 -epoch 50us", ""},
-		{"-workers 8 -epoch 1ms", ""},
+		{"-workers 8", ""},
 		{"-workers 0", "-workers 0 must be at least 1 (1 selects the serial reference engine)"},
 		{"-workers -4", "-workers -4 must be at least 1"},
-		{"-workers 4 -epoch -1us", "-epoch -1µs must be nonnegative"},
-		{"-epoch 50us", "-epoch 50µs needs the parallel engine"},
-		{"-workers 1 -epoch 50us", "needs the parallel engine"},
-		// -workers is checked first when both are bad.
-		{"-workers 0 -epoch 50us", "-workers 0 must be at least 1"},
 	} {
 		e, _ := parse(t, strings.Fields(tc.args)...)
 		err := e.Validate()
@@ -59,7 +53,7 @@ func TestEngineValidate(t *testing.T) {
 
 // TestEngineWorkers pins the flag-to-config mapping: -workers 1 is the
 // serial reference engine (Workers 0, the default), higher counts pass
-// through to the barrier engine; -epoch passes through as given.
+// through to the barrier engine.
 func TestEngineWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -68,9 +62,6 @@ func TestEngineWorkers(t *testing.T) {
 		if e, _ := parse(t, strings.Fields(tc.args)...); e.Workers() != tc.want {
 			t.Errorf("%q: Workers() = %d, want %d", tc.args, e.Workers(), tc.want)
 		}
-	}
-	if e, _ := parse(t, "-workers", "2", "-epoch", "20us"); e.Epoch().String() != "20µs" {
-		t.Errorf("Epoch() = %v, want 20µs", e.Epoch())
 	}
 }
 

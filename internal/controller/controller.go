@@ -199,9 +199,6 @@ type chipState struct {
 	// Arrival-rate estimate for the gating cost-benefit check.
 	lastArrival sim.Time
 	ewmaGapPs   float64
-	// idleSince marks when the chip last went idle in Active (for
-	// adaptive policies' gap observations).
-	idleSince sim.Time
 	// procBusy accumulated against the current active span.
 	procBusy sim.Duration
 	// sumRate of the current flows, bytes/s.

@@ -5,7 +5,6 @@ import (
 
 	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
-	"dmamem/internal/policy"
 	"dmamem/internal/sim"
 )
 
@@ -35,21 +34,6 @@ func (c *Controller) scheduleWake(cs *chipState, now sim.Time) {
 	}
 	cs.wakePending = true
 	c.cancelPolicyTimer(cs)
-	if cs.idleSince > 0 {
-		// Timed observers (the parallel core's per-partition recorders)
-		// also receive the instant the gap closed, so observations from
-		// different partitions can be merged in global time order at the
-		// next barrier; plain observers get the serial-path call exactly
-		// as before.
-		switch obs := c.cfg.Policy.(type) {
-		case policy.TimedGapObserver:
-			obs.ObserveGapAt(now, now.Sub(cs.idleSince))
-			cs.idleSince = 0
-		case policy.GapObserver:
-			obs.ObserveGap(now.Sub(cs.idleSince))
-			cs.idleSince = 0
-		}
-	}
 	if cs.chip.Phase() == memsys.PhaseSleeping {
 		if now < cs.chip.ReadyAt() {
 			// onSleepComplete begins the wake at readyAt.
@@ -141,10 +125,6 @@ func (c *Controller) maybeIdle(cs *chipState, now sim.Time) {
 // armPolicyTimer schedules the next policy step for an idle chip.
 func (c *Controller) armPolicyTimer(cs *chipState, now sim.Time) {
 	c.cancelPolicyTimer(cs)
-	if cs.chip.State() == energy.Active {
-		// The idle gap (for adaptive policies) starts here.
-		cs.idleSince = now
-	}
 	wait, _, ok := c.cfg.Policy.NextStep(cs.chip.State())
 	if !ok {
 		return

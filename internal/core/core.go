@@ -78,34 +78,32 @@ type Config struct {
 	// the report is bit-identical to running the same records from
 	// memory. Mutually exclusive with a non-nil trace.
 	TraceFile string
-	// Workers selects the parallel barrier engine: zero (the default)
-	// runs the legacy serial event loop; any positive value runs one
+	// Workers selects the engine. Zero (the default) runs the serial
+	// event loop; any positive value runs the barrier engine, one
 	// event loop per topology channel, executed by at most Workers
 	// goroutines in deterministic epoch-barrier lockstep (see
 	// internal/sim's BarrierEngine and docs/ARCHITECTURE.md). Workers
 	// is a ceiling, not a demand: the caller's goroutine is one of
 	// them, and a span too short for a handoff to pay (measured at run
-	// time) runs inline on it, which is most spans on a 2-CPU host. Reports
-	// are independent of the worker count by construction; with a
-	// single channel they are additionally bit-identical to the serial
-	// engine's. Multi-channel runs support every scheme, including PL
-	// and gap-observing adaptive policies (the policy must be
-	// policy.Replicable): layout rebalances and gap merges execute in
-	// the barrier's epoch-synchronized observation stage, and each
+	// time) runs inline on it, which is most spans on a 2-CPU host.
+	//
+	// On a single channel the two engines give bit-identical reports.
+	// On more than one channel they do not: the barrier engine
+	// re-splits the shared buses only at barriers, and each
 	// channel-homogeneous piece of a channel-spanning DMA record counts
-	// as its own transfer. Setting Workers with a single-channel
-	// topology is accepted, not an error: there is only one shard, so
-	// extra workers stay idle, and the adaptive barrier collapses the
-	// whole run into one span, making the barrier overhead negligible
-	// (a test pins the accepted-and-bit-identical behavior; FixedEpoch
-	// restores per-epoch chunking if you want to measure it).
+	// as its own transfer. Among positive values the count never
+	// changes the report. Every scheme runs on both engines; layout
+	// rebalances execute in the barrier's epoch-synchronized
+	// observation stage. With a single channel there is only one
+	// shard, so extra workers stay idle, and the adaptive barrier
+	// collapses the whole run into one span (FixedEpoch restores
+	// per-epoch chunking if you want to measure it).
 	Workers int
-	// BarrierEpoch is the parallel engine's barrier period in simulated
-	// time; zero means 50 us. Smaller epochs exchange bus shares more
-	// often (closer to the serial allocator's event-granular coupling);
-	// larger epochs synchronize less and run faster. Exposed as -epoch
-	// on dmamem-bench and dmamem-sim.
-	BarrierEpoch sim.Duration
+	// barrierEpoch is the barrier engine's period in simulated time;
+	// zero means defaultBarrierEpoch. It is unexported: on more than
+	// one channel the period changes the report, so only this
+	// package's epoch-sweep tests set it.
+	barrierEpoch sim.Duration
 	// FixedEpoch disables the adaptive barrier: every epoch boundary is
 	// a full rendezvous, exactly the pre-adaptive engine. Kept as the
 	// bit-identical cross-check reference for barrier elision and

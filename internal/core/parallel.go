@@ -9,12 +9,9 @@
 // single-threaded between epochs: the shared I/O-bus bandwidth is
 // re-split with a demand-weighted max-min share (bus.EpochShares +
 // Controller.Resync) in the Barrier stage, while the Observe stage
-// folds per-partition observations into a coherent global view at the
-// same instant — idle-gap samples are replayed to the master adaptive
-// policy in global time order, and the shared page layout rebalances
-// over the union of every partition's busy set. That observation stage
-// is what lets PL and gap-observing policies run on multi-channel
-// parallel topologies.
+// rebalances the shared page layout over the union of every
+// partition's busy set. That observation stage is what lets PL run on
+// multi-channel parallel topologies.
 //
 // Barriers are adaptive by default: at each rendezvous the core
 // computes a conservative lower bound on the next instant any
@@ -40,10 +37,7 @@
 // instead. Channel-spanning DMA records are split into
 // channel-homogeneous sub-transfers that proceed concurrently (the
 // serial engine walks them sequentially); Transfers and service-time
-// stats count the sub-transfers. Gap-observing policies see their
-// observations merged at barrier granularity and serve thresholds from
-// per-partition replicas that may lag the master by one span — also
-// part of the multi-channel scheme, and also worker-count invariant.
+// stats count the sub-transfers.
 package core
 
 import (
@@ -52,11 +46,9 @@ import (
 
 	"dmamem/internal/bus"
 	"dmamem/internal/controller"
-	"dmamem/internal/energy"
 	"dmamem/internal/layout"
 	"dmamem/internal/memsys"
 	"dmamem/internal/metrics"
-	"dmamem/internal/policy"
 	"dmamem/internal/sim"
 	"dmamem/internal/trace"
 )
@@ -134,40 +126,6 @@ func (s *spanController) spanCap(stall float64) int {
 	return s.cap
 }
 
-// timedGap is one buffered idle-gap observation.
-type timedGap struct {
-	at  sim.Time
-	gap sim.Duration
-}
-
-// gapRecorder is the per-partition stand-in for a gap-observing
-// policy: threshold queries are served by the partition's replica
-// (policy.Replicable) while completed idle gaps are buffered with
-// their instants. The barrier's Observe stage replays all partitions'
-// buffers to the master policy in global time order and re-syncs every
-// replica — the epoch-synchronized global observation that lets
-// adaptive policies run on multi-channel parallel topologies.
-type gapRecorder struct {
-	policy.Policy // the replica: serves NextStep/Name
-	buf           []timedGap
-	pos           int
-}
-
-// ObserveGapAt implements policy.TimedGapObserver; the controller
-// prefers it over plain ObserveGap.
-func (g *gapRecorder) ObserveGapAt(at sim.Time, gap sim.Duration) {
-	g.buf = append(g.buf, timedGap{at: at, gap: gap})
-}
-
-// ValidateForModel forwards the model check to the replica, so
-// wrapping does not hide policy.ModelValidator from controller.New.
-func (g *gapRecorder) ValidateForModel(m *energy.Model) error {
-	if v, ok := g.Policy.(policy.ModelValidator); ok {
-		return v.ValidateForModel(m)
-	}
-	return nil
-}
-
 // parallelRun is the assembled shard set plus the barrier-side bus
 // bookkeeping and the adaptive-barrier state.
 type parallelRun struct {
@@ -190,12 +148,6 @@ type parallelRun struct {
 	span     *spanController
 	epochLen sim.Duration
 	lastEnd  sim.Time
-
-	// Gap-observing policy replication (channels > 1 only).
-	gapObserving bool
-	gapMaster    policy.GapObserver
-	gapRepl      policy.Replicable
-	gapRecs      []*gapRecorder
 
 	// Shared-layout (PL) rebalance state (channels > 1 only): the
 	// serial engine runs rebalances as priority-5 ticks; here they are
@@ -229,9 +181,6 @@ func channelOfPage(cfg Config, mapper memsys.Mapper) func(memsys.PageID) int {
 // newParallelRun builds the per-channel engines and partitioned
 // controllers from the serial controller config template.
 func newParallelRun(cfg Config, ccfg controller.Config) (*parallelRun, error) {
-	if cfg.BarrierEpoch < 0 {
-		return nil, fmt.Errorf("core: BarrierEpoch %v is negative", cfg.BarrierEpoch)
-	}
 	if cfg.MaxEpochSpan < 0 {
 		return nil, fmt.Errorf("core: MaxEpochSpan %d is negative", cfg.MaxEpochSpan)
 	}
@@ -242,21 +191,11 @@ func newParallelRun(cfg Config, ccfg controller.Config) (*parallelRun, error) {
 		ceiling = defaultMaxEpochSpan
 	}
 	p.span = newSpanController(ceiling)
-	p.epochLen = cfg.BarrierEpoch
+	p.epochLen = cfg.barrierEpoch
 	if p.epochLen == 0 {
 		p.epochLen = defaultBarrierEpoch
 	}
 	if channels > 1 {
-		if obs, isGap := ccfg.Policy.(policy.GapObserver); isGap {
-			repl, isRepl := ccfg.Policy.(policy.Replicable)
-			if !isRepl {
-				return nil, fmt.Errorf("core: policy %T observes idle gaps globally but is not policy.Replicable; multi-channel parallel runs serve thresholds from per-channel replicas and merge gap observations at epoch barriers", ccfg.Policy)
-			}
-			p.gapObserving = true
-			p.gapMaster = obs
-			p.gapRepl = repl
-			p.gapRecs = make([]*gapRecorder, channels)
-		}
 		p.fullCaps = make([]float64, cfg.Buses.Count)
 		for i := range p.fullCaps {
 			p.fullCaps[i] = cfg.Buses.Bandwidth
@@ -280,11 +219,6 @@ func newParallelRun(cfg Config, ccfg controller.Config) (*parallelRun, error) {
 			caps := make([]float64, cfg.Buses.Count)
 			copy(caps, p.shares[ch])
 			pcfg.Partition = &controller.Partition{Channel: ch, BusCaps: caps}
-			if p.gapObserving {
-				rec := &gapRecorder{Policy: p.gapRepl.Replicate()}
-				pcfg.Policy = rec
-				p.gapRecs[ch] = rec
-			}
 		}
 		ctl, err := controller.New(eng, pcfg)
 		if err != nil {
@@ -336,13 +270,8 @@ func (p *parallelRun) barrier(end sim.Time) error {
 // crossAt implements sim.BarrierHooks.CrossAt: the earliest instant
 // any partition's bus demand can change, from controller-internal
 // causes (completions, TA epoch timers, in-flight wakes) and from
-// trace arrivals. Gap-observing runs disable elision entirely — their
-// replica merges must stay on the fixed rendezvous schedule for the
-// adaptive and fixed modes to remain bit-identical.
+// trace arrivals.
 func (p *parallelRun) crossAt() (sim.Time, bool) {
-	if p.gapObserving {
-		return 0, false
-	}
 	at := sim.MaxTime
 	arrival := false
 	for _, ctl := range p.ctls {
@@ -396,52 +325,16 @@ func (p *parallelRun) capEnd(end sim.Time) sim.Time {
 }
 
 // observe implements sim.BarrierHooks.Observe: the epoch-synchronized
-// global observation stage. It merges the partitions' buffered idle
-// gaps into the master policy in global time order (ties broken by
-// channel index) and re-syncs the replicas, then runs any layout
-// rebalance due at this rendezvous over the union of every partition's
-// busy pages — the parallel equivalent of the serial engine's
-// priority-5 rebalance tick, which likewise runs after all same-
-// instant events.
+// global observation stage. It runs any layout rebalance due at this
+// rendezvous over the union of every partition's busy pages — the
+// parallel equivalent of the serial engine's priority-5 rebalance
+// tick, which likewise runs after all same-instant events.
 func (p *parallelRun) observe(end sim.Time) error {
-	if p.gapObserving {
-		p.mergeGaps()
-	}
-	if p.lm != nil {
-		for p.nextReb <= p.rebEnd && p.nextReb <= end {
-			p.runRebalance()
-			p.nextReb = p.nextReb.Add(p.rebInterval)
-		}
+	for p.nextReb <= p.rebEnd && p.nextReb <= end {
+		p.runRebalance()
+		p.nextReb = p.nextReb.Add(p.rebInterval)
 	}
 	return nil
-}
-
-// mergeGaps replays all partitions' buffered gap observations to the
-// master policy ordered by (instant, channel), then copies the
-// master's adapted state back into every replica.
-func (p *parallelRun) mergeGaps() {
-	for {
-		best := -1
-		for ch, g := range p.gapRecs {
-			if g.pos >= len(g.buf) {
-				continue
-			}
-			if best < 0 || g.buf[g.pos].at < p.gapRecs[best].buf[p.gapRecs[best].pos].at {
-				best = ch
-			}
-		}
-		if best < 0 {
-			break
-		}
-		g := p.gapRecs[best]
-		p.gapMaster.ObserveGap(g.buf[g.pos].gap)
-		g.pos++
-	}
-	for _, g := range p.gapRecs {
-		g.buf = g.buf[:0]
-		g.pos = 0
-		p.gapRepl.SyncReplica(g.Policy)
-	}
 }
 
 // armRebalances switches the PL interval timer to barrier-driven
@@ -470,20 +363,14 @@ func (p *parallelRun) runRebalance() {
 // execute drives the shards until every event loop and input source
 // drains (or ctx cancels).
 func (p *parallelRun) execute(ctx context.Context, hooks sim.BarrierHooks) error {
-	epoch := p.cfg.BarrierEpoch
-	if epoch == 0 {
-		epoch = defaultBarrierEpoch
-	}
-	be, err := sim.NewBarrierEngine(p.engs, epoch, p.cfg.Workers)
+	be, err := sim.NewBarrierEngine(p.engs, p.epochLen, p.cfg.Workers)
 	if err != nil {
 		return err
 	}
 	if p.channels > 1 {
 		hooks.Barrier = p.barrier
-		if p.gapObserving || p.lm != nil {
-			hooks.Observe = p.observe
-		}
 		if p.lm != nil {
+			hooks.Observe = p.observe
 			hooks.CapEnd = p.capEnd
 			// Pending rebalances count as input: the run must not end
 			// while interval ticks the serial engine would still fire

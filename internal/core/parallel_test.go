@@ -7,7 +7,6 @@ import (
 
 	"dmamem/internal/controller"
 	"dmamem/internal/memsys"
-	"dmamem/internal/policy"
 	"dmamem/internal/sim"
 	"dmamem/internal/trace"
 )
@@ -75,7 +74,7 @@ func TestParallelSingleChannelBitIdentical(t *testing.T) {
 		for _, epoch := range []sim.Duration{10 * sim.Microsecond, 200 * sim.Microsecond} {
 			pcfg := cfg
 			pcfg.Workers = 1
-			pcfg.BarrierEpoch = epoch
+			pcfg.barrierEpoch = epoch
 			got, err := Run(pcfg, tr)
 			if err != nil {
 				t.Fatalf("%s epoch=%v: %v", name, epoch, err)
@@ -154,41 +153,22 @@ func TestParallelMultiChannelWorkerInvariance(t *testing.T) {
 func TestParallelRejections(t *testing.T) {
 	tr := stTrace(t, sim.Millisecond)
 	topo := memsys.Topology{Channels: 4, ChannelBandwidth: 3.2e9}
-	// A gap-observing policy that cannot replicate itself still gets a
-	// loud rejection on multi-channel topologies.
-	if _, err := Run(Config{Workers: 2, Topology: topo, Policy: &gapOnlyPolicy{}}, tr); err == nil ||
-		!strings.Contains(err.Error(), "Replicable") {
-		t.Errorf("non-replicable gap observer on multi-channel parallel: %v", err)
-	}
-	if _, err := Run(Config{Workers: 2, BarrierEpoch: -sim.Microsecond}, tr); err == nil ||
-		!strings.Contains(err.Error(), "BarrierEpoch") {
-		t.Errorf("negative BarrierEpoch: %v", err)
-	}
 	if _, err := Run(Config{Workers: 2, MaxEpochSpan: -1}, tr); err == nil ||
 		!strings.Contains(err.Error(), "MaxEpochSpan") {
 		t.Errorf("negative MaxEpochSpan: %v", err)
 	}
-	// PL and SelfTuning are legal on any channel count since the
-	// epoch-synchronized observation stage: single-channel is the
-	// serial semantics, multi-channel runs rebalances and gap merges at
-	// barriers.
+	// PL is legal on any channel count since the epoch-synchronized
+	// observation stage: single-channel is the serial semantics,
+	// multi-channel runs rebalances at barriers.
 	for _, cfg := range []Config{
 		{Workers: 2, PL: plCfg(2), TA: controller.DefaultTA(0), CPLimit: 0.10},
-		{Workers: 2, Policy: policy.NewSelfTuning()},
 		{Workers: 2, Topology: topo, PL: plCfg(2), TA: controller.DefaultTA(0), CPLimit: 0.10},
-		{Workers: 2, Topology: topo, Policy: policy.NewSelfTuning()},
 	} {
 		if _, err := Run(cfg, tr); err != nil {
 			t.Errorf("legal parallel config rejected: %+v: %v", cfg, err)
 		}
 	}
 }
-
-// gapOnlyPolicy observes gaps but cannot replicate — multi-channel
-// parallel runs must reject it loudly.
-type gapOnlyPolicy struct{ policy.AlwaysActive }
-
-func (*gapOnlyPolicy) ObserveGap(sim.Duration) {}
 
 // TestParallelSingleChannelWorkersAccepted pins the documented
 // Config.Workers behavior on a single-channel topology: accepted (not

@@ -89,13 +89,13 @@ func parallelRun(t *testing.T, r *Runner) []parallelOutput {
 	add("Table2", t2, err, func() string { return FormatTable2(t2) })
 	f2b, err := s.Fig2b(ctx)
 	add("Fig2b", f2b, err, func() string { return FormatBreakdowns("fig2b", f2b) })
-	f5, err := s.Fig5(ctx, []float64{0.05, 0.30}, []int{2})
+	f5, err := GridRun[Fig5Point](ctx, s, GridSpec{Name: GridFig5, CPLimits: []float64{0.05, 0.30}, Groups: []int{2}})
 	add("Fig5", f5, err, func() string { return FormatFig5(f5) })
-	f8, err := s.Fig8(ctx, []float64{25, 100})
+	f8, err := GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig8, RatesPerMs: []float64{25, 100}})
 	add("Fig8", f8, err, func() string { return FormatSweep("fig8", "xfers/ms", f8) })
-	f9, err := s.Fig9(ctx, []int{0, 233})
+	f9, err := GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig9, PerTransfer: []int{0, 233}})
 	add("Fig9", f9, err, func() string { return FormatSweep("fig9", "proc/xfer", f9) })
-	f10, err := s.Fig10(ctx, []float64{1.064e9, 3e9})
+	f10, err := GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig10, BusBW: []float64{1.064e9, 3e9}})
 	add("Fig10", f10, err, func() string { return FormatSweep("fig10", "ratio", f10) })
 	return out
 }
@@ -108,7 +108,7 @@ func TestBaselinePairParallelReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tech := Fig5PLConfig()
+	tech := taConfig(0.10, plConfig(2))
 	b1, t1, s1, err := core.RunBaselinePair(core.Config{}, tech, w.Trace)
 	if err != nil {
 		t.Fatal(err)

@@ -45,16 +45,12 @@ type Suite struct {
 	// results are byte-identical either way.
 	Runner *Runner
 	// Workers propagates core.Config.Workers to every simulation the
-	// suite runs: 0 keeps the serial reference engine, a positive count
-	// selects the epoch-barrier parallel engine. Golden-corpus results
-	// are bit-identical either way; the parallel cross-check test holds
-	// every worker count to that.
+	// suite runs: 0 or 1 keeps the serial engine, 2 or more selects the
+	// barrier engine. On one channel every value gives the same
+	// results; on a multi-channel topology (a figure 10 sweep with
+	// Channels) the serial and barrier engines differ, and among
+	// values of 2 or more the count changes nothing.
 	Workers int
-	// BarrierEpoch propagates the parallel engine's barrier period
-	// (core.Config.BarrierEpoch) to every simulation the suite runs.
-	// It only matters when Workers selects the parallel engine, and it
-	// changes no result.
-	BarrierEpoch sim.Duration
 
 	mu        sync.Mutex
 	cache     map[string]*cacheEntry
@@ -158,7 +154,6 @@ func (s *Suite) generate(name string) (*trace.Trace, error) {
 // its in-flight simulations instead of finishing them).
 func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*core.Result, error) {
 	cfg.Workers = s.Workers
-	cfg.BarrierEpoch = s.BarrierEpoch
 	return core.RunContext(ctx, cfg, tr)
 }
 
@@ -167,7 +162,6 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 // sweep jobs feed -timing's throughput.
 func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, work metrics.SimWork, err error) {
 	base.Workers, tech.Workers = s.Workers, s.Workers
-	base.BarrierEpoch, tech.BarrierEpoch = s.BarrierEpoch, s.BarrierEpoch
 	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
 	if err != nil {
 		return 0, metrics.SimWork{}, err
@@ -379,17 +373,6 @@ type Fig5Point struct {
 	UF float64
 }
 
-// Fig5 sweeps CP-Limit for every workload and scheme, like the paper's
-// headline figure. The paper's shape: DMA-TA-PL(2) > DMA-TA; savings
-// rise steeply to ~10% CP-Limit and then flatten; 6 groups lose to 2.
-// The grid — one run per (workload, scheme, CP-Limit), each scored
-// against its workload's cached single-flight baseline — executes on
-// the suite's Runner and is reassembled in sweep order; `GridFig5`
-// names the same grid for service jobs.
-func (s *Suite) Fig5(ctx context.Context, cpLimits []float64, groups []int) ([]Fig5Point, error) {
-	return GridRun[Fig5Point](ctx, s, GridSpec{Name: GridFig5, CPLimits: cpLimits, Groups: groups})
-}
-
 // FormatFig5 renders the savings curves grouped by workload.
 func FormatFig5(pts []Fig5Point) string {
 	var b strings.Builder
@@ -519,30 +502,6 @@ func sweepSchemeConfig(label string) core.Config {
 		return taConfig(0.10, plConfig(2))
 	}
 	return taConfig(0.10, nil)
-}
-
-// Fig8 varies the Synthetic-St arrival rate (the paper's workload
-// intensity sweep; savings grow with intensity, then flatten). Each
-// (rate, scheme) job regenerates its own trace — the deterministic
-// generator makes duplicate generation bit-identical — and runs a
-// baseline/technique pair.
-func (s *Suite) Fig8(ctx context.Context, ratesPerMs []float64) ([]SweepPoint, error) {
-	return GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig8, RatesPerMs: ratesPerMs})
-}
-
-// Fig9 varies the number of processor accesses per DMA transfer in
-// Synthetic-Db (paper: savings drop as the CPU consumes the idle
-// cycles; OLTP-Db averages 233 accesses per transfer), one job per
-// (point, scheme).
-func (s *Suite) Fig9(ctx context.Context, perTransfer []int) ([]SweepPoint, error) {
-	return GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig9, PerTransfer: perTransfer})
-}
-
-// Fig10 varies the I/O bus bandwidth with the memory rate fixed at
-// 3.2 GB/s (the paper sweeps 0.5, 1, 2 and 3 GB/s; savings shrink as
-// the ratio approaches 1), one job per (workload, bandwidth, scheme).
-func (s *Suite) Fig10(ctx context.Context, busBW []float64) ([]SweepPoint, error) {
-	return GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig10, BusBW: busBW})
 }
 
 // FormatSweep renders a sweep with a caption for the x-axis.

@@ -118,7 +118,7 @@ func TestFig4Shape(t *testing.T) {
 
 func TestFig5Shape(t *testing.T) {
 	s := testSuite()
-	pts, err := s.Fig5(ctx, []float64{0.05, 0.30}, []int{2})
+	pts, err := GridRun[Fig5Point](ctx, s, GridSpec{Name: GridFig5, CPLimits: []float64{0.05, 0.30}, Groups: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	s := testSuite()
-	pts, err := s.Fig8(ctx, []float64{25, 200})
+	pts, err := GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig8, RatesPerMs: []float64{25, 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestFig8Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	s := testSuite()
-	pts, err := s.Fig9(ctx, []int{1, 400})
+	pts, err := GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig9, PerTransfer: []int{1, 400}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	s := testSuite()
-	pts, err := s.Fig10(ctx, []float64{3.0e9, 1.064e9})
+	pts, err := GridRun[SweepPoint](ctx, s, GridSpec{Name: GridFig10, BusBW: []float64{3.0e9, 1.064e9}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,128 +3,16 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"dmamem/internal/core"
 	"dmamem/internal/energy"
-	"dmamem/internal/server"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
 )
 
-// The experiments in this file go beyond the paper's figures: its
-// stated future work (TPC-H style decision support), its Section 5.4
-// aside about other memory technologies, and seed-replicated runs that
-// attach dispersion to the headline numbers.
-
-// SeedStats summarizes replicated runs of one configuration. All
-// savings values are fractions of baseline energy (0.10 = 10%).
-type SeedStats struct {
-	// Scheme that was replicated.
-	Scheme string
-	// N is the number of seeds.
-	N int
-	// Mean fractional savings over the N seeds.
-	Mean float64
-	// StdDev is the sample standard deviation of the savings.
-	StdDev float64
-	// Min and Max are the extreme savings observed.
-	Min, Max float64
-}
-
-// MultiSeedSavings reruns a technique over n differently seeded
-// Synthetic-St traces and returns savings statistics — the dispersion
-// behind a Figure 5 point. The per-seed runs are independent jobs on
-// r's pool (nil r = sequential).
-func MultiSeedSavings(ctx context.Context, r *Runner, d sim.Duration, n int, cfg core.Config) (SeedStats, error) {
-	if n <= 0 {
-		return SeedStats{}, fmt.Errorf("experiments: %d seeds", n)
-	}
-	vals, err := mapJobs(ctx, r, n,
-		func(i int) string { return fmt.Sprintf("seeds/%s/seed=%d", cfg.Scheme, i+1) },
-		func(ctx context.Context, i int) (float64, error) {
-			scfg := synth.DefaultSt()
-			scfg.Duration = d
-			scfg.Seed = uint64(i + 1)
-			tr, err := synth.GenerateSt(scfg)
-			if err != nil {
-				return 0, err
-			}
-			_, _, s, err := core.RunBaselinePair(core.Config{}, cfg, tr)
-			if err != nil {
-				return 0, err
-			}
-			return s, nil
-		})
-	if err != nil {
-		return SeedStats{}, err
-	}
-	st := SeedStats{Scheme: cfg.Scheme, N: n, Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, v := range vals {
-		st.Mean += v
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-	}
-	st.Mean /= float64(n)
-	for _, v := range vals {
-		st.StdDev += (v - st.Mean) * (v - st.Mean)
-	}
-	if n > 1 {
-		st.StdDev = math.Sqrt(st.StdDev / float64(n-1))
-	}
-	return st, nil
-}
-
-// DSSRow is the decision-support extension result.
-type DSSRow struct {
-	// Scheme is "dma-ta" or "dma-ta-pl".
-	Scheme string
-	// Savings is the fractional energy reduction over the baseline.
-	Savings float64
-	// UF is the technique's utilization factor.
-	UF float64
-	// BaselineUF is the baseline's utilization factor.
-	BaselineUF float64
-}
-
-// DSSExtension runs the TPC-H style scan workload (the paper's future
-// work) under both techniques, one job per scheme on r's pool. The
-// result is an honest negative: scan buffers are recycled round-robin,
-// so there is no popularity skew for PL to exploit, and scans already
-// stream near-continuously.
-func DSSExtension(ctx context.Context, r *Runner, d sim.Duration, seed uint64) ([]DSSRow, error) {
-	cfg := server.DefaultDSS()
-	cfg.Duration = d
-	cfg.Seed = seed
-	res, err := server.GenerateDSS(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tr := res.Trace
-	if len(tr.Records) == 0 {
-		return nil, fmt.Errorf("no decision-support query starts within %gms, so the trace is empty; use a longer duration",
-			float64(d)/float64(sim.Millisecond))
-	}
-	return mapJobs(ctx, r, len(sweepSchemes),
-		func(i int) string { return "dss/" + sweepSchemes[i] },
-		func(ctx context.Context, i int) (DSSRow, error) {
-			base, tech, savings, err := core.RunBaselinePair(core.Config{}, sweepSchemeConfig(sweepSchemes[i]), tr)
-			if err != nil {
-				return DSSRow{}, err
-			}
-			return DSSRow{
-				Scheme:     sweepSchemes[i],
-				Savings:    savings,
-				UF:         tech.Report.UtilizationFactor,
-				BaselineUF: base.Report.UtilizationFactor,
-			}, nil
-		})
-}
+// The experiment in this file goes beyond the paper's figures: its
+// Section 5.4 aside about other memory technologies.
 
 // TechState is one power state's share of a technology row: its name
 // in the backend model and the resident energy spent in it.
@@ -242,18 +130,6 @@ func ParseTechList(s string) ([]string, error) {
 	return out, nil
 }
 
-// FormatDSS renders the decision-support extension.
-func FormatDSS(rows []DSSRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: TPC-H style decision support (paper future work)\n")
-	fmt.Fprintf(&b, "%-12s %9s %8s %8s\n", "scheme", "savings", "uf", "base-uf")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %8.1f%% %8.2f %8.2f\n", r.Scheme, 100*r.Savings, r.UF, r.BaselineUF)
-	}
-	b.WriteString("(scan buffers carry no popularity skew; PL has nothing to cluster)\n")
-	return b.String()
-}
-
 // FormatTech renders the technology comparison: one summary line per
 // backend, then its per-state energy breakdown, whose terms sum back
 // to the total.
@@ -274,18 +150,4 @@ func FormatTech(rows []TechRow) string {
 		fmt.Fprintf(&b, "  states: %s\n", strings.Join(parts, ", "))
 	}
 	return b.String()
-}
-
-// FormatSeedStats renders replicated-run statistics.
-func FormatSeedStats(s SeedStats) string {
-	return fmt.Sprintf("%s over %d seeds: %.1f%% +- %.1f%% (min %.1f%%, max %.1f%%)",
-		s.Scheme, s.N, 100*s.Mean, 100*s.StdDev, 100*s.Min, 100*s.Max)
-}
-
-// Fig5PLConfig returns the DMA-TA-PL(2) configuration of Figure 5's
-// headline point (10% CP-Limit), for callers replicating it.
-func Fig5PLConfig() core.Config {
-	cfg := taConfig(0.10, plConfig(2))
-	cfg.Scheme = "dma-ta-pl"
-	return cfg
 }

@@ -10,61 +10,6 @@ import (
 	"dmamem/internal/sim"
 )
 
-func TestMultiSeedSavings(t *testing.T) {
-	st, err := MultiSeedSavings(ctx, NewRunner(4), 15*sim.Millisecond, 3, taConfig(0.10, plConfig(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.N != 3 {
-		t.Fatalf("N = %d", st.N)
-	}
-	if st.Mean <= 0 {
-		t.Fatalf("mean savings %.2f%%", 100*st.Mean)
-	}
-	if st.Min > st.Mean || st.Max < st.Mean {
-		t.Fatalf("ordering broken: min %g mean %g max %g", st.Min, st.Mean, st.Max)
-	}
-	if st.StdDev < 0 {
-		t.Fatal("negative stddev")
-	}
-	// Savings should be reasonably stable across seeds.
-	if st.StdDev > 0.15 {
-		t.Fatalf("stddev %.1f%% implausibly large", 100*st.StdDev)
-	}
-	if FormatSeedStats(st) == "" {
-		t.Fatal("empty rendering")
-	}
-	if _, err := MultiSeedSavings(ctx, nil, sim.Millisecond, 0, taConfig(0.1, nil)); err == nil {
-		t.Fatal("zero seeds accepted")
-	}
-}
-
-func TestDSSExtension(t *testing.T) {
-	rows, err := DSSExtension(ctx, NewRunner(2), 40*sim.Millisecond, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		// The honest negative: neither technique should find much to
-		// save in scan traffic — nor should it cost much.
-		if r.Savings < -0.05 || r.Savings > 0.15 {
-			t.Errorf("%s: DSS savings %.1f%% outside the expected near-zero band",
-				r.Scheme, 100*r.Savings)
-		}
-		// Scans overlap naturally, so the baseline uf is already above
-		// the lone-stream 1/3.
-		if r.BaselineUF < 0.33 {
-			t.Errorf("%s: baseline uf %.2f below lone-stream level", r.Scheme, r.BaselineUF)
-		}
-	}
-	if !strings.Contains(FormatDSS(rows), "decision support") {
-		t.Fatal("format broken")
-	}
-}
-
 func TestTechExtension(t *testing.T) {
 	rows, err := TechExtension(ctx, nil, 20*sim.Millisecond, 1, []string{"rdram", "ddr400"})
 	if err != nil {

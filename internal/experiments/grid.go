@@ -50,13 +50,20 @@ func NewSuiteFromSpec(sp SuiteSpec) *Suite {
 // points.
 const (
 	// GridFig5 sweeps CP-Limit for every Table 2 workload and scheme
-	// (CPLimits x {dma-ta, dma-ta-pl-G for G in Groups}).
+	// (CPLimits x {dma-ta, dma-ta-pl-G for G in Groups}), the paper's
+	// headline figure. Each run is scored against its workload's
+	// cached single-flight baseline.
 	GridFig5 = "fig5"
-	// GridFig8 sweeps Synthetic-St arrival rate (RatesPerMs).
+	// GridFig8 sweeps Synthetic-St arrival rate (RatesPerMs), the
+	// paper's workload intensity sweep. Each (rate, scheme) job
+	// regenerates its own trace and runs a baseline/technique pair.
 	GridFig8 = "fig8"
-	// GridFig9 sweeps processor accesses per transfer (PerTransfer).
+	// GridFig9 sweeps processor accesses per transfer in Synthetic-Db
+	// (PerTransfer); OLTP-Db averages 233 accesses per transfer.
 	GridFig9 = "fig9"
-	// GridFig10 sweeps I/O bus bandwidth (BusBW) over Workloads.
+	// GridFig10 sweeps I/O bus bandwidth (BusBW) over Workloads with
+	// the memory rate fixed at 3.2 GB/s, one job per (workload,
+	// bandwidth, scheme).
 	GridFig10 = "fig10"
 	// GridNoop yields Points trivial results without running any
 	// simulation, so what a grid job costs beyond its simulations

@@ -193,7 +193,7 @@ func TestAdaptiveEpochSpeedupSmoke(t *testing.T) {
 // access every period/100, rotating over the channels) keeps every
 // epoch busy on some shard. Processor accesses never touch the shared
 // I/O buses, so a fixed-epoch run pays a rendezvous at essentially
-// every BarrierEpoch for nothing, while the adaptive engine proves the
+// every barrier period for nothing, while the adaptive engine proves the
 // boundaries idle (the cross bound is the next DMA arrival) and elides
 // them, rendezvousing a few times per burst.
 func sparseTrace(duration, period sim.Duration, channels int) *trace.Trace {
@@ -250,8 +250,8 @@ func sparseTrace(duration, period sim.Duration, channels int) *trace.Trace {
 	return tr
 }
 
-// BenchmarkBarrierScaling spans the channels x workers x epoch grid on
-// a dense generated workload, one sub-benchmark per cell; workers=0 is
+// BenchmarkBarrierScaling spans the channels x workers grid on a
+// dense generated workload, one sub-benchmark per cell; workers=0 is
 // the serial reference. `go test -bench BarrierScaling -count N`
 // reports events/sec per cell with repeated samples; together with the
 // 4-CPU smoke gates it is the parallel engine's scaling evidence.
@@ -263,27 +263,21 @@ func BenchmarkBarrierScaling(b *testing.B) {
 	}
 	for _, channels := range []int{1, 2, 4} {
 		for _, workers := range []int{0, 1, 2, 4} {
-			for _, epoch := range []sim.Duration{20 * sim.Microsecond, 50 * sim.Microsecond, 200 * sim.Microsecond} {
-				if workers == 0 && epoch != 50*sim.Microsecond {
-					continue // the serial engine has no epoch knob
+			b.Run(fmt.Sprintf("ch=%d/workers=%d", channels, workers), func(b *testing.B) {
+				cfg := core.Config{Workers: workers}
+				if channels > 1 {
+					cfg.Topology = memsys.Topology{Channels: channels, ChannelBandwidth: 3.2e9}
 				}
-				name := fmt.Sprintf("ch=%d/workers=%d/epoch=%v", channels, workers, epoch)
-				b.Run(name, func(b *testing.B) {
-					cfg := core.Config{Workers: workers, BarrierEpoch: epoch}
-					if channels > 1 {
-						cfg.Topology = memsys.Topology{Channels: channels, ChannelBandwidth: 3.2e9}
+				var events uint64
+				for i := 0; i < b.N; i++ {
+					res, err := core.Run(cfg, tr)
+					if err != nil {
+						b.Fatal(err)
 					}
-					var events uint64
-					for i := 0; i < b.N; i++ {
-						res, err := core.Run(cfg, tr)
-						if err != nil {
-							b.Fatal(err)
-						}
-						events = res.Report.Events
-					}
-					b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-				})
-			}
+					events = res.Report.Events
+				}
+				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+			})
 		}
 	}
 }

@@ -92,13 +92,3 @@ func (d *Dynamic) ValidateForModel(m *energy.Model) error {
 	}
 	return d.Validate()
 }
-
-// ValidateForModel implements ModelValidator: SelfTuning adapts the
-// 4-state Dynamic chain against RDRAM break-even times.
-func (p *SelfTuning) ValidateForModel(m *energy.Model) error {
-	if m.NumStates() != 4 {
-		return fmt.Errorf("policy: self-tuning drives the 4-state dynamic chain; model %s has %d states",
-			m.Name, m.NumStates())
-	}
-	return nil
-}

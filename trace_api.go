@@ -413,20 +413,6 @@ func StorageServerTrace(o ServerOptions) (*Trace, error) {
 	return &Trace{t: res.Trace}, nil
 }
 
-// DecisionSupportTrace runs the TPC-H style decision-support model the
-// paper lists as future work: rare, enormous analytical scans streamed
-// from the disk array in large read-ahead units, with small aggregated
-// results leaving over the network.
-func DecisionSupportTrace(o ServerOptions) (*Trace, error) {
-	cfg := server.DefaultDSS()
-	o.apply(&cfg.Duration, &cfg.Seed, &cfg.QueryRatePerMs)
-	res, err := server.GenerateDSS(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{t: res.Trace}, nil
-}
-
 // DatabaseServerTrace runs the database-server model — queries over a
 // memory-resident bufferpool with processor accesses and result DMAs.
 func DatabaseServerTrace(o ServerOptions) (*Trace, error) {

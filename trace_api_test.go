@@ -97,7 +97,7 @@ func TestSimulationValidate(t *testing.T) {
 			PLGroups: 3, PLHotShare: 0.8, PLInterval: 10 * time.Millisecond},
 		{Buses: 5, BusBandwidth: 2e9, StaticMode: "nap", MemoryTech: "ddr"},
 		{Technique: NoPowerManagement, StaticMode: "powerdown", MemoryTech: "rdram"},
-		{Workers: 1, BarrierEpoch: 50 * time.Microsecond},
+		{Workers: 1},
 		{Technique: TemporalAlignmentWithLayout, CPLimit: 0.10, PLGroups: 129},
 	}
 	for i, s := range valid {
@@ -135,7 +135,7 @@ func TestSimulationValidate(t *testing.T) {
 		{Simulation{BusBandwidth: -1}, "BusBandwidth"},
 		{Simulation{StaticMode: "doze"}, "static mode"},
 		{Simulation{MemoryTech: "sram"}, "memory technology"},
-		{Simulation{BarrierEpoch: 50 * time.Microsecond}, "BarrierEpoch 50µs needs Workers"},
+		{Simulation{Workers: -1}, "negative Workers -1"},
 	}
 	for i, c := range invalid {
 		err := c.s.Validate()
