@@ -12,6 +12,13 @@ import (
 // Same-instant event priorities: completions observe the interval
 // first, then new arrivals, then policy timers and epochs.
 //
+// prioCompletion belongs to the flow-completion event alone, and a
+// controller keeps at most one pending (complEvt), so it is the only
+// priority-0 event on its engine: nothing else can tie with it at its
+// instant and priority. That is why recompute may keep a pending
+// completion whose instant did not move instead of rescheduling it
+// behind later-scheduled events. A new priority-0 event breaks this.
+//
 // prioArrival is reserved for trace arrivals exclusively — it is also
 // the priority the trace feeder (core's feeder, a sim.Feeder) reports
 // from Peek, and the run loop's merge gives same-(instant, priority)
@@ -200,8 +207,8 @@ func completionDelay(remaining, rate float64) sim.Duration {
 // accountAll(now) immediately before. Scratch buffers are reused
 // across calls, so the controller steady state allocates nothing.
 func (c *Controller) recompute(now sim.Time) {
-	c.eng.Cancel(c.complEvt)
 	if len(c.allFlows) == 0 {
+		c.eng.Cancel(c.complEvt)
 		return
 	}
 	c.flowScratch = c.flowScratch[:0]
@@ -218,6 +225,13 @@ func (c *Controller) recompute(now sim.Time) {
 			next = t
 		}
 	}
+	if next == c.complAt && c.complEvt.Valid() {
+		// The pending completion already fires at next. It is the only
+		// priority-0 event on the engine, so keeping it instead of
+		// rescheduling leaves the dispatch order unchanged.
+		return
+	}
+	c.eng.Cancel(c.complEvt)
 	c.complEvt = c.eng.SchedulePrio(next, prioCompletion, c.onCompletionFn)
 	c.complAt = next
 }

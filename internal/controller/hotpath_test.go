@@ -255,3 +255,53 @@ func TestProcWakeLifecycleZeroAlloc(t *testing.T) {
 		t.Fatalf("chip ends a cycle in %v, want powerdown", chip.State())
 	}
 }
+
+// TestProcWakeKeepsCompletion pins recompute's shortcut: a processor
+// access wakes chip 1 while a transfer drains on chip 0, and the wake's
+// completion recomputes the rates of an unchanged flow set. The drain
+// instant does not move, so the pending completion event must survive
+// with its EventID; rescheduling it would cost an event for nothing.
+func TestProcWakeKeepsCompletion(t *testing.T) {
+	eng := sim.New()
+	c, err := New(eng, baseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := memsys.PageID(0)
+	for c.mapper.ChipOf(page) != 1 {
+		page++
+	}
+	var before, after sim.EventID
+	var beforeAt sim.Time
+	var woken energy.State
+	flows, pending := 0, false
+	eng.SchedulePrio(sim.Time(sim.Microsecond), prioArrival, func(*sim.Engine) {
+		c.StartTransfer(dma.Transfer{ID: 1, Bus: 0, Page: 0, Pages: 1})
+	})
+	// Chip 0 wakes from powerdown by 7 us; its one-page flow then drains
+	// for about 7.7 us at PCI-X speed, past chip 1's wake at 14 us.
+	eng.SchedulePrio(sim.Time(8*sim.Microsecond), prioArrival, func(e *sim.Engine) {
+		c.ProcAccess(page)
+		ready := c.chips[1].chip.ReadyAt()
+		e.SchedulePrio(ready, prioArrival, func(*sim.Engine) {
+			before, beforeAt, flows = c.complEvt, c.complAt, len(c.allFlows)
+			pending = before.Valid()
+		})
+		e.SchedulePrio(ready, prioEpoch+1, func(*sim.Engine) {
+			after, woken = c.complEvt, c.chips[1].chip.State()
+		})
+	})
+	eng.Run()
+	if flows != 1 || !pending {
+		t.Fatalf("%d flows in flight at the wake (completion pending: %v), want 1", flows, pending)
+	}
+	if woken != energy.Active {
+		t.Fatalf("chip 1 is %v after its wake, want active", woken)
+	}
+	if after != before {
+		t.Fatalf("the wake rescheduled the completion at %v", beforeAt)
+	}
+	if c.transfers != 1 || len(c.allFlows) != 0 {
+		t.Fatalf("%d transfers, %d flows left; want the transfer done", c.transfers, len(c.allFlows))
+	}
+}

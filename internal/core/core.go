@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"dmamem/internal/bus"
@@ -65,7 +66,8 @@ type Config struct {
 	// covers milliseconds of a server that has been running for days,
 	// so the counters have seen the popularity distribution many times
 	// over). The warm-up rebalance is uncharged; in-run rebalances and
-	// their migrations are charged in full. Default 1.0 (two-pass).
+	// their migrations are charged in full. Default 1.0. A PL run reads
+	// this prefix once before the run; no other scheme reads it.
 	WarmupFraction float64
 	// Scheme labels the report; empty derives "baseline"/"dma-ta"/
 	// "dma-ta-pl" from TA and PL.
@@ -240,12 +242,11 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 
 // recordSource is where a run's records come from, reduced to what
 // the run needs: the summary that sizes it and a factory for cursors
-// over the records, which the run streams twice (once to validate and
-// warm up, once to simulate).
+// over the records. A run opens one cursor and simulates from it; a PL
+// run opens a second, first, for its warm-up prefix.
 type recordSource struct {
 	sum    trace.FileSummary
 	cursor func() *trace.Cursor
-	origin string // the container path, for streaming errors
 	close  func() error
 }
 
@@ -267,12 +268,14 @@ func openSource(cfg Config, tr *trace.Trace) (*recordSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &recordSource{sum: fr.Summary(), cursor: fr.Cursor, origin: cfg.TraceFile, close: fr.Close}, nil
+	return &recordSource{sum: fr.Summary(), cursor: fr.Cursor, close: fr.Close}, nil
 }
 
-// run is the run assembly: defaulting, calibration, one validation and
-// warm-up pass, then the serial or the barrier engine over a fresh
-// cursor.
+// run is the run assembly: defaulting, calibration, the PL warm-up,
+// then the serial or the barrier engine over one checking cursor. The
+// cursor validates each record as the engine reads it, so a trace that
+// fails mid-run stops the engine's input and the run returns the
+// cursor's error before it closes any accounting.
 func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 	cfg, model, err := cfg.withDefaults()
 	if err != nil {
@@ -313,18 +316,25 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 		res.Mu = cfg.TA.Mu
 	}
 
+	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
+	open := func() *trace.Cursor {
+		c := src.cursor()
+		c.Check(maxPage)
+		return c
+	}
 	var lm *layout.Manager
 	if cfg.PL != nil {
 		if lm, err = layout.New(cfg.Geometry, *cfg.PL); err != nil {
 			return nil, err
 		}
 		ccfg.Layout = lm
-	}
-	if err := validateAndWarm(src.cursor(), sum, cfg, lm); err != nil {
-		return nil, err
+		warm := int64(cfg.WarmupFraction * float64(sum.Records))
+		if err := warmLayout(open(), warm, lm); err != nil {
+			return nil, cursorErr(err)
+		}
 	}
 
-	cur := src.cursor()
+	cur := open()
 	traceEnd := sim.Time(sum.Duration)
 	var finish func(end sim.Time) *metrics.Report
 	if cfg.Workers > 0 {
@@ -352,7 +362,7 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 		finish = func(end sim.Time) *metrics.Report { return ctl.Report(cfg.Scheme, ctl.Finish(end)) }
 	}
 	if err := cur.Err(); err != nil {
-		return nil, fmt.Errorf("core: streaming %s: %w", src.origin, err)
+		return nil, cursorErr(err)
 	}
 
 	window := cfg.MeterWindow
@@ -377,43 +387,17 @@ func validateWarmupFraction(fraction float64) error {
 	return nil
 }
 
-// validateAndWarm streams the records once before the run. It applies
-// trace.Trace.Validate's per-record checks and the memory range check,
-// and feeds the DMA references of the first WarmupFraction of the
-// records to the layout manager, then installs the resulting layout
-// without charging its cost: the measured window starts from
-// popularity steady state.
-//
-// Trace-level violations return at once, but the first range violation
-// is held until the scan ends, so a malformed record anywhere in the
-// trace wins over an earlier out-of-range one — the precedence of
-// validating the whole trace before range-checking it.
-func validateAndWarm(cur *trace.Cursor, sum trace.FileSummary, cfg Config, lm *layout.Manager) error {
-	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
-	warm := int64(0) // records whose DMA pages warm the layout
-	if lm != nil {
-		warm = int64(cfg.WarmupFraction * float64(sum.Records))
-	}
-	var rangeErr error
-	var last sim.Time
-	for i := int64(0); ; i++ {
+// warmLayout feeds the DMA pages of the first n records to the layout
+// manager, then installs the resulting layout without charging its
+// cost: the measured window starts from popularity steady state. It
+// reads those n records and no more.
+func warmLayout(cur *trace.Cursor, n int64, lm *layout.Manager) error {
+	for i := int64(0); i < n; i++ {
 		r, ok := cur.Next()
 		if !ok {
 			break
 		}
-		if err := trace.CheckRecord(sum.Name, i, r, last); err != nil {
-			return err
-		}
-		last = r.Time
-		end := r.Page + 1
 		if r.Kind.IsDMA() {
-			end = r.Page + memsys.PageID(r.Pages)
-		}
-		if rangeErr == nil && end > maxPage {
-			rangeErr = fmt.Errorf("core: record %d touches pages [%d,%d) outside memory of %d pages",
-				i, r.Page, end, maxPage)
-		}
-		if i < warm && r.Kind.IsDMA() {
 			for p := 0; p < int(r.Pages); p++ {
 				lm.Observe(r.Page + memsys.PageID(p))
 			}
@@ -422,14 +406,21 @@ func validateAndWarm(cur *trace.Cursor, sum trace.FileSummary, cfg Config, lm *l
 	if err := cur.Err(); err != nil {
 		return err
 	}
-	if rangeErr != nil {
-		return rangeErr
-	}
-	if lm != nil {
-		lm.Rebalance(nil)
-		lm.ResetCosts()
-	}
+	lm.Rebalance(nil)
+	lm.ResetCosts()
 	return nil
+}
+
+// cursorErr words a checking cursor's error for the caller. A record
+// outside memory is the run's own check, so it reads as core's; a
+// malformed record or container reads as the trace package words it,
+// the same whichever source it came from.
+func cursorErr(err error) error {
+	var re *trace.PageRangeError
+	if errors.As(err, &re) {
+		return fmt.Errorf("core: %w", err)
+	}
+	return err
 }
 
 // feeder is the arrival source of every engine: the run loop pulls
@@ -439,9 +430,10 @@ func validateAndWarm(cur *trace.Cursor, sum trace.FileSummary, cfg Config, lm *l
 // shard's staging buffer. Its same-instant priority, feederPrio, is
 // reserved for trace arrivals across the whole simulator: transfer
 // completions (priority 0) at the same instant are observed first,
-// policy and epoch timers (priorities 2+) after. A failed .dmt stream
-// looks exhausted to the engine; the run checks the cursor's Err after
-// the engine stops.
+// policy and epoch timers (priorities 2+) after. A failed cursor (a
+// broken .dmt stream or a record that fails its check) looks exhausted
+// to the engine; the run checks the cursor's Err after the engine
+// stops.
 type feeder struct {
 	ctl    *controller.Controller
 	cur    *trace.Cursor

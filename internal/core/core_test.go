@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dmamem/internal/bus"
@@ -77,6 +80,115 @@ func TestRunRejectsBadTraces(t *testing.T) {
 	}}
 	if _, err := Run(Config{}, mixed); err == nil || err.Error() != `trace "mixed": record 1 is a zero-page DMA` {
 		t.Errorf("mixed violations: %v, want the zero-page error", err)
+	}
+}
+
+// TestRunReadsTraceOnce counts the cursors a run opens through its
+// record source, in memory and from .dmt, on the serial engine and on
+// two channels: the engine's cursor checks the records it serves, so a
+// baseline or DMA-TA run opens that one alone, and a PL run adds one
+// warm-up cursor that stops after WarmupFraction x Records records.
+func TestRunReadsTraceOnce(t *testing.T) {
+	tr := stTrace(t, 5*sim.Millisecond)
+	path := saveDMT(t, tr, 512)
+	const frac = 0.25
+	warm := int(frac * float64(len(tr.Records)))
+	if tr.Records[warm-1] == tr.Records[warm] {
+		t.Fatal("fixture cannot tell where the warm-up stopped")
+	}
+	schemes := []struct {
+		name    string
+		cfg     Config
+		cursors int
+	}{
+		{"baseline", Config{}, 1},
+		{"dma-ta", Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, 1},
+		{"dma-ta-pl", Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2), WarmupFraction: frac}, 2},
+	}
+	for _, channels := range []int{1, 2} {
+		for _, file := range []bool{false, true} {
+			for _, sc := range schemes {
+				cfg := sc.cfg
+				if channels > 1 {
+					cfg.Topology = memsys.Topology{Channels: channels, ChannelBandwidth: 3.2e9}
+					cfg.Workers = 2
+				}
+				in := tr
+				if file {
+					cfg.TraceFile, in = path, nil
+				}
+				src, err := openSource(cfg, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var opened []*trace.Cursor
+				open := src.cursor
+				src.cursor = func() *trace.Cursor {
+					c := open()
+					opened = append(opened, c)
+					return c
+				}
+				_, err = run(context.Background(), cfg, src)
+				name := fmt.Sprintf("%s, %d channel(s), file %v", sc.name, channels, file)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(opened) != sc.cursors {
+					t.Errorf("%s: opened %d cursors, want %d", name, len(opened), sc.cursors)
+				}
+				if sc.cursors == 2 {
+					if r, ok := opened[0].Peek(); !ok || r != tr.Records[warm] {
+						t.Errorf("%s: warm-up cursor stopped before %+v (ok=%v), want record %d %+v",
+							name, r, ok, warm, tr.Records[warm])
+					}
+				}
+				src.close()
+			}
+		}
+	}
+}
+
+// TestRunFailsMidRun puts a bad record near the end of a trace, where
+// the engine has long been running when the cursor reaches it: the run
+// must return the check's error, not panic in Finish on an engine the
+// failure left undrained, on either engine and from either source.
+func TestRunFailsMidRun(t *testing.T) {
+	tr := stTrace(t, 5*sim.Millisecond)
+	last := len(tr.Records) - 3
+	maxPage := memsys.PageID(memsys.Default().TotalPages())
+	bad := func(r trace.Record) *trace.Trace {
+		c := &trace.Trace{Name: tr.Name, Meta: tr.Meta, Records: slices.Clone(tr.Records)}
+		r.Time = c.Records[last].Time
+		c.Records[last] = r
+		return c
+	}
+	cases := []struct {
+		tr   *trace.Trace
+		want string
+	}{
+		{bad(trace.Record{Kind: trace.DMAWrite, Pages: 0, Page: 3}),
+			fmt.Sprintf("trace %q: record %d is a zero-page DMA", tr.Name, last)},
+		{bad(trace.Record{Kind: trace.DMAWrite, Pages: 4, Page: maxPage - 1}),
+			fmt.Sprintf("core: record %d touches pages [%d,%d) outside memory of %d pages", last, maxPage-1, maxPage+3, maxPage)},
+	}
+	topo := memsys.Topology{Channels: 2, ChannelBandwidth: 3.2e9}
+	configs := []Config{
+		{TA: controller.DefaultTA(0), CPLimit: 0.10},
+		{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2), WarmupFraction: 0.5},
+		{TA: controller.DefaultTA(0), CPLimit: 0.10, Workers: 2, Topology: topo},
+		{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2), Workers: 2, Topology: topo},
+	}
+	for _, tc := range cases {
+		path := saveDMT(t, tc.tr, 256)
+		for i, cfg := range configs {
+			if _, err := Run(cfg, tc.tr); err == nil || err.Error() != tc.want {
+				t.Errorf("config %d in memory: %v, want %s", i, err, tc.want)
+			}
+			cfg.TraceFile = path
+			if _, err := Run(cfg, nil); err == nil || err.Error() != tc.want {
+				t.Errorf("config %d from file: %v, want %s", i, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -310,17 +310,18 @@ func (e *Engine) NextAt() (Time, bool) {
 
 // next selects the earliest pending dispatch: the scheduler's minimum
 // event, or the feeder's batch when its (instant, priority) sorts
-// strictly first. useFeeder=true means the feeder fires next.
-func (e *Engine) next() (ev *event, useFeeder bool) {
+// strictly first. useFeeder=true means the feeder fires next, at fat,
+// so the caller need not peek the feeder again.
+func (e *Engine) next() (ev *event, fat Time, useFeeder bool) {
 	ev = e.sched.peekMin()
 	if e.feeder != nil {
-		if fat, fprio, ok := e.feeder.Peek(); ok {
-			if ev == nil || fat < ev.at || (fat == ev.at && fprio < ev.prio) {
-				return nil, true
+		if at, fprio, ok := e.feeder.Peek(); ok {
+			if ev == nil || at < ev.at || (at == ev.at && fprio < ev.prio) {
+				return nil, at, true
 			}
 		}
 	}
-	return ev, false
+	return ev, 0, false
 }
 
 // ctxPollInterval is how many dispatches pass between ctx.Err() checks
@@ -332,9 +333,8 @@ func (e *Engine) runUntil(ctx context.Context, limit Time) error {
 	e.stopped = false
 	var sincePoll uint
 	for !e.stopped {
-		ev, useFeeder := e.next()
+		ev, fat, useFeeder := e.next()
 		if useFeeder {
-			fat, _, _ := e.feeder.Peek()
 			if fat > limit {
 				break
 			}
@@ -383,9 +383,8 @@ func (e *Engine) feederPending() bool {
 // Step dispatches exactly one event (or feeder batch) and reports
 // whether one fired.
 func (e *Engine) Step() bool {
-	ev, useFeeder := e.next()
+	ev, fat, useFeeder := e.next()
 	if useFeeder {
-		fat, _, _ := e.feeder.Peek()
 		e.now = fat
 		e.steps++
 		e.feeder.Fire(e)

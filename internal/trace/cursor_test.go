@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dmamem/internal/memsys"
@@ -50,14 +53,24 @@ func nextDMAAfter(recs []Record) (times []sim.Time, ok []bool) {
 // next-DMA time on random traces, probing it a random number of times
 // between records: on .dmt cursors (chunk sizes 1, 7, 64) it never
 // exceeds the true time, on slice-backed cursors it equals it, and on
-// both it reports "none" only when no DMA record remains. Probing must
-// not disturb the records the cursor yields.
+// both it reports "none" only when no DMA record remains, with and
+// without Check. Every fifth trace spans several of a checking slice
+// cursor's blocks. Probing must not disturb the records the cursor
+// yields.
 func TestCursorNextDMAProperty(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTrace(rng, 1+rng.Intn(300))
+		n := 1 + rng.Intn(300)
+		if seed%5 == 0 {
+			n += 2 * sliceCheckBlock
+		}
+		tr := randomTrace(rng, n)
 		want, remains := nextDMAAfter(tr.Records)
-		for _, chunk := range []int{0, 1, 7, 64} { // 0: slice-backed
+		for _, mode := range []struct {
+			chunk int // 0: slice-backed
+			check bool
+		}{{0, false}, {1, false}, {7, false}, {64, false}, {0, true}, {7, true}} {
+			chunk := mode.chunk
 			var cur *Cursor
 			if chunk == 0 {
 				cur = tr.Cursor()
@@ -68,6 +81,9 @@ func TestCursorNextDMAProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur = r.Cursor()
+			}
+			if mode.check {
+				cur.Check(1 << 20)
 			}
 			for i := 0; ; i++ {
 				for probe := rng.Intn(3); probe >= 0; probe-- {
@@ -96,6 +112,82 @@ func TestCursorNextDMAProperty(t *testing.T) {
 				t.Fatalf("seed %d chunk %d: %v", seed, chunk, err)
 			}
 		}
+	}
+}
+
+// TestCursorCheck pins checking cursors: over a slice and over .dmt
+// streams of several chunk sizes, a valid trace streams whole, and a
+// bad one fails with the same error in CheckRecord's words, a malformed
+// record anywhere winning over an earlier one outside the page bound.
+// Without Check the codec's zero-page DMA streams like any record.
+func TestCursorCheck(t *testing.T) {
+	const limit = 5000 // randomTrace's pages stay below 4096+8
+	base := randomTrace(rand.New(rand.NewSource(3)), 2*sliceCheckBlock+100)
+	edited := func(edit func(rs []Record)) *Trace {
+		tr := &Trace{Name: base.Name, Records: append([]Record(nil), base.Records...)}
+		edit(tr.Records)
+		return tr
+	}
+	zeroPage := func(rs []Record, i int) { rs[i].Kind, rs[i].Pages = DMAWrite, 0 }
+	outside := func(rs []Record, i int) { rs[i].Kind, rs[i].Pages, rs[i].Page = DMARead, 4, limit-1 }
+	late := 2*sliceCheckBlock + 50
+	disorder := edited(func(rs []Record) { rs[sliceCheckBlock].Time = rs[sliceCheckBlock-1].Time - 1 })
+	cases := []struct {
+		name string
+		tr   *Trace
+		want string
+	}{
+		{"valid", base, ""},
+		{"zero-page", edited(func(rs []Record) { zeroPage(rs, late) }),
+			fmt.Sprintf(`trace "random": record %d is a zero-page DMA`, late)},
+		{"outside only", edited(func(rs []Record) { outside(rs, 10) }),
+			fmt.Sprintf("record 10 touches pages [%d,%d) outside memory of %d pages", limit-1, limit+3, limit)},
+		{"zero-page blocks after outside", edited(func(rs []Record) { outside(rs, 10); zeroPage(rs, late) }),
+			fmt.Sprintf(`trace "random": record %d is a zero-page DMA`, late)},
+		// Disorder cannot be written to a .dmt, so only the slice sees it:
+		// at a block boundary, against the previous block's last record.
+		{"disorder", disorder, fmt.Sprintf(`trace "random": record %d at %v before predecessor at %v`,
+			sliceCheckBlock, disorder.Records[sliceCheckBlock].Time, disorder.Records[sliceCheckBlock-1].Time)},
+	}
+	for _, tc := range cases {
+		for _, chunk := range []int{0, 8, 4096, DefaultChunkRecords} { // 0: slice-backed
+			if chunk > 0 && tc.tr == disorder {
+				continue
+			}
+			cur := tc.tr.Cursor()
+			if chunk > 0 {
+				data := encodeDMT(t, tc.tr, WriterOptions{ChunkRecords: chunk})
+				r, err := NewReader(newByteReaderAt(data), int64(len(data)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur = r.Cursor()
+			}
+			cur.Check(limit)
+			n := 0
+			for _, ok := cur.Next(); ok; _, ok = cur.Next() {
+				n++
+			}
+			err := cur.Err()
+			switch {
+			case tc.want == "" && (err != nil || n != len(tc.tr.Records)):
+				t.Errorf("%s chunk %d: served %d of %d records, err %v", tc.name, chunk, n, len(tc.tr.Records), err)
+			case tc.want != "" && (err == nil || err.Error() != tc.want):
+				t.Errorf("%s chunk %d: err %v, want %s", tc.name, chunk, err, tc.want)
+			}
+			var re *PageRangeError
+			if errors.As(err, &re) != strings.HasPrefix(tc.name, "outside") {
+				t.Errorf("%s chunk %d: %v is a *PageRangeError: %v", tc.name, chunk, err, re != nil)
+			}
+		}
+	}
+	unchecked := cases[1].tr.Cursor()
+	n := 0
+	for _, ok := unchecked.Next(); ok; _, ok = unchecked.Next() {
+		n++
+	}
+	if n != len(base.Records) || unchecked.Err() != nil {
+		t.Fatalf("unchecked cursor served %d of %d records, err %v", n, len(base.Records), unchecked.Err())
 	}
 }
 

@@ -473,8 +473,9 @@ func (r *Reader) Summary() FileSummary { return r.sum }
 // single-goroutine like everything else in the simulator.
 func (r *Reader) Cursor() *Cursor {
 	return &Cursor{
-		r:  r,
-		br: bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size-dmtFooterSize), 1<<16),
+		r:    r,
+		br:   bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size-dmtFooterSize), 1<<16),
+		name: r.sum.Name,
 	}
 }
 
@@ -486,7 +487,8 @@ func (r *Reader) Cursor() *Cursor {
 // already in memory (Trace.Cursor) the slice itself is its single
 // resident chunk. The container checksum is accumulated as chunks
 // stream by and verified against the footer when the end marker is
-// reached; any malformed byte turns into Err.
+// reached; any malformed byte turns into Err. A cursor the simulator
+// replays also validates each record as it serves it (see Check).
 type Cursor struct {
 	r   *Reader // nil for a slice-backed cursor
 	br  *bufio.Reader
@@ -502,6 +504,17 @@ type Cursor struct {
 	dmaIdx  int  // NextDMA's scan position in buf, >= idx once probed
 	staging bool // buf is owned and Append may reuse it
 
+	// Record validation (Check). name labels CheckRecord's errors and
+	// limit is the page bound. A checking slice cursor keeps its records
+	// in all and serves them through buf, the prefix checked so far;
+	// rangeErr holds the first out-of-bound record while the rest of the
+	// trace is scanned for a malformed one, which wins over it.
+	check    bool
+	name     string
+	limit    memsys.PageID
+	all      []Record
+	rangeErr error
+
 	prevTime   sim.Time
 	records    int64
 	chunks     int64
@@ -511,9 +524,69 @@ type Cursor struct {
 }
 
 // Cursor returns a cursor whose single resident chunk is the trace's
-// records: no decoding, no further chunks, and Err is always nil. The
-// cursor reads the slice in place and never writes to it.
-func (t *Trace) Cursor() *Cursor { return &Cursor{buf: t.Records, done: true} }
+// records: no decoding and no further chunks, so Err stays nil unless
+// Check is set and a record fails it. The cursor reads the slice in
+// place and never writes to it.
+func (t *Trace) Cursor() *Cursor { return &Cursor{buf: t.Records, done: true, name: t.Name} }
+
+// sliceCheckBlock is how many records a checking slice cursor validates
+// at a time: few enough that a block is still in cache when served.
+const sliceCheckBlock = 4096
+
+// Check makes the cursor validate every record once, as it serves it:
+// CheckRecord's checks, in its words under the trace's name, and the
+// bound that every page a record touches lies below limit. A violation
+// becomes Err, and the cursor then serves nothing more, as after a
+// malformed chunk. A record outside the bound is reported only once the
+// rest of the trace has been scanned, since a malformed record or a
+// broken stream anywhere wins over it; that error is a
+// *PageRangeError. Call Check before the first read; a staging cursor
+// carries records checked where they came from and panics.
+func (c *Cursor) Check(limit memsys.PageID) {
+	if c.staging {
+		panic("trace: Cursor.Check on a staging cursor")
+	}
+	c.check, c.limit = true, limit
+	if c.r == nil {
+		c.all, c.buf, c.done = c.buf, c.buf[:0], false
+	}
+}
+
+// PageRangeError is a checking cursor's error for a record that touches
+// pages at or beyond its page bound.
+type PageRangeError struct {
+	Record     int64         // the record's index in the trace
+	First, End memsys.PageID // it touches pages [First, End)
+	Limit      memsys.PageID // the bound passed to Check
+}
+
+func (e *PageRangeError) Error() string {
+	return fmt.Sprintf("record %d touches pages [%d,%d) outside memory of %d pages", e.Record, e.First, e.End, e.Limit)
+}
+
+// validate applies CheckRecord to recs, the records numbered base,
+// base+1, ... whose predecessor arrived at last, and returns the first
+// violation. The first record outside the page bound is noted in
+// rangeErr instead, so the scan goes on.
+func (c *Cursor) validate(recs []Record, base int64, last sim.Time) error {
+	for i := range recs {
+		r := &recs[i]
+		end := r.Page + 1
+		if r.Kind.IsDMA() {
+			end = r.Page + memsys.PageID(r.Pages)
+		}
+		if r.Time < last || r.Kind >= numKinds || r.Kind.IsDMA() && r.Pages == 0 || r.Page < 0 || end > c.limit {
+			if err := CheckRecord(c.name, base+int64(i), *r, last); err != nil {
+				return err
+			}
+			if c.rangeErr == nil {
+				c.rangeErr = &PageRangeError{Record: base + int64(i), First: r.Page, End: end, Limit: c.limit}
+			}
+		}
+		last = r.Time
+	}
+	return nil
+}
 
 // NewStagingCursor returns an empty slice-backed cursor that owns its
 // buffer, for a producer that Appends records ahead of a consumer.
@@ -549,15 +622,21 @@ func (c *Cursor) NextDMA() (sim.Time, bool) {
 	if c.dmaIdx < c.idx {
 		c.dmaIdx = c.idx
 	}
-	for ; c.dmaIdx < len(c.buf); c.dmaIdx++ {
-		if c.buf[c.dmaIdx].Kind.IsDMA() {
-			return c.buf[c.dmaIdx].Time, true
+	for {
+		for ; c.dmaIdx < len(c.buf); c.dmaIdx++ {
+			if c.buf[c.dmaIdx].Kind.IsDMA() {
+				return c.buf[c.dmaIdx].Time, true
+			}
+		}
+		if c.r != nil && !c.done {
+			return c.buf[len(c.buf)-1].Time, true
+		}
+		// A checking slice cursor checks further ahead, so its answer
+		// stays exact.
+		if !c.fill() {
+			return 0, false
 		}
 	}
-	if c.done {
-		return 0, false
-	}
-	return c.buf[len(c.buf)-1].Time, true
 }
 
 // Err returns the first error the cursor hit: nil while healthy and
@@ -619,20 +698,64 @@ func (c *Cursor) read(b []byte) error {
 // per-record loops of its callers: once the resident chunk is consumed
 // it decodes the next chunk block into c.buf, or finishes the stream at
 // the end marker (verifying totals and checksum against the footer),
-// and reports whether a record is now resident. On any failure it
-// records c.err and leaves the cursor empty.
+// and reports whether a record is now resident. A checking slice
+// cursor instead extends c.buf by the next checked block. On any
+// failure it records c.err and leaves the cursor empty.
 func (c *Cursor) fill() bool {
 	if c.done || c.err != nil {
 		return false
 	}
-	if err := c.load(); err != nil {
+	if c.r == nil {
+		return c.extend()
+	}
+	err := c.load()
+	for err == nil && c.rangeErr != nil && !c.done {
+		err = c.load()
+	}
+	if err == nil && c.rangeErr != nil {
+		err = c.rangeErr
+	}
+	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			err = dmtErrf("chunk stream truncated after %d records: %v", c.records, err)
 		}
-		c.err = err
-		c.buf, c.idx = nil, 0
+		c.fail(err)
 	}
 	return c.idx < len(c.buf)
+}
+
+// extend checks the next block of a checking slice cursor's records and
+// appends it to the served prefix. After a range violation it checks the
+// rest of the records too, for a malformed one that wins over it.
+func (c *Cursor) extend() bool {
+	hi := len(c.buf)
+	if hi == len(c.all) {
+		c.done = true
+		return false
+	}
+	n := min(len(c.all)-hi, sliceCheckBlock)
+	last := sim.Time(0)
+	if hi > 0 {
+		last = c.all[hi-1].Time
+	}
+	err := c.validate(c.all[hi:hi+n], int64(hi), last)
+	if err == nil && c.rangeErr != nil {
+		if err = c.validate(c.all[hi+n:], int64(hi+n), c.all[hi+n-1].Time); err == nil {
+			err = c.rangeErr
+		}
+	}
+	if err != nil {
+		c.fail(err)
+		return false
+	}
+	c.buf = c.all[:hi+n]
+	return true
+}
+
+// fail records err and empties the cursor.
+func (c *Cursor) fail(err error) {
+	c.err = err
+	c.buf, c.idx, c.dmaIdx = nil, 0, 0
 }
 
 func (c *Cursor) load() error {
@@ -730,6 +853,11 @@ func (c *Cursor) load() error {
 			return dmtErrf("chunk %d: record %d: page %d out of range", c.chunks, i, p)
 		}
 		c.buf[i].Page = memsys.PageID(p)
+	}
+	if c.check {
+		if err := c.validate(c.buf, c.records, c.prevTime); err != nil {
+			return err
+		}
 	}
 
 	c.prevTime = prev
