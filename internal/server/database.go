@@ -75,6 +75,8 @@ func (c DatabaseConfig) validate() error {
 		return fmt.Errorf("server: nonpositive proc gap %v", c.ProcAccessGap)
 	case c.Objects <= 0 || c.Objects > math.MaxInt32:
 		return fmt.Errorf("server: %d objects (ObjectID is int32)", c.Objects)
+	case !synth.ValidSkew(c.Alpha):
+		return fmt.Errorf("server: Zipf skew Alpha %g is not finite and non-negative", c.Alpha)
 	case c.Frames <= 0:
 		return fmt.Errorf("server: %d frames", c.Frames)
 	case c.PageBytes <= 0:
@@ -136,7 +138,16 @@ func GenerateDatabase(c DatabaseConfig) (*DatabaseResult, error) {
 		return nil, err
 	}
 
-	res := &DatabaseResult{Trace: &trace.Trace{Name: "OLTP-Db"}}
+	// Reserve the expected record count plus three standard deviations,
+	// so the trace is almost never regrown: a Poisson number of queries
+	// q, each emitting about 1 + Exp(a) records (its processor accesses
+	// and one result DMA). Past 1<<24 records append takes over.
+	q, a := c.Duration.Seconds()*1e3*c.QueryRatePerMs, c.ProcAccessesPerQuery
+	reserve := q*(1+a) + 3*math.Sqrt(q*((1+a)*(1+a)+a*a))
+	res := &DatabaseResult{Trace: &trace.Trace{
+		Name:    "OLTP-Db",
+		Records: make([]trace.Record, 0, int(min(reserve, 1<<24))),
+	}}
 	tr := res.Trace
 	meanGap := 1e-3 / c.QueryRatePerMs
 	var now sim.Time

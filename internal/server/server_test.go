@@ -328,6 +328,13 @@ func TestGenerateStorageValidation(t *testing.T) {
 	if _, err := GenerateStorage(bad); err == nil {
 		t.Error("object count beyond the ObjectID range accepted")
 	}
+	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = DefaultStorage()
+		bad.Alpha = alpha
+		if _, err := GenerateStorage(bad); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("Alpha %g: error %v, want one naming Alpha", alpha, err)
+		}
+	}
 }
 
 func TestObjectPagesStable(t *testing.T) {
@@ -404,6 +411,13 @@ func TestGenerateDatabaseValidation(t *testing.T) {
 	bad.Objects = math.MaxInt32 + 1
 	if _, err := GenerateDatabase(bad); err == nil {
 		t.Error("object count beyond the ObjectID range accepted")
+	}
+	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = DefaultDatabase()
+		bad.Alpha = alpha
+		if _, err := GenerateDatabase(bad); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("Alpha %g: error %v, want one naming Alpha", alpha, err)
+		}
 	}
 }
 

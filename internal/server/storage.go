@@ -91,6 +91,8 @@ func (c StorageConfig) validate() error {
 		return fmt.Errorf("server: read fraction %g outside [0,1]", c.ReadFraction)
 	case c.Objects <= 0 || c.Objects > math.MaxInt32:
 		return fmt.Errorf("server: %d objects (ObjectID is int32)", c.Objects)
+	case !synth.ValidSkew(c.Alpha):
+		return fmt.Errorf("server: Zipf skew Alpha %g is not finite and non-negative", c.Alpha)
 	case c.CacheFrames <= 0:
 		return fmt.Errorf("server: %d cache frames", c.CacheFrames)
 	case c.PageBytes <= 0:

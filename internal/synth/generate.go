@@ -111,6 +111,8 @@ func (c StConfig) validate() error {
 		return fmt.Errorf("synth: disk fraction %g outside [0,1]", c.DiskFraction)
 	case c.Pages <= 0:
 		return fmt.Errorf("synth: nonpositive page population %d", c.Pages)
+	case !ValidSkew(c.Alpha):
+		return fmt.Errorf("synth: Zipf skew Alpha %g is not finite and non-negative", c.Alpha)
 	case c.Buses <= 0 || c.Buses > 255:
 		return fmt.Errorf("synth: bus count %d", c.Buses)
 	}
@@ -167,57 +169,17 @@ func DbOf(st StConfig) DbConfig {
 // GenerateDb produces a Synthetic-Db trace: the St DMA stream plus
 // processor accesses. Processor accesses follow the same Zipf
 // popularity (the bufferpool's hot pages are hot for the CPU too).
+// GenerateDb is the in-memory collector over GenerateDbTo.
 func GenerateDb(c DbConfig) (*trace.Trace, error) {
-	if err := c.St.validate(); err != nil {
-		return nil, err
-	}
-	shared := newPopularity(c.St)
-	dmaTr := &trace.Trace{Name: "Synthetic-Db", Meta: SyntheticMeta()}
-	err := shared.generateSt(c.St, func(r trace.Record) error {
-		dmaTr.Records = append(dmaTr.Records, r)
+	tr := &trace.Trace{Name: "Synthetic-Db", Meta: SyntheticMeta()}
+	err := GenerateDbTo(c, func(r trace.Record) error {
+		tr.Records = append(tr.Records, r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rng := NewRNG(c.St.Seed ^ 0xdb)
-
-	proc := &trace.Trace{}
-	if c.ProcPerTransfer > 0 {
-		// Figure 9 mode: a burst of accesses around each transfer,
-		// targeting the transferred pages (the CPU processes what the
-		// DMA moved) spread across the transfer's duration scale.
-		for _, r := range dmaTr.Records {
-			for i := 0; i < c.ProcPerTransfer; i++ {
-				off := sim.Duration(rng.Exp(2e-6)) // ~2 us spread
-				page := int(r.Page) + rng.Intn(int(r.Pages))
-				proc.Records = append(proc.Records, trace.Record{
-					Time:   r.Time.Add(off),
-					Kind:   procKind(rng),
-					Source: trace.SrcProcessor,
-					Page:   memsys.PageID(page),
-				})
-			}
-		}
-	} else if c.ProcRatePerMs > 0 {
-		meanGap := 1e-3 / c.ProcRatePerMs
-		now := sim.Time(0)
-		for {
-			now = now.Add(sim.FromSeconds(rng.Exp(meanGap)))
-			if now > sim.Time(c.St.Duration) {
-				break
-			}
-			proc.Records = append(proc.Records, trace.Record{
-				Time:   now,
-				Kind:   procKind(rng),
-				Source: trace.SrcProcessor,
-				Page:   memsys.PageID(shared.page(rng)),
-			})
-		}
-	}
-	out := trace.Merge("Synthetic-Db", dmaTr, proc)
-	out.Meta = dmaTr.Meta
-	return out, nil
+	return tr, nil
 }
 
 func procKind(r *RNG) trace.Kind {

@@ -51,31 +51,6 @@ func TestGenerateStToMatchesGenerateSt(t *testing.T) {
 	}
 }
 
-// TestGenerateDbToMatchesGenerateDb pins the streamed Db merge order to
-// the reference implementation (trace.Merge's stable sort) in both the
-// Poisson and per-transfer-burst processor modes.
-func TestGenerateDbToMatchesGenerateDb(t *testing.T) {
-	burst := DefaultDb()
-	burst.ProcPerTransfer = 10
-	burst.ProcRatePerMs = 0
-	shortPoisson := DefaultDb()
-	shortPoisson.St.Duration = 10 * sim.Millisecond
-	for name, cfg := range map[string]DbConfig{
-		"poisson":       DefaultDb(),
-		"poisson-short": shortPoisson,
-		"per-transfer":  burst,
-	} {
-		t.Run(name, func(t *testing.T) {
-			ref, err := GenerateDb(cfg)
-			if err != nil {
-				t.Fatalf("GenerateDb: %v", err)
-			}
-			got := collect(t, func(emit func(trace.Record) error) error { return GenerateDbTo(cfg, emit) })
-			requireSameRecords(t, ref.Records, got)
-		})
-	}
-}
-
 // TestStreamEmitErrors pins error propagation: an emit failure aborts
 // generation and surfaces as-is, and invalid configs fail before any
 // record is emitted.

@@ -1,7 +1,11 @@
 package synth
 
 import (
+	"fmt"
 	"math"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -127,25 +131,106 @@ func TestZipfBasics(t *testing.T) {
 	}
 }
 
-// TestZipfAlphaOneExact holds NewZipf's alpha = 1 fast path to the
-// general math.Pow table bit for bit.
-func TestZipfAlphaOneExact(t *testing.T) {
-	const n = 100000
-	z := NewZipf(n, 1)
+// refCum is the reference every kept table must match bit for bit: the
+// full cumulative Zipf table, with math.Pow for every skew (1 included)
+// and the last rank forced to 1.
+func refCum(n int, alpha float64) []float64 {
 	cum := make([]float64, n)
 	total := 0.0
 	for i := range cum {
-		total += 1 / math.Pow(float64(i+1), 1)
+		total += 1 / math.Pow(float64(i+1), alpha)
 		cum[i] = total
 	}
 	for i := range cum {
 		cum[i] *= 1 / total
 	}
 	cum[n-1] = 1
-	for i, want := range cum {
-		if got := z.cum[i]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("rank %d: cumulative %v, Pow path %v", i, got, want)
+	return cum
+}
+
+// TestZipfAlphaOneExact holds every table NewZipf keeps, the compact
+// alpha = 1 form included, to the full math.Pow table bit for bit:
+// each rank's cumulative value, and the rank Sample returns at every
+// cumulative value and at both of its float64 neighbours. The sizes
+// straddle the block boundaries and reach OLTP-St's 500,000 objects.
+func TestZipfAlphaOneExact(t *testing.T) {
+	for _, alpha := range []float64{1, 0.75, 0} {
+		for _, n := range []int{1, zipfBlock - 1, zipfBlock, zipfBlock + 1, 2*zipfBlock - 1, 2 * zipfBlock, 2*zipfBlock + 1, 131072, 500000} {
+			z, ref := NewZipf(n, alpha), refCum(n, alpha)
+			if z.N() != n {
+				t.Fatalf("alpha %g: N() = %d, want %d", alpha, z.N(), n)
+			}
+			for i, want := range ref {
+				if got := z.cumAt(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("alpha %g, n %d, rank %d: cumulative %v, full table %v", alpha, n, i, got, want)
+				}
+				for _, u := range []float64{math.Nextafter(want, 0), want, math.Nextafter(want, 2)} {
+					if u >= 1 {
+						continue // Float64 never draws 1 or more
+					}
+					if got, want := z.rank(u), sort.SearchFloat64s(ref, u); got != want {
+						t.Fatalf("alpha %g, n %d, u %v: rank %d, full table %d", alpha, n, u, got, want)
+					}
+				}
+			}
+			if got := z.rank(0); got != 0 {
+				t.Fatalf("alpha %g, n %d: rank(0) = %d", alpha, n, got)
+			}
 		}
+	}
+}
+
+// TestSharedZipf checks the process-level table cache from many
+// goroutines at once (run it with -race): one (n, alpha) is built once
+// and every caller gets the same table; past maxSharedZipfs keys, each
+// call builds its own.
+func TestSharedZipf(t *testing.T) {
+	sharedZipfsMu.Lock()
+	clear(sharedZipfs)
+	sharedZipfsMu.Unlock()
+	t.Cleanup(func() {
+		sharedZipfsMu.Lock()
+		clear(sharedZipfs)
+		sharedZipfsMu.Unlock()
+	})
+
+	const goroutines = 8
+	got := make([][2]*Zipf, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = [2]*Zipf{NewZipf(131072, 1), NewZipf(40000, 0.75)}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got tables %p, goroutine 0 %p", g, got[g], got[0])
+		}
+	}
+	if NewZipf(40000, 0.75) != got[0][1] {
+		t.Fatal("a later call rebuilt a shared table")
+	}
+	if NewZipf(40000, 0) != NewZipf(40000, math.Copysign(0, -1)) {
+		t.Fatal("alpha -0 and 0 keep two tables")
+	}
+
+	for n := 1; ; n++ {
+		sharedZipfsMu.Lock()
+		full := len(sharedZipfs) >= maxSharedZipfs
+		sharedZipfsMu.Unlock()
+		if full {
+			break
+		}
+		NewZipf(n, 1)
+	}
+	if NewZipf(99, 1) == NewZipf(99, 1) {
+		t.Errorf("past %d keys, a new key was shared", maxSharedZipfs)
+	}
+	if NewZipf(131072, 1) != got[0][0] {
+		t.Error("a full cache lost a table it held")
 	}
 }
 
@@ -182,6 +267,8 @@ func TestZipfPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewZipf(0, 1) },
 		func() { NewZipf(10, -1) },
+		func() { NewZipf(10, math.NaN()) },
+		func() { NewZipf(10, math.Inf(1)) },
 	} {
 		func() {
 			defer func() {
@@ -296,7 +383,20 @@ func TestGenerateStValidation(t *testing.T) {
 	if _, err := GenerateSt(bad); err == nil {
 		t.Error("zero pages accepted")
 	}
+	for _, alpha := range badAlphas {
+		bad = DefaultSt()
+		bad.Alpha = alpha
+		if _, err := GenerateSt(bad); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("Alpha %g: error %v, want one naming Alpha", alpha, err)
+		}
+		if err := GenerateDbTo(DbOf(bad), func(trace.Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("Synthetic-Db Alpha %g: error %v, want one naming Alpha", alpha, err)
+		}
+	}
 }
+
+// badAlphas are the Zipf skews every generator config rejects.
+var badAlphas = []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)}
 
 func TestGenerateDb(t *testing.T) {
 	cfg := DefaultDb()
@@ -407,3 +507,30 @@ func TestDbOf(t *testing.T) {
 		t.Errorf("DefaultDb() = %+v, want seed 2 and no disk DMAs", got)
 	}
 }
+
+// BenchmarkZipfSample draws ranks from the tables NewZipf keeps for the
+// Synthetic traces (131,072 pages) and OLTP-St (500,000 objects), both
+// alpha = 1, and from the full cumulative table of the same size: the
+// compact form must sample no slower per draw.
+func BenchmarkZipfSample(b *testing.B) {
+	for _, n := range []int{131072, 500000} {
+		for _, tc := range []struct {
+			name string
+			z    *Zipf
+		}{
+			{"compact", NewZipf(n, 1)},
+			{"full", &Zipf{n: n, cum: refCum(n, 1)}},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
+				r := NewRNG(1)
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					sum += tc.z.Sample(r)
+				}
+				sinkRank = sum
+			})
+		}
+	}
+}
+
+var sinkRank int

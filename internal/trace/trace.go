@@ -207,21 +207,6 @@ func mergeByTime(dst, a, b []Record) {
 	copy(dst[k:], b[j:])
 }
 
-// Merge combines several traces into one time-ordered trace.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	n := 0
-	for _, tr := range traces {
-		n += len(tr.Records)
-	}
-	out.Records = make([]Record, 0, n)
-	for _, tr := range traces {
-		out.Records = append(out.Records, tr.Records...)
-	}
-	out.SortByTime()
-	return out
-}
-
 // Clip returns a shallow copy containing only records with Time < end.
 func (t *Trace) Clip(end sim.Time) *Trace {
 	i := sort.Search(len(t.Records), func(i int) bool { return t.Records[i].Time >= end })

@@ -83,31 +83,6 @@ func TestDurationAndClip(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := &Trace{Records: []Record{
-		{Time: 0, Kind: DMARead, Pages: 1, Page: 1},
-		{Time: 100, Kind: DMARead, Pages: 1, Page: 2},
-	}}
-	b := &Trace{Records: []Record{
-		{Time: 50, Kind: DMAWrite, Pages: 1, Page: 3},
-		{Time: 100, Kind: ProcRead, Page: 4},
-	}}
-	m := Merge("m", a, b)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Records) != 4 {
-		t.Fatalf("merged %d records", len(m.Records))
-	}
-	if m.Records[1].Page != 3 {
-		t.Errorf("merge order wrong: %+v", m.Records)
-	}
-	// Stability: equal-time records keep source order (a before b).
-	if m.Records[2].Page != 2 || m.Records[3].Page != 4 {
-		t.Errorf("merge not stable: %+v", m.Records[2:])
-	}
-}
-
 // TestSortByTimeMatchesStableSort holds SortByTime to the library's
 // stable sort on the same comparator, over lengths around the block and
 // merge boundaries and inputs from random to nearly sorted, with many

@@ -167,6 +167,21 @@ func TestRunAndCompareValidateLoudly(t *testing.T) {
 	}
 }
 
+// TestSyntheticBadAlpha: a Zipf skew that is negative, NaN or infinite
+// is an error naming Alpha from both synthetic generators, not a panic
+// or a degenerate trace.
+func TestSyntheticBadAlpha(t *testing.T) {
+	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1)} {
+		o := SyntheticOptions{Duration: time.Millisecond, Alpha: alpha}
+		if _, err := SyntheticStorageTrace(o); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("storage, Alpha %g: error %v, want one naming Alpha", alpha, err)
+		}
+		if _, err := SyntheticDatabaseTrace(o); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("database, Alpha %g: error %v, want one naming Alpha", alpha, err)
+		}
+	}
+}
+
 // TestCompareContextCancel: a cancelled context aborts the comparison
 // mid-run with the context's error.
 func TestCompareContextCancel(t *testing.T) {
