@@ -21,6 +21,7 @@ import (
 
 	"dmamem/internal/controller"
 	"dmamem/internal/core"
+	"dmamem/internal/energy"
 	"dmamem/internal/layout"
 	"dmamem/internal/memsys"
 	"dmamem/internal/policy"
@@ -193,7 +194,7 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 	}
 	var dynamic, nap, powerdown float64
 	for i := 0; i < b.N; i++ {
-		dynamic = vs(policy.NewDynamic())
+		dynamic = vs(policy.ChainFor(energy.RDRAM1600().Model()))
 		nap = vs(&policy.Static{Mode: 2})
 		powerdown = vs(&policy.Static{Mode: 3})
 	}

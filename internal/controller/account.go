@@ -103,6 +103,7 @@ func (c *Controller) settle(cs *chipState, now sim.Time) {
 	}
 }
 
+// accountChip charges one chip's span up to now (see accountAll).
 func (c *Controller) accountChip(cs *chipState, now sim.Time) {
 	span := now.Sub(cs.chip.Cursor())
 	if span < 0 {
@@ -111,36 +112,36 @@ func (c *Controller) accountChip(cs *chipState, now sim.Time) {
 	if span == 0 {
 		return
 	}
-	// Drain flow remainders and compute the burst-coverage fraction of
-	// each bus at this chip: f_b = (rates of bus-b streams into the
-	// chip) / Rb. Bursts from different buses overlap independently,
-	// so the chip must be active for 1 - prod(1 - f_b) of the span;
-	// the rest of the span it naps between bursts.
-	var delivered float64 // bytes in this span
-	var notCovered = 1.0  // prod over buses of (1 - f_b)
-	if len(cs.flows) > 0 {
-		busRate := c.busRateScratch
-		for i := range busRate {
-			busRate[i] = 0
+	if len(cs.flows) == 0 {
+		// No stream in flight: nothing is served, the burst envelope
+		// and the micro-naps are empty, and the processor work (up to
+		// the span) is all the active time; the rest is threshold
+		// idle. This is the general charge below with every float term
+		// zero, done in integers.
+		proc := cs.procBusy
+		cs.procBusy = 0
+		if proc > span {
+			// The residue carries over and is served in the next span.
+			cs.procBusy = proc - span
+			proc = span
+			c.clampedProc++
 		}
-		for _, f := range cs.flows {
-			d := f.rate * span.Seconds()
-			if d > f.remaining {
-				d = f.remaining
-			}
-			f.remaining -= d
-			delivered += d
-			busRate[f.bus] += f.rate
-		}
-		for b := 0; b < c.cfg.Buses.Count; b++ {
-			fb := busRate[b] / c.cfg.Buses.Bandwidth
-			if fb > 1 {
-				fb = 1
-			}
-			notCovered *= 1 - fb
-		}
+		cs.chip.AccountActiveSpan(now, 0, proc, 0, 0)
+		return
 	}
-	envelope := sim.Duration(float64(span) * (1 - notCovered))
+	// Drain flow remainders. The chip must be active for the burst
+	// coverage of the span (see burstCoverage); the rest of the span
+	// it naps between bursts.
+	var delivered float64 // bytes in this span
+	for _, f := range cs.flows {
+		d := f.rate * span.Seconds()
+		if d > f.remaining {
+			d = f.remaining
+		}
+		f.remaining -= d
+		delivered += d
+	}
+	envelope := sim.Duration(float64(span) * cs.coverage)
 	serving := sim.FromSeconds(delivered / c.cfg.Geometry.ChipBandwidth)
 	if serving > envelope {
 		envelope = serving // rounding guard
@@ -171,17 +172,40 @@ func (c *Controller) accountChip(cs *chipState, now sim.Time) {
 		cs.procBusy += spill
 		c.clampedProc++
 	}
-	microNap := sim.Duration(0)
-	if len(cs.flows) > 0 {
-		// Gaps between bursts while transfers are in flight: nappable.
-		microNap = span - envelope - procExtra
-	}
+	// Gaps between bursts while transfers are in flight: nappable.
+	microNap := span - envelope - procExtra
 	cs.chip.AccountActiveSpan(now, serving, absorbed+procExtra, idleDMA, microNap)
 
 	if c.taOn && delivered > 0 {
 		// One mu*T slack credit per DMA-memory request that arrived.
 		c.slack += c.muT * (delivered / c.reqBytes)
 	}
+}
+
+// burstCoverage returns the fraction of a span a chip with flows must
+// be active at the current rates. With f_b = (rates of bus-b streams
+// into the chip) / Rb, bursts from different buses overlap
+// independently, so the chip is covered for 1 - prod(1 - f_b) of the
+// span. It depends only on the chip's flows and their rates, so
+// recompute refreshes it when a flow starts or drains on the chip or a
+// rate changes, instead of accountChip folding it on every span.
+func (c *Controller) burstCoverage(cs *chipState) float64 {
+	busRate := c.busRateScratch
+	for i := range busRate {
+		busRate[i] = 0
+	}
+	for _, f := range cs.flows {
+		busRate[f.bus] += f.rate
+	}
+	notCovered := 1.0 // prod over buses of (1 - f_b)
+	for _, r := range busRate {
+		fb := r / c.cfg.Buses.Bandwidth
+		if fb > 1 {
+			fb = 1
+		}
+		notCovered *= 1 - fb
+	}
+	return 1 - notCovered
 }
 
 // completionDelay converts a flow's remaining bytes at its allocated
@@ -214,15 +238,22 @@ func (c *Controller) recompute(now sim.Time) {
 	c.flowScratch = c.flowScratch[:0]
 	for _, f := range c.allFlows {
 		c.flowScratch = append(c.flowScratch, bus.Flow{Bus: f.bus, Chip: f.chip})
-		c.chips[f.chip].sumRate = 0
 	}
 	rates := c.alloc.Allocate(c.flowScratch)
 	next := sim.Time(math.MaxInt64)
 	for i, f := range c.allFlows {
-		f.rate = rates[i]
-		c.chips[f.chip].sumRate += f.rate
+		if f.rate != rates[i] {
+			f.rate = rates[i]
+			c.chips[f.chip].staleCoverage = true
+		}
 		if t := now.Add(completionDelay(f.remaining, f.rate)); t < next {
 			next = t
+		}
+	}
+	for _, f := range c.allFlows {
+		if cs := c.chips[f.chip]; cs.staleCoverage {
+			cs.coverage = c.burstCoverage(cs)
+			cs.staleCoverage = false
 		}
 	}
 	if next == c.complAt && c.complEvt.Valid() {
@@ -264,9 +295,7 @@ func (c *Controller) onCompletion(e *sim.Engine) {
 	for _, f := range finished {
 		cs := c.chips[f.chip]
 		removeFlow(&cs.flows, f)
-		if len(cs.flows) == 0 {
-			cs.sumRate = 0
-		}
+		cs.staleCoverage = true
 		c.advanceTransfer(f.x, now)
 	}
 	for _, f := range finished {

@@ -10,10 +10,10 @@ import (
 
 // BenchmarkAccountChip times the per-event energy accounting of one
 // chip with a standing flow on every bus and a processor access
-// pending: draining flow remainders, folding per-bus burst coverage,
-// absorbing processor work into the gaps and charging the chip's
-// active span. It is what accountAll runs for each dirty chip on every
-// event.
+// pending: draining flow remainders, sizing the burst envelope from
+// the chip's coverage, absorbing processor work into the gaps and
+// charging the chip's active span. It is what accountAll runs for each
+// dirty chip with flows on every event.
 func BenchmarkAccountChip(b *testing.B) {
 	cfg := baseConfig()
 	cfg.InitialState = energy.Active

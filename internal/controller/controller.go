@@ -142,11 +142,11 @@ func (c *Config) Validate() error {
 	if c.Policy == nil {
 		return fmt.Errorf("controller: nil policy")
 	}
-	// Policies that can check themselves (Dynamic's threshold chain,
-	// Static's park mode) are validated with the rest of the config.
-	// Model-aware policies are deferred to New, which checks them
-	// against the resolved technology model instead (a park mode legal
-	// for a 5-state DDR4 machine is illegal for a 3-state LPDDR4 one).
+	// Policies that can check themselves are validated with the rest
+	// of the config. Model-aware policies (Chain, Static) are deferred
+	// to New, which checks them against the resolved technology model
+	// instead (a park mode legal for a 5-state DDR4 machine is illegal
+	// for a 3-state LPDDR4 one).
 	if _, modelAware := c.Policy.(policy.ModelValidator); !modelAware {
 		if v, ok := c.Policy.(interface{ Validate() error }); ok {
 			if err := v.Validate(); err != nil {
@@ -201,8 +201,12 @@ type chipState struct {
 	ewmaGapPs   float64
 	// procBusy accumulated against the current active span.
 	procBusy sim.Duration
-	// sumRate of the current flows, bytes/s.
-	sumRate float64
+	// coverage is the fraction of a span the chip's bursts keep it
+	// active, 1 - prod over buses of (1 - f_b), for the current flows
+	// and rates. recompute refreshes it when staleCoverage says the
+	// flows or one of their rates changed (see burstCoverage).
+	coverage      float64
+	staleCoverage bool
 	// idleTimer is the pending policy step, if any.
 	idleTimer sim.EventID
 	// wakePending marks a wake sequence in flight (possibly waiting for
@@ -217,6 +221,14 @@ type chipState struct {
 	policyFn sim.Handler
 	wakeFn   sim.Handler
 	sleepFn  sim.Handler
+}
+
+// policyStep is one entry of the controller's policy table: after wait
+// idle in a state, step to next; ok=false means the state is terminal.
+type policyStep struct {
+	wait sim.Duration
+	next energy.State
+	ok   bool
 }
 
 // Controller is the simulator core for one run. Use New, feed events
@@ -245,7 +257,7 @@ type Controller struct {
 	lastAccount sim.Time
 
 	// Reusable hot-path scratch, sized once in New.
-	busRateScratch  []float64  // accountChip per-bus rate sums
+	busRateScratch  []float64  // burstCoverage per-bus rate sums
 	busSeenScratch  []bool     // distinctGatedBuses
 	busCountScratch []int      // maxPerBus
 	flowScratch     []bus.Flow // recompute allocator input
@@ -278,6 +290,12 @@ type Controller struct {
 	// while nGated > 0 (the epoch timer is never cancelled, so validity
 	// comes from the gated count, not the event ID).
 	epochAt sim.Time
+
+	// steps[s] is the policy's step out of state s, read once in New:
+	// NextStep depends on the state alone. An array indexed by the
+	// uint8 state covers every state without a bounds check or a
+	// separate allocation.
+	steps [256]policyStep
 
 	// Derived constants.
 	lineTime sim.Duration // processor cache-line service time
@@ -366,6 +384,10 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	}
 	c.onCompletionFn = c.onCompletion
 	c.onEpochFn = c.onEpoch
+	for st := 0; st < model.NumStates(); st++ {
+		ps := &c.steps[st]
+		ps.wait, ps.next, ps.ok = cfg.Policy.NextStep(energy.State(st))
+	}
 	c.channels = cfg.Topology.NumChannels()
 	c.channelOf = make([]int, cfg.Geometry.NumChips)
 	for i := range c.channelOf {

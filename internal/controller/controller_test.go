@@ -17,7 +17,7 @@ func baseConfig() Config {
 	return Config{
 		Geometry:     memsys.Default(),
 		Buses:        bus.DefaultConfig(),
-		Policy:       policy.NewDynamic(),
+		Policy:       policy.ChainFor(energy.RDRAM1600().Model()),
 		InitialState: energy.Powerdown,
 	}
 }

@@ -125,11 +125,11 @@ func (c *Controller) maybeIdle(cs *chipState, now sim.Time) {
 // armPolicyTimer schedules the next policy step for an idle chip.
 func (c *Controller) armPolicyTimer(cs *chipState, now sim.Time) {
 	c.cancelPolicyTimer(cs)
-	wait, _, ok := c.cfg.Policy.NextStep(cs.chip.State())
-	if !ok {
+	step := &c.steps[cs.chip.State()]
+	if !step.ok {
 		return
 	}
-	cs.idleTimer = c.eng.SchedulePrio(now.Add(wait), prioPolicy, cs.policyFn)
+	cs.idleTimer = c.eng.SchedulePrio(now.Add(step.wait), prioPolicy, cs.policyFn)
 }
 
 func (c *Controller) cancelPolicyTimer(cs *chipState) {
@@ -149,8 +149,8 @@ func (c *Controller) onPolicyTimer(cs *chipState, e *sim.Engine) {
 	if cs.wakePending || len(cs.flows) > 0 || !cs.chip.Resident() {
 		return // raced with activity; the cancel path missed, stay up
 	}
-	_, next, ok := c.cfg.Policy.NextStep(cs.chip.State())
-	if !ok {
+	step := &c.steps[cs.chip.State()]
+	if !step.ok {
 		return
 	}
 	if cs.chip.State() == energy.Active && cs.procBusy > 0 {
@@ -165,9 +165,9 @@ func (c *Controller) onPolicyTimer(cs *chipState, e *sim.Engine) {
 		// (accountAll only touches the dirty set); BeginSleep requires
 		// the cursor at now.
 		c.settle(cs, now)
-		ready = cs.chip.BeginSleep(next, now)
+		ready = cs.chip.BeginSleep(step.next, now)
 	} else {
-		ready = cs.chip.Deepen(next, now)
+		ready = cs.chip.Deepen(step.next, now)
 	}
 	c.armPolicyTimer(cs, ready)
 }

@@ -19,8 +19,8 @@ func stepConfig() Config {
 		Geometry: memsys.Geometry{NumChips: 1, ChipBytes: 4 << 13, PageBytes: 8 << 10,
 			ChipBandwidth: 3.2e9},
 		Buses: bus.DefaultConfig(),
-		Policy: &policy.Dynamic{StandbyAfter: 100 * sim.Nanosecond,
-			NapAfter: 200 * sim.Nanosecond, PowerdownAfter: sim.Microsecond},
+		Policy: &policy.Chain{Thresholds: []sim.Duration{100 * sim.Nanosecond,
+			200 * sim.Nanosecond, sim.Microsecond}},
 		InitialState: energy.Active,
 	}
 }

@@ -142,6 +142,7 @@ func (c *Controller) startFlow(cs *chipState, x *xferState, now sim.Time) {
 		remaining: float64(int64(x.seg.Pages) * int64(c.cfg.Geometry.PageBytes)),
 	}
 	cs.flows = append(cs.flows, f)
+	cs.staleCoverage = true
 	c.allFlows = append(c.allFlows, f)
 }
 

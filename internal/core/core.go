@@ -137,7 +137,7 @@ func (c Config) withDefaults() (Config, *energy.Model, error) {
 	}
 	if c.Policy == nil {
 		// The technology's calibrated demotion chain; for the RDRAM
-		// default its waits equal the classic NewDynamic thresholds.
+		// default its waits are 10 ns, 100 ns and 2 us.
 		c.Policy = policy.ChainFor(model)
 	}
 	if c.WarmupFraction == 0 {

@@ -56,7 +56,8 @@ type Model struct {
 	// Thresholds is the model's default demotion chain: Thresholds[i]
 	// is the idle time after which a chip in state i is demoted to
 	// state i+1, so len(Thresholds) == len(States)-1. Policies may
-	// override it; the default Dynamic policy uses it as-is.
+	// override it; the default dynamic chain (policy.ChainFor) uses it
+	// as-is.
 	Thresholds []sim.Duration
 }
 

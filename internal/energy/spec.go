@@ -76,9 +76,10 @@ func DDR400() *Spec {
 // Model converts the fixed 4-state Spec into the generic backend
 // Model, keeping the legacy enum state names (active, standby, nap,
 // powerdown), the legacy chain semantics (Deepen charges the
-// Active->target row), micro-naps in Nap, and the classic Dynamic
-// policy thresholds. Every power and latency is copied verbatim, so a
-// converted Spec produces bit-identical reports to the Spec itself.
+// Active->target row), micro-naps in Nap, and the paper's dynamic
+// policy thresholds (10 ns, 100 ns, 2 us). Every power and latency is
+// copied verbatim, so a converted Spec produces bit-identical reports
+// to the Spec itself.
 func (s *Spec) Model() *Model {
 	states := make([]StateSpec, numStates)
 	for st := Active; st < numStates; st++ {

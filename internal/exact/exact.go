@@ -53,7 +53,7 @@ func DefaultConfig() Config {
 		Buses:      3,
 		BeatGap:    7500 * sim.Picosecond,
 		BurstBeats: 64,
-		Policy:     policy.NewDynamic(),
+		Policy:     policy.ChainFor(energy.RDRAM1600().Model()),
 	}
 }
 
@@ -131,7 +131,7 @@ func Run(cfg Config, transfers []Transfer) (*Result, error) {
 		cfg.BurstBeats = 1
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = policy.NewDynamic()
+		cfg.Policy = policy.ChainFor(energy.RDRAM1600().Model())
 	}
 	mapper := cfg.Mapper
 	if mapper == nil {

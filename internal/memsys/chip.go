@@ -159,12 +159,14 @@ func (c *Chip) checkCursor(now sim.Time) {
 }
 
 // chargeResident charges resident time in state s to the meter and the
-// per-state ledgers.
+// per-state ledgers. Both get the same product power * d, computed
+// once: it is the value Meter.Accumulate would add. (Callers check the
+// cursor first, so d is never negative.)
 func (c *Chip) chargeResident(cat energy.Category, s energy.State, d sim.Duration) {
-	power := c.model.Power(s)
-	c.Meter.Accumulate(cat, power, d)
+	joules := c.model.Power(s) * d.Seconds()
+	c.Meter.AddJoules(cat, joules)
 	c.Residency[s] += d
-	c.StateEnergy[s] += power * d.Seconds()
+	c.StateEnergy[s] += joules
 }
 
 // BeginWake starts the transition from a resident low-power state to

@@ -4,7 +4,8 @@
 // The baseline throughout the evaluation is the dynamic threshold
 // policy of Lebeck et al. (ASPLOS 2000): a chip that has been idle for
 // a threshold amount of time transitions to the next lower power mode,
-// with a separate threshold per mode. Static policies, which park an
+// with a separate threshold per mode (Chain, built by ChainFor from the
+// technology's calibrated thresholds). Static policies, which park an
 // idle chip in one fixed mode, are provided for comparison; the paper
 // notes both are compatible with DMA-TA/PL.
 package policy
@@ -20,59 +21,13 @@ import (
 // a chip has been idle in state s for the returned wait, it should be
 // sent to state next. ok=false means s is terminal: stay there until
 // the next request.
+//
+// NextStep must depend on the state alone, never on time or history:
+// the controller calls it once per state when it is built and reads
+// the resulting step table from then on.
 type Policy interface {
 	NextStep(s energy.State) (wait sim.Duration, next energy.State, ok bool)
 	Name() string
-}
-
-// Dynamic is the multi-threshold chain used as the paper's baseline.
-// The zero value is not useful; use NewDynamic or fill all thresholds.
-type Dynamic struct {
-	// StandbyAfter is the Active idleness threshold before entering
-	// standby ("Active Idle Threshold" energy in the breakdowns).
-	StandbyAfter sim.Duration
-	// NapAfter is the standby residence before dropping to nap.
-	NapAfter sim.Duration
-	// PowerdownAfter is the nap residence before dropping to powerdown.
-	PowerdownAfter sim.Duration
-}
-
-// NewDynamic returns the threshold chain used in our evaluation. The
-// first threshold is on the order of the 20-30 memory cycles the paper
-// quotes as the best active->low-power setting; deeper thresholds are
-// anchored to the break-even times of the deeper states so the chain
-// stays competitive.
-func NewDynamic() *Dynamic {
-	return &Dynamic{
-		StandbyAfter:   16 * energy.MemoryCycle, // 10 ns
-		NapAfter:       100 * sim.Nanosecond,
-		PowerdownAfter: 2 * sim.Microsecond,
-	}
-}
-
-// NextStep implements Policy.
-func (d *Dynamic) NextStep(s energy.State) (sim.Duration, energy.State, bool) {
-	switch s {
-	case energy.Active:
-		return d.StandbyAfter, energy.Standby, true
-	case energy.Standby:
-		return d.NapAfter, energy.Nap, true
-	case energy.Nap:
-		return d.PowerdownAfter, energy.Powerdown, true
-	default:
-		return 0, s, false
-	}
-}
-
-// Name implements Policy.
-func (d *Dynamic) Name() string { return "dynamic" }
-
-// Validate rejects nonsensical threshold chains.
-func (d *Dynamic) Validate() error {
-	if d.StandbyAfter < 0 || d.NapAfter < 0 || d.PowerdownAfter < 0 {
-		return fmt.Errorf("policy: negative threshold in %+v", *d)
-	}
-	return nil
 }
 
 // Static parks an idle chip directly in Mode and leaves it there, the
@@ -114,17 +69,3 @@ func (AlwaysActive) NextStep(energy.State) (sim.Duration, energy.State, bool) {
 
 // Name implements Policy.
 func (AlwaysActive) Name() string { return "always-active" }
-
-// BreakEvenDynamic builds a dynamic chain whose thresholds equal the
-// break-even times of the target states, the classic 2-competitive
-// setting, scaled by a factor (1.0 = exactly break-even).
-func BreakEvenDynamic(scale float64) *Dynamic {
-	if scale <= 0 {
-		panic(fmt.Sprintf("policy: nonpositive break-even scale %g", scale))
-	}
-	return &Dynamic{
-		StandbyAfter:   sim.Duration(float64(energy.BreakEven(energy.Standby)) * scale),
-		NapAfter:       sim.Duration(float64(energy.BreakEven(energy.Nap)) * scale),
-		PowerdownAfter: sim.Duration(float64(energy.BreakEven(energy.Powerdown)) * scale),
-	}
-}

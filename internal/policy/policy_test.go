@@ -7,22 +7,26 @@ import (
 	"dmamem/internal/sim"
 )
 
+// rdramChain is the default dynamic chain of the paper's RDRAM part.
+func rdramChain() *Chain { return ChainFor(energy.RDRAM1600().Model()) }
+
 func TestDynamicChain(t *testing.T) {
-	d := NewDynamic()
+	d := rdramChain()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	wait, next, ok := d.NextStep(energy.Active)
-	if !ok || next != energy.Standby || wait != 10*sim.Nanosecond {
-		t.Fatalf("active step: wait=%v next=%v ok=%v", wait, next, ok)
-	}
-	wait, next, ok = d.NextStep(energy.Standby)
-	if !ok || next != energy.Nap || wait != d.NapAfter {
-		t.Fatalf("standby step: wait=%v next=%v ok=%v", wait, next, ok)
-	}
-	wait, next, ok = d.NextStep(energy.Nap)
-	if !ok || next != energy.Powerdown || wait != d.PowerdownAfter {
-		t.Fatalf("nap step: wait=%v next=%v ok=%v", wait, next, ok)
+	for _, step := range []struct {
+		from, next energy.State
+		wait       sim.Duration
+	}{
+		{energy.Active, energy.Standby, 10 * sim.Nanosecond},
+		{energy.Standby, energy.Nap, 100 * sim.Nanosecond},
+		{energy.Nap, energy.Powerdown, 2 * sim.Microsecond},
+	} {
+		wait, next, ok := d.NextStep(step.from)
+		if !ok || next != step.next || wait != step.wait {
+			t.Fatalf("%v step: wait=%v next=%v ok=%v, want %v to %v", step.from, wait, next, ok, step.wait, step.next)
+		}
 	}
 	if _, _, ok := d.NextStep(energy.Powerdown); ok {
 		t.Fatal("powerdown should be terminal")
@@ -35,7 +39,7 @@ func TestDynamicChain(t *testing.T) {
 func TestDynamicChainWalk(t *testing.T) {
 	// Walking the chain from Active must terminate in Powerdown in
 	// exactly three steps, strictly deepening.
-	d := NewDynamic()
+	d := rdramChain()
 	s := energy.Active
 	steps := 0
 	for {
@@ -58,9 +62,14 @@ func TestDynamicChainWalk(t *testing.T) {
 }
 
 func TestDynamicValidate(t *testing.T) {
-	bad := &Dynamic{StandbyAfter: -1}
+	bad := &Chain{Thresholds: []sim.Duration{-1}}
 	if bad.Validate() == nil {
 		t.Fatal("expected error for negative threshold")
+	}
+	m := energy.RDRAM1600().Model()
+	long := &Chain{Thresholds: make([]sim.Duration, m.NumStates())}
+	if long.ValidateForModel(m) == nil {
+		t.Fatal("expected error for a chain demoting past the deepest state")
 	}
 }
 
@@ -109,31 +118,8 @@ func TestAlwaysActive(t *testing.T) {
 	}
 }
 
-func TestBreakEvenDynamic(t *testing.T) {
-	d := BreakEvenDynamic(1.0)
-	if d.StandbyAfter != energy.BreakEven(energy.Standby) {
-		t.Errorf("standby threshold %v != break-even", d.StandbyAfter)
-	}
-	if d.PowerdownAfter != energy.BreakEven(energy.Powerdown) {
-		t.Errorf("powerdown threshold %v != break-even", d.PowerdownAfter)
-	}
-	d2 := BreakEvenDynamic(2.0)
-	if d2.NapAfter != 2*d.NapAfter {
-		t.Errorf("scaling broken: %v vs %v", d2.NapAfter, d.NapAfter)
-	}
-}
-
-func TestBreakEvenDynamicPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for scale <= 0")
-		}
-	}()
-	BreakEvenDynamic(0)
-}
-
 func TestPolicyInterfaceCompliance(t *testing.T) {
-	for _, p := range []Policy{NewDynamic(), &Static{Mode: energy.Nap}, AlwaysActive{}, BreakEvenDynamic(1)} {
+	for _, p := range []Policy{rdramChain(), &Static{Mode: energy.Nap}, AlwaysActive{}} {
 		if p.Name() == "" {
 			t.Errorf("%T has empty name", p)
 		}

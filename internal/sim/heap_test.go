@@ -5,13 +5,9 @@ import "container/heap"
 // heapScheduler is the reference pending-event store: a binary heap
 // ordered by (at, prio, seq) with O(log n) schedule, cancel and fire.
 // It is the obviously correct implementation the timer wheel
-// (wheel.go) is cross-checked against; see engines and
+// (wheel.go) is cross-checked against, store to store; see
 // TestSchedulerEquivalence.
 type heapScheduler struct{ q eventQueue }
-
-// newWithHeap returns an engine backed by the reference heap. It must
-// dispatch in exactly the same order as New's wheel.
-func newWithHeap() *Engine { return &Engine{sched: &heapScheduler{}} }
 
 func (h *heapScheduler) schedule(ev *event) { heap.Push(&h.q, ev) }
 func (h *heapScheduler) unlink(ev *event)   { heap.Remove(&h.q, ev.index) }

@@ -8,64 +8,132 @@ import (
 	"testing"
 )
 
-// engines runs a subtest against both scheduler backends; behavioral
-// tests must pass identically on the wheel and the reference heap.
-func engines(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
-	t.Run("wheel", func(t *testing.T) { f(t, New) })
-	t.Run("heap", func(t *testing.T) { f(t, newWithHeap) })
+// store is the pending-event store interface the wheel and the
+// reference heap share. The engine calls its wheel directly; the
+// interface exists here only so one operation sequence can drive both.
+type store interface {
+	schedule(ev *event)
+	unlink(ev *event)
+	peekMin() *event
+	fire(ev *event)
+	len() int
 }
 
-// TestSchedulerEquivalence is the kernel-level cross-check: a random
-// mix of schedules (spread across every wheel level), same-instant
-// priority ties, cancellations and handler-driven reschedules must
-// dispatch in exactly the same order on the wheel as on the reference
-// heap.
-func TestSchedulerEquivalence(t *testing.T) {
-	// Deltas straddle bucket spans from level 0 (sub-64 ps) to level 6+
-	// (seconds), plus zero-delta same-instant collisions.
-	deltas := []Duration{0, 1, 3, 63, 64, 65, 1000, 4095, 4096, 9999,
+// Store operation kinds of a storeOp.
+const (
+	opSchedule = iota
+	opCancel
+	opFire
+)
+
+// storeOp is one step of a store-level operation sequence: schedule an
+// event delta after the instant of the last fired event, cancel the
+// victim-th scheduled event if it is still pending, or fire the
+// minimum.
+type storeOp struct {
+	kind   uint8
+	prio   int8
+	delta  Duration
+	victim int
+}
+
+// randomOps returns a random sequence of n schedules, cancels and
+// fires. Deltas straddle bucket spans from level 0 (sub-64 ps) to
+// level 6+ (seconds), and zero deltas with three priorities make
+// same-instant ties whose order only the (prio, seq) tie-break
+// decides. The sequence is plain data: a correct store runs it to the
+// same pending set at every step, so every store takes the same
+// cancel decisions.
+func randomOps(seed int64, n int) []storeOp {
+	deltas := []Duration{0, 0, 0, 1, 3, 63, 64, 65, 1000, 4095, 4096, 9999,
 		262144, 1000000, 10 * Microsecond, 3 * Millisecond, Second}
-	run := func(newEngine func() *Engine, seed int64) []int {
-		rng := rand.New(rand.NewSource(seed))
-		e := newEngine()
-		var order []int
-		var ids []EventID
-		label := 0
-		var schedule func(depth int)
-		schedule = func(depth int) {
-			n := 5 + rng.Intn(20)
-			for i := 0; i < n; i++ {
-				l := label
-				label++
-				at := e.Now().Add(deltas[rng.Intn(len(deltas))])
-				prio := int8(rng.Intn(3))
-				id := e.SchedulePrio(at, prio, func(e *Engine) {
-					order = append(order, l)
-					if depth < 3 && rng.Intn(4) == 0 {
-						schedule(depth + 1)
-					}
-				})
-				ids = append(ids, id)
-				if len(ids) > 3 && rng.Intn(5) == 0 {
-					e.Cancel(ids[rng.Intn(len(ids))])
-				}
-			}
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]storeOp, 0, n)
+	scheduled := 0
+	for len(ops) < n {
+		switch r := rng.Intn(20); {
+		case r < 9:
+			ops = append(ops, storeOp{kind: opSchedule, prio: int8(rng.Intn(3)),
+				delta: deltas[rng.Intn(len(deltas))]})
+			scheduled++
+		case r < 12 && scheduled > 0:
+			ops = append(ops, storeOp{kind: opCancel, victim: rng.Intn(scheduled)})
+		default:
+			ops = append(ops, storeOp{kind: opFire})
 		}
-		schedule(0)
-		e.Run()
-		return order
 	}
+	return ops
+}
+
+// replay runs ops on s and appends the scheduling order (seq) of every
+// fired event to fired, draining s at the end. evs holds one event per
+// schedule op; replay overwrites them.
+func replay(s store, ops []storeOp, evs []event, fired []uint64) []uint64 {
+	var now Time
+	n := 0
+	fire := func() bool {
+		ev := s.peekMin()
+		if ev == nil {
+			return false
+		}
+		s.fire(ev)
+		now = ev.at
+		fired = append(fired, ev.seq)
+		return true
+	}
+	for _, op := range ops {
+		switch op.kind {
+		case opSchedule:
+			ev := &evs[n]
+			n++
+			*ev = event{at: now.Add(op.delta), prio: op.prio, seq: uint64(n)}
+			s.schedule(ev)
+		case opCancel:
+			if ev := &evs[op.victim]; ev.index >= 0 {
+				s.unlink(ev)
+			}
+		case opFire:
+			fire()
+		}
+	}
+	for fire() {
+	}
+	if s.len() != 0 {
+		panic(fmt.Sprintf("sim: drained store still holds %d events", s.len()))
+	}
+	return fired
+}
+
+// countSchedules returns how many events ops schedules.
+func countSchedules(ops []storeOp) int {
+	n := 0
+	for _, op := range ops {
+		if op.kind == opSchedule {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSchedulerEquivalence is the kernel-level cross-check: one random
+// sequence of schedules (spread across every wheel level), same-instant
+// priority ties, cancellations and fires must fire in exactly the same
+// order from the wheel as from the reference heap.
+func TestSchedulerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		// Identical seeds drive identical rng decisions on both engines,
-		// so the label sequences must match element for element.
-		wheel := run(New, seed)
-		heap := run(newWithHeap, seed)
+		ops := randomOps(seed, 3000)
+		evs := make([]event, countSchedules(ops))
+		wheel := replay(newWheel(), ops, evs, nil)
+		heap := replay(&heapScheduler{}, ops, evs, nil)
 		if len(wheel) != len(heap) {
 			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheel), len(heap))
 		}
+		if len(wheel) == len(evs) {
+			t.Fatalf("seed %d: no cancel took effect", seed)
+		}
 		for i := range wheel {
 			if wheel[i] != heap[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: wheel %v heap %v",
+				t.Fatalf("seed %d: fire order diverges at %d: wheel seq %d, heap seq %d",
 					seed, i, wheel[i], heap[i])
 			}
 		}
@@ -165,8 +233,8 @@ func (f *sliceFeeder) Fire(e *Engine) {
 // with queued events in (at, prio) order, same-instant records drain
 // in one batch, and the engine counts one step per batch.
 func TestFeederMerge(t *testing.T) {
-	engines(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	t.Run("wheel", func(t *testing.T) {
+		e := New()
 		var got []int
 		f := &sliceFeeder{
 			at:    []Time{10, 20, 20, 20, 30},
@@ -204,8 +272,8 @@ func TestFeederMerge(t *testing.T) {
 // schedule follow-up events in the past of the wheel's peeked horizon —
 // the regression the wheel's fire-time-only cursor advance exists for.
 func TestFeederSchedulesDuringFire(t *testing.T) {
-	engines(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	t.Run("wheel", func(t *testing.T) {
+		e := New()
 		var got []Time
 		fired := func(e *Engine) { got = append(got, e.Now()) }
 		var f *sliceFeeder
@@ -245,8 +313,8 @@ func (f feederFunc) Fire(e *Engine)           { f.fire(e) }
 // queued events, and the clock semantics (advance to limit when work
 // remains, stay on drain) are preserved.
 func TestFeederRunUntil(t *testing.T) {
-	engines(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	t.Run("wheel", func(t *testing.T) {
+		e := New()
 		var got []int
 		f := &sliceFeeder{at: []Time{10, 40}, label: []int{1, 2}, prio: 1, got: &got}
 		e.SetFeeder(f)
@@ -270,9 +338,9 @@ func TestFeederRunUntil(t *testing.T) {
 // TestRunContextCancel: a cancelled context stops the run within the
 // poll interval, and an uncancelled context is invisible.
 func TestRunContextCancel(t *testing.T) {
-	engines(t, func(t *testing.T, newEngine func() *Engine) {
+	t.Run("wheel", func(t *testing.T) {
 		// Uncancelled: identical outcome to Run.
-		e := newEngine()
+		e := New()
 		n := 0
 		var tick Handler
 		tick = func(e *Engine) {
@@ -291,7 +359,7 @@ func TestRunContextCancel(t *testing.T) {
 
 		// Cancelled mid-run: the loop must exit with the ctx error well
 		// before the self-rescheduling cascade would end on its own.
-		e = newEngine()
+		e = New()
 		ctx, cancel := context.WithCancel(context.Background())
 		n = 0
 		var forever Handler
@@ -314,35 +382,24 @@ func TestRunContextCancel(t *testing.T) {
 	})
 }
 
-// TestHeapZeroAllocSteadyState mirrors the wheel's zero-alloc guard on
-// the reference heap engine.
-func TestHeapZeroAllocSteadyState(t *testing.T) {
-	e := newWithHeap()
-	noop := Handler(func(*Engine) {})
-	for i := 0; i < 64; i++ {
-		e.After(Duration(i+1), noop)
-	}
-	e.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		id := e.After(5, noop)
-		e.Cancel(id)
-		e.After(10, noop)
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("heap steady-state dispatch allocated %.1f allocs/op, want 0", allocs)
-	}
+// storeBenchOps is the operation sequence the store benchmarks replay.
+var storeBenchOps = randomOps(1, 4096)
+
+// BenchmarkScheduleRunWheel and ...Heap compare the store-only cost of
+// one random schedule/cancel/fire sequence on both stores.
+func BenchmarkScheduleRunWheel(b *testing.B) {
+	benchStore(b, func() store { return newWheel() })
 }
 
-// BenchmarkScheduleRunWheel and ...Heap compare the kernel-only cost of
-// a self-rescheduling timer cascade on both backends.
-func BenchmarkScheduleRunWheel(b *testing.B) { benchScheduleRun(b, New) }
-func BenchmarkScheduleRunHeap(b *testing.B)  { benchScheduleRun(b, newWithHeap) }
+func BenchmarkScheduleRunHeap(b *testing.B) {
+	benchStore(b, func() store { return &heapScheduler{} })
+}
 
 // TestWheelThroughputSmoke is the CI scheduler bench smoke gate: it
-// runs the BenchmarkScheduleRunWheel and ...Heap kernels and fails if
-// the wheel dispatches more than 10% fewer events per second than the
-// reference heap. Both kernels dispatch the same events, so the
+// runs the BenchmarkScheduleRunWheel and ...Heap kernels, which replay
+// one random schedule/cancel/fire sequence on each store, and
+// fails if the wheel fires more than 10% fewer events per second than
+// the reference heap. Both kernels fire the same events, so the
 // events/sec ratio is the inverse ns/op ratio. Benchmarking inside the
 // normal test run would be noise-prone, so the check only arms when CI
 // sets DMAMEM_BENCH_SMOKE=1.
@@ -373,19 +430,12 @@ func TestWheelThroughputSmoke(t *testing.T) {
 	}
 }
 
-func benchScheduleRun(b *testing.B, newEngine func() *Engine) {
+func benchStore(b *testing.B, newStore func() store) {
+	evs := make([]event, countSchedules(storeBenchOps))
+	fired := make([]uint64, 0, len(evs))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := newEngine()
-		var tick Handler
-		n := 0
-		tick = func(e *Engine) {
-			n++
-			if n < 1000 {
-				e.After(10, tick)
-			}
-		}
-		e.Schedule(0, tick)
-		e.Run()
+		fired = replay(newStore(), storeBenchOps, evs, fired[:0])
 	}
 }

@@ -12,11 +12,12 @@
 //
 // # Scheduler
 //
-// New returns an engine backed by a hierarchical timer wheel (see
+// The engine's pending-event store is a hierarchical timer wheel (see
 // wheel.go) whose schedule, cancel and fire operations are amortized
-// O(1). The store sits behind the scheduler interface so the package's
-// tests can run every behavioural test on a reference binary heap too
-// and hold the wheel to the heap's (time, priority, scheduling-order)
+// O(1). The engine calls it directly, with no interface between them.
+// The package's tests keep a reference binary heap as an oracle and
+// drive both stores through the same random operation sequence, so the
+// wheel is held to the heap's (time, priority, scheduling-order)
 // dispatch sequence.
 //
 // # Feeders
@@ -112,7 +113,7 @@ type event struct {
 }
 
 // less orders events by (time, priority, scheduling order) — the total
-// dispatch order every scheduler implements.
+// dispatch order of the wheel and of the test heap.
 func (ev *event) less(o *event) bool {
 	if ev.at != o.at {
 		return ev.at < o.at
@@ -136,20 +137,6 @@ type EventID struct {
 // Valid reports whether the event is still pending.
 func (id EventID) Valid() bool {
 	return id.ev != nil && id.ev.gen == id.gen && id.ev.index >= 0
-}
-
-// scheduler is the pending-event store behind an Engine: the timer
-// wheel, or the reference heap in tests. Both maintain the same total
-// order: peekMin returns the
-// minimum by (at, prio, seq), fire removes the event peekMin just
-// returned (and may advance internal cursors), unlink removes an
-// arbitrary pending event (the cancel path).
-type scheduler interface {
-	schedule(ev *event)
-	unlink(ev *event)
-	peekMin() *event
-	fire(ev *event)
-	len() int
 }
 
 // Feeder is a pull-based source of externally ordered events — a trace
@@ -176,7 +163,7 @@ type Feeder interface {
 // runs are fully isolated and each remains deterministic.
 type Engine struct {
 	now     Time
-	sched   scheduler
+	wheel   *wheel
 	feeder  Feeder
 	free    []*event // recycled event objects, see event
 	seq     uint64
@@ -186,7 +173,7 @@ type Engine struct {
 
 // New returns an engine with the clock at zero, backed by the
 // hierarchical timer wheel (amortized O(1) schedule/cancel/fire).
-func New() *Engine { return &Engine{sched: newWheel()} }
+func New() *Engine { return &Engine{wheel: newWheel()} }
 
 // Now returns the current simulation instant.
 func (e *Engine) Now() Time { return e.now }
@@ -230,7 +217,7 @@ func (e *Engine) SchedulePrio(at Time, prio int8, fn Handler) EventID {
 		ev = &event{}
 	}
 	ev.at, ev.prio, ev.seq, ev.fn = at, prio, e.seq, fn
-	e.sched.schedule(ev)
+	e.wheel.schedule(ev)
 	return EventID{ev, ev.gen}
 }
 
@@ -249,14 +236,14 @@ func (e *Engine) Cancel(id EventID) bool {
 	if !id.Valid() {
 		return false
 	}
-	e.sched.unlink(id.ev)
+	e.wheel.unlink(id.ev)
 	e.recycle(id.ev)
 	return true
 }
 
 // Pending reports the number of queued events (feeder records are not
 // queued and do not count).
-func (e *Engine) Pending() int { return e.sched.len() }
+func (e *Engine) Pending() int { return e.wheel.len() }
 
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -294,7 +281,7 @@ func (e *Engine) RunUntilContext(ctx context.Context, limit Time) error {
 // first — and ok=false when both are drained. It does not advance the
 // clock; the barrier engine uses it to pick the next non-empty epoch.
 func (e *Engine) NextAt() (Time, bool) {
-	ev := e.sched.peekMin()
+	ev := e.wheel.peekMin()
 	if e.feeder != nil {
 		if fat, _, ok := e.feeder.Peek(); ok {
 			if ev == nil || fat < ev.at {
@@ -313,7 +300,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // strictly first. useFeeder=true means the feeder fires next, at fat,
 // so the caller need not peek the feeder again.
 func (e *Engine) next() (ev *event, fat Time, useFeeder bool) {
-	ev = e.sched.peekMin()
+	ev = e.wheel.peekMin()
 	if e.feeder != nil {
 		if at, fprio, ok := e.feeder.Peek(); ok {
 			if ev == nil || at < ev.at || (at == ev.at && fprio < ev.prio) {
@@ -345,7 +332,7 @@ func (e *Engine) runUntil(ctx context.Context, limit Time) error {
 			if ev == nil || ev.at > limit {
 				break
 			}
-			e.sched.fire(ev)
+			e.wheel.fire(ev)
 			e.now = ev.at
 			e.steps++
 			fn := ev.fn
@@ -361,7 +348,7 @@ func (e *Engine) runUntil(ctx context.Context, limit Time) error {
 			}
 		}
 	}
-	if e.now < limit && e.sched.len() == 0 && !e.feederPending() {
+	if e.now < limit && e.wheel.len() == 0 && !e.feederPending() {
 		// Queue drained naturally: clock stays at last event.
 		return nil
 	}
@@ -393,7 +380,7 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.sched.fire(ev)
+	e.wheel.fire(ev)
 	e.now = ev.at
 	e.steps++
 	fn := ev.fn

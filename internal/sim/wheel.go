@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timer wheel: the default pending-event store.
+// Hierarchical timer wheel: the engine's pending-event store.
 //
 // Absolute picosecond times are split into 6-bit digit groups; level L
 // of the wheel has 64 buckets indexed by digit L, so a bucket at level
