@@ -9,21 +9,23 @@ import (
 	"dmamem/internal/metrics"
 )
 
-// BenchmarkGenerateTable2Cold generates the four Table 2 traces at the
-// golden sizes (4 ms, 2 ms for the -Db traces) from a fresh suite and
-// a fresh seed per iteration: the generation half of a cold daemon
-// job. With -benchmem it shows what the generators allocate per trace
-// set, dataset-sized tables included.
+// BenchmarkGenerateTable2Cold generates each Table 2 trace at the
+// golden size (4 ms, 2 ms for the -Db traces) from a fresh suite and a
+// fresh seed per iteration, one sub-benchmark per workload: the
+// generation half of a cold daemon job. With -benchmem it shows what
+// each generator allocates per trace, set-up included.
 func BenchmarkGenerateTable2Cold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := goldenSuite()
-		s.Seed = uint64(i + 1)
-		for _, name := range workloadNames {
-			if _, err := s.workload(name); err != nil {
-				b.Fatal(err)
+	for _, name := range workloadNames {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := goldenSuite()
+				s.Seed = uint64(i + 1)
+				if _, err := s.workload(name); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
 }
 

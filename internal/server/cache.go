@@ -23,10 +23,11 @@ type ObjectID int32
 // reclaimed by evicting least-recently-used objects until a large
 // enough run opens up.
 //
-// Object state lives in dense slices indexed by ObjectID and
-// allocated once at the dataset size, with the LRU list threaded
-// through them by ID: no map, no per-object allocation and no pointers
-// for the garbage collector to trace.
+// Object state lives in an index by ObjectID, with the LRU list
+// threaded through it by ID: no map, no per-object allocation. The
+// index is paged: each page holds indexPageLen consecutive IDs and is
+// allocated when one of them is first inserted, so the index costs
+// what the cache has held, not the whole ID range.
 type BufferCache struct {
 	frames int // total frames managed
 
@@ -39,15 +40,11 @@ type BufferCache struct {
 	// frame after each eviction.
 	free int
 
-	// runs[id] is object id's frame run; the object is resident when
-	// pages > 0. links[id] are its LRU neighbours (-1 at either end),
-	// meaningful only while it is resident. The two are separate
-	// slices, not one of 16-byte slots, so that at OLTP-St's 500,000
-	// objects each stays under the Go page allocator's 4 MiB chunk: a
-	// single 8 MB slice, once freed, left about 3 MB that even
-	// debug.FreeOSMemory did not return to the OS (go1.24, linux/amd64).
-	runs     []cacheRun
-	links    []cacheLink
+	// index[id>>indexShift] is the page holding object id, nil until an
+	// ID in it is inserted. An object is resident when its entry's
+	// pages > 0.
+	index    []*indexPage
+	objects  int
 	resident int
 	head     ObjectID // most recently used, -1 when empty
 	tail     ObjectID // least recently used, -1 when empty
@@ -55,18 +52,23 @@ type BufferCache struct {
 	// hint is where the next free-run scan starts; it makes sequential
 	// fills O(1) amortized instead of quadratic.
 	hint int
-
-	// Statistics.
-	Hits, Misses int64
-	Evictions    int64
 }
 
-type cacheRun struct {
-	start memsys.PageID
-	pages int32
-}
+// indexShift sets the index page to 1024 IDs, 16 KB.
+const (
+	indexShift   = 10
+	indexPageLen = 1 << indexShift
+)
 
-type cacheLink struct{ prev, next ObjectID }
+type indexPage [indexPageLen]cacheEntry
+
+// cacheEntry is an object's frame run and its LRU neighbours (-1 at
+// either end); the links mean something only while it is resident.
+type cacheEntry struct {
+	start      memsys.PageID
+	pages      int32
+	prev, next ObjectID
+}
 
 // NewBufferCache manages the frame range [0, frames) for objects with
 // IDs in [0, objects).
@@ -81,8 +83,8 @@ func NewBufferCache(frames, objects int) (*BufferCache, error) {
 		frames:     frames,
 		frameOwner: make([]ObjectID, frames),
 		free:       frames,
-		runs:       make([]cacheRun, objects),
-		links:      make([]cacheLink, objects),
+		index:      make([]*indexPage, (objects+indexPageLen-1)>>indexShift),
+		objects:    objects,
 		head:       -1,
 		tail:       -1,
 	}
@@ -95,24 +97,41 @@ func NewBufferCache(frames, objects int) (*BufferCache, error) {
 // Len returns the number of resident objects.
 func (c *BufferCache) Len() int { return c.resident }
 
-// slot returns id's frame run, panicking on an ID outside
-// [0, objects).
-func (c *BufferCache) slot(id ObjectID) *cacheRun {
-	if uint(id) >= uint(len(c.runs)) {
-		panic(fmt.Sprintf("server: object %d outside [0, %d)", id, len(c.runs)))
+// page returns the index page holding id, nil if none has been
+// allocated, panicking on an ID outside [0, objects).
+func (c *BufferCache) page(id ObjectID) *indexPage {
+	if uint(id) >= uint(c.objects) {
+		panic(fmt.Sprintf("server: object %d outside [0, %d)", id, c.objects))
 	}
-	return &c.runs[id]
+	return c.index[id>>indexShift]
+}
+
+// entry returns id's entry, allocating its page if need be.
+func (c *BufferCache) entry(id ObjectID) *cacheEntry {
+	p := c.page(id)
+	if p == nil {
+		p = new(indexPage)
+		c.index[id>>indexShift] = p
+	}
+	return &p[id&(indexPageLen-1)]
+}
+
+// at returns the entry of an ID whose page exists: a resident object.
+func (c *BufferCache) at(id ObjectID) *cacheEntry {
+	return &c.index[id>>indexShift][id&(indexPageLen-1)]
 }
 
 // Lookup checks residency. On a hit the object becomes most recently
 // used and its frame run is returned.
 func (c *BufferCache) Lookup(id ObjectID) (start memsys.PageID, pages int, ok bool) {
-	e := c.slot(id)
-	if e.pages == 0 {
-		c.Misses++
+	p := c.page(id)
+	if p == nil {
 		return 0, 0, false
 	}
-	c.Hits++
+	e := &p[id&(indexPageLen-1)]
+	if e.pages == 0 {
+		return 0, 0, false
+	}
 	if c.head != id {
 		c.unlink(id)
 		c.pushFront(id)
@@ -128,7 +147,8 @@ func (c *BufferCache) Insert(id ObjectID, pages int) memsys.PageID {
 	if pages <= 0 || pages > c.frames {
 		panic(fmt.Sprintf("server: Insert(%d, %d pages) in %d-frame cache", id, pages, c.frames))
 	}
-	if c.slot(id).pages != 0 {
+	e := c.entry(id)
+	if e.pages != 0 {
 		panic(fmt.Sprintf("server: Insert of resident object %d", id))
 	}
 	start, ok := c.findRun(pages)
@@ -143,29 +163,51 @@ func (c *BufferCache) Insert(id ObjectID, pages int) memsys.PageID {
 		c.frameOwner[int(start)+f] = id
 	}
 	c.free -= pages
-	c.runs[id] = cacheRun{start, int32(pages)}
+	e.start, e.pages = start, int32(pages)
 	c.resident++
 	c.pushFront(id)
 	return start
 }
 
-// Remove drops an object if resident; it reports whether it was.
-func (c *BufferCache) Remove(id ObjectID) bool {
-	if c.slot(id).pages == 0 {
-		return false
+// fill inserts IDs 0, 1, 2, ... into an empty cache, sized by pages,
+// until the next would not fit in the frames left or the IDs run out,
+// and returns how many it inserted. It leaves what as many Inserts
+// would, in one pass: the runs laid end to end from frame 0, ID 0
+// least recently used.
+func (c *BufferCache) fill(pages func(ObjectID) int) int {
+	if c.resident != 0 || c.hint != 0 {
+		panic("server: fill of a cache already used")
 	}
-	c.evict(id)
-	c.Evictions-- // explicit removal is not an eviction
-	return true
-}
-
-// HitRatio returns hits/(hits+misses), or 0 before any lookup.
-func (c *BufferCache) HitRatio() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
+	// The fill holds at most one object per frame; its index pages
+	// come in one allocation.
+	chunk := make([]indexPage, (min(c.objects, c.frames)+indexPageLen-1)>>indexShift)
+	used, n := 0, 0
+	var page *indexPage
+	for ; n < c.objects; n++ {
+		id := ObjectID(n)
+		p := pages(id)
+		if p <= 0 {
+			panic(fmt.Sprintf("server: fill with object %d of %d pages", id, p))
+		}
+		if used+p > c.frames {
+			break
+		}
+		if n&(indexPageLen-1) == 0 {
+			page = &chunk[n>>indexShift]
+			c.index[n>>indexShift] = page
+		}
+		page[n&(indexPageLen-1)] = cacheEntry{start: memsys.PageID(used), pages: int32(p), prev: id + 1, next: id - 1}
+		for f := used; f < used+p; f++ {
+			c.frameOwner[f] = id
+		}
+		used += p
 	}
-	return float64(c.Hits) / float64(total)
+	if n > 0 {
+		c.head, c.tail = ObjectID(n-1), 0
+		c.at(c.head).prev = -1
+	}
+	c.resident, c.free, c.hint = n, c.frames-used, used
+	return n
 }
 
 // findRun locates a run of n free frames, scanning circularly from the
@@ -204,7 +246,7 @@ func (c *BufferCache) findRun(n int) (memsys.PageID, bool) {
 }
 
 func (c *BufferCache) evict(id ObjectID) {
-	e := &c.runs[id]
+	e := c.at(id)
 	for f := 0; f < int(e.pages); f++ {
 		c.frameOwner[int(e.start)+f] = -1
 	}
@@ -212,27 +254,27 @@ func (c *BufferCache) evict(id ObjectID) {
 	c.unlink(id)
 	e.pages = 0
 	c.resident--
-	c.Evictions++
 }
 
 func (c *BufferCache) unlink(id ObjectID) {
-	e := &c.links[id]
+	e := c.at(id)
 	if e.prev >= 0 {
-		c.links[e.prev].next = e.next
+		c.at(e.prev).next = e.next
 	} else {
 		c.head = e.next
 	}
 	if e.next >= 0 {
-		c.links[e.next].prev = e.prev
+		c.at(e.next).prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
 }
 
 func (c *BufferCache) pushFront(id ObjectID) {
-	c.links[id] = cacheLink{-1, c.head}
+	e := c.at(id)
+	e.prev, e.next = -1, c.head
 	if c.head >= 0 {
-		c.links[c.head].prev = id
+		c.at(c.head).prev = id
 	}
 	c.head = id
 	if c.tail < 0 {
@@ -248,7 +290,10 @@ func (c *BufferCache) checkInvariants() error {
 			continue
 		}
 		owned++
-		e := c.runs[id]
+		if c.page(id) == nil {
+			return fmt.Errorf("frame %d owned by object %d, whose index page is missing", f, id)
+		}
+		e := c.at(id)
 		if e.pages == 0 {
 			return fmt.Errorf("frame %d owned by nonresident object %d", f, id)
 		}
@@ -261,18 +306,17 @@ func (c *BufferCache) checkInvariants() error {
 	}
 	listed := 0
 	prev := ObjectID(-1)
-	for id := c.head; id >= 0; id = c.links[id].next {
-		e := c.runs[id]
-		if e.pages == 0 {
+	for id := c.head; id >= 0; id = c.at(id).next {
+		if c.page(id) == nil || c.at(id).pages == 0 {
 			return fmt.Errorf("nonresident object %d in LRU list", id)
 		}
-		if c.links[id].prev != prev {
-			return fmt.Errorf("object %d links back to %d, not %d", id, c.links[id].prev, prev)
+		if c.at(id).prev != prev {
+			return fmt.Errorf("object %d links back to %d, not %d", id, c.at(id).prev, prev)
 		}
 		if listed++; listed > c.resident {
 			return fmt.Errorf("LRU list longer than %d resident objects", c.resident)
 		}
-		owned -= int(e.pages)
+		owned -= int(c.at(id).pages)
 		prev = id
 	}
 	if c.tail != prev {

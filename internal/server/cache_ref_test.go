@@ -8,18 +8,17 @@ import (
 
 // naiveCache is a deliberately plain model of BufferCache's placement
 // and replacement rules: an LRU order kept as a slice (least recent
-// first), a map of resident runs, a next-fit scan over the frames that
-// always rescans after an eviction, and the hit/miss/eviction counters.
-// It keeps no free-frame count and no ID-indexed table, so it checks
-// that neither changes where an object lands or which one is evicted.
+// first), a map of resident runs, and a next-fit scan over the frames
+// that always rescans after an eviction. It keeps no free-frame count
+// and no ID-indexed table, so it checks that neither changes where an
+// object lands or which one is evicted.
 type naiveCache struct {
 	owner []ObjectID
 	hint  int
 	lru   []ObjectID
 	runs  map[ObjectID][2]int // start, pages
 
-	hits, misses, evictions int64
-	evicted                 map[ObjectID]bool // ever evicted by replacement
+	evicted map[ObjectID]bool // ever evicted by replacement
 }
 
 func newNaiveCache(frames int) *naiveCache {
@@ -73,7 +72,6 @@ func (n *naiveCache) insert(id ObjectID, pages int) int {
 	for !ok {
 		n.evicted[n.lru[0]] = true
 		n.drop(n.lru[0])
-		n.evictions++
 		start, ok = n.findRun(pages)
 	}
 	for f := start; f < start+pages; f++ {
@@ -86,10 +84,8 @@ func (n *naiveCache) insert(id ObjectID, pages int) int {
 
 func (n *naiveCache) lookup(id ObjectID) bool {
 	if _, ok := n.runs[id]; !ok {
-		n.misses++
 		return false
 	}
-	n.hits++
 	for i, o := range n.lru {
 		if o == id {
 			n.lru = append(append(n.lru[:i:i], n.lru[i+1:]...), id)
@@ -99,25 +95,28 @@ func (n *naiveCache) lookup(id ObjectID) bool {
 	return true
 }
 
-// lruOrder walks the cache's LRU list from least to most recent.
+// lruOrder walks the cache's LRU list from least to most recent,
+// stopping one past the resident count should the links cycle.
 func lruOrder(c *BufferCache) []ObjectID {
 	var out []ObjectID
-	for id := c.tail; id >= 0; id = c.links[id].prev {
+	for id := c.tail; id >= 0 && len(out) <= c.resident; id = c.at(id).prev {
 		out = append(out, id)
 	}
 	return out
 }
 
-// TestCacheMatchesNaiveReference drives random Insert/Lookup/Remove
+// TestCacheMatchesNaiveReference drives random Insert/Lookup
 // sequences through BufferCache and naiveCache and requires every
-// insert to land on the same frame run, every lookup and removal to
-// agree, the LRU order and the Hits/Misses/Evictions counters to match
-// throughout, and the final frame ownership to be identical. IDs are
-// sparse over the whole object range, including both of its ends, so
-// the dense index is exercised far from zero; removals of absent IDs
-// and re-inserts of evicted ones are required to occur.
+// insert to land on the same frame run, every lookup to agree, the
+// resident count and LRU order to match throughout, and the final
+// frame ownership to be identical. Half the seeds start from a fill of
+// the lowest IDs, which the reference inserts one by one. IDs are
+// sparse over the whole object range, including both of its ends and
+// both sides of the first index page boundary, so the paged index is
+// exercised far from zero and across pages; re-inserts of evicted IDs
+// are required to occur.
 func TestCacheMatchesNaiveReference(t *testing.T) {
-	var absentRemoves, reinserts int
+	var reinserts, filled int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		frames := 16 + rng.Intn(240)
@@ -127,48 +126,50 @@ func TestCacheMatchesNaiveReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newNaiveCache(frames)
+		maxPages := 1 + rng.Intn(frames/4)
+		if seed%2 == 0 {
+			sizes := make([]int, objects)
+			for i := range sizes {
+				sizes[i] = 1 + rng.Intn(maxPages)
+			}
+			n := c.fill(func(id ObjectID) int { return sizes[id] })
+			for id := 0; id < n; id++ {
+				ref.insert(ObjectID(id), sizes[id])
+			}
+			if n < objects && c.free >= sizes[n] {
+				t.Fatalf("seed %d: fill stopped at ID %d of %d pages with %d frames free", seed, n, sizes[n], c.free)
+			}
+			if c.hint != ref.hint || !slices.Equal(lruOrder(c), ref.lru) {
+				t.Fatalf("seed %d: fill of %d IDs left hint %d and LRU order %v, inserts hint %d and %v",
+					seed, n, c.hint, lruOrder(c), ref.hint, ref.lru)
+			}
+			filled += n
+		}
 		ids := []ObjectID{0, ObjectID(objects - 1)}
+		for _, id := range []int{indexPageLen - 1, indexPageLen} {
+			if id < objects {
+				ids = append(ids, ObjectID(id))
+			}
+		}
 		for len(ids) < 120 {
 			ids = append(ids, ObjectID(rng.Intn(objects)))
 		}
-		maxPages := 1 + rng.Intn(frames/4)
 		for op := 0; op < 3000; op++ {
 			id := ids[rng.Intn(len(ids))]
-			switch rng.Intn(4) {
-			case 0, 1:
-				_, _, hit := c.Lookup(id)
-				if hit != ref.lookup(id) {
-					t.Fatalf("seed %d op %d: lookup(%d) disagrees", seed, op, id)
-				}
-				if !hit {
-					if ref.evicted[id] {
-						reinserts++
-					}
-					pages := 1 + rng.Intn(maxPages)
-					got, want := c.Insert(id, pages), ref.insert(id, pages)
-					if int(got) != want {
-						t.Fatalf("seed %d op %d: Insert(%d, %d) at frame %d, reference %d",
-							seed, op, id, pages, got, want)
-					}
-				}
-			case 2:
-				removed := c.Remove(id)
-				_, had := ref.runs[id]
-				if removed != had {
-					t.Fatalf("seed %d op %d: Remove(%d) = %v, reference resident %v", seed, op, id, removed, had)
-				}
-				if had {
-					ref.drop(id)
-				} else {
-					absentRemoves++
-				}
-			case 3:
-				c.Lookup(id)
-				ref.lookup(id)
+			_, _, hit := c.Lookup(id)
+			if hit != ref.lookup(id) {
+				t.Fatalf("seed %d op %d: lookup(%d) disagrees", seed, op, id)
 			}
-			if c.Hits != ref.hits || c.Misses != ref.misses || c.Evictions != ref.evictions {
-				t.Fatalf("seed %d op %d: hits/misses/evictions %d/%d/%d, reference %d/%d/%d",
-					seed, op, c.Hits, c.Misses, c.Evictions, ref.hits, ref.misses, ref.evictions)
+			if !hit && rng.Intn(2) == 0 {
+				if ref.evicted[id] {
+					reinserts++
+				}
+				pages := 1 + rng.Intn(maxPages)
+				got, want := c.Insert(id, pages), ref.insert(id, pages)
+				if int(got) != want {
+					t.Fatalf("seed %d op %d: Insert(%d, %d) at frame %d, reference %d",
+						seed, op, id, pages, got, want)
+				}
 			}
 			if c.Len() != len(ref.lru) {
 				t.Fatalf("seed %d op %d: Len %d, reference %d", seed, op, c.Len(), len(ref.lru))
@@ -183,14 +184,16 @@ func TestCacheMatchesNaiveReference(t *testing.T) {
 		if !slices.Equal(lruOrder(c), ref.lru) {
 			t.Fatalf("seed %d: LRU order %v, reference %v", seed, lruOrder(c), ref.lru)
 		}
+		if c.hint != ref.hint {
+			t.Fatalf("seed %d: next-fit hint %d, reference %d", seed, c.hint, ref.hint)
+		}
 		for f, id := range c.frameOwner {
 			if ref.owner[f] != id {
 				t.Fatalf("seed %d: frame %d owned by %d, reference %d", seed, f, id, ref.owner[f])
 			}
 		}
 	}
-	if absentRemoves == 0 || reinserts == 0 {
-		t.Fatalf("sequence never exercised absent removes (%d) or re-inserts after eviction (%d)",
-			absentRemoves, reinserts)
+	if reinserts == 0 || filled == 0 {
+		t.Fatalf("sequence never exercised re-inserts after eviction (%d) or fills (%d)", reinserts, filled)
 	}
 }

@@ -104,6 +104,11 @@ func (c StorageConfig) validate() error {
 	case c.DiskCount <= 0:
 		return fmt.Errorf("server: %d disks", c.DiskCount)
 	}
+	if c.Sizes != nil {
+		if err := synth.CheckSizes(c.Sizes, c.CacheFrames); err != nil {
+			return fmt.Errorf("server: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -119,8 +124,11 @@ type StorageResult struct {
 }
 
 // objectPages returns the stable size of an object, drawn from the
-// mixture by hashing the ID.
+// mixture by hashing the ID; a mixture of one class needs no draw.
 func objectPages(id ObjectID, sizes []synth.SizeClass, totalWeight float64) int {
+	if len(sizes) == 1 {
+		return sizes[0].Pages
+	}
 	// splitmix64 hash of the id for a stable uniform draw.
 	x := uint64(id) + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -175,23 +183,18 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 	// The cache is keyed by popularity rank rather than object ID. The
 	// two are a bijection through perm, and the cache never looks at a
 	// key's value, so residency, placement and eviction are unchanged;
-	// but the warm-up fill below walks the index in order and the
-	// Zipf-skewed lookups stay near its start instead of striking a
-	// dataset-sized table at random.
+	// but the warm-up fill below walks the index in order, allocating
+	// only the index pages of the ranks it holds, and the Zipf-skewed
+	// lookups stay near its start instead of striking a dataset-sized
+	// table at random.
 	//
 	// Pre-warm the cache with the most popular objects, the steady
 	// state an LRU cache converges to under a skewed reference stream.
 	// Without this, a finite trace is dominated by cold misses and the
 	// frame-popularity distribution degenerates to uniform.
-	used := 0
-	for rank := 0; rank < c.Objects; rank++ {
-		pages := objectPages(ObjectID(perm[rank]), c.Sizes, totalWeight)
-		if used+pages > c.CacheFrames {
-			break
-		}
-		cache.Insert(ObjectID(rank), pages)
-		used += pages
-	}
+	cache.fill(func(rank ObjectID) int {
+		return objectPages(ObjectID(perm[rank]), c.Sizes, totalWeight)
+	})
 
 	res := &StorageResult{Trace: &trace.Trace{Name: "OLTP-St"}}
 	tr := res.Trace
@@ -209,6 +212,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 
 	var (
 		now          sim.Time
+		hits         int64
 		respSum      sim.Duration
 		transfersSum int64
 		diskSum      sim.Duration
@@ -231,6 +235,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 			start, _, ok := cache.Lookup(rank)
 			var sendAt sim.Time
 			if ok {
+				hits++
 				sendAt = ready
 				transfersSum++
 			} else {
@@ -251,7 +256,9 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 			arrive := fabric.WritePayloadArrival(now, bytes)
 			ready := arrive.Add(c.CPUTime)
 			start, _, ok := cache.Lookup(rank)
-			if !ok {
+			if ok {
+				hits++
+			} else {
 				start = cache.Insert(rank, pages)
 			}
 			emit(ready, trace.DMAWrite, trace.SrcNetwork, start, pages)
@@ -271,10 +278,10 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 		res.MeanResp = sim.Duration(int64(respSum) / res.Requests)
 		tr.Meta.MeanClientResponse = res.MeanResp
 		tr.Meta.TransfersPerClientRequest = float64(transfersSum) / float64(res.Requests)
+		res.HitRatio = float64(hits) / float64(res.Requests) // one lookup per request
 	}
 	if res.DiskReads > 0 {
 		res.MeanDisk = sim.Duration(int64(diskSum) / res.DiskReads)
 	}
-	res.HitRatio = cache.HitRatio()
 	return res, nil
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
@@ -32,21 +33,46 @@ func MixedSizes() []SizeClass {
 	return []SizeClass{{1, 0.70}, {2, 0.20}, {4, 0.10}}
 }
 
+// CheckSizes reports what is wrong with a size mixture, or nil: it
+// must have a class, every class at least 1 and at most maxPages pages
+// (a record carries a uint16 page count, so never more than 65535),
+// and every weight positive with a finite sum. The error names Sizes,
+// the config field the generators read the mixture from.
+func CheckSizes(sizes []SizeClass, maxPages int) error {
+	if len(sizes) == 0 {
+		return fmt.Errorf("size mixture Sizes is empty")
+	}
+	maxPages = min(maxPages, math.MaxUint16)
+	total := 0.0
+	for _, c := range sizes {
+		if c.Pages < 1 || c.Pages > maxPages {
+			return fmt.Errorf("size mixture Sizes has a class of %d pages, outside [1, %d]", c.Pages, maxPages)
+		}
+		if !(c.Weight > 0) || math.IsInf(c.Weight, 1) {
+			return fmt.Errorf("size mixture Sizes has a class of weight %g, not finite and positive", c.Weight)
+		}
+		total += c.Weight
+	}
+	if math.IsInf(total, 1) {
+		return fmt.Errorf("size mixture Sizes has weights that sum past the float64 range")
+	}
+	return nil
+}
+
 type sizeSampler struct {
 	classes []SizeClass
 	cum     []float64
 }
 
+// newSizeSampler builds the sampler for a mixture; configs reject one
+// CheckSizes does not accept before it gets here, so that panics.
 func newSizeSampler(classes []SizeClass) *sizeSampler {
-	if len(classes) == 0 {
-		panic("synth: empty size mixture")
+	if err := CheckSizes(classes, math.MaxUint16); err != nil {
+		panic("synth: " + err.Error())
 	}
 	s := &sizeSampler{classes: classes, cum: make([]float64, len(classes))}
 	total := 0.0
 	for i, c := range classes {
-		if c.Pages <= 0 || c.Pages > 1<<15 || c.Weight <= 0 {
-			panic(fmt.Sprintf("synth: bad size class %+v", c))
-		}
 		total += c.Weight
 		s.cum[i] = total
 	}
@@ -115,6 +141,11 @@ func (c StConfig) validate() error {
 		return fmt.Errorf("synth: Zipf skew Alpha %g is not finite and non-negative", c.Alpha)
 	case c.Buses <= 0 || c.Buses > 255:
 		return fmt.Errorf("synth: bus count %d", c.Buses)
+	}
+	if c.Sizes != nil {
+		if err := CheckSizes(c.Sizes, c.Pages); err != nil {
+			return fmt.Errorf("synth: %w", err)
+		}
 	}
 	return nil
 }

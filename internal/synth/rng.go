@@ -3,13 +3,13 @@
 // the paper's evaluation: Zipf(alpha=1) page popularity, Poisson DMA
 // transfer arrivals, and Poisson processor accesses.
 //
-// Generation is per call except for one thing the process keeps: the
-// Zipf popularity tables, which depend only on (n, alpha). NewZipf
-// shares one immutable table per distinct (n, alpha), for at most 8
-// keys. An alpha = 1 table takes 8 bytes per 32 ranks (125 KB for
-// OLTP-St's 500,000 objects), any other skew 8 bytes per rank (320 KB
-// for OLTP-Db's 40,000). The four Table 2 traces keep three tables,
-// under 0.5 MB together.
+// Generation is per call except for what the process keeps in
+// SharedTables: values that depend only on their key. NewZipf shares
+// one immutable table per distinct (n, alpha), for at most 8 keys. An
+// alpha = 1 table takes 8 bytes per 32 ranks (125 KB for OLTP-St's
+// 500,000 objects), any other skew 8 bytes per rank (320 KB for
+// OLTP-Db's 40,000), and each carries a 16 KB search guide. The four
+// Table 2 traces keep three tables, about 0.5 MB together.
 package synth
 
 import (
@@ -90,10 +90,23 @@ func (r *RNG) Perm(n int) []int32 {
 	for i := range p {
 		p[i] = int32(i)
 	}
+	// Each swap draws j = Intn(i+1), with Uint64 inlined on the state
+	// held in locals: the draws are bit-identical, and the loop runs
+	// without storing the state back on every step.
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
+		x := rotl(s0+s3, 23) + s0
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		j := x % uint64(i+1)
 		p[i], p[j] = p[j], p[i]
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return p
 }
 
@@ -110,6 +123,12 @@ func (r *RNG) Perm(n int) []int32 {
 // cumulative value, and hence every sample, is bit-identical to the
 // full table's. Other skews keep the full table: a replay would pay a
 // math.Pow per rank.
+//
+// A guide narrows the search. The draw u falls in one of zipfGuide
+// equal buckets, and guide[k] is where the unguided search lands for
+// u = k/zipfGuide, the bucket's lower edge. The search is monotone in
+// u, so a draw in bucket k lands in [guide[k], guide[k+1]] and the
+// search need only cover that span, with the same answer.
 type Zipf struct {
 	n int
 	// cum is the full cumulative table (alpha != 1), nil for alpha = 1.
@@ -118,6 +137,9 @@ type Zipf struct {
 	// inv is 1/H(n) (alpha = 1 only).
 	sums []float64
 	inv  float64
+	// guide has zipfGuide + 1 entries: blocks of the compact table or
+	// ranks of the full one.
+	guide []int32
 }
 
 // zipfBlock is the compact table's block size in ranks.
@@ -126,24 +148,18 @@ type Zipf struct {
 // about 15% slower than the full table at 131,072.
 const zipfBlock = 32
 
-// sharedZipfs holds one table per distinct (n, alpha), each built once
-// by the first caller, for at most maxSharedZipfs keys; past that a
-// table is built privately per call.
-var (
-	sharedZipfsMu sync.Mutex
-	sharedZipfs   = map[zipfKey]*sharedZipf{}
-)
+// zipfGuide is the guide's bucket count. It is a power of two, so that
+// u*zipfGuide and k/zipfGuide are exact and a draw's bucket is exactly
+// the one whose edges bracket it.
+const zipfGuide = 4096
 
-const maxSharedZipfs = 8
+// zipfTables holds one table per distinct (n, alpha), for at most 8
+// keys.
+var zipfTables = SharedTables[zipfKey, *Zipf]{Max: 8}
 
 type zipfKey struct {
 	n     int
 	alpha float64
-}
-
-type sharedZipf struct {
-	once sync.Once
-	z    *Zipf
 }
 
 // NewZipf returns a sampler over n ranks with skew alpha (the paper's
@@ -156,19 +172,7 @@ func NewZipf(n int, alpha float64) *Zipf {
 	if !ValidSkew(alpha) {
 		panic(fmt.Sprintf("synth: Zipf alpha %g", alpha))
 	}
-	k := zipfKey{n, alpha}
-	sharedZipfsMu.Lock()
-	e := sharedZipfs[k]
-	if e == nil && len(sharedZipfs) < maxSharedZipfs {
-		e = &sharedZipf{}
-		sharedZipfs[k] = e
-	}
-	sharedZipfsMu.Unlock()
-	if e == nil {
-		return newZipf(n, alpha)
-	}
-	e.once.Do(func() { e.z = newZipf(n, alpha) })
-	return e.z
+	return zipfTables.Get(zipfKey{n, alpha}, func() *Zipf { return newZipf(n, alpha) })
 }
 
 // ValidSkew reports whether alpha is a Zipf skew NewZipf accepts:
@@ -176,6 +180,7 @@ func NewZipf(n int, alpha float64) *Zipf {
 func ValidSkew(alpha float64) bool { return alpha >= 0 && !math.IsInf(alpha, 1) }
 
 func newZipf(n int, alpha float64) *Zipf {
+	var z *Zipf
 	if alpha == 1 {
 		sums := make([]float64, (n+zipfBlock-1)/zipfBlock)
 		total := 0.0
@@ -185,20 +190,31 @@ func newZipf(n int, alpha float64) *Zipf {
 			}
 			total += 1 / float64(i+1)
 		}
-		return &Zipf{n: n, sums: sums, inv: 1 / total}
+		z = &Zipf{n: n, sums: sums, inv: 1 / total}
+	} else {
+		cum := make([]float64, n)
+		total := 0.0
+		for i := 0; i < n; i++ {
+			total += 1 / math.Pow(float64(i+1), alpha)
+			cum[i] = total
+		}
+		inv := 1 / total
+		for i := range cum {
+			cum[i] *= inv
+		}
+		cum[n-1] = 1 // guard against rounding
+		z = &Zipf{n: n, cum: cum}
 	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), alpha)
-		cum[i] = total
+	return z.guided()
+}
+
+// guided fills z's guide from its table and returns z.
+func (z *Zipf) guided() *Zipf {
+	z.guide = make([]int32, zipfGuide+1)
+	for k := range z.guide {
+		z.guide[k] = int32(z.search(0, z.last(), float64(k)/zipfGuide))
 	}
-	inv := 1 / total
-	for i := range cum {
-		cum[i] *= inv
-	}
-	cum[n-1] = 1 // guard against rounding
-	return &Zipf{n: n, cum: cum}
+	return z
 }
 
 // N returns the number of ranks.
@@ -210,8 +226,24 @@ func (z *Zipf) Sample(r *RNG) int { return z.rank(r.Float64()) }
 // rank returns the first rank whose cumulative value is at least u,
 // for u in [0, 1).
 func (z *Zipf) rank(u float64) int {
+	k := int(u * zipfGuide)
+	return z.replay(z.search(int(z.guide[k]), int(z.guide[k+1]), u), u)
+}
+
+// last is the index of the full table's last rank or the compact
+// table's last block, whose end is 1.
+func (z *Zipf) last() int {
 	if z.cum != nil {
-		lo, hi := 0, len(z.cum)-1
+		return z.n - 1
+	}
+	return len(z.sums) - 1
+}
+
+// search returns the first index in [lo, hi] whose end reaches u,
+// given that hi's does: a rank's cumulative value in the full table, a
+// block's last cumulative value in the compact one.
+func (z *Zipf) search(lo, hi int, u float64) int {
+	if z.cum != nil {
 		for lo < hi {
 			mid := (lo + hi) / 2
 			if z.cum[mid] < u {
@@ -222,9 +254,6 @@ func (z *Zipf) rank(u float64) int {
 		}
 		return lo
 	}
-	// The first block whose last cumulative value reaches u; the last
-	// block's is 1, above any u.
-	lo, hi := 0, len(z.sums)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.sums[mid+1]*z.inv < u {
@@ -233,10 +262,18 @@ func (z *Zipf) rank(u float64) int {
 			hi = mid
 		}
 	}
-	// Replay the block up to its last rank, which the search proved
-	// reaches u.
-	i, last := lo*zipfBlock, min((lo+1)*zipfBlock, z.n)-1
-	total := z.sums[lo]
+	return lo
+}
+
+// replay turns what search found into a rank: in the compact table it
+// replays block b up to its last rank, which the search proved reaches
+// u; in the full table b is already the rank.
+func (z *Zipf) replay(b int, u float64) int {
+	if z.cum != nil {
+		return b
+	}
+	i, last := b*zipfBlock, min((b+1)*zipfBlock, z.n)-1
+	total := z.sums[b]
 	for ; i < last; i++ {
 		total += 1 / float64(i+1)
 		if total*z.inv >= u {
@@ -268,4 +305,40 @@ func (z *Zipf) Prob(rank int) float64 {
 		return z.cumAt(0)
 	}
 	return z.cumAt(rank) - z.cumAt(rank-1)
+}
+
+// SharedTables holds immutable values that depend only on their key,
+// such as the Zipf tables, one per key for the life of the process.
+// Each is built once, by the first caller to ask for its key, for at
+// most Max keys; past that, Get builds a private value per call. The
+// zero value with Max set is ready for use.
+type SharedTables[K comparable, V any] struct {
+	Max int
+	mu  sync.Mutex
+	m   map[K]*sharedTable[V]
+}
+
+type sharedTable[V any] struct {
+	once sync.Once
+	v    V
+}
+
+// Get returns the value kept for k, calling build to make it if none
+// is kept yet.
+func (s *SharedTables[K, V]) Get(k K, build func() V) V {
+	s.mu.Lock()
+	e := s.m[k]
+	if e == nil && len(s.m) < s.Max {
+		if s.m == nil {
+			s.m = map[K]*sharedTable[V]{}
+		}
+		e = &sharedTable[V]{}
+		s.m[k] = e
+	}
+	s.mu.Unlock()
+	if e == nil {
+		return build()
+	}
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -155,7 +156,7 @@ func refCum(n int, alpha float64) []float64 {
 // straddle the block boundaries and reach OLTP-St's 500,000 objects.
 func TestZipfAlphaOneExact(t *testing.T) {
 	for _, alpha := range []float64{1, 0.75, 0} {
-		for _, n := range []int{1, zipfBlock - 1, zipfBlock, zipfBlock + 1, 2*zipfBlock - 1, 2 * zipfBlock, 2*zipfBlock + 1, 131072, 500000} {
+		for _, n := range zipfSizes {
 			z, ref := NewZipf(n, alpha), refCum(n, alpha)
 			if z.N() != n {
 				t.Fatalf("alpha %g: N() = %d, want %d", alpha, z.N(), n)
@@ -180,19 +181,84 @@ func TestZipfAlphaOneExact(t *testing.T) {
 	}
 }
 
+// zipfSizes are the table sizes the exactness tests cover: both sides
+// of the first block boundaries, the Synthetic traces' 131,072 pages
+// and OLTP-St's 500,000 objects.
+var zipfSizes = []int{1, zipfBlock - 1, zipfBlock, zipfBlock + 1, 2*zipfBlock - 1, 2 * zipfBlock, 2*zipfBlock + 1, 40000, 131072, 500000}
+
+// unguidedRank is the search the guide narrows, run over the whole
+// table.
+func unguidedRank(z *Zipf, u float64) int { return z.replay(z.search(0, z.last(), u), u) }
+
+// TestZipfGuideMatchesSearch holds the guided search to the unguided
+// one, for every table TestZipfAlphaOneExact covers, at every bucket
+// edge k/zipfGuide and at both of its float64 neighbours, where an
+// off-by-one guide entry or bucket would first show.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	for _, alpha := range []float64{1, 0.75, 0} {
+		for _, n := range zipfSizes {
+			z := NewZipf(n, alpha)
+			if len(z.guide) != zipfGuide+1 {
+				t.Fatalf("alpha %g, n %d: guide of %d entries", alpha, n, len(z.guide))
+			}
+			for k := 0; k <= zipfGuide; k++ {
+				edge := float64(k) / zipfGuide
+				for _, u := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
+					if u < 0 || u >= 1 {
+						continue // Float64 draws from [0, 1)
+					}
+					if got, want := z.rank(u), unguidedRank(z, u); got != want {
+						t.Fatalf("alpha %g, n %d, u %v (bucket edge %d): rank %d, unguided %d", alpha, n, u, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPermMatchesIntnLoop holds Perm to the Fisher-Yates loop it
+// inlines, drawing through Intn: the same permutation, and the
+// generator left in the same state.
+func TestPermMatchesIntnLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 100, 40000} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			r, ref := NewRNG(seed), NewRNG(seed)
+			got := r.Perm(n)
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			for i := n - 1; i > 0; i-- {
+				j := ref.Intn(i + 1)
+				want[i], want[j] = want[j], want[i]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("n %d, seed %d: Perm differs from the Intn loop", n, seed)
+			}
+			if r.Uint64() != ref.Uint64() {
+				t.Fatalf("n %d, seed %d: Perm left the generator in another state", n, seed)
+			}
+		}
+	}
+}
+
 // TestSharedZipf checks the process-level table cache from many
 // goroutines at once (run it with -race): one (n, alpha) is built once
-// and every caller gets the same table; past maxSharedZipfs keys, each
+// and every caller gets the same table; past zipfTables.Max keys, each
 // call builds its own.
 func TestSharedZipf(t *testing.T) {
-	sharedZipfsMu.Lock()
-	clear(sharedZipfs)
-	sharedZipfsMu.Unlock()
-	t.Cleanup(func() {
-		sharedZipfsMu.Lock()
-		clear(sharedZipfs)
-		sharedZipfsMu.Unlock()
-	})
+	kept := func() int {
+		zipfTables.mu.Lock()
+		defer zipfTables.mu.Unlock()
+		return len(zipfTables.m)
+	}
+	clearTables := func() {
+		zipfTables.mu.Lock()
+		clear(zipfTables.m)
+		zipfTables.mu.Unlock()
+	}
+	clearTables()
+	t.Cleanup(clearTables)
 
 	const goroutines = 8
 	got := make([][2]*Zipf, goroutines)
@@ -217,17 +283,11 @@ func TestSharedZipf(t *testing.T) {
 		t.Fatal("alpha -0 and 0 keep two tables")
 	}
 
-	for n := 1; ; n++ {
-		sharedZipfsMu.Lock()
-		full := len(sharedZipfs) >= maxSharedZipfs
-		sharedZipfsMu.Unlock()
-		if full {
-			break
-		}
+	for n := 1; kept() < zipfTables.Max; n++ {
 		NewZipf(n, 1)
 	}
 	if NewZipf(99, 1) == NewZipf(99, 1) {
-		t.Errorf("past %d keys, a new key was shared", maxSharedZipfs)
+		t.Errorf("past %d keys, a new key was shared", zipfTables.Max)
 	}
 	if NewZipf(131072, 1) != got[0][0] {
 		t.Error("a full cache lost a table it held")
@@ -395,6 +455,37 @@ func TestGenerateStValidation(t *testing.T) {
 	}
 }
 
+// TestStConfigRejectsBadSizes checks that Synthetic-St and
+// Synthetic-Db reject a bad size mixture with an error naming Sizes.
+func TestStConfigRejectsBadSizes(t *testing.T) {
+	small := DefaultSt()
+	small.Pages = 4
+	for name, tc := range map[string]struct {
+		c     StConfig
+		sizes []SizeClass
+	}{
+		"empty":                {DefaultSt(), []SizeClass{}},
+		"zero pages":           {DefaultSt(), []SizeClass{{0, 1}}},
+		"negative pages":       {DefaultSt(), []SizeClass{{1, 1}, {-2, 1}}},
+		"pages past uint16":    {DefaultSt(), []SizeClass{{1 << 16, 1}}},
+		"pages past Pages":     {small, []SizeClass{{5, 1}}},
+		"NaN weight":           {DefaultSt(), []SizeClass{{1, 1}, {2, math.NaN()}}},
+		"zero weight":          {DefaultSt(), []SizeClass{{1, 0}}},
+		"negative weight":      {DefaultSt(), []SizeClass{{1, -1}}},
+		"infinite weight":      {DefaultSt(), []SizeClass{{1, math.Inf(1)}}},
+		"weights past float64": {DefaultSt(), []SizeClass{{1, math.MaxFloat64}, {2, math.MaxFloat64}}},
+	} {
+		c := tc.c
+		c.Sizes = tc.sizes
+		if _, err := GenerateSt(c); err == nil || !strings.Contains(err.Error(), "Sizes") {
+			t.Errorf("Synthetic-St, %s: error %v, want one naming Sizes", name, err)
+		}
+		if err := GenerateDbTo(DbOf(c), func(trace.Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "Sizes") {
+			t.Errorf("Synthetic-Db, %s: error %v, want one naming Sizes", name, err)
+		}
+	}
+}
+
 // badAlphas are the Zipf skews every generator config rejects.
 var badAlphas = []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)}
 
@@ -510,22 +601,32 @@ func TestDbOf(t *testing.T) {
 
 // BenchmarkZipfSample draws ranks from the tables NewZipf keeps for the
 // Synthetic traces (131,072 pages) and OLTP-St (500,000 objects), both
-// alpha = 1, and from the full cumulative table of the same size: the
-// compact form must sample no slower per draw.
+// alpha = 1, and for OLTP-Db (40,000 objects, alpha = 0.75), guided as
+// kept and with the search run over the whole table; at alpha = 1 also
+// from the full cumulative table of the same size, which the compact
+// form must sample no slower than.
 func BenchmarkZipfSample(b *testing.B) {
-	for _, n := range []int{131072, 500000} {
-		for _, tc := range []struct {
+	for _, tc := range []struct {
+		n     int
+		alpha float64
+	}{{131072, 1}, {500000, 1}, {40000, 0.75}} {
+		kept := NewZipf(tc.n, tc.alpha)
+		for _, v := range []struct {
 			name string
-			z    *Zipf
+			rank func(float64) int
 		}{
-			{"compact", NewZipf(n, 1)},
-			{"full", &Zipf{n: n, cum: refCum(n, 1)}},
+			{"kept", kept.rank},
+			{"unguided", func(u float64) int { return unguidedRank(kept, u) }},
+			{"full", (&Zipf{n: tc.n, cum: refCum(tc.n, tc.alpha)}).guided().rank},
 		} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
+			if v.name == "full" && tc.alpha != 1 {
+				continue // the kept table is the full one
+			}
+			b.Run(fmt.Sprintf("n=%d/alpha=%g/%s", tc.n, tc.alpha, v.name), func(b *testing.B) {
 				r := NewRNG(1)
 				sum := 0
 				for i := 0; i < b.N; i++ {
-					sum += tc.z.Sample(r)
+					sum += v.rank(r.Float64())
 				}
 				sinkRank = sum
 			})
