@@ -194,7 +194,7 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 	}
 	var dynamic, nap, powerdown float64
 	for i := 0; i < b.N; i++ {
-		dynamic = vs(policy.ChainFor(energy.RDRAM1600().Model()))
+		dynamic = vs(policy.ChainFor(energy.RDRAM()))
 		nap = vs(&policy.Static{Mode: 2})
 		powerdown = vs(&policy.Static{Mode: 3})
 	}

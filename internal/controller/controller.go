@@ -142,18 +142,6 @@ func (c *Config) Validate() error {
 	if c.Policy == nil {
 		return fmt.Errorf("controller: nil policy")
 	}
-	// Policies that can check themselves are validated with the rest
-	// of the config. Model-aware policies (Chain, Static) are deferred
-	// to New, which checks them against the resolved technology model
-	// instead (a park mode legal for a 5-state DDR4 machine is illegal
-	// for a 3-state LPDDR4 one).
-	if _, modelAware := c.Policy.(policy.ModelValidator); !modelAware {
-		if v, ok := c.Policy.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return err
-			}
-		}
-	}
 	if c.TA != nil {
 		if err := c.TA.Validate(); err != nil {
 			return err
@@ -356,13 +344,11 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	// Policies that know their state-machine requirements are checked
-	// against the resolved model (in preference to the model-blind
-	// Validate already run by cfg.Validate).
-	if v, ok := cfg.Policy.(policy.ModelValidator); ok {
-		if err := v.ValidateForModel(model); err != nil {
-			return nil, err
-		}
+	// The policy is checked against the resolved model: a park mode
+	// legal for a 5-state DDR4 machine is illegal for a 3-state LPDDR4
+	// one.
+	if err := cfg.Policy.Validate(model); err != nil {
+		return nil, err
 	}
 	if int(cfg.InitialState) >= model.NumStates() {
 		return nil, fmt.Errorf("controller: initial state %d beyond the %d states of model %s",
@@ -413,7 +399,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 			continue
 		}
 		cs := &chipState{
-			chip:    memsys.NewChipWithModel(i, cfg.InitialState, eng.Now(), model),
+			chip:    memsys.NewChip(i, cfg.InitialState, eng.Now(), model),
 			channel: c.channelOf[i],
 		}
 		cs.policyFn = func(e *sim.Engine) { c.onPolicyTimer(cs, e) }

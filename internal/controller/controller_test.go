@@ -17,7 +17,7 @@ func baseConfig() Config {
 	return Config{
 		Geometry:     memsys.Default(),
 		Buses:        bus.DefaultConfig(),
-		Policy:       policy.ChainFor(energy.RDRAM1600().Model()),
+		Policy:       policy.ChainFor(energy.RDRAM()),
 		InitialState: energy.Powerdown,
 	}
 }
@@ -374,7 +374,7 @@ func TestEnergyAccountingClosed(t *testing.T) {
 	eng.Run()
 	end := c.Finish(sim.Time(1 * sim.Millisecond))
 	r := c.Report("floor", end)
-	want := 32 * energy.PowerdownPower * 1e-3
+	want := 32 * energy.RDRAM().Power(energy.Powerdown) * 1e-3
 	if math.Abs(r.TotalEnergy()-want)/want > 1e-9 {
 		t.Fatalf("energy = %g, want %g", r.TotalEnergy(), want)
 	}

@@ -94,16 +94,8 @@ func (c *Controller) onWakeComplete(cs *chipState, e *sim.Engine) {
 	cs.waiting = cs.waiting[:0]
 	// An active chip has no reason to keep delaying gated transfers;
 	// their streams start now.
-	if n := len(cs.gated); n > 0 {
-		c.RelDrain += int64(n)
-		gated := cs.gated
-		cs.gated = cs.gated[:0]
-		c.nGated -= n
-		for _, x := range gated {
-			x.gatherDelay += now.Sub(x.gatedAt)
-			c.issueSegment(x, now)
-		}
-	}
+	c.RelDrain += int64(len(cs.gated))
+	c.release(cs, now)
 	if len(cs.flows) == 0 {
 		// The idleness clock starts once queued processor work drains.
 		c.armPolicyTimer(cs, now.Add(procTail))

@@ -102,7 +102,7 @@ func MergeReports(scheme string, end sim.Time, ctls ...*Controller) *metrics.Rep
 			}
 			if !dup {
 				seenLayouts = append(seenLayouts, c)
-				r.Energy[energy.CatMigration] += c.cfg.Layout.MigrationEnergyJ
+				r.Energy[energy.CatMigration] += c.migrationJ(c.cfg.Layout.MigratedPages)
 				r.Migrations += c.cfg.Layout.MigratedPages
 			}
 		}
@@ -119,6 +119,22 @@ func MergeReports(scheme string, end sim.Time, ctls ...*Controller) *metrics.Rep
 	}
 	r.MeanGatherDelay = gatherDelays.Mean()
 	return r
+}
+
+// migrationJ is the energy of n PL page moves under the run's model:
+// each move reads a page from its source chip and writes it to the
+// destination, both at full rate in the operating state. The per-move
+// terms are added one at a time rather than multiplied by n, so the
+// float sum, and with it every golden report, is what charging each
+// move as it happens gives.
+func (c *Controller) migrationJ(n int64) float64 {
+	g := c.cfg.Geometry
+	perMoveJ := 2 * c.model.Power(energy.Active) * g.ServiceTime(int64(g.PageBytes)).Seconds()
+	var j float64
+	for i := int64(0); i < n; i++ {
+		j += perMoveJ
+	}
+	return j
 }
 
 // ChipModels exposes the per-chip state machines for statistics

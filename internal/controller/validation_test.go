@@ -64,7 +64,7 @@ func TestFluidMatchesExactServiceTime(t *testing.T) {
 	// A lone 4-page transfer: exact duration = 4096 requests x 7.5 ns
 	// (bus-limited), plus the powerdown wake.
 	c, _ := runAligned(t, 1, 4)
-	wake := energy.PowerdownToActive.Time
+	wake := energy.RDRAM().UpFrom(energy.Powerdown).Time
 	exact := sim.Duration(4*1024) * 7500 * sim.Picosecond
 	got := c.xferTimes.Mean()
 	want := sim.Duration(wake) + exact
@@ -79,7 +79,7 @@ func TestFluidMatchesExactServingEnergy(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		_, chip := runAligned(t, k, 2)
 		bytes := float64(k) * 2 * 8192
-		wantJ := bytes / 3.2e9 * energy.ActivePower
+		wantJ := bytes / 3.2e9 * energy.RDRAM().Power(energy.Active)
 		gotJ := chip.Meter.Breakdown()[energy.CatServing]
 		if math.Abs(gotJ-wantJ)/wantJ > 1e-6 {
 			t.Errorf("k=%d: serving %.4g J vs exact %.4g J", k, gotJ, wantJ)
@@ -205,8 +205,8 @@ func TestQuickEnergyEnvelope(t *testing.T) {
 		end := c.Finish(eng.Now())
 		r := c.Report("x", end)
 		window := sim.Duration(end).Seconds()
-		floor := 32 * energy.PowerdownPower * window
-		ceiling := 32 * (energy.ActivePower + 0.01) * window
+		floor := 32 * energy.RDRAM().Power(energy.Powerdown) * window
+		ceiling := 32 * (energy.RDRAM().Power(energy.Active) + 0.01) * window
 		total := r.TotalEnergy()
 		return total >= floor*0.999 && total <= ceiling
 	}

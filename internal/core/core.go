@@ -165,9 +165,8 @@ type Result struct {
 	// Mu actually used by DMA-TA.
 	Mu float64
 	// LayoutStats when PL ran.
-	MigratedPages    int64
-	MigrationEnergyJ float64
-	Rebalances       int64
+	MigratedPages int64
+	Rebalances    int64
 	// Records is the number of trace records the run replayed.
 	Records int64
 }
@@ -372,7 +371,6 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 	res.Report = finish(sim.Time(window))
 	if lm != nil {
 		res.MigratedPages = lm.MigratedPages
-		res.MigrationEnergyJ = lm.MigrationEnergyJ
 		res.Rebalances = lm.Rebalances
 	}
 	return res, nil

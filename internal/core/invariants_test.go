@@ -81,7 +81,7 @@ func TestQuickSchemesNeverPanic(t *testing.T) {
 			r := res.Report
 			// Energy within the physical envelope.
 			window := r.SimulatedTime.Seconds()
-			floor := 32 * energy.PowerdownPower * window
+			floor := 32 * energy.RDRAM().Power(energy.Powerdown) * window
 			ceiling := 32 * 0.35 * window // active + micro-nap overhead headroom
 			total := r.TotalEnergy()
 			if total < floor*0.99 || total > ceiling || math.IsNaN(total) {
@@ -90,7 +90,7 @@ func TestQuickSchemesNeverPanic(t *testing.T) {
 			}
 			// Serving energy matches the bytes moved (sub-byte flow
 			// completion residues allow a tiny relative slack).
-			wantServing := float64(st.DMAPages) * 8192 / 3.2e9 * energy.ActivePower
+			wantServing := float64(st.DMAPages) * 8192 / 3.2e9 * energy.RDRAM().Power(energy.Active)
 			if math.Abs(r.Energy[energy.CatServing]-wantServing)/wantServing > 1e-4 {
 				t.Logf("seed %d: serving %g want %g", seed, r.Energy[energy.CatServing], wantServing)
 				return false
@@ -124,7 +124,7 @@ func TestQuickProcEnergyConserved(t *testing.T) {
 		if st.ProcAccesses == 0 || st.DMATransfers == 0 {
 			return true
 		}
-		want := float64(st.ProcAccesses) * 20e-9 * energy.ActivePower
+		want := float64(st.ProcAccesses) * 20e-9 * energy.RDRAM().Power(energy.Active)
 		for _, cfg := range []Config{{}, {TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}} {
 			res, err := Run(cfg, tr)
 			if err != nil {

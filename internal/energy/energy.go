@@ -1,11 +1,11 @@
-// Package energy models the power states of an RDRAM memory device and
+// Package energy describes the power states of a memory technology and
 // accounts energy per consumption category.
 //
-// The power model follows Table 1 of the paper (identical to the
-// numbers used by Lebeck et al., obtained from the RDRAM
-// specification): four operating states — active, standby, nap,
-// powerdown — plus the power drawn and the time taken while
-// transitioning between them.
+// A Model is the one description of a technology: its states and
+// their resident power, the power drawn and time taken by each
+// transition, and its default demotion thresholds. The registry ships
+// calibrated models; its default is the paper's Table 1 RDRAM part
+// (RDRAM), identical to the numbers used by Lebeck et al.
 package energy
 
 import (
@@ -14,7 +14,9 @@ import (
 	"dmamem/internal/sim"
 )
 
-// State is an RDRAM power state.
+// State indexes a Model's states: 0 is the operating state, deeper
+// indices are lower-power states. Standby, Nap and Powerdown name the
+// indices of the four-state chain the RDRAM and DDR400 models share.
 type State uint8
 
 const (
@@ -34,93 +36,11 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Watts of power drawn while resident in each state (Table 1).
-const (
-	ActivePower    = 0.300 // 300 mW
-	StandbyPower   = 0.180 // 180 mW
-	NapPower       = 0.030 // 30 mW
-	PowerdownPower = 0.003 // 3 mW
-)
-
-// StatePower returns the resident power of a state in watts.
-func StatePower(s State) float64 {
-	switch s {
-	case Active:
-		return ActivePower
-	case Standby:
-		return StandbyPower
-	case Nap:
-		return NapPower
-	case Powerdown:
-		return PowerdownPower
-	}
-	panic("energy: unknown state " + s.String())
-}
-
-// Transition describes one row of Table 1's transition section: the
-// power drawn while transitioning and the time the transition takes.
+// Transition describes one row of a transition table: the power drawn
+// while transitioning and the time the transition takes.
 type Transition struct {
 	Power float64      // watts while transitioning
 	Time  sim.Duration // transition latency
-}
-
-// MemoryCycle is one cycle of the 1600 MHz RDRAM part: 625 ps.
-const MemoryCycle = 625 * sim.Picosecond
-
-// Downward transitions from Active (Table 1). Times are in memory
-// cycles.
-var (
-	ActiveToStandby   = Transition{Power: 0.240, Time: 1 * MemoryCycle}
-	ActiveToNap       = Transition{Power: 0.160, Time: 8 * MemoryCycle}
-	ActiveToPowerdown = Transition{Power: 0.015, Time: 8 * MemoryCycle}
-)
-
-// Upward transitions back to Active (Table 1). Times are the "+ns"
-// resynchronization delays.
-var (
-	StandbyToActive   = Transition{Power: 0.240, Time: 6 * sim.Nanosecond}
-	NapToActive       = Transition{Power: 0.160, Time: 60 * sim.Nanosecond}
-	PowerdownToActive = Transition{Power: 0.015, Time: 6000 * sim.Nanosecond}
-)
-
-// DownTransition returns the transition used to enter low-power state s
-// from Active. Direct hops between low-power states are modelled, as in
-// the original policy work, as entering the lower state from the
-// current one with the Active->s cost (the dominant term is the
-// resynchronization on the way back up, which Table 1 captures).
-func DownTransition(s State) Transition {
-	switch s {
-	case Standby:
-		return ActiveToStandby
-	case Nap:
-		return ActiveToNap
-	case Powerdown:
-		return ActiveToPowerdown
-	}
-	panic("energy: no down transition to " + s.String())
-}
-
-// UpTransition returns the transition from low-power state s back to
-// Active.
-func UpTransition(s State) Transition {
-	switch s {
-	case Standby:
-		return StandbyToActive
-	case Nap:
-		return NapToActive
-	case Powerdown:
-		return PowerdownToActive
-	}
-	panic("energy: no up transition from " + s.String())
-}
-
-// WakeLatency is the delay before a chip in state s can service a
-// request.
-func WakeLatency(s State) sim.Duration {
-	if s == Active {
-		return 0
-	}
-	return UpTransition(s).Time
 }
 
 // Category classifies where a joule went. The categories are exactly
@@ -234,29 +154,3 @@ func (m *Meter) Total() float64 { return m.b.Total() }
 
 // Reset clears the meter.
 func (m *Meter) Reset() { m.b = Breakdown{} }
-
-// BreakEven returns the minimum idle period for which sending a device
-// from Active into low-power state s saves energy, accounting for the
-// down transition, residence, and the wake transition. Idle periods
-// shorter than this are cheaper spent idling in Active. This is the
-// quantity classic dynamic policies use to pick thresholds.
-func BreakEven(s State) sim.Duration {
-	if s == Active {
-		return 0
-	}
-	down, up := DownTransition(s), UpTransition(s)
-	// Solve ActivePower*t = down.E + Pow(s)*(t - down.T - up.T) + up.E
-	// for the idle gap t (the device must be back in Active by the end
-	// of the gap).
-	overheadJ := down.Power*down.Time.Seconds() + up.Power*up.Time.Seconds()
-	residPower := StatePower(s)
-	num := overheadJ - residPower*(down.Time.Seconds()+up.Time.Seconds())
-	den := ActivePower - residPower
-	t := num / den
-	transit := down.Time + up.Time
-	be := sim.FromSeconds(t)
-	if be < transit {
-		be = transit
-	}
-	return be
-}

@@ -8,49 +8,46 @@ import (
 	"dmamem/internal/sim"
 )
 
-// TestTable1Constants pins the model to the exact numbers of the
-// paper's Table 1.
+// TestTable1Constants holds RDRAM to the paper's Table 1, written out
+// here as literals: every resident power, every transition's power and
+// time, the 1600 MHz clock and the 3.2 GB/s chip rate.
 func TestTable1Constants(t *testing.T) {
-	cases := []struct {
-		name string
-		got  float64
-		want float64
+	m := RDRAM()
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const cycle = 625 * sim.Picosecond
+	if m.CycleTime != cycle || m.Bandwidth != 3.2e9 {
+		t.Errorf("cycle %v bandwidth %g, want 625ps and 3.2e9", m.CycleTime, m.Bandwidth)
+	}
+	states := []struct {
+		name  string
+		power float64
+		down  Transition // entering the state from active
+		up    Transition // waking from the state to active
 	}{
-		{"active power", StatePower(Active), 0.300},
-		{"standby power", StatePower(Standby), 0.180},
-		{"nap power", StatePower(Nap), 0.030},
-		{"powerdown power", StatePower(Powerdown), 0.003},
-		{"active->standby power", ActiveToStandby.Power, 0.240},
-		{"active->nap power", ActiveToNap.Power, 0.160},
-		{"active->powerdown power", ActiveToPowerdown.Power, 0.015},
-		{"standby->active power", StandbyToActive.Power, 0.240},
-		{"nap->active power", NapToActive.Power, 0.160},
-		{"powerdown->active power", PowerdownToActive.Power, 0.015},
+		{"active", 0.300, Transition{}, Transition{}},
+		{"standby", 0.180, Transition{0.240, 1 * cycle}, Transition{0.240, 6 * sim.Nanosecond}},
+		{"nap", 0.030, Transition{0.160, 8 * cycle}, Transition{0.160, 60 * sim.Nanosecond}},
+		{"powerdown", 0.003, Transition{0.015, 8 * cycle}, Transition{0.015, 6000 * sim.Nanosecond}},
 	}
-	for _, c := range cases {
-		if c.got != c.want {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+	if m.NumStates() != len(states) {
+		t.Fatalf("%d states, want %d", m.NumStates(), len(states))
+	}
+	for i, want := range states {
+		s := State(i)
+		if m.StateName(s) != want.name || m.Power(s) != want.power {
+			t.Errorf("state %d = %s %v W, want %s %v W", i, m.StateName(s), m.Power(s), want.name, want.power)
 		}
-	}
-	timeCases := []struct {
-		name string
-		got  sim.Duration
-		want sim.Duration
-	}{
-		{"active->standby time", ActiveToStandby.Time, 1 * MemoryCycle},
-		{"active->nap time", ActiveToNap.Time, 8 * MemoryCycle},
-		{"active->powerdown time", ActiveToPowerdown.Time, 8 * MemoryCycle},
-		{"standby->active time", StandbyToActive.Time, 6 * sim.Nanosecond},
-		{"nap->active time", NapToActive.Time, 60 * sim.Nanosecond},
-		{"powerdown->active time", PowerdownToActive.Time, 6000 * sim.Nanosecond},
-	}
-	for _, c := range timeCases {
-		if c.got != c.want {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		if s == Active {
+			continue
 		}
-	}
-	if MemoryCycle != 625*sim.Picosecond {
-		t.Errorf("MemoryCycle = %v, want 625ps (1600 MHz)", MemoryCycle)
+		if got := m.DownTo(s); got != want.down {
+			t.Errorf("active->%s = %+v, want %+v", want.name, got, want.down)
+		}
+		if got := m.UpFrom(s); got != want.up {
+			t.Errorf("%s->active = %+v, want %+v", want.name, got, want.up)
+		}
 	}
 }
 
@@ -67,36 +64,50 @@ func TestStateString(t *testing.T) {
 }
 
 func TestPowerOrdering(t *testing.T) {
+	m := RDRAM()
 	// Deeper states must draw strictly less power.
-	if !(StatePower(Active) > StatePower(Standby) &&
-		StatePower(Standby) > StatePower(Nap) &&
-		StatePower(Nap) > StatePower(Powerdown)) {
+	if !(m.Power(Active) > m.Power(Standby) &&
+		m.Power(Standby) > m.Power(Nap) &&
+		m.Power(Nap) > m.Power(Powerdown)) {
 		t.Fatal("power ordering violated")
 	}
 	// Deeper states must take strictly longer to wake.
-	if !(WakeLatency(Standby) < WakeLatency(Nap) &&
-		WakeLatency(Nap) < WakeLatency(Powerdown)) {
+	if !(m.WakeLatencyOf(Standby) < m.WakeLatencyOf(Nap) &&
+		m.WakeLatencyOf(Nap) < m.WakeLatencyOf(Powerdown)) {
 		t.Fatal("wake latency ordering violated")
 	}
-	if WakeLatency(Active) != 0 {
+	if m.WakeLatencyOf(Active) != 0 {
 		t.Fatal("active should have zero wake latency")
 	}
 }
 
+// TestTransitionPanics checks, on every registered model, that the
+// transition accessors refuse the operating state and any index past
+// the deepest state instead of reading a zero transition.
 func TestTransitionPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { DownTransition(Active) },
-		func() { UpTransition(Active) },
-		func() { StatePower(State(42)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
+	for _, name := range Techs() {
+		m, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		beyond := m.Deepest() + 1
+		for _, f := range []func(){
+			func() { m.DownTo(Active) },
+			func() { m.UpFrom(Active) },
+			func() { m.DownTo(beyond) },
+			func() { m.UpFrom(beyond) },
+			func() { m.TransitionFor(beyond, Active) },
+			func() { m.Power(beyond) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: expected panic", name)
+					}
+				}()
+				f()
 			}()
-			f()
-		}()
+		}
 	}
 }
 
@@ -163,14 +174,15 @@ func TestBreakdownAddAndFraction(t *testing.T) {
 func TestBreakEvenSanity(t *testing.T) {
 	// Break-even times must grow with state depth and always cover the
 	// round-trip transition latency.
-	beS, beN, beP := BreakEven(Standby), BreakEven(Nap), BreakEven(Powerdown)
+	m := RDRAM()
+	beS, beN, beP := m.BreakEvenOf(Standby), m.BreakEvenOf(Nap), m.BreakEvenOf(Powerdown)
 	if !(beS < beN && beN < beP) {
 		t.Fatalf("break-even ordering: standby=%v nap=%v powerdown=%v", beS, beN, beP)
 	}
-	if beS < ActiveToStandby.Time+StandbyToActive.Time {
+	if beS < m.DownTo(Standby).Time+m.UpFrom(Standby).Time {
 		t.Fatalf("standby break-even %v below transit time", beS)
 	}
-	if BreakEven(Active) != 0 {
+	if m.BreakEvenOf(Active) != 0 {
 		t.Fatal("active break-even should be 0")
 	}
 	// The paper notes the best active->low-power thresholds are around
@@ -181,20 +193,30 @@ func TestBreakEvenSanity(t *testing.T) {
 	}
 }
 
-// Property: sleeping for exactly the break-even gap never costs more
-// than idling in Active, and when the break-even exceeds the transit
-// round trip the two costs are equal (the true crossover); otherwise
-// the break-even is clamped to the transit time.
+// Property, over every registered model and low-power state: sleeping
+// for exactly the break-even gap never costs more than idling in the
+// operating state, and when the break-even exceeds the transit round
+// trip the two costs are equal (the true crossover); otherwise the
+// break-even is clamped to the transit time.
 func TestQuickBreakEvenIndifference(t *testing.T) {
-	f := func(pick uint8) bool {
-		s := State(1 + pick%3) // standby, nap, powerdown
-		be := BreakEven(s)
-		idleJ := ActivePower * be.Seconds()
-		down, up := DownTransition(s), UpTransition(s)
+	var models []*Model
+	for _, name := range Techs() {
+		m, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	f := func(pickModel, pickState uint8) bool {
+		m := models[int(pickModel)%len(models)]
+		s := State(1 + int(pickState)%(m.NumStates()-1))
+		be := m.BreakEvenOf(s)
+		idleJ := m.Power(Active) * be.Seconds()
+		down, up := m.DownTo(s), m.UpFrom(s)
 		transit := down.Time + up.Time
 		resid := be - transit
 		sleepJ := down.Power*down.Time.Seconds() +
-			StatePower(s)*resid.Seconds() +
+			m.Power(s)*resid.Seconds() +
 			up.Power*up.Time.Seconds()
 		if sleepJ > idleJ+1e-12 {
 			return false // sleeping at break-even must not lose energy

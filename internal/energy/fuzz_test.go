@@ -50,7 +50,7 @@ func FuzzModelValidate(f *testing.F) {
 			p *= decay
 		}
 		// down/up are indexed like States, entry 0 unused (ChainModel's
-		// contract, mirroring the legacy Spec arrays).
+		// contract).
 		down := make([]Transition, n)
 		up := make([]Transition, n)
 		thresholds := make([]sim.Duration, n-1)
@@ -59,7 +59,7 @@ func FuzzModelValidate(f *testing.F) {
 			up[i] = Transition{Power: activeP, Time: sim.Duration(upPs) * sim.Duration(i)}
 			thresholds[i-1] = sim.Duration(threshPs) * sim.Duration(i)
 		}
-		m := ChainModel("fuzz", MemoryCycle, 3.2e9, states, down, up, State(microNap), thresholds)
+		m := ChainModel("fuzz", 625*sim.Picosecond, 3.2e9, states, down, up, State(microNap), thresholds)
 		if m.Validate() != nil {
 			return
 		}

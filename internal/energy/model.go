@@ -22,15 +22,16 @@ type StateSpec struct {
 }
 
 // Model is a pluggable DRAM power-state machine: the backend interface
-// behind `Simulation.MemoryTech`. Unlike the fixed 4-state Spec it
-// supports technologies with any number of states — DDR4's five-deep
-// active-power-down / precharge-power-down / self-refresh /
-// maximum-power-saving chain as well as LPDDR4's three-state machine —
-// each with its own transition costs and default demotion thresholds.
+// behind `Simulation.MemoryTech`, and the only description of a memory
+// technology the simulator reads. It supports any number of states —
+// RDRAM's four, DDR4's five-deep active-power-down /
+// precharge-power-down / self-refresh / maximum-power-saving chain as
+// well as LPDDR4's three-state machine — each with its own transition
+// costs and default demotion thresholds.
 //
 // Calibrated instances ship through the registry (Register / Lookup /
 // Techs); the zero-configuration path resolves to the paper's RDRAM
-// Table 1 model and is bit-identical to the legacy Spec arithmetic.
+// Table 1 model (RDRAM).
 type Model struct {
 	// Name of the part this model was calibrated against
 	// ("rdram-1600", "ddr4-2400", ...).
@@ -68,7 +69,7 @@ func (m *Model) NumStates() int { return len(m.States) }
 func (m *Model) Deepest() State { return State(len(m.States) - 1) }
 
 // StateName returns the name of state s, or "State(n)" when out of
-// range (mirrors State.String for the legacy enum).
+// range.
 func (m *Model) StateName(s State) string {
 	if int(s) < len(m.States) {
 		return m.States[s].Name
@@ -101,7 +102,7 @@ func (m *Model) StateIndex(name string) (State, error) {
 // Power returns the resident power of state s in watts.
 func (m *Model) Power(s State) float64 {
 	if int(s) >= len(m.States) {
-		panic("energy: model " + m.Name + " has no state " + s.String())
+		panic(fmt.Sprintf("energy: model %s has no state %d", m.Name, s))
 	}
 	return m.States[s].Power
 }
@@ -109,16 +110,16 @@ func (m *Model) Power(s State) float64 {
 // TransitionFor returns the transition from state `from` to state `to`.
 func (m *Model) TransitionFor(from, to State) Transition {
 	if int(from) >= len(m.States) || int(to) >= len(m.States) {
-		panic(fmt.Sprintf("energy: model %s has no transition %v->%v", m.Name, from, to))
+		panic(fmt.Sprintf("energy: model %s has no transition %d->%d", m.Name, from, to))
 	}
 	return m.Trans[from][to]
 }
 
 // DownTo returns the transition entering low-power state s from the
-// operating state (the legacy Spec.DownTo row).
+// operating state.
 func (m *Model) DownTo(s State) Transition {
 	if s == Active || int(s) >= len(m.States) {
-		panic("energy: model " + m.Name + " has no down transition to " + s.String())
+		panic(fmt.Sprintf("energy: model %s has no down transition to state %d", m.Name, s))
 	}
 	return m.Trans[Active][s]
 }
@@ -127,7 +128,7 @@ func (m *Model) DownTo(s State) Transition {
 // operating state.
 func (m *Model) UpFrom(s State) Transition {
 	if s == Active || int(s) >= len(m.States) {
-		panic("energy: model " + m.Name + " has no up transition from " + s.String())
+		panic(fmt.Sprintf("energy: model %s has no up transition from state %d", m.Name, s))
 	}
 	return m.Trans[s][Active]
 }
@@ -141,8 +142,11 @@ func (m *Model) WakeLatencyOf(s State) sim.Duration {
 }
 
 // BreakEvenOf returns the minimum idle period for which entering state
-// s from the operating state saves energy under this model. The
-// arithmetic is identical to the legacy Spec.BreakEvenOf.
+// s from the operating state saves energy under this model, counting
+// the down transition, residence and the wake: the idle gap t at which
+// Power(Active)*t equals the sleep cost, clamped to at least the
+// transition round trip. Classic dynamic policies pick thresholds from
+// it.
 func (m *Model) BreakEvenOf(s State) sim.Duration {
 	if s == Active {
 		return 0
@@ -240,8 +244,8 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// ChainModel assembles a Model with the legacy chain semantics the
-// 4-state Spec used: demoting from any state into a deeper state j
+// ChainModel assembles a Model with the chain semantics of the
+// original policy work: demoting from any state into a deeper state j
 // costs the operating-state entry down[j] (the dominant term is the
 // resynchronization on the way back up), and waking from state i costs
 // up[i]. down and up are indexed like States, with entry 0 unused.

@@ -16,7 +16,7 @@ import "dmamem/internal/sim"
 //     (arXiv:1803.07613) calibrates against, with JEDEC exit
 //     latencies (tXP, tXPDLL, tXS, tXSR, tDLLK).
 func init() {
-	Register("rdram", newRDRAMModel)
+	Register("rdram", RDRAM)
 	RegisterAlias("rdram-1600", "rdram")
 	Register("ddr400", newDDR400Model)
 	// The public API's historical name for the DDR extension.
@@ -27,15 +27,68 @@ func init() {
 	RegisterAlias("lpddr4-3200", "lpddr4")
 }
 
-// newRDRAMModel is the paper's Table 1 machine, bit-identical to the
-// legacy Spec path: it is literally RDRAM1600() converted, so every
-// power, latency, and derived break-even is the same float64.
-func newRDRAMModel() *Model { return RDRAM1600().Model() }
+// RDRAM is the paper's Table 1 device, a 512 Mb 1600 MHz RDRAM part:
+// 3.2 GB/s, 625 ps cycle. Demotions take whole memory cycles; wakes
+// take Table 1's "+ns" resynchronization delays. Micro-naps sit in
+// nap, and the dynamic thresholds are 10 ns (16 memory cycles, on the
+// order of the 20-30 cycles the paper quotes as the best
+// active->low-power setting), 100 ns and 2 us.
+func RDRAM() *Model {
+	const cyc = 625 * sim.Picosecond // 1600 MHz
+	return ChainModel("rdram-1600", cyc, 3.2e9,
+		[]StateSpec{
+			{Name: "active", Power: 0.300},
+			{Name: "standby", Power: 0.180},
+			{Name: "nap", Power: 0.030},
+			{Name: "powerdown", Power: 0.003},
+		},
+		[]Transition{
+			Standby:   {Power: 0.240, Time: 1 * cyc},
+			Nap:       {Power: 0.160, Time: 8 * cyc},
+			Powerdown: {Power: 0.015, Time: 8 * cyc},
+		},
+		[]Transition{
+			Standby:   {Power: 0.240, Time: 6 * sim.Nanosecond},
+			Nap:       {Power: 0.160, Time: 60 * sim.Nanosecond},
+			Powerdown: {Power: 0.015, Time: 6000 * sim.Nanosecond},
+		},
+		Nap,
+		[]sim.Duration{16 * cyc, 100 * sim.Nanosecond, 2 * sim.Microsecond},
+	)
+}
 
-// newDDR400Model converts the existing DDR400 Spec, keeping the legacy
-// state names (standby/nap/powerdown) so `MemoryTech: "ddr"` configs
-// and `StaticMode` selections keep working unchanged.
-func newDDR400Model() *Model { return DDR400().Model() }
+// newDDR400Model is a DDR SDRAM part of the paper's era (2.1 GB/s
+// class, 5 ns clock): higher operating power, shallower low-power
+// states, and a much cheaper exit from its deepest state than RDRAM's
+// powerdown. Numbers follow typical 512 Mb DDR400 datasheet figures
+// (IDD currents at 2.6 V): active ~460 mW, active standby ~180 mW,
+// precharge powerdown ~45 mW, self refresh ~13 mW with a ~200-cycle
+// exit. It keeps RDRAM's state names and dynamic thresholds, so
+// `MemoryTech: "ddr"` configs and `StaticMode` selections read the
+// same on both.
+func newDDR400Model() *Model {
+	const cyc = 5 * sim.Nanosecond
+	return ChainModel("ddr-400", cyc, 2.1e9,
+		[]StateSpec{
+			{Name: "active", Power: 0.460},
+			{Name: "standby", Power: 0.180},
+			{Name: "nap", Power: 0.045},
+			{Name: "powerdown", Power: 0.013},
+		},
+		[]Transition{
+			Standby:   {Power: 0.300, Time: 1 * cyc},
+			Nap:       {Power: 0.110, Time: 2 * cyc},
+			Powerdown: {Power: 0.025, Time: 2 * cyc},
+		},
+		[]Transition{
+			Standby:   {Power: 0.300, Time: 2 * cyc},
+			Nap:       {Power: 0.110, Time: 6 * cyc},
+			Powerdown: {Power: 0.025, Time: 200 * cyc},
+		},
+		Nap,
+		[]sim.Duration{10 * sim.Nanosecond, 100 * sim.Nanosecond, 2 * sim.Microsecond},
+	)
+}
 
 // newDDR3Model is a DDR3-1600 rank (eight x8 2 Gb devices, VDD 1.5 V).
 // Resident powers follow the Micron 2 Gb DDR3 datasheet IDD table
@@ -70,7 +123,7 @@ func newDDR3Model() *Model {
 }
 
 // newDDR4Model is a DDR4-2400 rank (x8 8 Gb devices, VDD 1.2 V) with
-// five states — the case the fixed 4-state Spec could not express.
+// five states.
 // Powers follow the Micron 8 Gb DDR4 IDD table scaled to the rank:
 // active standby (IDD3N) ~576 mW, active power-down (IDD3P) ~264 mW,
 // precharge power-down (IDD2P) ~108 mW, self-refresh (IDD6N) ~48 mW,

@@ -27,7 +27,7 @@ func runFluid(t testing.TB, xs []Transfer) (map[int]sim.Time, *memsys.Chip, *con
 	cfg := controller.Config{
 		Geometry:     memsys.Default(),
 		Buses:        bus.DefaultConfig(),
-		Policy:       policy.ChainFor(energy.RDRAM1600().Model()),
+		Policy:       policy.ChainFor(energy.RDRAM()),
 		Mapper:       memsys.SequentialMapper{PagesPerChip: memsys.Default().PagesPerChip()},
 		InitialState: energy.Powerdown,
 	}
@@ -86,7 +86,7 @@ func TestCrossCheckAggregates(t *testing.T) {
 		cfg := controller.Config{
 			Geometry:     memsys.Default(),
 			Buses:        bus.DefaultConfig(),
-			Policy:       policy.ChainFor(energy.RDRAM1600().Model()),
+			Policy:       policy.ChainFor(energy.RDRAM()),
 			Mapper:       memsys.SequentialMapper{PagesPerChip: memsys.Default().PagesPerChip()},
 			InitialState: energy.Powerdown,
 		}

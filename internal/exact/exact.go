@@ -53,7 +53,7 @@ func DefaultConfig() Config {
 		Buses:      3,
 		BeatGap:    7500 * sim.Picosecond,
 		BurstBeats: 64,
-		Policy:     policy.ChainFor(energy.RDRAM1600().Model()),
+		Policy:     policy.ChainFor(energy.RDRAM()),
 	}
 }
 
@@ -130,8 +130,12 @@ func Run(cfg Config, transfers []Transfer) (*Result, error) {
 	if cfg.BurstBeats <= 0 {
 		cfg.BurstBeats = 1
 	}
+	model := energy.RDRAM()
 	if cfg.Policy == nil {
-		cfg.Policy = policy.ChainFor(energy.RDRAM1600().Model())
+		cfg.Policy = policy.ChainFor(model)
+	}
+	if err := cfg.Policy.Validate(model); err != nil {
+		return nil, err
 	}
 	mapper := cfg.Mapper
 	if mapper == nil {
@@ -144,7 +148,7 @@ func Run(cfg Config, transfers []Transfer) (*Result, error) {
 	chips := make([]*chip, cfg.Geometry.NumChips)
 	for i := range chips {
 		chips[i] = &chip{
-			c:          memsys.NewChip(i, energy.Powerdown, 0),
+			c:          memsys.NewChip(i, model.Deepest(), 0, model),
 			inProgress: make(map[*xfer]struct{}),
 		}
 	}

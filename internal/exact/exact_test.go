@@ -74,7 +74,7 @@ func TestGoldenServingEnergyExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJ := float64(3*8192) / 3.2e9 * energy.ActivePower
+	wantJ := float64(3*8192) / 3.2e9 * energy.RDRAM().Power(energy.Active)
 	if got := res.Energy[energy.CatServing]; math.Abs(got-wantJ)/wantJ > 1e-9 {
 		t.Fatalf("serving %g J, want %g J", got, wantJ)
 	}
@@ -137,7 +137,7 @@ func TestQuickGoldenConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wantServing := totalBytes / 3.2e9 * energy.ActivePower
+		wantServing := totalBytes / 3.2e9 * energy.RDRAM().Power(energy.Active)
 		if math.Abs(res.Energy[energy.CatServing]-wantServing)/wantServing > 1e-9 {
 			return false
 		}

@@ -180,30 +180,33 @@ func plConfig(groups int) *layout.Config {
 	return &cfg
 }
 
-// Table1 renders the power model constants (a transcription check of
-// the paper's Table 1; powers in watts, rendered as milliwatts).
+// Table1 renders the paper's RDRAM power model from energy.RDRAM (a
+// transcription check of the paper's Table 1; powers in watts,
+// rendered as milliwatts). Demotions are timed in memory cycles and
+// wakes in nanoseconds, as the paper writes them.
 func Table1() string {
+	m := energy.RDRAM()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: RDRAM power model\n")
 	fmt.Fprintf(&b, "%-22s %8s %14s\n", "state/transition", "power", "time")
-	rows := []struct {
-		name  string
-		power float64
-		t     string
-	}{
-		{"active", energy.ActivePower, "-"},
-		{"standby", energy.StandbyPower, "-"},
-		{"nap", energy.NapPower, "-"},
-		{"powerdown", energy.PowerdownPower, "-"},
-		{"active->standby", energy.ActiveToStandby.Power, "1 memory cycle"},
-		{"active->nap", energy.ActiveToNap.Power, "8 memory cycles"},
-		{"active->powerdown", energy.ActiveToPowerdown.Power, "8 memory cycles"},
-		{"standby->active", energy.StandbyToActive.Power, "+6 ns"},
-		{"nap->active", energy.NapToActive.Power, "+60 ns"},
-		{"powerdown->active", energy.PowerdownToActive.Power, "+6000 ns"},
+	row := func(name string, power float64, t string) {
+		fmt.Fprintf(&b, "%-22s %6.0fmW %14s\n", name, 1e3*power, t)
 	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %6.0fmW %14s\n", r.name, 1e3*r.power, r.t)
+	for s := energy.Active; int(s) < m.NumStates(); s++ {
+		row(m.StateName(s), m.Power(s), "-")
+	}
+	for s := energy.Active + 1; int(s) < m.NumStates(); s++ {
+		down := m.DownTo(s)
+		n, unit := down.Time/m.CycleTime, "memory cycles"
+		if n == 1 {
+			unit = "memory cycle"
+		}
+		row("active->"+m.StateName(s), down.Power, fmt.Sprintf("%d %s", n, unit))
+	}
+	for s := energy.Active + 1; int(s) < m.NumStates(); s++ {
+		up := m.UpFrom(s)
+		row(m.StateName(s)+"->active", up.Power,
+			fmt.Sprintf("+%d ns", up.Time/sim.Nanosecond))
 	}
 	return b.String()
 }

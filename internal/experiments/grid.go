@@ -385,7 +385,7 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 // fig10Grid enumerates the bandwidth-ratio sweep: one point per
 // (workload, bus bandwidth, channel count, technology, scheme), the
 // memory rate taken from the technology backend (3.2 GB/s for the
-// legacy RDRAM default). Without Channels and Techs it degenerates to
+// default RDRAM part). Without Channels and Techs it degenerates to
 // the classic (workload, bus bandwidth, scheme) enumeration, byte for
 // byte.
 func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
@@ -442,14 +442,11 @@ func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}
-			memBW := 3.2e9 // the legacy RDRAM chip rate
-			if sp.tech != "" {
-				m, err := energy.Lookup(sp.tech)
-				if err != nil {
-					return nil, metrics.SimWork{}, err
-				}
-				memBW = m.Bandwidth
+			m, err := energy.Lookup(sp.tech)
+			if err != nil {
+				return nil, metrics.SimWork{}, err
 			}
+			memBW := m.Bandwidth
 			bc := bus.Config{Count: 3, Bandwidth: sp.bw}
 			base := core.Config{Buses: bc, Tech: sp.tech}
 			tech := sweepSchemeConfig(sweepSchemes[sp.scheme])

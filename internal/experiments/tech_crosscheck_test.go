@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"dmamem/internal/energy"
+	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 )
 
@@ -14,8 +16,8 @@ import (
 // value (paper defaults) over the full golden corpus — every Table 2
 // workload and scheme — on both the serial engine and the 4-worker
 // epoch-barrier engine: the two reports must be reflect.DeepEqual.
-// energy's TestRegistryRDRAMIsSpecModel pins the registry model itself
-// to the paper's 4-state spec.
+// energy's TestTable1Constants pins the registry model itself to the
+// paper's Table 1.
 func TestRegistryRDRAMBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		s := goldenSuite()
@@ -50,6 +52,37 @@ func TestRegistryRDRAMBitIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestMigrationEnergyUsesModel charges PL page moves at the run's own
+// technology: on DDR4-2400 every move reads and writes one page at
+// DDR4's active power and chip rate, not RDRAM's.
+func TestMigrationEnergyUsesModel(t *testing.T) {
+	s := NewSuite(50*sim.Millisecond, 1)
+	tr, err := s.workload("OLTP-St")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := taConfig(0.10, plConfig(2))
+	cfg.Tech = "ddr4-2400"
+	res, err := s.run(ctx, cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MigratedPages == 0 {
+		t.Fatal("no pages migrated; the check below would be vacuous")
+	}
+	m, err := energy.Lookup(cfg.Tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := memsys.Default()
+	g.ChipBandwidth = m.Bandwidth
+	want := float64(res.MigratedPages) * 2 * m.Power(energy.Active) *
+		g.ServiceTime(int64(g.PageBytes)).Seconds()
+	if got := res.Report.Energy[energy.CatMigration]; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("%d moves charged %g J, want %g J", res.MigratedPages, got, want)
 	}
 }
 

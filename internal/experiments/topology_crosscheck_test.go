@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dmamem/internal/core"
+	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 )
@@ -115,7 +116,7 @@ func TestChannelEnergySumsToSystemEnergy(t *testing.T) {
 		if !anyNonzero {
 			t.Fatalf("%d channels: all channel breakdowns are zero", channels)
 		}
-		want := r.TotalEnergy() - res.MigrationEnergyJ
+		want := r.TotalEnergy() - r.Energy[energy.CatMigration]
 		if diff := sum - want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("%d channels: channel energies sum to %g, system energy minus migration is %g",
 				channels, sum, want)

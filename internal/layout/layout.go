@@ -10,9 +10,9 @@
 // subdivided into exponentially sized groups (G1 = 1 chip, G2 = 2,
 // G3 = 4, ...) per Section 4.2.1. Pages found in the wrong group are
 // migrated into slots freed by pages leaving that group, so the number
-// of moves is bounded by the number of misplaced pages, and each move
-// is charged its copy energy (read from the source chip plus write to
-// the destination at full rate).
+// of moves is bounded by the number of misplaced pages. The manager
+// only counts the moves (MigratedPages); the controller, which holds
+// the technology model, charges each its copy energy.
 //
 // A rebalance costs the live set and the pages it moves, not the page
 // population. It sorts only the pages with a nonzero aged count, as
@@ -27,7 +27,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 )
@@ -135,10 +134,9 @@ type Manager struct {
 	sortScratch []int32 // sortByCount's scatter buffer
 
 	// Costs and statistics.
-	Rebalances       int64
-	MigratedPages    int64
-	MigrationEnergyJ float64
-	SkippedBusy      int64
+	Rebalances    int64
+	MigratedPages int64
+	SkippedBusy   int64
 	// ScannedChips counts chips whose live lists were visited across
 	// all rebalances; Rebalances*NumChips minus it is how many chip
 	// scans the dirty-set accounting skipped.
@@ -235,7 +233,6 @@ func (m *Manager) Interval() sim.Duration { return m.cfg.Interval }
 // already in popularity steady state.
 func (m *Manager) ResetCosts() {
 	m.MigratedPages = 0
-	m.MigrationEnergyJ = 0
 	m.Rebalances = 0
 	m.SkippedBusy = 0
 	m.ScannedChips = 0
@@ -671,8 +668,6 @@ func (m *Manager) executeMoves(liveOrder []int32, busy func(memsys.PageID) bool,
 
 	// Execute: pair each live enterer of g with a slot freed by a live
 	// leaver of g, keeping the hot-resident index current.
-	copyTime := m.geo.ServiceTime(int64(m.geo.PageBytes))
-	perMoveJ := 2 * energy.ActivePower * copyTime.Seconds()
 	moves := 0
 	for g := 0; g < k; g++ {
 		slots := freed[g]
@@ -692,7 +687,6 @@ func (m *Manager) executeMoves(liveOrder []int32, busy func(memsys.PageID) bool,
 			}
 			si++
 			moves++
-			m.MigrationEnergyJ += perMoveJ
 		}
 	}
 	m.MigratedPages += int64(moves)

@@ -128,8 +128,8 @@ func TestRebalanceConcentratesHotPages(t *testing.T) {
 	if hot < 11 {
 		t.Fatalf("only %d of 16 hot pages on the hot chip", hot)
 	}
-	if m.MigratedPages == 0 || m.MigrationEnergyJ <= 0 {
-		t.Fatal("migration costs not recorded")
+	if m.MigratedPages == 0 {
+		t.Fatal("migrations not counted")
 	}
 }
 
@@ -310,7 +310,7 @@ func TestResetCosts(t *testing.T) {
 		t.Fatal("expected migrations")
 	}
 	m.ResetCosts()
-	if m.MigratedPages != 0 || m.MigrationEnergyJ != 0 || m.Rebalances != 0 {
+	if m.MigratedPages != 0 || m.Rebalances != 0 {
 		t.Fatal("costs not reset")
 	}
 }

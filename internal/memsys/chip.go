@@ -41,8 +41,8 @@ func (p Phase) String() string {
 // energy category.
 //
 // The state machine is whatever the technology's energy.Model says it
-// is — the paper's 4-state RDRAM chain by default, but equally DDR4's
-// five states or LPDDR4's three.
+// is: the paper's 4-state RDRAM chain, DDR4's five states or
+// LPDDR4's three.
 //
 // While the chip is resident in Active, the controller owns the
 // accounting (it knows the utilization of each piecewise-constant
@@ -89,27 +89,10 @@ type Chip struct {
 	pendMicroNap  sim.Duration
 }
 
-// NewChip returns a chip resident in the given state at time now,
-// using the default RDRAM power model.
-func NewChip(id int, start energy.State, now sim.Time) *Chip {
-	return NewChipWithSpec(id, start, now, energy.RDRAM1600())
-}
-
-// NewChipWithSpec returns a chip using a legacy 4-state technology
-// spec, converted to its Model form.
-func NewChipWithSpec(id int, start energy.State, now sim.Time, spec *energy.Spec) *Chip {
-	if spec == nil {
-		spec = energy.RDRAM1600()
-	}
-	return NewChipWithModel(id, start, now, spec.Model())
-}
-
-// NewChipWithModel returns a chip driven by an explicit technology
-// model. The starting state must exist in the model's machine.
-func NewChipWithModel(id int, start energy.State, now sim.Time, m *energy.Model) *Chip {
-	if m == nil {
-		m = energy.RDRAM1600().Model()
-	}
+// NewChip returns a chip resident in state start at time now, driven
+// by technology model m. The starting state must exist in the model's
+// machine.
+func NewChip(id int, start energy.State, now sim.Time, m *energy.Model) *Chip {
 	if int(start) >= m.NumStates() {
 		panic(fmt.Sprintf("memsys: chip %d starting state %d beyond the %d states of model %s",
 			id, int(start), m.NumStates(), m.Name))
@@ -176,7 +159,7 @@ func (c *Chip) chargeResident(cat energy.Category, s energy.State, d sim.Duratio
 // CompleteWake.
 func (c *Chip) BeginWake(now sim.Time) sim.Time {
 	if c.phase != PhaseResident || c.state == energy.Active {
-		panic(fmt.Sprintf("memsys: chip %d BeginWake in phase %v state %v", c.ID, c.phase, c.state))
+		panic(fmt.Sprintf("memsys: chip %d BeginWake in phase %v state %s", c.ID, c.phase, c.model.StateName(c.state)))
 	}
 	c.checkCursor(now)
 	c.chargeResident(energy.CatLowPower, c.state, now.Sub(c.cursor))
@@ -207,7 +190,7 @@ func (c *Chip) CompleteWake(now sim.Time) {
 // controller's cursor must equal now). Returns the completion instant.
 func (c *Chip) BeginSleep(to energy.State, now sim.Time) sim.Time {
 	if c.phase != PhaseResident || c.state != energy.Active {
-		panic(fmt.Sprintf("memsys: chip %d BeginSleep in phase %v state %v", c.ID, c.phase, c.state))
+		panic(fmt.Sprintf("memsys: chip %d BeginSleep in phase %v state %s", c.ID, c.phase, c.model.StateName(c.state)))
 	}
 	if to == energy.Active {
 		panic("memsys: BeginSleep to Active")
@@ -245,10 +228,10 @@ func (c *Chip) CompleteSleep(now sim.Time) {
 // the hop.
 func (c *Chip) Deepen(to energy.State, now sim.Time) sim.Time {
 	if c.phase != PhaseResident || c.state == energy.Active {
-		panic(fmt.Sprintf("memsys: chip %d Deepen in phase %v state %v", c.ID, c.phase, c.state))
+		panic(fmt.Sprintf("memsys: chip %d Deepen in phase %v state %s", c.ID, c.phase, c.model.StateName(c.state)))
 	}
 	if to <= c.state {
-		panic(fmt.Sprintf("memsys: chip %d Deepen from %v to %v is not deeper", c.ID, c.state, to))
+		panic(fmt.Sprintf("memsys: chip %d Deepen from %s to %s is not deeper", c.ID, c.model.StateName(c.state), c.model.StateName(to)))
 	}
 	c.checkCursor(now)
 	c.chargeResident(energy.CatLowPower, c.state, now.Sub(c.cursor))
@@ -297,7 +280,7 @@ func (c *Chip) AccountActive(to sim.Time, serving, proc sim.Duration, inTransfer
 // active mode.
 func (c *Chip) AccountActiveSpan(to sim.Time, serving, proc, idleDMA, microNap sim.Duration) {
 	if c.phase != PhaseResident || c.state != energy.Active {
-		panic(fmt.Sprintf("memsys: chip %d AccountActiveSpan in phase %v state %v", c.ID, c.phase, c.state))
+		panic(fmt.Sprintf("memsys: chip %d AccountActiveSpan in phase %v state %s", c.ID, c.phase, c.model.StateName(c.state)))
 	}
 	c.checkCursor(to)
 	span := to.Sub(c.cursor)

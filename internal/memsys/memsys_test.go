@@ -120,7 +120,7 @@ func approx(a, b float64) bool {
 }
 
 func TestChipWakeSleepAccounting(t *testing.T) {
-	c := NewChip(0, energy.Nap, 0)
+	c := NewChip(0, energy.Nap, 0, energy.RDRAM())
 	// Stay in nap for 1 us, then wake.
 	ready := c.BeginWake(sim.Time(1 * sim.Microsecond))
 	if ready != sim.Time(1*sim.Microsecond+60*sim.Nanosecond) {
@@ -172,7 +172,7 @@ func TestChipWakeSleepAccounting(t *testing.T) {
 }
 
 func TestChipDeepen(t *testing.T) {
-	c := NewChip(1, energy.Standby, 0)
+	c := NewChip(1, energy.Standby, 0, energy.RDRAM())
 	done := c.Deepen(energy.Nap, sim.Time(100*sim.Nanosecond))
 	c.CompleteSleep(done)
 	if c.State() != energy.Nap {
@@ -194,7 +194,7 @@ func TestChipDeepen(t *testing.T) {
 }
 
 func TestChipCloseWhileActive(t *testing.T) {
-	c := NewChip(0, energy.Powerdown, 0)
+	c := NewChip(0, energy.Powerdown, 0, energy.RDRAM())
 	ready := c.BeginWake(0)
 	c.CompleteWake(ready)
 	c.Close(ready.Add(5 * sim.Microsecond))
@@ -205,7 +205,7 @@ func TestChipCloseWhileActive(t *testing.T) {
 }
 
 func TestChipCloseWhileTransitioning(t *testing.T) {
-	c := NewChip(0, energy.Powerdown, 0)
+	c := NewChip(0, energy.Powerdown, 0, energy.RDRAM())
 	c.BeginWake(0)
 	// Close before the wake completes: transition energy was charged
 	// eagerly, so Close must not double-charge or panic.
@@ -222,35 +222,35 @@ func TestChipPanics(t *testing.T) {
 		f    func()
 	}{
 		{"wake while active", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, energy.RDRAM())
 			c.BeginWake(0)
 		}},
 		{"sleep while napping", func() {
-			c := NewChip(0, energy.Nap, 0)
+			c := NewChip(0, energy.Nap, 0, energy.RDRAM())
 			c.BeginSleep(energy.Powerdown, 0)
 		}},
 		{"sleep to active", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, energy.RDRAM())
 			c.BeginSleep(energy.Active, 0)
 		}},
 		{"account backwards", func() {
-			c := NewChip(0, energy.Active, 100)
+			c := NewChip(0, energy.Active, 100, energy.RDRAM())
 			c.AccountActive(50, 0, 0, false)
 		}},
 		{"overfull span", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, energy.RDRAM())
 			c.AccountActive(10, 20, 0, true)
 		}},
 		{"deepen shallower", func() {
-			c := NewChip(0, energy.Powerdown, 0)
+			c := NewChip(0, energy.Powerdown, 0, energy.RDRAM())
 			c.Deepen(energy.Nap, 0)
 		}},
 		{"unaccounted sleep", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, energy.RDRAM())
 			c.BeginSleep(energy.Nap, 100) // active span [0,100) never accounted
 		}},
 		{"complete wake early", func() {
-			c := NewChip(0, energy.Nap, 0)
+			c := NewChip(0, energy.Nap, 0, energy.RDRAM())
 			c.BeginWake(0)
 			c.CompleteWake(1)
 		}},
@@ -270,26 +270,28 @@ func TestChipPanics(t *testing.T) {
 // Property: total metered energy equals a hand-computed integral for a
 // random walk of the state machine.
 func TestQuickChipConservation(t *testing.T) {
+	m := energy.RDRAM()
+	down, up := m.DownTo(energy.Powerdown), m.UpFrom(energy.Powerdown)
 	f := func(steps []uint8) bool {
-		c := NewChip(0, energy.Powerdown, 0)
+		c := NewChip(0, energy.Powerdown, 0, m)
 		now := sim.Time(0)
 		var want float64
 		for _, s := range steps {
 			dwell := sim.Duration(1+int(s%100)) * sim.Microsecond
 			if c.State() == energy.Powerdown {
-				want += energy.PowerdownPower * dwell.Seconds()
+				want += m.Power(energy.Powerdown) * dwell.Seconds()
 				now = now.Add(dwell)
 				ready := c.BeginWake(now)
-				want += energy.PowerdownToActive.Power * energy.PowerdownToActive.Time.Seconds()
+				want += up.Power * up.Time.Seconds()
 				now = ready
 				c.CompleteWake(now)
 			} else {
 				now = now.Add(dwell)
 				serving := dwell / 3
 				c.AccountActive(now, serving, 0, true)
-				want += energy.ActivePower * dwell.Seconds()
+				want += m.Power(energy.Active) * dwell.Seconds()
 				done := c.BeginSleep(energy.Powerdown, now)
-				want += energy.ActiveToPowerdown.Power * energy.ActiveToPowerdown.Time.Seconds()
+				want += down.Power * down.Time.Seconds()
 				now = done
 				c.CompleteSleep(now)
 			}

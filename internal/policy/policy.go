@@ -24,10 +24,12 @@ import (
 //
 // NextStep must depend on the state alone, never on time or history:
 // the controller calls it once per state when it is built and reads
-// the resulting step table from then on.
+// the resulting step table from then on. Validate reports why the
+// policy cannot drive model m's state machine, or nil; the controller
+// calls it against the run's model before the first NextStep.
 type Policy interface {
 	NextStep(s energy.State) (wait sim.Duration, next energy.State, ok bool)
-	Name() string
+	Validate(m *energy.Model) error
 }
 
 // Static parks an idle chip directly in Mode and leaves it there, the
@@ -44,16 +46,13 @@ func (p *Static) NextStep(s energy.State) (sim.Duration, energy.State, bool) {
 	return 0, s, false
 }
 
-// Name implements Policy.
-func (p *Static) Name() string { return "static-" + p.Mode.String() }
-
-// Validate rejects park modes outside the chip's state machine.
-// (Mode == Active is allowed: it degenerates to no power management,
-// like AlwaysActive.)
-func (p *Static) Validate() error {
-	if p.Mode > energy.Powerdown {
-		return fmt.Errorf("policy: static park mode %d beyond %v",
-			int(p.Mode), energy.Powerdown)
+// Validate implements Policy: the park mode must be a state of the
+// machine. (Mode == Active is allowed: it degenerates to no power
+// management, like AlwaysActive.)
+func (p *Static) Validate(m *energy.Model) error {
+	if int(p.Mode) >= m.NumStates() {
+		return fmt.Errorf("policy: static park mode %d beyond %s (deepest state of model %s)",
+			int(p.Mode), m.StateName(m.Deepest()), m.Name)
 	}
 	return nil
 }
@@ -67,5 +66,5 @@ func (AlwaysActive) NextStep(energy.State) (sim.Duration, energy.State, bool) {
 	return 0, energy.Active, false
 }
 
-// Name implements Policy.
-func (AlwaysActive) Name() string { return "always-active" }
+// Validate implements Policy: every model has an operating state.
+func (AlwaysActive) Validate(*energy.Model) error { return nil }

@@ -8,11 +8,25 @@ import (
 )
 
 // rdramChain is the default dynamic chain of the paper's RDRAM part.
-func rdramChain() *Chain { return ChainFor(energy.RDRAM1600().Model()) }
+func rdramChain() *Chain { return ChainFor(energy.RDRAM()) }
+
+// models returns every registered technology model.
+func models(t *testing.T) []*energy.Model {
+	t.Helper()
+	var ms []*energy.Model
+	for _, name := range energy.Techs() {
+		m, err := energy.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	return ms
+}
 
 func TestDynamicChain(t *testing.T) {
 	d := rdramChain()
-	if err := d.Validate(); err != nil {
+	if err := d.Validate(energy.RDRAM()); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
@@ -30,9 +44,6 @@ func TestDynamicChain(t *testing.T) {
 	}
 	if _, _, ok := d.NextStep(energy.Powerdown); ok {
 		t.Fatal("powerdown should be terminal")
-	}
-	if d.Name() != "dynamic" {
-		t.Fatalf("name = %q", d.Name())
 	}
 }
 
@@ -62,13 +73,13 @@ func TestDynamicChainWalk(t *testing.T) {
 }
 
 func TestDynamicValidate(t *testing.T) {
+	m := energy.RDRAM()
 	bad := &Chain{Thresholds: []sim.Duration{-1}}
-	if bad.Validate() == nil {
+	if bad.Validate(m) == nil {
 		t.Fatal("expected error for negative threshold")
 	}
-	m := energy.RDRAM1600().Model()
 	long := &Chain{Thresholds: make([]sim.Duration, m.NumStates())}
-	if long.ValidateForModel(m) == nil {
+	if long.Validate(m) == nil {
 		t.Fatal("expected error for a chain demoting past the deepest state")
 	}
 }
@@ -85,9 +96,6 @@ func TestStatic(t *testing.T) {
 	if _, _, ok := p.NextStep(energy.Powerdown); ok {
 		t.Fatal("other states should be terminal")
 	}
-	if p.Name() != "static-nap" {
-		t.Fatalf("name = %q", p.Name())
-	}
 }
 
 func TestStaticActiveMode(t *testing.T) {
@@ -97,14 +105,27 @@ func TestStaticActiveMode(t *testing.T) {
 	}
 }
 
+// TestStaticValidate checks park modes against each model's own state
+// machine: every state of the model is a legal park mode, the index one
+// past its deepest state is not.
 func TestStaticValidate(t *testing.T) {
-	for m := energy.Active; m <= energy.Powerdown; m++ {
-		if err := (&Static{Mode: m}).Validate(); err != nil {
-			t.Errorf("mode %v rejected: %v", m, err)
+	for _, m := range models(t) {
+		for s := energy.Active; int(s) < m.NumStates(); s++ {
+			if err := (&Static{Mode: s}).Validate(m); err != nil {
+				t.Errorf("%s: mode %d rejected: %v", m.Name, s, err)
+			}
+		}
+		if (&Static{Mode: energy.State(m.NumStates())}).Validate(m) == nil {
+			t.Errorf("%s: out-of-range park mode accepted", m.Name)
 		}
 	}
-	if (&Static{Mode: energy.Powerdown + 1}).Validate() == nil {
-		t.Error("out-of-range park mode accepted")
+	ddr4, _ := energy.Lookup("ddr4-2400")
+	if err := (&Static{Mode: 4}).Validate(ddr4); err != nil {
+		t.Errorf("ddr4-2400's fifth state rejected: %v", err)
+	}
+	lpddr4, _ := energy.Lookup("lpddr4")
+	if (&Static{Mode: 3}).Validate(lpddr4) == nil {
+		t.Error("lpddr4 accepted park mode 3 of its three states")
 	}
 }
 
@@ -113,15 +134,17 @@ func TestAlwaysActive(t *testing.T) {
 	if _, _, ok := p.NextStep(energy.Active); ok {
 		t.Fatal("always-active should never transition")
 	}
-	if p.Name() != "always-active" {
-		t.Fatalf("name = %q", p.Name())
-	}
 }
 
+// TestPolicyInterfaceCompliance checks that each model accepts the
+// policies built for it: its default chain, parking in its deepest
+// state, and no power management.
 func TestPolicyInterfaceCompliance(t *testing.T) {
-	for _, p := range []Policy{rdramChain(), &Static{Mode: energy.Nap}, AlwaysActive{}} {
-		if p.Name() == "" {
-			t.Errorf("%T has empty name", p)
+	for _, m := range models(t) {
+		for _, p := range []Policy{ChainFor(m), &Static{Mode: m.Deepest()}, AlwaysActive{}} {
+			if err := p.Validate(m); err != nil {
+				t.Errorf("%s rejects %T: %v", m.Name, p, err)
+			}
 		}
 	}
 }
