@@ -16,6 +16,7 @@ package dmamem
 //   - memory technology (RDRAM vs DDR400; Section 5.4)
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,21 +27,24 @@ import (
 	"dmamem/internal/memsys"
 	"dmamem/internal/policy"
 	"dmamem/internal/sim"
+	"dmamem/internal/synth"
 	"dmamem/internal/trace"
 )
 
 func ablationTrace(b *testing.B) *trace.Trace {
 	b.Helper()
-	w, err := core.SyntheticStWorkload(25*sim.Millisecond, 1)
+	cfg := synth.DefaultSt()
+	cfg.Duration, cfg.Seed = 25*sim.Millisecond, 1
+	tr, err := synth.GenerateSt(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return w.Trace
+	return tr
 }
 
 func savingsOf(b *testing.B, cfg core.Config, tr *trace.Trace) float64 {
 	b.Helper()
-	_, _, s, err := core.RunBaselinePair(core.Config{}, cfg, tr)
+	_, _, s, err := core.RunBaselinePairParallel(context.Background(), core.Config{}, cfg, tr, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 		base := core.Config{Policy: pol}
 		cfg := taplConfig()
 		cfg.Policy = pol
-		_, _, s, err := core.RunBaselinePair(base, cfg, tr)
+		_, _, s, err := core.RunBaselinePairParallel(context.Background(), base, cfg, tr, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,5 +287,5 @@ func BenchmarkAblationBaselineLayout(b *testing.B) {
 
 func seqMapper() memsys.Mapper {
 	g := memsys.Default()
-	return memsys.SequentialMapper{PagesPerChip: g.PagesPerChip()}
+	return memsys.Topology{Channels: g.NumChips, StripePages: g.PagesPerChip()}.Mapper(g)
 }

@@ -13,6 +13,7 @@ import (
 
 	"dmamem"
 	"dmamem/internal/cli"
+	"dmamem/internal/experiments"
 	"dmamem/internal/trace"
 )
 
@@ -228,7 +229,8 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 // dmamem-trace record writes for -seed 3 -duration 3ms, replayed with
 // -trace, reports the same -json bytes as generating it in place.
 func TestRecordedTraceReplaysAsGenerated(t *testing.T) {
-	for _, w := range strings.Split(cli.WorkloadNames, ", ") {
+	for _, name := range experiments.WorkloadNames() { // the -workload values, lowercased
+		w := strings.ToLower(name)
 		gen := []string{"-workload", w, "-seed", "3", "-duration", "3ms"}
 		_, generated, _ := runSim(append([]string{"-json"}, gen...)...)
 		code, replayed, stderr := runSim("-json", "-trace", recordTrace(t, gen...))

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"dmamem"
-	"dmamem/internal/cli"
+	"dmamem/internal/experiments"
 )
 
 // The golden and feeder-equivalence suites under internal/experiments
@@ -69,7 +69,8 @@ func TestRecordInfoReplay(t *testing.T) {
 
 func TestRecordAllWorkloads(t *testing.T) {
 	dir := t.TempDir()
-	for _, w := range strings.Split(cli.WorkloadNames, ", ") {
+	for _, name := range experiments.WorkloadNames() { // the -workload values, lowercased
+		w := strings.ToLower(name)
 		p := filepath.Join(dir, w+".dmt")
 		mustRun(t, "record", "-workload", w, "-duration", "2ms", "-o", p)
 		if _, err := dmamem.StatTraceFile(p); err != nil {

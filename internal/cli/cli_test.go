@@ -97,13 +97,13 @@ func TestGenValidate(t *testing.T) {
 
 // TestWorkloadNames keeps the advertised names and the table in step.
 func TestWorkloadNames(t *testing.T) {
-	names := strings.Split(WorkloadNames, ", ")
+	names := strings.Split(workloadNames, ", ")
 	if len(names) != len(workloads) {
-		t.Fatalf("WorkloadNames lists %d workloads, the table holds %d", len(names), len(workloads))
+		t.Fatalf("workloadNames lists %d workloads, the table holds %d", len(names), len(workloads))
 	}
 	for _, name := range names {
 		if _, ok := workloads[name]; !ok {
-			t.Errorf("WorkloadNames lists %q, which the table does not hold", name)
+			t.Errorf("workloadNames lists %q, which the table does not hold", name)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestWorkloadNames(t *testing.T) {
 // 2 summary of the in-memory generation. (dmamem-sim's tests pin the
 // reports of the two byte for byte.)
 func TestRecordMatchesTrace(t *testing.T) {
-	for _, name := range strings.Split(WorkloadNames, ", ") {
+	for _, name := range strings.Split(workloadNames, ", ") {
 		_, g := parse(t, "-workload", name, "-duration", "2ms", "-seed", "3")
 		var buf bytes.Buffer
 		if err := g.Record(&buf, trace.WriterOptions{ChunkRecords: 256}); err != nil {

@@ -12,8 +12,8 @@ import (
 	"dmamem/internal/trace"
 )
 
-// WorkloadNames lists the -workload values, in Table 2 order.
-const WorkloadNames = "synthetic-st, synthetic-db, oltp-st, oltp-db"
+// workloadNames lists the -workload values, in Table 2 order.
+const workloadNames = "synthetic-st, synthetic-db, oltp-st, oltp-db"
 
 // workloads maps each -workload name onto its generator. synthetic or
 // server makes the trace in memory, for dmamem-sim; record streams the
@@ -92,7 +92,7 @@ type Gen struct {
 // AddGen defines -workload, -duration and -seed on fs.
 func AddGen(fs *flag.FlagSet) *Gen {
 	g := &Gen{}
-	fs.StringVar(&g.workload, "workload", "synthetic-st", "workload to generate: "+WorkloadNames)
+	fs.StringVar(&g.workload, "workload", "synthetic-st", "workload to generate: "+workloadNames)
 	fs.DurationVar(&g.duration, "duration", 100*time.Millisecond, "generated trace duration")
 	fs.Uint64Var(&g.seed, "seed", 1, "generator seed (nonzero)")
 	return g
@@ -104,7 +104,7 @@ func AddGen(fs *flag.FlagSet) *Gen {
 // -seed 0 ran the model's default seed.
 func (g *Gen) Validate() error {
 	if _, ok := workloads[g.workload]; !ok {
-		return Usagef("unknown -workload %q (valid: %s)", g.workload, WorkloadNames)
+		return Usagef("unknown -workload %q (valid: %s)", g.workload, workloadNames)
 	}
 	if err := Positive("duration", g.duration); err != nil {
 		return err

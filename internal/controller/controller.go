@@ -64,8 +64,8 @@ func DefaultTA(mu float64) *TAConfig {
 	return &TAConfig{Mu: mu, EpochLength: 10 * sim.Microsecond}
 }
 
-// Validate reports a descriptive error for unusable configs.
-func (c *TAConfig) Validate() error {
+// validate reports a descriptive error for unusable configs.
+func (c *TAConfig) validate() error {
 	switch {
 	case c.Mu < 0:
 		return fmt.Errorf("controller: Mu = %g", c.Mu)
@@ -120,8 +120,8 @@ type Partition struct {
 	BusCaps []float64
 }
 
-// Validate reports a descriptive error for unusable configs.
-func (c *Config) Validate() error {
+// validate reports a descriptive error for unusable configs.
+func (c *Config) validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
@@ -143,7 +143,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("controller: nil policy")
 	}
 	if c.TA != nil {
-		if err := c.TA.Validate(); err != nil {
+		if err := c.TA.validate(); err != nil {
 			return err
 		}
 	}
@@ -317,7 +317,7 @@ func (c *Controller) PeakBufferBytes() int { return c.PeakGated * memsys.Request
 
 // New builds a controller on an engine.
 func New(eng *sim.Engine, cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	mapper := cfg.Mapper
@@ -450,10 +450,6 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 // topology default). The parallel core uses it to split DMA records at
 // channel boundaries with exactly the mapping the controller serves.
 func (c *Controller) Mapper() memsys.Mapper { return c.mapper }
-
-// T returns the baseline DMA-memory request service time (one bus
-// beat), the paper's T.
-func (c *Controller) T() sim.Duration { return c.cfg.Buses.BeatGap() }
 
 // Slack returns the current slack pool (TA only), for tests.
 func (c *Controller) Slack() sim.Duration { return sim.Duration(c.slack) }

@@ -46,17 +46,17 @@ func run(t *testing.T, cfg Config, xfers []dma.Transfer, procs []trace.Record) (
 func TestConfigValidate(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Policy = nil
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Error("nil policy accepted")
 	}
 	cfg = baseConfig()
 	cfg.TA = &TAConfig{Mu: -1, EpochLength: 1}
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Error("negative mu accepted")
 	}
 	cfg = baseConfig()
 	cfg.TA = &TAConfig{Mu: 1, EpochLength: 0}
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Error("zero epoch accepted")
 	}
 }
@@ -242,12 +242,11 @@ func TestProcAccessWakesChip(t *testing.T) {
 	}
 	// Both accesses land on chip 5 only; other chips stay in powerdown
 	// the whole run.
-	chips := c.ChipModels()
-	for i, ch := range chips {
+	for i, cs := range c.chips {
 		if i == 5 {
 			continue
 		}
-		if ch.Wakes != 0 {
+		if cs.chip.Wakes != 0 {
 			t.Fatalf("chip %d woke without traffic", i)
 		}
 	}
@@ -264,13 +263,21 @@ func TestPolicyDescentWithoutTraffic(t *testing.T) {
 	eng.Run() // policy chain drains: every chip descends to powerdown
 	end := c.Finish(sim.Time(100 * sim.Microsecond))
 	r := c.Report("idle", end)
-	for i, ch := range c.ChipModels() {
+	// One entry into each state of the chain: the transition energy is
+	// the three down hops, summed in the order they are charged.
+	m := energy.RDRAM()
+	var hops float64
+	for _, hop := range [][2]energy.State{{energy.Active, energy.Standby}, {energy.Standby, energy.Nap}, {energy.Nap, energy.Powerdown}} {
+		tr := m.TransitionFor(hop[0], hop[1])
+		hops += tr.Power * tr.Time.Seconds()
+	}
+	for i, cs := range c.chips {
+		ch := cs.chip
 		if ch.State() != energy.Powerdown {
 			t.Fatalf("chip %d ended in %v", i, ch.State())
 		}
-		if ch.SleepCount(energy.Standby) != 1 || ch.SleepCount(energy.Nap) != 1 ||
-			ch.SleepCount(energy.Powerdown) != 1 {
-			t.Fatalf("chip %d sleep chain wrong", i)
+		if b := ch.Meter.Breakdown(); b[energy.CatTransition] != hops {
+			t.Fatalf("chip %d sleep chain wrong: transition energy %g J, want %g J", i, b[energy.CatTransition], hops)
 		}
 	}
 	// Low-power residence dominates the window.
@@ -301,7 +308,7 @@ func TestMultiPageTransferCrossesChips(t *testing.T) {
 
 func TestSequentialMapperSingleWake(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Mapper = memsys.SequentialMapper{PagesPerChip: cfg.Geometry.PagesPerChip()}
+	cfg.Mapper = sequentialMapper(cfg.Geometry)
 	x := dma.Transfer{ID: 1, Arrival: 0, Bus: 0, Page: 0, Pages: 4}
 	c, eng := run(t, cfg, []dma.Transfer{x}, nil)
 	end := c.Finish(eng.Now())

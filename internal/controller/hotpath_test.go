@@ -63,7 +63,7 @@ func TestManyBusesGated(t *testing.T) {
 // NaN rate must panic with a diagnostic instead of converting +Inf to
 // an implementation-defined int64.
 func TestCompletionDelay(t *testing.T) {
-	if got := completionDelay(8.0, 2.0); got != 4*sim.Second {
+	if got := completionDelay(8.0, 2.0); got != 4000*sim.Millisecond {
 		t.Fatalf("completionDelay = %v, want 4s", got)
 	}
 	if got := completionDelay(0, 1); got != 1 {

@@ -136,16 +136,3 @@ func (c *Controller) migrationJ(n int64) float64 {
 	}
 	return j
 }
-
-// ChipModels exposes the per-chip state machines for statistics
-// (per-chip breakdowns, utilization, sleep counts). Chips owned by
-// another partition are nil entries.
-func (c *Controller) ChipModels() []*memsys.Chip {
-	chips := make([]*memsys.Chip, len(c.chips))
-	for i, cs := range c.chips {
-		if cs != nil {
-			chips[i] = cs.chip
-		}
-	}
-	return chips
-}

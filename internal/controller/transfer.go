@@ -262,7 +262,7 @@ func (c *Controller) checkRelease(cs *chipState, now sim.Time) {
 	m := c.maxPerBus(cs)
 	r := c.cfg.Buses.Count
 	groups := (r + k - 1) / k
-	u := float64(m) * float64(c.T()) * float64(groups)
+	u := float64(m) * float64(c.cfg.Buses.BeatGap()) * float64(groups) // the paper's T is one bus beat
 	if float64(n)*u/2 >= c.slack {
 		c.RelSlack += int64(n)
 		c.release(cs, now)

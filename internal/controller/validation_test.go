@@ -26,7 +26,7 @@ func runAligned(t *testing.T, n, pages int) (*Controller, *memsys.Chip) {
 	cfg.Buses.Count = n
 	// Keep each transfer on one chip: sequential layout puts pages
 	// 0..4095 on chip 0.
-	cfg.Mapper = memsys.SequentialMapper{PagesPerChip: cfg.Geometry.PagesPerChip()}
+	cfg.Mapper = sequentialMapper(cfg.Geometry)
 	eng := sim.New()
 	c, err := New(eng, cfg)
 	if err != nil {
@@ -41,7 +41,7 @@ func runAligned(t *testing.T, n, pages int) (*Controller, *memsys.Chip) {
 	}
 	eng.Run()
 	c.Finish(eng.Now())
-	return c, c.ChipModels()[0]
+	return c, c.chips[0].chip
 }
 
 func TestFluidMatchesExactUtilization(t *testing.T) {
@@ -53,7 +53,7 @@ func TestFluidMatchesExactUtilization(t *testing.T) {
 		wantUF := dma.UtilizationOf(exact)
 
 		_, chip := runAligned(t, k, 4)
-		gotUF := chip.UtilizationFactor()
+		gotUF := chipUF(chip)
 		if math.Abs(gotUF-wantUF) > 0.02 {
 			t.Errorf("k=%d: fluid uf %.4f vs exact %.4f", k, gotUF, wantUF)
 		}
@@ -93,7 +93,7 @@ func TestFluidSameBusSerialization(t *testing.T) {
 	// envelope doubles and uf stays 1/3, exactly as beat-interleaving
 	// gives.
 	cfg := baseConfig()
-	cfg.Mapper = memsys.SequentialMapper{PagesPerChip: cfg.Geometry.PagesPerChip()}
+	cfg.Mapper = sequentialMapper(cfg.Geometry)
 	eng := sim.New()
 	c, err := New(eng, cfg)
 	if err != nil {
@@ -105,8 +105,8 @@ func TestFluidSameBusSerialization(t *testing.T) {
 	}
 	eng.Run()
 	c.Finish(eng.Now())
-	chip := c.ChipModels()[0]
-	if uf := chip.UtilizationFactor(); math.Abs(uf-1.0/3.0) > 0.01 {
+	chip := c.chips[0].chip
+	if uf := chipUF(chip); math.Abs(uf-1.0/3.0) > 0.01 {
 		t.Errorf("same-bus uf = %.4f, want 1/3", uf)
 	}
 	// Envelope = 2 transfers x 2 pages at bus rate.
@@ -135,8 +135,8 @@ func TestFluidCrossChipBusSharing(t *testing.T) {
 	eng.Run()
 	c.Finish(eng.Now())
 	for i := 0; i < 2; i++ {
-		chip := c.ChipModels()[i]
-		if uf := chip.UtilizationFactor(); math.Abs(uf-1.0/3.0) > 0.02 {
+		chip := c.chips[i].chip
+		if uf := chipUF(chip); math.Abs(uf-1.0/3.0) > 0.02 {
 			t.Errorf("chip %d uf = %.4f, want 1/3", i, uf)
 		}
 		// Micro-nap must be present: the half-rate stream leaves
@@ -157,7 +157,7 @@ func TestQuickFluidUtilization(t *testing.T) {
 		pages := 1 + int(pages8)%6
 		cfg := baseConfig()
 		cfg.Buses.Count = 3
-		cfg.Mapper = memsys.SequentialMapper{PagesPerChip: cfg.Geometry.PagesPerChip()}
+		cfg.Mapper = sequentialMapper(cfg.Geometry)
 		eng := sim.New()
 		c, err := New(eng, cfg)
 		if err != nil {
@@ -213,4 +213,16 @@ func TestQuickEnergyEnvelope(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// chipUF is the paper's uf for one chip: serving time over the time a
+// transfer was in progress.
+func chipUF(c *memsys.Chip) float64 {
+	return float64(c.ServingTime) / float64(c.TransferTime)
+}
+
+// sequentialMapper fills chips one at a time with consecutive pages:
+// a topology of one chip per channel with a chip-sized stripe.
+func sequentialMapper(g memsys.Geometry) memsys.Mapper {
+	return memsys.Topology{Channels: g.NumChips, StripePages: g.PagesPerChip()}.Mapper(g)
 }

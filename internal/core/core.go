@@ -18,7 +18,6 @@ import (
 	"dmamem/internal/metrics"
 	"dmamem/internal/policy"
 	"dmamem/internal/sim"
-	"dmamem/internal/synth"
 	"dmamem/internal/trace"
 )
 
@@ -499,33 +498,16 @@ func pairWindow(base Config, tr *trace.Trace) (sim.Duration, error) {
 	return src.sum.Duration + 2*sim.Millisecond, nil
 }
 
-// RunBaselinePair runs the same trace under a baseline config and a
-// technique config with a shared metering window, returning both
+// RunBaselinePairParallel runs the same trace under a baseline config
+// and a technique config with a shared metering window, returning both
 // results plus the fractional savings. The trace may be nil when both
-// configs name the same .dmt container in TraceFile.
-func RunBaselinePair(base, tech Config, tr *trace.Trace) (b, t *Result, savings float64, err error) {
-	window, err := pairWindow(base, tr)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	base.MeterWindow = window
-	tech.MeterWindow = window
-	if b, err = Run(base, tr); err != nil {
-		return nil, nil, 0, err
-	}
-	if t, err = Run(tech, tr); err != nil {
-		return nil, nil, 0, err
-	}
-	return b, t, t.Report.Savings(b.Report), nil
-}
-
-// RunBaselinePairParallel is RunBaselinePair with cancellation and,
-// when parallel > 1, the two runs on separate goroutines (each
-// simulation owns its own single-goroutine engine; see internal/sim).
-// Results are bit-identical to RunBaselinePair's. Cancellation is
-// observed mid-run: the engines poll ctx every few thousand
-// dispatches, so a cancelled sweep aborts within microseconds of wall
-// time instead of finishing the simulation in flight.
+// configs name the same .dmt container in TraceFile. When parallel > 1
+// the two runs go on separate goroutines (each simulation owns its own
+// single-goroutine engine; see internal/sim), with results
+// bit-identical to parallel 1. Cancellation is observed mid-run: the
+// engines poll ctx every few thousand dispatches, so a cancelled sweep
+// aborts within microseconds of wall time instead of finishing the
+// simulation in flight.
 func RunBaselinePairParallel(ctx context.Context, base, tech Config, tr *trace.Trace, parallel int) (b, t *Result, savings float64, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -563,36 +545,4 @@ func RunBaselinePairParallel(ctx context.Context, base, tech Config, tr *trace.T
 		return nil, nil, 0, techErr
 	}
 	return b, t, t.Report.Savings(b.Report), nil
-}
-
-// Workload is a named trace bundle used by the experiments.
-type Workload struct {
-	Name  string
-	Trace *trace.Trace
-}
-
-// SyntheticStWorkload builds the Synthetic-St trace with the paper's
-// defaults over the given duration.
-func SyntheticStWorkload(d sim.Duration, seed uint64) (*Workload, error) {
-	cfg := synth.DefaultSt()
-	cfg.Duration = d
-	cfg.Seed = seed
-	tr, err := synth.GenerateSt(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{Name: "Synthetic-St", Trace: tr}, nil
-}
-
-// SyntheticDbWorkload builds the Synthetic-Db trace with the paper's
-// defaults over the given duration.
-func SyntheticDbWorkload(d sim.Duration, seed uint64) (*Workload, error) {
-	cfg := synth.DefaultDb()
-	cfg.St.Duration = d
-	cfg.St.Seed = seed
-	tr, err := synth.GenerateDb(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{Name: "Synthetic-Db", Trace: tr}, nil
 }

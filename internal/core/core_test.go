@@ -21,11 +21,25 @@ import (
 // stTrace returns a short Synthetic-St trace shared by tests.
 func stTrace(t *testing.T, d sim.Duration) *trace.Trace {
 	t.Helper()
-	w, err := SyntheticStWorkload(d, 1)
+	cfg := synth.DefaultSt()
+	cfg.Duration, cfg.Seed = d, 1
+	tr, err := synth.GenerateSt(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w.Trace
+	return tr
+}
+
+// dbTrace returns a short Synthetic-Db trace shared by tests.
+func dbTrace(t *testing.T, d sim.Duration) *trace.Trace {
+	t.Helper()
+	cfg := synth.DefaultDb()
+	cfg.St.Duration, cfg.St.Seed = d, 2
+	tr, err := synth.GenerateDb(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestRunBaseline(t *testing.T) {
@@ -246,10 +260,9 @@ func TestExplicitMuNotOverridden(t *testing.T) {
 
 func TestTASavesEnergyOnSyntheticSt(t *testing.T) {
 	tr := stTrace(t, 20*sim.Millisecond)
-	base, ta, savings, err := RunBaselinePair(
-		Config{},
+	base, ta, savings, err := RunBaselinePairParallel(context.Background(), Config{},
 		Config{TA: controller.DefaultTA(0), CPLimit: 0.10},
-		tr)
+		tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +280,15 @@ func TestTAPLSavesMoreThanTA(t *testing.T) {
 	tr := stTrace(t, 20*sim.Millisecond)
 	pl := layout.DefaultConfig()
 	pl.Interval = 5 * sim.Millisecond // several rebalances within the short test trace
-	_, ta, sTA, err := RunBaselinePair(
-		Config{},
+	_, ta, sTA, err := RunBaselinePairParallel(context.Background(), Config{},
 		Config{TA: controller.DefaultTA(0), CPLimit: 0.10},
-		tr)
+		tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tapl, sTAPL, err := RunBaselinePair(
-		Config{},
+	_, tapl, sTAPL, err := RunBaselinePairParallel(context.Background(), Config{},
 		Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl},
-		tr)
+		tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +349,7 @@ func TestSchemeLabels(t *testing.T) {
 }
 
 func TestDbWorkloadRuns(t *testing.T) {
-	w, err := SyntheticDbWorkload(3*sim.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{}, w.Trace)
+	res, err := Run(Config{}, dbTrace(t, 3*sim.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +375,8 @@ func TestProcAccessesReduceSavings(t *testing.T) {
 	}
 	pl := layout.DefaultConfig()
 	savingsFor := func(tr *trace.Trace) float64 {
-		_, _, s, err := RunBaselinePair(Config{},
-			Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}, tr)
+		_, _, s, err := RunBaselinePairParallel(context.Background(), Config{},
+			Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}, tr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +393,7 @@ func TestProcAccessesReduceSavings(t *testing.T) {
 func TestCalibrateFallbacks(t *testing.T) {
 	bare := &trace.Trace{Records: []trace.Record{{Time: 0, Kind: trace.DMARead, Pages: 1}}}
 	cal := Calibrate(bare, memsys.Default(), bus.DefaultConfig())
-	if err := cal.Validate(); err != nil {
+	if _, err := cal.Mu(0.10); err != nil {
 		t.Fatal(err)
 	}
 	if cal.MeanClientResponse != 500*sim.Microsecond {

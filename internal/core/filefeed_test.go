@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,11 +79,11 @@ func TestRunBaselinePairFileBacked(t *testing.T) {
 	path := saveDMT(t, tr, 512)
 	base := Config{TraceFile: path}
 	tech := Config{TraceFile: path, TA: controller.DefaultTA(0), CPLimit: 0.10}
-	fb, ft, fs, err := RunBaselinePair(base, tech, nil)
+	fb, ft, fs, err := RunBaselinePairParallel(context.Background(), base, tech, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, mt, ms, err := RunBaselinePair(Config{}, Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr)
+	mb, mt, ms, err := RunBaselinePairParallel(context.Background(), Config{}, Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

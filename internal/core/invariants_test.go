@@ -5,6 +5,7 @@ package core
 // regardless of the workload's shape.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -156,13 +157,13 @@ func TestSchemeOrderingAcrossSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := layout.DefaultConfig()
-		_, _, sTA, err := RunBaselinePair(Config{},
-			Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr)
+		_, _, sTA, err := RunBaselinePairParallel(context.Background(), Config{},
+			Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, sPL, err := RunBaselinePair(Config{},
-			Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}, tr)
+		_, _, sPL, err := RunBaselinePairParallel(context.Background(), Config{},
+			Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}, tr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,16 +11,6 @@ import (
 	"dmamem/internal/trace"
 )
 
-// dbTrace returns a short Synthetic-Db trace shared by tests.
-func dbTrace(t *testing.T, d sim.Duration) *trace.Trace {
-	t.Helper()
-	w, err := SyntheticDbWorkload(d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w.Trace
-}
-
 // parallelSchemes are the corpus schemes the parallel engine must
 // reproduce.
 func parallelSchemes() map[string]Config {

@@ -46,8 +46,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports a descriptive error for nonsensical configs.
-func (c Config) Validate() error {
+// validate reports a descriptive error for nonsensical configs.
+func (c Config) validate() error {
 	switch {
 	case c.Cylinders <= 0:
 		return fmt.Errorf("disk: Cylinders = %d", c.Cylinders)
@@ -65,13 +65,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RotationPeriod returns one full revolution.
-func (c Config) RotationPeriod() sim.Duration {
+// rotationPeriod returns one full revolution.
+func (c Config) rotationPeriod() sim.Duration {
 	return sim.FromSeconds(60.0 / c.RPM)
 }
 
-// Disk models one spindle with a FIFO queue.
-type Disk struct {
+// drive models one spindle with a FIFO queue.
+type drive struct {
 	cfg     Config
 	headCyl int
 	freeAt  sim.Time
@@ -85,16 +85,16 @@ type Disk struct {
 	QueueTime sim.Duration
 }
 
-// New returns a disk with the head parked at cylinder 0.
-func New(cfg Config) (*Disk, error) {
-	if err := cfg.Validate(); err != nil {
+// newDrive returns a disk with the head parked at cylinder 0.
+func newDrive(cfg Config) (*drive, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Disk{cfg: cfg}, nil
+	return &drive{cfg: cfg}, nil
 }
 
-// SeekTimeFor returns the time to move the head across dist cylinders.
-func (d *Disk) SeekTimeFor(dist int) sim.Duration {
+// seekTimeFor returns the time to move the head across dist cylinders.
+func (d *drive) seekTimeFor(dist int) sim.Duration {
 	if dist == 0 {
 		return 0
 	}
@@ -108,7 +108,7 @@ func (d *Disk) SeekTimeFor(dist int) sim.Duration {
 
 // cylinderOf maps a byte offset to a cylinder (sectors fill tracks,
 // tracks fill cylinders round-robin through the address space).
-func (d *Disk) cylinderOf(offset int64) int {
+func (d *drive) cylinderOf(offset int64) int {
 	sector := offset / int64(d.cfg.SectorBytes)
 	track := sector / int64(d.cfg.SectorsPerTrk)
 	return int(track % int64(d.cfg.Cylinders))
@@ -116,15 +116,15 @@ func (d *Disk) cylinderOf(offset int64) int {
 
 // angleOf maps a byte offset to the rotational angle (fraction of a
 // revolution) at which its first sector passes under the head.
-func (d *Disk) angleOf(offset int64) float64 {
+func (d *drive) angleOf(offset int64) float64 {
 	sector := offset / int64(d.cfg.SectorBytes)
 	return float64(sector%int64(d.cfg.SectorsPerTrk)) / float64(d.cfg.SectorsPerTrk)
 }
 
-// Access issues a request for n bytes at the given byte offset at time
+// access issues a request for n bytes at the given byte offset at time
 // now and returns the completion time. Requests queue FIFO: service
 // starts at max(now, previous completion).
-func (d *Disk) Access(now sim.Time, offset, n int64) sim.Time {
+func (d *drive) access(now sim.Time, offset, n int64) sim.Time {
 	if offset < 0 || n <= 0 {
 		panic(fmt.Sprintf("disk: Access(offset=%d, n=%d)", offset, n))
 	}
@@ -134,11 +134,11 @@ func (d *Disk) Access(now sim.Time, offset, n int64) sim.Time {
 		start = d.freeAt
 	}
 	cyl := d.cylinderOf(offset)
-	seek := d.SeekTimeFor(cyl - d.headCyl)
+	seek := d.seekTimeFor(cyl - d.headCyl)
 	d.headCyl = cyl
 
 	// Rotational latency: where is the platter when the seek ends?
-	period := d.cfg.RotationPeriod()
+	period := d.cfg.rotationPeriod()
 	atHead := float64(int64(start.Add(seek))%int64(period)) / float64(period)
 	target := d.angleOf(offset)
 	frac := target - atHead
@@ -159,21 +159,10 @@ func (d *Disk) Access(now sim.Time, offset, n int64) sim.Time {
 	return done
 }
 
-// FreeAt returns when the disk finishes its queued work.
-func (d *Disk) FreeAt() sim.Time { return d.freeAt }
-
-// MeanServiceTime returns the average seek+rotation+transfer time.
-func (d *Disk) MeanServiceTime() sim.Duration {
-	if d.Requests == 0 {
-		return 0
-	}
-	return sim.Duration(int64(d.BusyTime) / d.Requests)
-}
-
 // Array stripes data over several identical disks (RAID-0 style) with
 // a fixed stripe unit.
 type Array struct {
-	disks       []*Disk
+	disks       []*drive
 	stripeBytes int64
 }
 
@@ -188,7 +177,7 @@ func NewArray(n int, cfg Config, stripeBytes int64) (*Array, error) {
 	}
 	a := &Array{stripeBytes: stripeBytes}
 	for i := 0; i < n; i++ {
-		d, err := New(cfg)
+		d, err := newDrive(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -196,9 +185,6 @@ func NewArray(n int, cfg Config, stripeBytes int64) (*Array, error) {
 	}
 	return a, nil
 }
-
-// Disks returns the member disks (for statistics).
-func (a *Array) Disks() []*Disk { return a.disks }
 
 // Access reads or writes n bytes at a logical byte offset, splitting
 // the request across stripe units; it completes when the slowest
@@ -218,7 +204,7 @@ func (a *Array) Access(now sim.Time, offset, n int64) sim.Time {
 		}
 		// The member disk sees the offset within its own address space.
 		memberOffset := (stripe/int64(len(a.disks)))*a.stripeBytes + within
-		if t := a.disks[diskIdx].Access(now, memberOffset, chunk); t > done {
+		if t := a.disks[diskIdx].access(now, memberOffset, chunk); t > done {
 			done = t
 		}
 		offset += chunk

@@ -8,22 +8,22 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := DefaultConfig().validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := DefaultConfig()
 	bad.RPM = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero RPM accepted")
 	}
 	bad = DefaultConfig()
 	bad.Cylinders = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative cylinders accepted")
 	}
 	bad = DefaultConfig()
 	bad.SeekBase = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative seek accepted")
 	}
 }
@@ -31,24 +31,24 @@ func TestConfigValidate(t *testing.T) {
 func TestRotationPeriod(t *testing.T) {
 	c := DefaultConfig()
 	// 15000 RPM = 4 ms per revolution.
-	if got := c.RotationPeriod(); got != 4*sim.Millisecond {
+	if got := c.rotationPeriod(); got != 4*sim.Millisecond {
 		t.Fatalf("rotation period = %v, want 4ms", got)
 	}
 }
 
 func TestSeekCurve(t *testing.T) {
-	d, err := New(DefaultConfig())
+	d, err := newDrive(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SeekTimeFor(0) != 0 {
+	if d.seekTimeFor(0) != 0 {
 		t.Error("zero-distance seek should be free")
 	}
-	s1, s100, s10000 := d.SeekTimeFor(1), d.SeekTimeFor(100), d.SeekTimeFor(10000)
+	s1, s100, s10000 := d.seekTimeFor(1), d.seekTimeFor(100), d.seekTimeFor(10000)
 	if !(s1 < s100 && s100 < s10000) {
 		t.Fatalf("seek times not increasing: %v %v %v", s1, s100, s10000)
 	}
-	if d.SeekTimeFor(-100) != s100 {
+	if d.seekTimeFor(-100) != s100 {
 		t.Error("seek time should be symmetric in direction")
 	}
 	// Short seeks dominated by base + sqrt: a 1-cyl seek is still
@@ -59,11 +59,11 @@ func TestSeekCurve(t *testing.T) {
 }
 
 func TestAccessTiming(t *testing.T) {
-	d, err := New(DefaultConfig())
+	d, err := newDrive(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := d.Access(0, 0, 8192)
+	done := d.access(0, 0, 8192)
 	if done <= 0 {
 		t.Fatal("zero latency access")
 	}
@@ -73,7 +73,7 @@ func TestAccessTiming(t *testing.T) {
 	if sim.Duration(done) < minXfer {
 		t.Fatalf("latency %v below transfer time %v", done, minXfer)
 	}
-	max := d.SeekTimeFor(65535) + 4*sim.Millisecond + minXfer
+	max := d.seekTimeFor(65535) + 4*sim.Millisecond + minXfer
 	if sim.Duration(done) > max {
 		t.Fatalf("latency %v above worst case %v", done, max)
 	}
@@ -83,21 +83,21 @@ func TestAccessTiming(t *testing.T) {
 }
 
 func TestFIFOQueueing(t *testing.T) {
-	d, err := New(DefaultConfig())
+	d, err := newDrive(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := d.Access(0, 0, 8192)
+	first := d.access(0, 0, 8192)
 	// Second request issued at t=0 must wait for the first.
-	second := d.Access(0, 1<<20, 8192)
+	second := d.access(0, 1<<20, 8192)
 	if second <= first {
 		t.Fatalf("FIFO violated: first done %v, second done %v", first, second)
 	}
 	if d.QueueTime == 0 {
 		t.Fatal("queueing time not recorded")
 	}
-	if d.FreeAt() != second {
-		t.Fatalf("FreeAt = %v, want %v", d.FreeAt(), second)
+	if d.freeAt != second {
+		t.Fatalf("FreeAt = %v, want %v", d.freeAt, second)
 	}
 }
 
@@ -105,20 +105,21 @@ func TestSequentialFasterThanRandom(t *testing.T) {
 	// Mean service time of sequential accesses should beat scattered
 	// ones (no seeks, short rotation gaps).
 	cfg := DefaultConfig()
-	seq, _ := New(cfg)
+	seq, _ := newDrive(cfg)
 	now := sim.Time(0)
 	for i := 0; i < 64; i++ {
-		now = seq.Access(now, int64(i)*8192, 8192)
+		now = seq.access(now, int64(i)*8192, 8192)
 	}
-	rnd, _ := New(cfg)
+	rnd, _ := newDrive(cfg)
 	now = 0
 	for i := 0; i < 64; i++ {
 		offset := int64(i*7919%5000) * int64(cfg.SectorBytes) * int64(cfg.SectorsPerTrk) * 97
-		now = rnd.Access(now, offset, 8192)
+		now = rnd.access(now, offset, 8192)
 	}
-	if seq.MeanServiceTime() >= rnd.MeanServiceTime() {
-		t.Fatalf("sequential %v not faster than random %v",
-			seq.MeanServiceTime(), rnd.MeanServiceTime())
+	seqMean := seq.BusyTime / sim.Duration(seq.Requests)
+	rndMean := rnd.BusyTime / sim.Duration(rnd.Requests)
+	if seqMean >= rndMean {
+		t.Fatalf("sequential %v not faster than random %v", seqMean, rndMean)
 	}
 	if rnd.SeekTime == 0 {
 		t.Fatal("random workload recorded no seek time")
@@ -126,10 +127,10 @@ func TestSequentialFasterThanRandom(t *testing.T) {
 }
 
 func TestAccessPanics(t *testing.T) {
-	d, _ := New(DefaultConfig())
+	d, _ := newDrive(DefaultConfig())
 	for _, f := range []func(){
-		func() { d.Access(0, -1, 10) },
-		func() { d.Access(0, 0, 0) },
+		func() { d.access(0, -1, 10) },
+		func() { d.access(0, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -147,13 +148,13 @@ func TestArrayStriping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Disks()) != 4 {
-		t.Fatalf("disks = %d", len(a.Disks()))
+	if len(a.disks) != 4 {
+		t.Fatalf("disks = %d", len(a.disks))
 	}
 	// A 256 KB request spans all four stripe units -> all four disks.
 	a.Access(0, 0, 256<<10)
 	busy := 0
-	for _, d := range a.Disks() {
+	for _, d := range a.disks {
 		if d.Requests > 0 {
 			busy++
 		}
@@ -167,7 +168,7 @@ func TestArraySmallRequestOneDisk(t *testing.T) {
 	a, _ := NewArray(4, DefaultConfig(), 64<<10)
 	a.Access(0, 0, 8192)
 	busy := 0
-	for _, d := range a.Disks() {
+	for _, d := range a.disks {
 		busy += int(d.Requests)
 	}
 	if busy != 1 {
@@ -213,14 +214,14 @@ func TestArrayErrors(t *testing.T) {
 // time.
 func TestQuickFIFOMonotone(t *testing.T) {
 	f := func(offsets []uint32) bool {
-		d, err := New(DefaultConfig())
+		d, err := newDrive(DefaultConfig())
 		if err != nil {
 			return false
 		}
 		now := sim.Time(0)
 		var prevDone sim.Time
 		for _, o := range offsets {
-			done := d.Access(now, int64(o), 4096)
+			done := d.access(now, int64(o), 4096)
 			if done <= now || done < prevDone {
 				return false
 			}
@@ -237,13 +238,13 @@ func TestQuickFIFOMonotone(t *testing.T) {
 // Property: busy-time accounting decomposes exactly.
 func TestQuickBusyDecomposition(t *testing.T) {
 	f := func(offsets []uint32) bool {
-		d, err := New(DefaultConfig())
+		d, err := newDrive(DefaultConfig())
 		if err != nil {
 			return false
 		}
 		now := sim.Time(0)
 		for _, o := range offsets {
-			now = d.Access(now, int64(o), 4096)
+			now = d.access(now, int64(o), 4096)
 		}
 		return d.BusyTime == d.SeekTime+d.RotTime+d.XferTime
 	}

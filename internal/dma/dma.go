@@ -46,39 +46,15 @@ func FromRecord(id int64, r trace.Record) Transfer {
 	}
 }
 
-// Bytes returns the payload size.
-func (t Transfer) Bytes(pageBytes int) int64 {
-	return int64(t.Pages) * int64(pageBytes)
-}
-
 // Segment is a maximal run of consecutive pages of one transfer that
 // live on the same chip under the current layout. A transfer crosses
 // its segments in order; each segment is the unit the memory
-// controller gates and serves.
+// controller gates and serves, and the controller resolves each one as
+// the transfer reaches it.
 type Segment struct {
 	Chip  int
 	Page  memsys.PageID // first page of the run
 	Pages int
-}
-
-// Segments splits a transfer by chip under the given mapper.
-func (t Transfer) Segments(m memsys.Mapper) []Segment {
-	if t.Pages <= 0 {
-		panic(fmt.Sprintf("dma: transfer %d has %d pages", t.ID, t.Pages))
-	}
-	segs := make([]Segment, 0, t.Pages)
-	cur := Segment{Chip: m.ChipOf(t.Page), Page: t.Page, Pages: 1}
-	for i := 1; i < t.Pages; i++ {
-		p := t.Page + memsys.PageID(i)
-		c := m.ChipOf(p)
-		if c == cur.Chip {
-			cur.Pages++
-			continue
-		}
-		segs = append(segs, cur)
-		cur = Segment{Chip: c, Page: p, Pages: 1}
-	}
-	return append(segs, cur)
 }
 
 // RequestEvent is one DMA-memory request of the exact schedule: the

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 	"dmamem/internal/trace"
 )
@@ -17,82 +16,12 @@ func TestFromRecord(t *testing.T) {
 	if x.ID != 9 || x.Arrival != 100 || x.Bus != 2 || x.Pages != 4 || x.Page != 77 {
 		t.Fatalf("FromRecord: %+v", x)
 	}
-	if x.Bytes(8192) != 4*8192 {
-		t.Fatalf("Bytes = %d", x.Bytes(8192))
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-DMA record accepted")
 		}
 	}()
 	FromRecord(1, trace.Record{Kind: trace.ProcRead})
-}
-
-func TestSegmentsInterleaved(t *testing.T) {
-	// Interleaved mapping puts consecutive pages on different chips:
-	// every page is its own segment.
-	tr := Transfer{ID: 1, Page: 10, Pages: 4}
-	segs := tr.Segments(memsys.InterleavedMapper{Chips: 32})
-	if len(segs) != 4 {
-		t.Fatalf("got %d segments", len(segs))
-	}
-	for i, s := range segs {
-		if s.Pages != 1 || s.Page != memsys.PageID(10+i) || s.Chip != (10+i)%32 {
-			t.Fatalf("segment %d: %+v", i, s)
-		}
-	}
-}
-
-func TestSegmentsSequential(t *testing.T) {
-	// Sequential mapping keeps a within-chip run together.
-	tr := Transfer{ID: 1, Page: 0, Pages: 6}
-	segs := tr.Segments(memsys.SequentialMapper{PagesPerChip: 4})
-	if len(segs) != 2 {
-		t.Fatalf("got %d segments: %+v", len(segs), segs)
-	}
-	if segs[0] != (Segment{Chip: 0, Page: 0, Pages: 4}) {
-		t.Fatalf("first segment: %+v", segs[0])
-	}
-	if segs[1] != (Segment{Chip: 1, Page: 4, Pages: 2}) {
-		t.Fatalf("second segment: %+v", segs[1])
-	}
-}
-
-func TestSegmentsSingle(t *testing.T) {
-	tr := Transfer{ID: 1, Page: 3, Pages: 1}
-	segs := tr.Segments(memsys.InterleavedMapper{Chips: 8})
-	if len(segs) != 1 || segs[0].Chip != 3 {
-		t.Fatalf("%+v", segs)
-	}
-}
-
-// Property: segments partition the transfer exactly and each segment is
-// chip-homogeneous.
-func TestQuickSegmentsPartition(t *testing.T) {
-	f := func(page16 uint16, pages8, chips8 uint8) bool {
-		chips := 1 + int(chips8)%32
-		tr := Transfer{Page: memsys.PageID(page16), Pages: 1 + int(pages8)%20}
-		m := memsys.InterleavedMapper{Chips: chips}
-		segs := tr.Segments(m)
-		next := tr.Page
-		total := 0
-		for _, s := range segs {
-			if s.Page != next || s.Pages <= 0 {
-				return false
-			}
-			for i := 0; i < s.Pages; i++ {
-				if m.ChipOf(s.Page+memsys.PageID(i)) != s.Chip {
-					return false
-				}
-			}
-			next += memsys.PageID(s.Pages)
-			total += s.Pages
-		}
-		return total == tr.Pages
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 const (

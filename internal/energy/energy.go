@@ -148,9 +148,3 @@ func (m *Meter) AddJoules(c Category, joules float64) {
 
 // Breakdown returns a copy of the accumulated energy.
 func (m *Meter) Breakdown() Breakdown { return m.b }
-
-// Total returns total joules so far.
-func (m *Meter) Total() float64 { return m.b.Total() }
-
-// Reset clears the meter.
-func (m *Meter) Reset() { m.b = Breakdown{} }

@@ -49,7 +49,7 @@ func FuzzModelValidate(f *testing.F) {
 			states[i] = StateSpec{Name: names[i], Power: p}
 			p *= decay
 		}
-		// down/up are indexed like States, entry 0 unused (ChainModel's
+		// down/up are indexed like States, entry 0 unused (chainModel's
 		// contract).
 		down := make([]Transition, n)
 		up := make([]Transition, n)
@@ -59,7 +59,7 @@ func FuzzModelValidate(f *testing.F) {
 			up[i] = Transition{Power: activeP, Time: sim.Duration(upPs) * sim.Duration(i)}
 			thresholds[i-1] = sim.Duration(threshPs) * sim.Duration(i)
 		}
-		m := ChainModel("fuzz", 625*sim.Picosecond, 3.2e9, states, down, up, State(microNap), thresholds)
+		m := chainModel("fuzz", 625*sim.Picosecond, 3.2e9, states, down, up, State(microNap), thresholds)
 		if m.Validate() != nil {
 			return
 		}
@@ -72,7 +72,7 @@ func FuzzModelValidate(f *testing.F) {
 				t.Fatalf("valid model: WakeLatencyOf(%d) = %d", s, wl)
 			}
 			if s > 0 {
-				be := m.BreakEvenOf(s)
+				be := breakEvenOf(m, s)
 				if be < 0 {
 					t.Fatalf("valid model: BreakEvenOf(%d) = %d", s, be)
 				}

@@ -29,7 +29,7 @@ type StateSpec struct {
 // well as LPDDR4's three-state machine — each with its own transition
 // costs and default demotion thresholds.
 //
-// Calibrated instances ship through the registry (Register / Lookup /
+// Calibrated instances ship through the registry (register / Lookup /
 // Techs); the zero-configuration path resolves to the paper's RDRAM
 // Table 1 model (RDRAM).
 type Model struct {
@@ -141,28 +141,6 @@ func (m *Model) WakeLatencyOf(s State) sim.Duration {
 	return m.UpFrom(s).Time
 }
 
-// BreakEvenOf returns the minimum idle period for which entering state
-// s from the operating state saves energy under this model, counting
-// the down transition, residence and the wake: the idle gap t at which
-// Power(Active)*t equals the sleep cost, clamped to at least the
-// transition round trip. Classic dynamic policies pick thresholds from
-// it.
-func (m *Model) BreakEvenOf(s State) sim.Duration {
-	if s == Active {
-		return 0
-	}
-	down, up := m.DownTo(s), m.UpFrom(s)
-	overheadJ := down.Power*down.Time.Seconds() + up.Power*up.Time.Seconds()
-	resid := m.Power(s)
-	num := overheadJ - resid*(down.Time.Seconds()+up.Time.Seconds())
-	den := m.Power(Active) - resid
-	be := sim.FromSeconds(num / den)
-	if transit := down.Time + up.Time; be < transit {
-		be = transit
-	}
-	return be
-}
-
 // finite rejects NaN and ±Inf.
 func finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
@@ -244,12 +222,12 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// ChainModel assembles a Model with the chain semantics of the
+// chainModel assembles a Model with the chain semantics of the
 // original policy work: demoting from any state into a deeper state j
 // costs the operating-state entry down[j] (the dominant term is the
 // resynchronization on the way back up), and waking from state i costs
 // up[i]. down and up are indexed like States, with entry 0 unused.
-func ChainModel(name string, cycle sim.Duration, bandwidth float64, states []StateSpec, down, up []Transition, microNap State, thresholds []sim.Duration) *Model {
+func chainModel(name string, cycle sim.Duration, bandwidth float64, states []StateSpec, down, up []Transition, microNap State, thresholds []sim.Duration) *Model {
 	n := len(states)
 	trans := make([][]Transition, n)
 	for i := range trans {

@@ -100,7 +100,7 @@ func TestShippedModelsInvariants(t *testing.T) {
 				if s > 1 && m.WakeLatencyOf(s) < m.WakeLatencyOf(s-1) {
 					t.Errorf("wake from %s faster than from %s", m.StateName(s), m.StateName(s-1))
 				}
-				be := m.BreakEvenOf(s)
+				be := breakEvenOf(m, s)
 				if round := m.DownTo(s).Time + m.UpFrom(s).Time; be < round {
 					t.Errorf("break-even of %s (%v) below the round trip (%v)", m.StateName(s), be, round)
 				}
@@ -133,8 +133,8 @@ func TestDDRSpecSane(t *testing.T) {
 	if got := m.WakeLatencyOf(Powerdown); got != 1000*sim.Nanosecond {
 		t.Fatalf("self-refresh exit = %v, want 1us", got)
 	}
-	if !(m.BreakEvenOf(Standby) < m.BreakEvenOf(Nap) &&
-		m.BreakEvenOf(Nap) < m.BreakEvenOf(Powerdown)) {
+	if !(breakEvenOf(m, Standby) < breakEvenOf(m, Nap) &&
+		breakEvenOf(m, Nap) < breakEvenOf(m, Powerdown)) {
 		t.Fatal("DDR break-even ordering violated")
 	}
 }
@@ -221,13 +221,13 @@ func TestRegisterGuards(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("duplicate Register", func() { Register("rdram", RDRAM) })
-	mustPanic("empty Register", func() { Register("  ", RDRAM) })
-	mustPanic("invalid model", func() { Register("broken", func() *Model { return &Model{} }) })
-	mustPanic("alias shadowing tech", func() { RegisterAlias("rdram", "ddr400") })
-	mustPanic("duplicate alias", func() { RegisterAlias("ddr", "ddr400") })
-	mustPanic("alias to unknown", func() { RegisterAlias("x", "sram") })
-	mustPanic("Register over alias", func() { Register("ddr", newDDR400Model) })
+	mustPanic("duplicate Register", func() { register("rdram", RDRAM) })
+	mustPanic("empty Register", func() { register("  ", RDRAM) })
+	mustPanic("invalid model", func() { register("broken", func() *Model { return &Model{} }) })
+	mustPanic("alias shadowing tech", func() { registerAlias("rdram", "ddr400") })
+	mustPanic("duplicate alias", func() { registerAlias("ddr", "ddr400") })
+	mustPanic("alias to unknown", func() { registerAlias("x", "sram") })
+	mustPanic("Register over alias", func() { register("ddr", newDDR400Model) })
 }
 
 // TestModelAccessorPanics pins the out-of-range panics consumers rely
@@ -247,19 +247,19 @@ func TestModelAccessorPanics(t *testing.T) {
 	mustPanic("TransitionFor out of range", func() { m.TransitionFor(0, State(9)) })
 	mustPanic("DownTo active", func() { m.DownTo(Active) })
 	mustPanic("UpFrom active", func() { m.UpFrom(Active) })
-	if m.WakeLatencyOf(Active) != 0 || m.BreakEvenOf(Active) != 0 {
+	if m.WakeLatencyOf(Active) != 0 || breakEvenOf(m, Active) != 0 {
 		t.Fatal("active state has nonzero wake/break-even")
 	}
 }
 
-// TestChainModelShape pins ChainModel's matrix construction: down[j]
+// TestChainModelShape pins chainModel's matrix construction: down[j]
 // fills every demotion into j (the chain semantics), up[i]
 // fills the wake column, everything else stays zero.
 func TestChainModelShape(t *testing.T) {
 	states := []StateSpec{{"active", 0.4}, {"doze", 0.2}, {"sleep", 0.1}}
 	down := []Transition{{}, {Power: 0.2, Time: 10}, {Power: 0.1, Time: 20}}
 	up := []Transition{{}, {Power: 0.4, Time: 100}, {Power: 0.4, Time: 200}}
-	m := ChainModel("toy", sim.Nanosecond, 1e9, states, down, up, 1, []sim.Duration{50, 500})
+	m := chainModel("toy", sim.Nanosecond, 1e9, states, down, up, 1, []sim.Duration{50, 500})
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,4 +277,26 @@ func TestChainModelShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// breakEvenOf returns the minimum idle period for which entering state
+// s from the operating state saves energy under model m, counting
+// the down transition, residence and the wake: the idle gap t at which
+// Power(Active)*t equals the sleep cost, clamped to at least the
+// transition round trip. Classic dynamic policies pick thresholds from
+// it; the tests hold each model's numbers against it.
+func breakEvenOf(m *Model, s State) sim.Duration {
+	if s == Active {
+		return 0
+	}
+	down, up := m.DownTo(s), m.UpFrom(s)
+	overheadJ := down.Power*down.Time.Seconds() + up.Power*up.Time.Seconds()
+	resid := m.Power(s)
+	num := overheadJ - resid*(down.Time.Seconds()+up.Time.Seconds())
+	den := m.Power(Active) - resid
+	be := sim.FromSeconds(num / den)
+	if transit := down.Time + up.Time; be < transit {
+		be = transit
+	}
+	return be
 }

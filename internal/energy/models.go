@@ -16,15 +16,15 @@ import "dmamem/internal/sim"
 //     (arXiv:1803.07613) calibrates against, with JEDEC exit
 //     latencies (tXP, tXPDLL, tXS, tXSR, tDLLK).
 func init() {
-	Register("rdram", RDRAM)
-	RegisterAlias("rdram-1600", "rdram")
-	Register("ddr400", newDDR400Model)
+	register("rdram", RDRAM)
+	registerAlias("rdram-1600", "rdram")
+	register("ddr400", newDDR400Model)
 	// The public API's historical name for the DDR extension.
-	RegisterAlias("ddr", "ddr400")
-	Register("ddr3-1600", newDDR3Model)
-	Register("ddr4-2400", newDDR4Model)
-	Register("lpddr4", newLPDDR4Model)
-	RegisterAlias("lpddr4-3200", "lpddr4")
+	registerAlias("ddr", "ddr400")
+	register("ddr3-1600", newDDR3Model)
+	register("ddr4-2400", newDDR4Model)
+	register("lpddr4", newLPDDR4Model)
+	registerAlias("lpddr4-3200", "lpddr4")
 }
 
 // RDRAM is the paper's Table 1 device, a 512 Mb 1600 MHz RDRAM part:
@@ -35,7 +35,7 @@ func init() {
 // active->low-power setting), 100 ns and 2 us.
 func RDRAM() *Model {
 	const cyc = 625 * sim.Picosecond // 1600 MHz
-	return ChainModel("rdram-1600", cyc, 3.2e9,
+	return chainModel("rdram-1600", cyc, 3.2e9,
 		[]StateSpec{
 			{Name: "active", Power: 0.300},
 			{Name: "standby", Power: 0.180},
@@ -68,7 +68,7 @@ func RDRAM() *Model {
 // same on both.
 func newDDR400Model() *Model {
 	const cyc = 5 * sim.Nanosecond
-	return ChainModel("ddr-400", cyc, 2.1e9,
+	return chainModel("ddr-400", cyc, 2.1e9,
 		[]StateSpec{
 			{Name: "active", Power: 0.460},
 			{Name: "standby", Power: 0.180},
@@ -100,7 +100,7 @@ func newDDR400Model() *Model {
 // each state's break-even time (~8.5 ns / ~16 ns / ~125 ns).
 func newDDR3Model() *Model {
 	const cyc = 1250 * sim.Picosecond // 800 MHz clock, 1600 MT/s
-	return ChainModel("ddr3-1600", cyc, 12.8e9,
+	return chainModel("ddr3-1600", cyc, 12.8e9,
 		[]StateSpec{
 			{Name: "active", Power: 0.720},
 			{Name: "active-powerdown", Power: 0.360},
@@ -133,7 +133,7 @@ func newDDR3Model() *Model {
 // MPSM exit needs the DLL relock, tDLLK = 1024 cycles ≈ 854 ns.
 func newDDR4Model() *Model {
 	const cyc = 833 * sim.Picosecond // 1200 MHz clock, 2400 MT/s
-	return ChainModel("ddr4-2400", cyc, 19.2e9,
+	return chainModel("ddr4-2400", cyc, 19.2e9,
 		[]StateSpec{
 			{Name: "active", Power: 0.576},
 			{Name: "active-powerdown", Power: 0.264},
@@ -169,7 +169,7 @@ func newDDR4Model() *Model {
 // JEDEC LPDDR4: tXP = 7.5 ns, tXSR ≈ 140 ns (tRFCab + 7.5 ns).
 func newLPDDR4Model() *Model {
 	const cyc = 625 * sim.Picosecond // 1600 MHz clock, 3200 MT/s
-	return ChainModel("lpddr4-3200", cyc, 12.8e9,
+	return chainModel("lpddr4-3200", cyc, 12.8e9,
 		[]StateSpec{
 			{Name: "active", Power: 0.360},
 			{Name: "powerdown", Power: 0.090},

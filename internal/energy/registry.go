@@ -18,45 +18,45 @@ var (
 	aliases  = map[string]string{}        // alias -> canonical name
 )
 
-// Register adds a technology backend under a canonical name. The
+// register adds a technology backend under a canonical name. The
 // builder must return a fresh, valid Model on every call (Lookup hands
 // each caller its own instance, so simulations never share mutable
 // model state). Registering a duplicate name or an invalid model
 // panics: both are programmer errors at init time.
-func Register(name string, build func() *Model) {
+func register(name string, build func() *Model) {
 	name = normalizeTech(name)
 	if name == "" {
-		panic("energy: Register with empty technology name")
+		panic("energy: register with empty technology name")
 	}
 	m := build()
 	if err := m.Validate(); err != nil {
-		panic(fmt.Sprintf("energy: Register(%q): %v", name, err))
+		panic(fmt.Sprintf("energy: register(%q): %v", name, err))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := builders[name]; dup {
-		panic(fmt.Sprintf("energy: Register(%q): already registered", name))
+		panic(fmt.Sprintf("energy: register(%q): already registered", name))
 	}
 	if _, dup := aliases[name]; dup {
-		panic(fmt.Sprintf("energy: Register(%q): name already registered as an alias", name))
+		panic(fmt.Sprintf("energy: register(%q): name already registered as an alias", name))
 	}
 	builders[name] = build
 }
 
-// RegisterAlias makes alias resolve to an already-registered canonical
+// registerAlias makes alias resolve to an already-registered canonical
 // technology. Aliases do not appear in Techs.
-func RegisterAlias(alias, canonical string) {
+func registerAlias(alias, canonical string) {
 	alias, canonical = normalizeTech(alias), normalizeTech(canonical)
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, ok := builders[canonical]; !ok {
-		panic(fmt.Sprintf("energy: RegisterAlias(%q, %q): unknown canonical name", alias, canonical))
+		panic(fmt.Sprintf("energy: registerAlias(%q, %q): unknown canonical name", alias, canonical))
 	}
 	if _, dup := builders[alias]; dup {
-		panic(fmt.Sprintf("energy: RegisterAlias(%q): already registered as a technology", alias))
+		panic(fmt.Sprintf("energy: registerAlias(%q): already registered as a technology", alias))
 	}
 	if _, dup := aliases[alias]; dup {
-		panic(fmt.Sprintf("energy: RegisterAlias(%q): already registered as an alias", alias))
+		panic(fmt.Sprintf("energy: registerAlias(%q): already registered as an alias", alias))
 	}
 	aliases[alias] = canonical
 }

@@ -64,7 +64,7 @@ func TestRDRAMSpecMatchesTable1(t *testing.T) {
 		if transit := row.down.Time + row.up.Time; want < transit {
 			want = transit
 		}
-		if got := s.BreakEvenOf(row.st); got != want {
+		if got := breakEvenOf(s, row.st); got != want {
 			t.Errorf("break-even of %v = %v, want %v", row.st, got, want)
 		}
 	}
@@ -135,7 +135,7 @@ func TestQuickSpecBreakEven(t *testing.T) {
 	f := func(pickSpec, pickState uint8) bool {
 		s := specs[int(pickSpec)%len(specs)]
 		st := State(1 + pickState%3)
-		be := s.BreakEvenOf(st)
+		be := breakEvenOf(s, st)
 		idleJ := s.Power(Active) * be.Seconds()
 		down, up := s.DownTo(st), s.UpFrom(st)
 		resid := be - down.Time - up.Time

@@ -15,27 +15,29 @@ import (
 	"dmamem/internal/dma"
 	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
+	"dmamem/internal/metrics"
 	"dmamem/internal/policy"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
 )
 
-// runFluid executes the same scenario on the production controller.
-func runFluid(t testing.TB, xs []Transfer) (map[int]sim.Time, *memsys.Chip, *controller.Controller) {
+// runFluid executes the same scenario on the production controller and
+// returns its report. Every chip but the one the scenario reaches stays
+// in powerdown, so the report's active energy and uf are that chip's.
+func runFluid(t testing.TB, xs []Transfer) *metrics.Report {
 	t.Helper()
 	eng := sim.New()
 	cfg := controller.Config{
 		Geometry:     memsys.Default(),
 		Buses:        bus.DefaultConfig(),
 		Policy:       policy.ChainFor(energy.RDRAM()),
-		Mapper:       memsys.SequentialMapper{PagesPerChip: memsys.Default().PagesPerChip()},
+		Mapper:       sequentialMapper(memsys.Default()),
 		InitialState: energy.Powerdown,
 	}
 	c, err := controller.New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	completion := make(map[int]sim.Time)
 	for i := range xs {
 		x := xs[i]
 		eng.SchedulePrio(x.Arrival, 1, func(*sim.Engine) {
@@ -46,16 +48,12 @@ func runFluid(t testing.TB, xs []Transfer) (map[int]sim.Time, *memsys.Chip, *con
 		})
 	}
 	eng.Run()
-	c.Finish(eng.Now())
-	// The controller does not expose per-transfer completions; infer
-	// the last one from the engine clock and check aggregates instead.
-	_ = completion
-	return completion, c.ChipModels()[0], c
+	return c.Report("fluid", c.Finish(eng.Now()))
 }
 
 func goldenConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Mapper = memsys.SequentialMapper{PagesPerChip: cfg.Geometry.PagesPerChip()}
+	cfg.Mapper = sequentialMapper(cfg.Geometry)
 	return cfg
 }
 
@@ -87,7 +85,7 @@ func TestCrossCheckAggregates(t *testing.T) {
 			Geometry:     memsys.Default(),
 			Buses:        bus.DefaultConfig(),
 			Policy:       policy.ChainFor(energy.RDRAM()),
-			Mapper:       memsys.SequentialMapper{PagesPerChip: memsys.Default().PagesPerChip()},
+			Mapper:       sequentialMapper(memsys.Default()),
 			InitialState: energy.Powerdown,
 		}
 		c, err := controller.New(eng, cfg)
@@ -162,17 +160,16 @@ func TestCrossCheckAlignedEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, chip, _ := runFluid(t, xs)
+	fluid := runFluid(t, xs)
 
 	// Active-mode energy (serving + mismatch idle) agrees.
 	gActive := golden.Energy[energy.CatServing] + golden.Energy[energy.CatIdleDMA]
-	b := chip.Meter.Breakdown()
-	fActive := b[energy.CatServing] + b[energy.CatIdleDMA]
+	fActive := fluid.Energy[energy.CatServing] + fluid.Energy[energy.CatIdleDMA]
 	if math.Abs(gActive-fActive)/gActive > 0.02 {
 		t.Fatalf("active energy: golden %g vs fluid %g", gActive, fActive)
 	}
 	// Both models see a fully utilized chip.
-	if golden.UF() < 0.99 || chip.UtilizationFactor() < 0.99 {
-		t.Fatalf("uf: golden %.3f fluid %.3f", golden.UF(), chip.UtilizationFactor())
+	if golden.UF() < 0.99 || fluid.UtilizationFactor < 0.99 {
+		t.Fatalf("uf: golden %.3f fluid %.3f", golden.UF(), fluid.UtilizationFactor)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func seqConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Mapper = memsys.SequentialMapper{PagesPerChip: cfg.Geometry.PagesPerChip()}
+	cfg.Mapper = sequentialMapper(cfg.Geometry)
 	return cfg
 }
 
@@ -146,4 +146,10 @@ func TestQuickGoldenConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sequentialMapper fills chips one at a time with consecutive pages:
+// a topology of one chip per channel with a chip-sized stripe.
+func sequentialMapper(g memsys.Geometry) memsys.Mapper {
+	return memsys.Topology{Channels: g.NumChips, StripePages: g.PagesPerChip()}.Mapper(g)
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"dmamem/internal/core"
 	"dmamem/internal/metrics"
 	"dmamem/internal/sim"
+	"dmamem/internal/synth"
 )
 
 // TestParallelDeterminism is the regression gate for the parallel
@@ -28,7 +30,7 @@ func TestParallelDeterminism(t *testing.T) {
 				t.Errorf("parallel=%d: %s rendering differs\ngot:\n%s\nwant:\n%s", parallel, want[i].name, got[i].text, want[i].text)
 			}
 		}
-		if r.Timings.Count() == 0 {
+		if timedJobs(r.Timings) == 0 {
 			t.Errorf("parallel=%d: no job timings recorded", parallel)
 		}
 	}
@@ -59,7 +61,7 @@ func TestShardedGridDeterminism(t *testing.T) {
 		if gotText := FormatSweep("t", "x", got); gotText != wantText {
 			t.Errorf("shards=%d: rendered output differs\ngot:\n%s\nwant:\n%s", shards, gotText, wantText)
 		}
-		if s.Runner.Timings.Count() == 0 {
+		if timedJobs(s.Runner.Timings) == 0 {
 			t.Errorf("shards=%d: no job timings recorded", shards)
 		}
 	}
@@ -104,16 +106,18 @@ func parallelRun(t *testing.T, r *Runner) []parallelOutput {
 // the core layer: the two-goroutine baseline/technique pair must
 // reproduce the sequential pair's reports field for field.
 func TestBaselinePairParallelReports(t *testing.T) {
-	w, err := core.SyntheticStWorkload(10*sim.Millisecond, 1)
+	scfg := synth.DefaultSt()
+	scfg.Duration, scfg.Seed = 10*sim.Millisecond, 1
+	tr, err := synth.GenerateSt(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tech := taConfig(0.10, plConfig(2))
-	b1, t1, s1, err := core.RunBaselinePair(core.Config{}, tech, w.Trace)
+	b1, t1, s1, err := core.RunBaselinePairParallel(context.Background(), core.Config{}, tech, tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, t2, s2, err := core.RunBaselinePairParallel(ctx, core.Config{}, tech, w.Trace, 2)
+	b2, t2, s2, err := core.RunBaselinePairParallel(ctx, core.Config{}, tech, tr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

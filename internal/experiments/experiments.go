@@ -80,9 +80,9 @@ func (s *Suite) dbDuration() sim.Duration {
 	return s.Duration
 }
 
-// Workloads returns the four traces of Table 2, generating (in
+// workloads returns the four traces of Table 2, generating (in
 // parallel, through the suite's Runner) and caching them on first use.
-func (s *Suite) Workloads(ctx context.Context) ([]*trace.Trace, error) {
+func (s *Suite) workloads(ctx context.Context) ([]*trace.Trace, error) {
 	return mapJobs(ctx, s.Runner, len(workloadNames),
 		func(i int) string { return "workload/" + workloadNames[i] },
 		func(ctx context.Context, i int) (*trace.Trace, error) {
@@ -157,9 +157,9 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 	return core.RunContext(ctx, cfg, tr)
 }
 
-// runPair is RunBaselinePair with the suite's engine knobs and
-// cancellation. It also reports the pair's combined simulated work, so
-// sweep jobs feed -timing's throughput.
+// runPair is core.RunBaselinePairParallel on one goroutine with the
+// suite's engine knobs. It also reports the pair's combined simulated
+// work, so sweep jobs feed -timing's throughput.
 func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, work metrics.SimWork, err error) {
 	base.Workers, tech.Workers = s.Workers, s.Workers
 	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
@@ -232,7 +232,7 @@ type Table2Row struct {
 // Table2 generates the four traces and summarizes them like the
 // paper's trace inventory, one analysis job per workload.
 func (s *Suite) Table2(ctx context.Context) ([]Table2Row, error) {
-	ws, err := s.Workloads(ctx)
+	ws, err := s.workloads(ctx)
 	if err != nil {
 		return nil, err
 	}

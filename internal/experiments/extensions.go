@@ -78,7 +78,7 @@ func TechExtension(ctx context.Context, r *Runner, d sim.Duration, seed uint64, 
 			base := core.Config{Tech: techs[i]}
 			tech := taConfig(0.10, plConfig(2))
 			tech.Tech = techs[i]
-			b, tc, savings, err := core.RunBaselinePair(base, tech, tr)
+			b, tc, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
 			if err != nil {
 				return TechRow{}, err
 			}

@@ -28,15 +28,6 @@ type SuiteSpec struct {
 	Seed uint64
 }
 
-// Spec returns the serializable configuration of the suite.
-func (s *Suite) Spec() SuiteSpec {
-	return SuiteSpec{
-		Duration:   s.Duration,
-		DbDuration: s.DbDuration,
-		Seed:       s.Seed,
-	}
-}
-
 // NewSuiteFromSpec builds a suite from a serialized spec. Workloads
 // and baselines are generated lazily and cached per suite.
 func NewSuiteFromSpec(sp SuiteSpec) *Suite {
@@ -65,10 +56,10 @@ const (
 	// the memory rate fixed at 3.2 GB/s, one job per (workload,
 	// bandwidth, scheme).
 	GridFig10 = "fig10"
-	// GridNoop yields Points trivial results without running any
+	// gridNoop yields Points trivial results without running any
 	// simulation, so what a grid job costs beyond its simulations
 	// (admission, dispatch, serialization) can be measured alone.
-	GridNoop = "noop"
+	gridNoop = "noop"
 )
 
 // GridSpec names a grid of independent sweep points and its
@@ -110,7 +101,7 @@ type GridSpec struct {
 	// means the legacy RDRAM points, byte-identical to specs that
 	// predate the field.
 	Techs []string `json:",omitempty"`
-	// Points is the number of trivial points of GridNoop.
+	// Points is the number of trivial points of gridNoop.
 	Points int `json:",omitempty"`
 }
 
@@ -145,7 +136,7 @@ func (s *Suite) resolveGrid(gs GridSpec) (*resolvedGrid, error) {
 			}
 		}
 		return s.fig10Grid(gs), nil
-	case GridNoop:
+	case gridNoop:
 		return &resolvedGrid{
 			n:     gs.Points,
 			label: func(i int) string { return fmt.Sprintf("noop/%d", i) },
@@ -186,24 +177,24 @@ func GridRun[T any](ctx context.Context, s *Suite, gs GridSpec) ([]T, error) {
 // that ran it.
 func runGrid(ctx context.Context, r *Runner, g *resolvedGrid, onPoint func(i int, label string)) ([]any, error) {
 	out := make([]any, g.n)
-	jobs := make([]Job, g.n)
+	jobs := make([]job, g.n)
 	for i := 0; i < g.n; i++ {
 		i := i
-		job := &jobs[i]
-		*job = Job{Label: g.label(i), Run: func(ctx context.Context) error {
+		j := &jobs[i]
+		*j = job{Label: g.label(i), Run: func(ctx context.Context) error {
 			v, work, err := g.run(ctx, i)
 			if err != nil {
 				return err
 			}
-			job.Work = work
+			j.Work = work
 			out[i] = v
 			if onPoint != nil {
-				onPoint(i, job.Label)
+				onPoint(i, j.Label)
 			}
 			return nil
 		}}
 	}
-	if err := r.Do(ctx, jobs); err != nil {
+	if err := r.do(ctx, jobs); err != nil {
 		return nil, err
 	}
 	return out, nil

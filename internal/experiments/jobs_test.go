@@ -205,7 +205,7 @@ func TestSharedWorkloadCache(t *testing.T) {
 }
 
 func TestValidateGridCounts(t *testing.T) {
-	n, err := ValidateGrid(SuiteSpec{}, GridSpec{Name: GridNoop, Points: 5})
+	n, err := ValidateGrid(SuiteSpec{}, GridSpec{Name: gridNoop, Points: 5})
 	if err != nil || n != 5 {
 		t.Errorf("noop grid: n=%d err=%v, want 5", n, err)
 	}
@@ -224,7 +224,7 @@ func TestValidateGridCounts(t *testing.T) {
 func TestGridRunRawNoop(t *testing.T) {
 	s := NewSuiteFromSpec(SuiteSpec{})
 	var labels []string
-	out, err := GridRunRaw(context.Background(), s, GridSpec{Name: GridNoop, Points: 3},
+	out, err := GridRunRaw(context.Background(), s, GridSpec{Name: gridNoop, Points: 3},
 		func(i int, label string) { labels = append(labels, label) })
 	if err != nil {
 		t.Fatal(err)

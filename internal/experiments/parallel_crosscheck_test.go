@@ -153,7 +153,7 @@ func TestAdaptiveEpochSpeedupSmoke(t *testing.T) {
 	if n := runtime.NumCPU(); n < 4 {
 		t.Skipf("adaptive barrier gate needs at least 4 CPUs, have %d", n)
 	}
-	tr := sparseTrace(2*sim.Second, 2*sim.Millisecond, 4)
+	tr := sparseTrace(2000*sim.Millisecond, 2*sim.Millisecond, 4)
 	topo := memsys.Topology{Channels: 4, ChannelBandwidth: 3.2e9}
 	secs := func(fixed bool) float64 {
 		cfg := core.Config{Topology: topo, Workers: 4, FixedEpoch: fixed}

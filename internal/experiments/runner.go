@@ -11,12 +11,12 @@ import (
 	"dmamem/internal/metrics"
 )
 
-// Job is one independent unit of experiment work — typically a single
+// job is one independent unit of experiment work — typically a single
 // simulation run (one scheme over one workload at one sweep point).
 // Jobs handed to the same Runner.Do call must not share mutable state:
 // each runs its own sim.Engine, which is owned by exactly one
 // goroutine (see the internal/sim package documentation).
-type Job struct {
+type job struct {
 	// Label identifies the job in errors and timing reports.
 	Label string
 	// Run does the work. It must confine all mutable state to the
@@ -68,7 +68,7 @@ func (r *Runner) workers() int {
 
 // runOne executes one job, recording its wall-clock time and wrapping
 // any error with the job label.
-func (r *Runner) runOne(ctx context.Context, j *Job) error {
+func (r *Runner) runOne(ctx context.Context, j *job) error {
 	start := time.Now()
 	err := j.Run(ctx)
 	if r != nil && r.Timings != nil {
@@ -80,7 +80,7 @@ func (r *Runner) runOne(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// Do executes the jobs across the worker pool and returns the first
+// do executes the jobs across the worker pool and returns the first
 // error in job order (not completion order), so error reporting is as
 // deterministic as the results. When a job fails, the context passed
 // to the remaining jobs is canceled and unstarted jobs are skipped; a
@@ -95,7 +95,7 @@ func (r *Runner) runOne(ctx context.Context, j *Job) error {
 // single-flight trace and baseline; in list order every worker would
 // start on one workload and wait for the same baseline, while strided
 // workers start on different ones.
-func (r *Runner) Do(ctx context.Context, jobs []Job) error {
+func (r *Runner) do(ctx context.Context, jobs []job) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -172,23 +172,23 @@ func (r *Runner) Do(ctx context.Context, jobs []Job) error {
 // completion order.
 func mapJobs[R any](ctx context.Context, r *Runner, n int, label func(i int) string, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
 	out := make([]R, n)
-	jobs := make([]Job, n)
+	jobs := make([]job, n)
 	for i := 0; i < n; i++ {
 		i := i
-		job := &jobs[i]
-		*job = Job{Label: label(i), Run: func(ctx context.Context) error {
+		j := &jobs[i]
+		*j = job{Label: label(i), Run: func(ctx context.Context) error {
 			v, err := fn(ctx, i)
 			if err != nil {
 				return err
 			}
 			if sw, ok := any(v).(simWorker); ok {
-				job.Work = sw.Work()
+				j.Work = sw.Work()
 			}
 			out[i] = v
 			return nil
 		}}
 	}
-	if err := r.Do(ctx, jobs); err != nil {
+	if err := r.do(ctx, jobs); err != nil {
 		return nil, err
 	}
 	return out, nil

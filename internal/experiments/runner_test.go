@@ -16,17 +16,17 @@ import (
 func TestRunnerNilSequentialOrder(t *testing.T) {
 	var r *Runner
 	var order []int
-	jobs := make([]Job, 5)
+	jobs := make([]job, 5)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job{Label: "seq", Run: func(context.Context) error {
+		jobs[i] = job{Label: "seq", Run: func(context.Context) error {
 			order = append(order, i)
 			return nil
 		}}
 	}
 	// A nil Runner runs on the calling goroutine — appending to a
 	// shared slice without locks is safe and must preserve job order.
-	if err := r.Do(ctx, jobs); err != nil {
+	if err := r.do(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -40,10 +40,10 @@ func TestRunnerFirstErrorInJobOrder(t *testing.T) {
 	sentinel := errors.New("boom")
 	const failAt = 13
 	var ran int32
-	jobs := make([]Job, 20)
+	jobs := make([]job, 20)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job{Label: "job-13", Run: func(context.Context) error {
+		jobs[i] = job{Label: "job-13", Run: func(context.Context) error {
 			atomic.AddInt32(&ran, 1)
 			if i == failAt {
 				return sentinel
@@ -51,7 +51,7 @@ func TestRunnerFirstErrorInJobOrder(t *testing.T) {
 			return nil
 		}}
 	}
-	err := NewRunner(8).Do(ctx, jobs)
+	err := NewRunner(8).do(ctx, jobs)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -63,10 +63,10 @@ func TestRunnerFirstErrorInJobOrder(t *testing.T) {
 func TestRunnerCancelSkipsSiblings(t *testing.T) {
 	sentinel := errors.New("boom")
 	var started int32
-	jobs := make([]Job, 64)
+	jobs := make([]job, 64)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job{Label: "j", Run: func(ctx context.Context) error {
+		jobs[i] = job{Label: "j", Run: func(ctx context.Context) error {
 			atomic.AddInt32(&started, 1)
 			if i == 0 {
 				return sentinel
@@ -76,7 +76,7 @@ func TestRunnerCancelSkipsSiblings(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := NewRunner(4).Do(ctx, jobs); !errors.Is(err, sentinel) {
+	if err := NewRunner(4).do(ctx, jobs); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 	// The failure must abort the feed: far fewer than 64 jobs start.
@@ -88,14 +88,14 @@ func TestRunnerCancelSkipsSiblings(t *testing.T) {
 func TestRunnerParentCancellation(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := []Job{{Label: "never", Run: func(context.Context) error {
+	jobs := []job{{Label: "never", Run: func(context.Context) error {
 		t.Error("job ran under canceled context")
 		return nil
 	}}}
-	if err := NewRunner(1).Do(canceled, jobs); !errors.Is(err, context.Canceled) {
+	if err := NewRunner(1).do(canceled, jobs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential: err = %v", err)
 	}
-	if err := NewRunner(4).Do(canceled, append(jobs, jobs[0], jobs[0])); !errors.Is(err, context.Canceled) {
+	if err := NewRunner(4).do(canceled, append(jobs, jobs[0], jobs[0])); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel: err = %v", err)
 	}
 }
@@ -117,14 +117,14 @@ func TestMapJobsIndexStable(t *testing.T) {
 func TestRunnerRecordsTimings(t *testing.T) {
 	r := NewRunner(2)
 	r.Timings = &metrics.Timings{}
-	jobs := make([]Job, 6)
+	jobs := make([]job, 6)
 	for i := range jobs {
-		jobs[i] = Job{Label: "timed", Run: func(context.Context) error { return nil }}
+		jobs[i] = job{Label: "timed", Run: func(context.Context) error { return nil }}
 	}
-	if err := r.Do(ctx, jobs); err != nil {
+	if err := r.do(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Timings.Count(); got != len(jobs) {
+	if got := timedJobs(r.Timings); got != len(jobs) {
 		t.Fatalf("recorded %d timings, want %d", got, len(jobs))
 	}
 }
@@ -160,10 +160,10 @@ func TestRunnerSliceStridedDispatch(t *testing.T) {
 				return slices.Equal(got, want)
 			}
 			late, early := errors.New("late failure"), errors.New("early failure")
-			jobs := make([]Job, tc.n)
+			jobs := make([]job, tc.n)
 			for i := range jobs {
 				i := i
-				jobs[i] = Job{Label: fmt.Sprintf("job-%d", i), Run: func(ctx context.Context) error {
+				jobs[i] = job{Label: fmt.Sprintf("job-%d", i), Run: func(ctx context.Context) error {
 					mu.Lock()
 					started = append(started, i)
 					first := len(started) <= tc.workers
@@ -191,7 +191,7 @@ func TestRunnerSliceStridedDispatch(t *testing.T) {
 					return nil
 				}}
 			}
-			err := NewRunner(tc.workers).Do(ctx, jobs)
+			err := NewRunner(tc.workers).do(ctx, jobs)
 			if !wave() {
 				t.Fatalf("first %d jobs started = %v, want %v", tc.workers, started[:tc.workers], want)
 			}
@@ -200,4 +200,11 @@ func TestRunnerSliceStridedDispatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// timedJobs reads how many jobs a Timings recorded from its summary.
+func timedJobs(tm *metrics.Timings) int {
+	var n int
+	fmt.Sscanf(tm.Summary(0), "timing: %d jobs", &n)
+	return n
 }

@@ -13,7 +13,7 @@ import (
 // TestSingleChannelTopologyBitIdentical is the cross-backend
 // acceptance check for the channel topology: on every Table 2 workload
 // and every scheme, a 1-channel memsys.Topology — which engages the
-// topology backend (TopologyMapper, per-channel gather targets,
+// topology backend (the topology mapper, per-channel gather targets,
 // per-channel energy rollup) rather than the legacy code path — must
 // produce a report bit-identical to the legacy single-channel Geometry
 // path, in the style of TestSchedulerFeederBitIdentical. The

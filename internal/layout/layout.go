@@ -68,8 +68,8 @@ func DefaultConfig() Config {
 // 0..Groups-2 must not exceed math.MaxInt8.
 const MaxGroups = math.MaxInt8 + 2
 
-// Validate reports a descriptive error for unusable configs.
-func (c Config) Validate() error {
+// validate reports a descriptive error for unusable configs.
+func (c Config) validate() error {
 	switch {
 	case c.Groups < 2 || c.Groups > MaxGroups:
 		return fmt.Errorf("layout: Groups = %d, need 2..%d", c.Groups, MaxGroups)
@@ -92,8 +92,9 @@ type Manager struct {
 	loc    []uint16 // page -> chip
 	counts []uint32 // aged DMA reference count per page
 
-	// groupOfChip is the group index each chip belonged to after the
-	// last rebalance (0 = hottest, Groups-1 = cold).
+	// groupOfChip is the group index of each chip (0 = hottest,
+	// Groups-1 = cold): all cold before the first rebalance, and each
+	// rebalance assigns it afresh before it moves any page.
 	groupOfChip []int
 
 	// Adaptive dirty-set accounting. tracked[p] says page p sits in
@@ -125,7 +126,6 @@ type Manager struct {
 	moving      []bool // page already chosen to enter some group
 	dropped     []bool // exchange cancelled by hysteresis or trimming
 	sizes       []int
-	nextGroup   []int // next groupOfChip, swapped in after the moves
 	entering    [][]int32
 	leaving     [][]int32
 	freed       [][]uint16
@@ -148,7 +148,7 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if geo.NumChips < 2 {
@@ -170,7 +170,6 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 		moving:      make([]bool, geo.TotalPages()),
 		dropped:     make([]bool, geo.TotalPages()),
 		sizes:       make([]int, 0, cfg.Groups),
-		nextGroup:   make([]int, geo.NumChips),
 		entering:    make([][]int32, cfg.Groups),
 		leaving:     make([][]int32, cfg.Groups),
 		freed:       make([][]uint16, cfg.Groups),
@@ -200,10 +199,6 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 
 // ChipOf implements memsys.Mapper.
 func (m *Manager) ChipOf(p memsys.PageID) int { return int(m.loc[p]) }
-
-// GroupOfChip returns the group a chip was assigned at the last
-// rebalance (Groups-1 before any rebalance).
-func (m *Manager) GroupOfChip(chip int) int { return m.groupOfChip[chip] }
 
 // Observe counts one DMA-memory reference burst to a page. The
 // controller calls it once per page per transfer, matching the paper's
@@ -438,11 +433,10 @@ func (m *Manager) rebalance(busy func(memsys.PageID) bool, evict evictFunc) int 
 
 	// Assign chips to groups: chip ranges in order, so the assignment
 	// is stable while the hot set is stable.
-	newGroupOfChip := m.nextGroup
 	chip := 0
 	for g, s := range sizes {
 		for i := 0; i < s; i++ {
-			newGroupOfChip[chip] = g
+			m.groupOfChip[chip] = g
 			chip++
 		}
 	}
@@ -477,7 +471,6 @@ func (m *Manager) rebalance(busy func(memsys.PageID) bool, evict evictFunc) int 
 	for _, p := range liveOrder[:rank] {
 		target[p] = noTarget
 	}
-	m.groupOfChip, m.nextGroup = newGroupOfChip, m.groupOfChip
 	m.rebuildLive(liveOrder)
 	m.age(liveOrder)
 	return moves
@@ -527,12 +520,12 @@ func (m *Manager) evictColdest(g, deficit int, liveOrder []int32, busy func(mems
 
 // tryEvict moves page p out of hot group g into the cold group, unless
 // p is in the hot set, already moving, resident outside g (by the new
-// grouping in m.nextGroup), or busy. It reports whether p was evicted.
+// grouping in m.groupOfChip), or busy. It reports whether p was evicted.
 func (m *Manager) tryEvict(p int32, g int, busy func(memsys.PageID) bool) bool {
 	if m.target[p] >= 0 || m.moving[p] {
 		return false
 	}
-	if m.nextGroup[m.loc[p]] != g {
+	if m.groupOfChip[m.loc[p]] != g {
 		return false
 	}
 	if busy != nil && busy(memsys.PageID(p)) {
@@ -546,7 +539,7 @@ func (m *Manager) tryEvict(p int32, g int, busy func(memsys.PageID) bool) bool {
 }
 
 // executeMoves migrates hot-set pages into the target groups Rebalance
-// assigned (m.target, over the chip grouping in m.nextGroup) and has
+// assigned (m.target, over the chip grouping in m.groupOfChip) and has
 // evict pick just enough cold pages to make room. Pages outside the
 // hot set (target < 0) stay put unless evicted, so steady-state
 // migration traffic tracks popularity change, not group capacity.
@@ -572,7 +565,7 @@ func (m *Manager) executeMoves(liveOrder []int32, busy func(memsys.PageID) bool,
 		if tgt < 0 {
 			break // end of the hot prefix
 		}
-		cur := m.nextGroup[m.loc[p]]
+		cur := m.groupOfChip[m.loc[p]]
 		if int(tgt) == cur {
 			continue
 		}

@@ -16,7 +16,7 @@ func smallGeo() memsys.Geometry {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := DefaultConfig().validate(); err != nil {
 		t.Fatal(err)
 	}
 	cases := []Config{
@@ -30,7 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{Groups: 200, HotShare: 0.6, Interval: 1, AgeShift: 1},
 	}
 	for i, c := range cases {
-		if c.Validate() == nil {
+		if c.validate() == nil {
 			t.Errorf("case %d accepted: %+v", i, c)
 		}
 	}
@@ -73,7 +73,7 @@ func TestNewStartsInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 8; c++ {
-		if m.GroupOfChip(c) != 1 {
+		if m.groupOfChip[c] != 1 {
 			t.Fatal("chips should start cold")
 		}
 	}
@@ -113,7 +113,7 @@ func TestRebalanceConcentratesHotPages(t *testing.T) {
 	}
 	// The 16 hot pages cover 90% > 60% of accesses; they need exactly
 	// one 16-page chip, so chip 0 is the hot group.
-	if m.GroupOfChip(0) != 0 {
+	if m.groupOfChip[0] != 0 {
 		t.Fatal("chip 0 should be hot")
 	}
 	// The hot set is the smallest prefix covering HotShare (60%) of
@@ -216,7 +216,7 @@ func TestAdaptationToWorkloadShift(t *testing.T) {
 	}
 	moved := 0
 	for p := 112; p < 128; p++ {
-		if m.GroupOfChip(m.ChipOf(memsys.PageID(p))) == 0 {
+		if m.groupOfChip[m.ChipOf(memsys.PageID(p))] == 0 {
 			moved++
 		}
 	}
@@ -282,7 +282,7 @@ func TestMoreGroupsDiluteHotSet(t *testing.T) {
 		}
 		chips := map[int]bool{}
 		for p := range hotPages {
-			if m.GroupOfChip(m.ChipOf(p)) < groups-1 { // on a hot chip
+			if m.groupOfChip[m.ChipOf(p)] < groups-1 { // on a hot chip
 				chips[m.ChipOf(p)] = true
 			}
 		}

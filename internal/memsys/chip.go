@@ -58,9 +58,9 @@ type Chip struct {
 	cursor  sim.Time // time up to which energy has been charged
 	readyAt sim.Time // transition completion time when not resident
 
-	// Statistics for the utilization factor and transition counts.
+	// Statistics for the utilization factor and the wake count. The
+	// paper's uf for the chip is ServingTime / TransferTime.
 	Wakes        int64
-	sleepCounts  []int64      // entries into each state, indexed by state
 	ActiveTime   sim.Duration // total time charged while resident Active
 	TransferTime sim.Duration // active time during which >=1 DMA transfer was in progress
 	ServingTime  sim.Duration // portion of TransferTime actually serving DMA data
@@ -99,12 +99,8 @@ func NewChip(id int, start energy.State, now sim.Time, m *energy.Model) *Chip {
 	}
 	return &Chip{ID: id, model: m, state: start, phase: PhaseResident, cursor: now,
 		Residency:   make([]sim.Duration, m.NumStates()),
-		StateEnergy: make([]float64, m.NumStates()),
-		sleepCounts: make([]int64, m.NumStates())}
+		StateEnergy: make([]float64, m.NumStates())}
 }
-
-// Model returns the chip's technology model.
-func (c *Chip) Model() *energy.Model { return c.model }
 
 // State returns the resident state, or the target state while a
 // transition is in flight.
@@ -119,15 +115,6 @@ func (c *Chip) Resident() bool { return c.phase == PhaseResident }
 // ReadyAt returns when an in-flight transition completes; it is only
 // meaningful while not resident.
 func (c *Chip) ReadyAt() sim.Time { return c.readyAt }
-
-// SleepCount reports how many times the chip entered state s; states
-// outside the chip's model count zero.
-func (c *Chip) SleepCount(s energy.State) int64 {
-	if int(s) >= len(c.sleepCounts) {
-		return 0
-	}
-	return c.sleepCounts[s]
-}
 
 // Cursor returns the instant up to which the chip's energy has been
 // accounted. While resident in Active, the controller advances it via
@@ -207,7 +194,6 @@ func (c *Chip) BeginSleep(to energy.State, now sim.Time) sim.Time {
 	c.state = to
 	c.readyAt = now.Add(tr.Time)
 	c.cursor = c.readyAt
-	c.sleepCounts[to]++
 	return c.readyAt
 }
 
@@ -241,15 +227,14 @@ func (c *Chip) Deepen(to energy.State, now sim.Time) sim.Time {
 	c.state = to
 	c.readyAt = now.Add(tr.Time)
 	c.cursor = c.readyAt
-	c.sleepCounts[to]++
 	return c.readyAt
 }
 
-// MicroNapOverheadPower approximates the transition energy of
+// microNapOverheadPower approximates the transition energy of
 // burst-granularity naps: a chip that naps between DMA bursts pays the
 // nap entry/exit transitions once per gap. At typical microsecond gap
 // lengths that averages to a few milliwatts on top of the nap power.
-const MicroNapOverheadPower = 0.005
+const microNapOverheadPower = 0.005
 
 // AccountActive charges the active span [cursor, to) while the chip is
 // resident in Active. serving is the portion spent moving DMA data,
@@ -315,7 +300,7 @@ func (c *Chip) flushActive() {
 	c.Meter.Accumulate(energy.CatIdleDMA, active, c.pendIdleDMA)
 	c.Meter.Accumulate(energy.CatIdleThreshold, active, c.pendThreshold)
 	c.Meter.Accumulate(energy.CatLowPower, napPower, c.pendMicroNap)
-	c.Meter.Accumulate(energy.CatTransition, MicroNapOverheadPower, c.pendMicroNap)
+	c.Meter.Accumulate(energy.CatTransition, microNapOverheadPower, c.pendMicroNap)
 	c.StateEnergy[energy.Active] += active*c.pendServing.Seconds() +
 		active*c.pendProc.Seconds() + active*c.pendIdleDMA.Seconds() +
 		active*c.pendThreshold.Seconds()
@@ -345,14 +330,4 @@ func (c *Chip) Close(now sim.Time) {
 		c.chargeResident(energy.CatLowPower, c.state, now.Sub(c.cursor))
 		c.cursor = now
 	}
-}
-
-// UtilizationFactor is the paper's uf metric for this chip:
-// ServingTime / TransferTime. It returns 0 for a chip that never saw a
-// transfer.
-func (c *Chip) UtilizationFactor() float64 {
-	if c.TransferTime == 0 {
-		return 0
-	}
-	return float64(c.ServingTime) / float64(c.TransferTime)
 }

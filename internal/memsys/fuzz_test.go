@@ -77,11 +77,11 @@ func FuzzTopologyValidate(f *testing.F) {
 		if nch < 1 || nch > g.NumChips || g.NumChips%nch != 0 {
 			t.Fatalf("valid topology %+v on %d chips has %d channels", topo, g.NumChips, nch)
 		}
-		if topo.ChipsPerChannel(g)*nch != g.NumChips {
+		if topo.chipsPerChannel(g)*nch != g.NumChips {
 			t.Fatalf("valid topology %+v: %d chips/channel x %d channels != %d chips",
-				topo, topo.ChipsPerChannel(g), nch, g.NumChips)
+				topo, topo.chipsPerChannel(g), nch, g.NumChips)
 		}
-		stripe := topo.EffectiveStripePages()
+		stripe := topo.effectiveStripePages()
 		if stripe < 1 {
 			t.Fatalf("valid topology %+v has stripe %d", topo, stripe)
 		}

@@ -63,9 +63,6 @@ func (g Geometry) PagesPerChip() int { return int(g.ChipBytes / int64(g.PageByte
 // TotalPages returns the number of physical pages in the system.
 func (g Geometry) TotalPages() int { return g.PagesPerChip() * g.NumChips }
 
-// TotalBytes returns the memory capacity in bytes.
-func (g Geometry) TotalBytes() int64 { return g.ChipBytes * int64(g.NumChips) }
-
 // ServiceTime returns the time one chip needs to transfer n bytes at
 // its sustained rate.
 func (g Geometry) ServiceTime(n int64) sim.Duration {
@@ -99,9 +96,3 @@ type InterleavedMapper struct{ Chips int }
 
 // ChipOf implements Mapper.
 func (m InterleavedMapper) ChipOf(p PageID) int { return int(p) % m.Chips }
-
-// SequentialMapper fills chips one at a time with consecutive pages.
-type SequentialMapper struct{ PagesPerChip int }
-
-// ChipOf implements Mapper.
-func (m SequentialMapper) ChipOf(p PageID) int { return int(p) / m.PagesPerChip }

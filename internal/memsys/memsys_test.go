@@ -17,8 +17,8 @@ func TestDefaultGeometry(t *testing.T) {
 	if g.NumChips != 32 {
 		t.Errorf("NumChips = %d, want 32", g.NumChips)
 	}
-	if g.TotalBytes() != 1<<30 {
-		t.Errorf("TotalBytes = %d, want 1 GiB", g.TotalBytes())
+	if g.ChipBytes*int64(g.NumChips) != 1<<30 {
+		t.Errorf("capacity = %d, want 1 GiB", g.ChipBytes*int64(g.NumChips))
 	}
 	if g.PagesPerChip() != 4096 {
 		t.Errorf("PagesPerChip = %d, want 4096", g.PagesPerChip())
@@ -78,7 +78,9 @@ func TestMappers(t *testing.T) {
 	if im.ChipOf(0) != 0 || im.ChipOf(1) != 1 || im.ChipOf(4) != 0 || im.ChipOf(7) != 3 {
 		t.Error("interleaved mapping wrong")
 	}
-	sm := SequentialMapper{PagesPerChip: 10}
+	// One chip per channel and a chip-sized stripe fill chips one at a
+	// time with consecutive pages.
+	sm := topologyMapper{Channels: 4, ChipsPerChannel: 1, StripePages: 10}
 	if sm.ChipOf(0) != 0 || sm.ChipOf(9) != 0 || sm.ChipOf(10) != 1 || sm.ChipOf(25) != 2 {
 		t.Error("sequential mapping wrong")
 	}
@@ -92,7 +94,7 @@ func TestQuickMapperBalance(t *testing.T) {
 		pagesPer := 1 + int(pages16)%64
 		total := chips * pagesPer
 		im := InterleavedMapper{Chips: chips}
-		sm := SequentialMapper{PagesPerChip: pagesPer}
+		sm := topologyMapper{Channels: chips, ChipsPerChannel: 1, StripePages: pagesPer}
 		countI := make([]int, chips)
 		countS := make([]int, chips)
 		for p := 0; p < total; p++ {
@@ -161,13 +163,13 @@ func TestChipWakeSleepAccounting(t *testing.T) {
 	if !approx(b[energy.CatIdleThreshold], 0.300*2e-6) {
 		t.Errorf("idle-threshold = %g", b[energy.CatIdleThreshold])
 	}
-	if c.Wakes != 1 || c.SleepCount(energy.Nap) != 1 {
-		t.Errorf("wakes=%d naps=%d", c.Wakes, c.SleepCount(energy.Nap))
+	if c.Wakes != 1 {
+		t.Errorf("wakes=%d", c.Wakes)
 	}
 	// uf = serving / (serving + DMA idle) = 1us / 2.5us; processor
 	// service time is not part of the transfer envelope.
-	if !approx(c.UtilizationFactor(), 0.4) {
-		t.Errorf("uf = %g", c.UtilizationFactor())
+	if uf := float64(c.ServingTime) / float64(c.TransferTime); !approx(uf, 0.4) {
+		t.Errorf("uf = %g", uf)
 	}
 }
 
@@ -188,8 +190,11 @@ func TestChipDeepen(t *testing.T) {
 	if !approx(b[energy.CatLowPower], wantLow) {
 		t.Errorf("low-power = %g, want %g", b[energy.CatLowPower], wantLow)
 	}
-	if c.SleepCount(energy.Nap) != 1 || c.SleepCount(energy.Powerdown) != 1 {
-		t.Error("sleep counts wrong")
+	// One entry into each deeper state: the two down hops.
+	m := energy.RDRAM()
+	toNap, toPD := m.TransitionFor(energy.Standby, energy.Nap), m.TransitionFor(energy.Nap, energy.Powerdown)
+	if want := toNap.Power*toNap.Time.Seconds() + toPD.Power*toPD.Time.Seconds(); !approx(b[energy.CatTransition], want) {
+		t.Errorf("transition = %g, want %g", b[energy.CatTransition], want)
 	}
 }
 
@@ -297,7 +302,8 @@ func TestQuickChipConservation(t *testing.T) {
 			}
 		}
 		c.Close(now)
-		return approx(c.Meter.Total(), want)
+		b := c.Meter.Breakdown()
+		return approx(b.Total(), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

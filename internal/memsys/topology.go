@@ -66,17 +66,17 @@ func (t Topology) NumChannels() int {
 	return t.Channels
 }
 
-// EffectiveStripePages returns the stripe granularity with the zero
+// effectiveStripePages returns the stripe granularity with the zero
 // default applied.
-func (t Topology) EffectiveStripePages() int {
+func (t Topology) effectiveStripePages() int {
 	if t.StripePages <= 0 {
 		return 1
 	}
 	return t.StripePages
 }
 
-// ChipsPerChannel returns how many chips each channel owns under g.
-func (t Topology) ChipsPerChannel(g Geometry) int {
+// chipsPerChannel returns how many chips each channel owns under g.
+func (t Topology) chipsPerChannel(g Geometry) int {
 	return g.NumChips / t.NumChannels()
 }
 
@@ -84,35 +84,35 @@ func (t Topology) ChipsPerChannel(g Geometry) int {
 // assigned to channels in contiguous blocks: channel c owns chips
 // [c*ChipsPerChannel, (c+1)*ChipsPerChannel).
 func (t Topology) ChannelOfChip(g Geometry, chip int) int {
-	return chip / t.ChipsPerChannel(g)
+	return chip / t.chipsPerChannel(g)
 }
 
 // Mapper returns the page-to-chip mapping induced by the topology: the
-// channel-interleaved TopologyMapper when enabled, or the legacy
+// channel-interleaved topologyMapper when enabled, or the legacy
 // InterleavedMapper otherwise.
 func (t Topology) Mapper(g Geometry) Mapper {
 	if !t.Enabled() {
 		return InterleavedMapper{Chips: g.NumChips}
 	}
-	return TopologyMapper{
+	return topologyMapper{
 		Channels:        t.NumChannels(),
-		ChipsPerChannel: t.ChipsPerChannel(g),
-		StripePages:     t.EffectiveStripePages(),
+		ChipsPerChannel: t.chipsPerChannel(g),
+		StripePages:     t.effectiveStripePages(),
 	}
 }
 
-// TopologyMapper stripes runs of StripePages consecutive pages across
+// topologyMapper stripes runs of StripePages consecutive pages across
 // channels round-robin, then round-robins the stripes owned by one
 // channel across that channel's chips. With Channels=1 and
 // StripePages=1 it reduces exactly to InterleavedMapper over all chips.
-type TopologyMapper struct {
+type topologyMapper struct {
 	Channels        int
 	ChipsPerChannel int
 	StripePages     int
 }
 
 // ChipOf implements Mapper.
-func (m TopologyMapper) ChipOf(p PageID) int {
+func (m topologyMapper) ChipOf(p PageID) int {
 	stripe := int(p) / m.StripePages
 	ch := stripe % m.Channels
 	// Index of the page within its channel's page sequence.

@@ -18,8 +18,8 @@ func TestTopologyZeroValue(t *testing.T) {
 	if topo.NumChannels() != 1 {
 		t.Errorf("NumChannels = %d, want 1", topo.NumChannels())
 	}
-	if topo.ChipsPerChannel(g) != g.NumChips {
-		t.Errorf("ChipsPerChannel = %d, want %d", topo.ChipsPerChannel(g), g.NumChips)
+	if topo.chipsPerChannel(g) != g.NumChips {
+		t.Errorf("ChipsPerChannel = %d, want %d", topo.chipsPerChannel(g), g.NumChips)
 	}
 	for chip := 0; chip < g.NumChips; chip++ {
 		if topo.ChannelOfChip(g, chip) != 0 {

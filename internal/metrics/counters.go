@@ -27,15 +27,8 @@ func (c *Counters) Add(name string, n uint64) {
 	c.mu.Unlock()
 }
 
-// Get returns the named counter's current value (0 if never added).
-func (c *Counters) Get(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot returns a copy of every counter.
-func (c *Counters) Snapshot() map[string]uint64 {
+// snapshot returns a copy of every counter.
+func (c *Counters) snapshot() map[string]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[string]uint64, len(c.m))
@@ -49,7 +42,7 @@ func (c *Counters) Snapshot() map[string]uint64 {
 // one "prefix_name value" line per counter in sorted name order, so
 // the output is stable and diffable.
 func (c *Counters) Render(prefix string) string {
-	snap := c.Snapshot()
+	snap := c.snapshot()
 	names := make([]string, 0, len(snap))
 	for k := range snap {
 		names = append(names, k)

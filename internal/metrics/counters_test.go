@@ -10,20 +10,20 @@ func TestCountersRenderStable(t *testing.T) {
 	c.Add("runs", 2)
 	c.Add("cache_hits", 1)
 	c.Add("runs", 1)
-	if got := c.Get("runs"); got != 3 {
+	if got := c.snapshot()["runs"]; got != 3 {
 		t.Errorf("Get(runs) = %d, want 3", got)
 	}
-	if got := c.Get("never"); got != 0 {
+	if got := c.snapshot()["never"]; got != 0 {
 		t.Errorf("Get(never) = %d, want 0", got)
 	}
 	want := "dmamem_cache_hits 1\ndmamem_runs 3\n"
 	if got := c.Render("dmamem_"); got != want {
 		t.Errorf("Render = %q, want %q (sorted, stable)", got, want)
 	}
-	snap := c.Snapshot()
+	snap := c.snapshot()
 	snap["runs"] = 99
-	if c.Get("runs") != 3 {
-		t.Error("Snapshot aliases the live map")
+	if c.snapshot()["runs"] != 3 {
+		t.Error("snapshot aliases the live map")
 	}
 }
 
@@ -40,7 +40,7 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Get("n"); got != 8000 {
+	if got := c.snapshot()["n"]; got != 8000 {
 		t.Errorf("n = %d, want 8000", got)
 	}
 }

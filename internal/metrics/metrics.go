@@ -100,15 +100,6 @@ func (r *Report) Savings(base *Report) float64 {
 	return (b - r.TotalEnergy()) / b
 }
 
-// Degradation returns the fractional increase of mean transfer service
-// time relative to a reference run.
-func (r *Report) Degradation(ref *Report) float64 {
-	if ref.MeanServiceTime <= 0 {
-		return 0
-	}
-	return float64(r.MeanServiceTime-ref.MeanServiceTime) / float64(ref.MeanServiceTime)
-}
-
 // ClientDegradation translates a transfer-level slowdown into the
 // client-perceived response-time degradation CP-Limit bounds: the
 // added transfer time, times the number of transfers on a client
@@ -155,8 +146,8 @@ type Calibration struct {
 	SafetyFactor float64
 }
 
-// Validate reports a descriptive error for unusable calibrations.
-func (c Calibration) Validate() error {
+// validate reports a descriptive error for unusable calibrations.
+func (c Calibration) validate() error {
 	switch {
 	case c.MeanClientResponse <= 0:
 		return fmt.Errorf("metrics: MeanClientResponse %v", c.MeanClientResponse)
@@ -175,7 +166,7 @@ func (c Calibration) Validate() error {
 // the transfers on the critical path and then over each transfer's
 // DMA-memory requests, expressed as a multiple of T.
 func (c Calibration) Mu(cpLimit float64) (float64, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return 0, err
 	}
 	if cpLimit < 0 {

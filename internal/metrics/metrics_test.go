@@ -12,12 +12,12 @@ import (
 )
 
 func TestReportTotalsAndSavings(t *testing.T) {
-	base := &Report{Scheme: "baseline", SimulatedTime: sim.Second}
+	base := &Report{Scheme: "baseline", SimulatedTime: 1000 * sim.Millisecond}
 	base.Energy[energy.CatServing] = 0.2
 	base.Energy[energy.CatIdleDMA] = 0.6
 	base.Energy[energy.CatLowPower] = 0.2
 
-	ta := &Report{Scheme: "dma-ta", SimulatedTime: sim.Second}
+	ta := &Report{Scheme: "dma-ta", SimulatedTime: 1000 * sim.Millisecond}
 	ta.Energy[energy.CatServing] = 0.2
 	ta.Energy[energy.CatIdleDMA] = 0.2
 	ta.Energy[energy.CatLowPower] = 0.2
@@ -37,17 +37,6 @@ func TestReportTotalsAndSavings(t *testing.T) {
 	empty := &Report{}
 	if empty.Savings(empty) != 0 || empty.MeanPower() != 0 {
 		t.Fatal("zero-energy edge cases")
-	}
-}
-
-func TestDegradation(t *testing.T) {
-	ref := &Report{MeanServiceTime: 100}
-	r := &Report{MeanServiceTime: 110}
-	if got := r.Degradation(ref); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("degradation = %g", got)
-	}
-	if (&Report{}).Degradation(&Report{}) != 0 {
-		t.Fatal("zero reference should give 0")
 	}
 }
 
@@ -104,22 +93,22 @@ func TestMuTransform(t *testing.T) {
 func TestCalibrationValidate(t *testing.T) {
 	bad := validCal()
 	bad.MeanClientResponse = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero response accepted")
 	}
 	bad = validCal()
 	bad.TransfersPerRequest = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero transfers accepted")
 	}
 	bad = validCal()
 	bad.MeanRequestsPerTransfer = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative requests accepted")
 	}
 	bad = validCal()
 	bad.T = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero T accepted")
 	}
 }

@@ -22,11 +22,11 @@ func (w SimWork) Plus(o SimWork) SimWork {
 	return SimWork{Events: w.Events + o.Events, Records: w.Records + o.Records}
 }
 
-// JobTiming is the measured wall-clock execution of one simulation
+// jobTiming is the measured wall-clock execution of one simulation
 // job. Wall is host time (time.Duration, nanoseconds), not simulated
 // time: it measures how long the job occupied a worker, so parallel
 // speedup is observable.
-type JobTiming struct {
+type jobTiming struct {
 	// Label identifies the job ("fig5/OLTP-St/dma-ta/cp=0.10").
 	Label string
 	// Wall is the job's wall-clock execution time.
@@ -42,20 +42,15 @@ type JobTiming struct {
 // bit-identical at any parallelism.
 type Timings struct {
 	mu     sync.Mutex
-	jobs   []JobTiming
+	jobs   []jobTiming
 	allocs uint64 // process-wide allocation count over the run, see SetAllocs
-}
-
-// Add records one finished job. It is safe for concurrent use.
-func (t *Timings) Add(label string, wall time.Duration) {
-	t.AddSim(label, wall, SimWork{})
 }
 
 // AddSim records one finished job together with what it simulated.
 // It is safe for concurrent use.
 func (t *Timings) AddSim(label string, wall time.Duration, work SimWork) {
 	t.mu.Lock()
-	t.jobs = append(t.jobs, JobTiming{Label: label, Wall: wall, Work: work})
+	t.jobs = append(t.jobs, jobTiming{Label: label, Wall: wall, Work: work})
 	t.mu.Unlock()
 }
 
@@ -68,8 +63,8 @@ func (t *Timings) SetAllocs(n uint64) {
 	t.mu.Unlock()
 }
 
-// TotalSim returns the simulated work summed over all recorded jobs.
-func (t *Timings) TotalSim() SimWork {
+// totalSim returns the simulated work summed over all recorded jobs.
+func (t *Timings) totalSim() SimWork {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var sum SimWork
@@ -79,10 +74,10 @@ func (t *Timings) TotalSim() SimWork {
 	return sum
 }
 
-// AllocsPerRecord returns the recorded allocation count divided by the
+// allocsPerRecord returns the recorded allocation count divided by the
 // total trace record count, or 0 when either was not measured.
-func (t *Timings) AllocsPerRecord() float64 {
-	recs := t.TotalSim().Records
+func (t *Timings) allocsPerRecord() float64 {
+	recs := t.totalSim().Records
 	t.mu.Lock()
 	allocs := t.allocs
 	t.mu.Unlock()
@@ -92,18 +87,11 @@ func (t *Timings) AllocsPerRecord() float64 {
 	return float64(allocs) / float64(recs)
 }
 
-// Count returns the number of recorded jobs.
-func (t *Timings) Count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.jobs)
-}
-
-// Jobs returns a copy of the recorded jobs sorted by label (workers
+// sortedJobs returns a copy of the recorded jobs sorted by label (workers
 // finish in nondeterministic order; sorting makes renderings stable).
-func (t *Timings) Jobs() []JobTiming {
+func (t *Timings) sortedJobs() []jobTiming {
 	t.mu.Lock()
-	out := append([]JobTiming(nil), t.jobs...)
+	out := append([]jobTiming(nil), t.jobs...)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Label != out[j].Label {
@@ -114,9 +102,9 @@ func (t *Timings) Jobs() []JobTiming {
 	return out
 }
 
-// TotalWork returns the sum of all job wall times: the time the same
+// totalWork returns the sum of all job wall times: the time the same
 // jobs would occupy a single worker back to back.
-func (t *Timings) TotalWork() time.Duration {
+func (t *Timings) totalWork() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var sum time.Duration
@@ -126,17 +114,17 @@ func (t *Timings) TotalWork() time.Duration {
 	return sum
 }
 
-// Speedup returns TotalWork divided by the observed elapsed wall time:
+// speedup returns totalWork divided by the observed elapsed wall time:
 // ~1 on one worker, approaching the worker count when independent jobs
 // fill the pool. Zero elapsed returns 0. When workers outnumber CPU
 // cores, timesharing inflates each job's wall time (preempted time
 // still counts), so Speedup overstates the real gain — compare elapsed
 // time against a -parallel 1 run for the honest number.
-func (t *Timings) Speedup(elapsed time.Duration) float64 {
+func (t *Timings) speedup(elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(t.TotalWork()) / float64(elapsed)
+	return float64(t.totalWork()) / float64(elapsed)
 }
 
 // Summary renders a one-paragraph timing report for the given elapsed
@@ -145,22 +133,22 @@ func (t *Timings) Speedup(elapsed time.Duration) float64 {
 // throughput in trace records/sec per worker (allocs per record when
 // SetAllocs was called), and the slowest jobs.
 func (t *Timings) Summary(elapsed time.Duration) string {
-	jobs := t.Jobs()
+	jobs := t.sortedJobs()
 	var b strings.Builder
 	fmt.Fprintf(&b, "timing: %d jobs, %v total work in %v wall (speedup %.2fx)\n",
-		len(jobs), t.TotalWork().Round(time.Millisecond),
-		elapsed.Round(time.Millisecond), t.Speedup(elapsed))
-	if sw := t.TotalSim(); sw.Records > 0 {
+		len(jobs), t.totalWork().Round(time.Millisecond),
+		elapsed.Round(time.Millisecond), t.speedup(elapsed))
+	if sw := t.totalSim(); sw.Records > 0 {
 		fmt.Fprintf(&b, "  %d events, %d trace records", sw.Events, sw.Records)
-		if work := t.TotalWork(); work > 0 {
+		if work := t.totalWork(); work > 0 {
 			fmt.Fprintf(&b, ", %.0f records/sec per worker", float64(sw.Records)/work.Seconds())
 		}
-		if apr := t.AllocsPerRecord(); apr > 0 {
+		if apr := t.allocsPerRecord(); apr > 0 {
 			fmt.Fprintf(&b, ", %.2f allocs/record", apr)
 		}
 		b.WriteString("\n")
 	}
-	slowest := append([]JobTiming(nil), jobs...)
+	slowest := append([]jobTiming(nil), jobs...)
 	sort.Slice(slowest, func(i, j int) bool { return slowest[i].Wall > slowest[j].Wall })
 	if len(slowest) > 5 {
 		slowest = slowest[:5]

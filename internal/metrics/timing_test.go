@@ -15,50 +15,50 @@ func TestTimingsConcurrentAdd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tm.Add("job", time.Millisecond)
+			tm.AddSim("job", time.Millisecond, SimWork{})
 		}()
 	}
 	wg.Wait()
-	if tm.Count() != n {
-		t.Fatalf("Count = %d, want %d", tm.Count(), n)
+	if got := len(tm.sortedJobs()); got != n {
+		t.Fatalf("%d jobs, want %d", got, n)
 	}
-	if tm.TotalWork() != n*time.Millisecond {
-		t.Fatalf("TotalWork = %v", tm.TotalWork())
+	if tm.totalWork() != n*time.Millisecond {
+		t.Fatalf("totalWork = %v", tm.totalWork())
 	}
 }
 
 func TestTimingsJobsSorted(t *testing.T) {
 	var tm Timings
-	tm.Add("c", 3*time.Millisecond)
-	tm.Add("a", time.Millisecond)
-	tm.Add("b", 2*time.Millisecond)
-	jobs := tm.Jobs()
+	tm.AddSim("c", 3*time.Millisecond, SimWork{})
+	tm.AddSim("a", time.Millisecond, SimWork{})
+	tm.AddSim("b", 2*time.Millisecond, SimWork{})
+	jobs := tm.sortedJobs()
 	if len(jobs) != 3 || jobs[0].Label != "a" || jobs[1].Label != "b" || jobs[2].Label != "c" {
 		t.Fatalf("jobs not sorted by label: %+v", jobs)
 	}
 	// Jobs returns a copy: mutating it must not affect the accumulator.
 	jobs[0].Wall = time.Hour
-	if tm.TotalWork() != 6*time.Millisecond {
+	if tm.totalWork() != 6*time.Millisecond {
 		t.Fatal("Jobs did not copy")
 	}
 }
 
 func TestTimingsSpeedup(t *testing.T) {
 	var tm Timings
-	tm.Add("a", 4*time.Second)
-	tm.Add("b", 4*time.Second)
-	if got := tm.Speedup(2 * time.Second); got != 4.0 {
+	tm.AddSim("a", 4*time.Second, SimWork{})
+	tm.AddSim("b", 4*time.Second, SimWork{})
+	if got := tm.speedup(2 * time.Second); got != 4.0 {
 		t.Fatalf("Speedup = %g, want 4", got)
 	}
-	if got := tm.Speedup(0); got != 0 {
+	if got := tm.speedup(0); got != 0 {
 		t.Fatalf("Speedup(0) = %g, want 0", got)
 	}
 }
 
 func TestTimingsSummary(t *testing.T) {
 	var tm Timings
-	tm.Add("fig5/OLTP-St/dma-ta/cp=0.10", 10*time.Millisecond)
-	tm.Add("fast", time.Millisecond)
+	tm.AddSim("fig5/OLTP-St/dma-ta/cp=0.10", 10*time.Millisecond, SimWork{})
+	tm.AddSim("fast", time.Millisecond, SimWork{})
 	out := tm.Summary(11 * time.Millisecond)
 	if !strings.Contains(out, "2 jobs") {
 		t.Errorf("summary lacks job count:\n%s", out)
@@ -80,8 +80,8 @@ func TestTimingsSummaryThroughput(t *testing.T) {
 	tm.AddSim("a", 2*time.Second, SimWork{Events: 700, Records: 300})
 	tm.AddSim("b", 2*time.Second, SimWork{Events: 300, Records: 100})
 	tm.SetAllocs(200)
-	if got := tm.TotalSim(); got != (SimWork{Events: 1000, Records: 400}) {
-		t.Fatalf("TotalSim = %+v, want 1000 events and 400 records", got)
+	if got := tm.totalSim(); got != (SimWork{Events: 1000, Records: 400}) {
+		t.Fatalf("totalSim = %+v, want 1000 events and 400 records", got)
 	}
 	out := tm.Summary(4 * time.Second)
 	want := "  1000 events, 400 trace records, 100 records/sec per worker, 0.50 allocs/record\n"

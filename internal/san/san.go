@@ -32,8 +32,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports a descriptive error for nonsensical configs.
-func (c Config) Validate() error {
+// validate reports a descriptive error for nonsensical configs.
+func (c Config) validate() error {
 	switch {
 	case c.Bandwidth <= 0:
 		return fmt.Errorf("san: Bandwidth = %g", c.Bandwidth)
@@ -56,17 +56,17 @@ type Link struct {
 	BusyTime sim.Duration
 }
 
-// NewLink builds a link.
-func NewLink(cfg Config) (*Link, error) {
-	if err := cfg.Validate(); err != nil {
+// newLink builds a link.
+func newLink(cfg Config) (*Link, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &Link{cfg: cfg}, nil
 }
 
-// Send puts n payload bytes on the wire at time now and returns the
+// send puts n payload bytes on the wire at time now and returns the
 // delivery time at the far end.
-func (l *Link) Send(now sim.Time, n int64) sim.Time {
+func (l *Link) send(now sim.Time, n int64) sim.Time {
 	if n < 0 {
 		panic(fmt.Sprintf("san: Send(%d bytes)", n))
 	}
@@ -83,16 +83,13 @@ func (l *Link) Send(now sim.Time, n int64) sim.Time {
 	return l.freeAt.Add(l.cfg.PropDelay)
 }
 
-// FreeAt returns when the link drains its queued messages.
-func (l *Link) FreeAt() sim.Time { return l.freeAt }
-
-// Deliver returns the delivery time of n payload bytes put on the wire
+// deliver returns the delivery time of n payload bytes put on the wire
 // at now, modelling serialization and propagation but not cross-message
 // queueing. Open-loop trace generators use it for messages whose issue
 // times are computed out of order (Send's FIFO would otherwise queue a
 // past message behind a future one). Utilization statistics still
 // accumulate.
-func (l *Link) Deliver(now sim.Time, n int64) sim.Time {
+func (l *Link) deliver(now sim.Time, n int64) sim.Time {
 	if n < 0 {
 		panic(fmt.Sprintf("san: Deliver(%d bytes)", n))
 	}
@@ -114,11 +111,11 @@ type Fabric struct {
 
 // NewFabric builds a full-duplex fabric.
 func NewFabric(cfg Config) (*Fabric, error) {
-	in, err := NewLink(cfg)
+	in, err := newLink(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out, err := NewLink(cfg)
+	out, err := newLink(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -128,18 +125,18 @@ func NewFabric(cfg Config) (*Fabric, error) {
 // RequestArrival returns when a client request issued at now reaches
 // the server (requests are small control messages).
 func (f *Fabric) RequestArrival(now sim.Time) sim.Time {
-	return f.ToServer.Send(now, 0)
+	return f.ToServer.send(now, 0)
 }
 
 // Reply returns when n payload bytes sent from the server at now reach
 // the client. Replies use Deliver because the workload models compute
 // their send times out of order.
 func (f *Fabric) Reply(now sim.Time, n int64) sim.Time {
-	return f.ToClient.Deliver(now, n)
+	return f.ToClient.deliver(now, n)
 }
 
 // WritePayloadArrival returns when n payload bytes pushed by a client
 // at now finish arriving at the server.
 func (f *Fabric) WritePayloadArrival(now sim.Time, n int64) sim.Time {
-	return f.ToServer.Send(now, n)
+	return f.ToServer.send(now, n)
 }

@@ -8,34 +8,34 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := DefaultConfig().validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := DefaultConfig()
 	bad.Bandwidth = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero bandwidth accepted")
 	}
 	bad = DefaultConfig()
 	bad.PropDelay = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative delay accepted")
 	}
 	bad = DefaultConfig()
 	bad.FrameOver = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative framing accepted")
 	}
 }
 
 func TestSendTiming(t *testing.T) {
 	cfg := Config{Bandwidth: 1e6, PropDelay: 10 * sim.Microsecond, FrameOver: 0}
-	l, err := NewLink(cfg)
+	l, err := newLink(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 1000 bytes at 1 MB/s = 1 ms serialization + 10 us propagation.
-	got := l.Send(0, 1000)
+	got := l.send(0, 1000)
 	want := sim.Time(1*sim.Millisecond + 10*sim.Microsecond)
 	if got != want {
 		t.Fatalf("delivery at %v, want %v", got, want)
@@ -46,9 +46,9 @@ func TestSendTiming(t *testing.T) {
 }
 
 func TestSendFIFO(t *testing.T) {
-	l, _ := NewLink(DefaultConfig())
-	d1 := l.Send(0, 8192)
-	d2 := l.Send(0, 8192)
+	l, _ := newLink(DefaultConfig())
+	d1 := l.send(0, 8192)
+	d2 := l.send(0, 8192)
 	if d2 <= d1 {
 		t.Fatalf("FIFO violated: %v then %v", d1, d2)
 	}
@@ -61,21 +61,21 @@ func TestSendFIFO(t *testing.T) {
 
 func TestFramingOverheadCounts(t *testing.T) {
 	with := Config{Bandwidth: 1e6, PropDelay: 0, FrameOver: 1000}
-	l, _ := NewLink(with)
+	l, _ := newLink(with)
 	// Zero-payload message still takes 1 ms of wire time.
-	if got := l.Send(0, 0); got != sim.Time(1*sim.Millisecond) {
+	if got := l.send(0, 0); got != sim.Time(1*sim.Millisecond) {
 		t.Fatalf("framing-only send delivered at %v", got)
 	}
 }
 
 func TestSendPanics(t *testing.T) {
-	l, _ := NewLink(DefaultConfig())
+	l, _ := newLink(DefaultConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative size accepted")
 		}
 	}()
-	l.Send(0, -1)
+	l.send(0, -1)
 }
 
 func TestFabricDirectionsIndependent(t *testing.T) {
@@ -119,14 +119,14 @@ func TestNewFabricError(t *testing.T) {
 // busy time equals total serialization.
 func TestQuickLinkMonotone(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		l, err := NewLink(DefaultConfig())
+		l, err := newLink(DefaultConfig())
 		if err != nil {
 			return false
 		}
 		var prev sim.Time
 		now := sim.Time(0)
 		for _, s := range sizes {
-			d := l.Send(now, int64(s))
+			d := l.send(now, int64(s))
 			if d < prev {
 				return false
 			}

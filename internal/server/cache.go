@@ -13,27 +13,27 @@ import (
 	"dmamem/internal/memsys"
 )
 
-// ObjectID names a logical data object (a run of consecutive logical
+// objectID names a logical data object (a run of consecutive logical
 // blocks requested as a unit: a DB page extent, a file region, ...).
-type ObjectID int32
+type objectID int32
 
-// BufferCache is an object-granularity buffer cache over a contiguous
+// bufferCache is an object-granularity buffer cache over a contiguous
 // region of physical page frames. Objects occupy contiguous frame runs
 // (DMA transfers in the traces are contiguous), allocated first-fit and
 // reclaimed by evicting least-recently-used objects until a large
 // enough run opens up.
 //
-// Object state lives in an index by ObjectID, with the LRU list
+// Object state lives in an index by objectID, with the LRU list
 // threaded through it by ID: no map, no per-object allocation. The
 // index is paged: each page holds indexPageLen consecutive IDs and is
 // allocated when one of them is first inserted, so the index costs
 // what the cache has held, not the whole ID range.
-type BufferCache struct {
+type bufferCache struct {
 	frames int // total frames managed
 
 	// Free-run bookkeeping: frameOwner[f] = object occupying frame f,
 	// or -1 when free.
-	frameOwner []ObjectID
+	frameOwner []objectID
 	// free counts the frames with owner -1. When it is below a
 	// request no scan can succeed, so findRun answers at once; that
 	// keeps evicting toward room linear instead of rescanning every
@@ -46,8 +46,8 @@ type BufferCache struct {
 	index    []*indexPage
 	objects  int
 	resident int
-	head     ObjectID // most recently used, -1 when empty
-	tail     ObjectID // least recently used, -1 when empty
+	head     objectID // most recently used, -1 when empty
+	tail     objectID // least recently used, -1 when empty
 
 	// hint is where the next free-run scan starts; it makes sequential
 	// fills O(1) amortized instead of quadratic.
@@ -67,21 +67,21 @@ type indexPage [indexPageLen]cacheEntry
 type cacheEntry struct {
 	start      memsys.PageID
 	pages      int32
-	prev, next ObjectID
+	prev, next objectID
 }
 
-// NewBufferCache manages the frame range [0, frames) for objects with
+// newBufferCache manages the frame range [0, frames) for objects with
 // IDs in [0, objects).
-func NewBufferCache(frames, objects int) (*BufferCache, error) {
+func newBufferCache(frames, objects int) (*bufferCache, error) {
 	if frames <= 0 || frames > math.MaxInt32 {
 		return nil, fmt.Errorf("server: cache of %d frames", frames)
 	}
 	if objects <= 0 || objects > math.MaxInt32 {
 		return nil, fmt.Errorf("server: cache over %d objects", objects)
 	}
-	c := &BufferCache{
+	c := &bufferCache{
 		frames:     frames,
-		frameOwner: make([]ObjectID, frames),
+		frameOwner: make([]objectID, frames),
 		free:       frames,
 		index:      make([]*indexPage, (objects+indexPageLen-1)>>indexShift),
 		objects:    objects,
@@ -94,12 +94,9 @@ func NewBufferCache(frames, objects int) (*BufferCache, error) {
 	return c, nil
 }
 
-// Len returns the number of resident objects.
-func (c *BufferCache) Len() int { return c.resident }
-
 // page returns the index page holding id, nil if none has been
 // allocated, panicking on an ID outside [0, objects).
-func (c *BufferCache) page(id ObjectID) *indexPage {
+func (c *bufferCache) page(id objectID) *indexPage {
 	if uint(id) >= uint(c.objects) {
 		panic(fmt.Sprintf("server: object %d outside [0, %d)", id, c.objects))
 	}
@@ -107,7 +104,7 @@ func (c *BufferCache) page(id ObjectID) *indexPage {
 }
 
 // entry returns id's entry, allocating its page if need be.
-func (c *BufferCache) entry(id ObjectID) *cacheEntry {
+func (c *bufferCache) entry(id objectID) *cacheEntry {
 	p := c.page(id)
 	if p == nil {
 		p = new(indexPage)
@@ -117,13 +114,13 @@ func (c *BufferCache) entry(id ObjectID) *cacheEntry {
 }
 
 // at returns the entry of an ID whose page exists: a resident object.
-func (c *BufferCache) at(id ObjectID) *cacheEntry {
+func (c *bufferCache) at(id objectID) *cacheEntry {
 	return &c.index[id>>indexShift][id&(indexPageLen-1)]
 }
 
-// Lookup checks residency. On a hit the object becomes most recently
+// lookup checks residency. On a hit the object becomes most recently
 // used and its frame run is returned.
-func (c *BufferCache) Lookup(id ObjectID) (start memsys.PageID, pages int, ok bool) {
+func (c *bufferCache) lookup(id objectID) (start memsys.PageID, pages int, ok bool) {
 	p := c.page(id)
 	if p == nil {
 		return 0, 0, false
@@ -139,11 +136,11 @@ func (c *BufferCache) Lookup(id ObjectID) (start memsys.PageID, pages int, ok bo
 	return e.start, int(e.pages), true
 }
 
-// Insert caches an object of the given size, evicting LRU objects as
+// insert caches an object of the given size, evicting LRU objects as
 // needed, and returns the frame run it now occupies. Inserting an
 // object larger than the whole cache or one that is already resident
 // is a caller bug and panics.
-func (c *BufferCache) Insert(id ObjectID, pages int) memsys.PageID {
+func (c *bufferCache) insert(id objectID, pages int) memsys.PageID {
 	if pages <= 0 || pages > c.frames {
 		panic(fmt.Sprintf("server: Insert(%d, %d pages) in %d-frame cache", id, pages, c.frames))
 	}
@@ -174,7 +171,7 @@ func (c *BufferCache) Insert(id ObjectID, pages int) memsys.PageID {
 // and returns how many it inserted. It leaves what as many Inserts
 // would, in one pass: the runs laid end to end from frame 0, ID 0
 // least recently used.
-func (c *BufferCache) fill(pages func(ObjectID) int) int {
+func (c *bufferCache) fill(pages func(objectID) int) int {
 	if c.resident != 0 || c.hint != 0 {
 		panic("server: fill of a cache already used")
 	}
@@ -184,7 +181,7 @@ func (c *BufferCache) fill(pages func(ObjectID) int) int {
 	used, n := 0, 0
 	var page *indexPage
 	for ; n < c.objects; n++ {
-		id := ObjectID(n)
+		id := objectID(n)
 		p := pages(id)
 		if p <= 0 {
 			panic(fmt.Sprintf("server: fill with object %d of %d pages", id, p))
@@ -203,7 +200,7 @@ func (c *BufferCache) fill(pages func(ObjectID) int) int {
 		used += p
 	}
 	if n > 0 {
-		c.head, c.tail = ObjectID(n-1), 0
+		c.head, c.tail = objectID(n-1), 0
 		c.at(c.head).prev = -1
 	}
 	c.resident, c.free, c.hint = n, c.frames-used, used
@@ -213,7 +210,7 @@ func (c *BufferCache) fill(pages func(ObjectID) int) int {
 // findRun locates a run of n free frames, scanning circularly from the
 // last allocation point (next fit). On success the hint advances past
 // the run.
-func (c *BufferCache) findRun(n int) (memsys.PageID, bool) {
+func (c *bufferCache) findRun(n int) (memsys.PageID, bool) {
 	if c.hint >= c.frames {
 		c.hint = 0
 	}
@@ -245,7 +242,7 @@ func (c *BufferCache) findRun(n int) (memsys.PageID, bool) {
 	return 0, false
 }
 
-func (c *BufferCache) evict(id ObjectID) {
+func (c *bufferCache) evict(id objectID) {
 	e := c.at(id)
 	for f := 0; f < int(e.pages); f++ {
 		c.frameOwner[int(e.start)+f] = -1
@@ -256,7 +253,7 @@ func (c *BufferCache) evict(id ObjectID) {
 	c.resident--
 }
 
-func (c *BufferCache) unlink(id ObjectID) {
+func (c *bufferCache) unlink(id objectID) {
 	e := c.at(id)
 	if e.prev >= 0 {
 		c.at(e.prev).next = e.next
@@ -270,7 +267,7 @@ func (c *BufferCache) unlink(id ObjectID) {
 	}
 }
 
-func (c *BufferCache) pushFront(id ObjectID) {
+func (c *bufferCache) pushFront(id objectID) {
 	e := c.at(id)
 	e.prev, e.next = -1, c.head
 	if c.head >= 0 {
@@ -283,7 +280,7 @@ func (c *BufferCache) pushFront(id ObjectID) {
 }
 
 // checkInvariants verifies internal consistency; tests call it.
-func (c *BufferCache) checkInvariants() error {
+func (c *bufferCache) checkInvariants() error {
 	owned := 0
 	for f, id := range c.frameOwner {
 		if id == -1 {
@@ -305,7 +302,7 @@ func (c *BufferCache) checkInvariants() error {
 		return fmt.Errorf("free count %d, but %d of %d frames are unowned", c.free, c.frames-owned, c.frames)
 	}
 	listed := 0
-	prev := ObjectID(-1)
+	prev := objectID(-1)
 	for id := c.head; id >= 0; id = c.at(id).next {
 		if c.page(id) == nil || c.at(id).pages == 0 {
 			return fmt.Errorf("nonresident object %d in LRU list", id)

@@ -6,23 +6,23 @@ import (
 	"testing"
 )
 
-// naiveCache is a deliberately plain model of BufferCache's placement
+// naiveCache is a deliberately plain model of bufferCache's placement
 // and replacement rules: an LRU order kept as a slice (least recent
 // first), a map of resident runs, and a next-fit scan over the frames
 // that always rescans after an eviction. It keeps no free-frame count
 // and no ID-indexed table, so it checks that neither changes where an
 // object lands or which one is evicted.
 type naiveCache struct {
-	owner []ObjectID
+	owner []objectID
 	hint  int
-	lru   []ObjectID
-	runs  map[ObjectID][2]int // start, pages
+	lru   []objectID
+	runs  map[objectID][2]int // start, pages
 
-	evicted map[ObjectID]bool // ever evicted by replacement
+	evicted map[objectID]bool // ever evicted by replacement
 }
 
 func newNaiveCache(frames int) *naiveCache {
-	n := &naiveCache{owner: make([]ObjectID, frames), runs: map[ObjectID][2]int{}, evicted: map[ObjectID]bool{}}
+	n := &naiveCache{owner: make([]objectID, frames), runs: map[objectID][2]int{}, evicted: map[objectID]bool{}}
 	for i := range n.owner {
 		n.owner[i] = -1
 	}
@@ -53,7 +53,7 @@ func (n *naiveCache) findRun(pages int) (int, bool) {
 	return 0, false
 }
 
-func (n *naiveCache) drop(id ObjectID) {
+func (n *naiveCache) drop(id objectID) {
 	r := n.runs[id]
 	for f := r[0]; f < r[0]+r[1]; f++ {
 		n.owner[f] = -1
@@ -67,7 +67,7 @@ func (n *naiveCache) drop(id ObjectID) {
 	}
 }
 
-func (n *naiveCache) insert(id ObjectID, pages int) int {
+func (n *naiveCache) insert(id objectID, pages int) int {
 	start, ok := n.findRun(pages)
 	for !ok {
 		n.evicted[n.lru[0]] = true
@@ -82,7 +82,7 @@ func (n *naiveCache) insert(id ObjectID, pages int) int {
 	return start
 }
 
-func (n *naiveCache) lookup(id ObjectID) bool {
+func (n *naiveCache) lookup(id objectID) bool {
 	if _, ok := n.runs[id]; !ok {
 		return false
 	}
@@ -97,8 +97,8 @@ func (n *naiveCache) lookup(id ObjectID) bool {
 
 // lruOrder walks the cache's LRU list from least to most recent,
 // stopping one past the resident count should the links cycle.
-func lruOrder(c *BufferCache) []ObjectID {
-	var out []ObjectID
+func lruOrder(c *bufferCache) []objectID {
+	var out []objectID
 	for id := c.tail; id >= 0 && len(out) <= c.resident; id = c.at(id).prev {
 		out = append(out, id)
 	}
@@ -106,7 +106,7 @@ func lruOrder(c *BufferCache) []ObjectID {
 }
 
 // TestCacheMatchesNaiveReference drives random Insert/Lookup
-// sequences through BufferCache and naiveCache and requires every
+// sequences through bufferCache and naiveCache and requires every
 // insert to land on the same frame run, every lookup to agree, the
 // resident count and LRU order to match throughout, and the final
 // frame ownership to be identical. Half the seeds start from a fill of
@@ -121,7 +121,7 @@ func TestCacheMatchesNaiveReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		frames := 16 + rng.Intn(240)
 		objects := 1 + rng.Intn(1<<16)
-		c, err := NewBufferCache(frames, objects)
+		c, err := newBufferCache(frames, objects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,9 +132,9 @@ func TestCacheMatchesNaiveReference(t *testing.T) {
 			for i := range sizes {
 				sizes[i] = 1 + rng.Intn(maxPages)
 			}
-			n := c.fill(func(id ObjectID) int { return sizes[id] })
+			n := c.fill(func(id objectID) int { return sizes[id] })
 			for id := 0; id < n; id++ {
-				ref.insert(ObjectID(id), sizes[id])
+				ref.insert(objectID(id), sizes[id])
 			}
 			if n < objects && c.free >= sizes[n] {
 				t.Fatalf("seed %d: fill stopped at ID %d of %d pages with %d frames free", seed, n, sizes[n], c.free)
@@ -145,18 +145,18 @@ func TestCacheMatchesNaiveReference(t *testing.T) {
 			}
 			filled += n
 		}
-		ids := []ObjectID{0, ObjectID(objects - 1)}
+		ids := []objectID{0, objectID(objects - 1)}
 		for _, id := range []int{indexPageLen - 1, indexPageLen} {
 			if id < objects {
-				ids = append(ids, ObjectID(id))
+				ids = append(ids, objectID(id))
 			}
 		}
 		for len(ids) < 120 {
-			ids = append(ids, ObjectID(rng.Intn(objects)))
+			ids = append(ids, objectID(rng.Intn(objects)))
 		}
 		for op := 0; op < 3000; op++ {
 			id := ids[rng.Intn(len(ids))]
-			_, _, hit := c.Lookup(id)
+			_, _, hit := c.lookup(id)
 			if hit != ref.lookup(id) {
 				t.Fatalf("seed %d op %d: lookup(%d) disagrees", seed, op, id)
 			}
@@ -165,14 +165,14 @@ func TestCacheMatchesNaiveReference(t *testing.T) {
 					reinserts++
 				}
 				pages := 1 + rng.Intn(maxPages)
-				got, want := c.Insert(id, pages), ref.insert(id, pages)
+				got, want := c.insert(id, pages), ref.insert(id, pages)
 				if int(got) != want {
 					t.Fatalf("seed %d op %d: Insert(%d, %d) at frame %d, reference %d",
 						seed, op, id, pages, got, want)
 				}
 			}
-			if c.Len() != len(ref.lru) {
-				t.Fatalf("seed %d op %d: Len %d, reference %d", seed, op, c.Len(), len(ref.lru))
+			if c.resident != len(ref.lru) {
+				t.Fatalf("seed %d op %d: Len %d, reference %d", seed, op, c.resident, len(ref.lru))
 			}
 			if op%16 == 0 && !slices.Equal(lruOrder(c), ref.lru) {
 				t.Fatalf("seed %d op %d: LRU order %v, reference %v", seed, op, lruOrder(c), ref.lru)

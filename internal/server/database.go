@@ -75,7 +75,7 @@ func (c DatabaseConfig) validate() error {
 	case c.ProcAccessGap <= 0:
 		return fmt.Errorf("server: nonpositive proc gap %v", c.ProcAccessGap)
 	case c.Objects <= 0 || c.Objects > math.MaxInt32:
-		return fmt.Errorf("server: %d objects (ObjectID is int32)", c.Objects)
+		return fmt.Errorf("server: %d objects (object IDs are int32)", c.Objects)
 	case !synth.ValidSkew(c.Alpha):
 		return fmt.Errorf("server: Zipf skew Alpha %g is not finite and non-negative", c.Alpha)
 	case c.Frames <= 0 || c.Frames > math.MaxInt32:
@@ -104,7 +104,7 @@ type DatabaseResult struct {
 
 // dbLayout is where the warm bufferpool holds each object: the objects
 // laid end to end from frame 0 in ID order, where inserting them one by
-// one into an empty BufferCache puts them. The pool never misses or
+// one into an empty bufferCache puts them. The pool never misses or
 // evicts, so the layout is all a query reads of it. It depends only on
 // (Objects, Sizes), so the process keeps one per pair (dbLayouts).
 type dbLayout struct {
@@ -138,7 +138,7 @@ func layoutOf(objects int, sizes []synth.SizeClass) *dbLayout {
 		l := &dbLayout{start: make([]memsys.PageID, objects+1)}
 		for id := 0; id < objects; id++ {
 			l.start[id] = memsys.PageID(l.pages)
-			l.pages += int64(objectPages(ObjectID(id), sizes, totalWeight))
+			l.pages += int64(objectPages(objectID(id), sizes, totalWeight))
 		}
 		l.start[objects] = memsys.PageID(l.pages)
 		if l.pages > math.MaxInt32 {

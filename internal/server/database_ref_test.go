@@ -13,7 +13,7 @@ import (
 )
 
 // TestLayoutMatchesWarmCache holds the OLTP-Db layout table to the
-// bufferpool it replaced: a BufferCache warmed with the whole dataset
+// bufferpool it replaced: a bufferCache warmed with the whole dataset
 // insert by insert, in ID order. Every object must sit where the cache
 // put it, with the cache's page count, for the default mixture and
 // MixedSizes; and one (Objects, Sizes) pair must share one table.
@@ -26,19 +26,19 @@ func TestLayoutMatchesWarmCache(t *testing.T) {
 			for _, s := range sizes {
 				totalWeight += s.Weight
 			}
-			pool, err := NewBufferCache(frames, objects)
+			pool, err := newBufferCache(frames, objects)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for id := 0; id < objects; id++ {
-				pool.Insert(ObjectID(id), objectPages(ObjectID(id), sizes, totalWeight))
+				pool.insert(objectID(id), objectPages(objectID(id), sizes, totalWeight))
 			}
 			l := layoutOf(objects, sizes)
 			if len(l.start) != objects+1 || l.pages != int64(l.start[objects]) {
 				t.Fatalf("%s: %d starts, %d pages in all", name, len(l.start), l.pages)
 			}
 			for id := 0; id < objects; id++ {
-				start, pages, ok := pool.Lookup(ObjectID(id))
+				start, pages, ok := pool.lookup(objectID(id))
 				if !ok {
 					t.Fatalf("%s: warm pool missed object %d", name, id)
 				}

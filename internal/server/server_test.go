@@ -14,23 +14,23 @@ import (
 )
 
 func TestCacheBasics(t *testing.T) {
-	c, err := NewBufferCache(16, 8)
+	c, err := newBufferCache(16, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Lookup(1); ok {
+	if _, _, ok := c.lookup(1); ok {
 		t.Fatal("empty cache hit")
 	}
-	start := c.Insert(1, 4)
+	start := c.insert(1, 4)
 	if start != 0 {
 		t.Fatalf("first insert at frame %d", start)
 	}
-	s, p, ok := c.Lookup(1)
+	s, p, ok := c.lookup(1)
 	if !ok || s != 0 || p != 4 {
 		t.Fatalf("lookup: %v %v %v", s, p, ok)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if c.resident != 1 {
+		t.Fatalf("len = %d", c.resident)
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -38,20 +38,20 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c, _ := NewBufferCache(8, 4)
-	c.Insert(1, 4)
-	c.Insert(2, 4)
+	c, _ := newBufferCache(8, 4)
+	c.insert(1, 4)
+	c.insert(2, 4)
 	// Touch 1 so 2 becomes LRU.
-	c.Lookup(1)
-	c.Insert(3, 4) // must evict 2
-	if _, _, ok := c.Lookup(2); ok {
+	c.lookup(1)
+	c.insert(3, 4) // must evict 2
+	if _, _, ok := c.lookup(2); ok {
 		t.Fatal("LRU object survived")
 	}
-	if _, _, ok := c.Lookup(1); !ok {
+	if _, _, ok := c.lookup(1); !ok {
 		t.Fatal("MRU object evicted")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d after one eviction", c.Len())
+	if c.resident != 2 {
+		t.Fatalf("len = %d after one eviction", c.resident)
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -61,16 +61,16 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheMultiEviction(t *testing.T) {
 	// Inserting a large object must evict as many small ones as needed
 	// and place it in a contiguous run.
-	c, _ := NewBufferCache(8, 101)
-	for id := ObjectID(0); id < 8; id++ {
-		c.Insert(id, 1)
+	c, _ := newBufferCache(8, 101)
+	for id := objectID(0); id < 8; id++ {
+		c.insert(id, 1)
 	}
-	start := c.Insert(100, 6)
+	start := c.insert(100, 6)
 	if start < 0 || int(start)+6 > 8 {
 		t.Fatalf("run out of range: %d", start)
 	}
-	if c.Len() > 3 {
-		t.Fatalf("len = %d after big insert", c.Len())
+	if c.resident > 3 {
+		t.Fatalf("len = %d after big insert", c.resident)
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -78,12 +78,12 @@ func TestCacheMultiEviction(t *testing.T) {
 }
 
 func TestCachePanics(t *testing.T) {
-	c, _ := NewBufferCache(4, 4)
-	c.Insert(1, 2)
+	c, _ := newBufferCache(4, 4)
+	c.insert(1, 2)
 	for _, f := range []func(){
-		func() { c.Insert(1, 1) }, // already resident
-		func() { c.Insert(2, 5) }, // larger than cache
-		func() { c.Insert(3, 0) }, // zero pages
+		func() { c.insert(1, 1) }, // already resident
+		func() { c.insert(2, 5) }, // larger than cache
+		func() { c.insert(3, 0) }, // zero pages
 	} {
 		func() {
 			defer func() {
@@ -95,11 +95,11 @@ func TestCachePanics(t *testing.T) {
 		}()
 	}
 	for _, f := range []func(){
-		func() { c.Lookup(-1) },
-		func() { c.Lookup(4) },
-		func() { c.Insert(-1, 1) },
-		func() { c.Insert(4, 1) },
-		func() { c.Lookup(math.MaxInt32) },
+		func() { c.lookup(-1) },
+		func() { c.lookup(4) },
+		func() { c.insert(-1, 1) },
+		func() { c.insert(4, 1) },
+		func() { c.lookup(math.MaxInt32) },
 	} {
 		func() {
 			defer func() {
@@ -114,8 +114,8 @@ func TestCachePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range [][2]int{{0, 1}, {4, 0}, {4, -1}, {4, math.MaxInt32 + 1}} {
-		if _, err := NewBufferCache(size[0], size[1]); err == nil {
-			t.Errorf("NewBufferCache(%d, %d) accepted", size[0], size[1])
+		if _, err := newBufferCache(size[0], size[1]); err == nil {
+			t.Errorf("newBufferCache(%d, %d) accepted", size[0], size[1])
 		}
 	}
 }
@@ -125,24 +125,24 @@ func TestCachePanics(t *testing.T) {
 // the evictions they force allocate nothing. The 1000 IDs share one
 // page, which the warm-up call allocates.
 func TestBufferCacheZeroAlloc(t *testing.T) {
-	c, err := NewBufferCache(64, 1000)
+	c, err := newBufferCache(64, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := ObjectID(0)
+	id := objectID(0)
 	inserts := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := c.Lookup(id); !ok {
-			c.Insert(id, 1+int(id%5))
+		if _, _, ok := c.lookup(id); !ok {
+			c.insert(id, 1+int(id%5))
 			inserts++
 		}
-		c.Lookup(id / 2)
+		c.lookup(id / 2)
 		id = (id + 7) % 1000
 	})
 	if allocs != 0 {
 		t.Errorf("%.1f allocs per lookup/insert", allocs)
 	}
-	if inserts <= c.Len() {
+	if inserts <= c.resident {
 		t.Fatal("no eviction exercised")
 	}
 }
@@ -151,14 +151,14 @@ func TestBufferCacheZeroAlloc(t *testing.T) {
 // invariants hold and no two objects overlap.
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c, err := NewBufferCache(64, 40)
+		c, err := newBufferCache(64, 40)
 		if err != nil {
 			return false
 		}
 		for _, op := range ops {
-			id := ObjectID(op % 40)
-			if _, _, ok := c.Lookup(id); !ok && (op>>8)%2 == 0 {
-				c.Insert(id, 1+int(op%7))
+			id := objectID(op % 40)
+			if _, _, ok := c.lookup(id); !ok && (op>>8)%2 == 0 {
+				c.insert(id, 1+int(op%7))
 			}
 			if c.checkInvariants() != nil {
 				return false
@@ -183,9 +183,7 @@ func TestGenerateStorageShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, tr)
 	s := trace.Analyze(tr)
 	// Network transfers track the request rate: reads emit one net DMA,
 	// writes one net DMA; expect ~45/ms.
@@ -227,7 +225,7 @@ func TestGenerateStoragePopularitySkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := trace.Analyze(res.Trace)
-	share := s.AccessShareOfTopPages(0.2)
+	share := s.PopularityCDF(5)[0].AccessFrac
 	if share < 0.4 || share > 0.95 {
 		t.Fatalf("top-20%% share = %g, want strong skew", share)
 	}
@@ -301,7 +299,7 @@ func TestGenerateStorageValidation(t *testing.T) {
 	bad = DefaultStorage()
 	bad.Objects = math.MaxInt32 + 1
 	if _, err := GenerateStorage(bad); err == nil {
-		t.Error("object count beyond the ObjectID range accepted")
+		t.Error("object count beyond the objectID range accepted")
 	}
 	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad = DefaultStorage()
@@ -318,7 +316,7 @@ func TestObjectPagesStable(t *testing.T) {
 	for _, s := range sizes {
 		w += s.Weight
 	}
-	for id := ObjectID(0); id < 100; id++ {
+	for id := objectID(0); id < 100; id++ {
 		a := objectPages(id, sizes, w)
 		b := objectPages(id, sizes, w)
 		if a != b {
@@ -342,14 +340,12 @@ func TestGenerateDatabaseShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, tr)
 	s := trace.Analyze(tr)
 	if s.DiskTransfers != 0 {
 		t.Fatal("database trace should carry no disk DMAs")
 	}
-	rate := s.TransfersPerMs()
+	rate := float64(s.DMATransfers) / (s.Duration.Seconds() * 1e3)
 	if rate < 80 || rate > 120 {
 		t.Fatalf("transfer rate = %.1f/ms, want ~100", rate)
 	}
@@ -385,7 +381,7 @@ func TestGenerateDatabaseValidation(t *testing.T) {
 	bad = DefaultDatabase()
 	bad.Objects = math.MaxInt32 + 1
 	if _, err := GenerateDatabase(bad); err == nil {
-		t.Error("object count beyond the ObjectID range accepted")
+		t.Error("object count beyond the objectID range accepted")
 	}
 	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad = DefaultDatabase()
@@ -455,5 +451,18 @@ func TestConfigsRejectBadSizes(t *testing.T) {
 	st.CacheFrames, st.Sizes = 4, []synth.SizeClass{{Pages: 5, Weight: 1}}
 	if _, err := GenerateStorage(st); err == nil || !strings.Contains(err.Error(), "Sizes") {
 		t.Errorf("StorageConfig, a class larger than the cache: error %v, want one naming Sizes", err)
+	}
+}
+
+// checkTrace drains a checking cursor over tr, the validation a run
+// applies to a trace, and fails on its error.
+func checkTrace(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	c := tr.Cursor()
+	c.Check(math.MaxInt32)
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,14 +113,14 @@ func TestDaemonFairDispatchOrder(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 6; i++ {
-		st, err := d.Submit(noopJob("heavy", 100+i))
+		st, err := submitJob(d, noopJob("heavy", 100+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
 	}
 	for i := 0; i < 3; i++ {
-		st, err := d.Submit(noopJob("light", 200+i))
+		st, err := submitJob(d, noopJob("light", 200+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestDaemonFairDispatchOrder(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for _, id := range ids {
-		st, err := d.Wait(ctx, id)
+		st, err := waitJob(ctx, d, id)
 		if err != nil {
 			t.Fatalf("job %s: %v", id, err)
 		}
@@ -167,7 +168,7 @@ func TestMultiTenantConcurrentJobs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < jobsPer; i++ {
-				st, err := d.Submit(noopJob(fmt.Sprintf("tenant-%d", ti), 1000+ti*jobsPer+i))
+				st, err := submitJob(d, noopJob(fmt.Sprintf("tenant-%d", ti), 1000+ti*jobsPer+i))
 				if err != nil {
 					t.Errorf("tenant %d job %d: %v", ti, i, err)
 					return
@@ -181,7 +182,7 @@ func TestMultiTenantConcurrentJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for id := range ids {
-		st, err := d.Wait(ctx, id)
+		st, err := waitJob(ctx, d, id)
 		if err != nil {
 			t.Fatalf("job %s: %v", id, err)
 		}
@@ -189,15 +190,15 @@ func TestMultiTenantConcurrentJobs(t *testing.T) {
 			t.Fatalf("job %s finished %q: %s", id, st.Status, st.Error)
 		}
 	}
-	if got := d.Counters().Get("jobs_completed"); got != tenants*jobsPer {
+	if got := counter(t, d, "jobs_completed"); got != tenants*jobsPer {
 		t.Errorf("jobs_completed = %d, want %d", got, tenants*jobsPer)
 	}
-	if got := d.Counters().Get("runs"); got != tenants*jobsPer {
+	if got := counter(t, d, "runs"); got != tenants*jobsPer {
 		t.Errorf("runs = %d, want %d (every job distinct, no cache hits)", got, tenants*jobsPer)
 	}
 	// Quota accounting drained: every tenant can fill its quota again.
 	for ti := 0; ti < tenants; ti++ {
-		if _, err := d.Submit(noopJob(fmt.Sprintf("tenant-%d", ti), 3000+ti)); err != nil {
+		if _, err := submitJob(d, noopJob(fmt.Sprintf("tenant-%d", ti), 3000+ti)); err != nil {
 			t.Errorf("tenant %d blocked after drain: %v", ti, err)
 		}
 	}
@@ -214,23 +215,23 @@ func TestCacheHitSkipsRun(t *testing.T) {
 	defer cancel()
 
 	job := Job{Tenant: "a", Workload: "Synthetic-St"}
-	st1, err := d.Submit(job)
+	st1, err := submitJob(d, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Wait(ctx, st1.ID); err != nil {
+	if _, err := waitJob(ctx, d, st1.ID); err != nil {
 		t.Fatal(err)
 	}
-	r1, st1b, _ := d.Result(st1.ID)
+	r1, st1b, _ := resultOf(d, st1.ID)
 	if st1b.Status != StatusDone || st1b.Cached {
 		t.Fatalf("first run: %+v", st1b)
 	}
-	if got := d.Counters().Get("runs"); got != 1 {
+	if got := counter(t, d, "runs"); got != 1 {
 		t.Fatalf("runs after first job = %d, want 1", got)
 	}
 
 	// Same spec from a different tenant: served from cache, no run.
-	st2, err := d.Submit(Job{Tenant: "b", Workload: "Synthetic-St"})
+	st2, err := submitJob(d, Job{Tenant: "b", Workload: "Synthetic-St"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,36 +241,36 @@ func TestCacheHitSkipsRun(t *testing.T) {
 	if st2.Hash != st1b.Hash {
 		t.Errorf("cache hit under a different hash: %s vs %s", st2.Hash, st1b.Hash)
 	}
-	r2, _, _ := d.Result(st2.ID)
+	r2, _, _ := resultOf(d, st2.ID)
 	if string(r1) != string(r2) {
 		t.Error("cached result differs from the original run")
 	}
-	if got := d.Counters().Get("runs"); got != 1 {
+	if got := counter(t, d, "runs"); got != 1 {
 		t.Errorf("runs after cache hit = %d, want still 1", got)
 	}
-	if got := d.Counters().Get("cache_hits"); got != 1 {
+	if got := counter(t, d, "cache_hits"); got != 1 {
 		t.Errorf("cache_hits = %d, want 1", got)
 	}
 
 	// A different Workers setting is a different canonical spec: it
 	// must run, not hit.
-	st3, err := d.Submit(Job{Tenant: "a", Workload: "Synthetic-St", Workers: 2})
+	st3, err := submitJob(d, Job{Tenant: "a", Workload: "Synthetic-St", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st3.Cached {
 		t.Error("Workers variant was served from cache; it must run the parallel engine")
 	}
-	if _, err := d.Wait(ctx, st3.ID); err != nil {
+	if _, err := waitJob(ctx, d, st3.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Counters().Get("runs"); got != 2 {
+	if got := counter(t, d, "runs"); got != 2 {
 		t.Errorf("runs after Workers variant = %d, want 2", got)
 	}
 }
 
 // TestQuotaRejectionTyped pins admission control: submissions beyond
-// the per-tenant quota fail loudly with a *QuotaError naming the
+// the per-tenant quota fail loudly with a *quotaError naming the
 // tenant and limits, other tenants are unaffected, and capacity
 // frees once jobs finish.
 func TestQuotaRejectionTyped(t *testing.T) {
@@ -277,32 +278,32 @@ func TestQuotaRejectionTyped(t *testing.T) {
 	defer d.Close()
 
 	for i := 0; i < 2; i++ {
-		if _, err := d.Submit(noopJob("greedy", 10+i)); err != nil {
+		if _, err := submitJob(d, noopJob("greedy", 10+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := d.Submit(noopJob("greedy", 12))
+	_, err := submitJob(d, noopJob("greedy", 12))
 	if err == nil {
 		t.Fatal("third submission admitted over a quota of 2")
 	}
-	var qe *QuotaError
+	var qe *quotaError
 	if !errors.As(err, &qe) {
-		t.Fatalf("error %T is not a *QuotaError: %v", err, err)
+		t.Fatalf("error %T is not a *quotaError: %v", err, err)
 	}
 	if qe.Tenant != "greedy" || qe.Active != 2 || qe.Limit != 2 {
-		t.Errorf("QuotaError fields %+v, want tenant greedy, active 2, limit 2", qe)
+		t.Errorf("quotaError fields %+v, want tenant greedy, active 2, limit 2", qe)
 	}
 	for _, want := range []string{`"greedy"`, "2 jobs queued or running", "limit 2"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("quota error %q does not mention %s", err, want)
 		}
 	}
-	if got := d.Counters().Get("jobs_rejected_quota"); got != 1 {
+	if got := counter(t, d, "jobs_rejected_quota"); got != 1 {
 		t.Errorf("jobs_rejected_quota = %d, want 1", got)
 	}
 
 	// Admission is per tenant: a polite tenant is not collateral.
-	if _, err := d.Submit(noopJob("polite", 20)); err != nil {
+	if _, err := submitJob(d, noopJob("polite", 20)); err != nil {
 		t.Errorf("other tenant rejected: %v", err)
 	}
 
@@ -312,7 +313,7 @@ func TestQuotaRejectionTyped(t *testing.T) {
 	defer cancel()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if _, err := d.Submit(noopJob("greedy", int(30+time.Now().UnixNano()%1000))); err == nil {
+		if _, err := submitJob(d, noopJob("greedy", int(30+time.Now().UnixNano()%1000))); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -332,35 +333,35 @@ func TestQuotaRejectionTyped(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	d := newPaused(Config{})
 	defer d.Close()
-	st, err := d.Submit(noopJob("a", 5))
+	st, err := submitJob(d, noopJob("a", 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Cancel(st.ID)
+	got, err := d.cancelJob(st.ID)
 	if err != nil || got.Status != StatusCanceled {
 		t.Fatalf("cancel: %+v, %v", got, err)
 	}
 	// Canceling again is a no-op, not a double transition.
-	again, _ := d.Cancel(st.ID)
+	again, _ := d.cancelJob(st.ID)
 	if again.Status != StatusCanceled {
 		t.Fatalf("second cancel: %+v", again)
 	}
 	d.startWorkers(1)
 	// Submit a live job behind it; when it completes, the canceled one
 	// was necessarily dequeued and skipped without running.
-	st2, err := d.Submit(noopJob("a", 6))
+	st2, err := submitJob(d, noopJob("a", 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := d.Wait(ctx, st2.ID); err != nil {
+	if _, err := waitJob(ctx, d, st2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Counters().Get("runs"); got != 1 {
+	if got := counter(t, d, "runs"); got != 1 {
 		t.Errorf("runs = %d, want 1 (the canceled job must not run)", got)
 	}
-	if got := d.Counters().Get("jobs_canceled"); got != 1 {
+	if got := counter(t, d, "jobs_canceled"); got != 1 {
 		t.Errorf("jobs_canceled = %d, want 1", got)
 	}
 }
@@ -381,12 +382,12 @@ func TestCancelRunningJob(t *testing.T) {
 	// poll no matter how fast it is.
 	canceled := make(chan string, 1)
 	d.runningHook = func(js *jobState) {
-		if _, err := d.Cancel(js.id); err != nil {
+		if _, err := d.cancelJob(js.id); err != nil {
 			t.Errorf("cancel lost the running job: %v", err)
 		}
 		canceled <- js.id
 	}
-	st, err := d.Submit(Job{Tenant: "a", Workload: "Synthetic-St", DurationMs: 100})
+	st, err := submitJob(d, Job{Tenant: "a", Workload: "Synthetic-St", DurationMs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("timed out waiting for the job to start")
 	}
 	d.runningHook = nil
-	final, err := d.Wait(ctx, st.ID)
+	final, err := waitJob(ctx, d, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,15 +405,15 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("job finished %q, want canceled (error %q)", final.Status, final.Error)
 	}
 	// The result endpoint refuses politely.
-	if result, stR, _ := d.Result(st.ID); len(result) != 0 || stR.Status != StatusCanceled {
+	if result, stR, _ := resultOf(d, st.ID); len(result) != 0 || stR.Status != StatusCanceled {
 		t.Errorf("canceled job leaked a result (%d bytes, %+v)", len(result), stR)
 	}
 	// The worker survives: a fresh fast job still completes.
-	st2, err := d.Submit(noopJob("a", 7))
+	st2, err := submitJob(d, noopJob("a", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Wait(ctx, st2.ID)
+	got, err := waitJob(ctx, d, st2.ID)
 	if err != nil || got.Status != StatusDone {
 		t.Fatalf("follow-up job after cancel: %+v, %v", got, err)
 	}
@@ -424,7 +425,7 @@ func TestCancelRunningJob(t *testing.T) {
 func TestDaemonCloseCancelsInFlight(t *testing.T) {
 	d := newPaused(Config{})
 	for i := 0; i < 4; i++ {
-		if _, err := d.Submit(noopJob("a", 40+i)); err != nil {
+		if _, err := submitJob(d, noopJob("a", 40+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +438,7 @@ func TestDaemonCloseCancelsInFlight(t *testing.T) {
 		t.Fatal("Close did not drain the fleet")
 	}
 	// Submissions after close fail loudly.
-	if _, err := d.Submit(noopJob("a", 99)); !errors.Is(err, errSchedClosed) {
+	if _, err := submitJob(d, noopJob("a", 99)); !errors.Is(err, errSchedClosed) {
 		t.Errorf("submit after close: %v, want errSchedClosed", err)
 	}
 }
@@ -450,11 +451,11 @@ func TestEventStreamOrdering(t *testing.T) {
 	defer d.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := d.Submit(noopJob("a", 4))
+	st, err := submitJob(d, noopJob("a", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Wait(ctx, st.ID); err != nil {
+	if _, err := waitJob(ctx, d, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	js, _ := d.get(st.ID)
@@ -491,11 +492,11 @@ func TestIdleTenantsForgotten(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < 50; i++ {
-		st, err := d.Submit(noopJob(fmt.Sprintf("tenant-%d", i), 1+i))
+		st, err := submitJob(d, noopJob(fmt.Sprintf("tenant-%d", i), 1+i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Wait(ctx, st.ID); err != nil {
+		if _, err := waitJob(ctx, d, st.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -514,4 +515,47 @@ func TestIdleTenantsForgotten(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
+}
+
+// The daemon's API is its HTTP handler. These helpers drive the
+// unexported paths the handler uses, and return what it would answer.
+
+func submitJob(d *Daemon, j Job) (JobStatus, error) {
+	js, err := d.submit(j)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return js.statusView(), nil
+}
+
+func waitJob(ctx context.Context, d *Daemon, id string) (JobStatus, error) {
+	js, err := d.get(id)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return js.wait(ctx)
+}
+
+func resultOf(d *Daemon, id string) ([]byte, JobStatus, error) {
+	js, err := d.get(id)
+	if err != nil {
+		return nil, JobStatus{}, err
+	}
+	result, st := js.resultView()
+	return result, st, nil
+}
+
+// counter reads one of the daemon's counters as /v1/metrics renders it.
+func counter(t *testing.T, d *Daemon, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(d.counters.Render(""), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
 }

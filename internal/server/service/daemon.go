@@ -48,7 +48,7 @@ const DefaultCacheBytes = 512 << 10
 
 // retainJobs bounds the finished jobs a daemon keeps answering for by
 // ID. Older ones are retired, oldest first: their IDs answer
-// ErrRetired, and resubmitting the job is a cache hit while its
+// errRetired, and resubmitting the job is a cache hit while its
 // answer is cached. The bound is a count, not an age, so a daemon's
 // memory is set by its caches, not by how many jobs it has answered.
 const retainJobs = 1024
@@ -204,14 +204,14 @@ func (js *jobState) waitEvent(ctx context.Context, seq int) (Event, bool) {
 	return js.events[seq], true
 }
 
-// ErrUnknownJob is the lookup error for an ID the daemon never
+// errUnknownJob is the lookup error for an ID the daemon never
 // issued; handlers map it to HTTP 404.
-var ErrUnknownJob = errors.New("service: unknown job")
+var errUnknownJob = errors.New("service: unknown job")
 
-// ErrRetired is the lookup error for a job that finished and was
+// errRetired is the lookup error for a job that finished and was
 // retired past the daemon's retention bound; handlers map it to HTTP
 // 410. Resubmitting the job answers it again.
-var ErrRetired = errors.New("service: job retired")
+var errRetired = errors.New("service: job retired")
 
 // Daemon is the simulation service: a bounded worker fleet draining a
 // weighted fair queue of tenant jobs, with a canonical-hash result
@@ -299,11 +299,6 @@ func (d *Daemon) Close() {
 	d.wg.Wait()
 }
 
-// Counters exposes the daemon's monotonic event counters
-// (jobs_submitted, runs, cache_hits, ...) for the stats endpoint and
-// tests.
-func (d *Daemon) Counters() *metrics.Counters { return d.counters }
-
 // retained reports what the daemon holds beyond its running work: the
 // finished jobs it still answers for by ID, the result bytes they
 // reference, and the result bytes in the cache. The first two share
@@ -321,21 +316,12 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
-// Submit validates, normalizes and enqueues one job. The cache fast
-// path completes the job immediately — without occupying a worker or
-// consuming quota — when a canonical twin already ran. The error is a
-// *QuotaError for admission rejections and wraps ErrBadJob for
-// validation failures.
-func (d *Daemon) Submit(j Job) (JobStatus, error) {
-	js, err := d.submit(j)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return js.statusView(), nil
-}
-
-// submit is Submit returning the job itself, which stays valid after
-// the daemon retires its ID.
+// submit validates, normalizes and enqueues one job, and returns the
+// job itself, which stays valid after the daemon retires its ID. The
+// cache fast path completes the job immediately — without occupying a
+// worker or consuming quota — when a canonical twin already ran. The
+// error is a *quotaError for admission rejections and wraps errBadJob
+// for validation failures.
 func (d *Daemon) submit(j Job) (*jobState, error) {
 	w, points, err := j.normalize(d.cfg.MaxGridPoints)
 	if err != nil {
@@ -366,7 +352,7 @@ func (d *Daemon) submit(j Job) (*jobState, error) {
 		if err := d.sched.submit(js); err != nil {
 			d.mu.Unlock()
 			js.cancel()
-			var qe *QuotaError
+			var qe *quotaError
 			if errors.As(err, &qe) {
 				d.counters.Add("jobs_rejected_quota", 1)
 			}
@@ -522,8 +508,8 @@ func (d *Daemon) executeGrid(js *jobState) ([]byte, error) {
 	return experiments.CanonicalJSON(points)
 }
 
-// get looks a job up by ID. The error wraps ErrRetired for a job
-// retired past the retention bound and ErrUnknownJob for an ID the
+// get looks a job up by ID. The error wraps errRetired for a job
+// retired past the retention bound and errUnknownJob for an ID the
 // daemon never issued.
 func (d *Daemon) get(id string) (*jobState, error) {
 	d.mu.Lock()
@@ -534,28 +520,9 @@ func (d *Daemon) get(id string) (*jobState, error) {
 	digits, _ := strings.CutPrefix(id, "job-")
 	if n, err := strconv.Atoi(digits); err == nil && n >= 1 && n <= d.seq && fmt.Sprintf("job-%06d", n) == id {
 		return nil, fmt.Errorf("%w: %s finished and the daemon keeps only its last %d finished jobs; resubmit the job to get its answer (a cache hit while it is cached)",
-			ErrRetired, id, len(d.finished))
+			errRetired, id, len(d.finished))
 	}
-	return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
-}
-
-// Status returns the API view of a job.
-func (d *Daemon) Status(id string) (JobStatus, error) {
-	js, err := d.get(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return js.statusView(), nil
-}
-
-// Result returns the canonical result bytes of a completed job.
-func (d *Daemon) Result(id string) ([]byte, JobStatus, error) {
-	js, err := d.get(id)
-	if err != nil {
-		return nil, JobStatus{}, err
-	}
-	result, st := js.resultView()
-	return result, st, nil
+	return nil, fmt.Errorf("%w %q", errUnknownJob, id)
 }
 
 // resultView snapshots the result bytes and the API view together.
@@ -568,10 +535,10 @@ func (js *jobState) resultView() ([]byte, JobStatus) {
 	}
 }
 
-// Cancel cancels a job: queued jobs complete as canceled immediately,
+// cancelJob cancels a job: queued jobs complete as canceled immediately,
 // running jobs abort through their context within microseconds of
 // simulated dispatch. Canceling a terminal job is a no-op.
-func (d *Daemon) Cancel(id string) (JobStatus, error) {
+func (d *Daemon) cancelJob(id string) (JobStatus, error) {
 	js, err := d.get(id)
 	if err != nil {
 		return JobStatus{}, err
@@ -579,15 +546,6 @@ func (d *Daemon) Cancel(id string) (JobStatus, error) {
 	d.end(js, StatusQueued, StatusCanceled, "canceled before running", "jobs_canceled")
 	js.cancel() // aborts a running simulation mid-flight
 	return js.statusView(), nil
-}
-
-// Wait blocks until the job reaches a terminal state or ctx ends.
-func (d *Daemon) Wait(ctx context.Context, id string) (JobStatus, error) {
-	js, err := d.get(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return js.wait(ctx)
 }
 
 // wait blocks until js reaches a terminal state or ctx ends.

@@ -12,7 +12,7 @@ import (
 // FuzzJobDecode feeds arbitrary bytes to the job decoder and
 // validator — the daemon's entire public attack surface. Whatever a
 // tenant posts, the pipeline must fail with an error wrapping
-// ErrBadJob, never panic, and never admit a job the validators would
+// errBadJob, never panic, and never admit a job the validators would
 // reject (mirroring the .dmt container decoder's FuzzDMTDecode
 // contract). Jobs that do decode must survive a marshal/decode round
 // trip unchanged, and normalization must be deterministic: the same
@@ -50,8 +50,8 @@ func FuzzJobDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := DecodeJob(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadJob) {
-				t.Fatalf("decode error does not wrap ErrBadJob: %v", err)
+			if !errors.Is(err, errBadJob) {
+				t.Fatalf("decode error does not wrap errBadJob: %v", err)
 			}
 			if !reflect.DeepEqual(j, Job{}) {
 				t.Fatalf("decoder returned both a job and an error: %+v, %v", j, err)
@@ -75,8 +75,8 @@ func FuzzJobDecode(f *testing.F) {
 		// normalize deterministically.
 		w1, n1, err := j.normalize(4096)
 		if err != nil {
-			if !errors.Is(err, ErrBadJob) {
-				t.Fatalf("normalize error does not wrap ErrBadJob: %v", err)
+			if !errors.Is(err, errBadJob) {
+				t.Fatalf("normalize error does not wrap errBadJob: %v", err)
 			}
 			return
 		}

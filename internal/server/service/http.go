@@ -58,7 +58,7 @@ func (d *Daemon) Handler() http.Handler {
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxJobBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxJobBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad-job", fmt.Sprintf("reading body: %v", err))
 		return
@@ -70,11 +70,11 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	js, err := d.submit(job)
 	if err != nil {
-		var qe *QuotaError
+		var qe *quotaError
 		switch {
 		case errors.As(err, &qe):
 			writeError(w, http.StatusTooManyRequests, "over-quota", err.Error())
-		case errors.Is(err, ErrBadJob):
+		case errors.Is(err, errBadJob):
 			writeError(w, http.StatusBadRequest, "bad-job", err.Error())
 		case errors.Is(err, errSchedClosed):
 			writeError(w, http.StatusServiceUnavailable, "shutting-down", err.Error())
@@ -113,7 +113,7 @@ func (d *Daemon) lookup(w http.ResponseWriter, r *http.Request) (*jobState, bool
 // writeLookupError answers a failed job lookup: 410 for a retired ID,
 // 404 for one the daemon never issued.
 func writeLookupError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrRetired) {
+	if errors.Is(err, errRetired) {
 		writeError(w, http.StatusGone, "retired", err.Error())
 		return
 	}
@@ -185,7 +185,7 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := d.Cancel(r.PathValue("id"))
+	st, err := d.cancelJob(r.PathValue("id"))
 	if err != nil {
 		writeLookupError(w, err)
 		return

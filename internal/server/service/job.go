@@ -27,20 +27,20 @@ import (
 	"dmamem/internal/sim"
 )
 
-// SchemaVersion is the job schema this daemon speaks. Submissions may
+// schemaVersion is the job schema this daemon speaks. Submissions may
 // omit Version (0 means "current"); any other value is rejected
 // loudly so a mixed-version fleet fails fast instead of silently
 // reinterpreting fields.
-const SchemaVersion = 1
+const schemaVersion = 1
 
-// MaxJobBytes bounds one submission body; larger bodies are rejected
+// maxJobBytes bounds one submission body; larger bodies are rejected
 // before decoding rather than honored with a giant allocation.
-const MaxJobBytes = 1 << 20
+const maxJobBytes = 1 << 20
 
-// ErrBadJob tags submissions the decoder or validator rejected:
+// errBadJob tags submissions the decoder or validator rejected:
 // malformed JSON, unknown fields, version skew, enumeration
 // violations. Handlers map it to HTTP 400.
-var ErrBadJob = errors.New("service: bad job")
+var errBadJob = errors.New("service: bad job")
 
 // Job is one tenant submission. Exactly one of Workload (a report
 // job: one Table 2 workload under one scheme, returning the full
@@ -50,7 +50,7 @@ var ErrBadJob = errors.New("service: bad job")
 // values error loudly at submission, reusing Simulation.Validate and
 // the grid resolver for the enumerations.
 type Job struct {
-	// Version of the job schema; 0 means SchemaVersion.
+	// Version of the job schema; 0 means schemaVersion.
 	Version int `json:",omitempty"`
 	// Tenant is the submitting tenant's identity for fair queueing and
 	// admission control. Empty means "default".
@@ -94,23 +94,23 @@ type Job struct {
 
 // DecodeJob parses one submission body. It never panics on arbitrary
 // input: truncated bodies, unknown fields, non-JSON bytes, NaN/Inf
-// float tokens and trailing garbage are all loud ErrBadJob errors,
+// float tokens and trailing garbage are all loud errBadJob errors,
 // mirroring the .dmt container decoder's contract (FuzzDMTDecode).
 func DecodeJob(data []byte) (Job, error) {
 	var j Job
-	if len(data) > MaxJobBytes {
-		return j, fmt.Errorf("%w: body %d bytes exceeds the %d-byte limit", ErrBadJob, len(data), MaxJobBytes)
+	if len(data) > maxJobBytes {
+		return j, fmt.Errorf("%w: body %d bytes exceeds the %d-byte limit", errBadJob, len(data), maxJobBytes)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&j); err != nil {
 		if errors.Is(err, io.EOF) {
-			return Job{}, fmt.Errorf("%w: empty body", ErrBadJob)
+			return Job{}, fmt.Errorf("%w: empty body", errBadJob)
 		}
-		return Job{}, fmt.Errorf("%w: %v", ErrBadJob, err)
+		return Job{}, fmt.Errorf("%w: %v", errBadJob, err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return Job{}, fmt.Errorf("%w: trailing data after the job object", ErrBadJob)
+		return Job{}, fmt.Errorf("%w: trailing data after the job object", errBadJob)
 	}
 	return j, nil
 }
@@ -135,14 +135,14 @@ type gridWork struct {
 // (picoseconds), rejecting NaN/Inf and negatives.
 func msToSim(name string, ms float64) (sim.Duration, error) {
 	if math.IsNaN(ms) || math.IsInf(ms, 0) {
-		return 0, fmt.Errorf("%w: %s is not a finite number", ErrBadJob, name)
+		return 0, fmt.Errorf("%w: %s is not a finite number", errBadJob, name)
 	}
 	if ms < 0 {
-		return 0, fmt.Errorf("%w: negative %s %v", ErrBadJob, name, ms)
+		return 0, fmt.Errorf("%w: negative %s %v", errBadJob, name, ms)
 	}
 	const maxMs = 60_000 // one simulated minute bounds a single job
 	if ms > maxMs {
-		return 0, fmt.Errorf("%w: %s %v exceeds the %d ms service bound", ErrBadJob, name, ms, maxMs)
+		return 0, fmt.Errorf("%w: %s %v exceeds the %d ms service bound", errBadJob, name, ms, maxMs)
 	}
 	return sim.Duration(math.Round(ms * float64(sim.Millisecond))), nil
 }
@@ -189,17 +189,17 @@ func simTechnique(scheme string) dmamem.Technique {
 // Simulation.Validate for report parameters, the experiments grid
 // resolver for grid names and technologies.
 func (j Job) normalize(maxGridPoints int) (work, int, error) {
-	if j.Version != 0 && j.Version != SchemaVersion {
-		return work{}, 0, fmt.Errorf("%w: job schema version %d, want %d (or omit it)", ErrBadJob, j.Version, SchemaVersion)
+	if j.Version != 0 && j.Version != schemaVersion {
+		return work{}, 0, fmt.Errorf("%w: job schema version %d, want %d (or omit it)", errBadJob, j.Version, schemaVersion)
 	}
 	if math.IsNaN(j.CPLimit) || math.IsInf(j.CPLimit, 0) {
-		return work{}, 0, fmt.Errorf("%w: CPLimit is not a finite number", ErrBadJob)
+		return work{}, 0, fmt.Errorf("%w: CPLimit is not a finite number", errBadJob)
 	}
 	switch {
 	case j.Workload == "" && j.Grid == nil:
-		return work{}, 0, fmt.Errorf("%w: set either Workload (a report job) or Grid (a sweep job)", ErrBadJob)
+		return work{}, 0, fmt.Errorf("%w: set either Workload (a report job) or Grid (a sweep job)", errBadJob)
 	case j.Workload != "" && j.Grid != nil:
-		return work{}, 0, fmt.Errorf("%w: both Workload %q and Grid %q set; submit one job per kind", ErrBadJob, j.Workload, j.Grid.Name)
+		return work{}, 0, fmt.Errorf("%w: both Workload %q and Grid %q set; submit one job per kind", errBadJob, j.Workload, j.Grid.Name)
 	}
 	suite, err := j.suiteSpec()
 	if err != nil {
@@ -208,17 +208,17 @@ func (j Job) normalize(maxGridPoints int) (work, int, error) {
 	if j.Grid != nil {
 		gw := &gridWork{Suite: suite, Grid: *j.Grid, Workers: j.Workers}
 		if j.Workers < 0 {
-			return work{}, 0, fmt.Errorf("%w: negative Workers %d; 0 selects the serial engine", ErrBadJob, j.Workers)
+			return work{}, 0, fmt.Errorf("%w: negative Workers %d; 0 selects the serial engine", errBadJob, j.Workers)
 		}
 		n, err := experiments.ValidateGrid(gw.Suite, gw.Grid)
 		if err != nil {
-			return work{}, 0, fmt.Errorf("%w: %v", ErrBadJob, err)
+			return work{}, 0, fmt.Errorf("%w: %v", errBadJob, err)
 		}
 		if n <= 0 {
-			return work{}, 0, fmt.Errorf("%w: grid %q resolves to %d points; set its sweep parameters", ErrBadJob, gw.Grid.Name, n)
+			return work{}, 0, fmt.Errorf("%w: grid %q resolves to %d points; set its sweep parameters", errBadJob, gw.Grid.Name, n)
 		}
 		if maxGridPoints > 0 && n > maxGridPoints {
-			return work{}, 0, fmt.Errorf("%w: grid %q resolves to %d points, over the service bound %d", ErrBadJob, gw.Grid.Name, n, maxGridPoints)
+			return work{}, 0, fmt.Errorf("%w: grid %q resolves to %d points, over the service bound %d", errBadJob, gw.Grid.Name, n, maxGridPoints)
 		}
 		return work{Grid: gw}, n, nil
 	}
@@ -233,7 +233,7 @@ func (j Job) normalize(maxGridPoints int) (work, int, error) {
 	}
 	rs, err = rs.Normalize()
 	if err != nil {
-		return work{}, 0, fmt.Errorf("%w: %v", ErrBadJob, err)
+		return work{}, 0, fmt.Errorf("%w: %v", errBadJob, err)
 	}
 	// The public API contract is the final word on the technique
 	// parameters: re-validate the normalized spec through
@@ -247,7 +247,7 @@ func (j Job) normalize(maxGridPoints int) (work, int, error) {
 		Workers:    rs.Workers,
 	}
 	if err := s.Validate(); err != nil {
-		return work{}, 0, fmt.Errorf("%w: %v", ErrBadJob, err)
+		return work{}, 0, fmt.Errorf("%w: %v", errBadJob, err)
 	}
 	return work{Report: &rs}, 0, nil
 }

@@ -140,21 +140,21 @@ func TestRetiredJobAnswersGone(t *testing.T) {
 func TestRejectedSubmissionTakesNoID(t *testing.T) {
 	d := newPaused(Config{TenantQuota: 1})
 	defer d.Close()
-	first, err := d.Submit(noopJob("greedy", 1))
+	first, err := submitJob(d, noopJob("greedy", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(noopJob("greedy", 2)); err == nil {
+	if _, err := submitJob(d, noopJob("greedy", 2)); err == nil {
 		t.Fatal("second submission admitted over a quota of 1")
 	}
-	next, err := d.Submit(noopJob("polite", 3))
+	next, err := submitJob(d, noopJob("polite", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ID != "job-000001" || next.ID != "job-000002" {
 		t.Errorf("IDs %s, %s around a rejection, want job-000001, job-000002", first.ID, next.ID)
 	}
-	if _, err := d.Status("job-000003"); err == nil || !strings.Contains(err.Error(), "unknown job") {
+	if _, err := d.get("job-000003"); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Errorf("status of an ID never issued: %v, want an unknown-job error", err)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"sync"
 )
 
-// QuotaError is the typed admission-control rejection: the tenant
+// quotaError is the typed admission-control rejection: the tenant
 // already has its quota of jobs queued or running. Handlers map it to
 // HTTP 429; callers detect it with errors.As.
-type QuotaError struct {
+type quotaError struct {
 	// Tenant that was rejected.
 	Tenant string
 	// Active is the tenant's queued-plus-running job count at
@@ -20,7 +20,7 @@ type QuotaError struct {
 	Limit int
 }
 
-func (e *QuotaError) Error() string {
+func (e *quotaError) Error() string {
 	return fmt.Sprintf("service: tenant %q over admission quota: %d jobs queued or running (limit %d)",
 		e.Tenant, e.Active, e.Limit)
 }
@@ -88,7 +88,7 @@ func (s *scheduler) tenant(name string) *tenantState {
 }
 
 // submit enqueues a job under its tenant, enforcing the admission
-// quota. The returned error is a *QuotaError when the tenant is over
+// quota. The returned error is a *quotaError when the tenant is over
 // quota.
 func (s *scheduler) submit(j *jobState) error {
 	s.mu.Lock()
@@ -98,7 +98,7 @@ func (s *scheduler) submit(j *jobState) error {
 	}
 	ts := s.tenant(j.tenant)
 	if s.quota > 0 && ts.active >= s.quota {
-		return &QuotaError{Tenant: j.tenant, Active: ts.active, Limit: s.quota}
+		return &quotaError{Tenant: j.tenant, Active: ts.active, Limit: s.quota}
 	}
 	ts.active++
 	tag := ts.lastFinish

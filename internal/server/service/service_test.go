@@ -205,7 +205,7 @@ func TestServiceJobLifecycle(t *testing.T) {
 			t.Errorf("metrics output missing %q:\n%s", want, metricsBody)
 		}
 	}
-	if got := d.Counters().Get("jobs_submitted"); got != 1 {
+	if got := counter(t, d, "jobs_submitted"); got != 1 {
 		t.Errorf("jobs_submitted counter = %d, want 1", got)
 	}
 }

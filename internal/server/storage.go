@@ -90,7 +90,7 @@ func (c StorageConfig) validate() error {
 	case c.ReadFraction < 0 || c.ReadFraction > 1:
 		return fmt.Errorf("server: read fraction %g outside [0,1]", c.ReadFraction)
 	case c.Objects <= 0 || c.Objects > math.MaxInt32:
-		return fmt.Errorf("server: %d objects (ObjectID is int32)", c.Objects)
+		return fmt.Errorf("server: %d objects (object IDs are int32)", c.Objects)
 	case !synth.ValidSkew(c.Alpha):
 		return fmt.Errorf("server: Zipf skew Alpha %g is not finite and non-negative", c.Alpha)
 	case c.CacheFrames <= 0:
@@ -125,7 +125,7 @@ type StorageResult struct {
 
 // objectPages returns the stable size of an object, drawn from the
 // mixture by hashing the ID; a mixture of one class needs no draw.
-func objectPages(id ObjectID, sizes []synth.SizeClass, totalWeight float64) int {
+func objectPages(id objectID, sizes []synth.SizeClass, totalWeight float64) int {
 	if len(sizes) == 1 {
 		return sizes[0].Pages
 	}
@@ -167,7 +167,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 	zipf := synth.NewZipf(c.Objects, c.Alpha)
 	perm := rng.Perm(c.Objects) // scatter popularity over object IDs
 
-	cache, err := NewBufferCache(c.CacheFrames, c.Objects)
+	cache, err := newBufferCache(c.CacheFrames, c.Objects)
 	if err != nil {
 		return nil, err
 	}
@@ -192,8 +192,8 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 	// state an LRU cache converges to under a skewed reference stream.
 	// Without this, a finite trace is dominated by cold misses and the
 	// frame-popularity distribution degenerates to uniform.
-	cache.fill(func(rank ObjectID) int {
-		return objectPages(ObjectID(perm[rank]), c.Sizes, totalWeight)
+	cache.fill(func(rank objectID) int {
+		return objectPages(objectID(perm[rank]), c.Sizes, totalWeight)
 	})
 
 	res := &StorageResult{Trace: &trace.Trace{Name: "OLTP-St"}}
@@ -222,8 +222,8 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 		if now > sim.Time(c.Duration) {
 			break
 		}
-		rank := ObjectID(zipf.Sample(rng))
-		obj := ObjectID(perm[rank])
+		rank := objectID(zipf.Sample(rng))
+		obj := objectID(perm[rank])
 		pages := objectPages(obj, c.Sizes, totalWeight)
 		bytes := int64(pages) * int64(c.PageBytes)
 		diskOffset := int64(obj) * int64(maxPages) * int64(c.PageBytes)
@@ -232,7 +232,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 		if rng.Float64() < c.ReadFraction {
 			arrive := fabric.RequestArrival(now)
 			ready := arrive.Add(c.CPUTime)
-			start, _, ok := cache.Lookup(rank)
+			start, _, ok := cache.lookup(rank)
 			var sendAt sim.Time
 			if ok {
 				hits++
@@ -242,7 +242,7 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 				diskDone := array.Access(ready, diskOffset, bytes)
 				diskSum += diskDone.Sub(ready)
 				res.DiskReads++
-				start = cache.Insert(rank, pages)
+				start = cache.insert(rank, pages)
 				emit(diskDone, trace.DMAWrite, trace.SrcDisk, start, pages)
 				sendAt = diskDone.Add(dmaDur(pages))
 				transfersSum += 2
@@ -255,11 +255,11 @@ func GenerateStorage(c StorageConfig) (*StorageResult, error) {
 			// memory, then write-through to disk.
 			arrive := fabric.WritePayloadArrival(now, bytes)
 			ready := arrive.Add(c.CPUTime)
-			start, _, ok := cache.Lookup(rank)
+			start, _, ok := cache.lookup(rank)
 			if ok {
 				hits++
 			} else {
-				start = cache.Insert(rank, pages)
+				start = cache.insert(rank, pages)
 			}
 			emit(ready, trace.DMAWrite, trace.SrcNetwork, start, pages)
 			memDone := ready.Add(dmaDur(pages))

@@ -182,7 +182,7 @@ func (b *BarrierEngine) nextAt(hooks BarrierHooks) (Time, bool) {
 	var at Time
 	ok := false
 	for _, s := range b.shards {
-		if t, o := s.NextAt(); o && (!ok || t < at) {
+		if t, o := s.nextAt(); o && (!ok || t < at) {
 			at, ok = t, true
 		}
 	}

@@ -235,7 +235,7 @@ func TestBarrierPrepareAndNextInput(t *testing.T) {
 						if in.label == 2 {
 							// Follow-up work several epochs out, so shard 1
 							// stays non-empty across a silent input gap.
-							e.After(2*Millisecond, func(e *Engine) {
+							after(e, 2*Millisecond, func(e *Engine) {
 								*order = append(*order, -2)
 							})
 						}
@@ -296,7 +296,7 @@ func elisionRun(t *testing.T, workers int, adaptive bool) ([][]int, []Time, Barr
 			*order = append(*order, label)
 			label++
 			if e.Now() < Time(10*Millisecond) {
-				e.After(7*Microsecond, tick)
+				after(e, 7*Microsecond, tick)
 			}
 		}
 		engs[i].Schedule(Time(i), tick)
@@ -396,7 +396,7 @@ func TestBarrierSpanCap(t *testing.T) {
 	var tick Handler
 	tick = func(e *Engine) {
 		if n++; e.Now() < Time(Millisecond) {
-			e.After(epoch/2, tick)
+			after(e, epoch/2, tick)
 		}
 	}
 	eng.Schedule(0, tick)
@@ -449,7 +449,7 @@ func TestBarrierCapEndAndObserve(t *testing.T) {
 	tick = func(e *Engine) {
 		fired = append(fired, e.Now())
 		if e.Now() < Time(500*Microsecond) {
-			e.After(90*Microsecond, tick)
+			after(e, 90*Microsecond, tick)
 		}
 	}
 	eng.Schedule(0, tick)
@@ -517,7 +517,7 @@ func TestBarrierHookErrors(t *testing.T) {
 			var tick Handler
 			tick = func(e *Engine) {
 				if e.Now() < Time(2*Millisecond) {
-					e.After(10*Microsecond, tick)
+					after(e, 10*Microsecond, tick)
 				}
 			}
 			e.Schedule(0, tick)
@@ -609,7 +609,7 @@ func TestBarrierRunCancelled(t *testing.T) {
 			var tick Handler
 			tick = func(e *Engine) {
 				if n++; n < 1000 {
-					e.After(10, tick)
+					after(e, 10, tick)
 				}
 			}
 			e.Schedule(0, tick)

@@ -156,10 +156,10 @@ func (b *BarrierEngine) stopWorkers() {
 // runShare runs shards first, first+stride, … to end.
 func (b *BarrierEngine) runShare(ctx context.Context, first, stride int, end Time) error {
 	for i := first; i < len(b.shards); i += stride {
-		// RunUntilContext only errors on ctx cancellation, so stopping
+		// runUntil only errors on ctx cancellation, so stopping
 		// at the first error cannot perturb the state a successful run
 		// would produce.
-		if err := b.shards[i].RunUntilContext(ctx, end); err != nil {
+		if err := b.shards[i].runUntil(ctx, end); err != nil {
 			return err
 		}
 	}

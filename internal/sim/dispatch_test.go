@@ -33,7 +33,7 @@ func tickShards(n int, epoch Duration, until Time, work int) []*Engine {
 		tick = func(e *Engine) {
 			sink += spin(work)
 			if e.Now() < until {
-				e.After(epoch, tick)
+				after(e, epoch, tick)
 			}
 		}
 		e.Schedule(Time(i), tick)
@@ -166,7 +166,7 @@ func TestBarrierWorkerError(t *testing.T) {
 				if n++; n == 5 {
 					cancel()
 				}
-				e.After(10, stop)
+				after(e, 10, stop)
 			}
 			engs[1].Schedule(0, stop)
 			be, err := NewBarrierEngine(engs, Millisecond, 2)

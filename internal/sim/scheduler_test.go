@@ -8,6 +8,9 @@ import (
 	"testing"
 )
 
+// second is one simulated second; the package has no Second unit.
+const second = 1000 * Millisecond
+
 // store is the pending-event store interface the wheel and the
 // reference heap share. The engine calls its wheel directly; the
 // interface exists here only so one operation sequence can drive both.
@@ -46,7 +49,7 @@ type storeOp struct {
 // cancel decisions.
 func randomOps(seed int64, n int) []storeOp {
 	deltas := []Duration{0, 0, 0, 1, 3, 63, 64, 65, 1000, 4095, 4096, 9999,
-		262144, 1000000, 10 * Microsecond, 3 * Millisecond, Second}
+		262144, 1000000, 10 * Microsecond, 3 * Millisecond, second}
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]storeOp, 0, n)
 	scheduled := 0
@@ -157,12 +160,12 @@ func TestWheelFarHorizon(t *testing.T) {
 			})
 		}
 	}
-	at(Time(2*Second), Time(Second), 1, 2, Time(Millisecond),
-		Time(Second)+1, Time(Second)+64, Time(2*Second)-1)
+	at(Time(2*second), Time(second), 1, 2, Time(Millisecond),
+		Time(second)+1, Time(second)+64, Time(2*second)-1)
 	e.Run()
-	want := []Time{1, 2, Time(Millisecond), Time(Second), Time(Second) + 1,
-		Time(Second) + 64, Time(2*Second) - 1, Time(2*Second) - 1 + 1}
-	want[len(want)-1] = Time(2 * Second)
+	want := []Time{1, 2, Time(Millisecond), Time(second), Time(second) + 1,
+		Time(second) + 64, Time(2*second) - 1, Time(2*second) - 1 + 1}
+	want[len(want)-1] = Time(2 * second)
 	if len(fired) != len(want) {
 		t.Fatalf("fired %v", fired)
 	}
@@ -171,7 +174,7 @@ func TestWheelFarHorizon(t *testing.T) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
 	}
-	if e.Now() != Time(2*Second) {
+	if e.Now() != Time(2*second) {
 		t.Fatalf("clock %v", e.Now())
 	}
 }
@@ -182,7 +185,7 @@ func TestWheelCancelAcrossLevels(t *testing.T) {
 	e := New()
 	var fired []Time
 	times := []Time{5, 100, 70000, Time(Microsecond), Time(Millisecond),
-		Time(20 * Millisecond), Time(Second)}
+		Time(20 * Millisecond), Time(second)}
 	ids := make([]EventID, len(times))
 	for i, x := range times {
 		x := x
@@ -291,7 +294,7 @@ func TestFeederSchedulesDuringFire(t *testing.T) {
 			peek: f.Peek,
 			fire: func(e *Engine) {
 				f.Fire(e)
-				e.After(2, fired)
+				after(e, 2, fired)
 			},
 		})
 		e.Run()
@@ -346,7 +349,7 @@ func TestRunContextCancel(t *testing.T) {
 		tick = func(e *Engine) {
 			n++
 			if n < 100 {
-				e.After(10, tick)
+				after(e, 10, tick)
 			}
 		}
 		e.Schedule(0, tick)
@@ -369,7 +372,7 @@ func TestRunContextCancel(t *testing.T) {
 				cancel()
 			}
 			if n < 100*ctxPollInterval {
-				e.After(1000, forever)
+				after(e, 1000, forever)
 			}
 		}
 		e.Schedule(0, forever)

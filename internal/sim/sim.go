@@ -61,7 +61,6 @@ const (
 	Nanosecond           = 1000 * Picosecond
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
-	Second               = 1000 * Millisecond
 )
 
 // Add returns the instant d after t.
@@ -73,17 +72,8 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds converts a duration to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e12 }
 
-// Nanoseconds converts a duration to floating-point nanoseconds.
-func (d Duration) Nanoseconds() float64 { return float64(d) / 1e3 }
-
-// Microseconds converts a duration to floating-point microseconds.
-func (d Duration) Microseconds() float64 { return float64(d) / 1e6 }
-
 // FromSeconds converts floating-point seconds to a Duration.
 func FromSeconds(s float64) Duration { return Duration(s * 1e12) }
-
-// FromNanoseconds converts floating-point nanoseconds to a Duration.
-func FromNanoseconds(ns float64) Duration { return Duration(ns * 1e3) }
 
 // FromStd converts a time.Duration to a Duration, exactly.
 func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
@@ -162,13 +152,12 @@ type Feeder interface {
 // goroutine its own Engine — engines share no state, so concurrent
 // runs are fully isolated and each remains deterministic.
 type Engine struct {
-	now     Time
-	wheel   *wheel
-	feeder  Feeder
-	free    []*event // recycled event objects, see event
-	seq     uint64
-	stopped bool
-	steps   uint64
+	now    Time
+	wheel  *wheel
+	feeder Feeder
+	free   []*event // recycled event objects, see event
+	seq    uint64
+	steps  uint64
 }
 
 // New returns an engine with the clock at zero, backed by the
@@ -190,11 +179,6 @@ func (e *Engine) SetFeeder(f Feeder) { e.feeder = f }
 // panics: it is always a model bug.
 func (e *Engine) Schedule(at Time, fn Handler) EventID {
 	return e.SchedulePrio(at, 0, fn)
-}
-
-// After schedules fn to run d after the current instant.
-func (e *Engine) After(d Duration, fn Handler) EventID {
-	return e.Schedule(e.now.Add(d), fn)
 }
 
 // SchedulePrio schedules with an explicit same-instant priority; lower
@@ -245,11 +229,7 @@ func (e *Engine) Cancel(id EventID) bool {
 // queued and do not count).
 func (e *Engine) Pending() int { return e.wheel.len() }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run dispatches events until the queue and feeder drain or Stop is
-// called.
+// Run dispatches events until the queue and feeder drain.
 func (e *Engine) Run() {
 	e.RunUntil(Time(1<<62 - 1))
 }
@@ -268,19 +248,11 @@ func (e *Engine) RunUntil(limit Time) {
 	e.runUntil(nil, limit)
 }
 
-// RunUntilContext is RunUntil with cancellation: ctx is polled every
-// few thousand dispatches exactly as in RunContext. The barrier engine
-// drives its shards through this in epoch-sized chunks; a run that is
-// never cancelled is bit-identical to RunUntil.
-func (e *Engine) RunUntilContext(ctx context.Context, limit Time) error {
-	return e.runUntil(ctx, limit)
-}
-
-// NextAt returns the instant of the earliest pending dispatch — the
+// nextAt returns the instant of the earliest pending dispatch — the
 // scheduler's minimum event or the feeder's next batch, whichever is
 // first — and ok=false when both are drained. It does not advance the
 // clock; the barrier engine uses it to pick the next non-empty epoch.
-func (e *Engine) NextAt() (Time, bool) {
+func (e *Engine) nextAt() (Time, bool) {
 	ev := e.wheel.peekMin()
 	if e.feeder != nil {
 		if fat, _, ok := e.feeder.Peek(); ok {
@@ -316,10 +288,13 @@ func (e *Engine) next() (ev *event, fat Time, useFeeder bool) {
 // that cancellation lands within microseconds of wall time.
 const ctxPollInterval = 8192
 
+// runUntil dispatches events with instants <= limit, polling ctx (when
+// not nil) every ctxPollInterval dispatches. The barrier engine drives
+// its shards through it in epoch-sized chunks; a run that is never
+// cancelled is bit-identical to one with a nil ctx.
 func (e *Engine) runUntil(ctx context.Context, limit Time) error {
-	e.stopped = false
 	var sincePoll uint
-	for !e.stopped {
+	for {
 		ev, fat, useFeeder := e.next()
 		if useFeeder {
 			if fat > limit {
@@ -352,7 +327,7 @@ func (e *Engine) runUntil(ctx context.Context, limit Time) error {
 		// Queue drained naturally: clock stays at last event.
 		return nil
 	}
-	if !e.stopped && e.now < limit {
+	if e.now < limit {
 		e.now = limit
 	}
 	return nil
@@ -365,26 +340,4 @@ func (e *Engine) feederPending() bool {
 	}
 	_, _, ok := e.feeder.Peek()
 	return ok
-}
-
-// Step dispatches exactly one event (or feeder batch) and reports
-// whether one fired.
-func (e *Engine) Step() bool {
-	ev, fat, useFeeder := e.next()
-	if useFeeder {
-		e.now = fat
-		e.steps++
-		e.feeder.Fire(e)
-		return true
-	}
-	if ev == nil {
-		return false
-	}
-	e.wheel.fire(ev)
-	e.now = ev.at
-	e.steps++
-	fn := ev.fn
-	e.recycle(ev)
-	fn(e)
-	return true
 }

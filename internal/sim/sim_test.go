@@ -12,18 +12,20 @@ func TestUnits(t *testing.T) {
 	if Nanosecond != 1000 {
 		t.Fatalf("Nanosecond = %d, want 1000", Nanosecond)
 	}
-	if Second != 1e12 {
-		t.Fatalf("Second = %d, want 1e12", Second)
-	}
-	if got := FromNanoseconds(7.5); got != 7500 {
-		t.Fatalf("FromNanoseconds(7.5) = %d, want 7500", got)
+	if Millisecond != 1e9 {
+		t.Fatalf("Millisecond = %d, want 1e9", Millisecond)
 	}
 	if got := FromSeconds(1e-6); got != Microsecond {
 		t.Fatalf("FromSeconds(1e-6) = %d, want %d", got, Microsecond)
 	}
-	if got := Duration(2_500_000).Microseconds(); got != 2.5 {
-		t.Fatalf("Microseconds = %g, want 2.5", got)
+	if got := (2500 * Millisecond).Seconds(); got != 2.5 {
+		t.Fatalf("Seconds = %g, want 2.5", got)
 	}
+}
+
+// after schedules fn to run d after the engine's current instant.
+func after(e *Engine, d Duration, fn Handler) EventID {
+	return e.Schedule(e.Now().Add(d), fn)
 }
 
 func TestTimeArithmetic(t *testing.T) {
@@ -155,15 +157,17 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
+// TestAfter schedules from inside a handler relative to the instant
+// the handler runs at.
 func TestAfter(t *testing.T) {
 	e := New()
 	var at Time
 	e.Schedule(100, func(e *Engine) {
-		e.After(25, func(e *Engine) { at = e.Now() })
+		e.Schedule(e.Now().Add(25), func(e *Engine) { at = e.Now() })
 	})
 	e.Run()
 	if at != 125 {
-		t.Fatalf("After fired at %v, want 125", at)
+		t.Fatalf("follow-up fired at %v, want 125", at)
 	}
 }
 
@@ -185,41 +189,10 @@ func TestRunUntil(t *testing.T) {
 	if len(fired) != 4 {
 		t.Fatalf("fired %v after second run", fired)
 	}
-}
-
-func TestStop(t *testing.T) {
-	e := New()
-	n := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func(e *Engine) {
-			n++
-			if n == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if n != 3 {
-		t.Fatalf("dispatched %d events, want 3", n)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
-func TestStep(t *testing.T) {
-	e := New()
-	n := 0
-	e.Schedule(1, func(*Engine) { n++ })
-	e.Schedule(2, func(*Engine) { n++ })
-	if !e.Step() || n != 1 {
-		t.Fatalf("first step: n=%d", n)
-	}
-	if !e.Step() || n != 2 {
-		t.Fatalf("second step: n=%d", n)
-	}
-	if e.Step() {
-		t.Fatal("step on empty queue returned true")
+	// The queue drained before the limit, so the clock stays at the
+	// last event.
+	if e.Now() != 40 {
+		t.Fatalf("clock after draining = %v, want 40", e.Now())
 	}
 }
 
@@ -241,7 +214,7 @@ func TestSelfRescheduling(t *testing.T) {
 	tick = func(e *Engine) {
 		count++
 		if count < 100 {
-			e.After(10, tick)
+			after(e, 10, tick)
 		}
 	}
 	e.Schedule(0, tick)
@@ -321,7 +294,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		tick = func(e *Engine) {
 			n++
 			if n < 1000 {
-				e.After(10, tick)
+				after(e, 10, tick)
 			}
 		}
 		e.Schedule(0, tick)
@@ -384,35 +357,6 @@ func TestStaleIDAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestRunUntilClockAfterStop: when Stop fires mid-run, the clock must
-// stay at the stopping event's instant (not jump to the limit), and a
-// later RunUntil must resume from there.
-func TestRunUntilClockAfterStop(t *testing.T) {
-	e := New()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30} {
-		at := at
-		e.Schedule(at, func(e *Engine) {
-			fired = append(fired, at)
-			if at == 20 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunUntil(100)
-	if e.Now() != 20 {
-		t.Fatalf("clock after Stop = %v, want 20", e.Now())
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 10 and 20", fired)
-	}
-	e.RunUntil(100)
-	// Queue drained naturally, so the clock stays at the last event.
-	if len(fired) != 3 || e.Now() != 30 {
-		t.Fatalf("resume: fired %v, clock %v; want 3 events and clock 30", fired, e.Now())
-	}
-}
-
 // TestZeroAllocSteadyState is the allocation guard for the pooled hot
 // path: once the free list and heap slice are warm, a steady-state
 // schedule/cancel/fire cycle must not allocate at all.
@@ -424,23 +368,23 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	var tick Handler
 	tick = func(e *Engine) {
 		if e.Pending() == 0 {
-			e.After(10, tick)
-			e.After(10, noop)
+			after(e, 10, tick)
+			after(e, 10, noop)
 		}
 	}
 	// Warm the pool and the heap backing array.
 	for i := 0; i < 64; i++ {
-		e.After(Duration(i+1), noop)
+		after(e, Duration(i+1), noop)
 	}
-	victim := e.After(1000, noop)
+	victim := after(e, 1000, noop)
 	e.Cancel(victim)
 	e.Run()
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		id := e.After(5, noop)
+		id := after(e, 5, noop)
 		e.Cancel(id)
-		e.After(10, tick)
-		e.After(10, noop)
+		after(e, 10, tick)
+		after(e, 10, noop)
 		e.Run()
 	})
 	if allocs != 0 {
@@ -467,7 +411,7 @@ func TestEngineGoroutineIsolation(t *testing.T) {
 		e.SchedulePrio(10, 1, func(e *Engine) { order = append(order, 'b') })
 		e.SchedulePrio(10, 0, func(e *Engine) {
 			order = append(order, 'a')
-			e.After(5, func(e *Engine) { order = append(order, 'd') })
+			after(e, 5, func(e *Engine) { order = append(order, 'd') })
 		})
 		victim := e.Schedule(12, func(e *Engine) { order = append(order, 'x') })
 		e.Schedule(11, func(e *Engine) {

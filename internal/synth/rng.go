@@ -42,8 +42,8 @@ func NewRNG(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next raw 64-bit value.
-func (r *RNG) Uint64() uint64 {
+// next returns the next raw 64-bit value.
+func (r *RNG) next() uint64 {
 	s := &r.s
 	result := rotl(s[0]+s[3], 23) + s[0]
 	t := s[1] << 17
@@ -58,7 +58,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0,1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0,n). It panics when n <= 0.
@@ -66,7 +66,7 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic(fmt.Sprintf("synth: Intn(%d)", n))
 	}
-	return int(r.Uint64() % uint64(n)) // modulo bias negligible for n << 2^64
+	return int(r.next() % uint64(n)) // modulo bias negligible for n << 2^64
 }
 
 // Exp returns an exponentially distributed value with the given mean.
@@ -217,9 +217,6 @@ func (z *Zipf) guided() *Zipf {
 	return z
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
 // Sample draws a rank. Rank 0 is the most popular.
 func (z *Zipf) Sample(r *RNG) int { return z.rank(r.Float64()) }
 
@@ -281,30 +278,6 @@ func (z *Zipf) replay(b int, u float64) int {
 		}
 	}
 	return last
-}
-
-// cumAt returns the cumulative value of a rank, bit-identical to the
-// full table's.
-func (z *Zipf) cumAt(rank int) float64 {
-	if z.cum != nil {
-		return z.cum[rank]
-	}
-	if rank == z.n-1 {
-		return 1
-	}
-	total := z.sums[rank/zipfBlock]
-	for i := rank - rank%zipfBlock; i <= rank; i++ {
-		total += 1 / float64(i+1)
-	}
-	return total * z.inv
-}
-
-// Prob returns the probability mass of a rank.
-func (z *Zipf) Prob(rank int) float64 {
-	if rank == 0 {
-		return z.cumAt(0)
-	}
-	return z.cumAt(rank) - z.cumAt(rank-1)
 }
 
 // SharedTables holds immutable values that depend only on their key,

@@ -17,7 +17,7 @@ import (
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatal("same seed diverged")
 		}
 	}
@@ -25,7 +25,7 @@ func TestRNGDeterminism(t *testing.T) {
 	same := true
 	a2 := NewRNG(42)
 	for i := 0; i < 10; i++ {
-		if a2.Uint64() != c.Uint64() {
+		if a2.next() != c.next() {
 			same = false
 		}
 	}
@@ -109,14 +109,14 @@ func TestPerm(t *testing.T) {
 
 func TestZipfBasics(t *testing.T) {
 	z := NewZipf(100, 1.0)
-	if z.N() != 100 {
-		t.Fatalf("N = %d", z.N())
+	if z.n != 100 {
+		t.Fatalf("N = %d", z.n)
 	}
 	// Probabilities must decrease with rank and sum to 1.
 	sum := 0.0
 	prev := math.Inf(1)
 	for i := 0; i < 100; i++ {
-		p := z.Prob(i)
+		p := prob(z, i)
 		if p > prev {
 			t.Fatalf("probability increased at rank %d", i)
 		}
@@ -127,8 +127,8 @@ func TestZipfBasics(t *testing.T) {
 		t.Fatalf("probabilities sum to %g", sum)
 	}
 	// Rank 0 of Zipf(1) over 100 elements has p = 1/H(100) ~ 0.1928.
-	if math.Abs(z.Prob(0)-0.1928) > 0.001 {
-		t.Fatalf("p(0) = %g", z.Prob(0))
+	if math.Abs(prob(z, 0)-0.1928) > 0.001 {
+		t.Fatalf("p(0) = %g", prob(z, 0))
 	}
 }
 
@@ -158,8 +158,8 @@ func TestZipfAlphaOneExact(t *testing.T) {
 	for _, alpha := range []float64{1, 0.75, 0} {
 		for _, n := range zipfSizes {
 			z, ref := NewZipf(n, alpha), refCum(n, alpha)
-			if z.N() != n {
-				t.Fatalf("alpha %g: N() = %d, want %d", alpha, z.N(), n)
+			if z.n != n {
+				t.Fatalf("alpha %g: N() = %d, want %d", alpha, z.n, n)
 			}
 			for i, want := range ref {
 				if got := z.cumAt(i); math.Float64bits(got) != math.Float64bits(want) {
@@ -235,7 +235,7 @@ func TestPermMatchesIntnLoop(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("n %d, seed %d: Perm differs from the Intn loop", n, seed)
 			}
-			if r.Uint64() != ref.Uint64() {
+			if r.next() != ref.next() {
 				t.Fatalf("n %d, seed %d: Perm left the generator in another state", n, seed)
 			}
 		}
@@ -303,7 +303,7 @@ func TestZipfSampleDistribution(t *testing.T) {
 		counts[z.Sample(r)]++
 	}
 	// Empirical frequency of rank 0 should match its probability.
-	want := z.Prob(0)
+	want := prob(z, 0)
 	got := float64(counts[0]) / n
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("rank-0 freq = %g, want ~%g", got, want)
@@ -317,8 +317,8 @@ func TestZipfSampleDistribution(t *testing.T) {
 func TestZipfUniform(t *testing.T) {
 	z := NewZipf(10, 0) // alpha 0 = uniform
 	for i := 1; i < 10; i++ {
-		if math.Abs(z.Prob(i)-0.1) > 1e-9 {
-			t.Fatalf("uniform prob(%d) = %g", i, z.Prob(i))
+		if math.Abs(prob(z, i)-0.1) > 1e-9 {
+			t.Fatalf("uniform prob(%d) = %g", i, prob(z, i))
 		}
 	}
 }
@@ -367,9 +367,7 @@ func TestGenerateStProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, tr)
 	s := trace.Analyze(tr)
 	// Poisson(100/ms) over 20 ms: expect ~2000 transfers; allow 4 sigma.
 	if s.DMATransfers < 1800 || s.DMATransfers > 2200 {
@@ -385,7 +383,7 @@ func TestGenerateStProperties(t *testing.T) {
 	}
 	// Zipf(1) popularity skew: top 20%% of touched pages should carry
 	// well over 20%% of accesses.
-	if share := s.AccessShareOfTopPages(0.2); share < 0.4 {
+	if share := s.PopularityCDF(5)[0].AccessFrac; share < 0.4 {
 		t.Fatalf("top-20%% share = %g, want skewed", share)
 	}
 	// Bus spread: all three buses used.
@@ -496,9 +494,7 @@ func TestGenerateDb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, tr)
 	s := trace.Analyze(tr)
 	// 10000 proc accesses/ms over 10 ms: ~100k.
 	if s.ProcAccesses < 90000 || s.ProcAccesses > 110000 {
@@ -635,3 +631,41 @@ func BenchmarkZipfSample(b *testing.B) {
 }
 
 var sinkRank int
+
+// checkTrace drains a checking cursor over tr, the validation a run
+// applies to a trace, and fails on its error.
+func checkTrace(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	c := tr.Cursor()
+	c.Check(math.MaxInt32)
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// prob returns the probability mass the table gives a rank, the
+// reference its samples are checked against.
+func prob(z *Zipf, rank int) float64 {
+	if rank == 0 {
+		return z.cumAt(0)
+	}
+	return z.cumAt(rank) - z.cumAt(rank-1)
+}
+
+// cumAt returns the cumulative value of a rank, bit-identical to the
+// full table's.
+func (z *Zipf) cumAt(rank int) float64 {
+	if z.cum != nil {
+		return z.cum[rank]
+	}
+	if rank == z.n-1 {
+		return 1
+	}
+	total := z.sums[rank/zipfBlock]
+	for i := rank - rank%zipfBlock; i <= rank; i++ {
+		total += 1 / float64(i+1)
+	}
+	return total * z.inv
+}

@@ -117,7 +117,7 @@ func TestCursorNextDMAProperty(t *testing.T) {
 
 // TestCursorCheck pins checking cursors: over a slice and over .dmt
 // streams of several chunk sizes, a valid trace streams whole, and a
-// bad one fails with the same error in CheckRecord's words, a malformed
+// bad one fails with the same error in checkRecord's words, a malformed
 // record anywhere winning over an earlier one outside the page bound.
 // Without Check the codec's zero-page DMA streams like any record.
 func TestCursorCheck(t *testing.T) {
@@ -150,7 +150,7 @@ func TestCursorCheck(t *testing.T) {
 			sliceCheckBlock, disorder.Records[sliceCheckBlock].Time, disorder.Records[sliceCheckBlock-1].Time)},
 	}
 	for _, tc := range cases {
-		for _, chunk := range []int{0, 8, 4096, DefaultChunkRecords} { // 0: slice-backed
+		for _, chunk := range []int{0, 8, 4096, defaultChunkRecords} { // 0: slice-backed
 			if chunk > 0 && tc.tr == disorder {
 				continue
 			}

@@ -38,17 +38,17 @@ import (
 // normative layout; the decoder and the document must agree byte for
 // byte (TestDMTSpecExample pins the worked example from the doc).
 const (
-	// DefaultChunkRecords is the writer's default chunk capacity:
+	// defaultChunkRecords is the writer's default chunk capacity:
 	// 65536 records per chunk is ~0.8 MB encoded, small enough that
 	// two resident chunk buffers are negligible and large enough that
 	// chunk framing overhead vanishes.
-	DefaultChunkRecords = 1 << 16
+	defaultChunkRecords = 1 << 16
 	// MaxChunkRecords bounds the per-chunk record count a reader will
 	// accept, which in turn bounds the decode buffer a hostile header
 	// can demand.
 	MaxChunkRecords = 1 << 22
-	// MaxTraceName bounds the trace name carried in the header.
-	MaxTraceName = 1 << 12
+	// maxTraceName bounds the trace name carried in the header.
+	maxTraceName = 1 << 12
 
 	dmtVersion     = 1
 	dmtHeaderFixed = 14 // magic + version + headerLen + chunkRecords + nameLen
@@ -70,18 +70,18 @@ var (
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// ErrDMTFormat is wrapped by every malformed-container error the .dmt
+// errDMTFormat is wrapped by every malformed-container error the .dmt
 // decoder returns, so callers can distinguish "this is not a valid
 // .dmt file" from I/O failures with errors.Is.
-var ErrDMTFormat = errors.New("malformed .dmt container")
+var errDMTFormat = errors.New("malformed .dmt container")
 
 func dmtErrf(format string, args ...any) error {
-	return fmt.Errorf("trace: %w: "+format, append([]any{ErrDMTFormat}, args...)...)
+	return fmt.Errorf("trace: %w: "+format, append([]any{errDMTFormat}, args...)...)
 }
 
-// IsDMT reports whether b begins with the .dmt container magic. Four
+// isDMT reports whether b begins with the .dmt container magic. Four
 // bytes suffice; shorter prefixes report false.
-func IsDMT(b []byte) bool {
+func isDMT(b []byte) bool {
 	return len(b) >= 4 && b[0] == dmtMagic[0] && b[1] == dmtMagic[1] &&
 		b[2] == dmtMagic[2] && b[3] == dmtMagic[3]
 }
@@ -142,7 +142,7 @@ func (s FileSummary) MeanTransferPages() float64 {
 // WriterOptions parameterizes a .dmt Writer.
 type WriterOptions struct {
 	// ChunkRecords is the number of records per chunk; 0 selects
-	// DefaultChunkRecords. It bounds both the writer's and every
+	// defaultChunkRecords. It bounds both the writer's and every
 	// future reader's resident memory.
 	ChunkRecords int
 }
@@ -183,18 +183,18 @@ type Writer struct {
 }
 
 // NewWriter writes the container header for a trace called name and
-// returns a streaming writer. The name is limited to MaxTraceName
+// returns a streaming writer. The name is limited to maxTraceName
 // bytes; opt.ChunkRecords to (0, MaxChunkRecords].
 func NewWriter(w io.Writer, name string, opt WriterOptions) (*Writer, error) {
 	cr := opt.ChunkRecords
 	if cr == 0 {
-		cr = DefaultChunkRecords
+		cr = defaultChunkRecords
 	}
 	if cr < 0 || cr > MaxChunkRecords {
 		return nil, fmt.Errorf("trace: chunk size %d outside (0, %d]", cr, MaxChunkRecords)
 	}
-	if len(name) > MaxTraceName {
-		return nil, fmt.Errorf("trace: name of %d bytes exceeds %d", len(name), MaxTraceName)
+	if len(name) > maxTraceName {
+		return nil, fmt.Errorf("trace: name of %d bytes exceeds %d", len(name), maxTraceName)
 	}
 	wr := &Writer{
 		bw:           bufio.NewWriter(w),
@@ -385,7 +385,7 @@ type Reader struct {
 // NewReader parses the header and footer of a .dmt container stored
 // in ra (size bytes). Malformed containers — bad magic, unsupported
 // version, truncation past either end — fail here with an error
-// wrapping ErrDMTFormat.
+// wrapping errDMTFormat.
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if size < dmtHeaderFixed+4+dmtFooterSize {
 		return nil, dmtErrf("%d bytes is too small for a header, end marker and footer", size)
@@ -394,7 +394,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if _, err := ra.ReadAt(fixed[:], 0); err != nil {
 		return nil, fmt.Errorf("trace: reading .dmt header: %w", err)
 	}
-	if !IsDMT(fixed[:]) {
+	if !isDMT(fixed[:]) {
 		return nil, dmtErrf("bad magic %q", fixed[0:4])
 	}
 	if v := binary.LittleEndian.Uint16(fixed[4:6]); v != dmtVersion {
@@ -406,8 +406,8 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if chunkRecords <= 0 || chunkRecords > MaxChunkRecords {
 		return nil, dmtErrf("chunk size %d outside (0, %d]", chunkRecords, MaxChunkRecords)
 	}
-	if nameLen > MaxTraceName {
-		return nil, dmtErrf("name of %d bytes exceeds %d", nameLen, MaxTraceName)
+	if nameLen > maxTraceName {
+		return nil, dmtErrf("name of %d bytes exceeds %d", nameLen, maxTraceName)
 	}
 	// Forward compatibility: within version 1 the header may grow
 	// additional fields after the name; headerLen locates the first
@@ -504,7 +504,7 @@ type Cursor struct {
 	dmaIdx  int  // NextDMA's scan position in buf, >= idx once probed
 	staging bool // buf is owned and Append may reuse it
 
-	// Record validation (Check). name labels CheckRecord's errors and
+	// Record validation (Check). name labels checkRecord's errors and
 	// limit is the page bound. A checking slice cursor keeps its records
 	// in all and serves them through buf, the prefix checked so far;
 	// rangeErr holds the first out-of-bound record while the rest of the
@@ -534,7 +534,7 @@ func (t *Trace) Cursor() *Cursor { return &Cursor{buf: t.Records, done: true, na
 const sliceCheckBlock = 4096
 
 // Check makes the cursor validate every record once, as it serves it:
-// CheckRecord's checks, in its words under the trace's name, and the
+// checkRecord's checks, in its words under the trace's name, and the
 // bound that every page a record touches lies below limit. A violation
 // becomes Err, and the cursor then serves nothing more, as after a
 // malformed chunk. A record outside the bound is reported only once the
@@ -564,7 +564,7 @@ func (e *PageRangeError) Error() string {
 	return fmt.Sprintf("record %d touches pages [%d,%d) outside memory of %d pages", e.Record, e.First, e.End, e.Limit)
 }
 
-// validate applies CheckRecord to recs, the records numbered base,
+// validate applies checkRecord to recs, the records numbered base,
 // base+1, ... whose predecessor arrived at last, and returns the first
 // violation. The first record outside the page bound is noted in
 // rangeErr instead, so the scan goes on.
@@ -576,7 +576,7 @@ func (c *Cursor) validate(recs []Record, base int64, last sim.Time) error {
 			end = r.Page + memsys.PageID(r.Pages)
 		}
 		if r.Time < last || r.Kind >= numKinds || r.Kind.IsDMA() && r.Pages == 0 || r.Page < 0 || end > c.limit {
-			if err := CheckRecord(c.name, base+int64(i), *r, last); err != nil {
+			if err := checkRecord(c.name, base+int64(i), *r, last); err != nil {
 				return err
 			}
 			if c.rangeErr == nil {
@@ -641,7 +641,7 @@ func (c *Cursor) NextDMA() (sim.Time, bool) {
 
 // Err returns the first error the cursor hit: nil while healthy and
 // after a clean end of trace, non-nil after an I/O failure or a
-// malformed container (wrapping ErrDMTFormat). Once Err is non-nil,
+// malformed container (wrapping errDMTFormat). Once Err is non-nil,
 // Peek reports no more records.
 func (c *Cursor) Err() error { return c.err }
 

@@ -66,7 +66,7 @@ func TestDMTRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := testTrace(tc.records)
 			data := encodeDMT(t, tr, WriterOptions{ChunkRecords: tc.chunk})
-			if !IsDMT(data) {
+			if !isDMT(data) {
 				t.Fatal("encoded container does not carry the magic")
 			}
 			got, err := DecodeDMT(data)
@@ -110,8 +110,8 @@ func TestDMTSummary(t *testing.T) {
 		t.Fatalf("footer DMA totals (%d, %d) disagree with Analyze (%d, %d)",
 			sum.DMATransfers, sum.DMAPages, st.DMATransfers, st.DMAPages)
 	}
-	if sum.MeanTransferPages() != st.MeanTransferPages() {
-		t.Fatalf("mean transfer pages %v != %v", sum.MeanTransferPages(), st.MeanTransferPages())
+	if sum.MeanTransferPages() != st.meanTransferPages() {
+		t.Fatalf("mean transfer pages %v != %v", sum.MeanTransferPages(), st.meanTransferPages())
 	}
 	if sum.Meta != tr.Meta {
 		t.Fatalf("meta %+v != %+v", sum.Meta, tr.Meta)
@@ -120,7 +120,7 @@ func TestDMTSummary(t *testing.T) {
 
 func TestDMTWriterRejects(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, strings.Repeat("x", MaxTraceName+1), WriterOptions{}); err == nil {
+	if _, err := NewWriter(&buf, strings.Repeat("x", maxTraceName+1), WriterOptions{}); err == nil {
 		t.Fatal("oversized name accepted")
 	}
 	if _, err := NewWriter(&buf, "t", WriterOptions{ChunkRecords: MaxChunkRecords + 1}); err == nil {
@@ -166,7 +166,7 @@ func TestDMTWriterRejects(t *testing.T) {
 
 // TestDMTRejectsMalformed flips, truncates and lies about bytes of a
 // valid container and requires each mutation to be rejected loudly
-// (wrapping ErrDMTFormat), never decoded quietly.
+// (wrapping errDMTFormat), never decoded quietly.
 func TestDMTRejectsMalformed(t *testing.T) {
 	tr := testTrace(50)
 	data := encodeDMT(t, tr, WriterOptions{ChunkRecords: 8})
@@ -175,8 +175,8 @@ func TestDMTRejectsMalformed(t *testing.T) {
 		t.Helper()
 		if _, err := DecodeDMT(b); err == nil {
 			t.Fatalf("%s accepted", what)
-		} else if !errors.Is(err, ErrDMTFormat) {
-			t.Fatalf("%s: error %v does not wrap ErrDMTFormat", what, err)
+		} else if !errors.Is(err, errDMTFormat) {
+			t.Fatalf("%s: error %v does not wrap errDMTFormat", what, err)
 		}
 	}
 

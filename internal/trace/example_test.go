@@ -34,7 +34,8 @@ func ExampleWriter() {
 	if err := w.Close(); err != nil {
 		panic(err)
 	}
-	fmt.Println("is .dmt:", trace.IsDMT(buf.Bytes()))
+	_, err = trace.DecodeDMT(buf.Bytes())
+	fmt.Println("is .dmt:", err == nil)
 	// Output:
 	// is .dmt: true
 }

@@ -20,7 +20,7 @@ func dmtSeed(records, chunk int) []byte {
 
 // FuzzDMTDecode feeds arbitrary bytes to the .dmt container decoder.
 // The decoder fronts every file the tools open, so whatever is on disk
-// it must fail with an error wrapping ErrDMTFormat (or an I/O error) —
+// it must fail with an error wrapping errDMTFormat (or an I/O error) —
 // never panic, never return a trace that violates the Record
 // invariants, and never allocate proportionally to a lying length
 // field. Inputs that do decode must re-encode and decode back to the
@@ -108,7 +108,7 @@ func FuzzDMTWriterRoundTrip(f *testing.F) {
 	f.Add(uint(3), int64(5), uint8(1), uint8(0), uint8(2), uint16(4), int32(77), "t")
 	f.Add(uint(1), int64(0), uint8(0), uint8(2), uint8(0), uint16(0), int32(0), "")
 	f.Fuzz(func(t *testing.T, chunk uint, dt int64, kind, src, bus uint8, pages uint16, page int32, name string) {
-		if len(name) > MaxTraceName {
+		if len(name) > maxTraceName {
 			return
 		}
 		k, s := Kind(kind%uint8(numKinds)), Source(src%uint8(numSources))

@@ -55,14 +55,6 @@ func Analyze(t *Trace) *Stats {
 	return s
 }
 
-// TransfersPerMs returns the average DMA transfer arrival rate.
-func (s *Stats) TransfersPerMs() float64 {
-	if s.Duration <= 0 {
-		return 0
-	}
-	return float64(s.DMATransfers) / (s.Duration.Seconds() * 1e3)
-}
-
 // ProcAccessesPerMs returns the average processor access rate.
 func (s *Stats) ProcAccessesPerMs() float64 {
 	if s.Duration <= 0 {
@@ -79,16 +71,13 @@ func (s *Stats) ProcAccessesPerTransfer() float64 {
 	return float64(s.ProcAccesses) / float64(s.DMATransfers)
 }
 
-// MeanTransferPages returns the average DMA transfer size in pages.
-func (s *Stats) MeanTransferPages() float64 {
+// meanTransferPages returns the average DMA transfer size in pages.
+func (s *Stats) meanTransferPages() float64 {
 	if s.DMATransfers == 0 {
 		return 0
 	}
 	return float64(s.DMAPages) / float64(s.DMATransfers)
 }
-
-// PopularityCount returns the DMA access count of a page.
-func (s *Stats) PopularityCount(p memsys.PageID) int64 { return s.pagePopularity[p] }
 
 // CDFPoint is one point of the Figure 4 curve: the most popular X
 // fraction of pages receives Y fraction of the DMA accesses.
@@ -127,36 +116,12 @@ func (s *Stats) PopularityCDF(n int) []CDFPoint {
 	return pts
 }
 
-// AccessShareOfTopPages returns the fraction of DMA accesses captured
-// by the most popular frac of pages (e.g. frac=0.2 for the 20-80 rule).
-func (s *Stats) AccessShareOfTopPages(frac float64) float64 {
-	counts := make([]int64, 0, len(s.pagePopularity))
-	var total int64
-	for _, c := range s.pagePopularity {
-		counts = append(counts, c)
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-	top := int(frac * float64(len(counts)))
-	if top < 1 {
-		top = 1
-	}
-	var cum int64
-	for _, c := range counts[:top] {
-		cum += c
-	}
-	return float64(cum) / float64(total)
-}
-
 // String renders a Table 2 style one-line summary.
 func (s *Stats) String() string {
 	return fmt.Sprintf(
 		"dur=%.1fms dma=%d (net %.1f/ms, disk %.1f/ms, %.2f pages/xfer) proc=%d (%.0f/ms, %.0f/xfer) pages=%d",
 		s.Duration.Seconds()*1e3, s.DMATransfers, transfersPerMs(s.NetTransfers, s.Duration),
-		transfersPerMs(s.DiskTransfers, s.Duration), s.MeanTransferPages(),
+		transfersPerMs(s.DiskTransfers, s.Duration), s.meanTransferPages(),
 		s.ProcAccesses, s.ProcAccessesPerMs(), s.ProcAccessesPerTransfer(), s.DistinctPages)
 }
 

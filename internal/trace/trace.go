@@ -104,22 +104,10 @@ type Trace struct {
 	Records []Record
 }
 
-// Validate checks time ordering and structural sanity.
-func (t *Trace) Validate() error {
-	var last sim.Time
-	for i, r := range t.Records {
-		if err := CheckRecord(t.Name, int64(i), r, last); err != nil {
-			return err
-		}
-		last = r.Time
-	}
-	return nil
-}
-
-// CheckRecord applies Validate's checks to record i of the trace
-// called name, whose predecessor arrived at last (zero for the first),
-// so a streaming scan reports violations in Validate's words.
-func CheckRecord(name string, i int64, r Record, last sim.Time) error {
+// checkRecord checks time ordering and structural sanity of record i
+// of the trace called name, whose predecessor arrived at last (zero for
+// the first).
+func checkRecord(name string, i int64, r Record, last sim.Time) error {
 	if r.Time < last {
 		return fmt.Errorf("trace %q: record %d at %v before predecessor at %v", name, i, r.Time, last)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -50,21 +51,31 @@ func TestRecordBytes(t *testing.T) {
 	}
 }
 
+// checked drains a checking cursor over tr, the validation a run
+// applies, and returns its error.
+func checked(tr *Trace) error {
+	c := tr.Cursor()
+	c.Check(math.MaxInt32)
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+	}
+	return c.Err()
+}
+
 func TestValidate(t *testing.T) {
 	tr := sampleTrace()
-	if err := tr.Validate(); err != nil {
+	if err := checked(tr); err != nil {
 		t.Fatal(err)
 	}
 	bad := &Trace{Records: []Record{{Time: 10}, {Time: 5}}}
-	if bad.Validate() == nil {
+	if checked(bad) == nil {
 		t.Error("out-of-order trace accepted")
 	}
 	zero := &Trace{Records: []Record{{Time: 0, Kind: DMARead, Pages: 0}}}
-	if zero.Validate() == nil {
+	if checked(zero) == nil {
 		t.Error("zero-page DMA accepted")
 	}
 	badKind := &Trace{Records: []Record{{Time: 0, Kind: Kind(200), Pages: 1}}}
-	if badKind.Validate() == nil {
+	if checked(badKind) == nil {
 		t.Error("invalid kind accepted")
 	}
 }
@@ -131,10 +142,10 @@ func TestStats(t *testing.T) {
 	if s.DistinctPages != 4 {
 		t.Errorf("distinct pages = %d", s.DistinctPages)
 	}
-	if s.PopularityCount(10) != 2 || s.PopularityCount(11) != 3 {
-		t.Errorf("popularity: p10=%d p11=%d", s.PopularityCount(10), s.PopularityCount(11))
+	if s.pagePopularity[10] != 2 || s.pagePopularity[11] != 3 {
+		t.Errorf("popularity: p10=%d p11=%d", s.pagePopularity[10], s.pagePopularity[11])
 	}
-	if got := s.MeanTransferPages(); got != 7.0/3.0 {
+	if got := s.meanTransferPages(); got != 7.0/3.0 {
 		t.Errorf("mean transfer pages = %g", got)
 	}
 	if s.ProcAccessesPerTransfer() != 2.0/3.0 {
@@ -151,8 +162,8 @@ func TestStatsRates(t *testing.T) {
 		{Time: sim.Time(1 * sim.Millisecond), Kind: DMARead, Source: SrcNetwork, Pages: 1},
 	}}
 	s := Analyze(tr)
-	if got := s.TransfersPerMs(); got != 2.0 {
-		t.Errorf("TransfersPerMs = %g, want 2", got)
+	if got := transfersPerMs(s.DMATransfers, s.Duration); got != 2.0 {
+		t.Errorf("transfersPerMs = %g, want 2", got)
 	}
 }
 
@@ -180,11 +191,8 @@ func TestPopularityCDF(t *testing.T) {
 	if last.PageFrac != 1.0 || last.AccessFrac != 1.0 {
 		t.Errorf("last point = %+v", last)
 	}
-	if got := s.AccessShareOfTopPages(0.25); got != 0.70 {
-		t.Errorf("top-25%% share = %g", got)
-	}
-	if got := s.AccessShareOfTopPages(0.5); got != 0.90 {
-		t.Errorf("top-50%% share = %g", got)
+	if pts[1].PageFrac != 0.5 || pts[1].AccessFrac != 0.90 {
+		t.Errorf("second point = %+v", pts[1])
 	}
 }
 

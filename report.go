@@ -98,14 +98,6 @@ type Report struct {
 	// energies plus Breakdown.Transition and Breakdown.Migration
 	// recovers TotalEnergy.
 	States []StateBreakdown
-	// Residency is the aggregate chip-time spent resident in each power
-	// state (transition time excluded; burst-gap micro-naps count as
-	// Nap).
-	//
-	// Deprecated: Residency names the fixed RDRAM states; technologies
-	// with other state machines (see Techs) only fill the fields whose
-	// names they share. Use States, which covers every technology.
-	Residency StateResidency
 	// Mu is the slack parameter DMA-TA derived from the CP-Limit.
 	Mu float64
 	// Events counts the engine's dispatches: every event it fired plus
@@ -114,11 +106,6 @@ type Report struct {
 	// one dispatch however it settles), so compare throughput per
 	// trace record, not per event.
 	Events uint64
-}
-
-// StateResidency is chip-time per power state, summed over chips.
-type StateResidency struct {
-	Active, Standby, Nap, Powerdown time.Duration
 }
 
 // StateBreakdown is one power state's share of a run: the chip-time
@@ -136,20 +123,8 @@ type StateBreakdown struct {
 func newReport(res *core.Result) *Report {
 	r := res.Report
 	states := make([]StateBreakdown, len(r.StateNames))
-	var legacy StateResidency
 	for i, name := range r.StateNames {
-		d := toStd(float64(r.Residency[i]))
-		states[i] = StateBreakdown{Name: name, Residency: d, Energy: r.StateEnergy[i]}
-		switch name {
-		case "active":
-			legacy.Active = d
-		case "standby":
-			legacy.Standby = d
-		case "nap":
-			legacy.Nap = d
-		case "powerdown":
-			legacy.Powerdown = d
-		}
+		states[i] = StateBreakdown{Name: name, Residency: toStd(float64(r.Residency[i])), Energy: r.StateEnergy[i]}
 	}
 	return &Report{
 		Scheme:      r.Scheme,
@@ -172,7 +147,6 @@ func newReport(res *core.Result) *Report {
 		Wakes:             r.Wakes,
 		MigratedPages:     res.MigratedPages,
 		States:            states,
-		Residency:         legacy,
 		Mu:                res.Mu,
 		Events:            r.Events,
 	}
