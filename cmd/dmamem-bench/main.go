@@ -5,7 +5,7 @@
 //
 //	dmamem-bench [-fig all|table1|table2|2a|3|2b|4|5|6|7|8|9|10|tech]
 //	             [-duration 100ms] [-db-duration 25ms] [-seed 1]
-//	             [-parallel N] [-workers N] [-timing]
+//	             [-parallel N] [-timing]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-channels 1,2,4] [-tech ddr4-2400,lpddr4]
 //
@@ -14,13 +14,8 @@
 // .dmt trace, run dmamem-sim -trace file.dmt.
 //
 // -parallel fans independent simulation runs across goroutines; the
-// printed output is byte-identical at any value. -workers 2 or more
-// runs each simulation on the barrier engine, with one event loop per
-// memory channel; -workers 1 keeps the serial engine. On one channel
-// the two engines print the same output. On more than one channel (a
-// figure 10 sweep with -channels) the serial and barrier engines print
-// different numbers, and among values of 2 or more the count never
-// changes them. -timing (a per-run
+// printed output is byte-identical at any value. Each simulation runs
+// on one event loop, whatever its channel count. -timing (a per-run
 // wall-clock summary with the event and trace-record counts, trace
 // records/sec and allocations per record), -cpuprofile and -memprofile
 // write to stderr and to files only.
@@ -59,32 +54,28 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs, _, bench := command(stdout, stderr)
+	fs, bench := command(stdout, stderr)
 	return cli.Exit(stderr, "dmamem-bench", cli.Run(fs, args, stderr, bench))
 }
 
-// command defines the flags and returns the engine settings they fill
-// and the body that reads them. The body returns its error, so deferred cleanup, the profile writers in
+// command defines the flags and returns the body that reads them. The
+// body returns its error, so deferred cleanup, the profile writers in
 // particular, runs on the error paths too.
-func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error) {
+func command(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs := flag.NewFlagSet("dmamem-bench", flag.ContinueOnError)
 	duration := fs.Duration("duration", 100*time.Millisecond, "trace duration")
 	dbDuration := fs.Duration("db-duration", 25*time.Millisecond, "database trace duration (denser traces)")
 	seed := fs.Uint64("seed", 1, "generator seed")
 	fig := fs.String("fig", "all", "which figure/table to regenerate")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (1 = sequential)")
-	engine := cli.AddEngine(fs)
 	timing := fs.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	channelsFlag := fs.String("channels", "", "comma-separated channel counts added to the figure 10 sweep (e.g. 1,2,4; empty = legacy single-channel)")
 	techFlag := fs.String("tech", "", "comma-separated memory technologies for the tech extension and the figure 10 sweep (e.g. ddr4-2400,lpddr4; empty = every backend for tech, RDRAM-only for figure 10)")
-	return fs, engine, func() (err error) {
+	return fs, func() (err error) {
 		if *parallel <= 0 {
 			return cli.Usagef("-parallel %d must be at least 1 (goroutines fanning out independent runs)", *parallel)
-		}
-		if err := engine.Validate(); err != nil {
-			return err
 		}
 		if err := cli.Positive("duration", *duration); err != nil {
 			return err
@@ -145,7 +136,6 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 		s := experiments.NewSuite(sim.FromStd(*duration), *seed)
 		s.DbDuration = sim.FromStd(*dbDuration)
 		s.Runner = runner
-		s.Workers = engine.Workers()
 		start := time.Now()
 
 		run := func(name string, f func() error) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -34,40 +33,29 @@ func wantUsage(t *testing.T, args []string, want string) {
 }
 
 // TestValidateConcurrency pins the rejection of non-positive
-// -parallel/-workers values and the wording the user sees: the flag
-// name, the bad value, and what the minimum means.
+// -parallel values and the wording the user sees: the flag name, the
+// bad value, and what the minimum means.
 func TestValidateConcurrency(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-parallel 0", "-parallel 0 must be at least 1 (goroutines fanning out independent runs)"},
 		{"-parallel -3", "-parallel -3 must be at least 1"},
-		{"-workers 0", "-workers 0 must be at least 1 (1 selects the serial reference engine)"},
-		{"-workers -2", "-workers -2 must be at least 1"},
-		// -parallel is checked first when both are bad.
-		{"-parallel 0 -workers 0", "-parallel 0 must be at least 1"},
 	} {
 		wantUsage(t, strings.Fields("-fig table1 "+tc.args), tc.want)
 	}
 }
 
-// TestValidateEpoch pins that -epoch is gone: the barrier period is
-// the engine's own constant, so a script that still sets it exits 2
-// instead of running with a period it did not get.
+// TestValidateEpoch pins that -epoch is gone, so a script that still
+// sets it exits 2 instead of running with a period it did not get.
 func TestValidateEpoch(t *testing.T) {
-	wantUsage(t, []string{"-fig", "table1", "-workers", "4", "-epoch", "20us"}, "flag provided but not defined: -epoch")
+	wantUsage(t, []string{"-fig", "table1", "-epoch", "20us"}, "flag provided but not defined: -epoch")
 }
 
-// TestEngineWorkers pins the -workers flag this command parses to the
-// engine count its runs get: 1 is the serial reference engine
-// (Workers 0), higher counts select the barrier engine as given.
+// TestEngineWorkers pins that -workers is gone: every simulation runs
+// on the one serial engine, on any number of channels, so a script
+// that still asks for engine workers exits 2 before any figure runs.
 func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {4, 4}} {
-		fs, engine, _ := command(io.Discard, io.Discard)
-		if err := fs.Parse([]string{"-workers", strconv.Itoa(tc.in)}); err != nil {
-			t.Fatal(err)
-		}
-		if got := engine.Workers(); got != tc.want {
-			t.Errorf("-workers %d: Workers() = %d, want %d", tc.in, got, tc.want)
-		}
+	for _, n := range []string{"1", "2"} {
+		wantUsage(t, []string{"-fig", "10", "-channels", "1,2,4", "-workers", n}, "flag provided but not defined: -workers")
 	}
 }
 
@@ -209,12 +197,11 @@ func TestEveryFlagIsRead(t *testing.T) {
 		"channels":    {with: fig("10"), value: "2"},
 		"tech":        {with: fig("tech"), value: "lpddr4"},
 		"parallel":    {with: fig("2b"), value: "1", same: "output is byte-identical at any parallelism"},
-		"workers":     {with: fig("2b"), value: "2", same: "on one channel, output is byte-identical at any worker count"},
 		"timing":      {with: fig("2b"), value: "true", same: "the timing summary goes to stderr"},
 		"cpuprofile":  {with: fig("2b"), value: filepath.Join(dir, "cpu.pprof"), same: "the profile goes to its file"},
 		"memprofile":  {with: fig("2b"), value: filepath.Join(dir, "mem.pprof"), same: "the profile goes to its file"},
 	}
-	fs, _, _ := command(io.Discard, io.Discard)
+	fs, _ := command(io.Discard, io.Discard)
 	fs.VisitAll(func(f *flag.Flag) {
 		c, ok := cases[f.Name]
 		if !ok {

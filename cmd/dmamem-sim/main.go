@@ -10,12 +10,9 @@
 // -workload, -duration and -seed generate the trace dmamem-trace
 // record writes for the same flags; -trace streams a recorded one from
 // disk in flat memory and rejects them rather than ignore them.
-// dmamem-sim -h lists the simulation flags. On one channel, -workers
-// changes no report. On more than one channel, -workers 1 (the serial
-// engine) and -workers 2 or more (the barrier engine) give different
-// reports, and among values of 2 or more the count never changes the
-// report. The trace description goes to stderr,
-// so stdout holds only the report (with -json, one JSON document).
+// dmamem-sim -h lists the simulation flags. The trace description goes
+// to stderr, so stdout holds only the report (with -json, one JSON
+// document).
 // Bad flags exit 2 before any trace is generated or read.
 package main
 
@@ -39,13 +36,12 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs, _, simulate := command(stdout, stderr)
+	fs, simulate := command(stdout, stderr)
 	return cli.Exit(stderr, "dmamem-sim", cli.Run(fs, args, stderr, simulate))
 }
 
-// command defines the flags and returns the engine settings they fill
-// and the body that reads them.
-func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error) {
+// command defines the flags and returns the body that reads them.
+func command(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs := flag.NewFlagSet("dmamem-sim", flag.ContinueOnError)
 	traceFile := fs.String("trace", "", ".dmt trace to replay, streamed from disk (default: generate -workload)")
 	gen := cli.AddGen(fs)
@@ -56,13 +52,9 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 	channels := fs.Int("channels", 0, "memory channels (0 = legacy single-channel)")
 	stripePages := fs.Int("stripe-pages", 0, "pages per channel stripe (0 = 1; needs -channels)")
 	channelBW := fs.Float64("channel-bw", 0, "per-channel bandwidth cap, bytes/s (0 = uncapped; needs -channels)")
-	engine := cli.AddEngine(fs)
 	compare := fs.Bool("compare", true, "also run the baseline and report savings")
 	jsonOut := fs.Bool("json", false, "emit the report(s) as JSON")
-	return fs, engine, func() error {
-		if err := engine.Validate(); err != nil {
-			return err
-		}
+	return fs, func() error {
 		tech, err := parseTech(*techFlag)
 		if err != nil {
 			return err
@@ -82,7 +74,7 @@ func command(stdout, stderr io.Writer) (*flag.FlagSet, *cli.Engine, func() error
 		s := dmamem.Simulation{
 			CPLimit: *cpLimit, PLGroups: *groups, MemoryTech: tech,
 			Channels: *channels, ChannelStripePages: *stripePages, ChannelBandwidth: *channelBW,
-			Workers: engine.Workers(), Technique: technique,
+			Technique: technique,
 		}
 		if err := s.Validate(); err != nil {
 			return cli.Usagef("%w", err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -62,35 +61,26 @@ func wantUsage(t *testing.T, args []string, want string) {
 	}
 }
 
-// TestValidateConcurrency pins the rejection of a non-positive
-// -workers, with the flag, the bad value and what the minimum means,
-// and that -parallel is gone: the -compare pair is two runs, so it
-// runs on two goroutines when two CPUs are available.
+// TestValidateConcurrency pins that -parallel is gone: the -compare
+// pair is two runs, so it runs on two goroutines when two CPUs are
+// available.
 func TestValidateConcurrency(t *testing.T) {
-	wantUsage(t, []string{"-workers", "0"}, "-workers 0 must be at least 1 (1 selects the serial reference engine)")
-	wantUsage(t, []string{"-workers", "-4"}, "-workers -4 must be at least 1")
 	wantUsage(t, []string{"-parallel", "2"}, "flag provided but not defined: -parallel")
 }
 
-// TestValidateEpoch pins that -epoch is gone: the barrier period is
-// the engine's own constant, so a script that still sets it exits 2
-// instead of running with a period it did not get.
+// TestValidateEpoch pins that -epoch is gone, so a script that still
+// sets it exits 2 instead of running with a period it did not get.
 func TestValidateEpoch(t *testing.T) {
-	wantUsage(t, []string{"-workers", "4", "-epoch", "20us"}, "flag provided but not defined: -epoch")
+	wantUsage(t, []string{"-epoch", "20us"}, "flag provided but not defined: -epoch")
 }
 
-// TestEngineWorkers pins the -workers flag this command parses to the
-// engine count its runs get: 1 is the serial reference engine
-// (Workers 0), higher counts select the barrier engine as given.
+// TestEngineWorkers pins that -workers is gone: every simulation runs
+// on the one serial engine, on any number of channels, so a script
+// that still asks for engine workers exits 2 before any trace is
+// generated.
 func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {8, 8}} {
-		fs, engine, _ := command(io.Discard, io.Discard)
-		if err := fs.Parse([]string{"-workers", strconv.Itoa(tc.in)}); err != nil {
-			t.Fatal(err)
-		}
-		if got := engine.Workers(); got != tc.want {
-			t.Errorf("-workers %d: Workers() = %d, want %d", tc.in, got, tc.want)
-		}
+	for _, n := range []string{"1", "2"} {
+		wantUsage(t, []string{"-channels", "4", "-workers", n}, "flag provided but not defined: -workers")
 	}
 }
 
@@ -282,9 +272,8 @@ func TestEveryFlagIsRead(t *testing.T) {
 		"channel-bw":   {with: []string{"-duration", "5ms", "-channels", "2"}, value: "1e9"},
 		"compare":      {with: short, value: "false"},
 		"json":         {with: short, value: "true"},
-		"workers":      {with: short, value: "2", same: "on one channel, reports are byte-identical at any worker count"},
 	}
-	fs, _, _ := command(io.Discard, io.Discard)
+	fs, _ := command(io.Discard, io.Discard)
 	fs.VisitAll(func(f *flag.Flag) {
 		c, ok := cases[f.Name]
 		if !ok {

@@ -157,19 +157,11 @@ type Simulation struct {
 	// is, and the report is bit-identical to running the same records
 	// from memory. Setting both a trace and TraceFile is an error.
 	TraceFile string
-	// Workers selects the engine: zero keeps the serial event loop;
-	// any positive value runs the barrier engine, one event loop per
-	// channel under deterministic epoch barriers, executed by at most
-	// Workers goroutines, the caller's included. Workers is a ceiling:
-	// spans too short for a handoff to other goroutines to pay
-	// (measured at run time) run inline. On a single channel the two
-	// engines give bit-identical reports. On more than one channel
-	// the serial and barrier engines give different reports, and among
-	// positive values the count never changes the report. Every
-	// technique runs on either engine, including
-	// TemporalAlignmentWithLayout — the layout's global state is
-	// observed and rebalanced at epoch barriers. The barrier period is
-	// the engine's own constant. Negative values are rejected.
+	// Workers is ignored: every run, on any number of channels, takes
+	// the one serial event loop, so the report does not depend on it.
+	// Validate still rejects a negative value.
+	//
+	// Deprecated: kept only so that callers which still set it compile.
 	Workers int
 }
 
@@ -231,7 +223,7 @@ func (s Simulation) Validate() error {
 		return fmt.Errorf("dmamem: ChannelStripePages/ChannelBandwidth need Channels set")
 	}
 	if s.Workers < 0 {
-		return fmt.Errorf("dmamem: negative Workers %d; 0 selects the serial engine", s.Workers)
+		return fmt.Errorf("dmamem: negative Workers %d", s.Workers)
 	}
 	if s.Channels != 0 {
 		topo := memsys.Topology{
@@ -252,7 +244,6 @@ func (s Simulation) coreConfig() (core.Config, error) {
 		return cfg, err
 	}
 	cfg.TraceFile = s.TraceFile
-	cfg.Workers = s.Workers
 	if s.Buses != 0 || s.BusBandwidth != 0 {
 		bc := bus.DefaultConfig()
 		if s.Buses != 0 {

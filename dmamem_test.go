@@ -1,6 +1,8 @@
 package dmamem
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -242,5 +244,35 @@ func TestResidencyReported(t *testing.T) {
 	// time.
 	if powerdown < total/2 {
 		t.Fatalf("powerdown residency %v of %v", powerdown, total)
+	}
+}
+
+// TestWorkersIsInert pins the deprecated Simulation.Workers as inert: a
+// 4-channel run, where a second engine once gave a second answer, must
+// return byte-identical reports at every value, under the baseline and
+// under DMA-TA-PL.
+func TestWorkersIsInert(t *testing.T) {
+	tr := shortSynthetic(t)
+	for _, s := range []Simulation{
+		{Channels: 4},
+		{Channels: 4, Technique: TemporalAlignmentWithLayout, CPLimit: 0.10},
+	} {
+		var want []byte
+		for _, workers := range []int{0, 1, 8} {
+			s.Workers = workers
+			rep, err := Run(s, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%v on 4 channels: the report at Workers %d differs from Workers 0:\n%s\n%s", s.Technique, workers, got, want)
+			}
+		}
 	}
 }

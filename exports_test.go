@@ -27,9 +27,6 @@ var reservedExports = map[string]string{
 	"exact.Result.UF":                       "item 2 compares it with the fluid uf",
 	"exact.Run":                             "item 2 runs the exact model beside the fluid one",
 	"metrics.Report.ClientDegradation":      "item 10 reports it beside the CP-Limit",
-	"sim.BarrierEngine.Stats":               "item 5 deletes the barrier engine",
-	"sim.BarrierEngine.Workers":             "item 5 deletes the barrier engine",
-	"sim.ForceDispatch":                     "item 5 deletes the barrier engine",
 }
 
 // TestExportedNamesHaveCallers type-checks every package of the module and

@@ -107,8 +107,7 @@ type Allocator struct {
 	// slots keeps, per flow, the call's input and its progressive-
 	// filling state, so remembering the input costs no scratch of its
 	// own. After a call, slots[:nLast] is that call's input and cached
-	// says rates still holds its answer; SetBusCaps and SetChannels
-	// clear cached.
+	// says rates still holds its answer; SetChannels clears cached.
 	slots  []flowSlot
 	nLast  int
 	cached bool
@@ -140,23 +139,6 @@ func NewAllocator(busCap []float64, chipCap float64) *Allocator {
 		remBus:   make([]float64, len(busCap)),
 		busCount: make([]int, len(busCap)),
 	}
-}
-
-// SetBusCaps replaces the per-bus capacities in place. The slice length
-// must match the allocator's bus count; values must be positive. The
-// barrier engine uses this at epoch boundaries to hand each channel
-// partition its share of the shared I/O buses.
-func (a *Allocator) SetBusCaps(caps []float64) {
-	if len(caps) != len(a.busCap) {
-		panic(fmt.Sprintf("bus: SetBusCaps got %d capacities for %d buses", len(caps), len(a.busCap)))
-	}
-	for i, c := range caps {
-		if c <= 0 {
-			panic(fmt.Sprintf("bus: bus %d capacity %g", i, c))
-		}
-	}
-	copy(a.busCap, caps)
-	a.cached = false
 }
 
 // SetChannels adds a per-channel capacity constraint: flow rates into

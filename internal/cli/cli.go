@@ -3,9 +3,8 @@
 // inside a run(args, stdout, stderr) int that tests call in process;
 // dmamem-serve parses and exits through the same Run and Exit.
 // The flags two commands read are defined and validated here once:
-// -workers (Engine), and -workload, -duration and -seed
-// (Gen), over the one workload table dmamem-sim and dmamem-trace
-// record generate from. A failed check exits 2 before any work starts.
+// -workload, -duration and -seed (Gen), over the one workload table
+// dmamem-sim and dmamem-trace record generate from. A failed check exits 2 before any work starts.
 package cli
 
 import (
@@ -71,42 +70,4 @@ func Positive(name string, d time.Duration) error {
 		return Usagef("-%s %v must be positive", name, d)
 	}
 	return nil
-}
-
-// Engine holds -workers, which picks the event-loop engine inside
-// each simulation: 1 the serial engine, 2 or more the barrier engine
-// with one event loop per memory channel. On one channel, reports are
-// byte-identical at any value. On more than one channel the two
-// engines give different reports, and among values of 2 or more the
-// count never changes the report.
-type Engine struct {
-	workers int
-}
-
-// AddEngine defines -workers on fs.
-func AddEngine(fs *flag.FlagSet) *Engine {
-	e := &Engine{}
-	fs.IntVar(&e.workers, "workers", 1, "most event-loop goroutines inside each simulation; short spans run inline. "+
-		"1 = serial engine, 2 or more = barrier engine; on more than one channel the two engines give different reports, "+
-		"and any count of 2 or more gives the same report")
-	return e
-}
-
-// Validate rejects a -workers below 1, which would otherwise surface
-// as a confusing core error mid-run.
-func (e *Engine) Validate() error {
-	if e.workers <= 0 {
-		return Usagef("-workers %d must be at least 1 (1 selects the serial reference engine)", e.workers)
-	}
-	return nil
-}
-
-// Workers maps -workers onto Simulation.Workers and
-// core.Config.Workers: 1 is the serial reference engine (0, the
-// default), higher counts select the barrier engine.
-func (e *Engine) Workers() int {
-	if e.workers <= 1 {
-		return 0
-	}
-	return e.workers
 }

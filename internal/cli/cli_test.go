@@ -11,58 +11,16 @@ import (
 	"dmamem/internal/trace"
 )
 
-// parse defines the engine and generator flags on a fresh FlagSet and
-// parses args into them.
-func parse(t *testing.T, args ...string) (*Engine, *Gen) {
+// parse defines the generator flags on a fresh FlagSet and parses args
+// into them.
+func parse(t *testing.T, args ...string) *Gen {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	e, g := AddEngine(fs), AddGen(fs)
+	g := AddGen(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return e, g
-}
-
-// TestEngineValidate pins the -workers guard rail and the wording the
-// user sees: the flag, the bad value, and what the minimum means. Every
-// rejection is a usage error.
-func TestEngineValidate(t *testing.T) {
-	for _, tc := range []struct {
-		args    string
-		wantErr string
-	}{
-		{"", ""},
-		{"-workers 4", ""},
-		{"-workers 8", ""},
-		{"-workers 0", "-workers 0 must be at least 1 (1 selects the serial reference engine)"},
-		{"-workers -4", "-workers -4 must be at least 1"},
-	} {
-		e, _ := parse(t, strings.Fields(tc.args)...)
-		err := e.Validate()
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("%q: %v, want nil", tc.args, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.As(err, new(usageError)) {
-			t.Errorf("%q: %v, want a usage error containing %q", tc.args, err, tc.wantErr)
-		}
-	}
-}
-
-// TestEngineWorkers pins the flag-to-config mapping: -workers 1 is the
-// serial reference engine (Workers 0, the default), higher counts pass
-// through to the barrier engine.
-func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		args string
-		want int
-	}{{"", 0}, {"-workers 1", 0}, {"-workers 2", 2}, {"-workers 8", 8}} {
-		if e, _ := parse(t, strings.Fields(tc.args)...); e.Workers() != tc.want {
-			t.Errorf("%q: Workers() = %d, want %d", tc.args, e.Workers(), tc.want)
-		}
-	}
+	return g
 }
 
 // TestGenValidate pins the generator flags' rejections: the values the
@@ -81,7 +39,7 @@ func TestGenValidate(t *testing.T) {
 		{"-duration -1ms", "-duration -1ms must be positive"},
 		{"-workload bogus", `unknown -workload "bogus" (valid: synthetic-st, synthetic-db, oltp-st, oltp-db)`},
 	} {
-		_, g := parse(t, strings.Fields(tc.args)...)
+		g := parse(t, strings.Fields(tc.args)...)
 		err := g.Validate()
 		if tc.wantErr == "" {
 			if err != nil {
@@ -114,7 +72,7 @@ func TestWorkloadNames(t *testing.T) {
 // reports of the two byte for byte.)
 func TestRecordMatchesTrace(t *testing.T) {
 	for _, name := range strings.Split(workloadNames, ", ") {
-		_, g := parse(t, "-workload", name, "-duration", "2ms", "-seed", "3")
+		g := parse(t, "-workload", name, "-duration", "2ms", "-seed", "3")
 		var buf bytes.Buffer
 		if err := g.Record(&buf, trace.WriterOptions{ChunkRecords: 256}); err != nil {
 			t.Fatalf("%s: Record: %v", name, err)
@@ -163,9 +121,9 @@ func TestExit(t *testing.T) {
 // unknown flag and a stray argument are reported once, with the usage
 // text, and the body never runs.
 func TestRunReportsBadArguments(t *testing.T) {
-	for _, args := range [][]string{{"-no-such-flag"}, {"-workers", "2", "stray"}} {
+	for _, args := range [][]string{{"-no-such-flag"}, {"-seed", "2", "stray"}} {
 		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-		AddEngine(fs)
+		AddGen(fs)
 		var stderr strings.Builder
 		ran := false
 		err := Run(fs, args, &stderr, func() error { ran = true; return nil })

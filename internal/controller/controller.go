@@ -100,24 +100,6 @@ type Config struct {
 	// means the paper's RDRAM part (the registry default).
 	// Geometry.ChipBandwidth should match the model's bandwidth.
 	Model *energy.Model
-	// Partition, when non-nil, restricts this controller to the chips
-	// of one topology channel: foreign chips are never instantiated and
-	// addressing one is a programming error that panics loudly. The
-	// parallel barrier engine builds one partitioned controller per
-	// channel, each on its own sim.Engine.
-	Partition *Partition
-}
-
-// Partition configures a channel-partitioned controller for the
-// parallel barrier engine.
-type Partition struct {
-	// Channel is the topology channel this controller owns.
-	Channel int
-	// BusCaps, when non-nil, is the partition's initial share of every
-	// shared I/O bus in bytes/s (it is revised at each epoch barrier
-	// via Resync). Nil grants the full bus bandwidth, which is only
-	// correct when this partition is the buses' sole user.
-	BusCaps []float64
 }
 
 // validate reports a descriptive error for unusable configs.
@@ -127,14 +109,6 @@ func (c *Config) validate() error {
 	}
 	if err := c.Topology.Validate(c.Geometry); err != nil {
 		return err
-	}
-	if p := c.Partition; p != nil {
-		if n := c.Topology.NumChannels(); p.Channel < 0 || p.Channel >= n {
-			return fmt.Errorf("controller: partition channel %d of %d", p.Channel, n)
-		}
-		if p.BusCaps != nil && len(p.BusCaps) != c.Buses.Count {
-			return fmt.Errorf("controller: partition has %d bus caps for %d buses", len(p.BusCaps), c.Buses.Count)
-		}
 	}
 	if err := c.Buses.Validate(); err != nil {
 		return err
@@ -233,9 +207,8 @@ type Controller struct {
 	allFlows []*flow
 	complEvt sim.EventID
 	// complAt is the instant complEvt is scheduled for; meaningful only
-	// while len(allFlows) > 0 (recompute leaves it stale otherwise).
-	// CrossLookahead reads it instead of the event, whose ID carries no
-	// time.
+	// while complEvt is valid. recompute reads it to keep a completion
+	// that already fires at the right instant.
 	complAt sim.Time
 
 	// Dirty-set accounting state (see account.go). dirtyChips holds
@@ -274,10 +247,6 @@ type Controller struct {
 	slack      float64 // ps
 	nGated     int
 	epochEvt   sim.EventID
-	// epochAt is the instant epochEvt is scheduled for; meaningful only
-	// while nGated > 0 (the epoch timer is never cancelled, so validity
-	// comes from the gated count, not the event ID).
-	epochAt sim.Time
 
 	// steps[s] is the policy's step out of state s, read once in New:
 	// NextStep depends on the state alone. An array indexed by the
@@ -331,9 +300,6 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	for i := range busCaps {
 		busCaps[i] = cfg.Buses.Bandwidth
 	}
-	if cfg.Partition != nil && cfg.Partition.BusCaps != nil {
-		copy(busCaps, cfg.Partition.BusCaps)
-	}
 	model := cfg.Model
 	if model == nil {
 		var err error
@@ -386,18 +352,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		}
 		c.alloc.SetChannels(c.channelOf, chanCaps)
 	}
-	partition := -1
-	if cfg.Partition != nil {
-		partition = cfg.Partition.Channel
-	}
 	for i := 0; i < cfg.Geometry.NumChips; i++ {
-		if partition >= 0 && c.channelOf[i] != partition {
-			// Foreign chip: owned by another partition's controller. The
-			// nil entry keeps chip indices global; every loop over
-			// c.chips skips it, and addressing it is a loud panic.
-			c.chips = append(c.chips, nil)
-			continue
-		}
 		cs := &chipState{
 			chip:    memsys.NewChip(i, cfg.InitialState, eng.Now(), model),
 			channel: c.channelOf[i],
@@ -445,11 +400,6 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	}
 	return c, nil
 }
-
-// Mapper returns the resolved page-to-chip mapping (Layout > Mapper >
-// topology default). The parallel core uses it to split DMA records at
-// channel boundaries with exactly the mapping the controller serves.
-func (c *Controller) Mapper() memsys.Mapper { return c.mapper }
 
 // Slack returns the current slack pool (TA only), for tests.
 func (c *Controller) Slack() sim.Duration { return sim.Duration(c.slack) }

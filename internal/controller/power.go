@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"fmt"
-
 	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
@@ -187,10 +185,6 @@ func (c *Controller) chargeWake(cs *chipState) {
 func (c *Controller) ProcAccess(page memsys.PageID) {
 	now := c.eng.Now()
 	cs := c.chips[c.mapper.ChipOf(page)]
-	if cs == nil {
-		panic(fmt.Sprintf("controller: processor access to page %d on chip %d owned by another partition",
-			page, c.mapper.ChipOf(page)))
-	}
 	c.procAccesses++
 	if cs.chip.Resident() && cs.chip.State() == energy.Active {
 		// Joining the dirty set settles the chip's idle backlog up to

@@ -21,14 +21,11 @@ func (c *Controller) Finish(endFloor sim.Time) sim.Time {
 	}
 	end := max(c.eng.Now(), endFloor)
 	for _, cs := range c.chips {
-		if cs != nil && cs.chip.Phase() == memsys.PhaseSleeping {
+		if cs.chip.Phase() == memsys.PhaseSleeping {
 			end = max(end, cs.chip.ReadyAt())
 		}
 	}
 	for _, cs := range c.chips {
-		if cs == nil {
-			continue
-		}
 		if len(cs.flows) > 0 || len(cs.gated) > 0 || len(cs.waiting) > 0 {
 			panic(fmt.Sprintf("controller: chip %d still has work after drain", cs.chip.ID))
 		}
@@ -42,82 +39,50 @@ func (c *Controller) Finish(endFloor sim.Time) sim.Time {
 }
 
 // Report aggregates the run into a metrics.Report. scheme names the
-// configuration; end is the instant returned by Finish.
+// configuration; end is the instant returned by Finish. Energy sums
+// accumulate in chip order.
 func (c *Controller) Report(scheme string, end sim.Time) *metrics.Report {
-	return MergeReports(scheme, end, c)
-}
-
-// MergeReports aggregates one run across controllers — the single
-// serial controller, or one channel-partitioned controller per shard
-// of the parallel barrier engine. Pass partitions in channel order:
-// the topology assigns each channel a contiguous block of chip IDs, so
-// ctl order then equals global chip order and the order-sensitive
-// float accumulation (energy sums) matches the serial single-
-// controller report exactly. Every controller must already be
-// Finished; end is the maximum of their Finish results.
-func MergeReports(scheme string, end sim.Time, ctls ...*Controller) *metrics.Report {
-	if len(ctls) == 0 {
-		panic("controller: MergeReports needs at least one controller")
-	}
 	r := &metrics.Report{
 		Scheme:        scheme,
 		SimulatedTime: sim.Duration(end),
+		Channels:      c.channels,
+		Transfers:     c.transfers,
+		Events:        c.eng.Steps(),
+		StateNames:    c.model.StateNames(),
+
+		ClampedProcSpans: c.clampedProc,
 	}
-	r.Channels = ctls[0].channels
 	r.ChannelEnergy = make([]energy.Breakdown, r.Channels)
-	r.StateNames = ctls[0].model.StateNames()
-	r.Residency = make([]sim.Duration, ctls[0].model.NumStates())
-	r.StateEnergy = make([]float64, ctls[0].model.NumStates())
+	r.Residency = make([]sim.Duration, c.model.NumStates())
+	r.StateEnergy = make([]float64, c.model.NumStates())
 	var transferTime, servingTime sim.Duration
-	var xferTimes, gatherDelays metrics.DurationStats
-	var seenLayouts []*Controller
-	for _, c := range ctls {
-		r.Transfers += c.transfers
-		r.Events += c.eng.Steps()
-		r.ClampedProcSpans += c.clampedProc
-		for _, cs := range c.chips {
-			if cs == nil {
-				continue
-			}
-			b := cs.chip.Meter.Breakdown()
-			r.Energy.Add(&b)
-			r.ChannelEnergy[cs.channel].Add(&b)
-			r.Wakes += cs.chip.Wakes
-			transferTime += cs.chip.TransferTime
-			servingTime += cs.chip.ServingTime
-			for s, d := range cs.chip.Residency {
-				r.Residency[s] += d
-			}
-			for s, j := range cs.chip.StateEnergy {
-				r.StateEnergy[s] += j
-			}
+	for _, cs := range c.chips {
+		b := cs.chip.Meter.Breakdown()
+		r.Energy.Add(&b)
+		r.ChannelEnergy[cs.channel].Add(&b)
+		r.Wakes += cs.chip.Wakes
+		transferTime += cs.chip.TransferTime
+		servingTime += cs.chip.ServingTime
+		for s, d := range cs.chip.Residency {
+			r.Residency[s] += d
 		}
-		if c.cfg.Layout != nil {
-			dup := false
-			for _, p := range seenLayouts {
-				if p.cfg.Layout == c.cfg.Layout {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seenLayouts = append(seenLayouts, c)
-				r.Energy[energy.CatMigration] += c.migrationJ(c.cfg.Layout.MigratedPages)
-				r.Migrations += c.cfg.Layout.MigratedPages
-			}
+		for s, j := range cs.chip.StateEnergy {
+			r.StateEnergy[s] += j
 		}
-		xferTimes.Merge(&c.xferTimes)
-		gatherDelays.Merge(&c.gatherDelays)
+	}
+	if lm := c.cfg.Layout; lm != nil {
+		r.Energy[energy.CatMigration] += c.migrationJ(lm.MigratedPages)
+		r.Migrations = lm.MigratedPages
 	}
 	if transferTime > 0 {
 		r.UtilizationFactor = float64(servingTime) / float64(transferTime)
 	}
-	r.MeanServiceTime = xferTimes.Mean()
-	if xferTimes.Count() > 0 {
-		r.P95ServiceTime = xferTimes.Percentile(0.95)
-		r.MaxServiceTime = xferTimes.Max()
+	r.MeanServiceTime = c.xferTimes.Mean()
+	if c.xferTimes.Count() > 0 {
+		r.P95ServiceTime = c.xferTimes.Percentile(0.95)
+		r.MaxServiceTime = c.xferTimes.Max()
 	}
-	r.MeanGatherDelay = gatherDelays.Mean()
+	r.MeanGatherDelay = c.gatherDelays.Mean()
 	return r
 }
 

@@ -47,10 +47,6 @@ func (c *Controller) StartTransfer(t dma.Transfer) {
 	// delayed; requests of transfers already in progress are not
 	// (Section 4.1.1).
 	cs := c.chips[c.chipOfSegmentStart(x)]
-	if cs == nil {
-		panic(fmt.Sprintf("controller: transfer %d starts on chip %d owned by another partition",
-			t.ID, c.chipOfSegmentStart(x)))
-	}
 	c.noteArrival(cs, now)
 	if c.taOn && !c.chipAvailable(cs) && c.gatherWorthwhile(cs) {
 		c.gate(cs, x, now)
@@ -115,10 +111,6 @@ func (c *Controller) issueSegment(x *xferState, now sim.Time) {
 	x.seg = dma.Segment{Chip: chip, Page: first, Pages: pages}
 	x.segSet = true
 	cs := c.chips[chip]
-	if cs == nil {
-		panic(fmt.Sprintf("controller: transfer %d reaches chip %d owned by another partition; "+
-			"the parallel core must split DMA records into channel-homogeneous sub-records", x.t.ID, chip))
-	}
 	if cs.chip.Resident() && cs.chip.State() == energy.Active {
 		c.startFlow(cs, x, now)
 		return
@@ -292,8 +284,7 @@ func (c *Controller) ensureEpoch(now sim.Time) {
 	if c.epochEvt.Valid() || c.nGated == 0 {
 		return
 	}
-	c.epochAt = now.Add(c.cfg.TA.EpochLength)
-	c.epochEvt = c.eng.SchedulePrio(c.epochAt, prioEpoch, c.onEpochFn)
+	c.epochEvt = c.eng.SchedulePrio(now.Add(c.cfg.TA.EpochLength), prioEpoch, c.onEpochFn)
 }
 
 // onEpoch charges the pessimistic epoch cost (epochLength * pending)
@@ -304,14 +295,13 @@ func (c *Controller) onEpoch(e *sim.Engine) {
 	if c.nGated > 0 {
 		c.slack -= float64(c.cfg.TA.EpochLength) * float64(c.nGated)
 		for _, cs := range c.chips {
-			if cs != nil && len(cs.gated) > 0 {
+			if len(cs.gated) > 0 {
 				c.checkRelease(cs, now)
 			}
 		}
 	}
 	if c.nGated > 0 {
-		c.epochAt = now.Add(c.cfg.TA.EpochLength)
-		c.epochEvt = c.eng.SchedulePrio(c.epochAt, prioEpoch, c.onEpochFn)
+		c.epochEvt = c.eng.SchedulePrio(now.Add(c.cfg.TA.EpochLength), prioEpoch, c.onEpochFn)
 	}
 	c.recompute(now)
 }
@@ -330,9 +320,6 @@ func (c *Controller) MarkActivePages(busy []bool) {
 		mark(f.x)
 	}
 	for _, cs := range c.chips {
-		if cs == nil {
-			continue
-		}
 		for _, x := range cs.gated {
 			mark(x)
 		}

@@ -79,45 +79,6 @@ type Config struct {
 	// the report is bit-identical to running the same records from
 	// memory. Mutually exclusive with a non-nil trace.
 	TraceFile string
-	// Workers selects the engine. Zero (the default) runs the serial
-	// event loop; any positive value runs the barrier engine, one
-	// event loop per topology channel, executed by at most Workers
-	// goroutines in deterministic epoch-barrier lockstep (see
-	// internal/sim's BarrierEngine and docs/ARCHITECTURE.md). Workers
-	// is a ceiling, not a demand: the caller's goroutine is one of
-	// them, and a span too short for a handoff to pay (measured at run
-	// time) runs inline on it, which is most spans on a 2-CPU host.
-	//
-	// On a single channel the two engines give bit-identical reports.
-	// On more than one channel they do not: the barrier engine
-	// re-splits the shared buses only at barriers, and each
-	// channel-homogeneous piece of a channel-spanning DMA record counts
-	// as its own transfer. Among positive values the count never
-	// changes the report. Every scheme runs on both engines; layout
-	// rebalances execute in the barrier's epoch-synchronized
-	// observation stage. With a single channel there is only one
-	// shard, so extra workers stay idle, and the adaptive barrier
-	// collapses the whole run into one span (FixedEpoch restores
-	// per-epoch chunking if you want to measure it).
-	Workers int
-	// barrierEpoch is the barrier engine's period in simulated time;
-	// zero means defaultBarrierEpoch. It is unexported: on more than
-	// one channel the period changes the report, so only this
-	// package's epoch-sweep tests set it.
-	barrierEpoch sim.Duration
-	// FixedEpoch disables the adaptive barrier: every epoch boundary is
-	// a full rendezvous, exactly the pre-adaptive engine. Kept as the
-	// bit-identical cross-check reference for barrier elision and
-	// dynamic span sizing — the adaptive engine only skips boundaries
-	// it can prove are no-ops, so reports match this mode exactly.
-	FixedEpoch bool
-	// MaxEpochSpan caps how many consecutive epochs the adaptive
-	// barrier may cover in one elided span (it bounds the per-span
-	// trace-staging buffers). Zero means 256; 1 behaves like
-	// FixedEpoch; negative errors. The effective span width adapts
-	// between 1 and this ceiling with re-split churn and measured
-	// barrier stall.
-	MaxEpochSpan int
 }
 
 // withDefaults resolves the technology model and returns a fully
@@ -270,7 +231,7 @@ func openSource(cfg Config, tr *trace.Trace) (*recordSource, error) {
 }
 
 // run is the run assembly: defaulting, calibration, the PL warm-up,
-// then the serial or the barrier engine over one checking cursor. The
+// then the event loop over one checking cursor. The
 // cursor validates each record as the engine reads it, so a trace that
 // fails mid-run stops the engine's input and the run returns the
 // cursor's error before it closes any accounting.
@@ -332,32 +293,18 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 		}
 	}
 
+	eng := sim.New()
+	ctl, err := controller.New(eng, ccfg)
+	if err != nil {
+		return nil, err
+	}
 	cur := open()
-	traceEnd := sim.Time(sum.Duration)
-	var finish func(end sim.Time) *metrics.Report
-	if cfg.Workers > 0 {
-		p, err := newParallelRun(cfg, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.run(ctx, cur, lm, traceEnd); err != nil {
-			return nil, err
-		}
-		finish = p.finish
-	} else {
-		eng := sim.New()
-		ctl, err := controller.New(eng, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetFeeder(&feeder{ctl: ctl, cur: cur})
-		if lm != nil {
-			scheduleRebalances(eng, ctl, lm, traceEnd)
-		}
-		if err := eng.RunContext(ctx); err != nil {
-			return nil, err
-		}
-		finish = func(end sim.Time) *metrics.Report { return ctl.Report(cfg.Scheme, ctl.Finish(end)) }
+	eng.SetFeeder(&feeder{ctl: ctl, cur: cur})
+	if lm != nil {
+		scheduleRebalances(eng, ctl, lm, sim.Time(sum.Duration))
+	}
+	if err := eng.RunContext(ctx); err != nil {
+		return nil, err
 	}
 	if err := cur.Err(); err != nil {
 		return nil, cursorErr(err)
@@ -367,7 +314,7 @@ func run(ctx context.Context, cfg Config, src *recordSource) (*Result, error) {
 	if window == 0 {
 		window = sum.Duration + 2*sim.Millisecond
 	}
-	res.Report = finish(sim.Time(window))
+	res.Report = ctl.Report(cfg.Scheme, ctl.Finish(sim.Time(window)))
 	if lm != nil {
 		res.MigratedPages = lm.MigratedPages
 		res.Rebalances = lm.Rebalances
@@ -420,11 +367,10 @@ func cursorErr(err error) error {
 	return err
 }
 
-// feeder is the arrival source of every engine: the run loop pulls
-// batches straight from a record cursor (see sim.Feeder), so arrivals
-// never pass through the scheduler. The cursor reads an in-memory
-// trace, a .dmt stream (one decoded chunk resident) or a barrier
-// shard's staging buffer. Its same-instant priority, feederPrio, is
+// feeder is the run's arrival source: the run loop pulls batches
+// straight from a record cursor (see sim.Feeder), so arrivals never
+// pass through the scheduler. The cursor reads an in-memory trace or a
+// .dmt stream (one decoded chunk resident). Its same-instant priority, feederPrio, is
 // reserved for trace arrivals across the whole simulator: transfer
 // completions (priority 0) at the same instant are observed first,
 // policy and epoch timers (priorities 2+) after. A failed cursor (a

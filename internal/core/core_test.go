@@ -98,10 +98,10 @@ func TestRunRejectsBadTraces(t *testing.T) {
 }
 
 // TestRunReadsTraceOnce counts the cursors a run opens through its
-// record source, in memory and from .dmt, on the serial engine and on
-// two channels: the engine's cursor checks the records it serves, so a
-// baseline or DMA-TA run opens that one alone, and a PL run adds one
-// warm-up cursor that stops after WarmupFraction x Records records.
+// record source, in memory and from .dmt, on one channel and on two:
+// the engine's cursor checks the records it serves, so a baseline or
+// DMA-TA run opens that one alone, and a PL run adds one warm-up cursor
+// that stops after WarmupFraction x Records records.
 func TestRunReadsTraceOnce(t *testing.T) {
 	tr := stTrace(t, 5*sim.Millisecond)
 	path := saveDMT(t, tr, 512)
@@ -125,7 +125,6 @@ func TestRunReadsTraceOnce(t *testing.T) {
 				cfg := sc.cfg
 				if channels > 1 {
 					cfg.Topology = memsys.Topology{Channels: channels, ChannelBandwidth: 3.2e9}
-					cfg.Workers = 2
 				}
 				in := tr
 				if file {
@@ -165,7 +164,7 @@ func TestRunReadsTraceOnce(t *testing.T) {
 // TestRunFailsMidRun puts a bad record near the end of a trace, where
 // the engine has long been running when the cursor reaches it: the run
 // must return the check's error, not panic in Finish on an engine the
-// failure left undrained, on either engine and from either source.
+// failure left undrained, on one or two channels and from either source.
 func TestRunFailsMidRun(t *testing.T) {
 	tr := stTrace(t, 5*sim.Millisecond)
 	last := len(tr.Records) - 3
@@ -189,8 +188,8 @@ func TestRunFailsMidRun(t *testing.T) {
 	configs := []Config{
 		{TA: controller.DefaultTA(0), CPLimit: 0.10},
 		{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2), WarmupFraction: 0.5},
-		{TA: controller.DefaultTA(0), CPLimit: 0.10, Workers: 2, Topology: topo},
-		{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2), Workers: 2, Topology: topo},
+		{TA: controller.DefaultTA(0), CPLimit: 0.10, Topology: topo},
+		{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2), Topology: topo},
 	}
 	for _, tc := range cases {
 		path := saveDMT(t, tc.tr, 256)

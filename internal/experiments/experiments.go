@@ -44,13 +44,6 @@ type Suite struct {
 	// Runner runs everything sequentially on the calling goroutine;
 	// results are byte-identical either way.
 	Runner *Runner
-	// Workers propagates core.Config.Workers to every simulation the
-	// suite runs: 0 or 1 keeps the serial engine, 2 or more selects the
-	// barrier engine. On one channel every value gives the same
-	// results; on a multi-channel topology (a figure 10 sweep with
-	// Channels) the serial and barrier engines differ, and among
-	// values of 2 or more the count changes nothing.
-	Workers int
 
 	mu        sync.Mutex
 	cache     map[string]*cacheEntry
@@ -149,19 +142,10 @@ func (s *Suite) generate(name string) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// run executes one simulation with the suite's engine knobs applied
-// and the job's context observed mid-run (a cancelled figure aborts
-// its in-flight simulations instead of finishing them).
-func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*core.Result, error) {
-	cfg.Workers = s.Workers
-	return core.RunContext(ctx, cfg, tr)
-}
-
-// runPair is core.RunBaselinePairParallel on one goroutine with the
-// suite's engine knobs. It also reports the pair's combined simulated
-// work, so sweep jobs feed -timing's throughput.
-func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, work metrics.SimWork, err error) {
-	base.Workers, tech.Workers = s.Workers, s.Workers
+// runPair is core.RunBaselinePairParallel on one goroutine. It also
+// reports the pair's combined simulated work, so sweep jobs feed
+// -timing's throughput.
+func runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, work metrics.SimWork, err error) {
 	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
 	if err != nil {
 		return 0, metrics.SimWork{}, err
@@ -330,7 +314,7 @@ func (s *Suite) Fig2b(ctx context.Context) ([]BreakdownRow, error) {
 			if err != nil {
 				return BreakdownRow{}, err
 			}
-			res, err := s.run(ctx, core.Config{}, tr)
+			res, err := core.RunContext(ctx, core.Config{}, tr)
 			if err != nil {
 				return BreakdownRow{}, err
 			}
@@ -420,7 +404,7 @@ func (s *Suite) Fig6(ctx context.Context) ([]BreakdownRow, error) {
 		func(ctx context.Context, i int) (BreakdownRow, error) {
 			cfg := schemes[i].cfg
 			cfg.MeterWindow = window
-			res, err := s.run(ctx, cfg, tr)
+			res, err := core.RunContext(ctx, cfg, tr)
 			if err != nil {
 				return BreakdownRow{}, err
 			}
@@ -461,7 +445,7 @@ func (s *Suite) Fig7(ctx context.Context, cpLimits []float64) ([]Fig7Point, erro
 	return mapJobs(ctx, s.Runner, len(specs),
 		func(i int) string { return fmt.Sprintf("fig7/%s/cp=%.2f", specs[i].label, specs[i].cpLimit) },
 		func(ctx context.Context, i int) (Fig7Point, error) {
-			res, err := s.run(ctx, specs[i].cfg, tr)
+			res, err := core.RunContext(ctx, specs[i].cfg, tr)
 			if err != nil {
 				return Fig7Point{}, err
 			}

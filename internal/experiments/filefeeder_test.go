@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dmamem/internal/core"
-	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
 	"dmamem/internal/trace"
@@ -105,12 +104,7 @@ func peakHeapDuring(fn func()) uint64 {
 // exact P95/Max reporting retains; that term is shared and excluded
 // from the comparison by construction.)
 //
-// The same pair runs again on a 4-channel topology at Workers: 2,
-// where the barrier engine stages each span's records into per-shard
-// buffers: staging must keep the file-backed run flat and equal to the
-// in-memory one.
-//
-// The test simulates the 10 s trace four times, so it is gated like
+// The test simulates the 10 s trace twice, so it is gated like
 // the bench smoke: set DMAMEM_FLATMEM=1 (CI runs it as a dedicated
 // step, without the race detector).
 func TestFileFeederFlatMemory(t *testing.T) {
@@ -143,58 +137,45 @@ func TestFileFeederFlatMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The serial engine, then the barrier engine on 4 channels, where
-	// the Prepare hook stages each span's records per shard: staging
-	// must keep the file-backed replay flat too.
-	for _, run := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"serial", core.Config{}},
-		{"4 channels, 2 workers", core.Config{Topology: memsys.Topology{Channels: 4}, Workers: 2}},
-	} {
-		var fileRes *core.Result
-		var fileErr error
-		peakFile := peakHeapDuring(func() {
-			cfg := run.cfg
-			cfg.TraceFile = path
-			fileRes, fileErr = core.Run(cfg, nil)
-		})
-		if fileErr != nil {
-			t.Fatalf("%s: %v", run.name, fileErr)
-		}
+	var fileRes *core.Result
+	var fileErr error
+	peakFile := peakHeapDuring(func() {
+		fileRes, fileErr = core.Run(core.Config{TraceFile: path}, nil)
+	})
+	if fileErr != nil {
+		t.Fatal(fileErr)
+	}
 
-		var tr *trace.Trace
-		var memRes *core.Result
-		var memErr error
-		peakMem := peakHeapDuring(func() {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				memErr = err
-				return
-			}
-			tr, memErr = trace.DecodeDMT(data)
-			if memErr != nil {
-				return
-			}
-			memRes, memErr = core.Run(run.cfg, tr)
-		})
+	var tr *trace.Trace
+	var memRes *core.Result
+	var memErr error
+	peakMem := peakHeapDuring(func() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			memErr = err
+			return
+		}
+		tr, memErr = trace.DecodeDMT(data)
 		if memErr != nil {
-			t.Fatalf("%s: %v", run.name, memErr)
+			return
 		}
+		memRes, memErr = core.Run(core.Config{}, tr)
+	})
+	if memErr != nil {
+		t.Fatal(memErr)
+	}
 
-		if !reflect.DeepEqual(memRes, fileRes) {
-			t.Errorf("%s: 100x file-backed result differs from in-memory\nmem:  %+v\nfile: %+v", run.name, memRes, fileRes)
-		}
-		records := len(tr.Records)
-		t.Logf("%s: records: %d; peak heap: file-backed %.1f MB, in-memory %.1f MB",
-			run.name, records, float64(peakFile)/1e6, float64(peakMem)/1e6)
-		// The in-memory run must pay for the record slice (24 B/record);
-		// the file-backed run must not. Requiring a third of that gap
-		// leaves the rest as margin for sampling and collector noise.
-		if gap := int64(peakMem) - int64(peakFile); gap < int64(records)*8 {
-			t.Errorf("%s: file-backed peak heap %.1f MB is not flat: only %.1f MB below the in-memory run (want >= %.1f MB, a third of the record storage)",
-				run.name, float64(peakFile)/1e6, float64(gap)/1e6, float64(records)*8/1e6)
-		}
+	if !reflect.DeepEqual(memRes, fileRes) {
+		t.Errorf("100x file-backed result differs from in-memory\nmem:  %+v\nfile: %+v", memRes, fileRes)
+	}
+	records := len(tr.Records)
+	t.Logf("records: %d; peak heap: file-backed %.1f MB, in-memory %.1f MB",
+		records, float64(peakFile)/1e6, float64(peakMem)/1e6)
+	// The in-memory run must pay for the record slice (24 B/record);
+	// the file-backed run must not. Requiring a third of that gap
+	// leaves the rest as margin for sampling and collector noise.
+	if gap := int64(peakMem) - int64(peakFile); gap < int64(records)*8 {
+		t.Errorf("file-backed peak heap %.1f MB is not flat: only %.1f MB below the in-memory run (want >= %.1f MB, a third of the record storage)",
+			float64(peakFile)/1e6, float64(gap)/1e6, float64(records)*8/1e6)
 	}
 }

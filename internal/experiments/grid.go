@@ -232,7 +232,7 @@ func (s *Suite) baseline(ctx context.Context, name string) (*core.Result, error)
 			return
 		}
 		start := time.Now()
-		e.res, e.err = s.run(ctx, core.Config{MeterWindow: tr.Duration() + 2*sim.Millisecond}, tr)
+		e.res, e.err = core.RunContext(ctx, core.Config{MeterWindow: tr.Duration() + 2*sim.Millisecond}, tr)
 		if e.err == nil && s.Runner != nil && s.Runner.Timings != nil {
 			s.Runner.Timings.AddSim("baseline/"+name, time.Since(start), e.res.Work())
 		}
@@ -281,7 +281,7 @@ func (s *Suite) fig5Grid(gs GridSpec) *resolvedGrid {
 				cfg = taConfig(sp.cpLimit, plConfig(sp.groups))
 			}
 			cfg.MeterWindow = tr.Duration() + 2*sim.Millisecond
-			res, err := s.run(ctx, cfg, tr)
+			res, err := core.RunContext(ctx, cfg, tr)
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}
@@ -324,7 +324,7 @@ func (s *Suite) fig8Grid(gs GridSpec) *resolvedGrid {
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}
-			savings, work, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
+			savings, work, err := runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}
@@ -363,7 +363,7 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}
-			savings, work, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
+			savings, work, err := runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}
@@ -448,7 +448,7 @@ func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
 				base.Topology = topo
 				tech.Topology = topo
 			}
-			savings, work, err := s.runPair(ctx, base, tech, tr)
+			savings, work, err := runPair(ctx, base, tech, tr)
 			if err != nil {
 				return nil, metrics.SimWork{}, err
 			}

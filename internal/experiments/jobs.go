@@ -66,9 +66,9 @@ func WorkloadNames() []string { return append([]string(nil), workloadNames...) }
 // built from an empty job submission reproduces the committed goldens
 // byte for byte.
 type ReportSpec struct {
-	// Suite reconstructs the trace configuration (duration, seed,
-	// engine knobs). The golden corpus uses 4 ms traces (2 ms for the
-	// database workloads) at seed 1.
+	// Suite reconstructs the trace configuration (duration, seed). The
+	// golden corpus uses 4 ms traces (2 ms for the database workloads)
+	// at seed 1.
 	Suite SuiteSpec
 	// Workload is the Table 2 trace name ("OLTP-St", ...). Required.
 	Workload string
@@ -83,10 +83,11 @@ type ReportSpec struct {
 	// Tech is the memory-technology registry name; empty keeps the
 	// RDRAM default.
 	Tech string
-	// Workers selects the parallel barrier engine for the run (0 =
-	// serial reference). Reports are bit-identical at any count, but
-	// the field still participates in the canonical hash so every
-	// cached answer is traceable to its exact job spec.
+	// Workers is ignored: every run takes the one serial engine.
+	// Normalize rejects a negative value and zeroes any other, so it
+	// changes neither the report nor the canonical hash.
+	//
+	// Deprecated: kept only so that specs which still set it compile.
 	Workers int
 }
 
@@ -141,8 +142,9 @@ func (sp ReportSpec) Normalize() (ReportSpec, error) {
 		return sp, err
 	}
 	if sp.Workers < 0 {
-		return sp, fmt.Errorf("experiments: negative Workers %d; 0 selects the serial engine", sp.Workers)
+		return sp, fmt.Errorf("experiments: negative Workers %d", sp.Workers)
 	}
+	sp.Workers = 0
 	if sp.Suite.Duration < 0 || sp.Suite.DbDuration < 0 {
 		return sp, fmt.Errorf("experiments: negative trace duration %v/%v", sp.Suite.Duration, sp.Suite.DbDuration)
 	}
@@ -197,9 +199,7 @@ var (
 const maxSharedSuites = 8
 
 // sharedWorkload returns the named trace for a spec through the
-// process-level suite cache. Only the trace cache is shared — callers
-// keep their own Suite for engine knobs, which is what keeps
-// concurrent jobs with different Workers settings race-free.
+// process-level suite cache.
 func sharedWorkload(sp SuiteSpec, name string) (*trace.Trace, error) {
 	sharedSuitesMu.Lock()
 	s, ok := sharedSuites[sp]
@@ -216,22 +216,19 @@ func sharedWorkload(sp SuiteSpec, name string) (*trace.Trace, error) {
 // RunReport normalizes and executes one report job. The metering
 // window is the golden convention (trace duration plus 2 ms), so a
 // default spec over a golden-suite SuiteSpec returns the committed
-// golden report for its workload and scheme bit for bit — serial or
-// at any Workers count.
+// golden report for its workload and scheme bit for bit.
 func RunReport(ctx context.Context, sp ReportSpec) (*metrics.Report, error) {
 	sp, err := sp.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	s := NewSuiteFromSpec(sp.Suite)
-	s.Workers = sp.Workers
 	tr, err := sharedWorkload(sp.Suite, sp.Workload)
 	if err != nil {
 		return nil, err
 	}
 	cfg := sp.reportConfig()
 	cfg.MeterWindow = tr.Duration() + 2*sim.Millisecond
-	res, err := s.run(ctx, cfg, tr)
+	res, err := core.RunContext(ctx, cfg, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -201,16 +201,6 @@ func (s *DurationStats) Add(d sim.Duration) {
 	s.vals = append(s.vals, d)
 }
 
-// Merge appends every observation of o. Merging partition-local
-// stats in a fixed partition order yields deterministic aggregates:
-// Mean and Sum are exact integer arithmetic, and Percentile and Max do
-// not depend on the order.
-func (s *DurationStats) Merge(o *DurationStats) {
-	s.n += o.n
-	s.sum += o.sum
-	s.vals = append(s.vals, o.vals...)
-}
-
 // Count returns the number of observations.
 func (s *DurationStats) Count() int { return s.n }
 

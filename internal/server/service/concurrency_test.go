@@ -252,20 +252,20 @@ func TestCacheHitSkipsRun(t *testing.T) {
 		t.Errorf("cache_hits = %d, want 1", got)
 	}
 
-	// A different Workers setting is a different canonical spec: it
-	// must run, not hit.
-	st3, err := submitJob(d, Job{Tenant: "a", Workload: "Synthetic-St", Workers: 2})
+	// A different seed is a different canonical spec: it must run, not
+	// hit.
+	st3, err := submitJob(d, Job{Tenant: "a", Workload: "Synthetic-St", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st3.Cached {
-		t.Error("Workers variant was served from cache; it must run the parallel engine")
+		t.Error("seed variant was served from cache; it must run")
 	}
 	if _, err := waitJob(ctx, d, st3.ID); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(t, d, "runs"); got != 2 {
-		t.Errorf("runs after Workers variant = %d, want 2", got)
+		t.Errorf("runs after seed variant = %d, want 2", got)
 	}
 }
 

@@ -494,7 +494,6 @@ func (d *Daemon) execute(js *jobState) ([]byte, error) {
 func (d *Daemon) executeGrid(js *jobState) ([]byte, error) {
 	gw := js.w.Grid
 	s := experiments.NewSuiteFromSpec(gw.Suite)
-	s.Workers = gw.Workers
 	if d.cfg.PointParallel > 1 {
 		s.Runner = &experiments.Runner{Parallel: d.cfg.PointParallel}
 	}

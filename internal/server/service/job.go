@@ -69,10 +69,6 @@ type Job struct {
 	// Tech selects the memory-technology backend by registry name;
 	// empty keeps the RDRAM default.
 	Tech string `json:",omitempty"`
-	// Workers selects the parallel barrier engine inside the
-	// simulation (0 = serial reference; results are bit-identical at
-	// any count).
-	Workers int `json:",omitempty"`
 	// DurationMs is the generated trace duration in simulated
 	// milliseconds; 0 selects the golden suite's 4 ms. A report job
 	// reads it only for the -St workloads (OLTP-St, Synthetic-St).
@@ -123,12 +119,10 @@ type work struct {
 	Grid   *gridWork               `json:",omitempty"`
 }
 
-// gridWork pairs a grid with the suite it resolves against, plus the
-// engine workers knob every point's simulation runs with.
+// gridWork pairs a grid with the suite it resolves against.
 type gridWork struct {
-	Suite   experiments.SuiteSpec
-	Grid    experiments.GridSpec
-	Workers int `json:",omitempty"`
+	Suite experiments.SuiteSpec
+	Grid  experiments.GridSpec
 }
 
 // msToSim converts simulated milliseconds to sim.Duration
@@ -206,10 +200,7 @@ func (j Job) normalize(maxGridPoints int) (work, int, error) {
 		return work{}, 0, err
 	}
 	if j.Grid != nil {
-		gw := &gridWork{Suite: suite, Grid: *j.Grid, Workers: j.Workers}
-		if j.Workers < 0 {
-			return work{}, 0, fmt.Errorf("%w: negative Workers %d; 0 selects the serial engine", errBadJob, j.Workers)
-		}
+		gw := &gridWork{Suite: suite, Grid: *j.Grid}
 		n, err := experiments.ValidateGrid(gw.Suite, gw.Grid)
 		if err != nil {
 			return work{}, 0, fmt.Errorf("%w: %v", errBadJob, err)
@@ -229,7 +220,6 @@ func (j Job) normalize(maxGridPoints int) (work, int, error) {
 		CPLimit:  j.CPLimit,
 		PLGroups: j.PLGroups,
 		Tech:     j.Tech,
-		Workers:  j.Workers,
 	}
 	rs, err = rs.Normalize()
 	if err != nil {
@@ -244,7 +234,6 @@ func (j Job) normalize(maxGridPoints int) (work, int, error) {
 		CPLimit:    rs.CPLimit,
 		PLGroups:   rs.PLGroups,
 		MemoryTech: rs.Tech,
-		Workers:    rs.Workers,
 	}
 	if err := s.Validate(); err != nil {
 		return work{}, 0, fmt.Errorf("%w: %v", errBadJob, err)

@@ -248,25 +248,6 @@ func (e *Engine) RunUntil(limit Time) {
 	e.runUntil(nil, limit)
 }
 
-// nextAt returns the instant of the earliest pending dispatch — the
-// scheduler's minimum event or the feeder's next batch, whichever is
-// first — and ok=false when both are drained. It does not advance the
-// clock; the barrier engine uses it to pick the next non-empty epoch.
-func (e *Engine) nextAt() (Time, bool) {
-	ev := e.wheel.peekMin()
-	if e.feeder != nil {
-		if fat, _, ok := e.feeder.Peek(); ok {
-			if ev == nil || fat < ev.at {
-				return fat, true
-			}
-		}
-	}
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
 // next selects the earliest pending dispatch: the scheduler's minimum
 // event, or the feeder's batch when its (instant, priority) sorts
 // strictly first. useFeeder=true means the feeder fires next, at fat,
@@ -289,8 +270,7 @@ func (e *Engine) next() (ev *event, fat Time, useFeeder bool) {
 const ctxPollInterval = 8192
 
 // runUntil dispatches events with instants <= limit, polling ctx (when
-// not nil) every ctxPollInterval dispatches. The barrier engine drives
-// its shards through it in epoch-sized chunks; a run that is never
+// not nil) every ctxPollInterval dispatches. A run that is never
 // cancelled is bit-identical to one with a nil ctx.
 func (e *Engine) runUntil(ctx context.Context, limit Time) error {
 	var sincePoll uint

@@ -15,7 +15,7 @@ import (
 
 // randomTrace builds a time-ordered trace of n records whose DMA share
 // varies per seed, from DMA-only down to long processor-only runs, so
-// the lookahead meets chunks with no DMA record at all.
+// some chunks hold no DMA record at all.
 func randomTrace(rng *rand.Rand, n int) *Trace {
 	tr := &Trace{Name: "random"}
 	dmaShare := []float64{1, 0.5, 0.1, 0.02}[rng.Intn(4)]
@@ -33,86 +33,6 @@ func randomTrace(rng *rand.Rand, n int) *Trace {
 		tr.Records = append(tr.Records, r)
 	}
 	return tr
-}
-
-// nextDMAAfter returns, for every position i, the time of the first
-// DMA record at or after i (ok=false when none remains).
-func nextDMAAfter(recs []Record) (times []sim.Time, ok []bool) {
-	times = make([]sim.Time, len(recs)+1)
-	ok = make([]bool, len(recs)+1)
-	for i := len(recs) - 1; i >= 0; i-- {
-		times[i], ok[i] = times[i+1], ok[i+1]
-		if recs[i].Kind.IsDMA() {
-			times[i], ok[i] = recs[i].Time, true
-		}
-	}
-	return times, ok
-}
-
-// TestCursorNextDMAProperty checks the DMA lookahead against the true
-// next-DMA time on random traces, probing it a random number of times
-// between records: on .dmt cursors (chunk sizes 1, 7, 64) it never
-// exceeds the true time, on slice-backed cursors it equals it, and on
-// both it reports "none" only when no DMA record remains, with and
-// without Check. Every fifth trace spans several of a checking slice
-// cursor's blocks. Probing must not disturb the records the cursor
-// yields.
-func TestCursorNextDMAProperty(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		if seed%5 == 0 {
-			n += 2 * sliceCheckBlock
-		}
-		tr := randomTrace(rng, n)
-		want, remains := nextDMAAfter(tr.Records)
-		for _, mode := range []struct {
-			chunk int // 0: slice-backed
-			check bool
-		}{{0, false}, {1, false}, {7, false}, {64, false}, {0, true}, {7, true}} {
-			chunk := mode.chunk
-			var cur *Cursor
-			if chunk == 0 {
-				cur = tr.Cursor()
-			} else {
-				data := encodeDMT(t, tr, WriterOptions{ChunkRecords: chunk})
-				r, err := NewReader(newByteReaderAt(data), int64(len(data)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cur = r.Cursor()
-			}
-			if mode.check {
-				cur.Check(1 << 20)
-			}
-			for i := 0; ; i++ {
-				for probe := rng.Intn(3); probe >= 0; probe-- {
-					got, ok := cur.NextDMA()
-					switch {
-					case !ok && remains[i]:
-						t.Fatalf("seed %d chunk %d record %d: lookahead reports none, DMA at %v remains", seed, chunk, i, want[i])
-					case ok && remains[i] && got > want[i]:
-						t.Fatalf("seed %d chunk %d record %d: lookahead %v exceeds next DMA at %v", seed, chunk, i, got, want[i])
-					case chunk == 0 && (ok != remains[i] || ok && got != want[i]):
-						t.Fatalf("seed %d record %d: slice lookahead %v,%v, want %v,%v", seed, i, got, ok, want[i], remains[i])
-					}
-				}
-				r, ok := cur.Next()
-				if !ok {
-					if i != len(tr.Records) {
-						t.Fatalf("seed %d chunk %d: cursor ended after %d of %d records", seed, chunk, i, len(tr.Records))
-					}
-					break
-				}
-				if r != tr.Records[i] {
-					t.Fatalf("seed %d chunk %d record %d: got %+v, want %+v", seed, chunk, i, r, tr.Records[i])
-				}
-			}
-			if err := cur.Err(); err != nil {
-				t.Fatalf("seed %d chunk %d: %v", seed, chunk, err)
-			}
-		}
-	}
 }
 
 // TestCursorCheck pins checking cursors: over a slice and over .dmt
@@ -213,43 +133,6 @@ func TestSliceCursorYieldsRecords(t *testing.T) {
 	if _, ok := (&Trace{}).Cursor().Peek(); ok {
 		t.Fatal("empty slice-backed cursor yields a record")
 	}
-}
-
-// TestStagingCursor checks Append staging: records appended behind
-// unconsumed ones keep their order, the lookahead sees them exactly,
-// and only a staging cursor accepts Append.
-func TestStagingCursor(t *testing.T) {
-	c := NewStagingCursor()
-	if _, ok := c.NextDMA(); ok {
-		t.Fatal("empty staging cursor reports a DMA")
-	}
-	c.Append(Record{Time: 1, Kind: ProcRead})
-	c.Append(Record{Time: 2, Kind: DMARead, Pages: 1})
-	if at, ok := c.NextDMA(); !ok || at != 2 {
-		t.Fatalf("NextDMA = %v,%v, want 2,true", at, ok)
-	}
-	c.Next()
-	c.Append(Record{Time: 3, Kind: ProcWrite})
-	for _, want := range []sim.Time{2, 3} {
-		if r, ok := c.Next(); !ok || r.Time != want {
-			t.Fatalf("Next = %+v,%v, want time %v", r, ok, want)
-		}
-	}
-	if _, ok := c.NextDMA(); ok {
-		t.Fatal("drained staging cursor reports a DMA")
-	}
-	// A drained buffer is reused from its start.
-	c.Append(Record{Time: 4, Kind: DMAWrite, Pages: 2})
-	if at, ok := c.NextDMA(); !ok || at != 4 || len(c.buf) != 1 {
-		t.Fatalf("after reuse NextDMA = %v,%v with %d buffered, want 4,true with 1", at, ok, len(c.buf))
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Append on a slice-backed trace cursor did not panic")
-		}
-	}()
-	testTrace(4).Cursor().Append(Record{})
 }
 
 // BenchmarkCursorDecode streams a 64k-record container (one default

@@ -501,9 +501,6 @@ type Cursor struct {
 	// cursor so reading through the io.ReadFull interface cannot make
 	// it escape per chunk)
 
-	dmaIdx  int  // NextDMA's scan position in buf, >= idx once probed
-	staging bool // buf is owned and Append may reuse it
-
 	// Record validation (Check). name labels checkRecord's errors and
 	// limit is the page bound. A checking slice cursor keeps its records
 	// in all and serves them through buf, the prefix checked so far;
@@ -540,12 +537,8 @@ const sliceCheckBlock = 4096
 // malformed chunk. A record outside the bound is reported only once the
 // rest of the trace has been scanned, since a malformed record or a
 // broken stream anywhere wins over it; that error is a
-// *PageRangeError. Call Check before the first read; a staging cursor
-// carries records checked where they came from and panics.
+// *PageRangeError. Call Check before the first read.
 func (c *Cursor) Check(limit memsys.PageID) {
-	if c.staging {
-		panic("trace: Cursor.Check on a staging cursor")
-	}
 	c.check, c.limit = true, limit
 	if c.r == nil {
 		c.all, c.buf, c.done = c.buf, c.buf[:0], false
@@ -586,57 +579,6 @@ func (c *Cursor) validate(recs []Record, base int64, last sim.Time) error {
 		last = r.Time
 	}
 	return nil
-}
-
-// NewStagingCursor returns an empty slice-backed cursor that owns its
-// buffer, for a producer that Appends records ahead of a consumer.
-func NewStagingCursor() *Cursor {
-	return &Cursor{done: true, staging: true}
-}
-
-// Append adds r behind the staging cursor's unconsumed records. Once
-// every earlier record has been consumed the buffer is reused from its
-// start, so a producer that stays one batch ahead keeps it at one
-// batch. Append panics on a cursor from anything but NewStagingCursor.
-func (c *Cursor) Append(r Record) {
-	if !c.staging {
-		panic("trace: Cursor.Append needs a staging cursor")
-	}
-	if c.idx == len(c.buf) {
-		c.buf, c.idx, c.dmaIdx = c.buf[:0], 0, 0
-	}
-	c.buf = append(c.buf, r)
-}
-
-// NextDMA reports when the next unconsumed DMA record arrives, for
-// lookahead that only DMA arrivals matter to. Over resident records
-// the answer is exact; when the resident records hold no further DMA
-// and more chunks may follow, it is the last resident record's time, a
-// lower bound (later chunks start no earlier). ok=false means no DMA
-// record remains (or the cursor failed; see Err). Repeated probes scan
-// each resident record at most once.
-func (c *Cursor) NextDMA() (sim.Time, bool) {
-	if _, ok := c.Peek(); !ok {
-		return 0, false
-	}
-	if c.dmaIdx < c.idx {
-		c.dmaIdx = c.idx
-	}
-	for {
-		for ; c.dmaIdx < len(c.buf); c.dmaIdx++ {
-			if c.buf[c.dmaIdx].Kind.IsDMA() {
-				return c.buf[c.dmaIdx].Time, true
-			}
-		}
-		if c.r != nil && !c.done {
-			return c.buf[len(c.buf)-1].Time, true
-		}
-		// A checking slice cursor checks further ahead, so its answer
-		// stays exact.
-		if !c.fill() {
-			return 0, false
-		}
-	}
 }
 
 // Err returns the first error the cursor hit: nil while healthy and
@@ -755,7 +697,7 @@ func (c *Cursor) extend() bool {
 // fail records err and empties the cursor.
 func (c *Cursor) fail(err error) {
 	c.err = err
-	c.buf, c.idx, c.dmaIdx = nil, 0, 0
+	c.buf, c.idx = nil, 0
 }
 
 func (c *Cursor) load() error {
@@ -801,7 +743,7 @@ func (c *Cursor) load() error {
 		c.buf = make([]Record, count)
 	}
 	c.buf = c.buf[:count]
-	c.idx, c.dmaIdx = 0, 0
+	c.idx = 0
 
 	// Column 1: time deltas.
 	o := 0
